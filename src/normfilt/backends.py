@@ -1,10 +1,15 @@
-"""Uniform ideal-arithmetic backends for the two supported ring classes.
+"""The ring class shared by the two supported kinds of rings.
 
-A backend bundles a ring (polynomial ring k[x_1..x_d], or a numerical
-semigroup ring with adjoined polynomial variables) with ideal operations so
-the filtration engine and the statement checkers never branch on the ring
-class. Ideals are opaque values with structural equality; elements are
-generator tokens (an exponent tuple, or a pair (valuation, multidegree)).
+Both are monoid rings k[N^v x S]: the polynomial ring k[x_1..x_d] is the
+case S = N with v = d - 1 (its last variable on the S-axis), and the
+numerical semigroup ring k[[S]], optionally with variables adjoined, keeps
+S on the last axis. Ideal arithmetic lives in `monomial`, so the filtration
+engine and the statement checkers never branch on the ring class. A ring
+adds only what depends on it: its description, how elements print, its
+Cohen-Macaulay type, and the coefficient ring of dimension one.
+
+Elements are exponent vectors with the S-axis last: (x_1..x_d) for the
+polynomial ring, (U, V, .., s) for a semigroup ring with adjoined U, V, ...
 """
 
 from __future__ import annotations
@@ -12,17 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import monomial as mono
-from . import semigroup as sgm
-from .errors import PreconditionError, UnsupportedDimension
-from .newton import (
-    ReductionCertificate,
-    certify_reduction,
-    closure_power,
-    find_monomial_reduction,
-    multiplicity,
-)
-
-MAX_DIM = 4
+from .errors import NotMPrimary, PreconditionError, UnsupportedDimension
+from .newton import MAX_DIM, multiplicity
+from .semigroup import NumericalSemigroup
 
 
 @dataclass(frozen=True)
@@ -35,301 +32,127 @@ class RingTypeReport:
     socle_type: int | None = None
 
 
-def _format_factors(names, exps) -> str:
-    parts = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
+@dataclass(frozen=True)
+class ReductionCertificate:
+    """Outcome of comparing multiplicities of an ideal and a candidate reduction."""
+
+    reduction: object
+    e0_ideal: int
+    e0_reduction: int
+    contained: bool
+
+    @property
+    def is_reduction(self) -> bool:
+        return self.contained and self.e0_ideal == self.e0_reduction
+
+
+def format_monomial(names, exps) -> str:
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e > 0]
     return "*".join(parts) if parts else "1"
 
 
-class PolynomialBackend:
-    """Monomial ideals of k[x_1..x_d] with exact Newton-polyhedron closures."""
+class MonoidRing:
+    """k[N^v x S] with named variables; kind is "polynomial" or "semigroup"."""
 
-    kind = "polynomial"
-
-    def __init__(self, names):
-        names = tuple(str(n) for n in names)
-        if not 1 <= len(names) <= MAX_DIM:
-            raise UnsupportedDimension(
-                f"polynomial backend supports 1..{MAX_DIM} variables, got {len(names)}"
-            )
-        if len(set(names)) != len(names):
-            raise PreconditionError("variable names must be distinct")
+    def __init__(self, kind: str, sg: NumericalSemigroup, names: tuple[str, ...]):
+        self.kind = kind
+        self.sg = sg
         self.names = names
-        self.dim = len(names)
+        self.dim = len(names) if kind == "polynomial" else 1 + len(names)
 
     def describe(self) -> str:
-        return f"polynomial ring k[{','.join(self.names)}]"
-
-    # --- ideal construction -------------------------------------------------
-    def ideal(self, exponents) -> mono.MonomialIdeal:
-        return mono.minimal_generators(self.dim, exponents)
-
-    def unit(self):
-        return mono.unit_ideal(self.dim)
-
-    def maximal(self):
-        return mono.maximal_ideal(self.dim)
-
-    # --- arithmetic ---------------------------------------------------------
-    def mul(self, a, b):
-        return mono.multiply(a, b)
-
-    def add(self, a, b):
-        return mono.ideal_sum(a, b)
-
-    def intersect(self, a, b):
-        return mono.intersect(a, b)
-
-    def colon(self, a, b):
-        return mono.colon(a, b)
-
-    def power(self, a, n):
-        return mono.power(a, n)
-
-    def equal(self, a, b) -> bool:
-        return a == b
-
-    def contains(self, a, b) -> bool:
-        return mono.ideal_contains(a, b)
-
-    def length(self, a, b) -> int:
-        return mono.quotient_length(a, b)
-
-    def colength(self, a) -> int:
-        return mono.colength(a)
-
-    # --- closures and reductions --------------------------------------------
-    def is_m_primary(self, a) -> bool:
-        return mono.is_m_primary(a)
-
-    def closure_power(self, a, n):
-        return closure_power(a, n)
-
-    def multiplicity(self, a) -> int:
-        return multiplicity(a)
-
-    def as_monomial(self, a) -> mono.MonomialIdeal:
-        return a
-
-    def auto_reduction(self, a) -> ReductionCertificate | None:
-        return find_monomial_reduction(a)
-
-    def certify(self, a, j) -> ReductionCertificate:
-        self.validate_reduction_shape(j)
-        return certify_reduction(a, j)
-
-    def validate_reduction_shape(self, j) -> None:
-        """A candidate reduction must be generated by one pure power per variable."""
-        exps = mono.pure_power_exponents(j)
-        if len(j.gens) != self.dim or any(e is None for e in exps):
-            raise PreconditionError(
-                "reduction must be generated by exactly one pure power of each variable"
-            )
-
-    # --- elements -----------------------------------------------------------
-    def reduction_gens(self, j) -> list:
-        return sorted(j.gens)
-
-    def principal(self, gen):
-        return mono.MonomialIdeal(self.dim, (tuple(gen),))
-
-    def min_gens(self, a) -> list:
-        return list(a.gens)
-
-    def element_in(self, a, gen) -> bool:
-        return mono.contains(a, tuple(gen))
-
-    def element_str(self, gen) -> str:
-        return _format_factors(self.names, gen)
-
-    def element_degree(self, gen) -> int:
-        return sum(gen)
-
-    # --- ring invariants ----------------------------------------------------
-    def mu(self, a) -> int:
-        return self.length(a, self.mul(self.maximal(), a))
-
-    def type_report(self) -> RingTypeReport:
-        return RingTypeReport(type=1, source="regular ring; the maximal ideal is generated by a regular sequence")
-
-
-class SemigroupBackend:
-    """Monomial-type ideals of k[[S]] with adjoined polynomial variables."""
-
-    kind = "semigroup"
-
-    def __init__(self, generators, adjoin: int = 0, names=None):
-        if adjoin < 0 or 1 + adjoin > MAX_DIM:
-            raise UnsupportedDimension(
-                f"semigroup backend supports 0..{MAX_DIM - 1} adjoined variables, got {adjoin}"
-            )
-        self.sg = sgm.NumericalSemigroup(generators)
-        if names is None:
-            names = ("U", "V", "W")[:adjoin]
-        names = tuple(str(n) for n in names)
-        if len(names) != adjoin or len(set(names)) != adjoin or "t" in names:
-            raise PreconditionError("adjoined variable names must be distinct and not 't'")
-        self.ring = sgm.ExtensionRing(self.sg, names)
-        self.names = names
-        self.dim = 1 + adjoin
-
-    def describe(self) -> str:
+        if self.kind == "polynomial":
+            return f"polynomial ring k[{','.join(self.names)}]"
         base = f"semigroup ring k[[t^{{{','.join(str(g) for g in self.sg.gens)}}}]]"
-        if self.names:
-            return base + f"[{','.join(self.names)}]"
-        return base
+        return base + (f"[{','.join(self.names)}]" if self.names else "")
 
-    # --- ideal construction -------------------------------------------------
-    def ideal(self, pairs) -> sgm.ExtIdeal:
-        return sgm.ext_from_gens(self.ring, pairs)
+    def ideal(self, vectors) -> mono.Ideal:
+        return mono.ideal(self.sg, self.dim, vectors)
 
-    def unit(self):
-        return sgm.ext_unit(self.ring)
+    def unit(self) -> mono.Ideal:
+        return mono.unit_ideal(self.sg, self.dim)
 
-    def maximal(self):
-        return sgm.ext_maximal(self.ring)
+    def maximal(self) -> mono.Ideal:
+        return mono.maximal_ideal(self.sg, self.dim)
 
-    # --- arithmetic ---------------------------------------------------------
-    def mul(self, a, b):
-        return sgm.ext_mul(a, b)
+    def element_str(self, v) -> str:
+        if self.kind == "polynomial":
+            return format_monomial(self.names, v)
+        t_part = f"t^{v[-1]}" if v[-1] else ""
+        x_part = format_monomial(self.names, v[:-1])
+        if t_part and x_part != "1":
+            return f"{t_part}*{x_part}"
+        return t_part or x_part
 
-    def add(self, a, b):
-        return sgm.ext_sum(a, b)
-
-    def intersect(self, a, b):
-        return sgm.ext_intersect(a, b)
-
-    def colon(self, a, b):
-        return sgm.ext_colon(a, b)
-
-    def power(self, a, n):
-        return sgm.ext_power(a, n)
-
-    def equal(self, a, b) -> bool:
-        return a == b
-
-    def contains(self, a, b) -> bool:
-        return sgm.ext_ideal_contains(a, b)
-
-    def length(self, a, b) -> int:
-        return sgm.ext_quotient_length(a, b)
-
-    def colength(self, a) -> int:
-        return sgm.ext_quotient_length(self.unit(), a)
-
-    # --- closures and reductions --------------------------------------------
-    def is_m_primary(self, a) -> bool:
-        return sgm.ext_is_m_primary(a)
-
-    def closure_power(self, a, n):
-        return sgm.ext_normal_power(a, n)
-
-    def multiplicity(self, a) -> int:
-        return multiplicity(sgm.induced_monomial_ideal(a))
-
-    def as_monomial(self, a) -> mono.MonomialIdeal:
-        return sgm.induced_monomial_ideal(a)
-
+    # --- reductions ---------------------------------------------------------
     def auto_reduction(self, a) -> ReductionCertificate | None:
-        """Candidate reduction: least t-power in the ideal plus least pure power
-        of each adjoined variable; certified by multiplicity comparison."""
-        if not self.is_m_primary(a):
-            from .errors import NotMPrimary
-
+        """The least pure power along each axis, when multiplicities certify it."""
+        if not mono.is_m_primary(a):
             raise NotMPrimary("automatic reduction requires an m-primary ideal")
-        v = self.ring.nvars
-        origin = a.comp((0,) * v)
-        pairs = [(origin.gens[0], (0,) * v)]
-        for i in range(v):
-            k = next(
-                k
-                for k in range(a.cap[i] + 1)
-                if a.comp(tuple(k if j == i else 0 for j in range(v))).is_unit
-            )
-            pairs.append((0, tuple(k if j == i else 0 for j in range(v))))
-        j = self.ideal(pairs)
+        d = self.dim
+        exps = mono.pure_power_exponents(a)
+        j = self.ideal([tuple(e if k == i else 0 for k in range(d)) for i, e in enumerate(exps)])
         cert = self._certificate(a, j)
         return cert if cert.is_reduction else None
 
     def certify(self, a, j) -> ReductionCertificate:
-        self.validate_reduction_shape(j)
+        """A candidate reduction must be generated by one pure power of each variable."""
+        axes = sorted(next(i for i, x in enumerate(g) if x) for g in j.gens if sum(map(bool, g)) == 1)
+        if axes != list(range(self.dim)) or len(j.gens) != self.dim:
+            raise PreconditionError("reduction must be generated by one pure power of each variable")
         return self._certificate(a, j)
 
     def _certificate(self, a, j) -> ReductionCertificate:
         return ReductionCertificate(
             reduction=j,
-            e0_ideal=self.multiplicity(a),
-            e0_reduction=self.multiplicity(j),
-            contained=self.contains(a, j),
+            e0_ideal=multiplicity(a.hull),
+            e0_reduction=multiplicity(j.hull),
+            contained=mono.ideal_contains(a, j),
         )
-
-    def validate_reduction_shape(self, j) -> None:
-        """A candidate reduction must be a t-power plus one pure power per variable."""
-        v = self.ring.nvars
-        gens = sgm.ext_min_gen_pairs(j, self.maximal())
-        t_gens = [s for s, b in gens if all(x == 0 for x in b)]
-        ok = len(gens) == self.dim and len(t_gens) == 1
-        if ok:
-            for i in range(v):
-                axis = [
-                    (s, b)
-                    for s, b in gens
-                    if s == 0 and b[i] > 0 and all(b[k] == 0 for k in range(v) if k != i)
-                ]
-                ok = ok and len(axis) == 1
-        if not ok:
-            raise PreconditionError(
-                "reduction must be generated by a t-power and one pure power of each variable"
-            )
-
-    # --- elements -----------------------------------------------------------
-    def reduction_gens(self, j) -> list:
-        return sorted(sgm.ext_min_gen_pairs(j, self.maximal()), key=lambda p: (p[1], p[0]))
-
-    def principal(self, gen):
-        s, b = gen
-        return sgm.ext_from_gens(self.ring, [(s, b)])
-
-    def min_gens(self, a) -> list:
-        return sgm.ext_min_gen_pairs(a, self.maximal())
-
-    def element_in(self, a, gen) -> bool:
-        s, b = gen
-        return sgm.ext_contains(a, s, b)
-
-    def element_str(self, gen) -> str:
-        s, b = gen
-        t_part = f"t^{s}" if s else ""
-        x_part = _format_factors(self.names, b)
-        if t_part and x_part != "1":
-            return f"{t_part}*{x_part}"
-        return t_part or x_part
-
-    def element_degree(self, gen) -> int:
-        s, b = gen
-        return s + sum(b)
 
     # --- ring invariants ----------------------------------------------------
-    def mu(self, a) -> int:
-        return self.length(a, self.mul(self.maximal(), a))
-
     def type_report(self) -> RingTypeReport:
-        """Type via pseudo-Frobenius count, cross-checked by a socle length."""
-        sg = self.sg
-        x = sgm.SgIdeal(sg, (sg.multiplicity,))
-        m = sgm.sg_ideal(sg, sg.gens)
-        socle = sgm.sg_quotient_length(sgm.sg_colon(x, m), x)
+        if self.kind == "polynomial":
+            return RingTypeReport(
+                type=self.sg.type,
+                source="regular ring; the maximal ideal is generated by a regular sequence",
+            )
+        base = self.base_ring()
+        x = base.ideal([(self.sg.multiplicity,)])
         return RingTypeReport(
-            type=sg.type,
+            type=self.sg.type,
             source="pseudo-Frobenius count of the semigroup",
-            pseudo_frobenius=sg.pseudo_frobenius,
-            socle_type=socle,
+            pseudo_frobenius=self.sg.pseudo_frobenius,
+            socle_type=mono.quotient_length(mono.colon(x, base.maximal()), x),
         )
 
-    def base_backend(self) -> "SemigroupBackend":
-        """The adjoin-0 backend over the same semigroup."""
-        return SemigroupBackend(self.sg.gens, 0)
+    def base_ring(self) -> "MonoidRing":
+        """k[[S]] itself, the coefficient ring with no variables adjoined."""
+        return MonoidRing("semigroup", self.sg, ())
+
+
+def PolynomialBackend(names) -> MonoidRing:
+    """k[x_1..x_d]: the monoid ring of N^d, its last variable on the S-axis."""
+    names = tuple(str(n) for n in names)
+    if not 1 <= len(names) <= MAX_DIM:
+        raise UnsupportedDimension(
+            f"polynomial backend supports 1..{MAX_DIM} variables, got {len(names)}"
+        )
+    if len(set(names)) != len(names):
+        raise PreconditionError("variable names must be distinct")
+    return MonoidRing("polynomial", NumericalSemigroup((1,)), names)
+
+
+def SemigroupBackend(generators, adjoin: int = 0, names=None) -> MonoidRing:
+    """k[[S]] for the numerical semigroup S = <generators>, with adjoin variables."""
+    if adjoin < 0 or 1 + adjoin > MAX_DIM:
+        raise UnsupportedDimension(
+            f"semigroup backend supports 0..{MAX_DIM - 1} adjoined variables, got {adjoin}"
+        )
+    sg = NumericalSemigroup(generators)
+    if names is None:
+        names = ("U", "V", "W")[:adjoin]
+    names = tuple(str(n) for n in names)
+    if len(names) != adjoin or len(set(names)) != adjoin or "t" in names:
+        raise PreconditionError("adjoined variable names must be distinct and not 't'")
+    return MonoidRing("semigroup", sg, names)

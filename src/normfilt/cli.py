@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import inputs, reports
 from .errors import HorizonError, InputError, PreconditionError
+from .filtration import default_nmax, default_window
 from .theorems import CHECKS, analyze, run_checks
 
 EXIT_OK = 0
@@ -34,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_checks=False):
         p.add_argument("--nmax", type=int, default=None,
-                       help="table horizon (default: dim + 5)")
+                       help="table horizon (default: max(dim + 5, dim + window), "
+                       "window = dim + 2 unless the entry sets it)")
         p.add_argument("--format", choices=("json", "csv", "md"), default="json",
                        dest="fmt", help="output format (default: json)")
         if with_checks:
@@ -88,7 +90,9 @@ def _load_entry(path_str, *, nmax, checks, tamper_normal=None):
         tamper_normal=tamper_normal,
     )
     if tamper_normal is not None:
-        horizon_n = entry.nmax if entry.nmax is not None else entry.backend.dim + 5
+        dim = entry.backend.dim
+        window = entry.window if entry.window is not None else default_window(dim)
+        horizon_n = entry.nmax if entry.nmax is not None else default_nmax(dim, window)
         if not 0 <= tamper_normal <= horizon_n:
             raise InputError(
                 f"--tamper-normal index {tamper_normal} outside the table range 0..{horizon_n}"

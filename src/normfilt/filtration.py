@@ -1,4 +1,4 @@
-"""Filtration analytics over an ideal-arithmetic backend.
+"""Filtration analytics over a monoid ring.
 
 Covers: memoized filtration terms (integral-closure powers, ordinary powers,
 the J-good chain E_0 = R, E_n = J^{n-1}*closure(I), and user-supplied initial
@@ -21,6 +21,15 @@ from math import comb
 
 from .errors import HorizonError, PreconditionError
 from .linalg import solve_square
+from .monomial import (
+    closure_power,
+    colength,
+    contains,
+    ideal_contains,
+    ideal_sum,
+    intersect,
+    multiply,
+)
 
 KINDS = ("normal", "adic", "jgood", "user")
 
@@ -40,8 +49,17 @@ def default_window(dim: int) -> int:
     return dim + 2
 
 
+def default_nmax(dim: int, window: int) -> int:
+    """Least default horizon whose table holds a fit of dim+1 entries plus its window."""
+    return max(dim + 5, dim + window)
+
+
 class Filtration:
-    """A descending multiplicative filtration with memoized terms."""
+    """A descending multiplicative filtration with memoized terms.
+
+    Each term is built from the one before it: I^n = I*I^(n-1), and the
+    J-good and user chains multiply by J.
+    """
 
     def __init__(self, backend, kind: str, ideal=None, reduction=None, initial=None):
         if kind not in KINDS:
@@ -56,7 +74,7 @@ class Filtration:
             if not initial:
                 raise PreconditionError("user filtration requires initial terms")
             for a, b in zip(initial, initial[1:]):
-                if not backend.contains(a, b):
+                if not ideal_contains(a, b):
                     raise PreconditionError("user filtration terms must be descending")
         self.backend = backend
         self.kind = kind
@@ -70,26 +88,23 @@ class Filtration:
             raise PreconditionError("negative filtration index")
         if n in self._terms:
             return self._terms[n]
-        b = self.backend
         if self.kind == "normal":
-            t = b.closure_power(self.ideal, n)
+            t = closure_power(self.ideal, n)
         elif self.kind == "adic":
-            t = b.power(self.ideal, n)
+            t = multiply(self.ideal, self.term(n - 1))
         elif self.kind == "jgood":
-            t = b.closure_power(self.ideal, 1) if n == 1 else b.mul(self.reduction, self.term(n - 1))
+            t = closure_power(self.ideal, 1) if n == 1 else multiply(self.reduction, self.term(n - 1))
+        elif n <= len(self.initial):
+            t = self.initial[n - 1]
         else:
-            if n <= len(self.initial):
-                t = self.initial[n - 1]
-            else:
-                t = b.mul(self.reduction, self.term(n - 1))
+            t = multiply(self.reduction, self.term(n - 1))
         self._terms[n] = t
         return t
 
 
 def length_table(filt: Filtration, nmax: int) -> tuple[int, ...]:
     """values[n] = length of R/F_{n+1} for n = 0..nmax."""
-    b = filt.backend
-    return tuple(b.colength(filt.term(n + 1)) for n in range(nmax + 1))
+    return tuple(colength(filt.term(n + 1)) for n in range(nmax + 1))
 
 
 def graded_diffs(values) -> tuple[int, ...]:
@@ -182,10 +197,9 @@ def reduction_number(filt: Filtration, reduction, nmax: int) -> tuple[int, range
     Raises HorizonError when even the top degree fails, since no reduction
     number is certifiable within the horizon.
     """
-    b = filt.backend
     r = nmax + 1
     for n in range(nmax, -1, -1):
-        if b.equal(filt.term(n + 1), b.mul(reduction, filt.term(n))):
+        if filt.term(n + 1) == multiply(reduction, filt.term(n)):
             r = n
         else:
             break
@@ -206,11 +220,11 @@ class VVReport:
 
 
 def _witness_element(backend, lhs, rhs) -> str:
-    for g in backend.min_gens(lhs):
-        if not backend.element_in(rhs, g):
+    for g in lhs.gens:
+        if not contains(rhs, g):
             return backend.element_str(g)
-    for g in backend.min_gens(rhs):
-        if not backend.element_in(lhs, g):
+    for g in rhs.gens:
+        if not contains(lhs, g):
             return backend.element_str(g)
     raise PreconditionError("ideals differ but no witness generator found")
 
@@ -224,17 +238,16 @@ def valabrega_valla(filt: Filtration, reduction, nmax: int, window: int, rn: int
     horizon comfortably exceeds the certified reduction number.
     """
     b = filt.backend
-    gens = b.reduction_gens(reduction)
     prefixes = []
     acc = None
-    for g in gens:
-        acc = b.principal(g) if acc is None else b.add(acc, b.principal(g))
+    for g in reduction.gens:
+        acc = b.ideal([g]) if acc is None else ideal_sum(acc, b.ideal([g]))
         prefixes.append(acc)
     for n in range(1, nmax + 1):
         for i, pref in enumerate(prefixes, start=1):
-            lhs = b.intersect(filt.term(n), pref)
-            rhs = b.mul(pref, filt.term(n - 1))
-            if not b.equal(lhs, rhs):
+            lhs = intersect(filt.term(n), pref)
+            rhs = multiply(pref, filt.term(n - 1))
+            if lhs != rhs:
                 witness = _witness_element(b, lhs, rhs)
                 return VVReport(False, False, (n, i, witness), nmax, None)
     required = rn + window if rn is not None else None
@@ -289,12 +302,15 @@ def series_checks(normal_values, jgood_values, dim: int, e0: int) -> SeriesCheck
 
 
 def intersection_failures(backend, normal_filt: Filtration, jgood_filt: Filtration,
-                          reduction, upto: int) -> list[tuple[int, str]]:
-    """Degrees n with closure(I^{n+1}) ∩ J^n != J^n closure(I), plus witnesses."""
+                          reduction_powers: Filtration, upto: int) -> list[tuple[int, str]]:
+    """Degrees n with closure(I^{n+1}) ∩ J^n != J^n closure(I), plus witnesses.
+
+    reduction_powers is the adic filtration of J, which holds J^n.
+    """
     out = []
     for n in range(1, upto + 1):
-        lhs = backend.intersect(normal_filt.term(n + 1), backend.power(reduction, n))
+        lhs = intersect(normal_filt.term(n + 1), reduction_powers.term(n))
         rhs = jgood_filt.term(n + 1)
-        if not backend.equal(lhs, rhs):
+        if lhs != rhs:
             out.append((n, _witness_element(backend, lhs, rhs)))
     return out

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import backends
+from .backends import format_monomial
 from .errors import InputError, PreconditionError, UnsupportedDimension
-from .theorems import EntryData
+from .theorems import CHECKS, EntryData
 
 DEFAULT_POLY_NAMES = ("x", "y", "z", "w")
 DEFAULT_ADJOIN_NAMES = ("U", "V", "W")
@@ -74,15 +75,6 @@ def parse_monomial(token, names, line_no, line):
         else:
             exps[names.index(base)] += 1
     return tuple(exps)
-
-
-def format_monomial(names, exps) -> str:
-    parts = [
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip(names, exps)
-        if e > 0
-    ]
-    return "*".join(parts) if parts else "1"
 
 
 def _parse_kv(fields, allowed, line_no, line):
@@ -265,9 +257,10 @@ def format_input(entry: ParsedEntry) -> str:
 
 
 def _to_backend_gens(kind, gens):
+    """Entry files write t first; ring elements keep the S-axis last."""
     if kind == "polynomial":
         return gens
-    return tuple((g[0], g[1:]) for g in gens)
+    return tuple(g[1:] + g[:1] for g in gens)
 
 
 def build_entry(parsed: ParsedEntry, default_name: str = "entry", *,
@@ -293,8 +286,6 @@ def build_entry(parsed: ParsedEntry, default_name: str = "entry", *,
     except PreconditionError as exc:
         raise InputError(f"invalid entry: {exc}", line=1, column=1) from exc
     entry_checks = checks if checks is not None else parsed.checks
-    from .theorems import CHECKS
-
     if entry_checks is not None:
         unknown = [c for c in entry_checks if c not in CHECKS]
         if unknown:

@@ -1,22 +1,63 @@
-"""Exact arithmetic on monomial ideals of a polynomial ring k[x_1..x_d].
+"""Exact arithmetic on monomial ideals of the monoid rings k[N^v x S].
 
-An ideal is stored through its unique minimal monomial generators, i.e. the
-antichain of exponent vectors under componentwise divisibility. Lengths of
-finite quotients are computed by lattice-point enumeration inside the box cut
-out by the pure-power generators, so every reported number is exact.
+Both ring classes are such monoid rings: k[x_1..x_d] is the case S = N with
+v = d - 1 free axes, and k[[S]][x_1..x_v] puts a numerical semigroup S on
+the last axis. A monomial is an exponent vector (b_1..b_v, s) with s in S,
+and an ideal is a set of monomials closed under adding monoid elements.
+
+An ideal is stored as a Python-int bitset over the box [0, cap] in row-major
+order, the S-axis varying fastest. The top slice along each axis stands for
+every point beyond it, so a box is valid for an ideal when membership stays
+constant past the cap along every axis. Boxes are not canonical: operations
+first bring their operands onto a common box. Sum, intersection, containment
+and equality are bitwise; a product is the union of the shifts of one factor
+by the minimal generators of the other; a colon intersects shifts back; a
+colength is a popcount, finite exactly when no counted point lies in a top
+slice. Integral closures of powers are cut out row by row along the S-axis
+by the halfspaces of the Newton polyhedron, as every halfspace of an
+m-primary ideal has a positive S-coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 from math import prod
 
 from .errors import DimensionMismatch, InfiniteLength, PreconditionError
+from .newton import NewtonPolyhedron, newton_polyhedron
+from .semigroup import NumericalSemigroup
 
 Exponent = tuple[int, ...]
 
 
-def _check_vector(v: Exponent, dim: int) -> Exponent:
+@dataclass(frozen=True, eq=False)
+class Ideal:
+    """A monomial ideal: membership bits over the box [0, cap] of its monoid."""
+
+    sg: NumericalSemigroup
+    cap: tuple[int, ...]
+    bits: int
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Ideal) and equal(self, other)
+
+    @cached_property
+    def gens(self) -> tuple[Exponent, ...]:
+        """Minimal generators in lexicographic order: the points outside m*I."""
+        atoms = _atoms(self.sg, len(self.cap))
+        cap = tuple(c + max(a[i] for a in atoms) for i, c in enumerate(self.cap))
+        x = _reshape(self.bits, self.cap, cap)
+        return _points(x & ~_shift_union(x, cap, atoms), cap)
+
+    @cached_property
+    def hull(self) -> NewtonPolyhedron:
+        """Newton polyhedron of the generators, computed once per ideal."""
+        return newton_polyhedron(self.gens)
+
+
+def _check_vector(v, dim: int) -> Exponent:
     v = tuple(int(x) for x in v)
     if len(v) != dim:
         raise DimensionMismatch(f"exponent vector {v} does not have length {dim}")
@@ -25,218 +66,256 @@ def _check_vector(v: Exponent, dim: int) -> Exponent:
     return v
 
 
-def divides(a: Exponent, b: Exponent) -> bool:
-    """Whether x^a divides x^b, i.e. a <= b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+def _check_same(a: Ideal, b: Ideal):
+    if len(a.cap) != len(b.cap) or a.sg != b.sg:
+        raise DimensionMismatch(f"ideals live in different rings ({len(a.cap)} and {len(b.cap)} axes)")
 
 
-def _minimalize(cands) -> tuple[Exponent, ...]:
-    """Reduce a generating set to the divisibility antichain of its minima."""
-    by_degree = sorted(set(cands), key=lambda a: (sum(a), a))
-    kept: list[Exponent] = []
-    for a in by_degree:
-        deg = sum(a)
-        dominated = False
-        for g in kept:
-            if sum(g) == deg:
-                break  # equal-degree distinct vectors are incomparable
-            if divides(g, a):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(a)
-    return tuple(sorted(kept))
+# --- boxes --------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """A monomial ideal, canonically represented by sorted minimal generators."""
-
-    dim: int
-    gens: tuple[Exponent, ...]
-
-    def __post_init__(self):
-        for g in self.gens:
-            if len(g) != self.dim:
-                raise DimensionMismatch(f"generator {g} does not have length {self.dim}")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
-    @property
-    def is_unit(self) -> bool:
-        return len(self.gens) == 1 and not any(self.gens[0])
-
-    def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return multiply(self, other)
-
-    def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return ideal_sum(self, other)
-
-    def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return intersect(self, other)
-
-
-def minimal_generators(dim: int, raw) -> MonomialIdeal:
-    """Build an ideal from any generating set, minimalizing it."""
-    vectors = [_check_vector(v, dim) for v in raw]
-    return MonomialIdeal(dim, _minimalize(vectors))
-
-
-def zero_ideal(dim: int) -> MonomialIdeal:
-    return MonomialIdeal(dim, ())
-
-
-def unit_ideal(dim: int) -> MonomialIdeal:
-    return MonomialIdeal(dim, ((0,) * dim,))
-
-
-def maximal_ideal(dim: int) -> MonomialIdeal:
-    gens = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
-    return MonomialIdeal(dim, tuple(sorted(gens)))
-
-
-def _check_same_dim(a: MonomialIdeal, b: MonomialIdeal):
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"ideals live in dimensions {a.dim} and {b.dim}")
-
-
-def multiply(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    _check_same_dim(a, b)
-    cands = [tuple(x + y for x, y in zip(u, v)) for u in a.gens for v in b.gens]
-    return MonomialIdeal(a.dim, _minimalize(cands))
-
-
-def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    _check_same_dim(a, b)
-    return MonomialIdeal(a.dim, _minimalize(a.gens + b.gens))
-
-
-def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    _check_same_dim(a, b)
-    cands = [tuple(max(x, y) for x, y in zip(u, v)) for u in a.gens for v in b.gens]
-    return MonomialIdeal(a.dim, _minimalize(cands))
-
-
-def colon(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """The ideal quotient (a : b)."""
-    _check_same_dim(a, b)
-    if b.is_zero:
-        raise PreconditionError("colon by the zero ideal")
-    if a.is_zero:
-        return a
-    result = None
-    for v in b.gens:
-        shifted = MonomialIdeal(
-            a.dim, _minimalize(tuple(max(x - y, 0) for x, y in zip(u, v)) for u in a.gens)
-        )
-        result = shifted if result is None else intersect(result, shifted)
-    return result
-
-
-def power(a: MonomialIdeal, n: int) -> MonomialIdeal:
-    if n < 0:
-        raise PreconditionError("negative ideal power")
-    result = unit_ideal(a.dim)
-    for _ in range(n):
-        result = multiply(result, a)
-    return result
-
-
-def contains(a: MonomialIdeal, v: Exponent) -> bool:
-    """Whether the monomial x^v lies in the ideal a."""
-    v = _check_vector(v, a.dim)
-    return any(divides(g, v) for g in a.gens)
-
-
-def ideal_contains(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    """Whether b is a subideal of a."""
-    _check_same_dim(a, b)
-    return all(contains(a, g) for g in b.gens)
-
-
-def pure_power_exponents(a: MonomialIdeal) -> list[int | None]:
-    """For each variable, the least e with x_i^e among the generators (None if absent)."""
-    out: list[int | None] = [None] * a.dim
-    for g in a.gens:
-        support = [i for i, x in enumerate(g) if x]
-        if len(support) == 1:
-            i = support[0]
-            if out[i] is None or g[i] < out[i]:
-                out[i] = g[i]
-        elif not support:  # unit ideal
-            return [0] * a.dim
+def _strides(widths) -> list[int]:
+    out = [1] * len(widths)
+    for i in range(len(widths) - 2, -1, -1):
+        out[i] = out[i + 1] * widths[i + 1]
     return out
 
 
-def is_m_primary(a: MonomialIdeal) -> bool:
-    """Proper and containing a pure power of each variable."""
-    if a.is_zero or a.is_unit:
-        return False
-    return all(e is not None for e in pure_power_exponents(a))
+def _repeat(pattern: int, period: int, count: int) -> int:
+    """count copies of pattern, period bits apart."""
+    done = 1
+    while done < count:
+        step = min(done, count - done)
+        pattern |= pattern << (step * period)
+        done += step
+    return pattern
 
 
-def _membership_grid(ideal: MonomialIdeal, bounds: tuple[int, ...]) -> bytearray:
-    """Indicator of ideal membership on the box prod([0, bounds_i)), mixed-radix order.
+def _slab(widths, axis: int, lo: int, hi: int) -> int:
+    """Mask of the points whose coordinate along axis lies in [lo, hi)."""
+    inner = prod(widths[axis + 1:])
+    block = ((1 << ((hi - lo) * inner)) - 1) << (lo * inner)
+    return _repeat(block, widths[axis] * inner, prod(widths[:axis]))
 
-    Upward closure gives the recurrence: a point is in the ideal iff it is a
-    generator or some coordinate predecessor already is.
+
+def _monoid(sg: NumericalSemigroup, cap) -> int:
+    """Mask of the monoid points of the box; its top S-slice lies in S."""
+    width = cap[-1] + 1
+    row = sum(1 << s for s in range(width) if sg.contains(s))
+    return _repeat(row, width, prod(c + 1 for c in cap[:-1]))
+
+
+def _reshape(bits: int, old, new) -> int:
+    """Lay bits from the box [0, old] onto [0, new]: an axis that grows repeats
+    its top slice, an axis that shrinks is cut."""
+    if old == new or not bits:
+        return bits
+    cur = [c + 1 for c in old]
+    buf = format(bits, f"0{prod(cur)}b").encode()[::-1]  # one byte per point
+    for axis, width in enumerate(c + 1 for c in new):
+        w = cur[axis]
+        if w == width:
+            continue
+        outer, inner = prod(cur[:axis]), prod(cur[axis + 1:])
+        src, block, keep = buf, w * inner, min(w, width) * inner
+        if outer <= width * inner:  # fewer Python steps block by block
+            parts = []
+            for q in range(0, outer * block, block):
+                parts.append(src[q:q + keep])
+                if width > w:
+                    parts.append(src[q + block - inner:q + block] * (width - w))
+            buf = b"".join(parts)
+        else:  # fewer steps slice by slice, each a strided copy
+            buf = bytearray(outer * width * inner)
+            for k in range(width):
+                at = min(k, w - 1) * inner
+                for r in range(inner):
+                    buf[k * inner + r::width * inner] = src[at + r::block]
+        cur[axis] = width
+    return int(buf[::-1], 2)
+
+
+def _shift_union(bits: int, cap, vectors) -> int:
+    """Union of the shifts of bits by each vector, within the box [0, cap].
+
+    The box must hold the shifts: bits is valid on [0, cap - v] for every v,
+    so points pushed past the cap repeat what the top slice already gets.
     """
-    dim = ideal.dim
-    total = prod(bounds)
-    grid = bytearray(total)
-    if total == 0:
-        return grid
-    strides = [0] * dim
-    s = 1
-    for i in range(dim - 1, -1, -1):
-        strides[i] = s
-        s *= bounds[i]
-    genset = {g for g in ideal.gens if all(x < b for x, b in zip(g, bounds))}
-    coords = [0] * dim
-    for idx in range(total):
-        inside = tuple(coords) in genset
-        if not inside:
-            for i in range(dim):
-                if coords[i] > 0 and grid[idx - strides[i]]:
-                    inside = True
-                    break
-        grid[idx] = 1 if inside else 0
-        for i in range(dim - 1, -1, -1):  # odometer increment
-            coords[i] += 1
-            if coords[i] < bounds[i]:
-                break
-            coords[i] = 0
-    return grid
+    widths = [c + 1 for c in cap]
+    strides = _strides(widths)
+    masks: dict[tuple[int, int], int] = {}
+    out = 0
+    for v in vectors:
+        x = bits
+        for axis in range(1, len(v)):  # axis 0 overflows past the box end
+            if v[axis]:
+                key = (axis, v[axis])
+                if key not in masks:
+                    masks[key] = _slab(widths, axis, 0, widths[axis] - v[axis])
+                x &= masks[key]
+        out |= x << sum(c * s for c, s in zip(v, strides))
+    return out & ((1 << prod(widths)) - 1)
 
 
-def quotient_length(a: MonomialIdeal, b: MonomialIdeal) -> int:
-    """Length of a/b as a k-vector space, i.e. the number of monomials in a but not b.
+def _points(bits: int, cap) -> tuple[Exponent, ...]:
+    """The points whose bits are set, in index (lexicographic) order."""
+    strides = _strides([c + 1 for c in cap])
+    text = format(bits, "b")[::-1]
+    out = []
+    i = text.find("1")
+    while i >= 0:
+        rest, point = i, []
+        for s in strides:
+            q, rest = divmod(rest, s)
+            point.append(q)
+        out.append(tuple(point))
+        i = text.find("1", i + 1)
+    return tuple(out)
 
-    Requires b to be a subideal of a and to contain a pure power of each
-    variable; every monomial of a outside the pure-power box already lies in b,
-    so counting inside the box is exhaustive.
-    """
-    _check_same_dim(a, b)
-    if not ideal_contains(a, b):
+
+def _joint(a: Ideal, b: Ideal):
+    _check_same(a, b)
+    cap = tuple(map(max, a.cap, b.cap))
+    return cap, _reshape(a.bits, a.cap, cap), _reshape(b.bits, b.cap, cap)
+
+
+def _atoms(sg: NumericalSemigroup, dim: int) -> list[Exponent]:
+    """Generators of the monoid: the free unit vectors and the semigroup generators."""
+    units = [tuple(int(j == i) for j in range(dim)) for i in range(dim - 1)]
+    return units + [(0,) * (dim - 1) + (g,) for g in sg.gens]
+
+
+# --- construction ---------------------------------------------------------------
+
+def ideal(sg: NumericalSemigroup, dim: int, vectors) -> Ideal:
+    """The ideal generated by the monomials with the given exponent vectors."""
+    vectors = [_check_vector(v, dim) for v in vectors]
+    for v in vectors:
+        if not sg.contains(v[-1]):
+            raise PreconditionError(f"valuation {v[-1]} is not in the semigroup")
+    cap = tuple(max((v[i] for v in vectors), default=0) for i in range(dim))
+    cap = cap[:-1] + (cap[-1] + sg.conductor,)
+    return Ideal(sg, cap, _shift_union(_monoid(sg, cap), cap, vectors))
+
+
+def unit_ideal(sg: NumericalSemigroup, dim: int) -> Ideal:
+    return ideal(sg, dim, [(0,) * dim])
+
+
+def maximal_ideal(sg: NumericalSemigroup, dim: int) -> Ideal:
+    return ideal(sg, dim, _atoms(sg, dim))
+
+
+# --- arithmetic -------------------------------------------------------------------
+
+def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
+    cap, x, y = _joint(a, b)
+    return Ideal(a.sg, cap, x | y)
+
+
+def intersect(a: Ideal, b: Ideal) -> Ideal:
+    cap, x, y = _joint(a, b)
+    return Ideal(a.sg, cap, x & y)
+
+
+def equal(a: Ideal, b: Ideal) -> bool:
+    _, x, y = _joint(a, b)
+    return x == y
+
+
+def ideal_contains(a: Ideal, b: Ideal) -> bool:
+    """Whether b is a subideal of a."""
+    _, x, y = _joint(a, b)
+    return not y & ~x
+
+
+def _shift_box(a: Ideal, gens) -> tuple[int, ...]:
+    """A box that holds a shifted by any of gens: a's cap plus their largest entries."""
+    return tuple(c + max(g[i] for g in gens) for i, c in enumerate(a.cap))
+
+
+def multiply(a: Ideal, b: Ideal) -> Ideal:
+    """The product: a shifted by each generator of b, the factor with the smaller box."""
+    _check_same(a, b)
+    if prod(c + 1 for c in b.cap) > prod(c + 1 for c in a.cap):
+        a, b = b, a
+    if not b.bits:
+        return b
+    cap = _shift_box(a, b.gens)
+    return Ideal(a.sg, cap, _shift_union(_reshape(a.bits, a.cap, cap), cap, b.gens))
+
+
+def colon(a: Ideal, b: Ideal) -> Ideal:
+    """The ideal quotient (a : b): the points that every generator of b moves into a."""
+    _check_same(a, b)
+    if not b.bits:
+        raise PreconditionError("colon by the zero ideal")
+    cap = _shift_box(a, b.gens)
+    x = _reshape(a.bits, a.cap, cap)
+    strides = _strides([c + 1 for c in cap])
+    out = -1
+    for g in b.gens:
+        out &= x >> sum(c * s for c, s in zip(g, strides))
+    # shifts that crossed an inner axis land beyond a's cap and are cut here
+    return Ideal(a.sg, a.cap, _reshape(out & ((1 << prod(c + 1 for c in cap)) - 1), cap, a.cap)
+                 & _monoid(a.sg, a.cap))
+
+
+def quotient_length(a: Ideal, b: Ideal) -> int:
+    """Length of a/b as a k-vector space: the number of monomials in a but not in b."""
+    cap, x, y = _joint(a, b)
+    if y & ~x:
         raise PreconditionError("quotient_length: second ideal is not contained in the first")
-    if b.is_zero:
-        if a.is_zero:
-            return 0
-        raise InfiniteLength("quotient by the zero ideal has infinite length")
-    exps = pure_power_exponents(b)
-    if any(e is None for e in exps):
-        missing = [i for i, e in enumerate(exps) if e is None]
-        raise InfiniteLength(
-            f"infinite length: subideal has no pure power in variable(s) {missing}"
-        )
-    bounds = tuple(int(e) for e in exps)
-    grid_a = _membership_grid(a, bounds)
-    grid_b = _membership_grid(b, bounds)
-    return sum(1 for x, y in zip(grid_a, grid_b) if x and not y)
+    diff = x & ~y
+    widths = [c + 1 for c in cap]
+    if any(diff & _slab(widths, axis, w - 1, w) for axis, w in enumerate(widths)):
+        raise InfiniteLength("quotient has infinite length: the difference reaches a top slice")
+    return diff.bit_count()
 
 
-def colength(b: MonomialIdeal) -> int:
+def colength(b: Ideal) -> int:
     """Length of R/b."""
-    return quotient_length(unit_ideal(b.dim), b)
+    return quotient_length(unit_ideal(b.sg, len(b.cap)), b)
+
+
+# --- membership and shape -----------------------------------------------------------
+
+def contains(a: Ideal, v) -> bool:
+    """Whether the monomial with exponent vector v lies in the ideal a."""
+    v = _check_vector(v, len(a.cap))
+    strides = _strides([c + 1 for c in a.cap])
+    return bool(a.bits >> sum(min(x, c) * s for x, c, s in zip(v, a.cap, strides)) & 1)
+
+
+def pure_power_exponents(a: Ideal) -> list[int | None]:
+    """For each axis, the least e with e times the unit vector in a (None if absent)."""
+    dim = len(a.cap)
+    return [
+        next((e for e in range(c + 1) if contains(a, tuple(e * (j == i) for j in range(dim)))), None)
+        for i, c in enumerate(a.cap)
+    ]
+
+
+def is_m_primary(a: Ideal) -> bool:
+    """Proper and containing a pure power along every axis."""
+    return not a.bits & 1 and None not in pure_power_exponents(a)
+
+
+def closure_power(a: Ideal, n: int) -> Ideal:
+    """Integral closure of a^n: per row b, the members s of S with (b, s) in n*NP(a)."""
+    if n < 0:
+        raise PreconditionError("negative closure power")
+    dim = len(a.cap)
+    if n == 0:
+        return unit_ideal(a.sg, dim)
+    hull = a.hull  # raises NotMPrimary unless a is m-primary
+    tops = [n * e for e in hull.box]
+    cap = tuple(tops[:-1]) + (max(tops[-1], a.sg.conductor),)
+    width = cap[-1] + 1
+    row = format(_monoid(a.sg, (cap[-1],)), f"0{width}b")
+    rows = []
+    for b in product(*(range(c + 1) for c in cap[:-1])):
+        tau = 0  # least s on the row inside every halfspace
+        for normal, threshold in hull.halfspaces:
+            tau = max(tau, -((sum(c * x for c, x in zip(normal, b)) - n * threshold) // normal[-1]))
+        rows.append(row[:width - tau] + "0" * tau)
+    return Ideal(a.sg, cap, int("".join(reversed(rows)), 2))

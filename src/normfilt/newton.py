@@ -1,4 +1,4 @@
-"""Newton polyhedra of m-primary monomial ideals and integral-closure powers.
+"""Newton polyhedra of m-primary monomial ideals, given by generator vectors.
 
 The Newton polyhedron NP(I) is the convex hull of the generator exponents plus
 the nonnegative orthant. A monomial x^a lies in the integral closure of I^n
@@ -10,6 +10,7 @@ NP(I) is spanned by some generators together with coordinate recession
 directions, so scanning all such combinations and filtering for supporting
 halfspaces with nonnegative normals recovers the facets (plus possibly some
 redundant supporting halfspaces, which never change membership answers).
+A generator that dominates another cannot be a vertex and is dropped first.
 
 The multiplicity e_0(I) equals d! times the volume of the bounded complement
 of NP(I) in the orthant; that volume is computed exactly by enumerating the
@@ -25,53 +26,46 @@ from math import factorial, gcd, prod
 
 from .errors import NotMPrimary, PreconditionError, UnsupportedDimension
 from .linalg import cofactor_normal, det, solve_square
-from .monomial import (
-    Exponent,
-    MonomialIdeal,
-    ideal_contains,
-    is_m_primary,
-    pure_power_exponents,
-)
 
 MAX_DIM = 4
 
+Exponent = tuple[int, ...]
 Halfspace = tuple[tuple[int, ...], int]  # (normal, threshold): <normal, a> >= threshold
 
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
-    """Halfspace description of NP(I); normals are nonnegative primitive integers."""
+    """Halfspace description of NP(I); normals are nonnegative primitive integers.
+
+    box holds the least pure-power exponent of each variable among the generators.
+    """
 
     dim: int
     halfspaces: tuple[Halfspace, ...]
+    box: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
-    """Outcome of comparing multiplicities of an ideal and a candidate reduction."""
-
-    reduction: object
-    e0_ideal: int
-    e0_reduction: int
-    contained: bool
-
-    @property
-    def is_reduction(self) -> bool:
-        return self.contained and self.e0_ideal == self.e0_reduction
+def _pure_box(gens, d: int) -> tuple[int, ...] | None:
+    """Least pure-power exponent per variable, or None if some variable has none."""
+    box = []
+    for i in range(d):
+        powers = [g[i] for g in gens if g[i] and not any(g[:i] + g[i + 1:])]
+        if not powers:
+            return None
+        box.append(min(powers))
+    return tuple(box)
 
 
-def _validate(ideal: MonomialIdeal):
-    if ideal.dim > MAX_DIM:
-        raise UnsupportedDimension(f"dimension {ideal.dim} exceeds supported bound {MAX_DIM}")
-    if not is_m_primary(ideal):
-        raise NotMPrimary("Newton polyhedron requires a proper m-primary monomial ideal")
-
-
-def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
+def newton_polyhedron(gens) -> NewtonPolyhedron:
     """Exact supporting-halfspace description of conv(generators) + orthant."""
-    _validate(ideal)
-    d = ideal.dim
-    gens = ideal.gens
+    gens = [tuple(g) for g in gens]
+    d = len(gens[0]) if gens else 0
+    if d > MAX_DIM:
+        raise UnsupportedDimension(f"dimension {d} exceeds supported bound {MAX_DIM}")
+    box = _pure_box(gens, d)
+    if not d or box is None:
+        raise NotMPrimary("Newton polyhedron requires a proper m-primary monomial ideal")
+    gens = [g for g in gens if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in gens)]
     units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     found: set[Halfspace] = set()
     for k in range(1, d + 1):
@@ -95,7 +89,7 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
                         continue
                     g0 = gcd(threshold, *normal)
                     found.add((tuple(c // g0 for c in normal), threshold // g0))
-    return NewtonPolyhedron(d, tuple(sorted(found)))
+    return NewtonPolyhedron(d, tuple(sorted(found)), box)
 
 
 def in_dilation(np_: NewtonPolyhedron, n: int, vector: Exponent) -> bool:
@@ -108,57 +102,6 @@ def in_dilation(np_: NewtonPolyhedron, n: int, vector: Exponent) -> bool:
         sum(c * x for c, x in zip(normal, vector)) >= n * threshold
         for normal, threshold in np_.halfspaces
     )
-
-
-def _pure_box(ideal: MonomialIdeal) -> tuple[int, ...]:
-    exps = pure_power_exponents(ideal)
-    if any(e is None for e in exps):
-        raise NotMPrimary("ideal has no pure power in some variable")
-    return tuple(int(e) for e in exps)
-
-
-def closure_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
-    """Integral closure of I^n as a monomial ideal.
-
-    Minimal generators are the minimal lattice points of n*NP(I); they all lie
-    in the box bounded by n times the pure-power exponents of I, because past
-    a pure-power bound the coordinate predecessor stays in the dilation.
-    """
-    if n < 0:
-        raise PreconditionError("negative closure power")
-    if n == 0:
-        return MonomialIdeal(ideal.dim, ((0,) * ideal.dim,))
-    np_ = newton_polyhedron(ideal)
-    d = ideal.dim
-    bounds = tuple(n * b + 1 for b in _pure_box(ideal))
-    strides = [0] * d
-    s = 1
-    for i in range(d - 1, -1, -1):
-        strides[i] = s
-        s *= bounds[i]
-    total = prod(bounds)
-    member = bytearray(total)
-    coords = [0] * d
-    for idx in range(total):
-        member[idx] = 1 if in_dilation(np_, n, tuple(coords)) else 0
-        for i in range(d - 1, -1, -1):
-            coords[i] += 1
-            if coords[i] < bounds[i]:
-                break
-            coords[i] = 0
-    mins: list[Exponent] = []
-    coords = [0] * d
-    for idx in range(total):
-        if member[idx] and all(
-            coords[i] == 0 or not member[idx - strides[i]] for i in range(d)
-        ):
-            mins.append(tuple(coords))
-        for i in range(d - 1, -1, -1):
-            coords[i] += 1
-            if coords[i] < bounds[i]:
-                break
-            coords[i] = 0
-    return MonomialIdeal(d, tuple(sorted(mins)))
 
 
 def _polytope_vertices(halfspaces: list[tuple[tuple, Fraction]], d: int) -> list[tuple]:
@@ -224,11 +167,10 @@ def _polytope_volume(halfspaces: list[tuple[tuple, Fraction]], d: int) -> Fracti
     return total / factorial(d)
 
 
-def covolume(ideal: MonomialIdeal) -> Fraction:
+
+def covolume(np_: NewtonPolyhedron) -> Fraction:
     """Volume of the bounded region of the orthant outside NP(I)."""
-    np_ = newton_polyhedron(ideal)
-    d = ideal.dim
-    box = _pure_box(ideal)
+    d, box = np_.dim, np_.box
     constraints: list[tuple[tuple, Fraction]] = [
         (tuple(Fraction(x) for x in normal), Fraction(t)) for normal, t in np_.halfspaces
     ]
@@ -240,38 +182,9 @@ def covolume(ideal: MonomialIdeal) -> Fraction:
     return Fraction(prod(box)) - inner
 
 
-def multiplicity(ideal: MonomialIdeal) -> int:
+def multiplicity(np_: NewtonPolyhedron) -> int:
     """Hilbert-Samuel multiplicity e_0(I) = d! * covolume(NP(I)); always an integer."""
-    value = covolume(ideal) * factorial(ideal.dim)
+    value = covolume(np_) * factorial(np_.dim)
     if value.denominator != 1 or value <= 0:
         raise PreconditionError(f"multiplicity computation returned non-integer {value}")
     return int(value)
-
-
-def certify_reduction(ideal: MonomialIdeal, reduction: MonomialIdeal) -> ReductionCertificate:
-    """Compare multiplicities: a contained parameter ideal with equal e_0 is a reduction."""
-    _validate(ideal)
-    _validate(reduction)
-    return ReductionCertificate(
-        reduction=reduction,
-        e0_ideal=multiplicity(ideal),
-        e0_reduction=multiplicity(reduction),
-        contained=ideal_contains(ideal, reduction),
-    )
-
-
-def find_monomial_reduction(ideal: MonomialIdeal) -> ReductionCertificate | None:
-    """The pure-power parameter ideal (x_i^{a_i}) when it is a reduction, else None.
-
-    a_i is the least exponent with x_i^{a_i} in the ideal. Not every m-primary
-    monomial ideal admits a monomial reduction; None reports that this
-    candidate (the only monomial one) fails the multiplicity test.
-    """
-    _validate(ideal)
-    box = _pure_box(ideal)
-    d = ideal.dim
-    gens = tuple(
-        sorted(tuple(box[i] if j == i else 0 for j in range(d)) for i in range(d))
-    )
-    cert = certify_reduction(ideal, MonomialIdeal(d, gens))
-    return cert if cert.is_reduction else None

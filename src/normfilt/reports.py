@@ -20,8 +20,7 @@ CORPUS_SCHEMA = "normfilt.corpus/1"
 
 
 def _ideal_strs(analysis, ideal):
-    b = analysis.backend
-    return [b.element_str(g) for g in b.min_gens(ideal)]
+    return [analysis.backend.element_str(g) for g in ideal.gens]
 
 
 def _header(analysis) -> dict:

@@ -1,32 +1,16 @@
-"""Numerical semigroups, their ideals, and ideals of adjoined-variable extensions.
+"""Numerical semigroups: membership, conductor, gaps, generators and type.
 
 A numerical semigroup S is a cofinite additive submonoid of the nonnegative
 integers; the associated ring k[[S]] is a one-dimensional complete local
-domain whose normalization is k[[t]]. Ideals generated by monomials t^s are
-encoded by their sets of valuations, which are S-closed subsets of S.
-
-The extension ring adjoins polynomial variables x_1..x_v. Monomial-type
-ideals there are encoded by a map from x-multidegrees b to semigroup ideals
-(the valuations s with t^s x^b in the ideal). The map is monotone and
-stabilizes coordinatewise beyond a cap vector, so a finite box of components
-determines it; queries clamp into the box. Every operation trims its result
-to the minimal cap, giving a canonical form with value-based equality.
-
-Integral closures of powers reduce to Newton-polyhedron membership over the
-normalization k[[t]][x_1..x_v]: the closure of I^n is cut out degreewise by
-per-halfspace thresholds, and each component is a tail ideal of S.
+domain whose normalization is k[[t]]. S = N gives k[[t]] itself. Ideals of
+k[[S]] and of its extensions by polynomial variables live in `monomial`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
 from math import gcd
 
-from .errors import InfiniteLength, PreconditionError
-from .monomial import MonomialIdeal, minimal_generators
-from .newton import newton_polyhedron
+from .errors import PreconditionError
 
 
 class NumericalSemigroup:
@@ -69,8 +53,10 @@ class NumericalSemigroup:
                 self.contains(s) and self.contains(n - s) for s in range(a1, n - a1 + 1)
             )
         )
+        # F(N) = -1 is the only pseudo-Frobenius number below zero: a1 - 1 is a
+        # gap whenever a1 > 1, so scanning from -1 adds it for N alone
         self.pseudo_frobenius = tuple(
-            x for x in self.gaps if all(self.contains(x + g) for g in self.gens)
+            x for x in (-1,) + self.gaps if all(self.contains(x + g) for g in self.gens)
         )
         self.type = len(self.pseudo_frobenius)
 
@@ -89,368 +75,3 @@ class NumericalSemigroup:
 
     def __repr__(self):
         return f"NumericalSemigroup{self.gens}"
-
-
-@dataclass(frozen=True)
-class SgIdeal:
-    """Ideal of k[[S]] generated by monomials, stored as minimal valuations."""
-
-    sg: NumericalSemigroup
-    gens: tuple[int, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
-    @property
-    def is_unit(self) -> bool:
-        return bool(self.gens) and self.gens[0] == 0
-
-
-def _minimalize_sg(sg: NumericalSemigroup, values) -> tuple[int, ...]:
-    vals = sorted(set(values))
-    out = [v for v in vals if not any(u < v and sg.contains(v - u) for u in vals)]
-    return tuple(out)
-
-
-def sg_ideal(sg: NumericalSemigroup, values) -> SgIdeal:
-    for v in values:
-        if not sg.contains(v):
-            raise PreconditionError(f"valuation {v} is not in the semigroup")
-    return SgIdeal(sg, _minimalize_sg(sg, values))
-
-
-def sg_zero(sg: NumericalSemigroup) -> SgIdeal:
-    return SgIdeal(sg, ())
-
-
-def sg_unit(sg: NumericalSemigroup) -> SgIdeal:
-    return SgIdeal(sg, (0,))
-
-
-def sg_contains(a: SgIdeal, x: int) -> bool:
-    return any(a.sg.contains(x - g) for g in a.gens)
-
-
-def sg_ideal_contains(a: SgIdeal, b: SgIdeal) -> bool:
-    """Whether a contains b."""
-    return all(sg_contains(a, g) for g in b.gens)
-
-
-def sg_mul(a: SgIdeal, b: SgIdeal) -> SgIdeal:
-    return SgIdeal(a.sg, _minimalize_sg(a.sg, (x + y for x in a.gens for y in b.gens)))
-
-
-def sg_sum(a: SgIdeal, b: SgIdeal) -> SgIdeal:
-    return SgIdeal(a.sg, _minimalize_sg(a.sg, a.gens + b.gens))
-
-
-def _sg_bound(sg: NumericalSemigroup, *ideals: SgIdeal) -> int:
-    """Integer T such that every ideal argument contains all members >= T."""
-    top = max((max(a.gens) for a in ideals if a.gens), default=0)
-    return top + sg.conductor
-
-
-def sg_intersect(a: SgIdeal, b: SgIdeal) -> SgIdeal:
-    if a.is_zero or b.is_zero:
-        return sg_zero(a.sg)
-    sg = a.sg
-    hi = _sg_bound(sg, a, b) + sg.conductor + sg.multiplicity
-    cands = [x for x in range(hi) if sg_contains(a, x) and sg_contains(b, x)]
-    return SgIdeal(sg, _minimalize_sg(sg, cands))
-
-
-def sg_colon(a: SgIdeal, b: SgIdeal) -> SgIdeal:
-    if b.is_zero:
-        raise PreconditionError("colon by the zero ideal")
-    if a.is_zero:
-        return sg_zero(a.sg)
-    sg = a.sg
-    hi = _sg_bound(sg, a) + sg.conductor + sg.multiplicity
-    cands = [
-        v
-        for v in range(hi)
-        if sg.contains(v) and all(sg_contains(a, v + g) for g in b.gens)
-    ]
-    return SgIdeal(sg, _minimalize_sg(sg, cands))
-
-
-def sg_power(a: SgIdeal, n: int) -> SgIdeal:
-    if n < 0:
-        raise PreconditionError("negative ideal power")
-    out = sg_unit(a.sg)
-    for _ in range(n):
-        out = sg_mul(out, a)
-    return out
-
-
-def sg_quotient_length(a: SgIdeal, b: SgIdeal) -> int:
-    """Length of a/b over k[[S]]; requires b contained in a."""
-    if not sg_ideal_contains(a, b):
-        raise PreconditionError("length of a/b requires b contained in a")
-    if b.is_zero:
-        if a.is_zero:
-            return 0
-        raise InfiniteLength("quotient by the zero ideal has infinite length")
-    hi = _sg_bound(a.sg, a, b)
-    return sum(1 for x in range(hi) if sg_contains(a, x) and not sg_contains(b, x))
-
-
-def tail_ideal(sg: NumericalSemigroup, tau: int) -> SgIdeal:
-    """The ideal of all semigroup members >= tau."""
-    if tau <= 0:
-        return sg_unit(sg)
-    hi = max(tau, sg.conductor) + sg.conductor + sg.multiplicity
-    cands = [x for x in range(tau, hi) if sg.contains(x)]
-    return SgIdeal(sg, _minimalize_sg(sg, cands))
-
-
-def sg_closure_power(a: SgIdeal, n: int) -> SgIdeal:
-    """Integral closure of a^n: every member with valuation >= n * min(a)."""
-    if a.is_zero:
-        raise PreconditionError("integral closure of the zero ideal")
-    if n == 0:
-        return sg_unit(a.sg)
-    return tail_ideal(a.sg, n * a.gens[0])
-
-
-@dataclass(frozen=True)
-class ExtensionRing:
-    """k[[S]] with polynomial variables adjoined; dimension is 1 + len(names)."""
-
-    sg: NumericalSemigroup
-    names: tuple[str, ...]
-
-    @property
-    def nvars(self) -> int:
-        return len(self.names)
-
-    @property
-    def dim(self) -> int:
-        return 1 + len(self.names)
-
-
-@dataclass(frozen=True)
-class ExtIdeal:
-    """Monomial-type ideal of an extension ring.
-
-    comps lists (b, component) for every multidegree b in the cap box; the
-    component at arbitrary b is found by clamping b into the box. Instances
-    are always trimmed to the minimal cap, so equality is structural.
-    """
-
-    ring: ExtensionRing
-    cap: tuple[int, ...]
-    comps: tuple[tuple[tuple[int, ...], SgIdeal], ...]
-
-    @cached_property
-    def _lookup(self) -> dict:
-        return dict(self.comps)
-
-    def comp(self, b: tuple[int, ...]) -> SgIdeal:
-        clamped = tuple(min(x, c) for x, c in zip(b, self.cap))
-        return self._lookup[clamped]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for _, c in self.comps)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.comp((0,) * self.ring.nvars).is_unit
-
-
-def _box(cap) -> list[tuple[int, ...]]:
-    return list(product(*(range(c + 1) for c in cap)))
-
-
-def _make_ext(ring: ExtensionRing, cap, comp_map: dict) -> ExtIdeal:
-    """Canonicalize: drop top slices equal to the one below them."""
-    cap = list(cap)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cap)):
-            if cap[i] == 0:
-                continue
-            top_equal = all(
-                comp_map[b] == comp_map[b[:i] + (b[i] - 1,) + b[i + 1 :]]
-                for b in _box(cap)
-                if b[i] == cap[i]
-            )
-            if top_equal:
-                comp_map = {b: v for b, v in comp_map.items() if b[i] < cap[i]}
-                cap[i] -= 1
-                changed = True
-    return ExtIdeal(ring, tuple(cap), tuple(sorted(comp_map.items())))
-
-
-def ext_from_gens(ring: ExtensionRing, pairs) -> ExtIdeal:
-    """Ideal generated by monomials t^s * x^b given as (s, b) pairs."""
-    pairs = [(int(s), tuple(int(x) for x in b)) for s, b in pairs]
-    for s, b in pairs:
-        if not ring.sg.contains(s):
-            raise PreconditionError(f"valuation {s} is not in the semigroup")
-        if len(b) != ring.nvars or any(x < 0 for x in b):
-            raise PreconditionError(f"bad multidegree {b} for {ring.nvars} variables")
-    v = ring.nvars
-    cap = tuple(
-        max((b[i] for _, b in pairs), default=0) for i in range(v)
-    )
-    comp_map = {
-        b: sg_ideal(
-            ring.sg, [s for s, bb in pairs if all(x <= y for x, y in zip(bb, b))]
-        )
-        for b in _box(cap)
-    }
-    return _make_ext(ring, cap, comp_map)
-
-
-def ext_zero(ring: ExtensionRing) -> ExtIdeal:
-    return ext_from_gens(ring, [])
-
-
-def ext_unit(ring: ExtensionRing) -> ExtIdeal:
-    return ext_from_gens(ring, [(0, (0,) * ring.nvars)])
-
-
-def ext_maximal(ring: ExtensionRing) -> ExtIdeal:
-    v = ring.nvars
-    pairs = [(g, (0,) * v) for g in ring.sg.gens]
-    pairs += [(0, tuple(1 if j == i else 0 for j in range(v))) for i in range(v)]
-    return ext_from_gens(ring, pairs)
-
-
-def ext_contains(a: ExtIdeal, s: int, b: tuple[int, ...]) -> bool:
-    return sg_contains(a.comp(b), s)
-
-
-def ext_ideal_contains(a: ExtIdeal, b: ExtIdeal) -> bool:
-    """Whether a contains b."""
-    joint = tuple(max(x, y) for x, y in zip(a.cap, b.cap))
-    return all(sg_ideal_contains(a.comp(c), b.comp(c)) for c in _box(joint))
-
-
-def ext_gen_pairs(a: ExtIdeal) -> list[tuple[int, tuple[int, ...]]]:
-    """A finite (not necessarily minimal) monomial generating set."""
-    return [(s, b) for b, comp in a.comps for s in comp.gens]
-
-
-def ext_min_gen_pairs(a: ExtIdeal, maximal: ExtIdeal) -> list[tuple[int, tuple[int, ...]]]:
-    """Minimal monomial generators of a, filtered through Nakayama (a minus 𝔪a)."""
-    ma = ext_mul(maximal, a)
-    out = [(s, b) for s, b in ext_gen_pairs(a) if not ext_contains(ma, s, b)]
-    return sorted(set(out), key=lambda p: (p[1], p[0]))
-
-
-def ext_mul(a: ExtIdeal, b: ExtIdeal) -> ExtIdeal:
-    ring = a.ring
-    cap = tuple(x + y for x, y in zip(a.cap, b.cap))
-    comp_map = {}
-    for c in _box(cap):
-        total = sg_zero(ring.sg)
-        for b1 in product(*(range(x + 1) for x in c)):
-            b2 = tuple(x - y for x, y in zip(c, b1))
-            total = sg_sum(total, sg_mul(a.comp(b1), b.comp(b2)))
-        comp_map[c] = total
-    return _make_ext(ring, cap, comp_map)
-
-
-def ext_sum(a: ExtIdeal, b: ExtIdeal) -> ExtIdeal:
-    cap = tuple(max(x, y) for x, y in zip(a.cap, b.cap))
-    comp_map = {c: sg_sum(a.comp(c), b.comp(c)) for c in _box(cap)}
-    return _make_ext(a.ring, cap, comp_map)
-
-
-def ext_intersect(a: ExtIdeal, b: ExtIdeal) -> ExtIdeal:
-    cap = tuple(max(x, y) for x, y in zip(a.cap, b.cap))
-    comp_map = {c: sg_intersect(a.comp(c), b.comp(c)) for c in _box(cap)}
-    return _make_ext(a.ring, cap, comp_map)
-
-
-def ext_colon(a: ExtIdeal, b: ExtIdeal) -> ExtIdeal:
-    if b.is_zero:
-        raise PreconditionError("colon by the zero ideal")
-    ring = a.ring
-    bgens = ext_gen_pairs(b)
-    comp_map = {}
-    for c in _box(a.cap):
-        comp = sg_unit(ring.sg)
-        for s, bb in bgens:
-            shifted = tuple(x + y for x, y in zip(c, bb))
-            comp = sg_intersect(
-                comp, sg_colon(a.comp(shifted), SgIdeal(ring.sg, (s,)))
-            )
-        comp_map[c] = comp
-    return _make_ext(ring, a.cap, comp_map)
-
-
-def ext_power(a: ExtIdeal, n: int) -> ExtIdeal:
-    if n < 0:
-        raise PreconditionError("negative ideal power")
-    out = ext_unit(a.ring)
-    for _ in range(n):
-        out = ext_mul(out, a)
-    return out
-
-
-def ext_quotient_length(a: ExtIdeal, b: ExtIdeal) -> int:
-    """Length of a/b; finite only when all boundary components agree."""
-    if not ext_ideal_contains(a, b):
-        raise PreconditionError("length of a/b requires b contained in a")
-    joint = tuple(max(x, y) for x, y in zip(a.cap, b.cap))
-    total = 0
-    for c in _box(joint):
-        l = sg_quotient_length(a.comp(c), b.comp(c))
-        if l > 0 and any(c[i] == joint[i] for i in range(len(joint))):
-            raise InfiniteLength(
-                "quotient has nonzero stable component in an adjoined direction"
-            )
-        total += l
-    return total
-
-
-def ext_is_m_primary(a: ExtIdeal) -> bool:
-    v = a.ring.nvars
-    origin = a.comp((0,) * v)
-    if origin.is_zero or origin.is_unit:
-        return False
-    for i in range(v):
-        axis = tuple(a.cap[i] if j == i else 0 for j in range(v))
-        if not a.comp(axis).is_unit:
-            return False
-    return True
-
-
-def induced_monomial_ideal(a: ExtIdeal) -> MonomialIdeal:
-    """Monomial ideal in k[t, x_1..x_v] with the same monomial members."""
-    exps = [(s,) + b for s, b in ext_gen_pairs(a)]
-    return minimal_generators(1 + a.ring.nvars, exps)
-
-
-def ext_normal_power(a: ExtIdeal, n: int) -> ExtIdeal:
-    """Integral closure of a^n, computed through the normalization k[[t]][x].
-
-    A monomial t^s x^b lies in the closure exactly when (s, b) is in the
-    n-fold dilation of the Newton polyhedron of the induced monomial ideal
-    and s is a semigroup member; per multidegree that is a tail ideal.
-    """
-    from .errors import NotMPrimary
-
-    if not ext_is_m_primary(a):
-        raise NotMPrimary("integral-closure powers require an m-primary ideal")
-    if n < 0:
-        raise PreconditionError("negative closure power")
-    ring = a.ring
-    if n == 0:
-        return ext_unit(ring)
-    np_ = newton_polyhedron(induced_monomial_ideal(a))
-    cap = tuple(n * c for c in a.cap)
-    comp_map = {}
-    for b in _box(cap):
-        tau = 0
-        for normal, threshold in np_.halfspaces:
-            num = n * threshold - sum(c * x for c, x in zip(normal[1:], b))
-            tau = max(tau, -(-num // normal[0]))
-        comp_map[b] = tail_ideal(ring.sg, tau)
-    return _make_ext(ring, cap, comp_map)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import HorizonError, NotMPrimary, PreconditionError
 from .filtration import (
     Filtration,
+    default_nmax,
     default_window,
     fit_coefficients,
     intersection_failures,
@@ -26,6 +27,17 @@ from .filtration import (
     series_coeff,
     valabrega_valla,
 )
+from .monomial import (
+    colength,
+    colon,
+    contains,
+    ideal_contains,
+    intersect,
+    is_m_primary,
+    multiply,
+    quotient_length,
+)
+from .newton import multiplicity
 from .verdicts import Verdict, Witness, abstained, asserted, horizon, refuted, verified
 
 
@@ -52,17 +64,19 @@ class Analysis:
         self.name = entry.name
         self.backend = b
         self.dim = b.dim
-        self.nmax = entry.nmax if entry.nmax is not None else self.dim + 5
         self.window = entry.window if entry.window is not None else default_window(self.dim)
+        self.nmax = entry.nmax if entry.nmax is not None else default_nmax(self.dim, self.window)
         self.ideal = entry.ideal
-        if not b.is_m_primary(self.ideal):
+        if not is_m_primary(self.ideal):
             raise NotMPrimary("the input ideal is not primary to the maximal ideal")
-        self.e0 = b.multiplicity(self.ideal)
-        self.closure1 = b.closure_power(self.ideal, 1)
-        self.lam_R_I1 = b.colength(self.closure1)
-        self.closure_is_maximal = b.equal(self.closure1, b.maximal())
-        self.mu_ideal = b.mu(self.ideal)
-        self.mu_maximal = b.mu(b.maximal())
+        self.e0 = multiplicity(self.ideal.hull)
+        self.normal_filt = Filtration(b, "normal", ideal=self.ideal)
+        self.adic_filt = Filtration(b, "adic", ideal=self.ideal)
+        self.closure1 = self.normal_filt.term(1)
+        self.lam_R_I1 = colength(self.closure1)
+        self.closure_is_maximal = self.closure1 == b.maximal()
+        self.mu_ideal = len(self.ideal.gens)
+        self.mu_maximal = len(b.maximal().gens)
         self.type_report = b.type_report()
 
         if entry.reduction == "auto":
@@ -82,8 +96,6 @@ class Analysis:
             self.reduction_source = "given"
         self.reduction = self.cert.reduction if self.cert is not None else None
 
-        self.normal_filt = Filtration(b, "normal", ideal=self.ideal)
-        self.adic_filt = Filtration(b, "adic", ideal=self.ideal)
         self.normal_values = list(length_table(self.normal_filt, self.nmax))
         if entry.tamper_normal is not None:
             self.normal_values[entry.tamper_normal] += 1
@@ -94,6 +106,7 @@ class Analysis:
         self.adic_fit, self.adic_fit_error = self._try_fit(self.adic_values, sectional=False)
 
         self.jgood_filt = None
+        self.reduction_powers = None  # the adic filtration of J, holding J^n
         self.jgood_values = None
         self.sally_values = None
         self.sally_fit = None
@@ -106,6 +119,7 @@ class Analysis:
         self.lam_I1_J = None
         if self.reduction is not None:
             self.jgood_filt = Filtration(b, "jgood", ideal=self.ideal, reduction=self.reduction)
+            self.reduction_powers = Filtration(b, "adic", ideal=self.reduction)
             self.jgood_values = length_table(self.jgood_filt, self.nmax)
             self.sally_values = tuple(
                 j - n for j, n in zip(self.jgood_values, self.normal_values)
@@ -124,7 +138,7 @@ class Analysis:
                 self.normal_filt, self.reduction, self.nmax, self.window, self.rn
             )
             self.series = series_checks(self.normal_values, self.jgood_values, self.dim, self.e0)
-            self.lam_I1_J = b.length(self.closure1, self.reduction)
+            self.lam_I1_J = quotient_length(self.closure1, self.reduction)
         self._adic_cm = None
         self._base_cm = None
 
@@ -174,10 +188,7 @@ class Analysis:
     def base_cm(self):
         """Valabrega-Valla verdict for the maximal ideal of the coefficient ring."""
         if self._base_cm is None:
-            base = getattr(self.backend, "base_backend", None)
-            if base is None:
-                return None
-            bb = base()
+            bb = self.backend.base_ring()
             m = bb.maximal()
             cert = bb.auto_reduction(m)
             if cert is None or not cert.is_reduction:
@@ -301,10 +312,10 @@ def check_e1_lower_bound(a: Analysis) -> Verdict:
     nums = a.base_numbers()
     e1 = a.e_bar(1)
     lo = a.e0 - a.lam_R_I1
-    if a.backend.colength(a.reduction) != a.e0:
+    if colength(a.reduction) != a.e0:
         return refuted(
             "e1_lower_bound",
-            f"colength of the certified reduction is {a.backend.colength(a.reduction)}, "
+            f"colength of the certified reduction is {colength(a.reduction)}, "
             f"not the multiplicity {a.e0}",
             nums,
         )
@@ -458,10 +469,10 @@ def check_e3_nonnegative(a: Analysis) -> Verdict:
     if e3 == 0 and a.reduction is not None:
         b = a.backend
         for n in range(a.nmax):
-            jn = b.power(a.reduction, n)
+            jn = a.reduction_powers.term(n)
             term = a.normal_filt.term(n + 2)
-            if not b.contains(jn, term):
-                g = next(g for g in b.min_gens(term) if not b.element_in(jn, g))
+            if not ideal_contains(jn, term):
+                g = next(g for g in term.gens if not contains(jn, g))
                 return refuted(
                     "e3_nonnegative",
                     f"e3_bar = 0 but closure(I^{n + 2}) is not inside J^{n}",
@@ -533,7 +544,7 @@ def check_closure_intersection(a: Analysis) -> Verdict:
         return abstained("closure_intersection", "; ".join(missing))
     nums = a.base_numbers()
     upto = min(4, a.nmax - 1)
-    fails = intersection_failures(a.backend, a.normal_filt, a.jgood_filt, a.reduction, upto)
+    fails = intersection_failures(a.backend, a.normal_filt, a.jgood_filt, a.reduction_powers, upto)
     if fails:
         n, elem = fails[0]
         return refuted(
@@ -557,8 +568,8 @@ def check_socle_formula(a: Analysis) -> Verdict:
     nums = a.base_numbers()
     t = a.type_report.type
     for n in range(1, min(3, a.nmax) + 1):
-        jn = b.power(a.reduction, n)
-        socle = b.length(b.colon(jn, b.maximal()), jn)
+        jn = a.reduction_powers.term(n)
+        socle = quotient_length(colon(jn, b.maximal()), jn)
         expected = t * series_coeff(n - 1, a.dim)
         if socle != expected:
             return refuted(
@@ -692,10 +703,10 @@ def check_e3_vanishing_cm(a: Analysis) -> Verdict:
     term2 = a.normal_filt.term(2)
     for n in range(1, a.nmax):
         lhs = a.normal_filt.term(n + 1)
-        rhs = b.mul(b.power(a.reduction, n - 1), term2)
-        if not b.equal(lhs, rhs):
-            gens = [g for g in b.min_gens(lhs) if not b.element_in(rhs, g)]
-            gens = gens or [g for g in b.min_gens(rhs) if not b.element_in(lhs, g)]
+        rhs = multiply(a.reduction_powers.term(n - 1), term2)
+        if lhs != rhs:
+            gens = [g for g in lhs.gens if not contains(rhs, g)]
+            gens = gens or [g for g in rhs.gens if not contains(lhs, g)]
             return refuted(
                 "e3_vanishing_cm",
                 f"closure(I^{n + 1}) != J^{n - 1}·closure(I^2) at degree {n}",
@@ -730,8 +741,8 @@ def check_almost_minimal_rn2(a: Analysis) -> Verdict:
         )
     hm_sum = 0
     for n in range(1, a.rn + 1):
-        meet = b.intersect(a.reduction, a.normal_filt.term(n + 1))
-        hm_sum += b.colength(meet) - a.normal_values[n]
+        meet = intersect(a.reduction, a.normal_filt.term(n + 1))
+        hm_sum += colength(meet) - a.normal_values[n]
     if a.e_bar(1) < a.lam_I1_J + hm_sum:
         return refuted(
             "almost_minimal_rn2",
@@ -742,7 +753,7 @@ def check_almost_minimal_rn2(a: Analysis) -> Verdict:
     if a.vv.certified_cm and a.dim == 3:
         e3_sum = 0
         for j in range(2, min(a.rn + 2, a.nmax - 1) + 1):
-            jterm = b.colength(b.mul(a.reduction, a.normal_filt.term(j)))
+            jterm = colength(multiply(a.reduction, a.normal_filt.term(j)))
             e3_sum += (j * (j - 1) // 2) * (jterm - a.normal_values[j])
         if e3_sum != a.e_bar(3):
             return refuted(
@@ -774,7 +785,7 @@ def check_low_type_cm(a: Analysis) -> Verdict:
     if part_a.conclusion == "refuted-with-witness":
         return part_a
     m = b.maximal()
-    lam_m2_Jm = b.length(b.power(m, 2), b.mul(a.reduction, m))
+    lam_m2_Jm = quotient_length(multiply(m, m), multiply(a.reduction, m))
     s1 = a.sally_values[1]
     nums["lambda_m2_Jm"] = lam_m2_Jm
     exceptional = t == 2 and s1 == 2 and a.mu_maximal - a.dim == 2 and lam_m2_Jm == 1

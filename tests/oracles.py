@@ -106,3 +106,25 @@ def semigroup_members_oracle(gens, upto) -> list[int]:
     for m in range(1, upto):
         member[m] = any(m >= g and member[m - g] for g in gens)
     return member
+
+
+
+def monoid_member(in_s, gens, point) -> bool:
+    """Is point in the ideal of N^v x S generated by gens (S-axis last)?
+
+    in_s is a membership table of S (semigroup_members_oracle) longer than
+    the S-coordinate of point. point lies in the ideal exactly when, for some
+    generator g, point - g has nonnegative free coordinates and an
+    S-coordinate in S.
+    """
+    for g in gens:
+        diff = [p - x for p, x in zip(point, g)]
+        if min(diff) >= 0 and in_s[diff[-1]]:
+            return True
+    return False
+
+
+def monoid_minimal(in_s, gens) -> list:
+    """The generators not reachable from another one, sorted and deduplicated."""
+    gens = sorted(set(tuple(g) for g in gens))
+    return [g for g in gens if not any(h != g and monoid_member(in_s, [h], g) for h in gens)]

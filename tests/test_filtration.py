@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from normfilt import errors
 from normfilt import filtration as flt
 from normfilt.backends import PolynomialBackend, SemigroupBackend
+from normfilt.monomial import multiply
 
 
 # --- series_coeff ------------------------------------------------------------
@@ -25,6 +26,13 @@ def test_series_coeff_values():
 def test_series_coeff_cumulative(n, p):
     # partial sums of 1/(1-z)^p give 1/(1-z)^(p+1)
     assert sum(flt.series_coeff(k, p) for k in range(n + 1)) == flt.series_coeff(n, p + 1)
+
+
+def test_default_nmax_leaves_room_for_a_fit():
+    # a fit needs dim+1 entries plus the window; dimension 4 needs 10, not 9
+    nmax = [flt.default_nmax(d, flt.default_window(d)) for d in (1, 2, 3, 4)]
+    assert nmax == [6, 7, 8, 10]
+    assert all(n + 1 >= d + 1 + flt.default_window(d) for d, n in zip((1, 2, 3, 4), nmax))
 
 
 # --- polynomial fitting -------------------------------------------------------
@@ -91,27 +99,37 @@ def poly2():
     return PolynomialBackend(("x", "y"))
 
 
+def power(a, n):
+    out = a
+    for _ in range(n - 1):
+        out = multiply(out, a)
+    return out
+
+
 def test_filtration_terms(poly2):
     b = poly2
     ideal = b.ideal([(2, 0), (0, 2)])
     normal = flt.Filtration(b, "normal", ideal=ideal)
     adic = flt.Filtration(b, "adic", ideal=ideal)
-    assert b.equal(normal.term(0), b.unit())
+    assert normal.term(0) == b.unit()
     # the closure of (x^2, y^2) is the full square of the maximal ideal
-    assert b.equal(normal.term(1), b.power(b.maximal(), 2))
-    assert b.equal(normal.term(3), b.power(b.maximal(), 6))
-    assert b.equal(adic.term(2), b.power(ideal, 2))
+    assert normal.term(1) == power(b.maximal(), 2)
+    assert normal.term(3) == power(b.maximal(), 6)
+    assert adic.term(0) == b.unit() and adic.term(1) == ideal
+    assert adic.term(2) == power(ideal, 2)
+    assert adic.term(3) == power(ideal, 3)
     assert normal.term(2) is normal.term(2)  # memoized
+    assert adic.term(3) is adic.term(3)
 
     jgood = flt.Filtration(b, "jgood", ideal=ideal, reduction=ideal)
-    assert b.equal(jgood.term(1), normal.term(1))
-    assert b.equal(jgood.term(3), b.mul(b.power(ideal, 2), normal.term(1)))
+    assert jgood.term(1) == normal.term(1)
+    assert jgood.term(3) == multiply(power(ideal, 2), normal.term(1))
 
     user = flt.Filtration(
-        b, "user", reduction=ideal, initial=[b.maximal(), b.power(b.maximal(), 2)]
+        b, "user", reduction=ideal, initial=[b.maximal(), power(b.maximal(), 2)]
     )
-    assert b.equal(user.term(1), b.maximal())
-    assert b.equal(user.term(3), b.mul(ideal, b.power(b.maximal(), 2)))
+    assert user.term(1) == b.maximal()
+    assert user.term(3) == multiply(ideal, power(b.maximal(), 2))
 
 
 def test_filtration_validation(poly2):
@@ -128,7 +146,7 @@ def test_filtration_validation(poly2):
     with pytest.raises(errors.PreconditionError):
         # ascending terms are rejected
         flt.Filtration(
-            b, "user", reduction=ideal, initial=[b.power(b.maximal(), 2), b.maximal()]
+            b, "user", reduction=ideal, initial=[power(b.maximal(), 2), b.maximal()]
         )
     with pytest.raises(errors.PreconditionError):
         flt.Filtration(b, "adic", ideal=ideal).term(-1)
@@ -145,7 +163,7 @@ def test_length_table(poly2):
 
 def test_reduction_number(poly2):
     b = poly2
-    m2 = b.power(b.maximal(), 2)
+    m2 = power(b.maximal(), 2)
     j = b.ideal([(2, 0), (0, 2)])
     filt = flt.Filtration(b, "adic", ideal=m2)
     r, checked = flt.reduction_number(filt, j, 6)
@@ -158,7 +176,7 @@ def test_reduction_number(poly2):
 
 def test_reduction_number_horizon(poly2):
     b = poly2
-    m2 = b.power(b.maximal(), 2)
+    m2 = power(b.maximal(), 2)
     j = b.ideal([(2, 0), (0, 2)])
     filt = flt.Filtration(b, "adic", ideal=m2)
     with pytest.raises(errors.HorizonError):
@@ -186,7 +204,7 @@ def test_vv_certified_and_inconclusive(poly2):
 def test_vv_decisive_failure_on_semigroup_base():
     b = SemigroupBackend((4, 5, 11))
     m = b.maximal()
-    j = b.ideal([(4, ())])
+    j = b.ideal([(4,)])
     filt = flt.Filtration(b, "adic", ideal=m)
     report = flt.valabrega_valla(filt, j, 6, 3, None)
     assert not report.certified_cm and not report.inconclusive
@@ -236,4 +254,5 @@ def test_intersection_failures_empty(poly2):
     ideal = b.ideal([(2, 0), (0, 2)])
     normal = flt.Filtration(b, "normal", ideal=ideal)
     jgood = flt.Filtration(b, "jgood", ideal=ideal, reduction=ideal)
-    assert flt.intersection_failures(b, normal, jgood, ideal, 4) == []
+    powers = flt.Filtration(b, "adic", ideal=ideal)
+    assert flt.intersection_failures(b, normal, jgood, powers, 4) == []

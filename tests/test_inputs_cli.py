@@ -238,3 +238,32 @@ def test_cli_corpus_explicit_dir(tmp_path, capsys):
 def test_cli_corpus_missing_dir(capsys):
     assert cli.main(["corpus", "/nonexistent/dir"]) == 2
     capsys.readouterr()
+
+
+def test_cli_semigroup_of_naturals_has_type_one(tmp_path, capsys):
+    # k[[t]][U] is regular: type 1, so the socle formula holds
+    f = tmp_path / "naturals.nfilt"
+    f.write_text("ring semigroup gens=1 adjoin=U\nideal t^2 U^2\n")
+    assert cli.main(["check", str(f)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["numbers"]["type"] == 1
+    socle = next(v for v in payload["verdicts"] if v["check"] == "socle_formula")
+    assert socle["conclusion"] == "verified"
+
+
+def test_cli_default_horizon_fits_dimension_four(tmp_path, capsys):
+    f = tmp_path / "maximal4.nfilt"
+    f.write_text("ring polynomial dim=4\nideal maximal\n")
+    assert cli.main(["coeffs", str(f)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["nmax"] == 10
+    assert payload["normal"]["e"] == [1, 0, 0, 0, 0]
+
+
+def test_cli_tamper_range_follows_default_horizon(tmp_path, capsys):
+    f = tmp_path / "squares4.nfilt"
+    f.write_text("ring polynomial dim=4\nideal x^2 y^2 z^2 w^2\n")
+    assert cli.main(["check", str(f), "--tamper-normal", "10"]) == 1
+    capsys.readouterr()
+    assert cli.main(["check", str(f), "--tamper-normal", "11"]) == 2
+    assert "outside the table range 0..10" in capsys.readouterr().err

@@ -1,4 +1,12 @@
-"""Monomial-ideal arithmetic against direct lattice enumeration."""
+"""The monomial-ideal kernel against direct lattice enumeration.
+
+The first tests use the polynomial ring (S = N); the property tests compare
+every operation against the brute-force membership oracle on S = N and on
+<4,5,11>, with 0 to 2 free axes, for ideals that need not be m-primary.
+"""
+
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +14,29 @@ from hypothesis import strategies as st
 
 from normfilt import errors
 from normfilt import monomial as mono
-from oracles import naive_colength, naive_length_between, staircase_member
+from normfilt.filtration import Filtration
+from normfilt.backends import PolynomialBackend
+from normfilt.semigroup import NumericalSemigroup
+from oracles import (
+    monoid_member,
+    monoid_minimal,
+    naive_colength,
+    naive_length_between,
+    semigroup_members_oracle,
+    staircase_member,
+)
+
+N = NumericalSemigroup((1,))
 
 
 def ideal(dim, *gens):
-    return mono.minimal_generators(dim, gens)
+    return mono.ideal(N, dim, gens)
+
+
+def powers(a, upto):
+    """a^0..a^upto from the adic filtration."""
+    adic = Filtration(PolynomialBackend("xyzw"[: len(a.cap)]), "adic", ideal=a)
+    return [adic.term(n) for n in range(upto + 1)]
 
 
 def test_minimal_generators_prune_divisible():
@@ -27,16 +53,17 @@ def test_minimal_generators_dedupe_and_sort():
 
 
 def test_unit_zero_maximal():
-    assert mono.unit_ideal(2).gens == ((0, 0),)
-    assert mono.zero_ideal(2).gens == ()
-    assert mono.maximal_ideal(3).gens == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert mono.unit_ideal(N, 2).gens == ((0, 0),)
+    assert mono.ideal(N, 2, []).gens == ()
+    assert mono.maximal_ideal(N, 3).gens == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def test_power_zero_is_unit():
     a = ideal(2, (2, 0), (0, 2))
-    assert mono.power(a, 0) == mono.unit_ideal(2)
-    assert mono.power(a, 1) == a
-    assert mono.power(a, 2) == mono.multiply(a, a)
+    p = powers(a, 2)
+    assert p[0] == mono.unit_ideal(N, 2)
+    assert p[1] == a
+    assert p[2] == mono.multiply(a, a)
 
 
 def test_contains_matches_staircase():
@@ -47,12 +74,10 @@ def test_contains_matches_staircase():
 
 def test_colength_maximal_powers():
     # lambda(R / m^k) = C(k + d - 1, d)
-    from math import comb
-
     for d in (1, 2, 3):
-        m = mono.maximal_ideal(d)
-        for k in range(1, 6):
-            assert mono.colength(mono.power(m, k)) == comb(k + d - 1, d)
+        for k, mk in enumerate(powers(mono.maximal_ideal(N, d), 5)):
+            if k:
+                assert mono.colength(mk) == comb(k + d - 1, d)
 
 
 def test_colength_against_enumeration():
@@ -62,7 +87,7 @@ def test_colength_against_enumeration():
 
 def test_quotient_length_between():
     big = ideal(2, (2, 0), (1, 1), (0, 2))
-    small = mono.power(mono.maximal_ideal(2), 3)
+    small = powers(mono.maximal_ideal(N, 2), 3)[3]
     assert mono.quotient_length(big, small) == naive_length_between(
         big.gens, small.gens, (3, 3)
     )
@@ -72,6 +97,8 @@ def test_is_m_primary():
     assert mono.is_m_primary(ideal(2, (2, 0), (0, 2)))
     assert not mono.is_m_primary(ideal(2, (1, 0)))
     assert not mono.is_m_primary(ideal(2, (1, 1)))
+    assert not mono.is_m_primary(mono.unit_ideal(N, 2))
+    assert not mono.is_m_primary(ideal(2))
 
 
 def test_infinite_length_raises():
@@ -82,6 +109,8 @@ def test_infinite_length_raises():
 def test_dimension_mismatch():
     with pytest.raises(errors.DimensionMismatch):
         mono.multiply(ideal(2, (1, 0)), ideal(3, (1, 0, 0)))
+    with pytest.raises(errors.DimensionMismatch):
+        ideal(2, (1, 0, 0))
 
 
 def test_colon_identities():
@@ -90,9 +119,11 @@ def test_colon_identities():
     q = mono.colon(a, b)
     assert mono.ideal_contains(a, mono.multiply(q, b))
     # (a : m) strictly contains a for m-primary a in >= 1 dimensions
-    m = mono.maximal_ideal(2)
+    m = mono.maximal_ideal(N, 2)
     assert mono.ideal_contains(mono.colon(a, m), a)
     assert mono.colon(a, m) != a
+    with pytest.raises(errors.PreconditionError):
+        mono.colon(a, ideal(2))
 
 
 def test_intersection_product_containments():
@@ -111,8 +142,8 @@ small_exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
 def test_property_ops_agree_with_enumeration(gens):
     # force m-primary by adjoining pure powers, then compare the ops against
     # direct staircase enumeration on a covering box
-    a = mono.minimal_generators(2, list(gens) + [(4, 0), (0, 4)])
-    b = mono.minimal_generators(2, [(g[0] + 1, g[1]) for g in gens] + [(5, 0), (0, 5)])
+    a = mono.ideal(N, 2, list(gens) + [(4, 0), (0, 4)])
+    b = mono.ideal(N, 2, [(g[0] + 1, g[1]) for g in gens] + [(5, 0), (0, 5)])
     meet = mono.intersect(a, b)
     join = mono.ideal_sum(a, b)
     prod = mono.multiply(a, b)
@@ -123,3 +154,72 @@ def test_property_ops_agree_with_enumeration(gens):
     assert mono.colength(a) == naive_colength(a.gens, (10, 10))
     assert mono.quotient_length(a, prod) == naive_length_between(a.gens, prod.gens, (10, 10))
     assert mono.ideal_contains(meet, prod)
+
+
+# --- differential tests over N^v x S ----------------------------------------------
+
+SEMIGROUPS = ((1,), (4, 5, 11))
+FREE_BOX, S_BOX = 7, 34  # past every cap the drawn ideals and their products reach
+
+
+@st.composite
+def monoid_ideals(draw):
+    """(S generators, dim, raw generators of a and of b, whether each has a
+    pure power on every axis)."""
+    sg_gens = draw(st.sampled_from(SEMIGROUPS))
+    free = draw(st.integers(0, 2))
+    members = [s for s in range(13) if NumericalSemigroup(sg_gens).contains(s)]
+    vector = st.tuples(*[st.integers(0, 3)] * free, st.sampled_from(members))
+    out = [sg_gens, free + 1]
+    covered = []
+    for _ in range(2):
+        raw = draw(st.lists(vector, min_size=1, max_size=3))
+        if draw(st.booleans()):  # add a pure power on every axis
+            raw += [tuple(draw(st.integers(1, 4)) * (j == i) for j in range(free)) + (0,)
+                    for i in range(free)]
+            raw.append((0,) * free + (draw(st.sampled_from(members[1:])),))
+        out.append(raw)
+        axes = {i for g in raw for i in range(free + 1) if g[i] and not any(g[:i] + g[i + 1:])}
+        covered.append(len(axes) == free + 1)
+    return (*out, *covered)
+
+
+@settings(max_examples=30, deadline=None)
+@given(monoid_ideals())
+def test_kernel_agrees_with_membership_oracle(case):
+    sg_gens, dim, raw_a, raw_b, covered_a, covered_b = case
+    sg = NumericalSemigroup(sg_gens)
+    in_s = semigroup_members_oracle(sg_gens, S_BOX + 20)
+    a, b = mono.ideal(sg, dim, raw_a), mono.ideal(sg, dim, raw_b)
+    sums = [tuple(x + y for x, y in zip(g, h)) for g in raw_a for h in raw_b]
+    total, meet, prod, quot = (mono.ideal_sum(a, b), mono.intersect(a, b),
+                               mono.multiply(a, b), mono.colon(a, b))
+    outside_a = 0
+    for p in product(*[range(FREE_BOX)] * (dim - 1), range(S_BOX)):
+        in_a, in_b = monoid_member(in_s, raw_a, p), monoid_member(in_s, raw_b, p)
+        assert mono.contains(a, p) == in_a, p
+        assert mono.contains(total, p) == (in_a or in_b), p
+        assert mono.contains(meet, p) == (in_a and in_b), p
+        assert mono.contains(prod, p) == monoid_member(in_s, sums, p), p
+        in_quot = in_s[p[-1]] and all(
+            monoid_member(in_s, raw_a, tuple(x + y for x, y in zip(p, g))) for g in raw_b)
+        assert mono.contains(quot, p) == in_quot, p
+        outside_a += in_s[p[-1]] and not in_a
+    assert mono.ideal_contains(a, b) == all(monoid_member(in_s, raw_a, g) for g in raw_b)
+    assert mono.ideal_contains(a, prod) and mono.ideal_contains(quot, a)
+    assert a.gens == tuple(monoid_minimal(in_s, raw_a))
+    assert prod.gens == tuple(monoid_minimal(in_s, sums))
+    assert total.gens == tuple(monoid_minimal(in_s, raw_a + raw_b))
+    unit_a = (0,) * dim in raw_a
+    assert mono.is_m_primary(a) == (covered_a and not unit_a)
+    if covered_a or unit_a:
+        assert mono.colength(a) == outside_a
+    else:
+        with pytest.raises(errors.InfiniteLength):
+            mono.colength(a)
+    if covered_a and covered_b:
+        in_prod = sum(
+            monoid_member(in_s, raw_a, p) and not monoid_member(in_s, sums, p)
+            for p in product(*[range(FREE_BOX + 4)] * (dim - 1), range(S_BOX + 12))
+        )
+        assert mono.quotient_length(a, prod) == in_prod

@@ -7,22 +7,31 @@ import pytest
 from normfilt import errors
 from normfilt import monomial as mono
 from normfilt import newton
+from normfilt.backends import PolynomialBackend
+from normfilt.filtration import Filtration
 from oracles import box_points, in_dilation_oracle
 
+R2 = PolynomialBackend(("x", "y"))
+R3 = PolynomialBackend(("x", "y", "z"))
 
-def ideal(dim, *gens):
-    return mono.minimal_generators(dim, gens)
+SQUARES = ((2, 0), (0, 2))
+PLANE = ((2, 0), (1, 1), (0, 3))
+CUBES = ((3, 0, 0), (0, 3, 0), (0, 0, 3))
+CUBES_DIAG = ((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1))
 
 
-SQUARES = ideal(2, (2, 0), (0, 2))
-PLANE = ideal(2, (2, 0), (1, 1), (0, 3))
-CUBES = ideal(3, (3, 0, 0), (0, 3, 0), (0, 0, 3))
-CUBES_DIAG = ideal(3, (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1))
+def ideal(gens):
+    return (R2 if len(gens[0]) == 2 else R3).ideal(gens)
+
+
+def maximal_power(ring, n):
+    return Filtration(ring, "adic", ideal=ring.maximal()).term(n)
 
 
 def test_halfspaces_squares():
     np_ = newton.newton_polyhedron(SQUARES)
     assert np_.halfspaces == (((1, 1), 2),)
+    assert np_.box == (2, 2)
 
 
 def test_halfspaces_plane_ideal():
@@ -37,83 +46,84 @@ def test_halfspaces_cubes_with_diagonal():
 
 
 def test_closure_power_known_values():
-    m2 = mono.power(mono.maximal_ideal(2), 2)
-    m3 = mono.power(mono.maximal_ideal(3), 3)
-    assert newton.closure_power(SQUARES, 1) == m2
-    assert newton.closure_power(CUBES, 1) == m3
-    assert newton.closure_power(CUBES_DIAG, 2) == mono.power(mono.maximal_ideal(3), 6)
-    assert newton.closure_power(PLANE, 1) == PLANE  # integrally closed already
-    assert newton.closure_power(SQUARES, 0) == mono.unit_ideal(2)
+    assert mono.closure_power(ideal(SQUARES), 1) == maximal_power(R2, 2)
+    assert mono.closure_power(ideal(CUBES), 1) == maximal_power(R3, 3)
+    assert mono.closure_power(ideal(CUBES_DIAG), 2) == maximal_power(R3, 6)
+    assert mono.closure_power(ideal(PLANE), 1) == ideal(PLANE)  # integrally closed already
+    assert mono.closure_power(ideal(SQUARES), 0) == R2.unit()
+    with pytest.raises(errors.NotMPrimary):
+        mono.closure_power(R2.ideal([(1, 0)]), 1)
 
 
 def test_dimension_one_closure():
-    a = ideal(1, (4,))
-    assert newton.newton_polyhedron(a).halfspaces == (((1,), 4),)
-    assert newton.closure_power(a, 3) == ideal(1, (12,))
-    assert newton.multiplicity(a) == 4
+    r1 = PolynomialBackend(("x",))
+    a = r1.ideal([(4,)])
+    assert newton.newton_polyhedron(a.gens).halfspaces == (((1,), 4),)
+    assert mono.closure_power(a, 3) == r1.ideal([(12,)])
+    assert newton.multiplicity(a.hull) == 4
 
 
 def test_covolume_and_multiplicity():
-    assert newton.covolume(PLANE) == Fraction(5, 2)
-    assert newton.multiplicity(PLANE) == 5
-    assert newton.multiplicity(SQUARES) == 4
-    assert newton.multiplicity(CUBES) == 27
-    assert newton.multiplicity(CUBES_DIAG) == 27
-    assert newton.multiplicity(mono.maximal_ideal(3)) == 1
-    assert newton.multiplicity(mono.power(mono.maximal_ideal(3), 2)) == 8
+    assert newton.covolume(newton.newton_polyhedron(PLANE)) == Fraction(5, 2)
+    assert newton.multiplicity(newton.newton_polyhedron(PLANE)) == 5
+    assert newton.multiplicity(newton.newton_polyhedron(SQUARES)) == 4
+    assert newton.multiplicity(newton.newton_polyhedron(CUBES)) == 27
+    assert newton.multiplicity(newton.newton_polyhedron(CUBES_DIAG)) == 27
+    assert newton.multiplicity(R3.maximal().hull) == 1
+    assert newton.multiplicity(maximal_power(R3, 2).hull) == 8
 
 
 def test_in_dilation_matches_oracle_spot():
-    for a in (SQUARES, PLANE):
-        np_ = newton.newton_polyhedron(a)
+    for gens in (SQUARES, PLANE):
+        np_ = newton.newton_polyhedron(gens)
         for n in (1, 2):
             for p in box_points((5, 5)):
                 assert newton.in_dilation(np_, n, p) == in_dilation_oracle(
-                    a.gens, a.dim, p, n
-                ), (a.gens, n, p)
+                    gens, 2, p, n
+                ), (gens, n, p)
 
 
 def test_closure_is_dilation_lattice_points():
     # the n-th closure power is exactly the lattice points of the n-dilation
     np_ = newton.newton_polyhedron(PLANE)
-    closure2 = newton.closure_power(PLANE, 2)
+    closure2 = mono.closure_power(ideal(PLANE), 2)
     for p in box_points((7, 7)):
         assert mono.contains(closure2, p) == newton.in_dilation(np_, 2, p)
 
 
 def test_certify_reduction_positive():
-    cert = newton.certify_reduction(CUBES_DIAG, CUBES)
+    cert = R3.certify(ideal(CUBES_DIAG), ideal(CUBES))
     assert cert.is_reduction
     assert cert.e0_ideal == cert.e0_reduction == 27
     assert cert.contained
 
 
 def test_certify_reduction_negative_multiplicity():
-    bigger = ideal(3, (4, 0, 0), (0, 4, 0), (0, 0, 4))
-    cert = newton.certify_reduction(CUBES, bigger)
+    bigger = ideal(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
+    cert = R3.certify(ideal(CUBES), bigger)
     assert not cert.is_reduction
     assert cert.e0_reduction == 64
 
 
 def test_certify_reduction_requires_containment():
-    not_inside = ideal(3, (2, 0, 0), (0, 3, 0), (0, 0, 3))
-    cert = newton.certify_reduction(CUBES, not_inside)
+    not_inside = ideal(((2, 0, 0), (0, 3, 0), (0, 0, 3)))
+    cert = R3.certify(ideal(CUBES), not_inside)
     assert not cert.contained and not cert.is_reduction
+    with pytest.raises(errors.PreconditionError, match="one pure power of each variable"):
+        R3.certify(ideal(CUBES), ideal(CUBES_DIAG))
 
 
 def test_find_monomial_reduction():
-    cert = newton.find_monomial_reduction(CUBES_DIAG)
+    cert = R3.auto_reduction(ideal(CUBES_DIAG))
     assert cert is not None and cert.is_reduction
-    assert cert.reduction == CUBES
-    assert newton.find_monomial_reduction(PLANE) is None  # pure powers give e0 = 6 != 5
-    self_cert = newton.find_monomial_reduction(CUBES)
-    assert self_cert is not None and self_cert.reduction == CUBES
+    assert cert.reduction == ideal(CUBES)
+    assert R2.auto_reduction(ideal(PLANE)) is None  # pure powers give e0 = 6 != 5
+    self_cert = R3.auto_reduction(ideal(CUBES))
+    assert self_cert is not None and self_cert.reduction == ideal(CUBES)
 
 
 def test_preconditions():
     with pytest.raises(errors.NotMPrimary):
-        newton.newton_polyhedron(ideal(2, (1, 0)))
+        newton.newton_polyhedron(((1, 0),))
     with pytest.raises(errors.UnsupportedDimension):
-        newton.newton_polyhedron(
-            mono.minimal_generators(5, [tuple(2 * int(i == j) for j in range(5)) for i in range(5)])
-        )
+        newton.newton_polyhedron([tuple(2 * int(i == j) for j in range(5)) for i in range(5)])

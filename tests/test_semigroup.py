@@ -1,16 +1,37 @@
-"""Numerical semigroups, their ideals, and the adjoined-variable extension."""
+"""Numerical semigroups, ideals of k[[S]], and the adjoined-variable extension.
+
+Ideals of both rings go through the monomial kernel; exponent vectors keep
+the semigroup valuation last, (U, V, s).
+"""
 
 import pytest
 
 from normfilt import errors
 from normfilt import monomial as mono
 from normfilt import semigroup as sgm
+from normfilt.backends import SemigroupBackend
+from normfilt.filtration import Filtration
+from normfilt.newton import newton_polyhedron
 from oracles import semigroup_members_oracle
 
 
 @pytest.fixture(scope="module")
 def sg():
     return sgm.NumericalSemigroup((4, 5, 11))
+
+
+@pytest.fixture(scope="module")
+def base():
+    return SemigroupBackend((4, 5, 11))
+
+
+def power(ring, a, n):
+    return Filtration(ring, "adic", ideal=a).term(n)
+
+
+def row(a, b, upto):
+    """The valuations s < upto with t^s x^b in a."""
+    return [s for s in range(upto) if mono.contains(a, b + (s,))]
 
 
 def test_membership_against_reachability(sg):
@@ -40,6 +61,8 @@ def test_invariants_other_semigroups():
     assert b.type == 1
     c = sgm.NumericalSemigroup((1,))
     assert c.conductor == 0 and c.gaps == ()
+    # N has Frobenius number -1 and type 1, like every regular ring
+    assert c.pseudo_frobenius == (-1,) and c.type == 1
 
 
 def test_minimal_generators_recomputed():
@@ -51,106 +74,103 @@ def test_gcd_validation():
         sgm.NumericalSemigroup((4, 6))
 
 
-def test_sg_ideal_ops(sg):
-    m = sgm.sg_ideal(sg, (4, 5, 11))
-    m2 = sgm.sg_mul(m, m)
-    assert m2.gens == (8, 9, 10)
-    m2bar = sgm.sg_closure_power(m, 2)
-    assert m2bar.gens == (8, 9, 10, 11)
-    assert m2bar == sgm.tail_ideal(sg, 8)
-    assert sgm.sg_quotient_length(m2bar, m2) == 1  # the missing element t^11
-    assert sgm.sg_power(m, 3) == sgm.sg_mul(m2, m)
-    assert sgm.sg_ideal_contains(m, m2)
-    assert sgm.sg_intersect(m2bar, m2) == m2
+def test_sg_ideal_ops(base):
+    m = base.maximal()
+    m2 = mono.multiply(m, m)
+    assert m2.gens == ((8,), (9,), (10,))
+    m2bar = mono.closure_power(m, 2)
+    assert m2bar.gens == ((8,), (9,), (10,), (11,))
+    assert m2bar == base.ideal([(s,) for s in range(8, 12)])  # every member >= 8
+    assert mono.quotient_length(m2bar, m2) == 1  # the missing element t^11
+    assert power(base, m, 3) == mono.multiply(m2, m)
+    assert mono.ideal_contains(m, m2)
+    assert mono.intersect(m2bar, m2) == m2
 
 
-def test_sg_closure_matches_ordinary_high_powers(sg):
+def test_sg_closure_matches_ordinary_high_powers(base):
     # for n >= 3, the closure of m^n equals m^n itself
-    m = sgm.sg_ideal(sg, (4, 5, 11))
+    m = base.maximal()
     for n in range(3, 9):
-        assert sgm.sg_closure_power(m, n) == sgm.sg_power(m, n)
+        assert mono.closure_power(m, n) == power(base, m, n)
 
 
-def test_sg_colon_socle(sg):
-    m = sgm.sg_ideal(sg, (4, 5, 11))
-    j = sgm.sg_ideal(sg, (4,))
-    socle = sgm.sg_colon(j, m)
-    assert sgm.sg_quotient_length(socle, j) == sg.type == 2
+def test_sg_colon_socle(base, sg):
+    m = base.maximal()
+    j = base.ideal([(4,)])
+    socle = mono.colon(j, m)
+    assert mono.quotient_length(socle, j) == sg.type == 2
+    assert base.type_report().socle_type == 2
     with pytest.raises(errors.PreconditionError):
-        sgm.sg_colon(j, sgm.sg_zero(sg))
+        mono.colon(j, base.ideal([]))
 
 
-def test_sg_quotient_lengths(sg):
-    m = sgm.sg_ideal(sg, (4, 5, 11))
-    unit = sgm.sg_unit(sg)
-    values = [sgm.sg_quotient_length(unit, sgm.sg_closure_power(m, n + 1)) for n in range(5)]
+def test_sg_quotient_lengths(base):
+    m = base.maximal()
+    values = [mono.colength(mono.closure_power(m, n + 1)) for n in range(5)]
     assert values == [1, 3, 7, 11, 15]
-    adic = [sgm.sg_quotient_length(unit, sgm.sg_power(m, n + 1)) for n in range(5)]
+    adic = [mono.colength(power(base, m, n + 1)) for n in range(5)]
     assert adic == [1, 4, 7, 11, 15]
 
 
 @pytest.fixture(scope="module")
-def ring(sg):
-    return sgm.ExtensionRing(sg, ("U", "V"))
+def ring():
+    return SemigroupBackend((4, 5, 11), 2)
 
 
 def test_ext_construction_and_comps(ring):
-    n = sgm.ext_maximal(ring)
-    assert n.comp((0, 0)).gens == (4, 5, 11)
-    assert n.comp((1, 0)).is_unit and n.comp((5, 7)).is_unit
-    n2 = sgm.ext_power(n, 2)
-    assert n2 == sgm.ext_mul(n, n)
-    assert n2.comp((0, 0)).gens == (8, 9, 10)
-    assert n2.comp((1, 0)).gens == (4, 5, 11)
-    assert n2.comp((1, 1)).is_unit
+    n = ring.maximal()
+    assert row(n, (0, 0), 12) == [4, 5, 8, 9, 10, 11]
+    assert mono.contains(n, (1, 0, 0)) and mono.contains(n, (5, 7, 0))
+    n2 = power(ring, n, 2)
+    assert n2 == mono.multiply(n, n)
+    assert row(n2, (0, 0), 16) == [8, 9, 10, 12, 13, 14, 15]  # generated by 8, 9, 10
+    assert row(n2, (1, 0), 12) == [4, 5, 8, 9, 10, 11]
+    assert mono.contains(n2, (1, 1, 0))
 
 
 def test_ext_closure_adds_the_gap_element(ring):
-    n = sgm.ext_maximal(ring)
-    z = sgm.ext_from_gens(ring, [(11, (0, 0))])
-    nbar2 = sgm.ext_normal_power(n, 2)
-    assert nbar2 == sgm.ext_sum(sgm.ext_power(n, 2), z)
-    assert nbar2 != sgm.ext_power(n, 2)
+    n = ring.maximal()
+    z = ring.ideal([(0, 0, 11)])
+    nbar2 = mono.closure_power(n, 2)
+    assert nbar2 == mono.ideal_sum(power(ring, n, 2), z)
+    assert nbar2 != power(ring, n, 2)
 
 
 def test_ext_colength_table(ring):
-    n = sgm.ext_maximal(ring)
-    unit = sgm.ext_unit(ring)
-    normal = [sgm.ext_quotient_length(unit, sgm.ext_normal_power(n, k + 1)) for k in range(4)]
+    n = ring.maximal()
+    normal = [mono.colength(mono.closure_power(n, k + 1)) for k in range(4)]
     assert normal == [1, 5, 16, 38]
-    adic = [sgm.ext_quotient_length(unit, sgm.ext_power(n, k + 1)) for k in range(4)]
+    adic = [mono.colength(power(ring, n, k + 1)) for k in range(4)]
     assert adic == [1, 6, 18, 41]
 
 
 def test_ext_intersect_colon(ring):
-    n = sgm.ext_maximal(ring)
-    j = sgm.ext_from_gens(ring, [(4, (0, 0)), (0, (1, 0)), (0, (0, 1))])
-    n2 = sgm.ext_power(n, 2)
-    meet = sgm.ext_intersect(n2, j)
-    assert sgm.ext_ideal_contains(j, meet) and sgm.ext_ideal_contains(n2, meet)
-    q = sgm.ext_colon(j, n)
-    assert sgm.ext_ideal_contains(q, j)
-    assert sgm.ext_quotient_length(q, j) == 2  # socle of a parameter ideal has type length
+    n = ring.maximal()
+    j = ring.ideal([(0, 0, 4), (1, 0, 0), (0, 1, 0)])
+    n2 = power(ring, n, 2)
+    meet = mono.intersect(n2, j)
+    assert mono.ideal_contains(j, meet) and mono.ideal_contains(n2, meet)
+    q = mono.colon(j, n)
+    assert mono.ideal_contains(q, j)
+    assert mono.quotient_length(q, j) == 2  # socle of a parameter ideal has type length
 
 
 def test_ext_infinite_length(ring):
-    unit = sgm.ext_unit(ring)
-    not_primary = sgm.ext_from_gens(ring, [(4, (0, 0))])
-    assert not sgm.ext_is_m_primary(not_primary)
+    not_primary = ring.ideal([(0, 0, 4)])
+    assert not mono.is_m_primary(not_primary)
     with pytest.raises(errors.InfiniteLength):
-        sgm.ext_quotient_length(unit, not_primary)
+        mono.colength(not_primary)
 
 
 def test_induced_monomial_ideal(ring):
-    n = sgm.ext_maximal(ring)
-    induced = sgm.induced_monomial_ideal(n)
-    assert isinstance(induced, mono.MonomialIdeal)
-    assert induced.dim == 3
-    # t^4 divides t^5 and t^11 componentwise, so only the antichain survives
-    assert set(induced.gens) == {(4, 0, 0), (0, 1, 0), (0, 0, 1)}
+    n = ring.maximal()
+    assert n.gens == ((0, 0, 4), (0, 0, 5), (0, 0, 11), (0, 1, 0), (1, 0, 0))
+    # over k[t, U, V], t^4 divides t^5 and t^11, so only the antichain spans the hull
+    antichain = [(0, 0, 4), (0, 1, 0), (1, 0, 0)]
+    assert n.hull == newton_polyhedron(antichain)
+    assert n.hull.box == (1, 1, 4)
 
 
-def test_adjoin_zero_extension(sg):
-    ring0 = sgm.ExtensionRing(sg, ())
-    m = sgm.ext_maximal(ring0)
-    assert sgm.ext_quotient_length(sgm.ext_unit(ring0), sgm.ext_normal_power(m, 2)) == 3
+def test_adjoin_zero_extension(base):
+    m = base.maximal()
+    assert mono.colength(mono.closure_power(m, 2)) == 3

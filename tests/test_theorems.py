@@ -2,11 +2,13 @@
 
 from importlib import resources
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from normfilt import CHECKS, EntryData, analyze, errors, run_checks
 from normfilt.backends import PolynomialBackend
+from normfilt.monomial import multiply, quotient_length
 from normfilt import inputs
 
 ALL_CHECKS = (
@@ -189,10 +191,10 @@ def test_e3_from_reduction_tail(analyses):
     for name, a in analyses.items():
         if a.dim != 3 or a.vv is None or not a.vv.certified_cm or a.rn is None:
             continue
-        b = a.backend
         total = 0
         for j in range(2, min(a.rn + 2, a.nmax - 1) + 1):
-            step = b.length(a.normal_filt.term(j + 1), b.mul(a.reduction, a.normal_filt.term(j)))
+            step = quotient_length(a.normal_filt.term(j + 1),
+                                   multiply(a.reduction, a.normal_filt.term(j)))
             total += comb(j, 2) * step
         assert total == a.normal_fit.e[3], name
 
@@ -211,3 +213,12 @@ def test_verdict_serialization(analyses):
         assert d["schema"] == "normfilt.verdict/1"
         assert d["check"] == v.check
         assert isinstance(d["numbers"], dict)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(code, {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["(10, 56, 165, 364, 680, 1140, 1771, 2600, 3654)",
+                         "(27, 18, 1, 0)", "2 True"]
