@@ -97,8 +97,8 @@ class MonoidRing:
 
     def certify(self, a, j) -> ReductionCertificate:
         """A candidate reduction must be generated by one pure power of each variable."""
-        axes = sorted(next(i for i, x in enumerate(g) if x) for g in j.gens if sum(map(bool, g)) == 1)
-        if axes != list(range(self.dim)) or len(j.gens) != self.dim:
+        supports = sorted(tuple(i for i, x in enumerate(g) if x) for g in j.gens)
+        if supports != [(i,) for i in range(self.dim)]:
             raise PreconditionError("reduction must be generated by one pure power of each variable")
         return self._certificate(a, j)
 

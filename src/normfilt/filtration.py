@@ -57,8 +57,8 @@ def default_nmax(dim: int, window: int) -> int:
 class Filtration:
     """A descending multiplicative filtration with memoized terms.
 
-    Each term is built from the one before it: I^n = I*I^(n-1), and the
-    J-good and user chains multiply by J.
+    Ordinary powers grow from the memo, I^n = I*I^(n-1); past their initial
+    terms the J-good and user chains multiply the previous term by J.
     """
 
     def __init__(self, backend, kind: str, ideal=None, reduction=None, initial=None):
@@ -241,7 +241,8 @@ def valabrega_valla(filt: Filtration, reduction, nmax: int, window: int, rn: int
     prefixes = []
     acc = None
     for g in reduction.gens:
-        acc = b.ideal([g]) if acc is None else ideal_sum(acc, b.ideal([g]))
+        principal = b.ideal([g])
+        acc = principal if acc is None else ideal_sum(acc, principal)
         prefixes.append(acc)
     for n in range(1, nmax + 1):
         for i, pref in enumerate(prefixes, start=1):

@@ -26,10 +26,8 @@ from itertools import product
 from math import prod
 
 from .errors import DimensionMismatch, InfiniteLength, PreconditionError
-from .newton import NewtonPolyhedron, newton_polyhedron
+from .newton import Exponent, NewtonPolyhedron, newton_polyhedron
 from .semigroup import NumericalSemigroup
-
-Exponent = tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,12 +250,11 @@ def colon(a: Ideal, b: Ideal) -> Ideal:
     cap = _shift_box(a, b.gens)
     x = _reshape(a.bits, a.cap, cap)
     strides = _strides([c + 1 for c in cap])
-    out = -1
+    out = (1 << prod(c + 1 for c in cap)) - 1
     for g in b.gens:
         out &= x >> sum(c * s for c, s in zip(g, strides))
     # shifts that crossed an inner axis land beyond a's cap and are cut here
-    return Ideal(a.sg, a.cap, _reshape(out & ((1 << prod(c + 1 for c in cap)) - 1), cap, a.cap)
-                 & _monoid(a.sg, a.cap))
+    return Ideal(a.sg, a.cap, _reshape(out, cap, a.cap) & _monoid(a.sg, a.cap))
 
 
 def quotient_length(a: Ideal, b: Ideal) -> int:

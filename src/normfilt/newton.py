@@ -63,7 +63,7 @@ def newton_polyhedron(gens) -> NewtonPolyhedron:
     if d > MAX_DIM:
         raise UnsupportedDimension(f"dimension {d} exceeds supported bound {MAX_DIM}")
     box = _pure_box(gens, d)
-    if not d or box is None:
+    if not d or box is None or not all(map(any, gens)):
         raise NotMPrimary("Newton polyhedron requires a proper m-primary monomial ideal")
     gens = [g for g in gens if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in gens)]
     units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]

@@ -74,9 +74,10 @@ class Analysis:
         self.adic_filt = Filtration(b, "adic", ideal=self.ideal)
         self.closure1 = self.normal_filt.term(1)
         self.lam_R_I1 = colength(self.closure1)
-        self.closure_is_maximal = self.closure1 == b.maximal()
+        maximal = b.maximal()
+        self.closure_is_maximal = self.closure1 == maximal
         self.mu_ideal = len(self.ideal.gens)
-        self.mu_maximal = len(b.maximal().gens)
+        self.mu_maximal = len(maximal.gens)
         self.type_report = b.type_report()
 
         if entry.reduction == "auto":

@@ -35,7 +35,7 @@ def ideal(dim, *gens):
 
 def powers(a, upto):
     """a^0..a^upto from the adic filtration."""
-    adic = Filtration(PolynomialBackend("xyzw"[: len(a.cap)]), "adic", ideal=a)
+    adic = Filtration(PolynomialBackend("xyzw"[: len(a.gens[0])]), "adic", ideal=a)
     return [adic.term(n) for n in range(upto + 1)]
 
 

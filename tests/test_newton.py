@@ -125,5 +125,7 @@ def test_find_monomial_reduction():
 def test_preconditions():
     with pytest.raises(errors.NotMPrimary):
         newton.newton_polyhedron(((1, 0),))
+    with pytest.raises(errors.NotMPrimary):  # the unit ideal is not proper
+        newton.newton_polyhedron(((0, 0), (2, 0), (0, 2)))
     with pytest.raises(errors.UnsupportedDimension):
         newton.newton_polyhedron([tuple(2 * int(i == j) for j in range(5)) for i in range(5)])
