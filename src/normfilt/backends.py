@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import monomial as mono
 from .errors import NotMPrimary, PreconditionError, UnsupportedDimension
-from .newton import MAX_DIM, multiplicity
+from .newton import MAX_DIM
 from .semigroup import NumericalSemigroup
 
 
@@ -105,8 +105,8 @@ class MonoidRing:
     def _certificate(self, a, j) -> ReductionCertificate:
         return ReductionCertificate(
             reduction=j,
-            e0_ideal=multiplicity(a.hull),
-            e0_reduction=multiplicity(j.hull),
+            e0_ideal=a.e0,
+            e0_reduction=j.e0,
             contained=mono.ideal_contains(a, j),
         )
 

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import inputs, reports
 from .errors import HorizonError, InputError, PreconditionError
-from .filtration import default_nmax, default_window
 from .theorems import CHECKS, analyze, run_checks
 
 EXIT_OK = 0
@@ -85,19 +84,10 @@ def _load_entry(path_str, *, nmax, checks, tamper_normal=None):
     parsed = inputs.parse_input(text)
     if nmax is not None and nmax < 1:
         raise InputError("--nmax must be a positive integer")
-    entry = inputs.build_entry(
+    return inputs.build_entry(
         parsed, default_name=path.stem, nmax=nmax, checks=checks,
         tamper_normal=tamper_normal,
     )
-    if tamper_normal is not None:
-        dim = entry.backend.dim
-        window = entry.window if entry.window is not None else default_window(dim)
-        horizon_n = entry.nmax if entry.nmax is not None else default_nmax(dim, window)
-        if not 0 <= tamper_normal <= horizon_n:
-            raise InputError(
-                f"--tamper-normal index {tamper_normal} outside the table range 0..{horizon_n}"
-            )
-    return entry
 
 
 def _corpus_files(directory):

@@ -1,11 +1,11 @@
 """Filtration analytics over a monoid ring.
 
 Covers: memoized filtration terms (integral-closure powers, ordinary powers,
-the J-good chain E_0 = R, E_n = J^{n-1}*closure(I), and user-supplied initial
-terms with the J-tail rule), exact length tables, binomial-basis coefficient
-fits with a verification window, Sally-module tables, reduction numbers over
-a whole window, the Valabrega-Valla membership test, and the degréewise
-series identities tying the three graded modules together.
+and the J-good chain E_0 = R, E_n = J^{n-1}*closure(I)), exact length
+tables, binomial-basis coefficient fits with a verification window,
+Sally-module tables, reduction numbers over a whole window, the
+Valabrega-Valla membership test, and the degréewise series identities tying
+the three graded modules together.
 
 All binomials follow one convention: series_coeff(n, p) is the coefficient of
 z^n in (1-z)^(-p). The usual C(n+j, j) is series_coeff(n, j+1); for p = 0 the
@@ -25,13 +25,12 @@ from .monomial import (
     closure_power,
     colength,
     contains,
-    ideal_contains,
     ideal_sum,
     intersect,
     multiply,
 )
 
-KINDS = ("normal", "adic", "jgood", "user")
+KINDS = ("normal", "adic", "jgood")
 
 
 def series_coeff(n: int, power: int) -> int:
@@ -57,30 +56,21 @@ def default_nmax(dim: int, window: int) -> int:
 class Filtration:
     """A descending multiplicative filtration with memoized terms.
 
-    Ordinary powers grow from the memo, I^n = I*I^(n-1); past their initial
-    terms the J-good and user chains multiply the previous term by J.
+    Ordinary powers grow from the memo, I^n = I*I^(n-1); past its first term
+    the J-good chain multiplies the previous term by J.
     """
 
-    def __init__(self, backend, kind: str, ideal=None, reduction=None, initial=None):
+    def __init__(self, backend, kind: str, ideal=None, reduction=None):
         if kind not in KINDS:
             raise PreconditionError(f"unknown filtration kind {kind!r}")
-        if kind in ("normal", "adic") and ideal is None:
+        if ideal is None:
             raise PreconditionError(f"{kind} filtration requires an ideal")
-        if kind in ("jgood", "user") and reduction is None:
-            raise PreconditionError(f"{kind} filtration requires a reduction ideal")
-        if kind == "jgood" and ideal is None:
-            raise PreconditionError("jgood filtration requires an ideal")
-        if kind == "user":
-            if not initial:
-                raise PreconditionError("user filtration requires initial terms")
-            for a, b in zip(initial, initial[1:]):
-                if not ideal_contains(a, b):
-                    raise PreconditionError("user filtration terms must be descending")
+        if kind == "jgood" and reduction is None:
+            raise PreconditionError("jgood filtration requires a reduction ideal")
         self.backend = backend
         self.kind = kind
         self.ideal = ideal
         self.reduction = reduction
-        self.initial = list(initial) if initial else None
         self._terms = {0: backend.unit()}
 
     def term(self, n: int):
@@ -92,12 +82,8 @@ class Filtration:
             t = closure_power(self.ideal, n)
         elif self.kind == "adic":
             t = multiply(self.ideal, self.term(n - 1))
-        elif self.kind == "jgood":
-            t = closure_power(self.ideal, 1) if n == 1 else multiply(self.reduction, self.term(n - 1))
-        elif n <= len(self.initial):
-            t = self.initial[n - 1]
         else:
-            t = multiply(self.reduction, self.term(n - 1))
+            t = closure_power(self.ideal, 1) if n == 1 else multiply(self.reduction, self.term(n - 1))
         self._terms[n] = t
         return t
 

@@ -1,34 +1,9 @@
-"""Small exact linear algebra helpers over the rationals."""
+"""An exact square linear solver over the rationals."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-
-def det(matrix: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free elimination; exact for int/Fraction entries."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    sign = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            factor = rows[r][col] / rows[col][col]
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= rows[i][i]
-    return result
 
 
 def solve_square(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
@@ -48,19 +23,3 @@ def solve_square(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, .
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return tuple(rows[i][n] for i in range(n))
 
-
-def cofactor_normal(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ...] | None:
-    """Integer normal vector to the span of dim-1 row vectors in dimension dim.
-
-    Entry j is (-1)^j times the minor obtained by deleting column j, so the
-    result is orthogonal to every row. Returns None when the rows are
-    linearly dependent (all minors vanish).
-    """
-    normal = []
-    for j in range(dim):
-        minor = [[row[c] for c in range(dim) if c != j] for row in rows]
-        d = det(minor)
-        normal.append(int(d) if j % 2 == 0 else -int(d))
-    if all(x == 0 for x in normal):
-        return None
-    return tuple(normal)

@@ -26,7 +26,7 @@ from itertools import product
 from math import prod
 
 from .errors import DimensionMismatch, InfiniteLength, PreconditionError
-from .newton import Exponent, NewtonPolyhedron, newton_polyhedron
+from .newton import Exponent, NewtonPolyhedron, multiplicity, newton_polyhedron
 from .semigroup import NumericalSemigroup
 
 
@@ -53,6 +53,11 @@ class Ideal:
     def hull(self) -> NewtonPolyhedron:
         """Newton polyhedron of the generators, computed once per ideal."""
         return newton_polyhedron(self.gens)
+
+    @cached_property
+    def e0(self) -> int:
+        """Multiplicity e_0 from the Newton polyhedron, computed once per ideal."""
+        return multiplicity(self.hull)
 
 
 def _check_vector(v, dim: int) -> Exponent:

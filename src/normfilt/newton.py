@@ -3,29 +3,39 @@
 The Newton polyhedron NP(I) is the convex hull of the generator exponents plus
 the nonnegative orthant. A monomial x^a lies in the integral closure of I^n
 exactly when a is in the dilation n*NP(I), so an exact halfspace description
-of NP(I) answers every closure query. Supported ambient dimension is 1..4.
+of NP(I) answers every closure query. Supported ambient dimension is 1..4,
+and all arithmetic is in integers.
 
-Halfspace enumeration is a brute-force exact convex hull: each facet of
-NP(I) is spanned by some generators together with coordinate recession
-directions, so scanning all such combinations and filtering for supporting
-halfspaces with nonnegative normals recovers the facets (plus possibly some
-redundant supporting halfspaces, which never change membership answers).
-A generator that dominates another cannot be a vertex and is dropped first.
+Facets come from d-point subsets of the generators. NP(I) is the orthant cut
+by its supporting halfspaces <c,a> >= t with t > 0. Each contains the pure
+power p*e_i of every variable, so c_i*p >= t > 0: every entry of c is
+positive. Such a facet contains no coordinate direction, so it is spanned by
+d affinely independent generators, and d points of a supporting hyperplane
+that span it lie on a facet. The normal of a d-subset is the vector of
+signed (d-1)-minors of its difference rows; it is kept when its entries are
+all positive (after a sign flip) and every generator satisfies it. A
+generator that dominates another cannot be a vertex and is dropped first.
 
-The multiplicity e_0(I) equals d! times the volume of the bounded complement
-of NP(I) in the orthant; that volume is computed exactly by enumerating the
-vertices of the region's closure inside the pure-power box and triangulating.
+The multiplicity e_0(I) is d! times the volume of B, the closure of the
+orthant minus NP(I): the points a >= 0 with <c,a> <= t for some halfspace.
+Every such facet is compact (its normal is positive), so B is the union of
+the pyramids conv(0, F) over the facets F, and the vertices of NP(I) are
+generators, so these are lattice polytopes meeting in pyramids over common
+faces. By inclusion-exclusion over Ehrhart polynomials the lattice count
+L(k) = #(kB ∩ N^d) is a polynomial of degree d in k >= 0 whose leading
+coefficient is vol(B) (Beck-Robins, Computing the Continuous Discretely).
+Its d-th difference is therefore e_0 = sum_k (-1)^(d-k) C(d,k) L(k) over
+k = 0..d. L(k) is counted row by row along the last axis, the way
+`monomial.closure_power` cuts its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from math import factorial, gcd, prod
+from itertools import combinations, product
+from math import comb, gcd
 
 from .errors import NotMPrimary, PreconditionError, UnsupportedDimension
-from .linalg import cofactor_normal, det, solve_square
 
 MAX_DIM = 4
 
@@ -35,7 +45,7 @@ Halfspace = tuple[tuple[int, ...], int]  # (normal, threshold): <normal, a> >= t
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
-    """Halfspace description of NP(I); normals are nonnegative primitive integers.
+    """Halfspace description of NP(I); normals are positive primitive integers.
 
     box holds the least pure-power exponent of each variable among the generators.
     """
@@ -56,8 +66,22 @@ def _pure_box(gens, d: int) -> tuple[int, ...] | None:
     return tuple(box)
 
 
+def _dot(c, a) -> int:
+    return sum(x * y for x, y in zip(c, a))
+
+
+def _det(rows) -> int:
+    """Integer determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0]) if x
+    )
+
+
 def newton_polyhedron(gens) -> NewtonPolyhedron:
-    """Exact supporting-halfspace description of conv(generators) + orthant."""
+    """Exact facet description of conv(generators) + orthant."""
     gens = [tuple(g) for g in gens]
     d = len(gens[0]) if gens else 0
     if d > MAX_DIM:
@@ -66,29 +90,19 @@ def newton_polyhedron(gens) -> NewtonPolyhedron:
     if not d or box is None or not all(map(any, gens)):
         raise NotMPrimary("Newton polyhedron requires a proper m-primary monomial ideal")
     gens = [g for g in gens if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in gens)]
-    units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     found: set[Halfspace] = set()
-    for k in range(1, d + 1):
-        for pts in combinations(gens, k):
-            base = pts[0]
-            point_rows = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
-            for dirs in combinations(range(d), d - k):
-                rows = point_rows + [units[i] for i in dirs]
-                oriented = cofactor_normal(rows, d)
-                if oriented is None:
-                    continue
-                base_value = sum(c * x for c, x in zip(oriented, base))
-                for sign in (1, -1):
-                    normal = tuple(sign * c for c in oriented)
-                    threshold = sign * base_value
-                    if any(c < 0 for c in normal) or threshold <= 0:
-                        continue
-                    if any(
-                        sum(c * x for c, x in zip(normal, g)) < threshold for g in gens
-                    ):
-                        continue
-                    g0 = gcd(threshold, *normal)
-                    found.add((tuple(c // g0 for c in normal), threshold // g0))
+    for base, *pts in combinations(gens, d):
+        rows = [tuple(x - y for x, y in zip(p, base)) for p in pts]
+        normal = tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(d))
+        if normal[0] < 0:
+            normal = tuple(-c for c in normal)
+        if min(normal) <= 0:  # a zero or mixed-sign normal bounds no facet with t > 0
+            continue
+        g0 = gcd(*normal)
+        normal = tuple(c // g0 for c in normal)
+        halfspace = (normal, _dot(normal, base))
+        if halfspace not in found and all(_dot(normal, g) >= halfspace[1] for g in gens):
+            found.add(halfspace)
     return NewtonPolyhedron(d, tuple(sorted(found)), box)
 
 
@@ -98,93 +112,26 @@ def in_dilation(np_: NewtonPolyhedron, n: int, vector: Exponent) -> bool:
         raise PreconditionError(f"vector {vector} has wrong length for dimension {np_.dim}")
     if any(x < 0 for x in vector):
         return False
-    return all(
-        sum(c * x for c, x in zip(normal, vector)) >= n * threshold
-        for normal, threshold in np_.halfspaces
-    )
+    return all(_dot(normal, vector) >= n * threshold for normal, threshold in np_.halfspaces)
 
 
-def _polytope_vertices(halfspaces: list[tuple[tuple, Fraction]], d: int) -> list[tuple]:
-    """All vertices of the polytope cut out by <c,a> >= t constraints."""
-    verts = set()
-    for combo in combinations(halfspaces, d):
-        solution = solve_square([c for c, _ in combo], [t for _, t in combo])
-        if solution is None:
-            continue
-        if all(
-            sum(c * x for c, x in zip(normal, solution)) >= t for normal, t in halfspaces
-        ):
-            verts.add(solution)
-    return sorted(verts)
+def _lattice_count(np_: NewtonPolyhedron, k: int) -> int:
+    """L(k): the points a of N^d with <c,a> <= k*t for some halfspace (c, t).
 
-
-def _polytope_volume(halfspaces: list[tuple[tuple, Fraction]], d: int) -> Fraction:
-    """Exact volume by recursive triangulation of the boundary.
-
-    Faces are identified by the vertex sets on which a constraint is tight;
-    coning each face from a vertex outside it yields simplices whose
-    determinants sum to the volume (degenerate cones contribute zero).
+    Beyond k times the pure-power box no point counts, since every normal is
+    positive; each row over the free axes adds the points up to its highest
+    last coordinate.
     """
-    vertices = _polytope_vertices(halfspaces, d)
-    if len(vertices) <= d:
-        return Fraction(0)
-    tight = {
-        v: frozenset(
-            i
-            for i, (normal, t) in enumerate(halfspaces)
-            if sum(c * x for c, x in zip(normal, v)) == t
-        )
-        for v in vertices
-    }
-    cache: dict[frozenset, list[tuple]] = {}
-
-    def chains(face: frozenset) -> list[tuple]:
-        if len(face) == 1:
-            return [(next(iter(face)),)]
-        if face in cache:
-            return cache[face]
-        v0 = min(face)
-        out = []
-        seen = set()
-        for i in range(len(halfspaces)):
-            if i in tight[v0]:
-                continue
-            sub = frozenset(v for v in face if i in tight[v])
-            if not sub or sub in seen:
-                continue
-            seen.add(sub)
-            for chain in chains(sub):
-                out.append((v0,) + chain)
-        cache[face] = out
-        return out
-
-    total = Fraction(0)
-    for chain in chains(frozenset(vertices)):
-        if len(chain) != d + 1:
-            continue
-        rows = [[x - y for x, y in zip(p, chain[0])] for p in chain[1:]]
-        total += abs(det(rows))
-    return total / factorial(d)
-
-
-
-def covolume(np_: NewtonPolyhedron) -> Fraction:
-    """Volume of the bounded region of the orthant outside NP(I)."""
-    d, box = np_.dim, np_.box
-    constraints: list[tuple[tuple, Fraction]] = [
-        (tuple(Fraction(x) for x in normal), Fraction(t)) for normal, t in np_.halfspaces
-    ]
-    for i in range(d):
-        e = tuple(Fraction(1 if j == i else 0) for j in range(d))
-        constraints.append((e, Fraction(0)))
-        constraints.append((tuple(-x for x in e), Fraction(-box[i])))
-    inner = _polytope_volume(constraints, d)
-    return Fraction(prod(box)) - inner
+    total = 0
+    for b in product(*(range(k * e + 1) for e in np_.box[:-1])):
+        top = -1
+        for normal, t in np_.halfspaces:
+            top = max(top, (k * t - _dot(normal, b)) // normal[-1])
+        total += top + 1
+    return total
 
 
 def multiplicity(np_: NewtonPolyhedron) -> int:
-    """Hilbert-Samuel multiplicity e_0(I) = d! * covolume(NP(I)); always an integer."""
-    value = covolume(np_) * factorial(np_.dim)
-    if value.denominator != 1 or value <= 0:
-        raise PreconditionError(f"multiplicity computation returned non-integer {value}")
-    return int(value)
+    """Hilbert-Samuel multiplicity e_0(I): the d-th difference of L(k) at k = 0."""
+    d = np_.dim
+    return sum((-1) ** (d - k) * comb(d, k) * _lattice_count(np_, k) for k in range(d + 1))

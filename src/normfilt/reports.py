@@ -108,7 +108,8 @@ def sally_payload(analysis) -> dict:
             "Sally module lengths need a certified reduction; none is available"
         )
     if analysis.sally_fit is None:
-        raise HorizonError(analysis.sally_fit_error)
+        error = PreconditionError if analysis.sally_fit_invalid else HorizonError
+        raise error(analysis.sally_fit_error)
     return {
         "schema": SALLY_SCHEMA,
         **_header(analysis),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HorizonError, NotMPrimary, PreconditionError
+from .errors import HorizonError, InputError, NotMPrimary, PreconditionError
 from .filtration import (
     Filtration,
     default_nmax,
@@ -37,7 +37,6 @@ from .monomial import (
     multiply,
     quotient_length,
 )
-from .newton import multiplicity
 from .verdicts import Verdict, Witness, abstained, asserted, horizon, refuted, verified
 
 
@@ -66,10 +65,14 @@ class Analysis:
         self.dim = b.dim
         self.window = entry.window if entry.window is not None else default_window(self.dim)
         self.nmax = entry.nmax if entry.nmax is not None else default_nmax(self.dim, self.window)
+        if entry.tamper_normal is not None and not 0 <= entry.tamper_normal <= self.nmax:
+            raise InputError(
+                f"tamper index {entry.tamper_normal} outside the table range 0..{self.nmax}"
+            )
         self.ideal = entry.ideal
         if not is_m_primary(self.ideal):
             raise NotMPrimary("the input ideal is not primary to the maximal ideal")
-        self.e0 = multiplicity(self.ideal.hull)
+        self.e0 = self.ideal.e0
         self.normal_filt = Filtration(b, "normal", ideal=self.ideal)
         self.adic_filt = Filtration(b, "adic", ideal=self.ideal)
         self.closure1 = self.normal_filt.term(1)
@@ -112,6 +115,7 @@ class Analysis:
         self.sally_values = None
         self.sally_fit = None
         self.sally_fit_error = None
+        self.sally_fit_invalid = False  # tampered tables can give negative Sally lengths
         self.rn = None
         self.rn_error = None
         self.rn_window = None
@@ -131,6 +135,9 @@ class Analysis:
                 )
             except HorizonError as exc:
                 self.sally_fit_error = str(exc)
+            except PreconditionError as exc:
+                self.sally_fit_error = str(exc)
+                self.sally_fit_invalid = True
             try:
                 self.rn, self.rn_window = reduction_number(self.normal_filt, self.reduction, self.nmax)
             except HorizonError as exc:
@@ -210,24 +217,38 @@ def analyze(entry: EntryData) -> Analysis:
 
 def _gates(a: Analysis, *, need_reduction=False, need_normal_fit=False, need_sally_fit=False,
            min_dim=None, closure_maximal=False, e3_zero=False):
-    """Collect unmet hypotheses (strings); empty return means all gates pass."""
+    """Unmet gates in order, as (detail, short) with short true when the gate
+    misses only for lack of horizon; empty return means all gates pass."""
     missing = []
     if min_dim is not None and a.dim < min_dim:
-        missing.append(f"needs dimension >= {min_dim}, ring has dimension {a.dim}")
+        missing.append((f"needs dimension >= {min_dim}, ring has dimension {a.dim}", False))
     if need_reduction and a.reduction is None:
-        missing.append("no certified reduction available")
+        missing.append(("no certified reduction available", False))
+    no_normal = (f"normal coefficients unavailable: {a.normal_fit_error}", True)
     if need_normal_fit and a.normal_fit is None:
-        missing.append(f"normal coefficients unavailable: {a.normal_fit_error}")
+        missing.append(no_normal)
     if need_sally_fit and (a.sally_fit is None or a.sally_values is None):
-        missing.append(f"Sally coefficients unavailable: {a.sally_fit_error or 'no reduction'}")
+        missing.append((
+            f"Sally coefficients unavailable: {a.sally_fit_error or 'no reduction'}",
+            a.sally_values is not None and not a.sally_fit_invalid,
+        ))
     if closure_maximal and not a.closure_is_maximal:
-        missing.append("closure of the ideal is not the maximal ideal")
+        missing.append(("closure of the ideal is not the maximal ideal", False))
     if e3_zero and a.dim >= 3:
         if a.normal_fit is None:
-            missing.append(f"normal coefficients unavailable: {a.normal_fit_error}")
+            missing.append(no_normal)
         elif a.normal_fit.e[3] != 0:
-            missing.append("third normal coefficient does not vanish")
+            missing.append(("third normal coefficient does not vanish", False))
     return missing
+
+
+def _unmet(check, missing) -> Verdict:
+    """abstained if a hypothesis fails, inconclusive-horizon if every miss is
+    for lack of horizon; a detail repeated by two gates is given once."""
+    detail = "; ".join(dict.fromkeys(text for text, _ in missing))
+    if all(short for _, short in missing):
+        return horizon(check, detail)
+    return abstained(check, detail)
 
 
 def _cm_conclusion(check, a, nums, detail_ok):
@@ -309,7 +330,7 @@ def check_e1_lower_bound(a: Analysis) -> Verdict:
     """e1_bar >= e0 - lambda(R/closure(I)) = lambda(closure(I)/J) >= 0."""
     missing = _gates(a, need_reduction=True, need_normal_fit=True)
     if missing:
-        return abstained("e1_lower_bound", "; ".join(missing))
+        return _unmet("e1_lower_bound", missing)
     nums = a.base_numbers()
     e1 = a.e_bar(1)
     lo = a.e0 - a.lam_R_I1
@@ -341,7 +362,7 @@ def check_e1_equality_equivalence(a: Analysis) -> Verdict:
     """e1_bar minimal <=> Sally module zero <=> reduction number <= 1 <=> tables agree."""
     missing = _gates(a, need_reduction=True, need_normal_fit=True)
     if missing:
-        return abstained("e1_equality_equivalence", "; ".join(missing))
+        return _unmet("e1_equality_equivalence", missing)
     nums = a.base_numbers()
     eq_e1 = a.e_bar(1) == a.e0 - a.lam_R_I1
     sally_zero = all(v == 0 for v in a.sally_values)
@@ -382,7 +403,7 @@ def check_e1_almost_minimal_depth(a: Analysis) -> Verdict:
     """e1_bar <= e0 - lambda(R/closure(I)) + 1 forces depth >= d-1 for the graded ring."""
     missing = _gates(a, need_reduction=True, need_normal_fit=True, need_sally_fit=True)
     if missing:
-        return abstained("e1_almost_minimal_depth", "; ".join(missing))
+        return _unmet("e1_almost_minimal_depth", missing)
     nums = a.base_numbers()
     s0 = a.sally_fit.coeffs[0]
     slack = a.e_bar(1) - (a.e0 - a.lam_R_I1)
@@ -436,7 +457,7 @@ def check_e2_lower_bound(a: Analysis) -> Verdict:
     """e2_bar >= e1_bar - e0 + lambda(R/closure(I)), equality exactly when rn <= 2."""
     missing = _gates(a, need_reduction=True, need_normal_fit=True, min_dim=2)
     if missing:
-        return abstained("e2_lower_bound", "; ".join(missing))
+        return _unmet("e2_lower_bound", missing)
     nums = a.base_numbers()
     e2 = a.e_bar(2)
     lo = a.e_bar(1) - a.e0 + a.lam_R_I1
@@ -462,7 +483,7 @@ def check_e3_nonnegative(a: Analysis) -> Verdict:
     """e3_bar >= 0; when it vanishes, closure(I^{n+2}) lies inside J^n for all n."""
     missing = _gates(a, need_normal_fit=True, min_dim=3)
     if missing:
-        return abstained("e3_nonnegative", "; ".join(missing))
+        return _unmet("e3_nonnegative", missing)
     nums = a.base_numbers()
     e3 = a.e_bar(3)
     if e3 < 0:
@@ -491,7 +512,7 @@ def check_sally_coefficient_transfer(a: Analysis) -> Verdict:
     """Sally coefficients: s0 = e1_bar - e0 + lambda, s_i = e_{i+1}_bar for i >= 1."""
     missing = _gates(a, need_reduction=True, need_normal_fit=True, need_sally_fit=True)
     if missing:
-        return abstained("sally_coefficient_transfer", "; ".join(missing))
+        return _unmet("sally_coefficient_transfer", missing)
     nums = a.base_numbers()
     s = a.sally_fit.coeffs
     nums.update({f"s{i}_bar": c for i, c in enumerate(s)})
@@ -520,7 +541,7 @@ def check_series_identity(a: Analysis) -> Verdict:
     """Degreewise series identities linking the three graded modules."""
     missing = _gates(a, need_reduction=True)
     if missing:
-        return abstained("series_identity", "; ".join(missing))
+        return _unmet("series_identity", missing)
     nums = a.base_numbers()
     sc = a.series
     if sc.ok:
@@ -542,7 +563,7 @@ def check_closure_intersection(a: Analysis) -> Verdict:
     """closure(I^{n+1}) ∩ J^n = J^n closure(I) in low degrees."""
     missing = _gates(a, need_reduction=True)
     if missing:
-        return abstained("closure_intersection", "; ".join(missing))
+        return _unmet("closure_intersection", missing)
     nums = a.base_numbers()
     upto = min(4, a.nmax - 1)
     fails = intersection_failures(a.backend, a.normal_filt, a.jgood_filt, a.reduction_powers, upto)
@@ -564,7 +585,7 @@ def check_socle_formula(a: Analysis) -> Verdict:
     """lambda((J^n : m)/J^n) = type(R) * C(n+d-2, d-1) for small n."""
     missing = _gates(a, need_reduction=True)
     if missing:
-        return abstained("socle_formula", "; ".join(missing))
+        return _unmet("socle_formula", missing)
     b = a.backend
     nums = a.base_numbers()
     t = a.type_report.type
@@ -589,7 +610,7 @@ def check_length_bound_decomposition(a: Analysis) -> Verdict:
     """Upper bound and exact decomposition for lambda(R/closure(I^{n+1}))."""
     missing = _gates(a, need_reduction=True)
     if missing:
-        return abstained("length_bound_decomposition", "; ".join(missing))
+        return _unmet("length_bound_decomposition", missing)
     nums = a.base_numbers()
     d = a.dim
     s1 = a.sally_values[1]
@@ -630,7 +651,7 @@ def check_sally_type_bound(a: Analysis) -> Verdict:
     """Sally lengths are bounded by type(R) * C(n+d-2, d-1) once e3_bar = 0."""
     missing = _gates(a, need_reduction=True, min_dim=3, closure_maximal=True, e3_zero=True)
     if missing:
-        return abstained("sally_type_bound", "; ".join(missing))
+        return _unmet("sally_type_bound", missing)
     nums = a.base_numbers()
     t = a.type_report.type
     for n in range(1, a.nmax + 1):
@@ -653,7 +674,7 @@ def check_e1_type_sandwich(a: Analysis) -> Verdict:
     missing = _gates(a, need_reduction=True, need_normal_fit=True, min_dim=3,
                      closure_maximal=True, e3_zero=True)
     if missing:
-        return abstained("e1_type_sandwich", "; ".join(missing))
+        return _unmet("e1_type_sandwich", missing)
     nums = a.base_numbers()
     e1 = a.e_bar(1)
     t = a.type_report.type
@@ -695,10 +716,10 @@ def check_e3_vanishing_cm(a: Analysis) -> Verdict:
         t = a.type_report.type
         if a.sally_values[1] < t - 1:
             missing.append(
-                f"lambda(I2bar/J·I1bar) = {a.sally_values[1]} < type - 1 = {t - 1}"
+                (f"lambda(I2bar/J·I1bar) = {a.sally_values[1]} < type - 1 = {t - 1}", False)
             )
     if missing:
-        return abstained("e3_vanishing_cm", "; ".join(missing))
+        return _unmet("e3_vanishing_cm", missing)
     nums = a.base_numbers()
     b = a.backend
     term2 = a.normal_filt.term(2)
@@ -725,12 +746,13 @@ def check_almost_minimal_rn2(a: Analysis) -> Verdict:
     reduction number at most 2; cross-checks two auxiliary coefficient identities."""
     missing = _gates(a, need_reduction=True, need_normal_fit=True, min_dim=3, e3_zero=True)
     if not missing and a.e_bar(1) != a.e0 - a.lam_R_I1 + 1:
-        missing.append(
+        missing.append((
             f"e1_bar = {a.e_bar(1)} is not e0 - lambda(R/closure(I)) + 1 "
-            f"= {a.e0 - a.lam_R_I1 + 1}"
-        )
+            f"= {a.e0 - a.lam_R_I1 + 1}",
+            False,
+        ))
     if missing:
-        return abstained("almost_minimal_rn2", "; ".join(missing))
+        return _unmet("almost_minimal_rn2", missing)
     nums = a.base_numbers()
     b = a.backend
     if a.rn is None or a.rn > 2:
@@ -777,9 +799,9 @@ def check_low_type_cm(a: Analysis) -> Verdict:
     missing = _gates(a, need_reduction=True, min_dim=3, closure_maximal=True, e3_zero=True)
     t = a.type_report.type
     if not missing and t > 2:
-        missing.append(f"type {t} exceeds 2")
+        missing.append((f"type {t} exceeds 2", False))
     if missing:
-        return abstained("low_type_cm", "; ".join(missing))
+        return _unmet("low_type_cm", missing)
     nums = a.base_numbers()
     b = a.backend
     part_a = _cm_conclusion("low_type_cm", a, nums, "")

@@ -2,15 +2,18 @@
 
 Nothing here imports the geometry or filtration modules under test: dilation
 membership is decided by an exhaustive exact convex-combination search
-(Caratheodory supports plus coordinate rays, solved over Fractions), lengths
-by direct lattice enumeration against the generator staircase, and semigroup
-membership by a direct reachability sweep.
+(Caratheodory supports plus coordinate rays, solved over Fractions), the
+multiplicity by vertex enumeration and triangulation of the Newton
+polyhedron cut by its pure-power box, lengths by direct lattice enumeration
+against the generator staircase, and semigroup membership by a direct
+reachability sweep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 
 def _solve_consistent(columns, rhs):
@@ -68,6 +71,100 @@ def in_dilation_oracle(gens, dim, point, n) -> bool:
             if sol is not None and all(v >= 0 for v in sol):
                 return True
     return False
+
+
+def _det(matrix) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    n = len(rows)
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            result = -result
+        result *= rows[col][col]
+        for r in range(col + 1, n):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return result
+
+
+def _polytope_vertices(halfspaces, d: int) -> list[tuple]:
+    """All vertices of the polytope cut out by <c,a> >= t constraints."""
+    verts = set()
+    for combo in combinations(halfspaces, d):
+        columns = [tuple(c[j] for c, _ in combo) for j in range(d)]
+        solution = _solve_consistent(columns, tuple(t for _, t in combo))
+        if solution is None:
+            continue
+        if all(sum(c * x for c, x in zip(normal, solution)) >= t for normal, t in halfspaces):
+            verts.add(tuple(solution))
+    return sorted(verts)
+
+
+def _polytope_volume(halfspaces, d: int) -> Fraction:
+    """Exact volume by recursive triangulation of the boundary.
+
+    Faces are identified by the vertex sets on which a constraint is tight;
+    coning each face from a vertex outside it yields simplices whose
+    determinants sum to the volume (degenerate cones contribute zero).
+    """
+    vertices = _polytope_vertices(halfspaces, d)
+    if len(vertices) <= d:
+        return Fraction(0)
+    tight = {
+        v: frozenset(
+            i for i, (normal, t) in enumerate(halfspaces)
+            if sum(c * x for c, x in zip(normal, v)) == t
+        )
+        for v in vertices
+    }
+    cache: dict[frozenset, list[tuple]] = {}
+
+    def chains(face: frozenset) -> list[tuple]:
+        if len(face) == 1:
+            return [(next(iter(face)),)]
+        if face in cache:
+            return cache[face]
+        v0 = min(face)
+        out = []
+        seen = set()
+        for i in range(len(halfspaces)):
+            if i in tight[v0]:
+                continue
+            sub = frozenset(v for v in face if i in tight[v])
+            if not sub or sub in seen:
+                continue
+            seen.add(sub)
+            out.extend((v0,) + chain for chain in chains(sub))
+        cache[face] = out
+        return out
+
+    total = Fraction(0)
+    for chain in chains(frozenset(vertices)):
+        if len(chain) == d + 1:
+            total += abs(_det([[x - y for x, y in zip(p, chain[0])] for p in chain[1:]]))
+    return total / factorial(d)
+
+
+def multiplicity_oracle(halfspaces, box) -> int:
+    """d! times the volume of the box minus the Newton polyhedron inside it.
+
+    halfspaces are (normal, t) pairs for <normal, a> >= t, and box holds the
+    least pure power of each variable, so the whole complement of the
+    polyhedron in the orthant lies inside the box.
+    """
+    d = len(box)
+    constraints = list(halfspaces)
+    for i in range(d):
+        e = tuple(int(j == i) for j in range(d))
+        constraints += [(e, 0), (tuple(-x for x in e), -box[i])]
+    value = (prod(box) - _polytope_volume(constraints, d)) * factorial(d)
+    assert value.denominator == 1 and value > 0, value
+    return int(value)
 
 
 def staircase_member(gens, point) -> bool:

@@ -125,12 +125,6 @@ def test_filtration_terms(poly2):
     assert jgood.term(1) == normal.term(1)
     assert jgood.term(3) == multiply(power(ideal, 2), normal.term(1))
 
-    user = flt.Filtration(
-        b, "user", reduction=ideal, initial=[b.maximal(), power(b.maximal(), 2)]
-    )
-    assert user.term(1) == b.maximal()
-    assert user.term(3) == multiply(ideal, power(b.maximal(), 2))
-
 
 def test_filtration_validation(poly2):
     b = poly2
@@ -141,13 +135,6 @@ def test_filtration_validation(poly2):
         flt.Filtration(b, "normal")
     with pytest.raises(errors.PreconditionError):
         flt.Filtration(b, "jgood", ideal=ideal)
-    with pytest.raises(errors.PreconditionError):
-        flt.Filtration(b, "user", reduction=ideal, initial=[])
-    with pytest.raises(errors.PreconditionError):
-        # ascending terms are rejected
-        flt.Filtration(
-            b, "user", reduction=ideal, initial=[power(b.maximal(), 2), b.maximal()]
-        )
     with pytest.raises(errors.PreconditionError):
         flt.Filtration(b, "adic", ideal=ideal).term(-1)
 

@@ -267,3 +267,32 @@ def test_cli_tamper_range_follows_default_horizon(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["check", str(f), "--tamper-normal", "11"]) == 2
     assert "outside the table range 0..10" in capsys.readouterr().err
+
+
+def _conclusions(payload):
+    return {v["check"]: v["conclusion"] for v in payload["verdicts"]}
+
+
+@pytest.mark.parametrize("dim4, index", [(False, 2), (True, 10)])
+def test_cli_tamper_with_vanishing_sally_module_refutes(tmp_path, capsys, dim4, index):
+    # the tampered normal colength exceeds the J-good one, so Sally lengths go negative
+    path = corpus_path("poly3_maximal")
+    if dim4:
+        path = tmp_path / "maximal4.nfilt"
+        path.write_text("ring polynomial dim=4\nideal maximal\n")
+    assert cli.main(["check", str(path), "--tamper-normal", str(index)]) == 1
+    conclusions = _conclusions(json.loads(capsys.readouterr().out))
+    assert conclusions["table_coherence"] == "refuted-with-witness"
+    assert conclusions["length_bound_decomposition"] == "refuted-with-witness"
+
+
+def test_cli_horizon_misses_are_not_abstentions(tmp_path, capsys):
+    f = tmp_path / "maximal4.nfilt"
+    f.write_text("ring polynomial dim=4\nideal maximal\n")
+    assert cli.main(["check", str(f), "--nmax", "8"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    short = [v for v in verdicts if v["conclusion"] == "inconclusive-horizon"]
+    assert len(short) == 12  # table_coherence and the 11 checkers gated on a fit
+    assert not [v for v in verdicts if v["conclusion"] == "abstained"]
+    sandwich = next(v for v in short if v["check"] == "e1_type_sandwich")
+    assert sandwich["detail"].count("normal coefficients unavailable") == 1

@@ -1,15 +1,17 @@
 """Newton-polyhedron geometry against the convex-combination oracle."""
 
-from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normfilt import errors
 from normfilt import monomial as mono
 from normfilt import newton
 from normfilt.backends import PolynomialBackend
 from normfilt.filtration import Filtration
-from oracles import box_points, in_dilation_oracle
+from oracles import box_points, in_dilation_oracle, multiplicity_oracle
 
 R2 = PolynomialBackend(("x", "y"))
 R3 = PolynomialBackend(("x", "y", "z"))
@@ -64,13 +66,45 @@ def test_dimension_one_closure():
 
 
 def test_covolume_and_multiplicity():
-    assert newton.covolume(newton.newton_polyhedron(PLANE)) == Fraction(5, 2)
     assert newton.multiplicity(newton.newton_polyhedron(PLANE)) == 5
     assert newton.multiplicity(newton.newton_polyhedron(SQUARES)) == 4
     assert newton.multiplicity(newton.newton_polyhedron(CUBES)) == 27
     assert newton.multiplicity(newton.newton_polyhedron(CUBES_DIAG)) == 27
     assert newton.multiplicity(R3.maximal().hull) == 1
     assert newton.multiplicity(maximal_power(R3, 2).hull) == 8
+
+
+def test_maximal_fourth_power_in_four_variables():
+    gens = [g for g in product(range(5), repeat=4) if sum(g) == 4]
+    np_ = newton.newton_polyhedron(gens)
+    assert np_.halfspaces == (((1, 1, 1, 1), 4),)
+    assert newton.multiplicity(np_) == 256
+
+
+@st.composite
+def m_primary_gens(draw, max_dim):
+    """A pure power of every variable plus up to four more generators, entries <= 5."""
+    d = draw(st.integers(1, max_dim))
+    gens = [tuple(draw(st.integers(1, 5)) * (j == i) for j in range(d)) for i in range(d)]
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 5)] * d), max_size=4))
+    return gens + [g for g in extra if any(g)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(m_primary_gens(4))
+def test_multiplicity_matches_triangulation_oracle(gens):
+    np_ = newton.newton_polyhedron(gens)
+    assert newton.multiplicity(np_) == multiplicity_oracle(np_.halfspaces, np_.box), gens
+
+
+@settings(max_examples=20, deadline=None)
+@given(m_primary_gens(3))
+def test_in_dilation_matches_oracle(gens):
+    np_ = newton.newton_polyhedron(gens)
+    d = len(gens[0])
+    for n in (1, 2):
+        for p in box_points((3,) * d):
+            assert newton.in_dilation(np_, n, p) == in_dilation_oracle(gens, d, p, n), (gens, n, p)
 
 
 def test_in_dilation_matches_oracle_spot():

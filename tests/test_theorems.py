@@ -9,7 +9,7 @@ import pytest
 from normfilt import CHECKS, EntryData, analyze, errors, run_checks
 from normfilt.backends import PolynomialBackend
 from normfilt.monomial import multiply, quotient_length
-from normfilt import inputs
+from normfilt import inputs, reports
 
 ALL_CHECKS = (
     "table_coherence",
@@ -142,6 +142,19 @@ def test_low_type_exceptional_witness(analyses):
     assert v.conclusion == "verified"
     assert [(w.degree, w.element) for w in v.witnesses] == [(3, "t^15")]
     assert "exceptional" in v.detail
+
+
+def test_tamper_index_is_checked_against_the_horizon():
+    # a negative index used to wrap around to the end of the table
+    for index in (-1, 8):
+        with pytest.raises(errors.InputError, match=r"outside the table range 0\.\.7"):
+            load("poly2_x2_y2", tamper_normal=index)
+
+
+def test_sally_report_of_negative_lengths_is_a_precondition_error():
+    a = load("poly3_maximal", tamper_normal=2)
+    with pytest.raises(errors.PreconditionError, match="nonnegative"):
+        reports.sally_payload(a)
 
 
 def test_tampered_entry_is_refuted():
