@@ -23,6 +23,17 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_HORIZON = 4
 
+# exit code and message label of each error class a command reports
+FAILURES = {
+    InputError: (EXIT_INPUT, "input"),
+    HorizonError: (EXIT_HORIZON, "horizon"),
+    PreconditionError: (EXIT_PRECONDITION, "precondition"),
+}
+
+
+def _failure(exc) -> tuple[int, str]:
+    return next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -75,18 +86,14 @@ def _split_checks(arg):
     return ids
 
 
-def _load_entry(path_str, *, nmax, checks, tamper_normal=None):
-    path = Path(path_str)
+def _load_entry(path, *, nmax, checks, tamper_normal=None):
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    parsed = inputs.parse_input(text)
-    if nmax is not None and nmax < 1:
-        raise InputError("--nmax must be a positive integer")
     return inputs.build_entry(
-        parsed, default_name=path.stem, nmax=nmax, checks=checks,
-        tamper_normal=tamper_normal,
+        inputs.parse_input(text), default_name=Path(path.name).stem, nmax=nmax,
+        checks=checks, tamper_normal=tamper_normal,
     )
 
 
@@ -103,25 +110,31 @@ def _corpus_files(directory):
     )
 
 
+def _verdicts_code(verdicts) -> int:
+    return EXIT_REFUTED if any(v.is_refutation for v in verdicts) else EXIT_OK
+
+
 def _run(args) -> int:
     checks = _split_checks(getattr(args, "checks", None))
     if args.command == "corpus":
         entries = []
         exit_code = EXIT_OK
         for f in _corpus_files(args.directory):
-            parsed = inputs.parse_input(f.read_text())
-            entry = inputs.build_entry(parsed, default_name=Path(f.name).stem,
-                                       nmax=args.nmax, checks=checks)
-            analysis = analyze(entry)
-            verdicts = run_checks(analysis)
-            if any(v.is_refutation for v in verdicts):
-                exit_code = EXIT_REFUTED
-            entries.append((f.name, reports.check_payload(analysis, verdicts)))
+            try:
+                analysis = analyze(_load_entry(f, nmax=args.nmax, checks=checks))
+                verdicts = run_checks(analysis)
+                payload = reports.check_payload(analysis, verdicts)
+                code = _verdicts_code(verdicts)
+            except tuple(FAILURES) as exc:
+                code = _failure(exc)[0]
+                payload = reports.error_record(code, exc)
+            entries.append((f.name, payload))
+            exit_code = max(exit_code, code)
         sys.stdout.write(reports.render(reports.corpus_payload(entries), args.fmt))
         return exit_code
 
     entry = _load_entry(
-        args.file, nmax=args.nmax, checks=checks,
+        Path(args.file), nmax=args.nmax, checks=checks,
         tamper_normal=getattr(args, "tamper_normal", None),
     )
     analysis = analyze(entry)
@@ -135,7 +148,7 @@ def _run(args) -> int:
         verdicts = run_checks(analysis)
         payload = reports.check_payload(analysis, verdicts)
         sys.stdout.write(reports.render(payload, args.fmt))
-        return EXIT_REFUTED if any(v.is_refutation for v in verdicts) else EXIT_OK
+        return _verdicts_code(verdicts)
     sys.stdout.write(reports.render(payload, args.fmt))
     return EXIT_OK
 
@@ -145,15 +158,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except InputError as exc:
-        print(f"normfilt: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except HorizonError as exc:
-        print(f"normfilt: horizon error: {exc}", file=sys.stderr)
-        return EXIT_HORIZON
-    except PreconditionError as exc:
-        print(f"normfilt: precondition error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    except tuple(FAILURES) as exc:
+        code, label = _failure(exc)
+        print(f"normfilt: {label} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -162,6 +162,12 @@ class SallyTable:
     stable_from: int
 
 
+def sally_lengths(normal_values, jgood_values) -> tuple[int, ...]:
+    """λ(closure(I^{n+1}) / J^n closure(I)): entry n of the J-good colength
+    table minus entry n of the normal one."""
+    return tuple(j - n for j, n in zip(jgood_values, normal_values))
+
+
 def sally_from_tables(normal_values, jgood_values, dim: int, window: int | None = None) -> SallyTable:
     """Sally lengths λ(closure(I^{n+1}) / J^n closure(I)) and their exact fit.
 
@@ -169,7 +175,7 @@ def sally_from_tables(normal_values, jgood_values, dim: int, window: int | None 
     difference; entry 0 vanishes by construction. The fit lives in dimension
     dim-1, one binomial degree below the ring tables.
     """
-    values = tuple(j - n for j, n in zip(jgood_values, normal_values))
+    values = sally_lengths(normal_values, jgood_values)
     if any(v < 0 for v in values) or values[0] != 0:
         raise PreconditionError("Sally lengths must be nonnegative and start at 0")
     window = default_window(dim) if window is None else window
@@ -205,7 +211,8 @@ class VVReport:
     required_horizon: int | None
 
 
-def _witness_element(backend, lhs, rhs) -> str:
+def witness_element(backend, lhs, rhs) -> str:
+    """A generator of lhs outside rhs, else of rhs outside lhs, as ring text."""
     for g in lhs.gens:
         if not contains(rhs, g):
             return backend.element_str(g)
@@ -235,7 +242,7 @@ def valabrega_valla(filt: Filtration, reduction, nmax: int, window: int, rn: int
             lhs = intersect(filt.term(n), pref)
             rhs = multiply(pref, filt.term(n - 1))
             if lhs != rhs:
-                witness = _witness_element(b, lhs, rhs)
+                witness = witness_element(b, lhs, rhs)
                 return VVReport(False, False, (n, i, witness), nmax, None)
     required = rn + window if rn is not None else None
     certified = required is not None and nmax >= required
@@ -269,7 +276,7 @@ def series_checks(normal_values, jgood_values, dim: int, e0: int) -> SeriesCheck
     n_count = min(len(normal_values), len(jgood_values))
     gbar = graded_diffs(normal_values[:n_count])
     ge = graded_diffs(jgood_values[:n_count])
-    sally = tuple(j - n for j, n in zip(jgood_values[:n_count], normal_values[:n_count]))
+    sally = sally_lengths(normal_values, jgood_values)
     middle = tuple(
         jgood_values[n] - (normal_values[n - 1] if n else 0) for n in range(n_count)
     )
@@ -299,5 +306,5 @@ def intersection_failures(backend, normal_filt: Filtration, jgood_filt: Filtrati
         lhs = intersect(normal_filt.term(n + 1), reduction_powers.term(n))
         rhs = jgood_filt.term(n + 1)
         if lhs != rhs:
-            out.append((n, _witness_element(backend, lhs, rhs)))
+            out.append((n, witness_element(backend, lhs, rhs)))
     return out

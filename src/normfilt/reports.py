@@ -10,7 +10,7 @@ import csv
 import io
 import json
 
-from .errors import HorizonError, PreconditionError
+from .errors import PreconditionError
 
 TABLE_SCHEMA = "normfilt.table/1"
 COEFFS_SCHEMA = "normfilt.coeffs/1"
@@ -54,7 +54,7 @@ def table_payload(analysis) -> dict:
 
 def _fit_dict(fit, error):
     if fit is None:
-        return {"error": error}
+        return {"error": str(error)}
     out = {"e": list(fit.e), "stable_from": fit.stable_from}
     if fit.sectional_normal_genus is not None:
         out["g_s"] = fit.sectional_normal_genus
@@ -64,7 +64,7 @@ def _fit_dict(fit, error):
 def coeffs_payload(analysis) -> dict:
     """Coefficient report; requires the normal fit (horizon error otherwise)."""
     if analysis.normal_fit is None:
-        raise HorizonError(analysis.normal_fit_error)
+        raise analysis.normal_fit_error
     out = {
         "schema": COEFFS_SCHEMA,
         **_header(analysis),
@@ -81,8 +81,8 @@ def coeffs_payload(analysis) -> dict:
         out["lambda_I1_J"] = analysis.lam_I1_J
         out["lambda_I2_JI1"] = analysis.sally_values[1]
         out["rn"] = analysis.rn
-        if analysis.rn_error:
-            out["rn_note"] = analysis.rn_error
+        if analysis.rn_error is not None:
+            out["rn_note"] = str(analysis.rn_error)
         vv = analysis.vv
         out["valabrega_valla"] = {
             "certified_cm": vv.certified_cm,
@@ -91,25 +91,24 @@ def coeffs_payload(analysis) -> dict:
             "checked_upto": vv.checked_upto,
             "required_horizon": vv.required_horizon,
         }
-    if analysis.sally_fit is not None:
-        out["sally"] = {
-            "s": list(analysis.sally_fit.coeffs),
-            "stable_from": analysis.sally_fit.stable_from,
-        }
-    elif analysis.reduction is not None:
-        out["sally"] = {"error": analysis.sally_fit_error}
+        if analysis.sally_fit is not None:
+            out["sally"] = {
+                "s": list(analysis.sally_fit.coeffs),
+                "stable_from": analysis.sally_fit.stable_from,
+            }
+        else:
+            out["sally"] = {"error": str(analysis.sally_fit_error)}
     return out
 
 
 def sally_payload(analysis) -> dict:
-    """Sally report; needs a reduction (precondition) and a fit (horizon)."""
+    """Sally report; needs a reduction and a fit, else raises the fit's error."""
     if analysis.reduction is None:
         raise PreconditionError(
             "Sally module lengths need a certified reduction; none is available"
         )
     if analysis.sally_fit is None:
-        error = PreconditionError if analysis.sally_fit_invalid else HorizonError
-        raise error(analysis.sally_fit_error)
+        raise analysis.sally_fit_error
     return {
         "schema": SALLY_SCHEMA,
         **_header(analysis),
@@ -137,12 +136,17 @@ def check_payload(analysis, verdicts) -> dict:
     }
 
 
+def error_record(exit_code: int, exc: Exception) -> dict:
+    """Corpus entry for a file that could not be checked."""
+    return {"error": str(exc), "exit_code": exit_code}
+
+
 def corpus_payload(entries) -> dict:
-    """entries: list of (file_name, check_payload)."""
+    """entries: list of (file_name, check payload or error record)."""
     total = {}
     out_entries = []
     for file_name, payload in entries:
-        for k, v in payload["summary"].items():
+        for k, v in payload.get("summary", {}).items():
             total[k] = total.get(k, 0) + v
         out_entries.append({"file": file_name, **payload})
     return {
@@ -303,11 +307,17 @@ def _render_check(payload, fmt) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _error_text(record) -> str:
+    return f"error (exit code {record['exit_code']}): {record['error']}"
+
+
 def _render_corpus(payload, fmt) -> str:
     if fmt == "csv":
         rows = [("file", "entry", "check", "conclusion", "detail")]
         for e in payload["entries"]:
-            for v in e["verdicts"]:
+            if "error" in e:
+                rows.append((e["file"], "", "", "error", _error_text(e)))
+            for v in e.get("verdicts", ()):
                 rows.append((e["file"], e["entry"], v["check"], v["conclusion"], v["detail"]))
         return _csv_text(rows)
     lines = ["# corpus report", ""]
@@ -315,6 +325,9 @@ def _render_corpus(payload, fmt) -> str:
     lines.append(f"Overall: {summary}")
     for e in payload["entries"]:
         lines.append("")
+        if "error" in e:
+            lines += [f"## {e['file']}", "", _error_text(e)]
+            continue
         lines.append(f"## {e['entry']} ({e['file']})")
         lines.append("")
         lines += _md_table(

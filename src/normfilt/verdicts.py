@@ -1,4 +1,8 @@
-"""Verdict records produced by the statement checkers."""
+"""Verdict records produced by the statement checkers.
+
+The constructors below leave the check id and the numbers empty; the checker
+registration in `theorems` fills both in.
+"""
 
 from __future__ import annotations
 
@@ -57,21 +61,21 @@ class Verdict:
         }
 
 
-def verified(check, detail="", numbers=None, witnesses=()):
-    return Verdict(check, "verified", True, detail, numbers or {}, tuple(witnesses))
+def verified(detail, witnesses=()):
+    return Verdict("", "verified", True, detail, witnesses=tuple(witnesses))
 
 
-def refuted(check, detail="", numbers=None, witnesses=()):
-    return Verdict(check, "refuted-with-witness", True, detail, numbers or {}, tuple(witnesses))
+def refuted(detail, witnesses=()):
+    return Verdict("", "refuted-with-witness", True, detail, witnesses=tuple(witnesses))
 
 
-def horizon(check, detail="", numbers=None):
-    return Verdict(check, "inconclusive-horizon", True, detail, numbers or {})
+def horizon(detail):
+    return Verdict("", "inconclusive-horizon", True, detail)
 
 
-def asserted(check, detail="", numbers=None):
-    return Verdict(check, "asserted-by-paper", True, detail, numbers or {})
+def asserted(detail):
+    return Verdict("", "asserted-by-paper", True, detail)
 
 
-def abstained(check, detail="", numbers=None):
-    return Verdict(check, "abstained", False, detail, numbers or {})
+def abstained(detail):
+    return Verdict("", "abstained", False, detail)

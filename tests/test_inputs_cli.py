@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from normfilt import cli, errors, inputs
+from normfilt import cli, errors, inputs, theorems
 
 CORPUS = resources.files("normfilt") / "corpus"
 NEGATIVE = CORPUS / "negative"
@@ -238,6 +238,60 @@ def test_cli_corpus_explicit_dir(tmp_path, capsys):
 def test_cli_corpus_missing_dir(capsys):
     assert cli.main(["corpus", "/nonexistent/dir"]) == 2
     capsys.readouterr()
+
+
+def test_cli_corpus_reports_failing_entries(tmp_path, capsys):
+    # one bad file used to sink the run: exit 2 and nothing on stdout
+    shutil.copy(corpus_path("poly3_cubes"), tmp_path / "poly3_cubes.nfilt")
+    for name in ("gcd_bad", "not_mprimary"):
+        shutil.copy(NEGATIVE / f"{name}.nfilt", tmp_path / f"{name}.nfilt")
+    assert cli.main(["corpus", str(tmp_path)]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    entries = {e["file"]: e for e in payload["entries"]}
+    assert entries["gcd_bad.nfilt"]["exit_code"] == 2
+    assert "greatest common divisor" in entries["gcd_bad.nfilt"]["error"]
+    assert entries["not_mprimary.nfilt"]["exit_code"] == 3
+    assert "not primary" in entries["not_mprimary.nfilt"]["error"]
+    assert entries["poly3_cubes.nfilt"]["entry"] == "poly3_cubes"
+    assert payload["summary"] == entries["poly3_cubes.nfilt"]["summary"]
+    for fmt in ("md", "csv"):
+        assert cli.main(["corpus", str(tmp_path), "--format", fmt]) == 3
+        out = capsys.readouterr().out
+        assert "error (exit code 2): " in out and "error (exit code 3): " in out
+        assert "poly3_cubes,socle_formula,verified" in out or "## poly3_cubes" in out
+
+
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_cli_nonpositive_horizon_is_an_input_error(capsys, nmax):
+    # corpus used to skip the horizon check and crash with an IndexError
+    assert cli.main(["corpus", "--nmax", nmax]) == 2
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert len(entries) == 8
+    for e in entries:
+        assert e["exit_code"] == 2 and "nmax must be a positive integer" in e["error"]
+    assert cli.main(["check", corpus_path("poly3_cubes"), "--nmax", nmax]) == 2
+    assert "nmax must be a positive integer" in capsys.readouterr().err
+
+
+def _forbid(monkeypatch, *names):
+    def fail(*args, **kwargs):
+        raise AssertionError("computed although the command does not read it")
+
+    for name in names:
+        monkeypatch.setattr(theorems, name, fail)
+
+
+def test_cli_table_computes_no_fit_reduction_number_or_vv(monkeypatch, capsys):
+    _forbid(monkeypatch, "valabrega_valla", "reduction_number", "fit_coefficients")
+    assert cli.main(["table", corpus_path("poly3_cubes")]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][2] == [2, 165, 270, 168, 3]
+
+
+def test_cli_socle_check_skips_valabrega_valla(monkeypatch, capsys):
+    _forbid(monkeypatch, "valabrega_valla")
+    assert cli.main(["check", corpus_path("poly3_cubes"), "--checks", "socle_formula"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [(v["check"], v["conclusion"]) for v in verdicts] == [("socle_formula", "verified")]
 
 
 def test_cli_semigroup_of_naturals_has_type_one(tmp_path, capsys):

@@ -151,6 +151,13 @@ def test_tamper_index_is_checked_against_the_horizon():
             load("poly2_x2_y2", tamper_normal=index)
 
 
+def test_nonpositive_horizon_is_an_input_error():
+    # nmax = 0 used to pass unchecked here and crash the checkers
+    for nmax in (0, -1):
+        with pytest.raises(errors.InputError, match="nmax must be a positive integer"):
+            load("poly2_x2_y2", nmax=nmax)
+
+
 def test_sally_report_of_negative_lengths_is_a_precondition_error():
     a = load("poly3_maximal", tamper_normal=2)
     with pytest.raises(errors.PreconditionError, match="nonnegative"):
