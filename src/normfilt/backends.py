@@ -34,16 +34,15 @@ class RingTypeReport:
 
 @dataclass(frozen=True)
 class ReductionCertificate:
-    """Outcome of comparing multiplicities of an ideal and a candidate reduction."""
+    """Whether J ⊆ I ⊆ closure(J), i.e. NP(J) = NP(I); the multiplicities are read on demand."""
 
+    ideal: object
     reduction: object
-    e0_ideal: int
-    e0_reduction: int
     contained: bool
+    is_reduction: bool
 
-    @property
-    def is_reduction(self) -> bool:
-        return self.contained and self.e0_ideal == self.e0_reduction
+    e0_ideal = property(lambda self: self.ideal.e0)
+    e0_reduction = property(lambda self: self.reduction.e0)
 
 
 def format_monomial(names, exps) -> str:
@@ -86,7 +85,7 @@ class MonoidRing:
 
     # --- reductions ---------------------------------------------------------
     def auto_reduction(self, a) -> ReductionCertificate | None:
-        """The least pure power along each axis, when multiplicities certify it."""
+        """The least pure power along each axis, when it is a reduction."""
         if not mono.is_m_primary(a):
             raise NotMPrimary("automatic reduction requires an m-primary ideal")
         d = self.dim
@@ -103,12 +102,9 @@ class MonoidRing:
         return self._certificate(a, j)
 
     def _certificate(self, a, j) -> ReductionCertificate:
-        return ReductionCertificate(
-            reduction=j,
-            e0_ideal=a.e0,
-            e0_reduction=j.e0,
-            contained=mono.ideal_contains(a, j),
-        )
+        contained = mono.ideal_contains(a, j)
+        closed = contained and mono.ideal_contains(mono.closure_power(j, 1), a)
+        return ReductionCertificate(a, j, contained, closed)
 
     # --- ring invariants ----------------------------------------------------
     def type_report(self) -> RingTypeReport:

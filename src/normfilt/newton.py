@@ -13,7 +13,10 @@ positive. Such a facet contains no coordinate direction, so it is spanned by
 d affinely independent generators, and d points of a supporting hyperplane
 that span it lie on a facet. The normal of a d-subset is the vector of
 signed (d-1)-minors of its difference rows; it is kept when its entries are
-all positive (after a sign flip) and every generator satisfies it. A
+all positive (after a sign flip) and every generator satisfies it. It is
+linear in the last difference row, so each (d-1)-point head computes its d
+cofactor columns once (column k: the normal with last row e_k), and each
+later generator's normal is one d x d integer matrix-vector product. A
 generator that dominates another cannot be a vertex and is dropped first.
 
 The multiplicity e_0(I) is d! times the volume of B, the closure of the
@@ -55,23 +58,14 @@ class NewtonPolyhedron:
     box: tuple[int, ...]
 
 
-def _pure_box(gens, d: int) -> tuple[int, ...] | None:
-    """Least pure-power exponent per variable, or None if some variable has none."""
-    box = []
-    for i in range(d):
-        powers = [g[i] for g in gens if g[i] and not any(g[:i] + g[i + 1:])]
-        if not powers:
-            return None
-        box.append(min(powers))
-    return tuple(box)
-
-
 def _dot(c, a) -> int:
     return sum(x * y for x, y in zip(c, a))
 
 
 def _det(rows) -> int:
     """Integer determinant by cofactor expansion along the first row."""
+    if len(rows) == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if not rows:
         return 1
     return sum(
@@ -86,23 +80,34 @@ def newton_polyhedron(gens) -> NewtonPolyhedron:
     d = len(gens[0]) if gens else 0
     if d > MAX_DIM:
         raise UnsupportedDimension(f"dimension {d} exceeds supported bound {MAX_DIM}")
-    box = _pure_box(gens, d)
-    if not d or box is None or not all(map(any, gens)):
+    # least pure power of each variable, 0 where there is none (or for the unit ideal)
+    box = tuple(min((g[i] for g in gens if not any(g[:i] + g[i + 1:])), default=0)
+                for i in range(d))
+    if not d or 0 in box:
         raise NotMPrimary("Newton polyhedron requires a proper m-primary monomial ideal")
+    if d == 1:
+        return NewtonPolyhedron(1, (((1,), box[0]),), box)
     gens = [g for g in gens if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in gens)]
+    units = [tuple(int(j == k) for j in range(d)) for k in range(d)]
     found: set[Halfspace] = set()
-    for base, *pts in combinations(gens, d):
-        rows = [tuple(x - y for x, y in zip(p, base)) for p in pts]
-        normal = tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(d))
-        if normal[0] < 0:
-            normal = tuple(-c for c in normal)
-        if min(normal) <= 0:  # a zero or mixed-sign normal bounds no facet with t > 0
-            continue
-        g0 = gcd(*normal)
-        normal = tuple(c // g0 for c in normal)
-        halfspace = (normal, _dot(normal, base))
-        if halfspace not in found and all(_dot(normal, g) >= halfspace[1] for g in gens):
-            found.add(halfspace)
+    for head in combinations(range(len(gens)), d - 1):
+        base = gens[head[0]]
+        rows = [tuple(x - y for x, y in zip(gens[i], base)) for i in head[1:]]
+        # row j, column k: the j-th signed minor of (e_k, *rows), the normal for last row e_k
+        matrix = [[(-1) ** j * _det([r[:j] + r[j + 1:] for r in (e, *rows)]) for e in units]
+                  for j in range(d)]
+        for g in gens[head[-1] + 1:]:
+            last = tuple(x - y for x, y in zip(g, base))
+            normal = tuple(_dot(row, last) for row in matrix)
+            if normal[0] < 0:
+                normal = tuple(-c for c in normal)
+            if min(normal) <= 0:  # a zero or mixed-sign normal bounds no facet with t > 0
+                continue
+            g0 = gcd(*normal)
+            normal = tuple(c // g0 for c in normal)
+            halfspace = (normal, _dot(normal, base))
+            if halfspace not in found and all(_dot(normal, h) >= halfspace[1] for h in gens):
+                found.add(halfspace)
     return NewtonPolyhedron(d, tuple(sorted(found)), box)
 
 

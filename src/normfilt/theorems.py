@@ -101,20 +101,18 @@ class Analysis:
             self.reduction_source = "auto" if self.cert is not None else None
         else:
             self.cert = b.certify(self.ideal, entry.reduction)
-            if not self.cert.is_reduction:
-                if not self.cert.contained:
-                    raise PreconditionError(
-                        "the given reduction ideal is not contained in the input ideal"
-                    )
+            if not self.cert.is_reduction:  # the multiplicities are computed only here
                 raise PreconditionError(
                     "the given ideal is not a reduction: multiplicity "
-                    f"{self.cert.e0_reduction} != {self.cert.e0_ideal}"
+                    f"{self.cert.e0_reduction} != {self.cert.e0_ideal}" if self.cert.contained
+                    else "the given reduction ideal is not contained in the input ideal"
                 )
             self.reduction_source = "given"
         self.reduction = self.cert.reduction if self.cert is not None else None
-        self.e0 = self.ideal.e0  # cached on the ideal by the certificate
         self.normal_filt = Filtration(b, "normal", ideal=self.ideal)
         self.adic_filt = Filtration(b, "adic", ideal=self.ideal)
+
+    e0 = property(lambda self: self.ideal.e0)
 
     @cached_property
     def lam_R_I1(self) -> int:

@@ -3,6 +3,7 @@
 Nothing here imports the geometry or filtration modules under test: dilation
 membership is decided by an exhaustive exact convex-combination search
 (Caratheodory supports plus coordinate rays, solved over Fractions), the
+facets of a Newton polyhedron by a scan of every d-subset of generators, the
 multiplicity by vertex enumeration and triangulation of the Newton
 polyhedron cut by its pure-power box, lengths by direct lattice enumeration
 against the generator staircase, and semigroup membership by a direct
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 
 def _solve_consistent(columns, rhs):
@@ -71,6 +72,42 @@ def in_dilation_oracle(gens, dim, point, n) -> bool:
             if sol is not None and all(v >= 0 for v in sol):
                 return True
     return False
+
+
+def _cofactor_det(rows) -> int:
+    """Integer determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0]) if x
+    )
+
+
+def hull_oracle(gens) -> tuple:
+    """Sorted facets (c, t), <c,a> >= t, of conv(gens) + orthant: the d-subset scan.
+
+    Every facet of an m-primary Newton polyhedron has a positive normal and
+    is spanned by d generators. So each d-subset whose normal (the signed
+    (d-1)-minors of its difference rows, up to sign) is positive, and which
+    every generator satisfies, gives a facet. Dominated generators lie on no
+    facet and are kept.
+    """
+    gens = [tuple(g) for g in gens]
+    d = len(gens[0])
+    found = set()
+    for base, *pts in combinations(gens, d):
+        rows = [tuple(x - y for x, y in zip(p, base)) for p in pts]
+        normal = [(-1) ** j * _cofactor_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d)]
+        if normal[0] < 0:
+            normal = [-c for c in normal]
+        if min(normal) <= 0:
+            continue
+        normal = tuple(c // gcd(*normal) for c in normal)
+        t = sum(c * x for c, x in zip(normal, base))
+        if all(sum(c * x for c, x in zip(normal, g)) >= t for g in gens):
+            found.add((normal, t))
+    return tuple(sorted(found))
 
 
 def _det(matrix) -> Fraction:

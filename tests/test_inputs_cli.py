@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from normfilt import cli, errors, inputs, theorems
+from normfilt import cli, errors, inputs, monomial, theorems
 
 CORPUS = resources.files("normfilt") / "corpus"
 NEGATIVE = CORPUS / "negative"
@@ -285,6 +285,31 @@ def test_cli_table_computes_no_fit_reduction_number_or_vv(monkeypatch, capsys):
     _forbid(monkeypatch, "valabrega_valla", "reduction_number", "fit_coefficients")
     assert cli.main(["table", corpus_path("poly3_cubes")]) == 0
     assert json.loads(capsys.readouterr().out)["rows"][2] == [2, 165, 270, 168, 3]
+
+
+@pytest.mark.parametrize("name, row", [
+    ("poly3_cubes", [2, 165, 270, 168, 3]),  # reduction found
+    ("poly2_x2_xy_y3", [2, 27, 27]),  # no reduction
+])
+def test_cli_table_computes_no_multiplicity(monkeypatch, capsys, name, row):
+    def fail(*args, **kwargs):
+        raise AssertionError("table reads no multiplicity")
+
+    monkeypatch.setattr(monomial, "multiplicity", fail)
+    assert cli.main(["table", corpus_path(name)]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][2] == row
+
+
+@pytest.mark.parametrize("reduction, message", [
+    ("x^4 y^4 z^4", "the given ideal is not a reduction: multiplicity 64 != 27"),
+    ("x^2 y^3 z^3", "the given reduction ideal is not contained in the input ideal"),
+])
+def test_cli_given_reduction_errors(tmp_path, capsys, reduction, message):
+    f = tmp_path / "given.nfilt"
+    f.write_text(f"ring polynomial vars=x,y,z\nideal x^3 y^3 z^3\nreduction {reduction}\n")
+    for command in ("table", "check"):
+        assert cli.main([command, str(f)]) == 3
+        assert message in capsys.readouterr().err
 
 
 def test_cli_socle_check_skips_valabrega_valla(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Newton-polyhedron geometry against the convex-combination oracle."""
 
+import random
 from itertools import product
 
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from normfilt import errors
 from normfilt import monomial as mono
 from normfilt import newton
-from normfilt.backends import PolynomialBackend
+from normfilt.backends import PolynomialBackend, SemigroupBackend
 from normfilt.filtration import Filtration
-from oracles import box_points, in_dilation_oracle, multiplicity_oracle
+from oracles import box_points, hull_oracle, in_dilation_oracle, multiplicity_oracle
 
 R2 = PolynomialBackend(("x", "y"))
 R3 = PolynomialBackend(("x", "y", "z"))
@@ -77,7 +78,7 @@ def test_covolume_and_multiplicity():
 def test_maximal_fourth_power_in_four_variables():
     gens = [g for g in product(range(5), repeat=4) if sum(g) == 4]
     np_ = newton.newton_polyhedron(gens)
-    assert np_.halfspaces == (((1, 1, 1, 1), 4),)
+    assert np_.halfspaces == (((1, 1, 1, 1), 4),) == hull_oracle(gens)
     assert newton.multiplicity(np_) == 256
 
 
@@ -88,6 +89,35 @@ def m_primary_gens(draw, max_dim):
     gens = [tuple(draw(st.integers(1, 5)) * (j == i) for j in range(d)) for i in range(d)]
     extra = draw(st.lists(st.tuples(*[st.integers(0, 5)] * d), max_size=4))
     return gens + [g for g in extra if any(g)]
+
+
+@st.composite
+def hull_gens(draw):
+    """m_primary_gens(4), with or without generators that dominate a drawn one."""
+    gens = draw(m_primary_gens(4))
+    for g in draw(st.lists(st.sampled_from(gens), max_size=3)):
+        gens.append(tuple(min(5, x + draw(st.integers(0, 2))) for x in g))
+    return gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_gens())
+def test_hull_matches_subset_scan_oracle(gens):
+    assert newton.newton_polyhedron(gens).halfspaces == hull_oracle(gens), gens
+
+
+def newton_wide_gens(seed):
+    """Three 4-variable ideals: x_i^4 plus 12 degree-3 monomials with exponents <= 2."""
+    cubics = sorted(e for e in product(range(3), repeat=4) if sum(e) == 3)
+    rng = random.Random(seed)
+    powers = [tuple(4 * (j == i) for j in range(4)) for i in range(4)]
+    return [powers + rng.sample(cubics, 12) for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hull_of_wide_ideals_matches_oracle(seed):
+    for gens in newton_wide_gens(seed):
+        assert newton.newton_polyhedron(gens).halfspaces == hull_oracle(gens), gens
 
 
 @settings(max_examples=100, deadline=None)
@@ -154,6 +184,43 @@ def test_find_monomial_reduction():
     assert R2.auto_reduction(ideal(PLANE)) is None  # pure powers give e0 = 6 != 5
     self_cert = R3.auto_reduction(ideal(CUBES))
     assert self_cert is not None and self_cert.reduction == ideal(CUBES)
+
+
+CERT_RINGS = [PolynomialBackend("xyzw"[:d]) for d in range(1, 5)] + [
+    SemigroupBackend(gens, adjoin) for gens in ((1,), (4, 5, 11), (3, 7)) for adjoin in range(3)
+]
+
+
+@st.composite
+def ring_and_ideal(draw):
+    """An m-primary monomial ideal of one of CERT_RINGS, free exponents <= 5."""
+    ring = draw(st.sampled_from(CERT_RINGS))
+    d, values = ring.dim, [s for s in range(12) if ring.sg.contains(s)]
+    pures = [tuple(draw(st.integers(1, 5)) * (k == i) for k in range(d)) for i in range(d - 1)]
+    pures.append((0,) * (d - 1) + (draw(st.sampled_from(values[1:])),))
+    vectors = st.tuples(*[st.integers(0, 3)] * (d - 1), st.sampled_from(values[:6]))
+    extra = [v for v in draw(st.lists(vectors, max_size=4)) if any(v)]
+    return ring, ring.ideal(pures + extra), values
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_and_ideal(), st.data())
+def test_certificate_agrees_with_multiplicity_comparison(drawn, data):
+    """The closure certificate against the multiplicity comparison it replaced."""
+    ring, a, values = drawn
+    d = ring.dim
+    exps = mono.pure_power_exponents(a)
+    auto = ring.auto_reduction(a)
+    j = ring.ideal([tuple(e * (k == i) for k in range(d)) for i, e in enumerate(exps)])
+    assert (auto is not None) == (a.e0 == j.e0), (ring.describe(), a.gens)
+    # candidates near the least pure powers: lower ones are not contained
+    shifted = [max(1, e + data.draw(st.integers(-1, 2))) for e in exps[:-1]]
+    shifted.append(data.draw(st.sampled_from([s for s in values if s] + [exps[-1]])))
+    j = ring.ideal([tuple(e * (k == i) for k in range(d)) for i, e in enumerate(shifted)])
+    cert = ring.certify(a, j)
+    assert cert.contained == mono.ideal_contains(a, j)
+    assert cert.is_reduction == (cert.contained and a.e0 == j.e0), (ring.describe(), a.gens, j.gens)
+    assert (cert.e0_ideal, cert.e0_reduction) == (a.e0, j.e0)
 
 
 def test_preconditions():
