@@ -24,12 +24,10 @@ from .semigroup import NumericalSemigroup
 
 @dataclass(frozen=True)
 class RingTypeReport:
-    """Cohen-Macaulay type of the ring, with the evidence used to compute it."""
+    """Cohen-Macaulay type of the ring and where it comes from."""
 
     type: int
     source: str
-    pseudo_frobenius: tuple[int, ...] | None = None
-    socle_type: int | None = None
 
 
 @dataclass(frozen=True)
@@ -110,17 +108,9 @@ class MonoidRing:
     def type_report(self) -> RingTypeReport:
         if self.kind == "polynomial":
             return RingTypeReport(
-                type=self.sg.type,
-                source="regular ring; the maximal ideal is generated by a regular sequence",
+                self.sg.type, "regular ring; the maximal ideal is generated by a regular sequence"
             )
-        base = self.base_ring()
-        x = base.ideal([(self.sg.multiplicity,)])
-        return RingTypeReport(
-            type=self.sg.type,
-            source="pseudo-Frobenius count of the semigroup",
-            pseudo_frobenius=self.sg.pseudo_frobenius,
-            socle_type=mono.quotient_length(mono.colon(x, base.maximal()), x),
-        )
+        return RingTypeReport(self.sg.type, "pseudo-Frobenius count of the semigroup")
 
     def base_ring(self) -> "MonoidRing":
         """k[[S]] itself, the coefficient ring with no variables adjoined."""

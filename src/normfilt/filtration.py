@@ -16,11 +16,9 @@ length bounds need in dimension 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .errors import HorizonError, PreconditionError
-from .linalg import solve_square
 from .monomial import (
     closure_power,
     colength,
@@ -109,25 +107,35 @@ class HilbertCoefficients:
 def fit_polynomial(values, dim: int, window: int) -> tuple[tuple[int, ...], int]:
     """Exact integral fit of values[n] = sum_i (-1)^i c_i C(n+dim-i, dim-i).
 
-    Solves on the trailing dim+1 entries, demands integrality, verifies the
+    Fits the trailing dim+1 entries by backward differences, verifies the
     preceding `window` entries, then scans backwards for the first index from
-    which the polynomial matches. Raises HorizonError whenever the table is
+    which the polynomial matches. A backward difference lowers C(n+k, k) to
+    C(n+k-1, k-1), so the (dim-i)-th difference at the last index N is
+    sum_{j<=i} (-1)^j c_j C(N+i-j, i-j): a unit-triangular system, solved
+    from i = 0 upward in integers. Raises HorizonError whenever the table is
     too short or the fit fails, since a longer table could still succeed.
     """
     k = dim + 1
     if window < 1:
         raise PreconditionError("verification window must be positive")
+    if any(int(v) != v for v in values):
+        raise PreconditionError("table entries must be integers")
     if len(values) < k + window:
         raise HorizonError(
             f"need at least {k + window} table entries to fit and verify, have {len(values)}"
             " (horizon too small)"
         )
-    ns = list(range(len(values) - k, len(values)))
-    matrix = [[(-1) ** i * series_coeff(n, dim - i + 1) for i in range(k)] for n in ns]
-    sol = solve_square(matrix, [Fraction(values[n]) for n in ns])
-    if sol is None or any(c.denominator != 1 for c in sol):
-        raise HorizonError("no exact integral fit on the trailing entries (horizon too small)")
-    coeffs = tuple(int(c) for c in sol)
+    row = [int(v) for v in values[len(values) - k:]]
+    ends = [row[-1]]  # ends[m]: the m-th backward difference at the last index N
+    for _ in range(dim):
+        row = [y - x for x, y in zip(row, row[1:])]
+        ends.append(row[-1])
+    last = len(values) - 1
+    signed = []  # (-1)^i c_i
+    for i in range(k):
+        lower = sum(s * comb(last + i - j, i - j) for j, s in enumerate(signed))
+        signed.append(ends[dim - i] - lower)
+    coeffs = tuple((-1) ** i * s for i, s in enumerate(signed))
 
     def poly(n):
         return sum((-1) ** i * coeffs[i] * series_coeff(n, dim - i + 1) for i in range(k))
@@ -183,7 +191,7 @@ def sally_from_tables(normal_values, jgood_values, dim: int, window: int | None 
     return SallyTable(values, coeffs, stable_from)
 
 
-def reduction_number(filt: Filtration, reduction, nmax: int) -> tuple[int, range]:
+def reduction_number(filt: Filtration, reduction, nmax: int) -> int:
     """Least r with F_{n+1} = J*F_n for every n in [r, nmax]; never extrapolated.
 
     Raises HorizonError when even the top degree fails, since no reduction
@@ -199,7 +207,7 @@ def reduction_number(filt: Filtration, reduction, nmax: int) -> tuple[int, range
         raise HorizonError(
             f"F_{nmax + 1} != J*F_{nmax}; no reduction number certifiable up to {nmax}"
         )
-    return r, range(r, nmax + 1)
+    return r
 
 
 @dataclass(frozen=True)

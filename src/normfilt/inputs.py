@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import backends
-from .backends import format_monomial
 from .errors import InputError, PreconditionError, UnsupportedDimension
 from .theorems import CHECKS, EntryData
 
@@ -44,10 +43,6 @@ class ParsedEntry:
     nmax: int | None = None
     window: int | None = None
     checks: tuple[str, ...] | None = None
-
-    @property
-    def all_names(self) -> tuple[str, ...]:
-        return self.names if self.kind == "polynomial" else ("t",) + self.names
 
 
 def _fail(msg, line_no, line, token=None):
@@ -220,40 +215,6 @@ def parse_input(text: str) -> ParsedEntry:
         window=seen.get("window"),
         checks=seen.get("checks"),
     )
-
-
-def format_input(entry: ParsedEntry) -> str:
-    """Canonical text for a parsed entry; parse_input(format_input(e)) == e."""
-    lines = []
-    if entry.name is not None:
-        lines.append(f"name {entry.name}")
-    if entry.kind == "polynomial":
-        lines.append(f"ring polynomial vars={','.join(entry.names)}")
-    else:
-        ring = f"ring semigroup gens={','.join(str(g) for g in entry.sg_gens)}"
-        if entry.names:
-            ring += f" adjoin={','.join(entry.names)}"
-        lines.append(ring)
-    if entry.ideal_gens == "maximal":
-        lines.append("ideal maximal")
-    else:
-        lines.append(
-            "ideal " + " ".join(format_monomial(entry.all_names, g) for g in entry.ideal_gens)
-        )
-    if entry.reduction == "auto":
-        lines.append("reduction auto")
-    else:
-        lines.append(
-            "reduction "
-            + ",".join(format_monomial(entry.all_names, g) for g in entry.reduction)
-        )
-    if entry.nmax is not None:
-        lines.append(f"nmax {entry.nmax}")
-    if entry.window is not None:
-        lines.append(f"window {entry.window}")
-    if entry.checks is not None:
-        lines.append("checks " + ",".join(entry.checks))
-    return "\n".join(lines) + "\n"
 
 
 def _to_backend_gens(kind, gens):

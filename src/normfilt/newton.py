@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, gcd
 
-from .errors import NotMPrimary, PreconditionError, UnsupportedDimension
+from .errors import NotMPrimary, UnsupportedDimension
 
 MAX_DIM = 4
 
@@ -109,15 +109,6 @@ def newton_polyhedron(gens) -> NewtonPolyhedron:
             if halfspace not in found and all(_dot(normal, h) >= halfspace[1] for h in gens):
                 found.add(halfspace)
     return NewtonPolyhedron(d, tuple(sorted(found)), box)
-
-
-def in_dilation(np_: NewtonPolyhedron, n: int, vector: Exponent) -> bool:
-    """Whether the exponent vector lies in the dilation n * NP(I)."""
-    if len(vector) != np_.dim:
-        raise PreconditionError(f"vector {vector} has wrong length for dimension {np_.dim}")
-    if any(x < 0 for x in vector):
-        return False
-    return all(_dot(normal, vector) >= n * threshold for normal, threshold in np_.halfspaces)
 
 
 def _lattice_count(np_: NewtonPolyhedron, k: int) -> int:

@@ -71,12 +71,12 @@ def _attempt(compute, errors=HorizonError):
 class Analysis:
     """Tables, fits and certificates for one entry, each computed on first read.
 
-    The constructor only validates the request: the horizon, the tamper
-    index, the m-primary test and the reduction certificate. The fields built
-    from the reduction J (jgood_filt, reduction_powers, jgood_values,
-    sally_values, sally_fit, rn, vv, series, lam_I1_J) may be read only when
-    `reduction` is not None. A fit or reduction number that fails reads None,
-    and its *_error field holds the exception.
+    The constructor only validates the request: the horizon, the window,
+    the tamper index, the m-primary test and the reduction certificate. The
+    fields built from the reduction J (jgood_filt, reduction_powers,
+    jgood_values, sally_values, sally_fit, rn, vv, series, lam_I1_J) may be
+    read only when `reduction` is not None. A fit or reduction number that
+    fails reads None, and its *_error field holds the exception.
     """
 
     def __init__(self, entry: EntryData):
@@ -89,6 +89,8 @@ class Analysis:
         self.nmax = entry.nmax if entry.nmax is not None else default_nmax(self.dim, self.window)
         if self.nmax < 1:
             raise InputError(f"nmax must be a positive integer, got {self.nmax}")
+        if self.window < 1:
+            raise InputError(f"window must be a positive integer, got {self.window}")
         if entry.tamper_normal is not None and not 0 <= entry.tamper_normal <= self.nmax:
             raise InputError(
                 f"tamper index {entry.tamper_normal} outside the table range 0..{self.nmax}"
@@ -191,7 +193,7 @@ class Analysis:
 
     @cached_property
     def _rn(self):
-        return _attempt(lambda: reduction_number(self.normal_filt, self.reduction, self.nmax)[0])
+        return _attempt(lambda: reduction_number(self.normal_filt, self.reduction, self.nmax))
 
     rn = property(lambda self: self._rn[0])
     rn_error = property(lambda self: self._rn[1])
@@ -209,7 +211,7 @@ class Analysis:
         return quotient_length(self.normal_filt.term(1), self.reduction)
 
     def _vv_and_rn(self, filt, reduction):
-        rn = _attempt(lambda: reduction_number(filt, reduction, self.nmax)[0])[0]
+        rn = _attempt(lambda: reduction_number(filt, reduction, self.nmax))[0]
         return valabrega_valla(filt, reduction, self.nmax, self.window, rn), rn
 
     @cached_property
@@ -540,6 +542,8 @@ def check_series_identity(a: Analysis, nums) -> Verdict:
 def check_closure_intersection(a: Analysis, nums) -> Verdict:
     """closure(I^{n+1}) ∩ J^n = J^n closure(I) in low degrees."""
     upto = min(4, a.nmax - 1)
+    if upto < 1:
+        return horizon(f"no degree to test: n runs over 1..min(4, nmax - 1) and nmax = {a.nmax}")
     fails = intersection_failures(a.backend, a.normal_filt, a.jgood_filt, a.reduction_powers, upto)
     if fails:
         n, elem = fails[0]

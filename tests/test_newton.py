@@ -130,29 +130,21 @@ def test_multiplicity_matches_triangulation_oracle(gens):
 @settings(max_examples=20, deadline=None)
 @given(m_primary_gens(3))
 def test_in_dilation_matches_oracle(gens):
-    np_ = newton.newton_polyhedron(gens)
+    # closure(I^n) holds exactly the lattice points of the dilation n*NP(I)
     d = len(gens[0])
+    a = PolynomialBackend("xyz"[:d]).ideal(gens)
     for n in (1, 2):
+        closure = mono.closure_power(a, n)
         for p in box_points((3,) * d):
-            assert newton.in_dilation(np_, n, p) == in_dilation_oracle(gens, d, p, n), (gens, n, p)
+            assert mono.contains(closure, p) == in_dilation_oracle(gens, d, p, n), (gens, n, p)
 
 
 def test_in_dilation_matches_oracle_spot():
-    for gens in (SQUARES, PLANE):
-        np_ = newton.newton_polyhedron(gens)
+    for gens, side in ((SQUARES, 5), (PLANE, 7)):
         for n in (1, 2):
-            for p in box_points((5, 5)):
-                assert newton.in_dilation(np_, n, p) == in_dilation_oracle(
-                    gens, 2, p, n
-                ), (gens, n, p)
-
-
-def test_closure_is_dilation_lattice_points():
-    # the n-th closure power is exactly the lattice points of the n-dilation
-    np_ = newton.newton_polyhedron(PLANE)
-    closure2 = mono.closure_power(ideal(PLANE), 2)
-    for p in box_points((7, 7)):
-        assert mono.contains(closure2, p) == newton.in_dilation(np_, 2, p)
+            closure = mono.closure_power(ideal(gens), n)
+            for p in box_points((side, side)):
+                assert mono.contains(closure, p) == in_dilation_oracle(gens, 2, p, n), (gens, n, p)
 
 
 def test_certify_reduction_positive():

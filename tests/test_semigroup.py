@@ -99,7 +99,6 @@ def test_sg_colon_socle(base, sg):
     j = base.ideal([(4,)])
     socle = mono.colon(j, m)
     assert mono.quotient_length(socle, j) == sg.type == 2
-    assert base.type_report().socle_type == 2
     with pytest.raises(errors.PreconditionError):
         mono.colon(j, base.ideal([]))
 
