@@ -140,11 +140,18 @@ def test_in_dilation_matches_oracle(gens):
 
 
 def test_in_dilation_matches_oracle_spot():
-    for gens, side in ((SQUARES, 5), (PLANE, 7)):
+    for gens in (SQUARES, PLANE):
         for n in (1, 2):
             closure = mono.closure_power(ideal(gens), n)
-            for p in box_points((side, side)):
+            for p in box_points((5, 5)):
                 assert mono.contains(closure, p) == in_dilation_oracle(gens, 2, p, n), (gens, n, p)
+
+
+def test_closure_is_dilation_lattice_points():
+    # the n-th closure power is exactly the lattice points of the n-dilation
+    closure2 = mono.closure_power(ideal(PLANE), 2)
+    for p in box_points((7, 7)):
+        assert mono.contains(closure2, p) == in_dilation_oracle(PLANE, 2, p, 2), p
 
 
 def test_certify_reduction_positive():
