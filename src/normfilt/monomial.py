@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from math import prod
 
 from .errors import DimensionMismatch, InfiniteLength, PreconditionError
-from .newton import Exponent, NewtonPolyhedron, multiplicity, newton_polyhedron
+from .newton import Exponent, NewtonPolyhedron, multiplicity, newton_polyhedron, row_cuts
 from .semigroup import NumericalSemigroup
 
 
@@ -103,7 +102,7 @@ def _slab(widths, axis: int, lo: int, hi: int) -> int:
 def _monoid(sg: NumericalSemigroup, cap) -> int:
     """Mask of the monoid points of the box; its top S-slice lies in S."""
     width = cap[-1] + 1
-    row = sum(1 << s for s in range(width) if sg.contains(s))
+    row = (sg.member_bits | -(1 << sg.conductor)) & ((1 << width) - 1)
     return _repeat(row, width, prod(c + 1 for c in cap[:-1]))
 
 
@@ -262,21 +261,25 @@ def colon(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.sg, a.cap, _reshape(out, cap, a.cap) & _monoid(a.sg, a.cap))
 
 
-def quotient_length(a: Ideal, b: Ideal) -> int:
-    """Length of a/b as a k-vector space: the number of monomials in a but not in b."""
-    cap, x, y = _joint(a, b)
-    if y & ~x:
-        raise PreconditionError("quotient_length: second ideal is not contained in the first")
-    diff = x & ~y
+def _finite_count(diff: int, cap) -> int:
+    """The number of points in diff, which must miss every top slice of the box."""
     widths = [c + 1 for c in cap]
     if any(diff & _slab(widths, axis, w - 1, w) for axis, w in enumerate(widths)):
         raise InfiniteLength("quotient has infinite length: the difference reaches a top slice")
     return diff.bit_count()
 
 
+def quotient_length(a: Ideal, b: Ideal) -> int:
+    """Length of a/b as a k-vector space: the number of monomials in a but not in b."""
+    cap, x, y = _joint(a, b)
+    if y & ~x:
+        raise PreconditionError("quotient_length: second ideal is not contained in the first")
+    return _finite_count(x & ~y, cap)
+
+
 def colength(b: Ideal) -> int:
-    """Length of R/b."""
-    return quotient_length(unit_ideal(b.sg, len(b.cap)), b)
+    """Length of R/b: the monoid points of b's box outside b."""
+    return _finite_count(_monoid(b.sg, b.cap) & ~b.bits, b.cap)
 
 
 # --- membership and shape -----------------------------------------------------------
@@ -303,7 +306,14 @@ def is_m_primary(a: Ideal) -> bool:
 
 
 def closure_power(a: Ideal, n: int) -> Ideal:
-    """Integral closure of a^n: per row b, the members s of S with (b, s) in n*NP(a)."""
+    """Integral closure of a^n: per row b, the members s of S with (b, s) in n*NP(a).
+
+    Row b keeps the members s >= tau(b), the least s inside every halfspace
+    (c, t): tau(b) = max(0, ceil((n*t - <c', b>) / c_last)) over the
+    halfspaces. `newton.row_cuts` sweeps each halfspace over all rows at once,
+    one free axis at a time, and keeps the running maximum; each distinct
+    cut's row string is built once.
+    """
     if n < 0:
         raise PreconditionError("negative closure power")
     dim = len(a.cap)
@@ -314,10 +324,6 @@ def closure_power(a: Ideal, n: int) -> Ideal:
     cap = tuple(tops[:-1]) + (max(tops[-1], a.sg.conductor),)
     width = cap[-1] + 1
     row = format(_monoid(a.sg, (cap[-1],)), f"0{width}b")
-    rows = []
-    for b in product(*(range(c + 1) for c in cap[:-1])):
-        tau = 0  # least s on the row inside every halfspace
-        for normal, threshold in hull.halfspaces:
-            tau = max(tau, -((sum(c * x for c, x in zip(normal, b)) - n * threshold) // normal[-1]))
-        rows.append(row[:width - tau] + "0" * tau)
-    return Ideal(a.sg, cap, int("".join(reversed(rows)), 2))
+    taus = row_cuts(hull.halfspaces, cap[:-1], n, ceil=True, least=0)
+    rows = {tau: row[:width - tau] + "0" * tau for tau in set(taus)}
+    return Ideal(a.sg, cap, int("".join([rows[tau] for tau in reversed(taus)]), 2))

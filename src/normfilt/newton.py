@@ -16,8 +16,17 @@ signed (d-1)-minors of its difference rows; it is kept when its entries are
 all positive (after a sign flip) and every generator satisfies it. It is
 linear in the last difference row, so each (d-1)-point head computes its d
 cofactor columns once (column k: the normal with last row e_k), and each
-later generator's normal is one d x d integer matrix-vector product. A
-generator that dominates another cannot be a vertex and is dropped first.
+later generator's normal is one d x d integer matrix-vector product. Entry
+(j, k) of that matrix is (-1)^(j+k+1) times the (d-2)-minor of the head's
+d-2 difference rows without columns j and k, for j < k, and the matrix is
+antisymmetric, so a head costs C(d,2) minors of size at most 2.
+
+Only vertices of NP(I) span facets, so generators that are not vertices are
+dropped first: one that dominates another, a repeated one, and any g with
+2g >= h + k componentwise for two other generators h != k. The midpoint
+m = (h + k)/2 lies in NP(I), so g = m + u with u >= 0 is the midpoint of m
+and m + 2u, both in NP(I); a point strictly between two points of NP(I) is
+no vertex.
 
 The multiplicity e_0(I) is d! times the volume of B, the closure of the
 orthant minus NP(I): the points a >= 0 with <c,a> <= t for some halfspace.
@@ -28,15 +37,15 @@ faces. By inclusion-exclusion over Ehrhart polynomials the lattice count
 L(k) = #(kB ∩ N^d) is a polynomial of degree d in k >= 0 whose leading
 coefficient is vol(B) (Beck-Robins, Computing the Continuous Discretely).
 Its d-th difference is therefore e_0 = sum_k (-1)^(d-k) C(d,k) L(k) over
-k = 0..d. L(k) is counted row by row along the last axis, the way
-`monomial.closure_power` cuts its rows.
+k = 0..d. L(k) is counted row by row along the last axis by `row_cuts`,
+the sweep that also cuts the rows of `monomial.closure_power`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb, gcd
+from itertools import combinations
+from math import comb, gcd, prod
 
 from .errors import NotMPrimary, UnsupportedDimension
 
@@ -63,15 +72,13 @@ def _dot(c, a) -> int:
 
 
 def _det(rows) -> int:
-    """Integer determinant by cofactor expansion along the first row."""
-    if len(rows) == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    """Determinant of a square integer matrix of size at most 2."""
     if not rows:
         return 1
-    return sum(
-        (-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-        for j, x in enumerate(rows[0]) if x
-    )
+    if len(rows) == 1:
+        return rows[0][0]
+    (a, b), (c, d) = rows
+    return a * d - b * c
 
 
 def newton_polyhedron(gens) -> NewtonPolyhedron:
@@ -88,14 +95,18 @@ def newton_polyhedron(gens) -> NewtonPolyhedron:
     if d == 1:
         return NewtonPolyhedron(1, (((1,), box[0]),), box)
     gens = [g for g in gens if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in gens)]
-    units = [tuple(int(j == k) for j in range(d)) for k in range(d)]
+    gens = list(dict.fromkeys(gens))
+    gens = [g for g in gens if not _above_midpoint(g, gens)]
     found: set[Halfspace] = set()
     for head in combinations(range(len(gens)), d - 1):
         base = gens[head[0]]
         rows = [tuple(x - y for x, y in zip(gens[i], base)) for i in head[1:]]
         # row j, column k: the j-th signed minor of (e_k, *rows), the normal for last row e_k
-        matrix = [[(-1) ** j * _det([r[:j] + r[j + 1:] for r in (e, *rows)]) for e in units]
-                  for j in range(d)]
+        matrix = [[0] * d for _ in range(d)]
+        for j, k in combinations(range(d), 2):
+            minor = _det([[x for i, x in enumerate(r) if i != j and i != k] for r in rows])
+            matrix[j][k] = minor if (j + k) % 2 else -minor
+            matrix[k][j] = -matrix[j][k]
         for g in gens[head[-1] + 1:]:
             last = tuple(x - y for x, y in zip(g, base))
             normal = tuple(_dot(row, last) for row in matrix)
@@ -111,6 +122,34 @@ def newton_polyhedron(gens) -> NewtonPolyhedron:
     return NewtonPolyhedron(d, tuple(sorted(found)), box)
 
 
+def _above_midpoint(g, gens) -> bool:
+    """Whether 2g >= h + k componentwise for two generators h != k other than g."""
+    low = [h for h in gens if h != g and all(y <= 2 * x for x, y in zip(g, h))]
+    return any(all(y + z <= 2 * x for x, y, z in zip(g, h, k)) for h, k in combinations(low, 2))
+
+
+def row_cuts(halfspaces, tops, k: int, *, ceil: bool, least: int) -> list[int]:
+    """Per row b of the box [0, tops] over all axes but the last, in row-major
+    order: the largest (k*t - <c', b>) / c_last over the halfspaces (c, t),
+    rounded up when ceil and down otherwise, and never below least.
+
+    c' is c without its last entry. Each halfspace sweeps the rows once: the
+    values k*t - <c', b> grow one free axis at a time, and are folded into the
+    running maximum before the next halfspace starts.
+    """
+    cuts = [least] * prod(top + 1 for top in tops)
+    for normal, t in halfspaces:
+        vals = [k * t]
+        for c, top in zip(normal, tops):
+            steps = range(0, c * (top + 1), c)
+            vals = [v - s for v in vals for s in steps]
+        last = normal[-1]
+        if last > 1:
+            vals = [-(-v // last) for v in vals] if ceil else [v // last for v in vals]
+        cuts = list(map(max, cuts, vals))
+    return cuts
+
+
 def _lattice_count(np_: NewtonPolyhedron, k: int) -> int:
     """L(k): the points a of N^d with <c,a> <= k*t for some halfspace (c, t).
 
@@ -118,13 +157,8 @@ def _lattice_count(np_: NewtonPolyhedron, k: int) -> int:
     positive; each row over the free axes adds the points up to its highest
     last coordinate.
     """
-    total = 0
-    for b in product(*(range(k * e + 1) for e in np_.box[:-1])):
-        top = -1
-        for normal, t in np_.halfspaces:
-            top = max(top, (k * t - _dot(normal, b)) // normal[-1])
-        total += top + 1
-    return total
+    tops = [k * e for e in np_.box[:-1]]
+    return sum(row_cuts(np_.halfspaces, tops, k, ceil=False, least=-1)) + prod(top + 1 for top in tops)
 
 
 def multiplicity(np_: NewtonPolyhedron) -> int:

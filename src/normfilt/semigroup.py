@@ -43,6 +43,8 @@ class NumericalSemigroup:
         self.conductor = conductor
         self.frobenius = conductor - 1
         self._member = bytes(member[:conductor])
+        # bit s set exactly for the members s of S below the conductor
+        self.member_bits = sum(1 << i for i in range(conductor) if member[i])
         self.gaps = tuple(i for i in range(conductor) if not member[i])
         self.genus = len(self.gaps)
         self.gens = tuple(

@@ -7,13 +7,15 @@ facets of a Newton polyhedron by a scan of every d-subset of generators, the
 multiplicity by vertex enumeration and triangulation of the Newton
 polyhedron cut by its pure-power box, lengths by direct lattice enumeration
 against the generator staircase, and semigroup membership by a direct
-reachability sweep.
+reachability sweep. The per-row loops that the row sweep of `newton.row_cuts`
+replaced stay here as differential references for closure powers and
+lattice counts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, gcd, prod
 
 
@@ -108,6 +110,40 @@ def hull_oracle(gens) -> tuple:
         if all(sum(c * x for c, x in zip(normal, g)) >= t for g in gens):
             found.add((normal, t))
     return tuple(sorted(found))
+
+
+def closure_power_rows(halfspaces, box, conductor, in_s, n):
+    """(cap, bits) of closure(I^n) by the per-row loop, for n >= 0.
+
+    halfspaces and box describe NP(I) with the S-axis last, conductor is
+    that of S and in_s a membership table of S (semigroup_members_oracle)
+    longer than max(n * box[-1], conductor). Row b over the free axes keeps
+    the members s >= tau with tau = max(0, ceil((n*t - <c', b>) / c_last))
+    over the halfspaces (c, t); the box and bit order are those of
+    `monomial.Ideal`. At n = 0 this is the unit ideal.
+    """
+    tops = [n * e for e in box]
+    cap = tuple(tops[:-1]) + (max(tops[-1], conductor),)
+    width = cap[-1] + 1
+    row = "".join("1" if in_s[s] else "0" for s in reversed(range(width)))
+    rows = []
+    for b in product(*(range(c + 1) for c in cap[:-1])):
+        tau = 0
+        for normal, threshold in halfspaces:
+            tau = max(tau, -((sum(c * x for c, x in zip(normal, b)) - n * threshold) // normal[-1]))
+        rows.append(row[:width - tau] + "0" * tau)
+    return cap, int("".join(reversed(rows)), 2)
+
+
+def lattice_count_rows(halfspaces, box, k) -> int:
+    """#{a in N^d : <c,a> <= k*t for some halfspace (c, t)}, row by row."""
+    total = 0
+    for b in product(*(range(k * e + 1) for e in box[:-1])):
+        top = -1
+        for normal, t in halfspaces:
+            top = max(top, (k * t - sum(c * x for c, x in zip(normal, b))) // normal[-1])
+        total += top + 1
+    return total
 
 
 def _det(matrix) -> Fraction:

@@ -223,3 +223,14 @@ def test_kernel_agrees_with_membership_oracle(case):
             for p in product(*[range(FREE_BOX + 4)] * (dim - 1), range(S_BOX + 12))
         )
         assert mono.quotient_length(a, prod) == in_prod
+
+
+@pytest.mark.parametrize("sg_gens", [(1,), (4, 5, 11), (31, 37, 41)])
+def test_monoid_mask_matches_membership(sg_gens):
+    """_monoid's row, cut from the semigroup's cached mask, against sg.contains
+    column by column, for widths below, at and above the conductor."""
+    sg = NumericalSemigroup(sg_gens)
+    for w in range(sg.conductor + 3):
+        row = sum(1 << s for s in range(w + 1) if sg.contains(s))
+        assert mono._monoid(sg, (w,)) == row, w
+        assert mono._monoid(sg, (2, w)) == row | row << (w + 1) | row << 2 * (w + 1), w

@@ -2,17 +2,26 @@
 
 import random
 from itertools import product
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normfilt import errors
 from normfilt import monomial as mono
 from normfilt import newton
 from normfilt.backends import PolynomialBackend, SemigroupBackend
-from normfilt.filtration import Filtration
-from oracles import box_points, hull_oracle, in_dilation_oracle, multiplicity_oracle
+from normfilt.filtration import Filtration, length_table
+from oracles import (
+    box_points,
+    closure_power_rows,
+    hull_oracle,
+    in_dilation_oracle,
+    lattice_count_rows,
+    multiplicity_oracle,
+    semigroup_members_oracle,
+)
 
 R2 = PolynomialBackend(("x", "y"))
 R3 = PolynomialBackend(("x", "y", "z"))
@@ -93,10 +102,14 @@ def m_primary_gens(draw, max_dim):
 
 @st.composite
 def hull_gens(draw):
-    """m_primary_gens(4), with or without generators that dominate a drawn one."""
+    """m_primary_gens(4), with or without generators that dominate a drawn one,
+    points at or above the rounded-up midpoint of two drawn ones, and repeats."""
     gens = draw(m_primary_gens(4))
     for g in draw(st.lists(st.sampled_from(gens), max_size=3)):
         gens.append(tuple(min(5, x + draw(st.integers(0, 2))) for x in g))
+    for h, k in draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=3)):
+        gens.append(tuple(min(5, (x + y + 1) // 2 + draw(st.integers(0, 1))) for x, y in zip(h, k)))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2))
     return gens
 
 
@@ -125,6 +138,26 @@ def test_hull_of_wide_ideals_matches_oracle(seed):
 def test_multiplicity_matches_triangulation_oracle(gens):
     np_ = newton.newton_polyhedron(gens)
     assert newton.multiplicity(np_) == multiplicity_oracle(np_.halfspaces, np_.box), gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(m_primary_gens(4))
+def test_lattice_count_matches_row_loop(gens):
+    np_ = newton.newton_polyhedron(gens)
+    for k in range(np_.dim + 1):
+        assert newton._lattice_count(np_, k) == lattice_count_rows(np_.halfspaces, np_.box, k), gens
+
+
+@pytest.mark.parametrize("gens, nmax, formula", [
+    # closure(I^(n+1)) = m^(2n+2) for the pure squares
+    ([tuple(2 * (j == i) for j in range(4)) for i in range(4)], 10, lambda n: comb(2 * n + 5, 4)),
+    # m^4 in 4 variables: 35 generators, of which the pruned hull keeps the 4 pure powers
+    ([g for g in product(range(5), repeat=4) if sum(g) == 4], 4, lambda n: comb(4 * n + 7, 4)),
+])
+def test_normal_column_in_four_variables(gens, nmax, formula):
+    ring = PolynomialBackend("xyzw")
+    column = length_table(Filtration(ring, "normal", ideal=ring.ideal(gens)), nmax)
+    assert column == tuple(formula(n) for n in range(nmax + 1))
 
 
 @settings(max_examples=20, deadline=None)
@@ -220,6 +253,24 @@ def test_certificate_agrees_with_multiplicity_comparison(drawn, data):
     assert cert.contained == mono.ideal_contains(a, j)
     assert cert.is_reduction == (cert.contained and a.e0 == j.e0), (ring.describe(), a.gens, j.gens)
     assert (cert.e0_ideal, cert.e0_reduction) == (a.e0, j.e0)
+
+
+RING_S1 = SemigroupBackend((4, 5, 11), 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_and_ideal(), st.integers(0, 4))
+# two halfspaces each: ((1, 1), 2) and ((2, 1), 3); ((4, 1), 8) and ((6, 1), 10)
+@example((R2, R2.ideal(PLANE), None), 3)
+@example((RING_S1, RING_S1.ideal([(2, 0), (1, 4), (0, 10)]), None), 4)
+def test_closure_power_matches_row_loop(drawn, n):
+    """The row sweep of closure_power against the per-row loop it replaced."""
+    ring, a, _ = drawn
+    sg, hull = ring.sg, a.hull
+    in_s = semigroup_members_oracle(sg.gens, n * hull.box[-1] + sg.conductor + 1)
+    closure = mono.closure_power(a, n)
+    assert (closure.cap, closure.bits) == closure_power_rows(
+        hull.halfspaces, hull.box, sg.conductor, in_s, n), (ring.describe(), a.gens, n)
 
 
 def test_preconditions():
