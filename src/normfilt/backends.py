@@ -5,8 +5,8 @@ case S = N with v = d - 1 (its last variable on the S-axis), and the
 numerical semigroup ring k[[S]], optionally with variables adjoined, keeps
 S on the last axis. Ideal arithmetic lives in `monomial`, so the filtration
 engine and the statement checkers never branch on the ring class. A ring
-adds only what depends on it: its description, how elements print, its
-Cohen-Macaulay type, and the coefficient ring of dimension one.
+adds only what depends on it: its description, how elements print, the
+source of its Cohen-Macaulay type, and the coefficient ring of dimension one.
 
 Elements are exponent vectors with the S-axis last: (x_1..x_d) for the
 polynomial ring, (U, V, .., s) for a semigroup ring with adjoined U, V, ...
@@ -14,33 +14,10 @@ polynomial ring, (U, V, .., s) for a semigroup ring with adjoined U, V, ...
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import monomial as mono
 from .errors import NotMPrimary, PreconditionError, UnsupportedDimension
 from .newton import MAX_DIM
 from .semigroup import NumericalSemigroup
-
-
-@dataclass(frozen=True)
-class RingTypeReport:
-    """Cohen-Macaulay type of the ring and where it comes from."""
-
-    type: int
-    source: str
-
-
-@dataclass(frozen=True)
-class ReductionCertificate:
-    """Whether J ⊆ I ⊆ closure(J), i.e. NP(J) = NP(I); the multiplicities are read on demand."""
-
-    ideal: object
-    reduction: object
-    contained: bool
-    is_reduction: bool
-
-    e0_ideal = property(lambda self: self.ideal.e0)
-    e0_reduction = property(lambda self: self.reduction.e0)
 
 
 def format_monomial(names, exps) -> str:
@@ -82,35 +59,33 @@ class MonoidRing:
         return t_part or x_part
 
     # --- reductions ---------------------------------------------------------
-    def auto_reduction(self, a) -> ReductionCertificate | None:
-        """The least pure power along each axis, when it is a reduction."""
+    def auto_reduction(self, a) -> mono.Ideal | None:
+        """The least pure power along each axis, when it is a reduction of a."""
         if not mono.is_m_primary(a):
             raise NotMPrimary("automatic reduction requires an m-primary ideal")
-        d = self.dim
         exps = mono.pure_power_exponents(a)
-        j = self.ideal([tuple(e if k == i else 0 for k in range(d)) for i, e in enumerate(exps)])
-        cert = self._certificate(a, j)
-        return cert if cert.is_reduction else None
+        j = self.ideal([tuple(e * (k == i) for k in range(self.dim)) for i, e in enumerate(exps)])
+        # j ⊆ a by construction, so j is a reduction iff NP(j) = NP(a)
+        return j if mono.ideal_contains(mono.closure_power(j, 1), a) else None
 
-    def certify(self, a, j) -> ReductionCertificate:
-        """A candidate reduction must be generated by one pure power of each variable."""
+    def certify(self, a, j) -> mono.Ideal:
+        """j, once it is one pure power of each variable with j ⊆ a ⊆ closure(j)."""
         supports = sorted(tuple(i for i, x in enumerate(g) if x) for g in j.gens)
         if supports != [(i,) for i in range(self.dim)]:
             raise PreconditionError("reduction must be generated by one pure power of each variable")
-        return self._certificate(a, j)
-
-    def _certificate(self, a, j) -> ReductionCertificate:
-        contained = mono.ideal_contains(a, j)
-        closed = contained and mono.ideal_contains(mono.closure_power(j, 1), a)
-        return ReductionCertificate(a, j, contained, closed)
+        if not mono.ideal_contains(a, j):
+            raise PreconditionError("the given reduction ideal is not contained in the input ideal")
+        if not mono.ideal_contains(mono.closure_power(j, 1), a):  # e0 is computed only here
+            raise PreconditionError(f"the given ideal is not a reduction: multiplicity {j.e0} != {a.e0}")
+        return j
 
     # --- ring invariants ----------------------------------------------------
-    def type_report(self) -> RingTypeReport:
+    @property
+    def type_source(self) -> str:
+        """Where the Cohen-Macaulay type `sg.type` comes from."""
         if self.kind == "polynomial":
-            return RingTypeReport(
-                self.sg.type, "regular ring; the maximal ideal is generated by a regular sequence"
-            )
-        return RingTypeReport(self.sg.type, "pseudo-Frobenius count of the semigroup")
+            return "regular ring; the maximal ideal is generated by a regular sequence"
+        return "pseudo-Frobenius count of the semigroup"
 
     def base_ring(self) -> "MonoidRing":
         """k[[S]] itself, the coefficient ring with no variables adjoined."""

@@ -1,4 +1,4 @@
-"""Plain-text entry format: parsing, canonical printing, and entry building.
+"""Plain-text entry format: parsing straight into a ring and its ideals.
 
 An entry file looks like:
 
@@ -12,56 +12,59 @@ An entry file looks like:
 The ring line must precede the ideal and reduction lines. Supported rings:
   ring polynomial vars=x,y,z        (or dim=3 for default names x,y,z,w)
   ring semigroup gens=4,5,11 adjoin=U,V   (or adjoin=2 for default names)
-Ideal and reduction generators are monomial tokens like x^2*y or t^4; they
+Ideal and reduction generators are monomial tokens like x^2*y or t^4*U; they
 may be separated by spaces or commas. `ideal maximal` selects the maximal
 ideal, `reduction auto` (the default) asks for an automatic certificate.
-Parse and validation problems raise InputError with line/column positions;
-dimension limits propagate as precondition errors.
+
+`parse_input` builds the ring and each ideal at its own line, so the ring
+rules live only in the `backends` constructors; what they reject becomes an
+InputError at the line and column of its directive. Tokens parse into kernel
+axis order: the S-axis of a semigroup ring is last and named t. Dimension
+limits raise UnsupportedDimension, every other error an InputError with its
+line and column. `build_entry` fills in the default name and the overrides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from contextlib import contextmanager
+from dataclasses import replace
 
 from . import backends
 from .errors import InputError, PreconditionError, UnsupportedDimension
 from .theorems import CHECKS, EntryData
 
 DEFAULT_POLY_NAMES = ("x", "y", "z", "w")
-DEFAULT_ADJOIN_NAMES = ("U", "V", "W")
 DIRECTIVES = ("name", "ring", "ideal", "reduction", "nmax", "window", "checks")
 
 
-@dataclass(frozen=True)
-class ParsedEntry:
-    kind: str  # "polynomial" | "semigroup"
-    names: tuple[str, ...]  # variable names (adjoined names for semigroup)
-    sg_gens: tuple[int, ...] | None
-    ideal_gens: object  # "maximal" | tuple of exponent tuples
-    reduction: object = "auto"  # "auto" | tuple of exponent tuples
-    name: str | None = None
-    nmax: int | None = None
-    window: int | None = None
-    checks: tuple[str, ...] | None = None
-
-
 def _fail(msg, line_no, line, token=None):
-    column = 1
-    if token is not None:
-        pos = line.find(token)
-        column = pos + 1 if pos >= 0 else 1
-    raise InputError(msg, line=line_no, column=column)
+    """InputError at the first field of line equal to token; fields end at spaces, commas and =."""
+    found = token is not None and re.search(rf"(?<![^\s,=]){re.escape(token)}(?![^\s,=])", line)
+    raise InputError(msg, line=line_no, column=found.start() + 1 if found else 1)
 
 
-def parse_monomial(token, names, line_no, line):
-    """Exponent vector of a token like x, x^3, or t^4*U^2 (1 = unit monomial)."""
+@contextmanager
+def _located(line_no, line, token):
+    """Report a constructor's PreconditionError at token; dimension limits pass."""
+    try:
+        yield
+    except UnsupportedDimension:
+        raise
+    except PreconditionError as exc:
+        _fail(f"invalid entry: {exc}", line_no, line, token)
+
+
+def parse_monomial(token, names, line_no, line, shown=None):
+    """Exponent vector over the axes `names` of a token like x, x^3 or t^4*U^2
+    (1 = unit monomial); an unknown name is reported with the names in `shown`."""
     exps = [0] * len(names)
     if token == "1":
         return tuple(exps)
     for factor in token.split("*"):
         base, sep, exp = factor.partition("^")
         if base not in names:
-            _fail(f"unknown variable {base!r} (expected one of {', '.join(names)})",
+            _fail(f"unknown variable {base!r} (expected one of {', '.join(shown or names)})",
                   line_no, line, token)
         if sep:
             if not exp.isdigit() or int(exp) <= 0:
@@ -93,6 +96,13 @@ def _int_list(value, what, line_no, line):
     return tuple(int(p) for p in parts)
 
 
+def _names(value, what, line_no, line):
+    names = tuple(v for v in value.split(",") if v)
+    if not names:
+        _fail(f"{what} must list at least one name", line_no, line, value)
+    return names
+
+
 def _parse_ring(fields, line_no, line):
     if not fields:
         _fail("ring line needs a ring kind", line_no, line)
@@ -100,9 +110,7 @@ def _parse_ring(fields, line_no, line):
     if kind == "polynomial":
         kv = _parse_kv(rest, ("dim", "vars"), line_no, line)
         if "vars" in kv:
-            names = tuple(v for v in kv["vars"].split(",") if v)
-            if not names or len(set(names)) != len(names):
-                _fail("vars must be distinct names", line_no, line, kv["vars"])
+            names = _names(kv["vars"], "vars", line_no, line)
             if "dim" in kv and (not kv["dim"].isdigit() or int(kv["dim"]) != len(names)):
                 _fail(f"dim={kv['dim']} disagrees with {len(names)} variable names",
                       line_no, line, kv["dim"])
@@ -117,35 +125,37 @@ def _parse_ring(fields, line_no, line):
             names = DEFAULT_POLY_NAMES[:d]
         else:
             _fail("polynomial ring needs vars= or dim=", line_no, line)
-        return "polynomial", names, None
+        with _located(line_no, line, "ring"):
+            return backends.PolynomialBackend(names)
     if kind == "semigroup":
         kv = _parse_kv(rest, ("gens", "adjoin"), line_no, line)
         if "gens" not in kv:
             _fail("semigroup ring needs gens=", line_no, line)
         gens = _int_list(kv["gens"], "gens", line_no, line)
         adjoin = kv.get("adjoin", "")
-        if not adjoin:
-            names = ()
-        elif adjoin.isdigit():
-            v = int(adjoin)
-            if v > len(DEFAULT_ADJOIN_NAMES):
-                raise UnsupportedDimension(
-                    f"semigroup backend supports 0..{len(DEFAULT_ADJOIN_NAMES)} adjoined "
-                    f"variables, got {v}"
-                )
-            names = DEFAULT_ADJOIN_NAMES[:v]
+        if adjoin.isdigit():
+            count, names = int(adjoin), None  # the backend's default names
         else:
-            names = tuple(v for v in adjoin.split(",") if v)
-            if not names or len(set(names)) != len(names) or "t" in names:
-                _fail("adjoin must be a count or distinct names other than t",
-                      line_no, line, adjoin)
-        return "semigroup", names, gens
+            names = _names(adjoin, "adjoin", line_no, line) if adjoin else ()
+            count = len(names)
+        with _located(line_no, line, "ring"):
+            return backends.SemigroupBackend(gens, count, names)
     _fail(f"unknown ring kind {kind!r} (expected polynomial or semigroup)",
           line_no, line, kind)
 
 
-def parse_input(text: str) -> ParsedEntry:
-    """Parse the entry format; raises InputError with line/column on bad input."""
+def _check_ids(ids, line_no=None, line=""):
+    """ids as a tuple; an unknown one fails at line_no, or unplaced when it is None."""
+    unknown = [c for c in ids if c not in CHECKS]
+    if unknown:
+        _fail(f"unknown check ids: {', '.join(unknown)} (known: {', '.join(CHECKS)})",
+              line_no, line, unknown[0])
+    return tuple(ids)
+
+
+def parse_input(text: str) -> EntryData:
+    """Parse the entry format into a ring and its ideals; the name is None
+    unless a `name` line gives one. Raises InputError with line/column."""
     seen = {}
     ring = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -161,27 +171,28 @@ def parse_input(text: str) -> ParsedEntry:
             _fail(f"duplicate directive {directive!r}", line_no, raw, directive)
         if directive == "ring":
             ring = _parse_ring(rest, line_no, raw)
-            seen["ring"] = True
+            if ring.kind == "semigroup":  # entry files list t first; its axis is last
+                axes, shown = ring.names + ("t",), ("t",) + ring.names
+            else:
+                axes = shown = ring.names
+            seen["ring"] = ring
             continue
         if directive in ("ideal", "reduction"):
             if ring is None:
                 _fail(f"{directive} line must come after the ring line", line_no, raw, directive)
-            kind, names, sg_gens = ring
-            all_names = names if kind == "polynomial" else ("t",) + names
             joined = " ".join(rest).replace(",", " ").split()
             if directive == "ideal" and joined == ["maximal"]:
-                seen["ideal"] = "maximal"
+                seen["ideal"] = ring.maximal()
             elif directive == "reduction" and joined == ["auto"]:
                 seen["reduction"] = "auto"
             else:
                 if not joined:
                     _fail(f"{directive} line needs at least one generator", line_no, raw)
-                gens = tuple(sorted(
-                    parse_monomial(tok, all_names, line_no, raw) for tok in joined
-                ))
-                if any(all(e == 0 for e in g) for g in gens):
+                gens = [parse_monomial(tok, axes, line_no, raw, shown) for tok in joined]
+                if not all(any(g) for g in gens):
                     _fail(f"{directive} generators must be non-units", line_no, raw)
-                seen[directive] = gens
+                with _located(line_no, raw, directive):
+                    seen[directive] = ring.ideal(gens)
             continue
         if directive in ("nmax", "window"):
             value = rest[0] if len(rest) == 1 else ""
@@ -190,10 +201,10 @@ def parse_input(text: str) -> ParsedEntry:
             seen[directive] = int(value)
             continue
         if directive == "checks":
-            ids = tuple(t for t in " ".join(rest).replace(",", " ").split())
+            ids = " ".join(rest).replace(",", " ").split()
             if not ids:
                 _fail("checks line needs at least one check id", line_no, raw)
-            seen["checks"] = ids
+            seen["checks"] = _check_ids(ids, line_no, raw)
             continue
         if directive == "name":
             if not rest:
@@ -203,66 +214,24 @@ def parse_input(text: str) -> ParsedEntry:
         raise InputError("missing ring line", line=1, column=1)
     if "ideal" not in seen:
         raise InputError("missing ideal line", line=1, column=1)
-    kind, names, sg_gens = ring
-    return ParsedEntry(
-        kind=kind,
-        names=names,
-        sg_gens=sg_gens,
-        ideal_gens=seen["ideal"],
-        reduction=seen.get("reduction", "auto"),
+    return EntryData(
         name=seen.get("name"),
+        backend=ring,
+        ideal=seen["ideal"],
+        reduction=seen.get("reduction", "auto"),
         nmax=seen.get("nmax"),
         window=seen.get("window"),
         checks=seen.get("checks"),
     )
 
 
-def _to_backend_gens(kind, gens):
-    """Entry files write t first; ring elements keep the S-axis last."""
-    if kind == "polynomial":
-        return gens
-    return tuple(g[1:] + g[:1] for g in gens)
-
-
-def build_entry(parsed: ParsedEntry, default_name: str = "entry", *,
+def build_entry(entry: EntryData, default_name: str = "entry", *,
                 nmax: int | None = None, checks=None, tamper_normal=None) -> EntryData:
-    """Construct the backend and ideals for one parsed entry."""
-    try:
-        if parsed.kind == "polynomial":
-            backend = backends.PolynomialBackend(parsed.names)
-        else:
-            backend = backends.SemigroupBackend(
-                parsed.sg_gens, adjoin=len(parsed.names), names=parsed.names
-            )
-        if parsed.ideal_gens == "maximal":
-            ideal = backend.maximal()
-        else:
-            ideal = backend.ideal(_to_backend_gens(parsed.kind, parsed.ideal_gens))
-        if parsed.reduction == "auto":
-            reduction = "auto"
-        else:
-            reduction = backend.ideal(_to_backend_gens(parsed.kind, parsed.reduction))
-    except UnsupportedDimension:
-        raise
-    except PreconditionError as exc:
-        raise InputError(f"invalid entry: {exc}", line=1, column=1) from exc
-    entry_checks = checks if checks is not None else parsed.checks
-    if entry_checks is not None:
-        unknown = [c for c in entry_checks if c not in CHECKS]
-        if unknown:
-            raise InputError(
-                f"unknown check ids: {', '.join(unknown)} "
-                f"(known: {', '.join(CHECKS)})",
-                line=1, column=1,
-            )
-        entry_checks = tuple(entry_checks)
-    return EntryData(
-        name=parsed.name or default_name,
-        backend=backend,
-        ideal=ideal,
-        reduction=reduction,
-        nmax=nmax if nmax is not None else parsed.nmax,
-        window=parsed.window,
-        tamper_normal=tamper_normal,
-        checks=entry_checks,
+    """The parsed entry with its default name and the command-line overrides."""
+    return replace(
+        entry,
+        name=entry.name or default_name,
+        nmax=entry.nmax if nmax is None else nmax,
+        checks=entry.checks if checks is None else _check_ids(checks),
+        tamper_normal=entry.tamper_normal if tamper_normal is None else tamper_normal,
     )

@@ -74,8 +74,8 @@ def coeffs_payload(analysis) -> dict:
         "lambda_R_I1": analysis.lam_R_I1,
         "mu_ideal": analysis.mu_ideal,
         "mu_maximal": analysis.mu_maximal,
-        "type": analysis.type_report.type,
-        "type_source": analysis.type_report.source,
+        "type": analysis.backend.sg.type,
+        "type_source": analysis.backend.type_source,
     }
     if analysis.reduction is not None:
         out["lambda_I1_J"] = analysis.lam_I1_J

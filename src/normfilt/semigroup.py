@@ -24,37 +24,24 @@ class NumericalSemigroup:
             raise PreconditionError(
                 f"semigroup generators {tuple(gens)} must have greatest common divisor 1"
             )
-        a1, ak = gens[0], gens[-1]
-        limit = (a1 - 1) * (ak - 1) + a1 + ak + 2
-        member = bytearray(limit + 1)
-        member[0] = 1
-        for i in range(1, limit + 1):
-            member[i] = 1 if any(i >= g and member[i - g] for g in gens) else 0
-        run = 0
-        conductor = None
-        for i in range(limit + 1):
-            run = run + 1 if member[i] else 0
-            if run >= a1:
-                conductor = i - a1 + 1
-                break
-        if conductor is None:
-            raise PreconditionError("failed to locate the conductor; generators invalid")
+        a1 = gens[0]
+        # membership up to the first run of a1 members, which starts at the
+        # conductor; gcd 1 makes S cofinite, so the run exists
+        member, run = [1], 1
+        while run < a1:
+            i = len(member)
+            member.append(1 if any(i >= g and member[i - g] for g in gens) else 0)
+            run = run + 1 if member[-1] else 0
+        conductor = len(member) - a1
         self.multiplicity = a1
         self.conductor = conductor
         self.frobenius = conductor - 1
-        self._member = bytes(member[:conductor])
         # bit s set exactly for the members s of S below the conductor
         self.member_bits = sum(1 << i for i in range(conductor) if member[i])
         self.gaps = tuple(i for i in range(conductor) if not member[i])
         self.genus = len(self.gaps)
-        self.gens = tuple(
-            n
-            for n in range(1, conductor + a1 + 1)
-            if self.contains(n)
-            and not any(
-                self.contains(s) and self.contains(n - s) for s in range(a1, n - a1 + 1)
-            )
-        )
+        # a given generator is minimal unless it is a smaller one plus a nonzero member
+        self.gens = tuple(g for g in gens if not any(h < g and self.contains(g - h) for h in gens))
         # F(N) = -1 is the only pseudo-Frobenius number below zero: a1 - 1 is a
         # gap whenever a1 > 1, so scanning from -1 adds it for N alone
         self.pseudo_frobenius = tuple(
@@ -63,11 +50,7 @@ class NumericalSemigroup:
         self.type = len(self.pseudo_frobenius)
 
     def contains(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n >= self.conductor:
-            return True
-        return bool(self._member[n])
+        return n >= self.conductor or (n >= 0 and bool(self.member_bits >> n & 1))
 
     def __eq__(self, other):
         return isinstance(other, NumericalSemigroup) and self.gens == other.gens

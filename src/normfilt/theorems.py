@@ -50,7 +50,7 @@ from .verdicts import Verdict, Witness, abstained, asserted, horizon, refuted, v
 class EntryData:
     """One analysis request: a ring backend, an ideal, and run parameters."""
 
-    name: str
+    name: str | None  # None until build_entry fills in the default
     backend: object
     ideal: object
     reduction: object = "auto"  # "auto" or a prebuilt ideal
@@ -99,18 +99,11 @@ class Analysis:
         if not is_m_primary(self.ideal):
             raise NotMPrimary("the input ideal is not primary to the maximal ideal")
         if entry.reduction == "auto":
-            self.cert = b.auto_reduction(self.ideal)
-            self.reduction_source = "auto" if self.cert is not None else None
+            self.reduction = b.auto_reduction(self.ideal)
+            self.reduction_source = "auto" if self.reduction is not None else None
         else:
-            self.cert = b.certify(self.ideal, entry.reduction)
-            if not self.cert.is_reduction:  # the multiplicities are computed only here
-                raise PreconditionError(
-                    "the given ideal is not a reduction: multiplicity "
-                    f"{self.cert.e0_reduction} != {self.cert.e0_ideal}" if self.cert.contained
-                    else "the given reduction ideal is not contained in the input ideal"
-                )
+            self.reduction = b.certify(self.ideal, entry.reduction)
             self.reduction_source = "given"
-        self.reduction = self.cert.reduction if self.cert is not None else None
         self.normal_filt = Filtration(b, "normal", ideal=self.ideal)
         self.adic_filt = Filtration(b, "adic", ideal=self.ideal)
 
@@ -131,10 +124,6 @@ class Analysis:
     @cached_property
     def mu_maximal(self) -> int:
         return len(self.backend.maximal().gens)
-
-    @cached_property
-    def type_report(self):
-        return self.backend.type_report()
 
     @cached_property
     def normal_values(self) -> tuple[int, ...]:
@@ -224,10 +213,8 @@ class Analysis:
         """Valabrega-Valla verdict for the maximal ideal of the coefficient ring."""
         bb = self.backend.base_ring()
         m = bb.maximal()
-        cert = bb.auto_reduction(m)
-        if cert is None:
-            return None
-        return (*self._vv_and_rn(Filtration(bb, "adic", ideal=m), cert.reduction), bb)
+        j = bb.auto_reduction(m)
+        return None if j is None else self._vv_and_rn(Filtration(bb, "adic", ideal=m), j)
 
     def e_bar(self, i: int):
         return self.normal_fit.e[i] if self.normal_fit is not None else None
@@ -240,7 +227,7 @@ class Analysis:
             "lambda_R_I1": self.lam_R_I1,
             "mu_ideal": self.mu_ideal,
             "mu_maximal": self.mu_maximal,
-            "type": self.type_report.type,
+            "type": self.backend.sg.type,
         }
         if self.normal_fit is not None:
             for i, c in enumerate(self.normal_fit.e):
@@ -557,7 +544,7 @@ def check_closure_intersection(a: Analysis, nums) -> Verdict:
 @checker(need_reduction=True)
 def check_socle_formula(a: Analysis, nums) -> Verdict:
     """lambda((J^n : m)/J^n) = type(R) * C(n+d-2, d-1) for small n."""
-    t = a.type_report.type
+    t = a.backend.sg.type
     for n in range(1, min(3, a.nmax) + 1):
         jn = a.reduction_powers.term(n)
         socle = quotient_length(colon(jn, a.backend.maximal()), jn)
@@ -605,7 +592,7 @@ def check_length_bound_decomposition(a: Analysis, nums) -> Verdict:
 @checker(need_reduction=True, min_dim=3, closure_maximal=True, e3_zero=True)
 def check_sally_type_bound(a: Analysis, nums) -> Verdict:
     """Sally lengths are bounded by type(R) * C(n+d-2, d-1) once e3_bar = 0."""
-    t = a.type_report.type
+    t = a.backend.sg.type
     for n in range(1, a.nmax + 1):
         bound = t * series_coeff(n - 1, a.dim)
         if a.sally_values[n] > bound:
@@ -623,7 +610,7 @@ def check_sally_type_bound(a: Analysis, nums) -> Verdict:
 def check_e1_type_sandwich(a: Analysis, nums) -> Verdict:
     """e0 - 1 + lambda(I2bar/J·I1bar) <= e1_bar <= e0 - 1 + type, strict if they differ."""
     e1 = a.e_bar(1)
-    t = a.type_report.type
+    t = a.backend.sg.type
     s1 = a.sally_values[1]
     if a.lam_I1_J != a.e0 - 1:
         return refuted(f"lambda(m/J) = {a.lam_I1_J} differs from e0 - 1 = {a.e0 - 1}")
@@ -643,8 +630,8 @@ def check_e1_type_sandwich(a: Analysis, nums) -> Verdict:
 @checker(
     need_reduction=True, min_dim=3, closure_maximal=True, e3_zero=True,
     hypothesis=lambda a: (
-        f"lambda(I2bar/J·I1bar) = {a.sally_values[1]} < type - 1 = {a.type_report.type - 1}"
-        if a.sally_values[1] < a.type_report.type - 1 else None
+        f"lambda(I2bar/J·I1bar) = {a.sally_values[1]} < type - 1 = {a.backend.sg.type - 1}"
+        if a.sally_values[1] < a.backend.sg.type - 1 else None
     ),
 )
 def check_e3_vanishing_cm(a: Analysis, nums) -> Verdict:
@@ -709,7 +696,7 @@ def check_almost_minimal_rn2(a: Analysis, nums) -> Verdict:
 @checker(
     need_reduction=True, min_dim=3, closure_maximal=True, e3_zero=True,
     hypothesis=lambda a: (
-        f"type {a.type_report.type} exceeds 2" if a.type_report.type > 2 else None
+        f"type {a.backend.sg.type} exceeds 2" if a.backend.sg.type > 2 else None
     ),
 )
 def check_low_type_cm(a: Analysis, nums) -> Verdict:
@@ -719,7 +706,7 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
     part_a = _cm_conclusion(a, "")
     if part_a.is_refutation:
         return part_a
-    t = a.type_report.type
+    t = a.backend.sg.type
     m = a.backend.maximal()
     lam_m2_Jm = quotient_length(multiply(m, m), multiply(a.reduction, m))
     s1 = a.sally_values[1]
@@ -750,7 +737,7 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
             "exceptional case: depth d-1 for the ordinary graded ring is claimed, and no "
             "dimension-one coefficient ring is available to test it",
         )
-    vv, _, _ = base
+    vv, _ = base
     if vv.first_failure is not None:
         n, i, elem = vv.first_failure
         if part_a.conclusion == "verified":

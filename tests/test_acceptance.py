@@ -80,7 +80,7 @@ def test_criterion_1_semigroup_example(capsys):
         t0 = time.monotonic()
         base = analyze(load("sg_4_5_11", nmax=8))
         ext = analyze(load("sg_4_5_11_uv", nmax=8))
-        base_vv, base_rn, bb = ext.base_cm
+        base_vv, base_rn = ext.base_cm
         elapsed = time.monotonic() - t0
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 

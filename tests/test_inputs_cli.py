@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from normfilt.backends import format_monomial
 
 CORPUS = resources.files("normfilt") / "corpus"
 NEGATIVE = CORPUS / "negative"
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
 def corpus_path(name):
@@ -48,22 +50,24 @@ def test_corpus_round_trip(name):
 
 
 def test_parse_semigroup_entry():
-    parsed = inputs.parse_input(
+    entry = inputs.parse_input(
         "ring semigroup gens=4,5,11 adjoin=U,V\nideal maximal\nreduction t^4 U V\n"
     )
-    assert parsed.kind == "semigroup"
-    assert parsed.sg_gens == (4, 5, 11)
-    assert parsed.ideal_gens == "maximal"
-    # generator tuples are kept sorted for canonical formatting
-    assert parsed.reduction == ((0, 0, 1), (0, 1, 0), (4, 0, 0))
+    ring = entry.backend
+    assert ring.kind == "semigroup" and ring.names == ("U", "V")
+    assert ring.sg.gens == (4, 5, 11)
+    assert entry.ideal == ring.maximal()
+    # tokens parse into kernel axis order: the S-axis t comes last
+    assert entry.reduction.gens == ((0, 0, 4), (0, 1, 0), (1, 0, 0))
+    assert entry.name is None and entry.nmax is None and entry.checks is None
 
 
 def test_parse_polynomial_defaults():
-    parsed = inputs.parse_input("ring polynomial dim=3\nideal x^2 y^2 z^2\n")
-    assert parsed.kind == "polynomial"
-    assert parsed.names == ("x", "y", "z")
-    assert parsed.reduction == "auto"
-    assert parsed.ideal_gens == ((0, 0, 2), (0, 2, 0), (2, 0, 0))
+    entry = inputs.parse_input("ring polynomial dim=3\nideal x^2 y^2 z^2\n")
+    assert entry.backend.kind == "polynomial"
+    assert entry.backend.names == ("x", "y", "z")
+    assert entry.reduction == "auto"
+    assert entry.ideal.gens == ((0, 0, 2), (0, 2, 0), (2, 0, 0))
 
 
 @pytest.mark.parametrize(
@@ -97,6 +101,16 @@ def test_parse_error_positions():
     assert str(info.value).startswith("line 2, col 11:")
 
 
+@pytest.mark.parametrize("text, column", [
+    ("ring polynomial vars=x,y\nideal x^2 d\n", 11),  # not the d of "ideal"
+    ("ring polynomial vars=x,y\nideal x y\nchecks socle_formula,s\n", 22),
+])
+def test_token_columns_skip_the_directive(text, column):
+    with pytest.raises(errors.InputError) as info:
+        inputs.parse_input(text)
+    assert info.value.column == column
+
+
 def test_build_entry_rejects_unknown_check():
     parsed = inputs.parse_input("ring polynomial vars=x,y\nideal x y\n")
     with pytest.raises(errors.InputError, match="unknown check"):
@@ -106,6 +120,63 @@ def test_build_entry_rejects_unknown_check():
 def test_dimension_limit_is_not_an_input_error():
     with pytest.raises(errors.UnsupportedDimension):
         inputs.parse_input("ring polynomial dim=5\nideal maximal\n")
+
+
+@pytest.mark.parametrize("text, line, column, fragment", [
+    ("name g\n# gcd 2\nring semigroup gens=4,6\nideal maximal\n", 3, 1,
+     "greatest common divisor 1"),
+    ("\n  ring semigroup gens=0,5\nideal maximal\n", 2, 3, "must be positive integers"),
+    ("ring semigroup gens=4,5,11\nnmax 5\nideal t^3\n", 3, 1,
+     "valuation 3 is not in the semigroup"),
+    ("ring polynomial vars=x,y\nideal x y\nchecks socle_formula, bogus\n", 3, 23,
+     "unknown check ids: bogus"),
+])
+def test_build_errors_report_their_directive(text, line, column, fragment):
+    # the ring and its ideals are built at their own lines, not relabelled line 1
+    with pytest.raises(errors.InputError) as info:
+        inputs.parse_input(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value).startswith(f"line {line}, col {column}: ")
+    assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("ring, code", [
+    ("ring polynomial dim=0", 2),
+    ("ring polynomial dim=5", 3),
+    ("ring polynomial vars=a,b,c,d,e", 3),
+])
+def test_dimension_exit_codes(tmp_path, capsys, ring, code):
+    f = tmp_path / "dim.nfilt"
+    f.write_text(f"{ring}\nideal maximal\n")
+    error = errors.UnsupportedDimension if code == 3 else errors.InputError
+    with pytest.raises(error):
+        inputs.parse_input(f.read_text())
+    assert cli.main(["table", str(f)]) == code
+    assert ("precondition" if code == 3 else "input") in capsys.readouterr().err
+
+
+def _entry_files():
+    corpus = sorted((p for p in CORPUS.iterdir() if p.name.endswith(".nfilt")), key=lambda p: p.name)
+    return corpus + sorted(BENCH_INPUTS.glob("*.nfilt"))
+
+
+@pytest.mark.parametrize("path", _entry_files(), ids=lambda p: p.name)
+def test_parse_and_build_calls_of_the_benchmark(path):
+    """The setup probe builds each entry with its file stem as default name,
+    the self-test with none; the name line wins over both."""
+    text, stem = path.read_text(), path.name.removesuffix(".nfilt")
+    (name,) = [ln.split()[1] for ln in text.splitlines() if ln.startswith("name ")]
+    unnamed = "\n".join(ln for ln in text.splitlines() if not ln.startswith("name "))
+    for source, with_stem, without in ((text, name, name), (unnamed, stem, "entry")):
+        assert inputs.build_entry(inputs.parse_input(source), default_name=stem).name == with_stem
+        assert inputs.build_entry(inputs.parse_input(source)).name == without
+    parsed = inputs.parse_input(text)
+    entry = inputs.build_entry(parsed, default_name=stem)
+    assert (entry.nmax, entry.checks, entry.tamper_normal) == (parsed.nmax, parsed.checks, None)
+    assert entry.backend is parsed.backend and entry.ideal is parsed.ideal
+    over = inputs.build_entry(parsed, default_name=stem, nmax=3, checks=["socle_formula"])
+    assert (over.nmax, over.checks) == (3, ("socle_formula",))
+    assert parsed.name == name and parsed.nmax == entry.nmax  # the parsed entry is kept
 
 
 # --- CLI -----------------------------------------------------------------------

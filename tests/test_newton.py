@@ -188,34 +188,29 @@ def test_closure_is_dilation_lattice_points():
 
 
 def test_certify_reduction_positive():
-    cert = R3.certify(ideal(CUBES_DIAG), ideal(CUBES))
-    assert cert.is_reduction
-    assert cert.e0_ideal == cert.e0_reduction == 27
-    assert cert.contained
+    a, j = ideal(CUBES_DIAG), ideal(CUBES)
+    assert R3.certify(a, j) == j
+    assert a.e0 == j.e0 == 27
 
 
 def test_certify_reduction_negative_multiplicity():
     bigger = ideal(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
-    cert = R3.certify(ideal(CUBES), bigger)
-    assert not cert.is_reduction
-    assert cert.e0_reduction == 64
+    with pytest.raises(errors.PreconditionError, match="not a reduction: multiplicity 64 != 27"):
+        R3.certify(ideal(CUBES), bigger)
 
 
 def test_certify_reduction_requires_containment():
     not_inside = ideal(((2, 0, 0), (0, 3, 0), (0, 0, 3)))
-    cert = R3.certify(ideal(CUBES), not_inside)
-    assert not cert.contained and not cert.is_reduction
+    with pytest.raises(errors.PreconditionError, match="not contained in the input ideal"):
+        R3.certify(ideal(CUBES), not_inside)
     with pytest.raises(errors.PreconditionError, match="one pure power of each variable"):
         R3.certify(ideal(CUBES), ideal(CUBES_DIAG))
 
 
 def test_find_monomial_reduction():
-    cert = R3.auto_reduction(ideal(CUBES_DIAG))
-    assert cert is not None and cert.is_reduction
-    assert cert.reduction == ideal(CUBES)
+    assert R3.auto_reduction(ideal(CUBES_DIAG)) == ideal(CUBES)
     assert R2.auto_reduction(ideal(PLANE)) is None  # pure powers give e0 = 6 != 5
-    self_cert = R3.auto_reduction(ideal(CUBES))
-    assert self_cert is not None and self_cert.reduction == ideal(CUBES)
+    assert R3.auto_reduction(ideal(CUBES)) == ideal(CUBES)
 
 
 CERT_RINGS = [PolynomialBackend("xyzw"[:d]) for d in range(1, 5)] + [
@@ -244,15 +239,19 @@ def test_certificate_agrees_with_multiplicity_comparison(drawn, data):
     exps = mono.pure_power_exponents(a)
     auto = ring.auto_reduction(a)
     j = ring.ideal([tuple(e * (k == i) for k in range(d)) for i, e in enumerate(exps)])
-    assert (auto is not None) == (a.e0 == j.e0), (ring.describe(), a.gens)
+    assert auto == (j if a.e0 == j.e0 else None), (ring.describe(), a.gens)
     # candidates near the least pure powers: lower ones are not contained
     shifted = [max(1, e + data.draw(st.integers(-1, 2))) for e in exps[:-1]]
     shifted.append(data.draw(st.sampled_from([s for s in values if s] + [exps[-1]])))
     j = ring.ideal([tuple(e * (k == i) for k in range(d)) for i, e in enumerate(shifted)])
-    cert = ring.certify(a, j)
-    assert cert.contained == mono.ideal_contains(a, j)
-    assert cert.is_reduction == (cert.contained and a.e0 == j.e0), (ring.describe(), a.gens, j.gens)
-    assert (cert.e0_ideal, cert.e0_reduction) == (a.e0, j.e0)
+    contained = mono.ideal_contains(a, j)
+    if contained and a.e0 == j.e0:
+        assert ring.certify(a, j) == j
+    else:
+        with pytest.raises(errors.PreconditionError) as info:
+            ring.certify(a, j)
+        expected = f"multiplicity {j.e0} != {a.e0}" if contained else "not contained"
+        assert expected in str(info.value), (ring.describe(), a.gens, j.gens)
 
 
 RING_S1 = SemigroupBackend((4, 5, 11), 1)

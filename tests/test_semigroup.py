@@ -4,7 +4,11 @@ Ideals of both rings go through the monomial kernel; exponent vectors keep
 the semigroup valuation last, (U, V, s).
 """
 
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normfilt import errors
 from normfilt import monomial as mono
@@ -67,6 +71,19 @@ def test_invariants_other_semigroups():
 
 def test_minimal_generators_recomputed():
     assert sgm.NumericalSemigroup((4, 5, 9, 11)).gens == (4, 5, 11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=6).filter(lambda g: gcd(*g) == 1))
+def test_membership_and_minimal_generators_against_reachability(generators):
+    """contains reads the member mask; gens are the members that are no sum of two."""
+    sg = sgm.NumericalSemigroup(generators)
+    top = sg.conductor + sg.multiplicity + 1
+    table = semigroup_members_oracle(generators, top)
+    assert [sg.contains(n) for n in range(-3, top)] == [False] * 3 + table
+    nonzero = [n for n in range(1, top) if table[n]]
+    sums = {x + y for x in nonzero for y in nonzero}
+    assert sg.gens == tuple(n for n in nonzero if n not in sums)
 
 
 def test_gcd_validation():

@@ -210,8 +210,9 @@ def test_verified_set_monotone_in_horizon():
 
 def test_type_matches_pseudo_frobenius(analyses):
     for name in ("sg_4_5_11", "sg_4_5_11_uv"):
-        a = analyses[name]
-        assert a.type_report.type == 2
+        sg = analyses[name].backend.sg
+        assert sg.type == len(sg.pseudo_frobenius) == 2
+        assert sg.pseudo_frobenius == (6, 7)
 
 
 def test_e3_from_reduction_tail(analyses):
