@@ -1,9 +1,11 @@
-"""Byte-for-byte guard on the bundled corpus report in every output format.
+"""Byte-for-byte guard on the CLI reports in every output format.
 
-The files under tests/golden/ are the output of `normfilt corpus --format F`.
-The corpus is analysed once per module through the CLI (json), and the csv
-and md renderings are produced from that same payload. To refresh after an
-intended output change, rerun the three CLI commands into tests/golden/.
+The files under tests/golden/ are the output of `normfilt corpus --format F`
+and of `normfilt C FILE --format F` for C in table, coeffs and sally on two
+bundled entries, one per ring class, at the default horizon. The corpus is
+analysed once per module through the CLI (json), and the csv and md
+renderings are produced from that same payload. To refresh after an
+intended output change, rerun the CLI commands into tests/golden/.
 """
 
 import io
@@ -16,16 +18,23 @@ import pytest
 from normfilt import cli, reports
 
 GOLDEN = Path(__file__).parent / "golden"
+CORPUS = Path(cli.__file__).parent / "corpus"
 FORMATS = ("json", "csv", "md")
+ENTRIES = ("poly3_cubes_diag", "sg_4_5_11_uv")
+COMMANDS = ("table", "coeffs", "sally")
+
+
+def run_cli(argv) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0
+    return out.getvalue()
 
 
 @pytest.fixture(scope="module")
 def rendered():
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = cli.main(["corpus", "--format", "json"])
-    assert code == 0
-    text = out.getvalue()
+    text = run_cli(["corpus", "--format", "json"])
     payload = json.loads(text)
     return {"json": text, **{fmt: reports.render(payload, fmt) for fmt in FORMATS[1:]}}
 
@@ -34,3 +43,11 @@ def rendered():
 def test_corpus_output_matches_golden(rendered, fmt):
     golden = (GOLDEN / f"corpus.{fmt}").read_bytes()
     assert rendered[fmt].encode("utf-8") == golden
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_entry_output_matches_golden(entry, command, fmt):
+    text = run_cli([command, str(CORPUS / f"{entry}.nfilt"), "--format", fmt])
+    assert text.encode("utf-8") == (GOLDEN / f"{entry}.{command}.{fmt}").read_bytes()
