@@ -8,14 +8,17 @@ and an ideal is a set of monomials closed under adding monoid elements.
 An ideal is stored as a Python-int bitset over the box [0, cap] in row-major
 order, the S-axis varying fastest. The top slice along each axis stands for
 every point beyond it, so a box is valid for an ideal when membership stays
-constant past the cap along every axis. Boxes are not canonical: operations
-first bring their operands onto a common box. Sum, intersection, containment
-and equality are bitwise; a product is the union of the shifts of one factor
-by the minimal generators of the other; a colon intersects shifts back; a
-colength is a popcount, finite exactly when no counted point lies in a top
-slice. Integral closures of powers are cut out row by row along the S-axis
-by the halfspaces of the Newton polyhedron, as every halfspace of an
-m-primary ideal has a positive S-coefficient.
+constant past the cap along every axis. Boxes are not canonical, and they
+only grow: operations first lay their operands onto a common box, each axis
+that grows repeating its top slice. Sum, intersection, containment and
+equality are bitwise; a product is the union of the shifts of one factor by
+the minimal generators of the other; a colon intersects shifts back on the
+grown box and refills it past the dividend's cap from the dividend's top
+slices, instead of cutting back to that cap; a colength is a popcount,
+finite exactly when no counted point lies in a top slice. Integral closures
+of powers are cut out row by row along the S-axis by the halfspaces of the
+Newton polyhedron, as every halfspace of an m-primary ideal has a positive
+S-coefficient.
 """
 
 from __future__ import annotations
@@ -106,34 +109,39 @@ def _monoid(sg: NumericalSemigroup, cap) -> int:
     return _repeat(row, width, prod(c + 1 for c in cap[:-1]))
 
 
+def _fill(bits: int, widths, axis: int, top: int) -> int:
+    """Copy slice top along axis into the empty slices above it (at least one)."""
+    inner = prod(widths[axis + 1:])
+    upper = bits & _slab(widths, axis, top, top + 1)
+    return bits | _repeat(upper, inner, widths[axis] - 1 - top) << inner
+
+
 def _reshape(bits: int, old, new) -> int:
-    """Lay bits from the box [0, old] onto [0, new]: an axis that grows repeats
-    its top slice, an axis that shrinks is cut."""
+    """Lay bits from the box [0, old] onto the box [0, new] >= old: an axis
+    that grows repeats its top slice.
+
+    Along a growing axis, block q of the outer axes moves from q*w*inner to
+    q*width*inner, one bit of q per masked move, the highest bit first: the
+    blocks whose bit is set form the upper half of each group of blocks that
+    agree above it, and move by that bit times the growth.
+    """
     if old == new or not bits:
         return bits
-    cur = [c + 1 for c in old]
-    buf = format(bits, f"0{prod(cur)}b").encode()[::-1]  # one byte per point
+    widths = [c + 1 for c in old]
     for axis, width in enumerate(c + 1 for c in new):
-        w = cur[axis]
+        w = widths[axis]
         if w == width:
             continue
-        outer, inner = prod(cur[:axis]), prod(cur[axis + 1:])
-        src, block, keep = buf, w * inner, min(w, width) * inner
-        if outer <= width * inner:  # fewer Python steps block by block
-            parts = []
-            for q in range(0, outer * block, block):
-                parts.append(src[q:q + keep])
-                if width > w:
-                    parts.append(src[q + block - inner:q + block] * (width - w))
-            buf = b"".join(parts)
-        else:  # fewer steps slice by slice, each a strided copy
-            buf = bytearray(outer * width * inner)
-            for k in range(width):
-                at = min(k, w - 1) * inner
-                for r in range(inner):
-                    buf[k * inner + r::width * inner] = src[at + r::block]
-        cur[axis] = width
-    return int(buf[::-1], 2)
+        outer, inner = prod(widths[:axis]), prod(widths[axis + 1:])
+        for b in reversed(range((outer - 1).bit_length())):
+            half = (1 << b) * w * inner  # the old span of half a group
+            groups = -(-outer >> (b + 1))
+            mask = _repeat(((1 << half) - 1) << half, (2 << b) * width * inner, groups)
+            moved = bits & mask
+            bits ^= moved ^ moved << (1 << b) * (width - w) * inner
+        widths[axis] = width
+        bits = _fill(bits, widths, axis, w - 1)
+    return bits
 
 
 def _shift_union(bits: int, cap, vectors) -> int:
@@ -253,12 +261,17 @@ def colon(a: Ideal, b: Ideal) -> Ideal:
         raise PreconditionError("colon by the zero ideal")
     cap = _shift_box(a, b.gens)
     x = _reshape(a.bits, a.cap, cap)
-    strides = _strides([c + 1 for c in cap])
-    out = (1 << prod(c + 1 for c in cap)) - 1
+    widths = [c + 1 for c in cap]
+    strides = _strides(widths)
+    out = (1 << prod(widths)) - 1
     for g in b.gens:
         out &= x >> sum(c * s for c, s in zip(g, strides))
-    # shifts that crossed an inner axis land beyond a's cap and are cut here
-    return Ideal(a.sg, a.cap, _reshape(out, cap, a.cap) & _monoid(a.sg, a.cap))
+    # shifts that crossed an inner axis land beyond a's cap: each axis is cut
+    # there and refilled from a's top slice, as (a : b) is constant past a's cap
+    for axis, top in enumerate(a.cap):
+        if top < cap[axis]:
+            out = _fill(out & _slab(widths, axis, 0, top + 1), widths, axis, top)
+    return Ideal(a.sg, cap, out & _monoid(a.sg, cap))
 
 
 def _finite_count(diff: int, cap) -> int:
@@ -292,12 +305,10 @@ def contains(a: Ideal, v) -> bool:
 
 
 def pure_power_exponents(a: Ideal) -> list[int | None]:
-    """For each axis, the least e with e times the unit vector in a (None if absent)."""
-    dim = len(a.cap)
-    return [
-        next((e for e in range(c + 1) if contains(a, tuple(e * (j == i) for j in range(dim)))), None)
-        for i, c in enumerate(a.cap)
-    ]
+    """For each axis, the least e with e times the unit vector in a (None if
+    absent): the least entry of a generator supported on that axis alone."""
+    return [min((g[i] for g in a.gens if not any(g[:i] + g[i + 1:])), default=None)
+            for i in range(len(a.cap))]
 
 
 def is_m_primary(a: Ideal) -> bool:

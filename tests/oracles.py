@@ -298,3 +298,35 @@ def monoid_minimal(in_s, gens) -> list:
     """The generators not reachable from another one, sorted and deduplicated."""
     gens = sorted(set(tuple(g) for g in gens))
     return [g for g in gens if not any(h != g and monoid_member(in_s, [h], g) for h in gens)]
+
+
+def reshape_bytes(bits: int, old, new) -> int:
+    """Lay bits from the box [0, old] onto [0, new], one byte per point: an
+    axis that grows repeats its top slice, an axis that shrinks is cut. This
+    is the byte-string reshape that the masked moves of `monomial._reshape`
+    replaced; the fast path chose between its two branches by box size."""
+    if old == new or not bits:
+        return bits
+    cur = [c + 1 for c in old]
+    buf = format(bits, f"0{prod(cur)}b").encode()[::-1]
+    for axis, width in enumerate(c + 1 for c in new):
+        w = cur[axis]
+        if w == width:
+            continue
+        outer, inner = prod(cur[:axis]), prod(cur[axis + 1:])
+        src, block, keep = buf, w * inner, min(w, width) * inner
+        if outer <= width * inner:
+            parts = []
+            for q in range(0, outer * block, block):
+                parts.append(src[q:q + keep])
+                if width > w:
+                    parts.append(src[q + block - inner:q + block] * (width - w))
+            buf = b"".join(parts)
+        else:
+            buf = bytearray(outer * width * inner)
+            for k in range(width):
+                at = min(k, w - 1) * inner
+                for r in range(inner):
+                    buf[k * inner + r::width * inner] = src[at + r::block]
+        cur[axis] = width
+    return int(buf[::-1], 2)

@@ -6,10 +6,10 @@ every operation against the brute-force membership oracle on S = N and on
 """
 
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normfilt import errors
@@ -22,6 +22,7 @@ from oracles import (
     monoid_minimal,
     naive_colength,
     naive_length_between,
+    reshape_bytes,
     semigroup_members_oracle,
     staircase_member,
 )
@@ -154,6 +155,26 @@ def test_property_ops_agree_with_enumeration(gens):
     assert mono.colength(a) == naive_colength(a.gens, (10, 10))
     assert mono.quotient_length(a, prod) == naive_length_between(a.gens, prod.gens, (10, 10))
     assert mono.ideal_contains(meet, prod)
+
+
+@st.composite
+def grown_boxes(draw):
+    """(bits, old cap, new cap): d = 1..4 axes, each growing by 0 to 9."""
+    dim = draw(st.integers(1, 4))
+    old = draw(st.tuples(*[st.integers(0, 4)] * dim))
+    new = tuple(c + draw(st.integers(0, 9)) for c in old)
+    bits = draw(st.integers(0, (1 << prod(c + 1 for c in old)) - 1))
+    return bits, old, new
+
+
+@settings(max_examples=300, deadline=None)
+@given(grown_boxes())
+@example((0, (2, 1, 3), (5, 1, 4)))  # zero bits
+@example((0b101101, (1, 2), (1, 2)))  # no axis grows
+@example((0b101101, (1, 2), (4, 2)))  # only the outermost axis grows
+def test_reshape_matches_byte_reshape(case):
+    bits, old, new = case
+    assert mono._reshape(bits, old, new) == reshape_bytes(bits, old, new)
 
 
 # --- differential tests over N^v x S ----------------------------------------------
