@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import inputs, reports
@@ -45,8 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_checks=False):
         p.add_argument("--nmax", type=int, default=None,
-                       help="table horizon (default: max(dim + 5, dim + window), "
-                       "window = dim + 2 unless the entry sets it)")
+                       help="table horizon (default: max(dim + 5, dim + window) "
+                       "with the fit window dim + 2)")
         p.add_argument("--format", choices=("json", "csv", "md"), default="json",
                        dest="fmt", help="output format (default: json)")
         if with_checks:
@@ -98,16 +97,10 @@ def _load_entry(path, *, nmax, checks, tamper_normal=None):
 
 
 def _corpus_files(directory):
-    if directory is not None:
-        root = Path(directory)
-        if not root.is_dir():
-            raise InputError(f"corpus directory {root} does not exist")
-        return sorted(root.glob("*.nfilt"))
-    pkg_root = resources.files("normfilt") / "corpus"
-    return sorted(
-        (p for p in pkg_root.iterdir() if p.name.endswith(".nfilt")),
-        key=lambda p: p.name,
-    )
+    root = Path(__file__).parent / "corpus" if directory is None else Path(directory)
+    if not root.is_dir():
+        raise InputError(f"corpus directory {root} does not exist")
+    return sorted(root.glob("*.nfilt"))
 
 
 def _verdicts_code(verdicts) -> int:

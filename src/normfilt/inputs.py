@@ -35,7 +35,7 @@ from .errors import InputError, PreconditionError, UnsupportedDimension
 from .theorems import CHECKS, EntryData
 
 DEFAULT_POLY_NAMES = ("x", "y", "z", "w")
-DIRECTIVES = ("name", "ring", "ideal", "reduction", "nmax", "window", "checks")
+DIRECTIVES = ("name", "ring", "ideal", "reduction", "nmax", "checks")
 
 
 def _fail(msg, line_no, line, token=None):
@@ -194,11 +194,11 @@ def parse_input(text: str) -> EntryData:
                 with _located(line_no, raw, directive):
                     seen[directive] = ring.ideal(gens)
             continue
-        if directive in ("nmax", "window"):
+        if directive == "nmax":
             value = rest[0] if len(rest) == 1 else ""
             if not value.isdigit() or int(value) < 1:
-                _fail(f"{directive} needs one positive integer", line_no, raw)
-            seen[directive] = int(value)
+                _fail("nmax needs one positive integer", line_no, raw)
+            seen["nmax"] = int(value)
             continue
         if directive == "checks":
             ids = " ".join(rest).replace(",", " ").split()
@@ -220,7 +220,6 @@ def parse_input(text: str) -> EntryData:
         ideal=seen["ideal"],
         reduction=seen.get("reduction", "auto"),
         nmax=seen.get("nmax"),
-        window=seen.get("window"),
         checks=seen.get("checks"),
     )
 

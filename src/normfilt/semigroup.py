@@ -35,11 +35,9 @@ class NumericalSemigroup:
         conductor = len(member) - a1
         self.multiplicity = a1
         self.conductor = conductor
-        self.frobenius = conductor - 1
         # bit s set exactly for the members s of S below the conductor
         self.member_bits = sum(1 << i for i in range(conductor) if member[i])
         self.gaps = tuple(i for i in range(conductor) if not member[i])
-        self.genus = len(self.gaps)
         # a given generator is minimal unless it is a smaller one plus a nonzero member
         self.gens = tuple(g for g in gens if not any(h < g and self.contains(g - h) for h in gens))
         # F(N) = -1 is the only pseudo-Frobenius number below zero: a1 - 1 is a

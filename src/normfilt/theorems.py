@@ -55,7 +55,6 @@ class EntryData:
     ideal: object
     reduction: object = "auto"  # "auto" or a prebuilt ideal
     nmax: int | None = None
-    window: int | None = None
     tamper_normal: int | None = None
     checks: tuple[str, ...] | None = None
 
@@ -71,12 +70,13 @@ def _attempt(compute, errors=HorizonError):
 class Analysis:
     """Tables, fits and certificates for one entry, each computed on first read.
 
-    The constructor only validates the request: the horizon, the window,
-    the tamper index, the m-primary test and the reduction certificate. The
-    fields built from the reduction J (jgood_filt, reduction_powers,
-    jgood_values, sally_values, sally_fit, rn, vv, series, lam_I1_J) may be
-    read only when `reduction` is not None. A fit or reduction number that
-    fails reads None, and its *_error field holds the exception.
+    The constructor only validates the request: the horizon, the tamper
+    index, the m-primary test and the reduction certificate. The fit window
+    is `default_window(dim)`. The fields built from the reduction J
+    (jgood_filt, reduction_powers, jgood_values, sally_values, sally_fit, rn,
+    vv, series, lam_I1_J) may be read only when `reduction` is not None. A fit
+    or reduction number that fails reads None, and its *_error field holds
+    the exception.
     """
 
     def __init__(self, entry: EntryData):
@@ -85,12 +85,10 @@ class Analysis:
         self.name = entry.name
         self.backend = b
         self.dim = b.dim
-        self.window = entry.window if entry.window is not None else default_window(self.dim)
+        self.window = default_window(self.dim)
         self.nmax = entry.nmax if entry.nmax is not None else default_nmax(self.dim, self.window)
         if self.nmax < 1:
             raise InputError(f"nmax must be a positive integer, got {self.nmax}")
-        if self.window < 1:
-            raise InputError(f"window must be a positive integer, got {self.window}")
         if entry.tamper_normal is not None and not 0 <= entry.tamper_normal <= self.nmax:
             raise InputError(
                 f"tamper index {entry.tamper_normal} outside the table range 0..{self.nmax}"

@@ -286,6 +286,16 @@ def test_cli_unsupported_dimension(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_window_line_is_an_unknown_directive(tmp_path, capsys):
+    # the fit window is always dim + 2; entries cannot set it
+    f = tmp_path / "window.nfilt"
+    f.write_text("ring polynomial vars=x,y\nideal x^2 y^2\nwindow 3\n")
+    assert cli.main(["table", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3, col 1: unknown directive 'window'" in err
+    assert "window" not in err.split("expected one of")[1]
+
+
 def test_cli_sally_needs_reduction(capsys):
     assert cli.main(["sally", corpus_path("poly2_x2_xy_y3")]) == 3
     capsys.readouterr()

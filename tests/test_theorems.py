@@ -158,15 +158,6 @@ def test_nonpositive_horizon_is_an_input_error():
             load("poly2_x2_y2", nmax=nmax)
 
 
-def test_nonpositive_window_is_an_input_error():
-    # rejected up front, not from inside the first checker that fits a table
-    b = PolynomialBackend(("x", "y"))
-    for window in (0, -3):
-        entry = EntryData("squares", b, b.ideal([(2, 0), (0, 2)]), window=window)
-        with pytest.raises(errors.InputError, match="window must be a positive integer"):
-            analyze(entry)
-
-
 def test_sally_report_of_negative_lengths_is_a_precondition_error():
     a = load("poly3_maximal", tamper_normal=2)
     with pytest.raises(errors.PreconditionError, match="nonnegative"):
