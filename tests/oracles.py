@@ -9,7 +9,7 @@ polyhedron cut by its pure-power box, lengths by direct lattice enumeration
 against the generator staircase, and semigroup membership by a direct
 reachability sweep. The per-row loops that the row sweep of `newton.row_cuts`
 replaced stay here as differential references for closure powers and
-lattice counts.
+lattice counts, and so does the byte-string reshape for the masked one.
 """
 
 from __future__ import annotations
@@ -303,8 +303,9 @@ def monoid_minimal(in_s, gens) -> list:
 def reshape_bytes(bits: int, old, new) -> int:
     """Lay bits from the box [0, old] onto [0, new], one byte per point: an
     axis that grows repeats its top slice, an axis that shrinks is cut. This
-    is the byte-string reshape that the masked moves of `monomial._reshape`
-    replaced; the fast path chose between its two branches by box size."""
+    is the byte-string reshape that the masked block moves of
+    `monomial._reshape` replaced; its two branches, block by block and slice
+    by slice, give the same bits."""
     if old == new or not bits:
         return bits
     cur = [c + 1 for c in old]
