@@ -55,10 +55,7 @@ def table_payload(analysis) -> dict:
 def _fit_dict(fit, error):
     if fit is None:
         return {"error": str(error)}
-    out = {"e": list(fit.e), "stable_from": fit.stable_from}
-    if fit.sectional_normal_genus is not None:
-        out["g_s"] = fit.sectional_normal_genus
-    return out
+    return {"e": list(fit.e), "stable_from": fit.stable_from}
 
 
 def coeffs_payload(analysis) -> dict:
@@ -69,7 +66,7 @@ def coeffs_payload(analysis) -> dict:
         "schema": COEFFS_SCHEMA,
         **_header(analysis),
         "e0": analysis.e0,
-        "normal": _fit_dict(analysis.normal_fit, analysis.normal_fit_error),
+        "normal": {**_fit_dict(analysis.normal_fit, None), "g_s": analysis.g_s},
         "adic": _fit_dict(analysis.adic_fit, analysis.adic_fit_error),
         "lambda_R_I1": analysis.lam_R_I1,
         "mu_ideal": analysis.mu_ideal,
@@ -93,7 +90,7 @@ def coeffs_payload(analysis) -> dict:
         }
         if analysis.sally_fit is not None:
             out["sally"] = {
-                "s": list(analysis.sally_fit.coeffs),
+                "s": list(analysis.sally_fit.e),
                 "stable_from": analysis.sally_fit.stable_from,
             }
         else:
@@ -113,7 +110,7 @@ def sally_payload(analysis) -> dict:
         "schema": SALLY_SCHEMA,
         **_header(analysis),
         "values": list(analysis.sally_values),
-        "s": list(analysis.sally_fit.coeffs),
+        "s": list(analysis.sally_fit.e),
         "stable_from": analysis.sally_fit.stable_from,
         "s0_from_e": (
             analysis.normal_fit.e[1] - analysis.e0 + analysis.lam_R_I1

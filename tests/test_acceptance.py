@@ -19,7 +19,7 @@ from normfilt.backends import SemigroupBackend
 from normfilt.filtration import Filtration, series_coeff
 from normfilt.newton import multiplicity, newton_polyhedron
 from normfilt.theorems import analyze, run_checks
-from oracles import _solve_consistent, in_dilation_oracle, semigroup_members_oracle
+from oracles import _solve_consistent, in_dilation_oracle, semigroup_members_oracle, series_checks
 
 CORPUS = resources.files("normfilt") / "corpus"
 
@@ -151,7 +151,7 @@ def test_criterion_2_cube_powers_vs_oracles(capsys):
         # independent exact solve of the coefficient system
         assert solve_binomial_fit(closed, 3, range(5, 9)) == (27, 18, 1, 0)
         assert a.normal_fit.e == (27, 18, 1, 0)
-        assert a.normal_fit.sectional_normal_genus == 18 - 27 + 10 == 1
+        assert a.g_s == 18 - 27 + 10 == 1
 
         # adic table by brute-force staircase counting, then an exact solve
         def staircase_colength(power_gens, box):
@@ -199,7 +199,7 @@ def test_criterion_2_cube_powers_vs_oracles(capsys):
         sally = tuple(j - c for j, c in zip(jgood, closed))
         assert sally == tuple(comb(n + 1, 2) for n in range(6))
         assert a.sally_values == tuple(comb(n + 1, 2) for n in range(9))
-        assert a.sally_fit.coeffs == (1, 1, 0)
+        assert a.sally_fit.e == (1, 1, 0)
         assert solve_binomial_fit(sally, 2, range(3, 6)) == (1, 1, 0)
 
         # reduction number 2, combinatorially: a degree-(3n+3) monomial always
@@ -230,7 +230,8 @@ def test_criterion_3_identity_suites_whole_corpus(capsys):
                 if v.hypotheses_met:
                     assert v.conclusion == "verified", (name, check, v.detail)
             if a.reduction is not None:
-                assert a.series.ok, (name, a.series.failures)
+                series = series_checks(a.normal_values, a.jgood_values, a.dim, a.e0)
+                assert series.ok, (name, series.failures)
                 assert verdicts["series_identity"].conclusion == "verified"
                 assert verdicts["closure_intersection"].conclusion == "verified"
 

@@ -1,6 +1,7 @@
 """Filtrations, exact polynomial fits, reduction numbers, and series identities."""
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -11,7 +12,7 @@ from normfilt import errors
 from normfilt import filtration as flt
 from normfilt.backends import PolynomialBackend, SemigroupBackend
 from normfilt.monomial import multiply
-from oracles import _solve_consistent
+from oracles import _solve_consistent, series_checks
 
 
 # --- series_coeff ------------------------------------------------------------
@@ -32,7 +33,7 @@ def test_series_coeff_cumulative(n, p):
 
 def test_default_nmax_leaves_room_for_a_fit():
     # a fit needs dim+1 entries plus the window; dimension 4 needs 10, not 9
-    nmax = [flt.default_nmax(d, flt.default_window(d)) for d in (1, 2, 3, 4)]
+    nmax = [flt.default_nmax(d) for d in (1, 2, 3, 4)]
     assert nmax == [6, 7, 8, 10]
     assert all(n + 1 >= d + 1 + flt.default_window(d) for d, n in zip((1, 2, 3, 4), nmax))
 
@@ -52,9 +53,6 @@ def test_fit_recovers_planted_polynomial():
     fit = flt.fit_coefficients(values, 2)
     assert fit.e == (7, 3, 1)
     assert fit.stable_from == 0
-    assert fit.sectional_normal_genus is None
-    sec = flt.fit_coefficients(values, 2, sectional=True)
-    assert sec.sectional_normal_genus == 3 - 7 + values[0]
 
 
 def test_fit_reports_transient_prefix():
@@ -147,11 +145,6 @@ def fit_outcome(fit, values, dim, window):
 @given(fit_tables())
 def test_fit_matches_rational_reference(table):
     assert fit_outcome(flt.fit_polynomial, *table) == fit_outcome(reference_fit, *table), table
-
-
-def test_graded_diffs():
-    assert flt.graded_diffs((1, 3, 7, 11)) == (1, 2, 4, 4)
-    assert flt.graded_diffs(()) == ()
 
 
 # --- filtration kinds ---------------------------------------------------------
@@ -268,10 +261,10 @@ JGOOD_1D = (1, 5, 9, 13, 17, 21, 25)
 
 
 def test_sally_from_tables():
-    table = flt.sally_from_tables(NORMAL_1D, JGOOD_1D, 1)
-    assert table.values == (0, 2, 2, 2, 2, 2, 2)
-    assert table.coeffs == (2,)
-    assert table.stable_from == 1
+    assert flt.sally_lengths(NORMAL_1D, JGOOD_1D) == (0, 2, 2, 2, 2, 2, 2)
+    fit = flt.sally_from_tables(NORMAL_1D, JGOOD_1D, 1)
+    assert fit.e == (2,)
+    assert fit.stable_from == 1
 
 
 def test_sally_rejects_negative_lengths():
@@ -282,7 +275,8 @@ def test_sally_rejects_negative_lengths():
 
 
 def test_series_checks_pass():
-    check = flt.series_checks(NORMAL_1D, JGOOD_1D, 1, 4)
+    assert flt.closed_form_failure(NORMAL_1D, JGOOD_1D, 1, 4) is None
+    check = series_checks(NORMAL_1D, JGOOD_1D, 1, 4)
     assert check.ok and check.failures == ()
     assert check.ge == (1, 4, 4, 4, 4, 4, 4)
     assert check.gbar == (1, 2, 4, 4, 4, 4, 4)
@@ -291,10 +285,53 @@ def test_series_checks_pass():
 
 
 def test_series_checks_detect_wrong_multiplicity():
-    check = flt.series_checks(NORMAL_1D, JGOOD_1D, 1, 5)
+    # ge[1] = 4 where the closed form with e0 = 5 asks for 1 + 4
+    assert flt.closed_form_failure(NORMAL_1D, JGOOD_1D, 1, 5) == (1, "ge=4 gbar=2 sally=2 middle=4")
+    check = series_checks(NORMAL_1D, JGOOD_1D, 1, 5)
     assert not check.ok
     kinds = {kind for kind, _ in check.failures}
     assert kinds == {"jgood_closed_form"}
+
+
+@st.composite
+def table_pairs(draw):
+    """(normal, jgood, dim, e0): a J-good table that follows the closed form
+    up to a few perturbed entries, and a normal table that is random or
+    equal to it on their common range; lengths equal or not."""
+    dim, e0 = draw(st.integers(1, 4)), draw(st.integers(-30, 60))
+    n_len = draw(st.integers(1, 9))
+    j_len = draw(st.one_of(st.just(n_len), st.integers(1, 9)))
+    lam = draw(st.integers(-10, 30))
+    jgood = list(accumulate(
+        lam * flt.series_coeff(n, dim) + (e0 - lam) * flt.series_coeff(n - 1, dim)
+        for n in range(j_len)
+    ))
+    for _ in range(draw(st.integers(0, 2))):
+        jgood[draw(st.integers(0, j_len - 1))] += draw(st.integers(-2, 2))
+    normal = [lam] + draw(st.lists(st.integers(-50, 300), min_size=n_len - 1, max_size=n_len - 1))
+    if draw(st.booleans()):
+        normal[:j_len] = jgood[:n_len]
+    return tuple(normal), tuple(jgood), dim, e0
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_pairs())
+def test_closed_form_matches_series_oracle(tables):
+    """The closed-form check against all four identities of the reference:
+    the first failure of the reference is the closed form's, at the same
+    degree and with the same witness, and equal graded pieces mean a zero
+    Sally module."""
+    normal, jgood, dim, e0 = tables
+    oracle = series_checks(normal, jgood, dim, e0)
+    failure = flt.closed_form_failure(normal, jgood, dim, e0)
+    if oracle.ok:
+        assert failure is None
+    else:
+        kind, n = oracle.failures[0]
+        assert kind == "jgood_closed_form"
+        witness = f"ge={oracle.ge[n]} gbar={oracle.gbar[n]} sally={oracle.sally[n]} middle={oracle.middle[n]}"
+        assert failure == (n, witness)
+    assert (oracle.ge == oracle.gbar) == all(v == 0 for v in flt.sally_lengths(normal, jgood))
 
 
 def test_intersection_failures_empty(poly2):

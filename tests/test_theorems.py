@@ -116,8 +116,8 @@ def test_frozen_numbers_cubes(analyses):
         v == comb(3 * n + 5, 3) for n, v in enumerate(a.normal_values)
     )
     assert a.adic_fit.e == (27, 0, 0, 0)
-    assert a.sally_fit.values[:5] == (0, 1, 3, 6, 10)
-    assert a.sally_fit.coeffs == (1, 1, 0)
+    assert a.sally_values[:5] == (0, 1, 3, 6, 10)
+    assert a.sally_fit.e == (1, 1, 0)
     assert a.vv.certified_cm
 
 
@@ -132,7 +132,7 @@ def test_frozen_numbers_extension(analyses):
     assert a.adic_fit.e == (4, 5, 3, 1)
     # Sally lengths n(n+1) attain the type bound 2*C(n+1, 2) with equality
     assert a.sally_values == tuple(n * (n + 1) for n in range(9))
-    assert a.sally_fit.coeffs == (2, 2, 0)
+    assert a.sally_fit.e == (2, 2, 0)
     assert a.vv.certified_cm
 
 
