@@ -220,12 +220,13 @@ def test_e3_from_reduction_tail(analyses):
         assert total == a.normal_fit.e[3], name
 
 
-def test_run_checks_subset_and_unknown(analyses):
-    a = analyses["poly3_maximal"]
-    subset = run_checks(a, ["socle_formula", "e2_lower_bound"])
+def test_run_checks_subset_and_unknown():
+    # run_checks runs the entry's checks, in the order given; build_entry
+    # rejects an unknown id before any analysis
+    subset = run_checks(load("poly3_maximal", checks=["socle_formula", "e2_lower_bound"]))
     assert [v.check for v in subset] == ["socle_formula", "e2_lower_bound"]
-    with pytest.raises(KeyError):
-        run_checks(a, ["no_such_check"])
+    with pytest.raises(errors.InputError, match="no_such_check"):
+        load("poly3_maximal", checks=["no_such_check"])
 
 
 def test_verdict_serialization(analyses):
