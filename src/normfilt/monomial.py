@@ -28,7 +28,8 @@ from functools import cached_property
 from math import prod
 
 from .errors import DimensionMismatch, InfiniteLength, PreconditionError
-from .newton import Exponent, NewtonPolyhedron, multiplicity, newton_polyhedron, row_cuts
+from .newton import (Exponent, NewtonPolyhedron, least_pure_powers, multiplicity,
+                     newton_polyhedron, row_cuts)
 from .semigroup import NumericalSemigroup
 
 
@@ -305,10 +306,8 @@ def contains(a: Ideal, v) -> bool:
 
 
 def pure_power_exponents(a: Ideal) -> list[int | None]:
-    """For each axis, the least e with e times the unit vector in a (None if
-    absent): the least entry of a generator supported on that axis alone."""
-    return [min((g[i] for g in a.gens if not any(g[:i] + g[i + 1:])), default=None)
-            for i in range(len(a.cap))]
+    """For each axis, the least e with e times the unit vector in a (None if absent)."""
+    return least_pure_powers(a.gens, len(a.cap))
 
 
 def is_m_primary(a: Ideal) -> bool:

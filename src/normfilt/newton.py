@@ -81,16 +81,21 @@ def _det(rows) -> int:
     return a * d - b * c
 
 
+def least_pure_powers(gens, d: int) -> list[int | None]:
+    """For each of the d axes, the least entry of a generator supported on
+    that axis alone (0 for the zero vector), or None if there is none."""
+    return [min((g[i] for g in gens if not any(g[:i] + g[i + 1:])), default=None)
+            for i in range(d)]
+
+
 def newton_polyhedron(gens) -> NewtonPolyhedron:
     """Exact facet description of conv(generators) + orthant."""
     gens = [tuple(g) for g in gens]
     d = len(gens[0]) if gens else 0
     if d > MAX_DIM:
         raise UnsupportedDimension(f"dimension {d} exceeds supported bound {MAX_DIM}")
-    # least pure power of each variable, 0 where there is none (or for the unit ideal)
-    box = tuple(min((g[i] for g in gens if not any(g[:i] + g[i + 1:])), default=0)
-                for i in range(d))
-    if not d or 0 in box:
+    box = tuple(least_pure_powers(gens, d))
+    if not d or not all(box):  # a missing pure power, or the unit ideal
         raise NotMPrimary("Newton polyhedron requires a proper m-primary monomial ideal")
     if d == 1:
         return NewtonPolyhedron(1, (((1,), box[0]),), box)
