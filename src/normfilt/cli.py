@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, with_checks=True)
     p.add_argument("--tamper-normal", type=int, default=None, metavar="INDEX",
                    help="add 1 to the normal colength table at INDEX "
-                   "(negative-path testing; refutations are expected)")
+                   "(negative-path testing; exits 1 only if a checker refutes)")
 
     p = sub.add_parser("corpus", help="run statement checkers over a corpus directory")
     p.add_argument("directory", nargs="?", default=None,
