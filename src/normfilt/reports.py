@@ -52,10 +52,10 @@ def table_payload(analysis) -> dict:
     return {"schema": TABLE_SCHEMA, **_header(analysis), "columns": columns, "rows": rows}
 
 
-def _fit_dict(fit, error):
+def _fit_dict(fit, error, key="e"):
     if fit is None:
         return {"error": str(error)}
-    return {"e": list(fit.e), "stable_from": fit.stable_from}
+    return {key: list(fit.e), "stable_from": fit.stable_from}
 
 
 def coeffs_payload(analysis) -> dict:
@@ -88,13 +88,7 @@ def coeffs_payload(analysis) -> dict:
             "checked_upto": vv.checked_upto,
             "required_horizon": vv.required_horizon,
         }
-        if analysis.sally_fit is not None:
-            out["sally"] = {
-                "s": list(analysis.sally_fit.e),
-                "stable_from": analysis.sally_fit.stable_from,
-            }
-        else:
-            out["sally"] = {"error": str(analysis.sally_fit_error)}
+        out["sally"] = _fit_dict(analysis.sally_fit, analysis.sally_fit_error, key="s")
     return out
 
 
@@ -110,8 +104,7 @@ def sally_payload(analysis) -> dict:
         "schema": SALLY_SCHEMA,
         **_header(analysis),
         "values": list(analysis.sally_values),
-        "s": list(analysis.sally_fit.e),
-        "stable_from": analysis.sally_fit.stable_from,
+        **_fit_dict(analysis.sally_fit, None, key="s"),
         "s0_from_e": (
             analysis.normal_fit.e[1] - analysis.e0 + analysis.lam_R_I1
             if analysis.normal_fit is not None
