@@ -3,7 +3,9 @@
 The files under tests/golden/ are the output of `normfilt corpus --format F`
 and of `normfilt C FILE --format F` for C in table, coeffs and sally on two
 bundled entries, one per ring class, at the default horizon, plus the json
-`check` report of two tampered runs (TAMPERED), which exit 1. The corpus is
+`check` report of two tampered runs (TAMPERED), which exit 1, and the json
+`table --nmax 2` of the three seed-1 ideals of `test_newton.newton_wide_gens`,
+whose Newton polyhedra have many facets. The corpus is
 analysed once per module through the CLI (json), and the csv and md
 renderings are produced from that same payload. To refresh after an
 intended output change, rerun the CLI commands into tests/golden/.
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from normfilt import cli, reports
+from test_newton import newton_wide_gens
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = Path(cli.__file__).parent / "corpus"
@@ -66,3 +69,18 @@ def test_tampered_check_matches_golden(stem):
     entry, extra = TAMPERED[stem]
     text = run_cli(["check", str(CORPUS / f"{entry}.nfilt"), *extra], expected_code=1)
     assert text.encode("utf-8") == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+def newton_wide_text(name, gens) -> str:
+    """An entry file for the 4-variable ideal generated by the exponent vectors gens."""
+    tokens = ["*".join(v if e == 1 else f"{v}^{e}" for v, e in zip("xyzw", g) if e) for g in gens]
+    return f"name {name}\nring polynomial vars=x,y,z,w\nideal {' '.join(tokens)}\n"
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_newton_wide_table_matches_golden(tmp_path, k):
+    name = f"newton_wide_seed1_{k}"
+    path = tmp_path / f"{name}.nfilt"
+    path.write_text(newton_wide_text(name, newton_wide_gens(1)[k]))
+    text = run_cli(["table", str(path), "--nmax", "2", "--format", "json"])
+    assert text.encode("utf-8") == (GOLDEN / f"{name}.table.json").read_bytes()
