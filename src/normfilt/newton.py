@@ -6,27 +6,24 @@ exactly when a is in the dilation n*NP(I), so an exact halfspace description
 of NP(I) answers every closure query. Supported ambient dimension is 1..4,
 and all arithmetic is in integers.
 
-Facets come from d-point subsets of the generators. NP(I) is the orthant cut
-by its supporting halfspaces <c,a> >= t with t > 0. Each contains the pure
-power p*e_i of every variable, so c_i*p >= t > 0: every entry of c is
-positive. Such a facet contains no coordinate direction, so it is spanned by
-d affinely independent generators, and d points of a supporting hyperplane
-that span it lie on a facet. The normal of a d-subset is the vector of
-signed (d-1)-minors of its difference rows; it is kept when its entries are
-all positive (after a sign flip) and every generator satisfies it. It is
-linear in the last difference row, so each (d-1)-point head computes its d
-cofactor columns once (column k: the normal with last row e_k), and each
-later generator's normal is one d x d integer matrix-vector product. Entry
-(j, k) of that matrix is (-1)^(j+k+1) times the (d-2)-minor of the head's
-d-2 difference rows without columns j and k, for j < k, and the matrix is
-antisymmetric, so a head costs C(d,2) minors of size at most 2.
-
-Only vertices of NP(I) span facets, so generators that are not vertices are
-dropped first: one that dominates another, a repeated one, and any g with
-2g >= h + k componentwise for two other generators h != k. The midpoint
-m = (h + k)/2 lies in NP(I), so g = m + u with u >= 0 is the midpoint of m
-and m + 2u, both in NP(I); a point strictly between two points of NP(I) is
-no vertex.
+The facets come from a double-description run (Motzkin et al. 1953;
+Fukuda-Prodon 1996) in exact integers on the cone of valid inequalities
+C = {(c, t) : c >= 0, <c, g> >= t for every generator g}. NP(I) is full
+dimensional and C is pointed, so the extreme rays of C are (0, -1), the
+coordinate facets (e_k, 0) and the facets of NP(I) with t > 0. The run is
+seeded with the simplicial cone of the d sign constraints and the least pure
+power p of axis 1, whose extreme rays are (e_k, p_k), k = 1..d, and (0, -1),
+and adds one generator constraint at a time. Each ray carries the set of
+constraints it meets with equality. A new ray lies on the new constraint's
+hyperplane between a ray r on its positive side and a ray s on its negative
+side; it is an extreme ray exactly when r and s are adjacent, which holds
+when they share at least d - 1 tight constraints and no third ray is tight
+on all of them. A generator that lies in the hull of those before it cuts
+off no ray and adds none.
+Each new ray is divided by the gcd of its entries. At the end t > 0 is met
+with equality by some generator g, so t = <c, g> and that gcd is the gcd of
+c alone: the normals are primitive. Each entry of a normal is positive, as
+c_i*p_i >= t > 0 for the pure power p_i*e_i of every variable.
 
 The multiplicity e_0(I) is d! times the volume of B, the closure of the
 orthant minus NP(I): the points a >= 0 with <c,a> <= t for some halfspace.
@@ -43,9 +40,9 @@ the sweep that also cuts the rows of `monomial.closure_power`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
 from math import comb, gcd, prod
+
+from typing import NamedTuple
 
 from .errors import NotMPrimary, UnsupportedDimension
 
@@ -55,8 +52,7 @@ Exponent = tuple[int, ...]
 Halfspace = tuple[tuple[int, ...], int]  # (normal, threshold): <normal, a> >= threshold
 
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
+class NewtonPolyhedron(NamedTuple):
     """Halfspace description of NP(I); normals are positive primitive integers.
 
     box holds the least pure-power exponent of each variable among the generators.
@@ -69,16 +65,6 @@ class NewtonPolyhedron:
 
 def _dot(c, a) -> int:
     return sum(x * y for x, y in zip(c, a))
-
-
-def _det(rows) -> int:
-    """Determinant of a square integer matrix of size at most 2."""
-    if not rows:
-        return 1
-    if len(rows) == 1:
-        return rows[0][0]
-    (a, b), (c, d) = rows
-    return a * d - b * c
 
 
 def least_pure_powers(gens, d: int) -> list[int | None]:
@@ -97,40 +83,31 @@ def newton_polyhedron(gens) -> NewtonPolyhedron:
     box = tuple(least_pure_powers(gens, d))
     if not d or not all(box):  # a missing pure power, or the unit ideal
         raise NotMPrimary("Newton polyhedron requires a proper m-primary monomial ideal")
-    if d == 1:
-        return NewtonPolyhedron(1, (((1,), box[0]),), box)
-    gens = [g for g in gens if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in gens)]
-    gens = list(dict.fromkeys(gens))
-    gens = [g for g in gens if not _above_midpoint(g, gens)]
-    found: set[Halfspace] = set()
-    for head in combinations(range(len(gens)), d - 1):
-        base = gens[head[0]]
-        rows = [tuple(x - y for x, y in zip(gens[i], base)) for i in head[1:]]
-        # row j, column k: the j-th signed minor of (e_k, *rows), the normal for last row e_k
-        matrix = [[0] * d for _ in range(d)]
-        for j, k in combinations(range(d), 2):
-            minor = _det([[x for i, x in enumerate(r) if i != j and i != k] for r in rows])
-            matrix[j][k] = minor if (j + k) % 2 else -minor
-            matrix[k][j] = -matrix[j][k]
-        for g in gens[head[-1] + 1:]:
-            last = tuple(x - y for x, y in zip(g, base))
-            normal = tuple(_dot(row, last) for row in matrix)
-            if normal[0] < 0:
-                normal = tuple(-c for c in normal)
-            if min(normal) <= 0:  # a zero or mixed-sign normal bounds no facet with t > 0
+    # rays (c_1..c_d, t) and the bits of their tight constraints: bit k < d for
+    # c_(k+1) >= 0, bit d for the seed power, bit d + j for gens[j - 1]
+    rays = [(tuple(int(i == k) for i in range(d)) + (box[0] * (k == 0),), (2 << d) - 1 - (1 << k))
+            for k in range(d)]
+    rays.append(((0,) * d + (-1,), (1 << d) - 1))
+    for bit, g in enumerate(gens, d + 1):
+        vals = [_dot(r, g) - r[-1] for r, _ in rays]
+        kept = [(r, z | (1 << bit) if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
+        if len(kept) == len(rays):
+            rays = kept
+            continue
+        for (r, zr), vr in zip(rays, vals):
+            if vr <= 0:
                 continue
-            g0 = gcd(*normal)
-            normal = tuple(c // g0 for c in normal)
-            halfspace = (normal, _dot(normal, base))
-            if halfspace not in found and all(_dot(normal, h) >= halfspace[1] for h in gens):
-                found.add(halfspace)
-    return NewtonPolyhedron(d, tuple(sorted(found)), box)
-
-
-def _above_midpoint(g, gens) -> bool:
-    """Whether 2g >= h + k componentwise for two generators h != k other than g."""
-    low = [h for h in gens if h != g and all(y <= 2 * x for x, y in zip(g, h))]
-    return any(all(y + z <= 2 * x for x, y, z in zip(g, h, k)) for h, k in combinations(low, 2))
+            for (s, zs), vs in zip(rays, vals):
+                common = zr & zs
+                if vs >= 0 or common.bit_count() < d - 1 or any(
+                        z & common == common and z != zr and z != zs for _, z in rays):
+                    continue
+                ray = tuple(vr * y - vs * x for x, y in zip(r, s))
+                g0 = gcd(*ray)
+                kept.append((tuple(x // g0 for x in ray), common | (1 << bit)))
+        rays = kept
+    halfspaces = sorted((r[:-1], r[-1]) for r, _ in rays if r[-1] > 0)
+    return NewtonPolyhedron(d, tuple(halfspaces), box)
 
 
 def row_cuts(halfspaces, tops, k: int, *, ceil: bool, least: int) -> list[int]:

@@ -9,7 +9,9 @@ polyhedron cut by its pure-power box, lengths by direct lattice enumeration
 against the generator staircase, and semigroup membership by a direct
 reachability sweep. The per-row loops that the row sweep of `newton.row_cuts`
 replaced stay here as differential references for closure powers and
-lattice counts, and so does the byte-string reshape for the masked one.
+lattice counts, and so does the byte-string reshape for the masked one;
+`hull_heads` is the pruned head/cofactor hull that the double description
+of `newton.newton_polyhedron` replaced.
 `series_checks` is the reference for the closed-form check of the graded
 lengths: it tests every degreewise identity among the graded modules,
 including the three that hold for any two tables.
@@ -113,6 +115,67 @@ def hull_oracle(gens) -> tuple:
         t = sum(c * x for c, x in zip(normal, base))
         if all(sum(c * x for c, x in zip(normal, g)) >= t for g in gens):
             found.add((normal, t))
+    return tuple(sorted(found))
+
+
+def _minor2(rows) -> int:
+    """Determinant of a square integer matrix of size at most 2."""
+    if not rows:
+        return 1
+    if len(rows) == 1:
+        return rows[0][0]
+    (a, b), (c, d) = rows
+    return a * d - b * c
+
+
+def _above_midpoint(g, gens) -> bool:
+    """Whether 2g >= h + k componentwise for two generators h != k other than g."""
+    low = [h for h in gens if h != g and all(y <= 2 * x for x, y in zip(g, h))]
+    return any(all(y + z <= 2 * x for x, y, z in zip(g, h, k)) for h, k in combinations(low, 2))
+
+
+def hull_heads(gens) -> tuple:
+    """Sorted facets (c, t) of conv(gens) + orthant by pruned heads and cofactors.
+
+    Only vertices of NP(I) span facets, so generators that are not vertices
+    are dropped first: one that dominates another, a repeated one, and any g
+    with 2g >= h + k componentwise for two other generators h != k (g is then
+    the midpoint of two points of NP(I)). A facet normal of d vertices is the
+    vector of signed (d-1)-minors of their difference rows, and is linear in
+    the last row, so each (d-1)-point head computes its d cofactor columns once
+    (column k: the normal with last row e_k) from C(d,2) minors of its d-2
+    difference rows, and each later generator's normal is one matrix-vector
+    product. A normal is kept when it is positive after a sign flip and every
+    generator satisfies it.
+    """
+    gens = [tuple(g) for g in gens]
+    d = len(gens[0])
+    if d == 1:
+        return (((1,), min(g[0] for g in gens)),)
+    gens = [g for g in gens if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in gens)]
+    gens = list(dict.fromkeys(gens))
+    gens = [g for g in gens if not _above_midpoint(g, gens)]
+    found = set()
+    for head in combinations(range(len(gens)), d - 1):
+        base = gens[head[0]]
+        rows = [tuple(x - y for x, y in zip(gens[i], base)) for i in head[1:]]
+        # row j, column k: the j-th signed minor of (e_k, *rows), the normal for last row e_k
+        matrix = [[0] * d for _ in range(d)]
+        for j, k in combinations(range(d), 2):
+            minor = _minor2([[x for i, x in enumerate(r) if i != j and i != k] for r in rows])
+            matrix[j][k] = minor if (j + k) % 2 else -minor
+            matrix[k][j] = -matrix[j][k]
+        for g in gens[head[-1] + 1:]:
+            last = tuple(x - y for x, y in zip(g, base))
+            normal = tuple(sum(x * y for x, y in zip(row, last)) for row in matrix)
+            if normal[0] < 0:
+                normal = tuple(-c for c in normal)
+            if min(normal) <= 0:  # a zero or mixed-sign normal bounds no facet with t > 0
+                continue
+            normal = tuple(c // gcd(*normal) for c in normal)
+            t = sum(c * x for c, x in zip(normal, base))
+            if all(sum(c * x for c, x in zip(normal, h)) >= t for h in gens):
+                found.add((normal, t))
     return tuple(sorted(found))
 
 

@@ -16,6 +16,7 @@ from normfilt.filtration import Filtration, length_table
 from oracles import (
     box_points,
     closure_power_rows,
+    hull_heads,
     hull_oracle,
     in_dilation_oracle,
     lattice_count_rows,
@@ -101,13 +102,26 @@ def m_primary_gens(draw, max_dim):
 
 
 @st.composite
+def degree_gens(draw):
+    """The pure powers x_i^k and up to 16 of the degree-k monomials with every
+    exponent <= b, in 1 to 4 variables: many generators on one hyperplane."""
+    d, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    b = draw(st.integers(1, k))
+    pool = [e for e in product(range(b + 1), repeat=d) if sum(e) == k]
+    if len(pool) > 16:
+        pool = draw(st.lists(st.sampled_from(pool), unique=True, max_size=16))
+    return [tuple(k * (j == i) for j in range(d)) for i in range(d)] + pool
+
+
+@st.composite
 def hull_gens(draw):
-    """m_primary_gens(4), with or without generators that dominate a drawn one,
-    points at or above the rounded-up midpoint of two drawn ones, and repeats."""
-    gens = draw(m_primary_gens(4))
-    for g in draw(st.lists(st.sampled_from(gens), max_size=3)):
+    """degree_gens, or m_primary_gens(4) with or without generators that
+    dominate a drawn one and points at or above the rounded-up midpoint of two
+    drawn ones; then repeats."""
+    gens = draw(degree_gens()) if draw(st.booleans()) else draw(m_primary_gens(4))
+    for g in draw(st.lists(st.sampled_from(gens), max_size=4)):
         gens.append(tuple(min(5, x + draw(st.integers(0, 2))) for x in g))
-    for h, k in draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=3)):
+    for h, k in draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=4)):
         gens.append(tuple(min(5, (x + y + 1) // 2 + draw(st.integers(0, 1))) for x, y in zip(h, k)))
     gens += draw(st.lists(st.sampled_from(gens), max_size=2))
     return gens
@@ -116,7 +130,8 @@ def hull_gens(draw):
 @settings(max_examples=200, deadline=None)
 @given(hull_gens())
 def test_hull_matches_subset_scan_oracle(gens):
-    assert newton.newton_polyhedron(gens).halfspaces == hull_oracle(gens), gens
+    """The double description against the d-subset scan and the pruned head/cofactor hull."""
+    assert newton.newton_polyhedron(gens).halfspaces == hull_oracle(gens) == hull_heads(gens), gens
 
 
 def newton_wide_gens(seed):
@@ -127,10 +142,10 @@ def newton_wide_gens(seed):
     return [powers + rng.sample(cubics, 12) for _ in range(3)]
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_hull_of_wide_ideals_matches_oracle(seed):
     for gens in newton_wide_gens(seed):
-        assert newton.newton_polyhedron(gens).halfspaces == hull_oracle(gens), gens
+        assert newton.newton_polyhedron(gens).halfspaces == hull_oracle(gens) == hull_heads(gens), gens
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,7 +166,7 @@ def test_lattice_count_matches_row_loop(gens):
 @pytest.mark.parametrize("gens, nmax, formula", [
     # closure(I^(n+1)) = m^(2n+2) for the pure squares
     ([tuple(2 * (j == i) for j in range(4)) for i in range(4)], 10, lambda n: comb(2 * n + 5, 4)),
-    # m^4 in 4 variables: 35 generators, of which the pruned hull keeps the 4 pure powers
+    # m^4 in 4 variables: 35 generators on the one facet of the 4 pure powers
     ([g for g in product(range(5), repeat=4) if sum(g) == 4], 4, lambda n: comb(4 * n + 7, 4)),
 ])
 def test_normal_column_in_four_variables(gens, nmax, formula):
@@ -240,6 +255,10 @@ def test_certificate_agrees_with_multiplicity_comparison(drawn, data):
     auto = ring.auto_reduction(a)
     j = ring.ideal([tuple(e * (k == i) for k in range(d)) for i, e in enumerate(exps)])
     assert auto == (j if a.e0 == j.e0 else None), (ring.describe(), a.gens)
+    if auto is not None:  # lambda(R/J) = e0, so lambda(closure(I)/J) = e0 - lambda(R/closure(I))
+        closure = mono.closure_power(a, 1)
+        assert mono.colength(auto) == a.e0, (ring.describe(), a.gens)
+        assert mono.quotient_length(closure, auto) == a.e0 - mono.colength(closure), (ring.describe(), a.gens)
     # candidates near the least pure powers: lower ones are not contained
     shifted = [max(1, e + data.draw(st.integers(-1, 2))) for e in exps[:-1]]
     shifted.append(data.draw(st.sampled_from([s for s in values if s] + [exps[-1]])))
