@@ -18,8 +18,8 @@ length bounds need in dimension 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import HorizonError, PreconditionError
 from .monomial import (
@@ -94,8 +94,7 @@ def length_table(filt: Filtration, nmax: int) -> tuple[int, ...]:
     return tuple(colength(filt.term(n + 1)) for n in range(nmax + 1))
 
 
-@dataclass(frozen=True)
-class Fit:
+class Fit(NamedTuple):
     """Exact coefficients e of a table polynomial, which matches the table
     from degree stable_from on."""
 
@@ -199,8 +198,7 @@ def reduction_number(filt: Filtration, reduction, nmax: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class VVReport:
+class VVReport(NamedTuple):
     certified_cm: bool
     inconclusive: bool
     first_failure: tuple[int, int, str] | None  # (degree, prefix size, witness element)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import replace
 
 from . import backends
 from .errors import InputError, PreconditionError, UnsupportedDimension
@@ -227,8 +226,7 @@ def parse_input(text: str) -> EntryData:
 def build_entry(entry: EntryData, default_name: str = "entry", *,
                 nmax: int | None = None, checks=None, tamper_normal=None) -> EntryData:
     """The parsed entry with its default name and the command-line overrides."""
-    return replace(
-        entry,
+    return entry._replace(
         name=entry.name or default_name,
         nmax=entry.nmax if nmax is None else nmax,
         checks=entry.checks if checks is None else _check_ids(checks),

@@ -23,7 +23,6 @@ S-coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
@@ -33,13 +32,11 @@ from .newton import (Exponent, NewtonPolyhedron, least_pure_powers, multiplicity
 from .semigroup import NumericalSemigroup
 
 
-@dataclass(frozen=True, eq=False)
 class Ideal:
     """A monomial ideal: membership bits over the box [0, cap] of its monoid."""
 
-    sg: NumericalSemigroup
-    cap: tuple[int, ...]
-    bits: int
+    def __init__(self, sg: NumericalSemigroup, cap: tuple[int, ...], bits: int):
+        self.sg, self.cap, self.bits = sg, cap, bits
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ideal) and equal(self, other)

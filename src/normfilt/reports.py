@@ -6,7 +6,6 @@ Payloads are plain dicts with a schema tag; rendering is deterministic
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 
@@ -167,6 +166,8 @@ def _md_table(headers, rows) -> list[str]:
 
 
 def _csv_text(rows) -> str:
+    import csv  # only the csv renderer pays for this import
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)

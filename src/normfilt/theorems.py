@@ -15,8 +15,8 @@ certificate the first time a command or checker reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, wraps
+from typing import NamedTuple
 
 from .errors import HorizonError, InputError, NotMPrimary, PreconditionError
 from .filtration import (
@@ -46,8 +46,7 @@ from .monomial import (
 from .verdicts import Verdict, Witness, abstained, asserted, horizon, refuted, verified
 
 
-@dataclass
-class EntryData:
+class EntryData(NamedTuple):
     """One analysis request: a ring backend, an ideal, and run parameters."""
 
     name: str | None  # None until build_entry fills in the default
@@ -303,9 +302,9 @@ def checker(**gates):
         def run(a: Analysis) -> Verdict:
             missing = _gates(a, **gates)
             if missing:
-                return replace(_unmet(missing), check=check)
+                return _unmet(missing)._replace(check=check)
             nums = a.base_numbers()
-            return replace(body(a, nums), check=check, numbers=nums)
+            return body(a, nums)._replace(check=check, numbers=nums)
 
         CHECKS[check] = (run, " ".join(body.__doc__.split()))
         return run

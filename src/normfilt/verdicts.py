@@ -6,7 +6,7 @@ registration in `theorems` fills both in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SCHEMA_VERSION = "normfilt.verdict/1"
 
@@ -19,8 +19,7 @@ CONCLUSIONS = (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     degree: int
     element: str
     note: str = ""
@@ -32,18 +31,25 @@ class Witness:
         return d
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
     check: str
     conclusion: str
     hypotheses_met: bool
-    detail: str = ""
-    numbers: dict = field(default_factory=dict)
-    witnesses: tuple[Witness, ...] = ()
+    detail: str
+    numbers: dict
+    witnesses: tuple[Witness, ...]
 
-    def __post_init__(self):
-        if self.conclusion not in CONCLUSIONS:
-            raise ValueError(f"unknown conclusion {self.conclusion!r}")
+
+class Verdict(_VerdictFields):
+    """A checker's conclusion; each verdict gets its own numbers dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, check, conclusion, hypotheses_met, detail="", numbers=None, witnesses=()):
+        if conclusion not in CONCLUSIONS:
+            raise ValueError(f"unknown conclusion {conclusion!r}")
+        return super().__new__(cls, check, conclusion, hypotheses_met, detail,
+                               {} if numbers is None else numbers, witnesses)
 
     @property
     def is_refutation(self) -> bool:

@@ -367,11 +367,12 @@ def test_cli_closure_intersection_without_a_degree_is_inconclusive(capsys, name)
     assert "nmax = 1" in verdict["detail"]
 
 
-def test_cli_import_leaves_out_rational_arithmetic():
-    # hypothesis imports fractions into this process, so look from a fresh one
+def test_cli_import_leaves_out_unused_modules():
+    # every process pays for what importing the CLI pulls in; hypothesis imports
+    # fractions and dataclasses into this process, so look from a fresh one
     src = os.path.dirname(os.path.dirname(normfilt.__file__))
-    code = ("import sys, normfilt.cli; "
-            "print(sorted({'fractions', 'normfilt.linalg'} & set(sys.modules)))")
+    unused = {"fractions", "normfilt.linalg", "dataclasses", "inspect", "csv"}
+    code = f"import sys, normfilt.cli, normfilt.inputs; print(sorted({unused!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -10,6 +10,7 @@ from normfilt import CHECKS, EntryData, analyze, errors, run_checks
 from normfilt.backends import PolynomialBackend
 from normfilt.monomial import multiply, quotient_length
 from normfilt import inputs, reports
+from normfilt.verdicts import Verdict, verified
 
 ALL_CHECKS = (
     "table_coherence",
@@ -235,6 +236,14 @@ def test_verdict_serialization(analyses):
         assert d["schema"] == "normfilt.verdict/1"
         assert d["check"] == v.check
         assert isinstance(d["numbers"], dict)
+
+
+def test_verdict_validation():
+    with pytest.raises(ValueError, match="unknown conclusion 'proved'"):
+        Verdict("e1_lower_bound", "proved", True)
+    first, second = verified("a"), verified("b")
+    first.numbers["e0"] = 1
+    assert second.numbers == {}
 
 
 def test_readme_library_example_runs(capsys):
