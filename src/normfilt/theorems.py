@@ -380,15 +380,6 @@ def check_e1_lower_bound(a: Analysis, nums) -> Verdict:
     """e1_bar >= e0 - lambda(R/closure(I)) = lambda(closure(I)/J) >= 0."""
     e1 = a.e_bar(1)
     lo = a.e0 - a.lam_R_I1
-    if colength(a.reduction) != a.e0:
-        return refuted(
-            f"colength of the certified reduction is {colength(a.reduction)}, "
-            f"not the multiplicity {a.e0}",
-        )
-    if a.lam_I1_J != lo:
-        return refuted(
-            f"lambda(closure(I)/J) = {a.lam_I1_J} differs from e0 - lambda(R/closure(I)) = {lo}",
-        )
     if e1 < lo:
         return refuted(f"e1_bar = {e1} < {lo} = e0 - lambda(R/closure(I))")
     return verified(f"e1_bar = {e1} >= {lo} = lambda(closure(I)/J) >= 0")

@@ -8,7 +8,7 @@ import pytest
 
 from normfilt import CHECKS, EntryData, analyze, errors, run_checks
 from normfilt.backends import PolynomialBackend
-from normfilt.monomial import multiply, quotient_length
+from normfilt.monomial import colength, multiply, quotient_length
 from normfilt import inputs, reports
 from normfilt.verdicts import Verdict, verified
 
@@ -102,6 +102,14 @@ def test_corpus_conclusions(analyses, name):
         assert conclusion == expected, f"{name}/{check}: {conclusion}"
     for v in verdicts:
         assert v.hypotheses_met == (v.check in VERIFIED[name])
+
+
+def test_reduction_colengths(analyses):
+    # what e1_lower_bound prints as lambda(closure(I)/J): lambda(R/J) = e0 for a reduction J
+    for name, a in analyses.items():
+        if a.reduction is not None:
+            assert colength(a.reduction) == a.e0, name
+            assert a.lam_I1_J == a.e0 - a.lam_R_I1, name
 
 
 def test_frozen_numbers_cubes(analyses):
