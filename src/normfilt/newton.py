@@ -12,18 +12,19 @@ C = {(c, t) : c >= 0, <c, g> >= t for every generator g}. NP(I) is full
 dimensional and C is pointed, so the extreme rays of C are (0, -1), the
 coordinate facets (e_k, 0) and the facets of NP(I) with t > 0. The run is
 seeded with the simplicial cone of the d sign constraints and the least pure
-power p of axis 1, whose extreme rays are (e_k, p_k), k = 1..d, and (0, -1),
-and adds one generator constraint at a time. Each ray carries the set of
+power p*e_1 of axis 1, whose extreme rays are (e_1, p), (e_k, 0) for k >= 2,
+and (0, -1), and adds one generator constraint at a time. Each ray carries the set of
 constraints it meets with equality. A new ray lies on the new constraint's
 hyperplane between a ray r on its positive side and a ray s on its negative
 side; it is an extreme ray exactly when r and s are adjacent, which holds
 when they share at least d - 1 tight constraints and no third ray is tight
 on all of them. A generator that lies in the hull of those before it cuts
-off no ray and adds none.
-Each new ray is divided by the gcd of its entries. At the end t > 0 is met
-with equality by some generator g, so t = <c, g> and that gcd is the gcd of
-c alone: the normals are primitive. Each entry of a normal is positive, as
-c_i*p_i >= t > 0 for the pure power p_i*e_i of every variable.
+off no ray and adds none, so no generator needs pruning first. Each new ray
+is divided by the gcd of its entries. At the end a ray with t > 0 is tight
+at some generator g (tight at sign constraints alone, c would be 0), so
+t = <c, g> and that gcd is the gcd of c alone: the normals are primitive.
+Each entry of a normal is positive, as c_i*p_i >= t > 0 for the pure power
+p_i*e_i of every variable.
 
 The multiplicity e_0(I) is d! times the volume of B, the closure of the
 orthant minus NP(I): the points a >= 0 with <c,a> <= t for some halfspace.
@@ -40,8 +41,8 @@ the sweep that also cuts the rows of `monomial.closure_power`.
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb, gcd, prod
-
 from typing import NamedTuple
 
 from .errors import NotMPrimary, UnsupportedDimension
@@ -90,18 +91,13 @@ def newton_polyhedron(gens) -> NewtonPolyhedron:
     rays.append(((0,) * d + (-1,), (1 << d) - 1))
     for bit, g in enumerate(gens, d + 1):
         vals = [_dot(r, g) - r[-1] for r, _ in rays]
+        pos = [(r, z, v) for (r, z), v in zip(rays, vals) if v > 0]
+        neg = [(r, z, v) for (r, z), v in zip(rays, vals) if v < 0]
         kept = [(r, z | (1 << bit) if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
-        if len(kept) == len(rays):
-            rays = kept
-            continue
-        for (r, zr), vr in zip(rays, vals):
-            if vr <= 0:
-                continue
-            for (s, zs), vs in zip(rays, vals):
-                common = zr & zs
-                if vs >= 0 or common.bit_count() < d - 1 or any(
-                        z & common == common and z != zr and z != zs for _, z in rays):
-                    continue
+        for (r, zr, vr), (s, zs, vs) in product(pos, neg):
+            common = zr & zs
+            if common.bit_count() >= d - 1 and not any(
+                    z & common == common and z != zr and z != zs for _, z in rays):
                 ray = tuple(vr * y - vs * x for x, y in zip(r, s))
                 g0 = gcd(*ray)
                 kept.append((tuple(x // g0 for x in ray), common | (1 << bit)))
