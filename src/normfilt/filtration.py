@@ -4,11 +4,11 @@ Covers: memoized filtration terms (integral-closure powers, ordinary powers,
 and the J-good chain E_0 = R, E_n = J^{n-1}*closure(I)), exact length
 tables, binomial-basis coefficient fits with a verification window,
 Sally-module lengths, reduction numbers over a whole window, the
-Valabrega-Valla membership test, and the closed form of the J-good graded
-lengths. The other degreewise identities among the graded modules (the
-series and additivity relations of the Sally module) are not tested: each
-side is a difference of the same two colength tables, so they hold for any
-tables.
+Valabrega-Valla test on J up to the reduction number, and the closed form of
+the J-good graded lengths. The other degreewise identities among the graded
+modules (the series and additivity relations of the Sally module) are not
+tested: each side is a difference of the same two colength tables, so they
+hold for any tables.
 
 All binomials follow one convention: series_coeff(n, p) is the coefficient of
 z^n in (1-z)^(-p). The usual C(n+j, j) is series_coeff(n, j+1); for p = 0 the
@@ -22,14 +22,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import HorizonError, PreconditionError
-from .monomial import (
-    closure_power,
-    colength,
-    contains,
-    ideal_sum,
-    intersect,
-    multiply,
-)
+from .monomial import closure_power, colength, contains, intersect, multiply
 
 KINDS = ("normal", "adic", "jgood")
 
@@ -201,7 +194,7 @@ def reduction_number(filt: Filtration, reduction, nmax: int) -> int:
 class VVReport(NamedTuple):
     certified_cm: bool
     inconclusive: bool
-    first_failure: tuple[int, int, str] | None  # (degree, prefix size, witness element)
+    first_failure: tuple[int, int, str] | None  # (degree, len(J.gens), witness element)
     checked_upto: int
     required_horizon: int | None
 
@@ -218,27 +211,32 @@ def witness_element(backend, lhs, rhs) -> str:
 
 
 def valabrega_valla(filt: Filtration, reduction, nmax: int, window: int, rn: int | None) -> VVReport:
-    """Valabrega-Valla membership test F_n ∩ (g_1..g_i) = (g_1..g_i)·F_{n-1}.
+    """Valabrega-Valla membership test F_n ∩ J = J·F_{n-1} for n = 1..rn
+    (1..nmax when rn is None).
 
-    Runs over every prefix of the reduction generators and every degree up to
-    nmax. A failure is decisive (the associated graded ring is not
-    Cohen-Macaulay); full success certifies Cohen-Macaulayness only when the
-    horizon comfortably exceeds the certified reduction number.
+    A failure is decisive (the associated graded ring is not Cohen-Macaulay);
+    full success certifies Cohen-Macaulayness only when the horizon
+    comfortably exceeds the certified reduction number. The criterion asks
+    the same of every prefix P_i = (g_1..g_i) of the reduction generators,
+    and of every degree; for the pure-power J that `certify` admits, J alone
+    up to rn decides it:
+
+    - Past rn, F_n = J·F_{n-1} ⊆ J, so F_n ∩ J = J·F_{n-1}.
+    - No prefix fails first. Let n be the first degree at which some P_i
+      fails (n >= 2, as F_1 ⊇ J), and x a monomial of F_n ∩ P_i outside
+      P_i·F_{n-1}. Were x in J·F_{n-1}, then x = g_j·y with y in F_{n-1},
+      and j > i as x is outside P_i·F_{n-1}. Some g_k with k <= i divides
+      x, and g_j, g_k are pure powers of different axes, so g_k divides y.
+      So y lies in F_{n-1} ∩ P_i = P_i·F_{n-2}, as P_i passes at degree
+      n-1, and x in P_i·F_{n-1}: a contradiction. So J = P_d first fails at
+      degree n too.
     """
-    b = filt.backend
-    prefixes = []
-    acc = None
-    for g in reduction.gens:
-        principal = b.ideal([g])
-        acc = principal if acc is None else ideal_sum(acc, principal)
-        prefixes.append(acc)
-    for n in range(1, nmax + 1):
-        for i, pref in enumerate(prefixes, start=1):
-            lhs = intersect(filt.term(n), pref)
-            rhs = multiply(pref, filt.term(n - 1))
-            if lhs != rhs:
-                witness = witness_element(b, lhs, rhs)
-                return VVReport(False, False, (n, i, witness), nmax, None)
+    for n in range(1, (nmax if rn is None else rn) + 1):
+        lhs = intersect(filt.term(n), reduction)
+        rhs = multiply(reduction, filt.term(n - 1))
+        if lhs != rhs:
+            witness = witness_element(filt.backend, lhs, rhs)
+            return VVReport(False, False, (n, len(reduction.gens), witness), nmax, None)
     required = rn + window if rn is not None else None
     certified = required is not None and nmax >= required
     return VVReport(certified, not certified, None, nmax, required)

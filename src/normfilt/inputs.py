@@ -12,6 +12,7 @@ An entry file looks like:
 The ring line must precede the ideal and reduction lines. Supported rings:
   ring polynomial vars=x,y,z        (or dim=3 for default names x,y,z,w)
   ring semigroup gens=4,5,11 adjoin=U,V   (or adjoin=2 for default names)
+Variable names are identifiers; counts and exponents are decimal digits.
 Ideal and reduction generators are monomial tokens like x^2*y or t^4*U; they
 may be separated by spaces or commas. `ideal maximal` selects the maximal
 ideal, `reduction auto` (the default) asks for an automatic certificate.
@@ -37,10 +38,11 @@ DEFAULT_POLY_NAMES = ("x", "y", "z", "w")
 DIRECTIVES = ("name", "ring", "ideal", "reduction", "nmax", "checks")
 
 
-def _fail(msg, line_no, line, token=None):
-    """InputError at the first field of line equal to token; fields end at spaces, commas and =."""
-    found = token is not None and re.search(rf"(?<![^\s,=]){re.escape(token)}(?![^\s,=])", line)
-    raise InputError(msg, line=line_no, column=found.start() + 1 if found else 1)
+def _fail(msg, line_no, line, token=None, nth=0):
+    """InputError at field nth (from 0) of line equal to token; fields end at spaces, commas, =."""
+    found = [] if token is None else [
+        *re.finditer(rf"(?<![^\s,=]){re.escape(token)}(?![^\s,=])", line)][nth:nth + 1]
+    raise InputError(msg, line=line_no, column=found[0].start() + 1 if found else 1)
 
 
 @contextmanager
@@ -66,7 +68,7 @@ def parse_monomial(token, names, line_no, line, shown=None):
             _fail(f"unknown variable {base!r} (expected one of {', '.join(shown or names)})",
                   line_no, line, token)
         if sep:
-            if not exp.isdigit() or int(exp) <= 0:
+            if not exp.isdecimal() or int(exp) <= 0:
                 _fail(f"exponent in {factor!r} must be a positive integer", line_no, line, token)
             exps[names.index(base)] += int(exp)
         else:
@@ -89,7 +91,7 @@ def _parse_kv(fields, allowed, line_no, line):
 
 def _int_list(value, what, line_no, line):
     parts = [p for p in value.split(",") if p]
-    if not parts or not all(p.isdigit() for p in parts):
+    if not parts or not all(p.isdecimal() for p in parts):
         _fail(f"{what} must be a comma-separated list of positive integers, got {value!r}",
               line_no, line, value)
     return tuple(int(p) for p in parts)
@@ -97,8 +99,9 @@ def _int_list(value, what, line_no, line):
 
 def _names(value, what, line_no, line):
     names = tuple(v for v in value.split(",") if v)
-    if not names:
-        _fail(f"{what} must list at least one name", line_no, line, value)
+    if not names or not all(n.isidentifier() for n in names):
+        _fail(f"{what} must list at least one name, each an identifier like x or U1, got {value!r}",
+              line_no, line, value)
     return names
 
 
@@ -110,11 +113,11 @@ def _parse_ring(fields, line_no, line):
         kv = _parse_kv(rest, ("dim", "vars"), line_no, line)
         if "vars" in kv:
             names = _names(kv["vars"], "vars", line_no, line)
-            if "dim" in kv and (not kv["dim"].isdigit() or int(kv["dim"]) != len(names)):
+            if "dim" in kv and (not kv["dim"].isdecimal() or int(kv["dim"]) != len(names)):
                 _fail(f"dim={kv['dim']} disagrees with {len(names)} variable names",
                       line_no, line, kv["dim"])
         elif "dim" in kv:
-            if not kv["dim"].isdigit() or int(kv["dim"]) < 1:
+            if not kv["dim"].isdecimal() or int(kv["dim"]) < 1:
                 _fail("dim must be a positive integer", line_no, line, kv["dim"])
             d = int(kv["dim"])
             if d > len(DEFAULT_POLY_NAMES):
@@ -132,7 +135,7 @@ def _parse_ring(fields, line_no, line):
             _fail("semigroup ring needs gens=", line_no, line)
         gens = _int_list(kv["gens"], "gens", line_no, line)
         adjoin = kv.get("adjoin", "")
-        if adjoin.isdigit():
+        if adjoin.isdecimal():
             count, names = int(adjoin), None  # the backend's default names
         else:
             names = _names(adjoin, "adjoin", line_no, line) if adjoin else ()
@@ -144,12 +147,16 @@ def _parse_ring(fields, line_no, line):
 
 
 def _check_ids(ids, line_no=None, line=""):
-    """ids as a tuple; an unknown one fails at line_no, or unplaced when it is None."""
+    """ids as a tuple; an unknown or repeated id fails at line_no (unplaced if None)."""
+    ids = tuple(ids)
     unknown = [c for c in ids if c not in CHECKS]
     if unknown:
         _fail(f"unknown check ids: {', '.join(unknown)} (known: {', '.join(CHECKS)})",
               line_no, line, unknown[0])
-    return tuple(ids)
+    repeated = [c for i, c in enumerate(ids) if c in ids[:i]]
+    if repeated:
+        _fail(f"duplicate check id {repeated[0]!r}", line_no, line, repeated[0], nth=1)
+    return ids
 
 
 def parse_input(text: str) -> EntryData:
@@ -195,7 +202,7 @@ def parse_input(text: str) -> EntryData:
             continue
         if directive == "nmax":
             value = rest[0] if len(rest) == 1 else ""
-            if not value.isdigit() or int(value) < 1:
+            if not value.isdecimal() or int(value) < 1:
                 _fail("nmax needs one positive integer", line_no, raw)
             seen["nmax"] = int(value)
             continue

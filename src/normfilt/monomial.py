@@ -331,6 +331,6 @@ def closure_power(a: Ideal, n: int) -> Ideal:
     cap = tuple(tops[:-1]) + (max(tops[-1], a.sg.conductor),)
     width = cap[-1] + 1
     row = format(_monoid(a.sg, (cap[-1],)), f"0{width}b")
-    taus = row_cuts(hull.halfspaces, cap[:-1], n, ceil=True, least=0)
+    taus = row_cuts(hull.halfspaces, cap[:-1], n)
     rows = {tau: row[:width - tau] + "0" * tau for tau in set(taus)}
     return Ideal(a.sg, cap, int("".join([rows[tau] for tau in reversed(taus)]), 2))

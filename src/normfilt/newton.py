@@ -31,12 +31,14 @@ orthant minus NP(I): the points a >= 0 with <c,a> <= t for some halfspace.
 Every such facet is compact (its normal is positive), so B is the union of
 the pyramids conv(0, F) over the facets F, and the vertices of NP(I) are
 generators, so these are lattice polytopes meeting in pyramids over common
-faces. By inclusion-exclusion over Ehrhart polynomials the lattice count
-L(k) = #(kB ∩ N^d) is a polynomial of degree d in k >= 0 whose leading
-coefficient is vol(B) (Beck-Robins, Computing the Continuous Discretely).
-Its d-th difference is therefore e_0 = sum_k (-1)^(d-k) C(d,k) L(k) over
-k = 0..d. L(k) is counted row by row along the last axis by `row_cuts`,
-the sweep that also cuts the rows of `monomial.closure_power`.
+faces. The count H(k) = #(N^d minus k*NP(I)) of the points a >= 0 with
+<c,a> < k*t for some halfspace is that of kB without its compact facets, a
+half-open polytopal complex, so H is a polynomial of degree d in k >= 0
+whose leading coefficient is vol(B) (Koeppe-Verdoolaege, Electron. J.
+Combin. 15, 2008). Its d-th difference is therefore
+e_0 = sum_k (-1)^(d-k) C(d,k) H(k) over k = 0..d. H(k) is the sum of the
+row cuts of `row_cuts`, the sweep that also cuts the rows of
+`monomial.closure_power`: for S = N it is the colength of closure(I^k).
 """
 
 from __future__ import annotations
@@ -106,16 +108,16 @@ def newton_polyhedron(gens) -> NewtonPolyhedron:
     return NewtonPolyhedron(d, tuple(halfspaces), box)
 
 
-def row_cuts(halfspaces, tops, k: int, *, ceil: bool, least: int) -> list[int]:
+def row_cuts(halfspaces, tops, k: int) -> list[int]:
     """Per row b of the box [0, tops] over all axes but the last, in row-major
-    order: the largest (k*t - <c', b>) / c_last over the halfspaces (c, t),
-    rounded up when ceil and down otherwise, and never below least.
+    order: the least s >= 0 with <c, (b, s)> >= k*t for every halfspace (c, t),
+    that is max(0, ceil((k*t - <c', b>) / c_last)) over the halfspaces.
 
     c' is c without its last entry. Each halfspace sweeps the rows once: the
     values k*t - <c', b> grow one free axis at a time, and are folded into the
     running maximum before the next halfspace starts.
     """
-    cuts = [least] * prod(top + 1 for top in tops)
+    cuts = [0] * prod(top + 1 for top in tops)
     for normal, t in halfspaces:
         vals = [k * t]
         for c, top in zip(normal, tops):
@@ -123,23 +125,17 @@ def row_cuts(halfspaces, tops, k: int, *, ceil: bool, least: int) -> list[int]:
             vals = [v - s for v in vals for s in steps]
         last = normal[-1]
         if last > 1:
-            vals = [-(-v // last) for v in vals] if ceil else [v // last for v in vals]
+            vals = [-(-v // last) for v in vals]
         cuts = list(map(max, cuts, vals))
     return cuts
 
 
-def _lattice_count(np_: NewtonPolyhedron, k: int) -> int:
-    """L(k): the points a of N^d with <c,a> <= k*t for some halfspace (c, t).
-
-    Beyond k times the pure-power box no point counts, since every normal is
-    positive; each row over the free axes adds the points up to its highest
-    last coordinate.
-    """
-    tops = [k * e for e in np_.box[:-1]]
-    return sum(row_cuts(np_.halfspaces, tops, k, ceil=False, least=-1)) + prod(top + 1 for top in tops)
-
-
 def multiplicity(np_: NewtonPolyhedron) -> int:
-    """Hilbert-Samuel multiplicity e_0(I): the d-th difference of L(k) at k = 0."""
-    d = np_.dim
-    return sum((-1) ** (d - k) * comb(d, k) * _lattice_count(np_, k) for k in range(d + 1))
+    """Hilbert-Samuel multiplicity e_0(I): the d-th difference of H(k) at k = 0.
+
+    Every normal is positive, so no point beyond k times the pure-power box
+    lies outside k*NP(I): the rows over that box hold all of H(k).
+    """
+    d, halfspaces, box = np_
+    h = [sum(row_cuts(halfspaces, [k * e for e in box[:-1]], k)) for k in range(d + 1)]
+    return sum((-1) ** (d - k) * comb(d, k) * h[k] for k in range(d + 1))

@@ -598,8 +598,6 @@ def check_e1_type_sandwich(a: Analysis, nums) -> Verdict:
     e1 = a.e_bar(1)
     t = a.backend.sg.type
     s1 = a.sally_values[1]
-    if a.lam_I1_J != a.e0 - 1:
-        return refuted(f"lambda(m/J) = {a.lam_I1_J} differs from e0 - 1 = {a.e0 - 1}")
     lo = a.e0 - 1 + s1
     hi = a.e0 - 1 + t
     if not (lo <= e1 <= hi):

@@ -7,11 +7,13 @@ facets of a Newton polyhedron by a scan of every d-subset of generators, the
 multiplicity by vertex enumeration and triangulation of the Newton
 polyhedron cut by its pure-power box, lengths by direct lattice enumeration
 against the generator staircase, and semigroup membership by a direct
-reachability sweep. The per-row loops that the row sweep of `newton.row_cuts`
-replaced stay here as differential references for closure powers and
-lattice counts, and so does the byte-string reshape for the masked one;
-`hull_heads` is the pruned head/cofactor hull that the double description
-of `newton.newton_polyhedron` replaced.
+reachability sweep. The per-row loop that the row sweep of `newton.row_cuts`
+replaced stays here as the differential reference for closure powers, and so
+does the byte-string reshape for the masked one; `hull_heads` is the pruned
+head/cofactor hull that the double description of `newton.newton_polyhedron`
+replaced. `valabrega_valla_prefixes` is the Valabrega-Valla loop over every
+prefix of J and every degree; it uses the ideal arithmetic of
+`normfilt.monomial`.
 `series_checks` is the reference for the closed-form check of the graded
 lengths: it tests every degreewise identity among the graded modules,
 including the three that hold for any two tables.
@@ -23,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, gcd, prod
+
+from normfilt.monomial import contains, ideal_sum, intersect, multiply
 
 
 def _solve_consistent(columns, rhs):
@@ -200,17 +204,6 @@ def closure_power_rows(halfspaces, box, conductor, in_s, n):
             tau = max(tau, -((sum(c * x for c, x in zip(normal, b)) - n * threshold) // normal[-1]))
         rows.append(row[:width - tau] + "0" * tau)
     return cap, int("".join(reversed(rows)), 2)
-
-
-def lattice_count_rows(halfspaces, box, k) -> int:
-    """#{a in N^d : <c,a> <= k*t for some halfspace (c, t)}, row by row."""
-    total = 0
-    for b in product(*(range(k * e + 1) for e in box[:-1])):
-        top = -1
-        for normal, t in halfspaces:
-            top = max(top, (k * t - sum(c * x for c, x in zip(normal, b))) // normal[-1])
-        total += top + 1
-    return total
 
 
 def _det(matrix) -> Fraction:
@@ -455,3 +448,28 @@ def series_checks(normal_values, jgood_values, dim: int, e0: int) -> SeriesCheck
         if ge[n] != expected:
             failures.append(("jgood_closed_form", n))
     return SeriesCheck(not failures, tuple(failures), ge, gbar, sally, middle)
+
+
+def valabrega_valla_prefixes(filt, reduction, nmax, window, rn):
+    """The Valabrega-Valla test F_n ∩ P_i = P_i·F_(n-1) over every prefix
+    P_i = (g_1..g_i) of the reduction generators and every degree up to nmax.
+
+    Returns the fields of `filtration.VVReport` as a plain tuple: certified_cm,
+    inconclusive, first_failure (degree, i, witness), checked_upto and
+    required_horizon.
+    """
+    ring = filt.backend
+    prefixes = []
+    for g in reduction.gens:
+        principal = ring.ideal([g])
+        prefixes.append(ideal_sum(prefixes[-1], principal) if prefixes else principal)
+    for n in range(1, nmax + 1):
+        for i, pref in enumerate(prefixes, start=1):
+            lhs = intersect(filt.term(n), pref)
+            rhs = multiply(pref, filt.term(n - 1))
+            if lhs != rhs:
+                witness = next(g for g in lhs.gens if not contains(rhs, g))
+                return False, False, (n, i, ring.element_str(witness)), nmax, None
+    required = rn + window if rn is not None else None
+    certified = required is not None and nmax >= required
+    return certified, not certified, None, nmax, required

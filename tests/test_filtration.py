@@ -2,17 +2,17 @@
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normfilt import errors
 from normfilt import filtration as flt
 from normfilt.backends import PolynomialBackend, SemigroupBackend
-from normfilt.monomial import multiply
-from oracles import _solve_consistent, series_checks
+from normfilt.monomial import contains, intersect, multiply
+from oracles import _solve_consistent, series_checks, valabrega_valla_prefixes
 
 
 # --- series_coeff ------------------------------------------------------------
@@ -252,6 +252,73 @@ def test_vv_decisive_failure_on_semigroup_base():
     degree, prefix, witness = report.first_failure
     # t^15 = t^4*t^11 lies in m^3 and in (t^4) but not in t^4*m^2
     assert (degree, prefix, witness) == (3, 1, "t^15")
+
+
+@st.composite
+def vv_cases(draw, semigroups=((1,), (2, 3), (3, 5), (4, 5, 11)), kinds=("normal", "adic", "base")):
+    """(filtration, J, nmax, window): the normal or adic filtration of an ideal
+    between a pure-power J and its closure, or the adic filtration of the
+    maximal ideal of the coefficient ring; polynomial rings have d <= 3 and
+    semigroup rings 0..2 adjoined variables."""
+    sg = draw(st.sampled_from(semigroups))
+    free = draw(st.integers(0, 2))
+    ring = (PolynomialBackend(("x", "y", "z")[:free + 1]) if sg == (1,)
+            else SemigroupBackend(sg, free))
+    members = [s for s in range(1, 13) if ring.sg.contains(s)]
+    kind = draw(st.sampled_from(kinds))
+    if draw(st.booleans()):
+        ideal = ring.maximal()
+    else:
+        pure = [draw(st.integers(1, 3)) for _ in range(free)] + [draw(st.sampled_from(members))]
+        vector = st.tuples(*[st.integers(0, 3)] * free, st.sampled_from([0] + members))
+        # generators a with sum a_i / p_i >= 1 lie in the closure of the pure powers p_i
+        extra = [a for a in draw(st.lists(vector, max_size=3))
+                 if sum(x * prod(pure) // p for x, p in zip(a, pure)) >= prod(pure)]
+        powers = [tuple(p * (j == i) for j in range(free + 1)) for i, p in enumerate(pure)]
+        ideal = ring.ideal(powers + extra)
+    if kind == "base":
+        ring = ring.base_ring()
+        ideal = ring.maximal()
+    j = ring.auto_reduction(ideal)
+    assume(j is not None)
+    filt = flt.Filtration(ring, "normal" if kind == "normal" else "adic", ideal=ideal)
+    return filt, j, draw(st.integers(1, 6)), draw(st.integers(1, 4))
+
+
+def certified_rn(filt, j, nmax):
+    try:
+        return flt.reduction_number(filt, j, nmax)
+    except errors.HorizonError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(vv_cases())
+def test_vv_matches_prefix_oracle(case):
+    """J alone up to rn decides what every prefix at every degree does."""
+    filt, j, nmax, window = case
+    rn = certified_rn(filt, j, nmax)
+    report = flt.valabrega_valla(filt, j, nmax, window, rn)
+    certified, _, failure, _, required = valabrega_valla_prefixes(filt, j, nmax, window, rn)
+    assert (report.certified_cm, report.required_horizon) == (certified, required)
+    assert (report.first_failure is None) == (failure is None)
+    if failure is not None:
+        n, size, witness = report.first_failure
+        assert (n, size) == (failure[0], len(j.gens))
+        lhs = intersect(filt.term(n), j)
+        x = {filt.backend.element_str(g): g for g in lhs.gens}[witness]
+        assert contains(filt.term(n), x) and contains(j, x)
+        assert not contains(multiply(j, filt.term(n - 1)), x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vv_cases(semigroups=((1,),), kinds=("normal",)))
+def test_vv_never_fails_on_polynomial_normal_filtrations(case):
+    """Hochster: the normal Rees algebra of a monomial ideal is a normal affine
+    semigroup ring, hence Cohen-Macaulay, and so is G; a failure is a kernel bug."""
+    filt, j, nmax, window = case
+    rn = certified_rn(filt, j, nmax)
+    assert flt.valabrega_valla(filt, j, nmax, window, rn).first_failure is None
 
 
 # --- Sally tables and series identities --------------------------------------------

@@ -345,6 +345,47 @@ def test_cli_corpus_reports_failing_entries(tmp_path, capsys):
         assert "poly3_cubes,socle_formula,verified" in out or "## poly3_cubes" in out
 
 
+NON_ASCII_DIGITS = [  # str.isdigit accepts ² and ¹, which int() rejects
+    ("ring polynomial vars=x,y\nideal x y\nnmax ²\n", 3, 1),
+    ("ring polynomial vars=x,y\nideal x^² y\n", 2, 7),
+    ("ring semigroup gens=4,5,1¹\nideal maximal\n", 1, 21),
+    ("ring polynomial dim=²\nideal maximal\n", 1, 21),
+    ("ring semigroup gens=4,5 adjoin=²\nideal maximal\n", 1, 32),
+]
+
+
+@pytest.mark.parametrize("text, line, column", NON_ASCII_DIGITS,
+                         ids=["nmax", "exponent", "gens", "dim", "adjoin"])
+def test_cli_non_ascii_digits_are_input_errors(tmp_path, capsys, text, line, column):
+    f = tmp_path / "digits.nfilt"
+    f.write_text(text)
+    assert cli.main(["table", str(f)]) == 2
+    assert f"input error: line {line}, col {column}: " in capsys.readouterr().err
+
+
+def test_cli_corpus_survives_non_ascii_digits(tmp_path, capsys):
+    shutil.copy(corpus_path("poly2_x2_y2"), tmp_path / "poly2_x2_y2.nfilt")
+    (tmp_path / "digits.nfilt").write_text(NON_ASCII_DIGITS[0][0])
+    assert cli.main(["corpus", str(tmp_path)]) == 2
+    entries = {e["file"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
+    assert entries["digits.nfilt"]["exit_code"] == 2
+    assert entries["digits.nfilt"]["error"].startswith("line 3, col 1: nmax")
+    assert entries["poly2_x2_y2.nfilt"]["summary"]["verified"] > 0
+
+
+def test_repeated_check_id_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "twice.nfilt"
+    f.write_text("ring polynomial vars=x,y\nideal x^2 y^2\nchecks socle_formula, socle_formula\n")
+    with pytest.raises(errors.InputError) as info:
+        inputs.parse_input(f.read_text())
+    assert (info.value.line, info.value.column) == (3, 23)  # the repeat, not the first
+    assert "duplicate check id 'socle_formula'" in str(info.value)
+    assert cli.main(["check", str(f)]) == 2
+    assert cli.main(["check", corpus_path("poly2_x2_y2"), "--checks",
+                     "socle_formula,e2_lower_bound,socle_formula"]) == 2
+    assert capsys.readouterr().err.endswith("duplicate check id 'socle_formula'\n")
+
+
 @pytest.mark.parametrize("nmax", ["0", "-1"])
 def test_cli_nonpositive_horizon_is_an_input_error(capsys, nmax):
     # corpus used to skip the horizon check and crash with an IndexError

@@ -19,7 +19,6 @@ from oracles import (
     hull_heads,
     hull_oracle,
     in_dilation_oracle,
-    lattice_count_rows,
     multiplicity_oracle,
     semigroup_members_oracle,
 )
@@ -157,10 +156,13 @@ def test_multiplicity_matches_triangulation_oracle(gens):
 
 @settings(max_examples=100, deadline=None)
 @given(m_primary_gens(4))
-def test_lattice_count_matches_row_loop(gens):
-    np_ = newton.newton_polyhedron(gens)
-    for k in range(np_.dim + 1):
-        assert newton._lattice_count(np_, k) == lattice_count_rows(np_.halfspaces, np_.box, k), gens
+def test_multiplicity_is_the_difference_of_closure_colengths(gens):
+    # for S = N, H(k) = #(N^d minus k*NP) is the colength of closure(I^k)
+    d = len(gens[0])
+    a = PolynomialBackend(("x", "y", "z", "w")[:d]).ideal(gens)
+    values = [mono.colength(mono.closure_power(a, k)) for k in range(d + 1)]
+    e0 = sum((-1) ** (d - k) * comb(d, k) * v for k, v in enumerate(values))
+    assert newton.multiplicity(newton.newton_polyhedron(gens)) == e0, gens
 
 
 @pytest.mark.parametrize("gens, nmax, formula", [

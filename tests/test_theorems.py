@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from normfilt import CHECKS, EntryData, analyze, errors, run_checks
+from normfilt import CHECKS, EntryData, analyze, errors, filtration, run_checks
 from normfilt.backends import PolynomialBackend
 from normfilt.monomial import colength, multiply, quotient_length
 from normfilt import inputs, reports
@@ -110,6 +110,25 @@ def test_reduction_colengths(analyses):
         if a.reduction is not None:
             assert colength(a.reduction) == a.e0, name
             assert a.lam_I1_J == a.e0 - a.lam_R_I1, name
+
+
+def test_polynomial_normal_vv_never_fails(analyses):
+    # Hochster: the normal Rees algebra of a monomial ideal is a normal affine
+    # semigroup ring, hence Cohen-Macaulay, and so is G; a failure is a kernel bug
+    polynomial = [a for a in analyses.values() if a.backend.kind == "polynomial" and a.reduction]
+    assert len(polynomial) == 5
+    for a in polynomial:
+        assert a.vv.first_failure is None, a.name
+
+
+def test_vv_intersects_only_up_to_the_reduction_number(monkeypatch):
+    a = load("poly3_cubes_diag", nmax=12)
+    assert a.rn == 2
+    seen = []
+    real = filtration.intersect
+    monkeypatch.setattr(filtration, "intersect", lambda x, y: seen.append(x) or real(x, y))
+    assert a.vv.certified_cm
+    assert seen == [a.normal_filt.term(1), a.normal_filt.term(2)]
 
 
 def test_frozen_numbers_cubes(analyses):
