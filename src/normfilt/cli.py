@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface, parsed from the COMMANDS and OPTIONS tables below.
 
 Subcommands: table, coeffs, sally, check (one entry file each) and corpus
 (a directory of .nfilt files, defaulting to the bundled corpus). Exit codes:
@@ -8,13 +8,12 @@ mathematical precondition failed, 4 the computation horizon was too small.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
 from . import inputs, reports
+from .analysis import analyze
 from .errors import HorizonError, InputError, PreconditionError
-from .theorems import CHECKS, analyze, run_checks
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -29,60 +28,83 @@ FAILURES = {
     PreconditionError: (EXIT_PRECONDITION, "precondition"),
 }
 
+SYNOPSIS = """\
+normfilt table  FILE [--nmax N] [--format json|csv|md]
+normfilt coeffs FILE [--nmax N] [--format json|csv|md]
+normfilt sally  FILE [--nmax N] [--format json|csv|md]
+normfilt check  FILE [--nmax N] [--format ...] [--checks LIST] [--tamper-normal INDEX]
+normfilt corpus [DIR] [--nmax N] [--format ...] [--checks LIST]
+"""
+
+
+def _format(value):
+    if value not in ("json", "csv", "md"):
+        raise InputError(f"--format must be json, csv or md, got {value!r}")
+    return value
+
+
+def _checks(value):
+    ids = tuple(value.replace(",", " ").split())
+    if not ids:
+        raise InputError("--checks needs at least one check id")
+    return ids
+
+
+# option -> (keyword of _run, converter); a converter's ValueError means "not an integer"
+OPTIONS = {
+    "--nmax": ("nmax", int),
+    "--format": ("fmt", _format),
+    "--checks": ("checks", _checks),
+    "--tamper-normal": ("tamper_normal", int),
+}
+# command -> (whether its path is required, the options it takes)
+COMMON = ("--nmax", "--format")
+COMMANDS = {"table": (True, COMMON), "coeffs": (True, COMMON), "sally": (True, COMMON),
+            "check": (True, (*COMMON, "--checks", "--tamper-normal")),
+            "corpus": (False, (*COMMON, "--checks"))}
+
 
 def _failure(exc) -> tuple[int, str]:
     return next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="normfilt",
-        description="exact tables, coefficients and statement checks for "
-        "integral-closure filtrations of monomial and semigroup-ring ideals",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help(command) -> str:
+    """The synopsis, and for check and corpus each check id with its description."""
+    if command not in ("check", "corpus"):
+        return SYNOPSIS
+    from .theorems import CHECKS
 
-    def common(p, with_checks=False):
-        p.add_argument("--nmax", type=int, default=None,
-                       help="table horizon (default: max(dim + 5, dim + window) "
-                       "with the fit window dim + 2)")
-        p.add_argument("--format", choices=("json", "csv", "md"), default="json",
-                       dest="fmt", help="output format (default: json)")
-        if with_checks:
-            p.add_argument("--checks", default=None,
-                           help="comma-separated check ids (default: all); "
-                           "known ids: " + ", ".join(CHECKS))
-
-    for name, help_text in (
-        ("table", "print the exact colength tables"),
-        ("coeffs", "print the fitted Hilbert coefficients and certificates"),
-        ("sally", "print the Sally-module lengths and coefficients"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="entry file (.nfilt format)")
-        common(p)
-
-    p = sub.add_parser("check", help="run statement checkers on one entry")
-    p.add_argument("file", help="entry file (.nfilt format)")
-    common(p, with_checks=True)
-    p.add_argument("--tamper-normal", type=int, default=None, metavar="INDEX",
-                   help="add 1 to the normal colength table at INDEX "
-                   "(negative-path testing; exits 1 only if a checker refutes)")
-
-    p = sub.add_parser("corpus", help="run statement checkers over a corpus directory")
-    p.add_argument("directory", nargs="?", default=None,
-                   help="directory of .nfilt files (default: bundled corpus)")
-    common(p, with_checks=True)
-    return parser
+    ids = "".join(f"  {check}: {description}\n" for check, (_, description) in CHECKS.items())
+    return f"{SYNOPSIS}\ncheck ids for --checks LIST (comma-separated; default: all):\n{ids}"
 
 
-def _split_checks(arg):
-    if arg is None:
-        return None
-    ids = tuple(t for t in arg.replace(",", " ").split())
-    if not ids:
-        raise InputError("--checks needs at least one check id")
-    return ids
+def _parse(argv):
+    """(command, path or None, keyword options of _run) of a command line;
+    an option takes its value as `--opt value` or `--opt=value`."""
+    command, rest = (argv[0], argv[1:]) if argv else (None, [])
+    if command not in COMMANDS:
+        raise InputError(f"expected a command ({', '.join(COMMANDS)}) or --help, got "
+                         + ("nothing" if command is None else repr(command)))
+    path_required, allowed = COMMANDS[command]
+    paths, opts, tokens = [], {}, iter(rest)
+    for token in tokens:
+        if not token.startswith("-") or token == "-":
+            paths.append(token)
+            continue
+        option, eq, value = token.partition("=")
+        if option not in allowed:
+            raise InputError(f"{command} has no option {option}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise InputError(f"{option} needs a value")
+        key, convert = OPTIONS[option]
+        try:
+            opts[key] = convert(value)
+        except ValueError:
+            raise InputError(f"{option} needs an integer, got {value!r}") from None
+    if len(paths) > 1 or path_required and not paths:
+        raise InputError(f"{command} takes {'one FILE' if path_required else 'at most one DIR'}, "
+                         f"got {len(paths)} paths")
+    return command, paths[0] if paths else None, opts
 
 
 def _load_entry(path, *, nmax, checks, tamper_normal=None):
@@ -107,14 +129,15 @@ def _verdicts_code(verdicts) -> int:
     return EXIT_REFUTED if any(v.is_refutation for v in verdicts) else EXIT_OK
 
 
-def _run(args) -> int:
-    checks = _split_checks(getattr(args, "checks", None))
-    if args.command == "corpus":
+def _run(command, path, nmax=None, fmt="json", checks=None, tamper_normal=None) -> int:
+    if command == "corpus":
+        from .theorems import run_checks
+
         entries = []
         exit_code = EXIT_OK
-        for f in _corpus_files(args.directory):
+        for f in _corpus_files(path):
             try:
-                analysis = analyze(_load_entry(f, nmax=args.nmax, checks=checks))
+                analysis = analyze(_load_entry(f, nmax=nmax, checks=checks))
                 verdicts = run_checks(analysis)
                 payload = reports.check_payload(analysis, verdicts)
                 code = _verdicts_code(verdicts)
@@ -123,34 +146,30 @@ def _run(args) -> int:
                 payload = reports.error_record(code, exc)
             entries.append((f.name, payload))
             exit_code = max(exit_code, code)
-        sys.stdout.write(reports.render(reports.corpus_payload(entries), args.fmt))
+        sys.stdout.write(reports.render(reports.corpus_payload(entries), fmt))
         return exit_code
 
-    entry = _load_entry(
-        Path(args.file), nmax=args.nmax, checks=checks,
-        tamper_normal=getattr(args, "tamper_normal", None),
-    )
+    entry = _load_entry(Path(path), nmax=nmax, checks=checks, tamper_normal=tamper_normal)
     analysis = analyze(entry)
-    if args.command == "table":
-        payload = reports.table_payload(analysis)
-    elif args.command == "coeffs":
-        payload = reports.coeffs_payload(analysis)
-    elif args.command == "sally":
-        payload = reports.sally_payload(analysis)
-    else:
-        verdicts = run_checks(analysis)
-        payload = reports.check_payload(analysis, verdicts)
-        sys.stdout.write(reports.render(payload, args.fmt))
-        return _verdicts_code(verdicts)
-    sys.stdout.write(reports.render(payload, args.fmt))
-    return EXIT_OK
+    if command != "check":
+        sys.stdout.write(reports.render(getattr(reports, f"{command}_payload")(analysis), fmt))
+        return EXIT_OK
+    from .theorems import run_checks
+
+    verdicts = run_checks(analysis)
+    sys.stdout.write(reports.render(reports.check_payload(analysis, verdicts), fmt))
+    return _verdicts_code(verdicts)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (default: sys.argv[1:]) and return its exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help(argv[0]))
+        return EXIT_OK
     try:
-        return _run(args)
+        command, path, opts = _parse(argv)
+        return _run(command, path, **opts)
     except tuple(FAILURES) as exc:
         code, label = _failure(exc)
         print(f"normfilt: {label} error: {exc}", file=sys.stderr)

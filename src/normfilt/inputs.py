@@ -29,13 +29,25 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
+from typing import NamedTuple
 
 from . import backends
 from .errors import InputError, PreconditionError, UnsupportedDimension
-from .theorems import CHECKS, EntryData
 
 DEFAULT_POLY_NAMES = ("x", "y", "z", "w")
 DIRECTIVES = ("name", "ring", "ideal", "reduction", "nmax", "checks")
+
+
+class EntryData(NamedTuple):
+    """One analysis request: a ring backend, an ideal, and run parameters."""
+
+    name: str | None  # None until build_entry fills in the default
+    backend: object
+    ideal: object
+    reduction: object = "auto"  # "auto" or a prebuilt ideal
+    nmax: int | None = None
+    tamper_normal: int | None = None
+    checks: tuple[str, ...] | None = None
 
 
 def _fail(msg, line_no, line, token=None, nth=0):
@@ -148,6 +160,8 @@ def _parse_ring(fields, line_no, line):
 
 def _check_ids(ids, line_no=None, line=""):
     """ids as a tuple; an unknown or repeated id fails at line_no (unplaced if None)."""
+    from .theorems import CHECKS  # only an entry that names checks loads the checkers
+
     ids = tuple(ids)
     unknown = [c for c in ids if c not in CHECKS]
     if unknown:
@@ -203,7 +217,9 @@ def parse_input(text: str) -> EntryData:
         if directive == "nmax":
             value = rest[0] if len(rest) == 1 else ""
             if not value.isdecimal() or int(value) < 1:
-                _fail("nmax needs one positive integer", line_no, raw)
+                k = min(len(rest), 2)  # at the value, the second value, or the directive
+                _fail("nmax needs one positive integer", line_no, raw, fields[k],
+                      fields[:k].count(fields[k]))
             seen["nmax"] = int(value)
             continue
         if directive == "checks":

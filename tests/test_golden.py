@@ -7,12 +7,18 @@ bundled entries, one per ring class, at the default horizon, plus the json
 `table --nmax 2` of the three seed-1 ideals of `test_newton.newton_wide_gens`,
 whose Newton polyhedra have many facets. The corpus is
 analysed once per module through the CLI (json), and the csv and md
-renderings are produced from that same payload. To refresh after an
-intended output change, rerun the CLI commands into tests/golden/.
+renderings are produced from that same payload. The entry reports, one
+tampered check and the json corpus report are also produced by fresh
+interpreters without a bytecode cache, the way the console script and the
+benchmark run. To refresh after an intended output change, rerun the CLI
+commands into tests/golden/.
 """
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -84,3 +90,30 @@ def test_newton_wide_table_matches_golden(tmp_path, k):
     path.write_text(newton_wide_text(name, newton_wide_gens(1)[k]))
     text = run_cli(["table", str(path), "--nmax", "2", "--format", "json"])
     assert text.encode("utf-8") == (GOLDEN / f"{name}.table.json").read_bytes()
+
+
+def fresh_cases():
+    """(golden file name, argv, exit code) of each fresh-interpreter run."""
+    for entry in ENTRIES:
+        for command in COMMANDS:
+            for fmt in FORMATS:
+                argv = [command, str(CORPUS / f"{entry}.nfilt"), "--format", fmt]
+                yield f"{entry}.{command}.{fmt}", argv, 0
+    entry, extra = TAMPERED["poly3_maximal.check.tamper2"]
+    yield "poly3_maximal.check.tamper2.json", ["check", str(CORPUS / f"{entry}.nfilt"), *extra], 1
+    yield "corpus.json", ["corpus", "--format", "json"], 0
+
+
+FRESH = list(fresh_cases())
+
+
+@pytest.mark.parametrize("name, argv, code", FRESH, ids=[name for name, _, _ in FRESH])
+def test_fresh_process_output_matches_golden(name, argv, code):
+    src = Path(cli.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from normfilt.cli import main; sys.exit(main())", *argv],
+        env=env, capture_output=True,
+    )
+    assert (run.returncode, run.stderr) == (code, b"")
+    assert run.stdout == (GOLDEN / name).read_bytes()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import normfilt
-from normfilt import cli, errors, inputs, monomial, theorems
+from normfilt import analysis, cli, errors, inputs, monomial, theorems
 from normfilt.backends import format_monomial
 
 CORPUS = resources.files("normfilt") / "corpus"
@@ -346,7 +346,7 @@ def test_cli_corpus_reports_failing_entries(tmp_path, capsys):
 
 
 NON_ASCII_DIGITS = [  # str.isdigit accepts ² and ¹, which int() rejects
-    ("ring polynomial vars=x,y\nideal x y\nnmax ²\n", 3, 1),
+    ("ring polynomial vars=x,y\nideal x y\nnmax ²\n", 3, 6),
     ("ring polynomial vars=x,y\nideal x^² y\n", 2, 7),
     ("ring semigroup gens=4,5,1¹\nideal maximal\n", 1, 21),
     ("ring polynomial dim=²\nideal maximal\n", 1, 21),
@@ -369,7 +369,7 @@ def test_cli_corpus_survives_non_ascii_digits(tmp_path, capsys):
     assert cli.main(["corpus", str(tmp_path)]) == 2
     entries = {e["file"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
     assert entries["digits.nfilt"]["exit_code"] == 2
-    assert entries["digits.nfilt"]["error"].startswith("line 3, col 1: nmax")
+    assert entries["digits.nfilt"]["error"].startswith("line 3, col 6: nmax")
     assert entries["poly2_x2_y2.nfilt"]["summary"]["verified"] > 0
 
 
@@ -408,16 +408,51 @@ def test_cli_closure_intersection_without_a_degree_is_inconclusive(capsys, name)
     assert "nmax = 1" in verdict["detail"]
 
 
-def test_cli_import_leaves_out_unused_modules():
-    # every process pays for what importing the CLI pulls in; hypothesis imports
-    # fractions and dataclasses into this process, so look from a fresh one
+def _fresh(code) -> str:
+    """stdout of code run in a fresh interpreter on this source tree, without a
+    bytecode cache, as the benchmark runs it."""
     src = os.path.dirname(os.path.dirname(normfilt.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def _loaded(code, names) -> str:
+    """Which of names are in sys.modules after code runs in a fresh interpreter."""
+    return _fresh(f"import sys\n{code}\nprint(sorted({names!r} & set(sys.modules)))").splitlines()[-1]
+
+
+def test_cli_import_leaves_out_unused_modules():
+    # every process compiles what it imports; pytest and hypothesis have loaded
+    # every module into this process, so look from fresh ones
     unused = {"fractions", "normfilt.linalg", "dataclasses", "inspect", "csv"}
-    code = f"import sys, normfilt.cli, normfilt.inputs; print(sorted({unused!r} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    assert _loaded("import normfilt.cli, normfilt.inputs", unused) == "[]"
+    # a json table loads no checker, no verdict record, no renderer and no argparse
+    unused |= {"argparse", "normfilt.theorems", "normfilt.verdicts", "normfilt.renderers"}
+    table = f"from normfilt.cli import main\nmain(['table', {corpus_path('sg_4_5_11_uv')!r}])"
+    assert _loaded(table, unused) == "[]"
+    assert _loaded("from normfilt.cli import main\nmain(['table', '--help'])", unused) == "[]"
+
+
+def test_parsing_an_entry_loads_no_analysis():
+    path = corpus_path("sg_4_5_11_uv")  # no checks line: only that loads the checkers
+    code = ("from pathlib import Path\nfrom normfilt import inputs\n"
+            f"inputs.build_entry(inputs.parse_input(Path({path!r}).read_text()), default_name='e')")
+    analysis_modules = {f"normfilt.{m}" for m in
+                        ("filtration", "analysis", "theorems", "verdicts", "reports")}
+    assert _loaded(code, analysis_modules) == "[]"
+
+
+def test_package_names_load_on_first_access():
+    out = _fresh(
+        "import sys, normfilt\n"
+        "print(sorted(m for m in sys.modules if m.startswith('normfilt.')))\n"
+        "from normfilt import *\n"
+        "from normfilt import theorems\n"
+        "print(theorems.analyze is analyze and theorems.CHECKS is CHECKS)\n"
+        "try:\n    normfilt.no_such_name\nexcept AttributeError as exc:\n    print(exc)\n"
+    )
+    assert out.splitlines() == ["[]", "True", "module 'normfilt' has no attribute 'no_such_name'"]
 
 
 def _forbid(monkeypatch, *names):
@@ -425,7 +460,7 @@ def _forbid(monkeypatch, *names):
         raise AssertionError("computed although the command does not read it")
 
     for name in names:
-        monkeypatch.setattr(theorems, name, fail)
+        monkeypatch.setattr(analysis, name, fail)
 
 
 def test_cli_table_computes_no_fit_reduction_number_or_vv(monkeypatch, capsys):
@@ -522,3 +557,76 @@ def test_cli_horizon_misses_are_not_abstentions(tmp_path, capsys):
     assert not [v for v in verdicts if v["conclusion"] == "abstained"]
     sandwich = next(v for v in short if v["check"] == "e1_type_sandwich")
     assert sandwich["detail"].count("normal coefficients unavailable") == 1
+
+
+# --- command lines -------------------------------------------------------------
+
+FILE = corpus_path("sg_4_5_11")
+
+
+def test_cli_options_take_attached_values(capsys):
+    assert cli.main(["table", FILE, "--nmax", "3", "--format", "md"]) == 0
+    spaced = capsys.readouterr().out
+    assert cli.main(["table", "--nmax=3", "--format=md", FILE]) == 0
+    assert capsys.readouterr().out == spaced
+
+
+def test_cli_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["normfilt", "table", FILE, "--nmax", "2"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["nmax"] == 2
+
+
+MALFORMED = {
+    "unknown command": ["tables", FILE],
+    "no command": [],
+    "option of another command": ["table", FILE, "--checks", "x"],
+    "abbreviated option": ["table", FILE, "--nm", "3"],
+    "missing path": ["check"],
+    "two paths": ["table", FILE, FILE],
+    "two directories": ["corpus", "a", "b"],
+    "unknown format": ["table", FILE, "--format", "pdf"],
+    "nmax not an integer": ["table", FILE, "--nmax", "x"],
+    "tamper index missing": ["check", FILE, "--tamper-normal"],
+    "empty check list": ["check", FILE, "--checks="],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED)
+def test_cli_malformed_command_lines_are_input_errors(capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("normfilt: input error: ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["table", "-h"], ["sally", FILE, "--help"]])
+def test_cli_help_prints_the_synopsis(capsys, argv):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (cli.SYNOPSIS, "")
+
+
+def test_readme_synopsis_is_the_help_text():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert f"```sh\n{cli.SYNOPSIS}```" in readme
+
+
+@pytest.mark.parametrize("command", ["check", "corpus"])
+def test_cli_check_help_describes_every_check(capsys, command):
+    assert cli.main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(cli.SYNOPSIS)
+    for check, (_, description) in theorems.CHECKS.items():
+        assert f"  {check}: {description}\n" in out
+
+
+@pytest.mark.parametrize("line, column", [
+    ("nmax ²", 6), ("nmax 0", 6), ("nmax 3 4", 8), ("nmax 3 3", 8), ("nmax", 1),
+])
+def test_nmax_errors_point_at_the_value(tmp_path, capsys, line, column):
+    (tmp_path / "bad.nfilt").write_text(f"ring polynomial vars=x,y\nideal x y\n{line}\n")
+    message = f"line 3, col {column}: nmax needs one positive integer"
+    assert cli.main(["table", str(tmp_path / "bad.nfilt")]) == 2
+    assert capsys.readouterr().err == f"normfilt: input error: {message}\n"
+    assert cli.main(["corpus", str(tmp_path)]) == 2
+    (entry,) = json.loads(capsys.readouterr().out)["entries"]
+    assert entry["error"] == message
