@@ -28,6 +28,11 @@ FAILURES = {
     PreconditionError: (EXIT_PRECONDITION, "precondition"),
 }
 
+
+def _failure(exc) -> tuple[int, str]:
+    return next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
+
+
 SYNOPSIS = """\
 normfilt table  FILE [--nmax N] [--format json|csv|md]
 normfilt coeffs FILE [--nmax N] [--format json|csv|md]
@@ -62,10 +67,6 @@ COMMON = ("--nmax", "--format")
 COMMANDS = {"table": (True, COMMON), "coeffs": (True, COMMON), "sally": (True, COMMON),
             "check": (True, (*COMMON, "--checks", "--tamper-normal")),
             "corpus": (False, (*COMMON, "--checks"))}
-
-
-def _failure(exc) -> tuple[int, str]:
-    return next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
 
 
 def _help(command) -> str:
