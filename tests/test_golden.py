@@ -5,12 +5,15 @@ and of `normfilt C FILE --format F` for C in table, coeffs and sally on two
 bundled entries, one per ring class, at the default horizon, plus the json
 `check` report of two tampered runs (TAMPERED), which exit 1, and the json
 `table --nmax 2` of the three seed-1 ideals of `test_newton.newton_wide_gens`,
-whose Newton polyhedra have many facets. The corpus is
+whose Newton polyhedra have many facets, and the json reports of two runs at a
+high horizon (DEEP): `table --nmax 10` of the pure squares in four variables,
+whose entry text is written inline, and `check --nmax 12` of
+poly3_cubes_diag. The corpus is
 analysed once per module through the CLI (json), and the csv and md
 renderings are produced from that same payload. The entry reports, one
 tampered check and the json corpus report are also produced by fresh
 interpreters without a bytecode cache, the way the console script and the
-benchmark run. To refresh after an intended output change, rerun the CLI
+benchmark run; so are the two high-horizon runs. To refresh after an intended output change, rerun the CLI
 commands into tests/golden/.
 """
 
@@ -38,6 +41,14 @@ COMMANDS = ("table", "coeffs", "sally")
 TAMPERED = {
     "sg_4_5_11_uv.check.nmax12-tamper0": ("sg_4_5_11_uv", ["--nmax", "12", "--tamper-normal", "0"]),
     "poly3_maximal.check.tamper2": ("poly3_maximal", ["--tamper-normal", "2"]),
+}
+
+SQUARES4 = "name squares4\nring polynomial vars=x,y,z,w\nideal x^2 y^2 z^2 w^2\nreduction auto\n"
+# golden file stem -> argv of a high-horizon run; squares4.nfilt holds SQUARES4
+# and is written to the working directory of the run
+DEEP = {
+    "squares4.table.nmax10": ["table", "squares4.nfilt", "--nmax", "10"],
+    "poly3_cubes_diag.check.nmax12": ["check", str(CORPUS / "poly3_cubes_diag.nfilt"), "--nmax", "12"],
 }
 
 
@@ -92,6 +103,13 @@ def test_newton_wide_table_matches_golden(tmp_path, k):
     assert text.encode("utf-8") == (GOLDEN / f"{name}.table.json").read_bytes()
 
 
+@pytest.mark.parametrize("stem", DEEP)
+def test_high_horizon_output_matches_golden(monkeypatch, tmp_path, stem):
+    (tmp_path / "squares4.nfilt").write_text(SQUARES4)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(DEEP[stem]).encode("utf-8") == (GOLDEN / f"{stem}.json").read_bytes()
+
+
 def fresh_cases():
     """(golden file name, argv, exit code) of each fresh-interpreter run."""
     for entry in ENTRIES:
@@ -102,18 +120,21 @@ def fresh_cases():
     entry, extra = TAMPERED["poly3_maximal.check.tamper2"]
     yield "poly3_maximal.check.tamper2.json", ["check", str(CORPUS / f"{entry}.nfilt"), *extra], 1
     yield "corpus.json", ["corpus", "--format", "json"], 0
+    for stem, argv in DEEP.items():
+        yield f"{stem}.json", argv, 0
 
 
 FRESH = list(fresh_cases())
 
 
 @pytest.mark.parametrize("name, argv, code", FRESH, ids=[name for name, _, _ in FRESH])
-def test_fresh_process_output_matches_golden(name, argv, code):
+def test_fresh_process_output_matches_golden(tmp_path, name, argv, code):
     src = Path(cli.__file__).parent.parent
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    (tmp_path / "squares4.nfilt").write_text(SQUARES4)
     run = subprocess.run(
         [sys.executable, "-c", "import sys; from normfilt.cli import main; sys.exit(main())", *argv],
-        env=env, capture_output=True,
+        env=env, capture_output=True, cwd=tmp_path,
     )
     assert (run.returncode, run.stderr) == (code, b"")
     assert run.stdout == (GOLDEN / name).read_bytes()
