@@ -58,7 +58,7 @@ class Analysis:
         else:
             self.reduction = b.certify(self.ideal, entry.reduction)
             self.reduction_source = "given"
-        self.normal_filt = Filtration(b, "normal", ideal=self.ideal)
+        self.normal_filt = Filtration(b, "normal", ideal=self.ideal, reduction=self.reduction)
         self.adic_filt = Filtration(b, "adic", ideal=self.ideal)
 
     e0 = property(lambda self: self.ideal.e0)
@@ -81,8 +81,15 @@ class Analysis:
 
     @cached_property
     def normal_values(self) -> tuple[int, ...]:
-        """lambda(R/closure(I^(n+1))) for n = 0..nmax, with the tampered entry if any."""
-        values = list(length_table(self.normal_filt, self.nmax))
+        """lambda(R/closure(I^(n+1))) for n = 0..nmax, with the tampered entry if any.
+
+        For a polynomial ring entry n is the count H(n+1) of the ideal, which
+        e0 shares: no closure power is built for the column.
+        """
+        if self.backend.kind == "polynomial":
+            values = self.ideal.closure_counts(self.nmax + 1)[1:]
+        else:
+            values = list(length_table(self.normal_filt, self.nmax))
         if self.entry.tamper_normal is not None:
             values[self.entry.tamper_normal] += 1
         return tuple(values)

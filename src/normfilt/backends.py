@@ -14,6 +14,8 @@ polynomial ring, (U, V, .., s) for a semigroup ring with adjoined U, V, ...
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import monomial as mono
 from .errors import NotMPrimary, PreconditionError, UnsupportedDimension
 from .newton import MAX_DIM
@@ -44,10 +46,14 @@ class MonoidRing:
         return mono.ideal(self.sg, self.dim, vectors)
 
     def unit(self) -> mono.Ideal:
-        return mono.unit_ideal(self.sg, self.dim)
+        return self._unit
 
     def maximal(self) -> mono.Ideal:
-        return mono.maximal_ideal(self.sg, self.dim)
+        return self._maximal
+
+    # one ideal per ring, built on first use
+    _unit = cached_property(lambda self: mono.unit_ideal(self.sg, self.dim))
+    _maximal = cached_property(lambda self: mono.maximal_ideal(self.sg, self.dim))
 
     def element_str(self, v) -> str:
         if self.kind == "polynomial":

@@ -3,7 +3,8 @@
 Covers: memoized filtration terms (integral-closure powers, ordinary powers,
 and the J-good chain E_0 = R, E_n = J^{n-1}*closure(I)), exact length
 tables, binomial-basis coefficient fits with a verification window,
-Sally-module lengths, reduction numbers over a whole window, the
+Sally-module lengths, reduction numbers (proved at most d-1 for the normal
+filtration of a polynomial ring, elsewhere over a whole window), the
 Valabrega-Valla test on J up to the reduction number, and the closed form of
 the J-good graded lengths. The other degreewise identities among the graded
 modules (the series and additivity relations of the Sally module) are not
@@ -50,8 +51,17 @@ def default_nmax(dim: int) -> int:
 class Filtration:
     """A descending multiplicative filtration with memoized terms.
 
-    Ordinary powers grow from the memo, I^n = I*I^(n-1); past its first term
-    the J-good chain multiplies the previous term by J.
+    Ordinary powers grow from the memo, I^n = I*I^(n-1). From degree
+    `product_from` on, a term is the one before times the reduction J: past
+    its first term by definition for the J-good chain, and from degree d on
+    for the normal filtration of a polynomial ring given a monomial reduction
+    J of I. There closure(I^n) = closure(J^n) = J*closure(J^(n-1)) for n >= d
+    (Reid-Roberts-Vitulli, Comm. Algebra 31, 2003, by Caratheodory's
+    theorem). For the pure powers x_i^(a_i) that `certify` admits it is
+    direct: x^b lies in closure(J^n) when sum b_i/a_i >= n, and as n >= d
+    some b_i >= a_i, so x^b is x_i^(a_i) times a monomial of closure(J^(n-1)).
+    Every other normal term is a closure power, and product_from is None
+    where no such degree is known.
     """
 
     def __init__(self, backend, kind: str, ideal=None, reduction=None):
@@ -65,6 +75,11 @@ class Filtration:
         self.kind = kind
         self.ideal = ideal
         self.reduction = reduction
+        self.product_from = None
+        if kind == "jgood":
+            self.product_from = 2
+        elif kind == "normal" and reduction is not None and backend.kind == "polynomial":
+            self.product_from = backend.dim
         self._terms = {0: backend.unit()}
 
     def term(self, n: int):
@@ -72,12 +87,12 @@ class Filtration:
             raise PreconditionError("negative filtration index")
         if n in self._terms:
             return self._terms[n]
-        if self.kind == "normal":
-            t = closure_power(self.ideal, n)
+        if self.product_from is not None and n >= self.product_from:
+            t = multiply(self.reduction, self.term(n - 1))
         elif self.kind == "adic":
             t = multiply(self.ideal, self.term(n - 1))
         else:
-            t = closure_power(self.ideal, 1) if n == 1 else multiply(self.reduction, self.term(n - 1))
+            t = closure_power(self.ideal, n)  # the J-good chain reaches here at n = 1
         self._terms[n] = t
         return t
 
@@ -173,13 +188,26 @@ def sally_from_tables(normal_values, jgood_values, dim: int) -> Fit:
 
 
 def reduction_number(filt: Filtration, reduction, nmax: int) -> int:
-    """Least r with F_{n+1} = J*F_n for every n in [r, nmax]; never extrapolated.
+    """Least r with F_{n+1} = J*F_n for every n in [r, nmax], scanning n down
+    from the top.
 
-    Raises HorizonError when even the top degree fails, since no reduction
-    number is certifiable within the horizon.
+    When J is the filtration's own reduction and its terms are products from
+    degree p = filt.product_from on, F_{n+1} = J*F_n holds for every
+    n >= p - 1, so the scan starts at n = p - 2. For the normal filtration
+    of a polynomial ring, p = d and the products are a theorem, not a
+    choice: closure(I^(n+1)) = closure(J^(n+1)) = J*closure(J^n) once
+    n + 1 >= d, as a monomial x^b with sum b_i/a_i >= n + 1 >= d has some
+    b_i >= a_i (see `Filtration`). So rn <= d - 1 is proved, only n <= d - 2
+    is compared, and the value equals the full scan's. Elsewhere the value
+    is certified up to nmax only. Raises HorizonError when even the top
+    degree fails, since no reduction number is certifiable within the
+    horizon.
     """
-    r = nmax + 1
-    for n in range(nmax, -1, -1):
+    top = nmax
+    if filt.product_from is not None and reduction == filt.reduction:
+        top = min(nmax, filt.product_from - 2)
+    r = top + 1
+    for n in range(top, -1, -1):
         if filt.term(n + 1) == multiply(reduction, filt.term(n)):
             r = n
         else:

@@ -27,8 +27,8 @@ from functools import cached_property
 from math import prod
 
 from .errors import DimensionMismatch, InfiniteLength, PreconditionError
-from .newton import (Exponent, NewtonPolyhedron, least_pure_powers, multiplicity,
-                     newton_polyhedron, row_cuts)
+from .newton import (Exponent, NewtonPolyhedron, closure_count, hilbert_values, least_pure_powers,
+                     multiplicity, newton_polyhedron, row_cuts)
 from .semigroup import NumericalSemigroup
 
 
@@ -55,9 +55,22 @@ class Ideal:
         return newton_polyhedron(self.gens)
 
     @cached_property
+    def _counts(self) -> list[int]:
+        return [0]  # H(0): no point lies outside 0*NP
+
+    def closure_counts(self, upto: int) -> list[int]:
+        """H(k) of `newton.closure_count` for k = 0..upto; for S = N, H(k) is
+        the colength of closure(a^k). Each H(k) with k <= d is counted at most
+        once per ideal, and past d the values follow from H(0..d)."""
+        h, d = self._counts, len(self.cap)
+        while len(h) <= min(upto, d):
+            h.append(closure_count(self.hull, len(h)))
+        return hilbert_values(h, upto) if upto > d else h[:upto + 1]
+
+    @cached_property
     def e0(self) -> int:
-        """Multiplicity e_0 from the Newton polyhedron, computed once per ideal."""
-        return multiplicity(self.hull)
+        """Multiplicity e_0 from the counts H(0..d), computed once per ideal."""
+        return multiplicity(self.hull, self.closure_counts(len(self.cap)))
 
 
 def _check_vector(v, dim: int) -> Exponent:

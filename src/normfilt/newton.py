@@ -39,6 +39,16 @@ Combin. 15, 2008). Its d-th difference is therefore
 e_0 = sum_k (-1)^(d-k) C(d,k) H(k) over k = 0..d. H(k) is the sum of the
 row cuts of `row_cuts`, the sweep that also cuts the rows of
 `monomial.closure_power`: for S = N it is the colength of closure(I^k).
+
+The polynomial's value at k = 0 is H(0) = 0, the count at k = 0, where no
+a >= 0 has <c,a> < 0. By inclusion-exclusion over closed cells, each with
+constant term 1, the constant term of an Ehrhart polynomial is the Euler
+characteristic of its complex. B is star-shaped from 0, a closed ball with
+Euler characteristic 1. Its compact facets are those of NP(I), whose union
+every ray from 0 into the orthant meets in exactly one point, so that union
+is a closed (d-1)-ball with Euler characteristic 1 too. The half-open
+complex thus has Euler characteristic 1 - 1 = 0. So H(0..d) determine H at
+every k >= 0, and `hilbert_values` extends them past d.
 """
 
 from __future__ import annotations
@@ -130,12 +140,28 @@ def row_cuts(halfspaces, tops, k: int) -> list[int]:
     return cuts
 
 
-def multiplicity(np_: NewtonPolyhedron) -> int:
-    """Hilbert-Samuel multiplicity e_0(I): the d-th difference of H(k) at k = 0.
+def closure_count(np_: NewtonPolyhedron, k: int) -> int:
+    """H(k), the number of points a >= 0 outside k*NP(I).
 
     Every normal is positive, so no point beyond k times the pure-power box
     lies outside k*NP(I): the rows over that box hold all of H(k).
     """
-    d, halfspaces, box = np_
-    h = [sum(row_cuts(halfspaces, [k * e for e in box[:-1]], k)) for k in range(d + 1)]
+    return sum(row_cuts(np_.halfspaces, [k * e for e in np_.box[:-1]], k))
+
+
+def hilbert_values(h, upto: int) -> list[int]:
+    """The values at k = 0..upto of the polynomial of degree d = len(h) - 1
+    that takes the value h[k] at k = 0..d: sum_j C(k, j) D_j by Newton's
+    forward formula, where D_j = sum_i (-1)^(j-i) C(j, i) h[i] is its j-th
+    difference at 0."""
+    diffs = [sum((-1) ** (j - i) * comb(j, i) * h[i] for i in range(j + 1)) for j in range(len(h))]
+    return [sum(comb(k, j) * dj for j, dj in enumerate(diffs)) for k in range(upto + 1)]
+
+
+def multiplicity(np_: NewtonPolyhedron, h=None) -> int:
+    """Hilbert-Samuel multiplicity e_0(I): the d-th difference of H(k) at k = 0,
+    from h = [H(0), .., H(d)] when given, else counted here."""
+    d = np_.dim
+    if h is None:
+        h = [closure_count(np_, k) for k in range(d + 1)]
     return sum((-1) ** (d - k) * comb(d, k) * h[k] for k in range(d + 1))

@@ -12,8 +12,10 @@ replaced stays here as the differential reference for closure powers, and so
 does the byte-string reshape for the masked one; `hull_heads` is the pruned
 head/cofactor hull that the double description of `newton.newton_polyhedron`
 replaced. `valabrega_valla_prefixes` is the Valabrega-Valla loop over every
-prefix of J and every degree; it uses the ideal arithmetic of
-`normfilt.monomial`.
+prefix of J and every degree, and `reduction_number_scan` the reduction
+number by a scan of every degree from the horizon down, which the proved
+bound of `filtration.reduction_number` cut short for the normal filtration
+of a polynomial ring; both use the ideal arithmetic of `normfilt.monomial`.
 `series_checks` is the reference for the closed-form check of the graded
 lengths: it tests every degreewise identity among the graded modules,
 including the three that hold for any two tables.
@@ -473,3 +475,14 @@ def valabrega_valla_prefixes(filt, reduction, nmax, window, rn):
     required = rn + window if rn is not None else None
     certified = required is not None and nmax >= required
     return certified, not certified, None, nmax, required
+
+
+def reduction_number_scan(filt, reduction, nmax):
+    """Least r with F_(n+1) = J*F_n for every n in [r, nmax], comparing every
+    degree from nmax down; None when even n = nmax fails."""
+    r = None
+    for n in range(nmax, -1, -1):
+        if filt.term(n + 1) != multiply(reduction, filt.term(n)):
+            break
+        r = n
+    return r

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from normfilt import errors
 from normfilt import filtration as flt
+from normfilt.analysis import Analysis
 from normfilt.backends import PolynomialBackend, SemigroupBackend
-from normfilt.monomial import contains, intersect, multiply
-from oracles import _solve_consistent, series_checks, valabrega_valla_prefixes
+from normfilt.inputs import EntryData
+from normfilt.monomial import closure_power, contains, intersect, multiply
+from oracles import _solve_consistent, reduction_number_scan, series_checks, valabrega_valla_prefixes
 
 
 # --- series_coeff ------------------------------------------------------------
@@ -319,6 +321,54 @@ def test_vv_never_fails_on_polynomial_normal_filtrations(case):
     filt, j, nmax, window = case
     rn = certified_rn(filt, j, nmax)
     assert flt.valabrega_valla(filt, j, nmax, window, rn).first_failure is None
+
+
+# --- counted normal tables and the proved reduction number -------------------------
+
+
+@st.composite
+def polynomial_analyses(draw):
+    """(analysis, bitset normal filtration) of an m-primary ideal in 1 to 4
+    variables: pure powers x_i^(p_i) with p_i <= 3 and up to three more
+    generators, half the time kept inside the closure of the pure powers so
+    that those are a reduction; nmax runs from below d to above it. The
+    filtration builds every term as a closure power."""
+    d = draw(st.integers(1, 4))
+    ring = PolynomialBackend(("x", "y", "z", "w")[:d])
+    pure = [draw(st.integers(1, 3)) for _ in range(d)]
+    extra = [a for a in draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=3)) if any(a)]
+    if draw(st.booleans()):
+        extra = [a for a in extra if sum(x * prod(pure) // p for x, p in zip(a, pure)) >= prod(pure)]
+    powers = [tuple(p * (j == i) for j in range(d)) for i, p in enumerate(pure)]
+    ideal = ring.ideal(powers + extra)
+    analysis = Analysis(EntryData("e", ring, ideal, nmax=draw(st.integers(1, d + 2))))
+    return analysis, flt.Filtration(ring, "normal", ideal=ideal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomial_analyses())
+def test_counted_normal_column_matches_closure_powers(case):
+    a, closures = case
+    assert a.normal_values == flt.length_table(closures, a.nmax)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomial_analyses())
+def test_reduction_number_matches_full_scan(case):
+    """rn scans only n <= d - 2; the scan of every degree finds the same value."""
+    a, closures = case
+    assume(a.reduction is not None)
+    assert a.rn == reduction_number_scan(closures, a.reduction, a.nmax)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomial_analyses())
+def test_normal_terms_by_products_match_closure_powers(case):
+    """F_n = J*F_(n-1) from degree d on equals closure(I^n)."""
+    a, _ = case
+    assume(a.reduction is not None)
+    for n in range(a.nmax + 2):
+        assert a.normal_filt.term(n) == closure_power(a.ideal, n), n
 
 
 # --- Sally tables and series identities --------------------------------------------
