@@ -8,13 +8,12 @@ bundled entries, one per ring class, at the default horizon, plus the json
 whose Newton polyhedra have many facets, and the json reports of two runs at a
 high horizon (DEEP): `table --nmax 10` of the pure squares in four variables,
 whose entry text is written inline, and `check --nmax 12` of
-poly3_cubes_diag. The corpus is
-analysed once per module through the CLI (json), and the csv and md
-renderings are produced from that same payload. The entry reports, one
-tampered check and the json corpus report are also produced by fresh
-interpreters without a bytecode cache, the way the console script and the
-benchmark run; so are the two high-horizon runs. To refresh after an intended output change, rerun the CLI
-commands into tests/golden/.
+poly3_cubes_diag. The corpus is analysed once per module through the CLI
+(json), and the csv and md renderings are produced from that same payload.
+The entry reports, one tampered check, the json corpus report and the two
+high-horizon runs are also produced by fresh interpreters without a bytecode
+cache, the way the console script and the benchmark run. To refresh after an
+intended output change, rerun the CLI commands into tests/golden/.
 """
 
 import io
