@@ -3,7 +3,7 @@
 The files under tests/golden/ are the output of `normfilt corpus --format F`
 and of `normfilt C FILE --format F` for C in table, coeffs and sally on two
 bundled entries, one per ring class, at the default horizon, plus the json
-`check` report of two tampered runs (TAMPERED), which exit 1, and the json
+`check` report of three tampered runs (TAMPERED), which exit 1, and the json
 `table --nmax 2` of the three seed-1 ideals of `test_newton.newton_wide_gens`,
 whose Newton polyhedra have many facets, and the json reports of two runs at a
 high horizon (DEEP): `table --nmax 10` of the pure squares in four variables,
@@ -36,10 +36,13 @@ ENTRIES = ("poly3_cubes_diag", "sg_4_5_11_uv")
 COMMANDS = ("table", "coeffs", "sally")
 # golden file stem -> (entry, extra check arguments): a tampered table at a
 # high horizon refutes the J-good closed form and reads g_s from the tampered
-# entry; at the default horizon the tamper breaks the fits instead
+# entry; at the default horizon the tamper breaks the fits instead. On
+# poly3_cubes at a high horizon almost_minimal_rn2 refutes its e3 sum, whose
+# summands past rn compare the tampered entry with lambda(R/J·F_j)
 TAMPERED = {
     "sg_4_5_11_uv.check.nmax12-tamper0": ("sg_4_5_11_uv", ["--nmax", "12", "--tamper-normal", "0"]),
     "poly3_maximal.check.tamper2": ("poly3_maximal", ["--tamper-normal", "2"]),
+    "poly3_cubes.check.nmax12-tamper2": ("poly3_cubes", ["--nmax", "12", "--tamper-normal", "2"]),
 }
 
 SQUARES4 = "name squares4\nring polynomial vars=x,y,z,w\nideal x^2 y^2 z^2 w^2\nreduction auto\n"
