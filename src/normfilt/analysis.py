@@ -2,7 +2,8 @@
 
 An Analysis validates its entry when it is built; a command or checker then
 reads only the tables, fits, reduction number and Valabrega-Valla report it
-needs, and each is computed once.
+needs, and each is computed once. The J-good table is a closed form in
+lambda(R/J) and lambda(R/closure(I)); no J-good chain is built.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from functools import cached_property
 
 from .errors import HorizonError, InputError, NotMPrimary, PreconditionError
 from .filtration import (Filtration, default_nmax, default_window, fit_coefficients, length_table,
-                         reduction_number, sally_from_tables, sally_lengths, valabrega_valla)
+                         reduction_number, sally_from_tables, sally_lengths, series_coeff,
+                         valabrega_valla)
 from .monomial import colength, is_m_primary, quotient_length
 
 
@@ -29,8 +31,8 @@ class Analysis:
     The constructor only validates the request: the horizon, the tamper
     index, the m-primary test and the reduction certificate. The fit window
     is `default_window(dim)`. The fields built from the reduction J
-    (jgood_filt, reduction_powers, jgood_values, sally_values, sally_fit, rn,
-    vv, lam_I1_J) may be read only when `reduction` is not None. A fit
+    (reduction_powers, jgood_values, sally_values, sally_fit, rn, vv,
+    lam_I1_J) may be read only when `reduction` is not None. A fit
     or reduction number that fails reads None, and its *_error field holds
     the exception.
     """
@@ -113,17 +115,23 @@ class Analysis:
     adic_fit_error = property(lambda self: self._adic_fit[1])
 
     @cached_property
-    def jgood_filt(self) -> Filtration:
-        return Filtration(self.backend, "jgood", ideal=self.ideal, reduction=self.reduction)
-
-    @cached_property
     def reduction_powers(self) -> Filtration:
         """The adic filtration of J, holding J^n."""
         return Filtration(self.backend, "adic", ideal=self.reduction)
 
     @cached_property
     def jgood_values(self) -> tuple[int, ...]:
-        return length_table(self.jgood_filt, self.nmax)
+        """lambda(R/J^n·closure(I)) for n = 0..nmax, in closed form.
+
+        J is one pure power per variable of a Cohen-Macaulay ring, so a
+        regular sequence: J^n/J^(n+1) and J^n/J^n·closure(I) are free of rank
+        C(n+d-1, d-1) over R/J and R/closure(I). Summing the first over the
+        degrees below n gives lambda(R/J)·C(n+d-1, d), and the second adds
+        lambda(R/closure(I))·C(n+d-1, d-1). No product of J is built.
+        """
+        lam_j, d = colength(self.reduction), self.dim
+        return tuple(lam_j * series_coeff(n - 1, d + 1) + self.lam_R_I1 * series_coeff(n, d)
+                     for n in range(self.nmax + 1))
 
     @cached_property
     def sally_values(self) -> tuple[int, ...]:

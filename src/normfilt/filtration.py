@@ -1,15 +1,13 @@
 """Filtration analytics over a monoid ring.
 
-Covers: memoized filtration terms (integral-closure powers, ordinary powers,
-and the J-good chain E_0 = R, E_n = J^{n-1}*closure(I)), exact length
-tables, binomial-basis coefficient fits with a verification window,
-Sally-module lengths, reduction numbers (proved at most d-1 for the normal
-filtration of a polynomial ring, elsewhere over a whole window), the
-Valabrega-Valla test on J up to the reduction number, and the closed form of
-the J-good graded lengths. The other degreewise identities among the graded
-modules (the series and additivity relations of the Sally module) are not
-tested: each side is a difference of the same two colength tables, so they
-hold for any tables.
+Covers: memoized filtration terms (integral-closure powers and ordinary
+powers), exact length tables, binomial-basis coefficient fits with a
+verification window, Sally-module lengths, reduction numbers (proved at most
+d-1 for the normal filtration of a polynomial ring, elsewhere over a whole
+window), the Valabrega-Valla test on J up to the reduction number, and the
+intersection test closure(I^{n+1}) ∩ J^n = J^n closure(I). The J-good table
+lambda(R/J^n closure(I)) is a closed form in `analysis.Analysis.jgood_values`,
+so no J-good chain is built here.
 
 All binomials follow one convention: series_coeff(n, p) is the coefficient of
 z^n in (1-z)^(-p). The usual C(n+j, j) is series_coeff(n, j+1); for p = 0 the
@@ -25,7 +23,7 @@ from typing import NamedTuple
 from .errors import HorizonError, PreconditionError
 from .monomial import closure_power, colength, contains, intersect, multiply
 
-KINDS = ("normal", "adic", "jgood")
+KINDS = ("normal", "adic")
 
 
 def series_coeff(n: int, power: int) -> int:
@@ -52,14 +50,14 @@ class Filtration:
     """A descending multiplicative filtration with memoized terms.
 
     Ordinary powers grow from the memo, I^n = I*I^(n-1). From degree
-    `product_from` on, a term is the one before times the reduction J: past
-    its first term by definition for the J-good chain, and from degree d on
-    for the normal filtration of a polynomial ring given a monomial reduction
-    J of I. There closure(I^n) = closure(J^n) = J*closure(J^(n-1)) for n >= d
-    (Reid-Roberts-Vitulli, Comm. Algebra 31, 2003, by Caratheodory's
-    theorem). For the pure powers x_i^(a_i) that `certify` admits it is
-    direct: x^b lies in closure(J^n) when sum b_i/a_i >= n, and as n >= d
-    some b_i >= a_i, so x^b is x_i^(a_i) times a monomial of closure(J^(n-1)).
+    `product_from` on, a term is the one before times the reduction J: from
+    degree d on for the normal filtration of a polynomial ring given a
+    monomial reduction J of I. There closure(I^n) = closure(J^n) =
+    J*closure(J^(n-1)) for n >= d (Reid-Roberts-Vitulli, Comm. Algebra 31,
+    2003, by Caratheodory's theorem). For the pure powers x_i^(a_i) that
+    `certify` admits it is direct: x^b lies in closure(J^n) when
+    sum b_i/a_i >= n, and as n >= d some b_i >= a_i, so x^b is x_i^(a_i)
+    times a monomial of closure(J^(n-1)).
     Every other normal term is a closure power, and product_from is None
     where no such degree is known.
     """
@@ -69,16 +67,12 @@ class Filtration:
             raise PreconditionError(f"unknown filtration kind {kind!r}")
         if ideal is None:
             raise PreconditionError(f"{kind} filtration requires an ideal")
-        if kind == "jgood" and reduction is None:
-            raise PreconditionError("jgood filtration requires a reduction ideal")
         self.backend = backend
         self.kind = kind
         self.ideal = ideal
         self.reduction = reduction
         self.product_from = None
-        if kind == "jgood":
-            self.product_from = 2
-        elif kind == "normal" and reduction is not None and backend.kind == "polynomial":
+        if kind == "normal" and reduction is not None and backend.kind == "polynomial":
             self.product_from = backend.dim
         self._terms = {0: backend.unit()}
 
@@ -92,7 +86,7 @@ class Filtration:
         elif self.kind == "adic":
             t = multiply(self.ideal, self.term(n - 1))
         else:
-            t = closure_power(self.ideal, n)  # the J-good chain reaches here at n = 1
+            t = closure_power(self.ideal, n)
         self._terms[n] = t
         return t
 
@@ -270,36 +264,17 @@ def valabrega_valla(filt: Filtration, reduction, nmax: int, window: int, rn: int
     return VVReport(certified, not certified, None, nmax, required)
 
 
-def closed_form_failure(normal_values, jgood_values, dim: int, e0: int) -> tuple[int, str] | None:
-    """First degree n, over the shorter table, where the J-good graded length
-    misses its closed form, with the graded lengths there as witness text.
-
-    With cn[n] = λ(R/closure(I^{n+1})), cj[n] = λ(R/J^n closure(I)) and
-    λ = cn[0], the chain E_n = J^{n-1} closure(I) has ge[n] = cj[n] - cj[n-1]
-    = λ·sc(n, d) + (e0 - λ)·sc(n-1, d). The series and additivity identities
-    among ge, gbar[n] = cn[n] - cn[n-1], sally[n] = cj[n] - cn[n] and
-    middle[n] = cj[n] - cn[n-1] hold for any two tables, so go untested.
-    """
-    lam = normal_values[0]
-    for n in range(min(len(normal_values), len(jgood_values))):
-        cn_prev, cj_prev = (normal_values[n - 1], jgood_values[n - 1]) if n else (0, 0)
-        ge = jgood_values[n] - cj_prev
-        if ge != lam * series_coeff(n, dim) + (e0 - lam) * series_coeff(n - 1, dim):
-            return n, (f"ge={ge} gbar={normal_values[n] - cn_prev} "
-                       f"sally={jgood_values[n] - normal_values[n]} middle={jgood_values[n] - cn_prev}")
-    return None
-
-
-def intersection_failures(backend, normal_filt: Filtration, jgood_filt: Filtration,
-                          reduction_powers: Filtration, upto: int) -> list[tuple[int, str]]:
+def intersection_failures(backend, normal_filt: Filtration, reduction_powers: Filtration,
+                          upto: int) -> list[tuple[int, str]]:
     """Degrees n with closure(I^{n+1}) ∩ J^n != J^n closure(I), plus witnesses.
 
     reduction_powers is the adic filtration of J, which holds J^n.
     """
     out = []
     for n in range(1, upto + 1):
-        lhs = intersect(normal_filt.term(n + 1), reduction_powers.term(n))
-        rhs = jgood_filt.term(n + 1)
+        jn = reduction_powers.term(n)
+        lhs = intersect(normal_filt.term(n + 1), jn)
+        rhs = multiply(jn, normal_filt.term(1))
         if lhs != rhs:
             out.append((n, witness_element(backend, lhs, rhs)))
     return out

@@ -19,7 +19,7 @@ from functools import wraps
 
 from .analysis import Analysis, analyze
 from .errors import HorizonError
-from .filtration import closed_form_failure, intersection_failures, series_coeff, witness_element
+from .filtration import intersection_failures, series_coeff, witness_element
 from .monomial import colength, colon, ideal_contains, intersect, multiply, quotient_length
 from .verdicts import Verdict, Witness, abstained, asserted, horizon, refuted, verified
 
@@ -279,18 +279,18 @@ def check_sally_coefficient_transfer(a: Analysis, nums) -> Verdict:
 
 @checker(need_reduction=True)
 def check_series_identity(a: Analysis, nums) -> Verdict:
-    """Degreewise series identities linking the three graded modules.
-
-    Only the closed form of the J-good graded lengths is tested; the series
-    and additivity identities hold for any two colength tables, so they hold
-    here too (see `closed_form_failure`)."""
-    failure = closed_form_failure(a.normal_values, a.jgood_values, a.dim, a.e0)
-    if failure is None:
+    """Degreewise series identities linking the three graded modules. The J-good
+    table is a closed form and the other identities hold for any tables, so only
+    the printed lambda(R/closure(I)) is compared with the computed one."""
+    # the closed form of the J-good graded lengths, read with the printed
+    # lambda, misses by (lambda - printed)·series_coeff(n, d - 1): first at degree 0
+    lam, printed = a.lam_R_I1, a.normal_values[0]
+    if printed == lam:
         return verified(
             f"series, additivity and closed-form identities hold for degrees 0..{a.nmax}"
         )
-    n, witness = failure
-    return refuted(f"identity 'jgood_closed_form' fails at degree {n}", [Witness(n, witness)])
+    return refuted("identity 'jgood_closed_form' fails at degree 0", [
+        Witness(0, f"ge={lam} gbar={printed} sally={lam - printed} middle={lam}")])
 
 
 @checker(need_reduction=True)
@@ -299,7 +299,7 @@ def check_closure_intersection(a: Analysis, nums) -> Verdict:
     upto = min(4, a.nmax - 1)
     if upto < 1:
         return horizon(f"no degree to test: n runs over 1..min(4, nmax - 1) and nmax = {a.nmax}")
-    fails = intersection_failures(a.backend, a.normal_filt, a.jgood_filt, a.reduction_powers, upto)
+    fails = intersection_failures(a.backend, a.normal_filt, a.reduction_powers, upto)
     if fails:
         n, elem = fails[0]
         return refuted(
@@ -327,7 +327,11 @@ def check_socle_formula(a: Analysis, nums) -> Verdict:
 
 @checker(need_reduction=True)
 def check_length_bound_decomposition(a: Analysis, nums) -> Verdict:
-    """Upper bound and exact decomposition for lambda(R/closure(I^{n+1}))."""
+    """Upper bound and exact decomposition for lambda(R/closure(I^{n+1})). The
+    decomposition holds for any table once the J-good table is its closed form,
+    so only the bound is tested."""
+    # exact = e0·C(n+d, d) - e0·C(n+d-1, d-1) + lambda(R/closure(I))·C(n+d-1, d-1)
+    # - sally[n], and sally[n] is that J-good closed form minus the printed entry
     d = a.dim
     s1 = a.sally_values[1]
     lam_j = a.lam_I1_J
@@ -342,17 +346,6 @@ def check_length_bound_decomposition(a: Analysis, nums) -> Verdict:
             return refuted(
                 f"lambda(R/closure(I^{n + 1})) = {lhs} exceeds the bound {bound} at degree {n}",
                 [Witness(n, f"{lhs} > {bound}")],
-            )
-        exact = (
-            a.e0 * series_coeff(n, d + 1)
-            - a.e0 * series_coeff(n, d)
-            + a.lam_R_I1 * series_coeff(n, d)
-            - a.sally_values[n]
-        )
-        if lhs != exact:
-            return refuted(
-                f"exact length decomposition fails at degree {n}: {lhs} != {exact}",
-                [Witness(n, f"{lhs} != {exact}")],
             )
     return verified(f"length bound and exact decomposition hold for degrees 0..{a.nmax}")
 

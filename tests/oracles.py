@@ -18,7 +18,9 @@ bound of `filtration.reduction_number` cut short for the normal filtration
 of a polynomial ring; both use the ideal arithmetic of `normfilt.monomial`.
 `series_checks` is the reference for the closed-form check of the graded
 lengths: it tests every degreewise identity among the graded modules,
-including the three that hold for any two tables.
+including the three that hold for any two tables. `jgood_chain_colengths`
+is the J-good table built from bitset products, the chain that the closed
+form of `analysis.Analysis.jgood_values` replaced.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, gcd, prod
 
-from normfilt.monomial import contains, ideal_sum, intersect, multiply
+from normfilt.monomial import colength, contains, ideal_sum, intersect, multiply
 
 
 def _solve_consistent(columns, rhs):
@@ -450,6 +452,16 @@ def series_checks(normal_values, jgood_values, dim: int, e0: int) -> SeriesCheck
         if ge[n] != expected:
             failures.append(("jgood_closed_form", n))
     return SeriesCheck(not failures, tuple(failures), ge, gbar, sally, middle)
+
+
+def jgood_chain_colengths(reduction, closure, nmax: int) -> tuple[int, ...]:
+    """λ(R/J^n·closure(I)) for n = 0..nmax, from the chain E_1 = closure(I),
+    E_(n+1) = J·E_n of bitset products."""
+    values, term = [colength(closure)], closure
+    for _ in range(nmax):
+        term = multiply(reduction, term)
+        values.append(colength(term))
+    return tuple(values)
 
 
 def valabrega_valla_prefixes(filt, reduction, nmax, window, rn):

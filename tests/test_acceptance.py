@@ -19,7 +19,8 @@ from normfilt.backends import SemigroupBackend
 from normfilt.filtration import Filtration, series_coeff
 from normfilt.newton import multiplicity, newton_polyhedron
 from normfilt.theorems import analyze, run_checks
-from oracles import _solve_consistent, in_dilation_oracle, semigroup_members_oracle, series_checks
+from oracles import (_solve_consistent, in_dilation_oracle, jgood_chain_colengths,
+                     semigroup_members_oracle, series_checks)
 
 CORPUS = resources.files("normfilt") / "corpus"
 
@@ -230,7 +231,8 @@ def test_criterion_3_identity_suites_whole_corpus(capsys):
                 if v.hypotheses_met:
                     assert v.conclusion == "verified", (name, check, v.detail)
             if a.reduction is not None:
-                series = series_checks(a.normal_values, a.jgood_values, a.dim, a.e0)
+                chain = jgood_chain_colengths(a.reduction, a.normal_filt.term(1), a.nmax)
+                series = series_checks(a.normal_values, chain, a.dim, a.e0)
                 assert series.ok, (name, series.failures)
                 assert verdicts["series_identity"].conclusion == "verified"
                 assert verdicts["closure_intersection"].conclusion == "verified"

@@ -1,20 +1,20 @@
 """Filtrations, exact polynomial fits, reduction numbers, and series identities."""
 
 from fractions import Fraction
-from itertools import accumulate
 from math import comb, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from normfilt import errors
+from normfilt import CHECKS, errors
 from normfilt import filtration as flt
 from normfilt.analysis import Analysis
 from normfilt.backends import PolynomialBackend, SemigroupBackend
 from normfilt.inputs import EntryData
 from normfilt.monomial import closure_power, contains, intersect, multiply
-from oracles import _solve_consistent, reduction_number_scan, series_checks, valabrega_valla_prefixes
+from oracles import (_solve_consistent, jgood_chain_colengths, reduction_number_scan, series_checks,
+                     valabrega_valla_prefixes)
 
 
 # --- series_coeff ------------------------------------------------------------
@@ -179,10 +179,6 @@ def test_filtration_terms(poly2):
     assert normal.term(2) is normal.term(2)  # memoized
     assert adic.term(3) is adic.term(3)
 
-    jgood = flt.Filtration(b, "jgood", ideal=ideal, reduction=ideal)
-    assert jgood.term(1) == normal.term(1)
-    assert jgood.term(3) == multiply(power(ideal, 2), normal.term(1))
-
 
 def test_filtration_validation(poly2):
     b = poly2
@@ -191,8 +187,6 @@ def test_filtration_validation(poly2):
         flt.Filtration(b, "bogus", ideal=ideal)
     with pytest.raises(errors.PreconditionError):
         flt.Filtration(b, "normal")
-    with pytest.raises(errors.PreconditionError):
-        flt.Filtration(b, "jgood", ideal=ideal)
     with pytest.raises(errors.PreconditionError):
         flt.Filtration(b, "adic", ideal=ideal).term(-1)
 
@@ -392,7 +386,6 @@ def test_sally_rejects_negative_lengths():
 
 
 def test_series_checks_pass():
-    assert flt.closed_form_failure(NORMAL_1D, JGOOD_1D, 1, 4) is None
     check = series_checks(NORMAL_1D, JGOOD_1D, 1, 4)
     assert check.ok and check.failures == ()
     assert check.ge == (1, 4, 4, 4, 4, 4, 4)
@@ -403,7 +396,6 @@ def test_series_checks_pass():
 
 def test_series_checks_detect_wrong_multiplicity():
     # ge[1] = 4 where the closed form with e0 = 5 asks for 1 + 4
-    assert flt.closed_form_failure(NORMAL_1D, JGOOD_1D, 1, 5) == (1, "ge=4 gbar=2 sally=2 middle=4")
     check = series_checks(NORMAL_1D, JGOOD_1D, 1, 5)
     assert not check.ok
     kinds = {kind for kind, _ in check.failures}
@@ -411,50 +403,75 @@ def test_series_checks_detect_wrong_multiplicity():
 
 
 @st.composite
-def table_pairs(draw):
-    """(normal, jgood, dim, e0): a J-good table that follows the closed form
-    up to a few perturbed entries, and a normal table that is random or
-    equal to it on their common range; lengths equal or not."""
-    dim, e0 = draw(st.integers(1, 4)), draw(st.integers(-30, 60))
-    n_len = draw(st.integers(1, 9))
-    j_len = draw(st.one_of(st.just(n_len), st.integers(1, 9)))
-    lam = draw(st.integers(-10, 30))
-    jgood = list(accumulate(
-        lam * flt.series_coeff(n, dim) + (e0 - lam) * flt.series_coeff(n - 1, dim)
-        for n in range(j_len)
-    ))
-    for _ in range(draw(st.integers(0, 2))):
-        jgood[draw(st.integers(0, j_len - 1))] += draw(st.integers(-2, 2))
-    normal = [lam] + draw(st.lists(st.integers(-50, 300), min_size=n_len - 1, max_size=n_len - 1))
-    if draw(st.booleans()):
-        normal[:j_len] = jgood[:n_len]
-    return tuple(normal), tuple(jgood), dim, e0
+def reduction_analyses(draw):
+    """An analysis whose ideal lies between pure powers J and their closure,
+    so that J is its reduction: a polynomial ring in 1 to 4 variables, or a
+    semigroup ring with 0 to 2 adjoined variables; nmax runs over 1..6."""
+    sg = draw(st.sampled_from(((1,), (2, 3), (3, 5), (4, 5, 11))))
+    free = draw(st.integers(0, 3 if sg == (1,) else 2))
+    ring = (PolynomialBackend(("x", "y", "z", "w")[:free + 1]) if sg == (1,)
+            else SemigroupBackend(sg, free))
+    members = [s for s in range(1, 13) if ring.sg.contains(s)]
+    pure = [draw(st.integers(1, 3)) for _ in range(free)] + [draw(st.sampled_from(members[:4]))]
+    vector = st.tuples(*[st.integers(0, 3)] * free, st.sampled_from([0] + members))
+    # generators a with sum a_i / p_i >= 1 lie in the closure of the pure powers p_i
+    extra = [a for a in draw(st.lists(vector, max_size=3))
+             if sum(x * prod(pure) // p for x, p in zip(a, pure)) >= prod(pure)]
+    powers = [tuple(p * (j == i) for j in range(free + 1)) for i, p in enumerate(pure)]
+    entry = EntryData("e", ring, ring.ideal(powers + extra), nmax=draw(st.integers(1, 6)))
+    a = Analysis(entry)
+    assert a.reduction == ring.ideal(powers)
+    return a
 
 
-@settings(max_examples=400, deadline=None)
-@given(table_pairs())
-def test_closed_form_matches_series_oracle(tables):
-    """The closed-form check against all four identities of the reference:
-    the first failure of the reference is the closed form's, at the same
-    degree and with the same witness, and equal graded pieces mean a zero
-    Sally module."""
-    normal, jgood, dim, e0 = tables
-    oracle = series_checks(normal, jgood, dim, e0)
-    failure = flt.closed_form_failure(normal, jgood, dim, e0)
-    if oracle.ok:
-        assert failure is None
-    else:
+def chain_values(a):
+    return jgood_chain_colengths(a.reduction, a.normal_filt.term(1), a.nmax)
+
+
+def exact_decomposition(a, jgood):
+    """e0·C(n+d, d) - e0·C(n+d-1, d-1) + λ(R/closure(I))·C(n+d-1, d-1) minus
+    the Sally length jgood[n] - normal[n], for n = 0..nmax."""
+    sc, d = flt.series_coeff, a.dim
+    return tuple(a.e0 * (sc(n, d + 1) - sc(n, d)) + a.lam_R_I1 * sc(n, d) - (j - c)
+                 for n, (j, c) in enumerate(zip(jgood, a.normal_values)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(reduction_analyses())
+def test_jgood_closed_form_matches_product_chain(a):
+    """The closed form equals lambda(R/J^n·closure(I)) of the product chain, and
+    the exact length decomposition holds against the chain."""
+    chain = chain_values(a)
+    assert a.jgood_values == chain
+    assert exact_decomposition(a, chain) == a.normal_values
+
+
+@settings(max_examples=60, deadline=None)
+@given(reduction_analyses(), st.data())
+def test_closed_form_matches_series_oracle(a, data):
+    """The series_identity verdict against all four identities of the reference,
+    read on the product chain, with the normal entry tampered at degree 0 and at
+    one degree above: a verdict refutes exactly when the reference fails, at
+    its first failing degree and with its graded lengths as witness."""
+    chain = chain_values(a)
+    for index in (0, data.draw(st.integers(1, a.nmax), label="index")):
+        tampered = Analysis(a.entry._replace(tamper_normal=index))
+        verdict = CHECKS["series_identity"][0](tampered)
+        oracle = series_checks(tampered.normal_values, chain, a.dim, a.e0)
+        assert (oracle.ge == oracle.gbar) == all(v == 0 for v in tampered.sally_values)
+        if oracle.ok:
+            assert verdict.conclusion == "verified"
+            continue
         kind, n = oracle.failures[0]
         assert kind == "jgood_closed_form"
         witness = f"ge={oracle.ge[n]} gbar={oracle.gbar[n]} sally={oracle.sally[n]} middle={oracle.middle[n]}"
-        assert failure == (n, witness)
-    assert (oracle.ge == oracle.gbar) == all(v == 0 for v in flt.sally_lengths(normal, jgood))
+        assert verdict.conclusion == "refuted-with-witness"
+        assert [(w.degree, w.element) for w in verdict.witnesses] == [(n, witness)]
 
 
 def test_intersection_failures_empty(poly2):
     b = poly2
     ideal = b.ideal([(2, 0), (0, 2)])
     normal = flt.Filtration(b, "normal", ideal=ideal)
-    jgood = flt.Filtration(b, "jgood", ideal=ideal, reduction=ideal)
     powers = flt.Filtration(b, "adic", ideal=ideal)
-    assert flt.intersection_failures(b, normal, jgood, powers, 4) == []
+    assert flt.intersection_failures(b, normal, powers, 4) == []

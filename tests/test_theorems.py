@@ -11,6 +11,7 @@ from normfilt.backends import PolynomialBackend
 from normfilt.monomial import colength, multiply, quotient_length
 from normfilt import inputs, reports
 from normfilt.verdicts import Verdict, verified
+from test_filtration import chain_values, exact_decomposition
 
 ALL_CHECKS = (
     "table_coherence",
@@ -110,6 +111,16 @@ def test_reduction_colengths(analyses):
         if a.reduction is not None:
             assert colength(a.reduction) == a.e0, name
             assert a.lam_I1_J == a.e0 - a.lam_R_I1, name
+
+
+def test_jgood_closed_form_and_exact_decomposition(analyses):
+    # the J-good closed form against its product chain, and the exact length
+    # decomposition that length_bound_decomposition no longer tests at run time
+    for name, a in analyses.items():
+        if a.reduction is not None:
+            chain = chain_values(a)
+            assert a.jgood_values == chain, name
+            assert exact_decomposition(a, chain) == a.normal_values, name
 
 
 def test_polynomial_normal_vv_never_fails(analyses):
