@@ -1,0 +1,168 @@
+"""Differential sweep of the command line between a base revision and the working tree.
+
+    python tests/diffsweep.py BASE_REV
+
+Extracts `src/` of BASE_REV with `git archive` into a temporary directory
+(the repository itself is only read), builds a seeded list of command lines
+and runs every line in a fresh interpreter without a bytecode cache, once
+against BASE_REV's `src/` and once against the working tree's. The lines run
+`table`, `coeffs`, `sally` and `check` in json, csv and md, `check` at
+`--nmax 3` and `--nmax 12`, `check --tamper-normal 0..4` at the default
+horizon and at `--nmax 12`, on the bundled corpus, its negative entries, the
+benchmark inputs and 30 random entries of seed 1 (polynomial rings in 1 to 4
+variables, semigroup rings with 0 to 2 adjoined variables), plus `corpus`
+over both corpus directories in every format: 1014 lines, two at a time.
+Both sides read the same input files from one scratch directory through
+relative paths.
+
+Prints the number of identical and differing (stdout, stderr, exit code)
+triples and the first differences; exits 1 when any triple differs.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+COMMANDS = ("table", "coeffs", "sally", "check")
+FORMATS = ("json", "csv", "md")
+SEMIGROUPS = ((2, 3), (3, 5), (3, 4, 5), (4, 5, 11), (5, 7))
+MAIN = "import sys; from normfilt.cli import main; sys.exit(main())"
+SEED, RANDOM_ENTRIES, JOBS = 1, 30, 2
+
+
+def _monomial(names, exps) -> str:
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e)
+
+
+def _members(sg, upto: int) -> list[int]:
+    """The positive elements of the semigroup generated by sg, up to upto."""
+    reach = [True] + [False] * upto
+    for s in range(1, upto + 1):
+        reach[s] = any(s >= g and reach[s - g] for g in sg)
+    return [s for s in range(1, upto + 1) if reach[s]]
+
+
+def random_entry(rng: random.Random, k: int) -> str:
+    """Entry text of a polynomial ring in 1..4 variables or a semigroup ring
+    with 0..2 adjoined variables: one pure power per axis (rarely one
+    missing) and up to three more generators."""
+    if rng.random() < 0.5:
+        d = rng.randint(1, 4)
+        names = ("x", "y", "z", "w")[:d]
+        ring = f"polynomial vars={','.join(names)}"
+        top = 2 if d == 4 else 3
+        pure = [rng.randint(1, top) for _ in range(d)]
+        values = [range(top + 1)] * d
+    else:
+        sg = rng.choice(SEMIGROUPS)
+        free = rng.randint(0, 2)
+        names = ("U", "V")[:free] + ("t",)
+        ring = f"semigroup gens={','.join(map(str, sg))}" + (f" adjoin={','.join(names[:-1])}" if free else "")
+        members = _members(sg, 12)
+        pure = [rng.randint(1, 3) for _ in range(free)] + [rng.choice(members[:4])]
+        values = [range(4)] * free + [[0] + members]
+    gens = [tuple(p * (j == i) for j in range(len(pure))) for i, p in enumerate(pure)]
+    if rng.random() < 0.05:
+        gens.pop(rng.randrange(len(gens)))
+    for _ in range(rng.randint(0, 3)):
+        g = tuple(rng.choice(list(v)) for v in values)
+        if any(g):
+            gens.append(g)
+    return f"name random_{k}\nring {ring}\nideal {' '.join(_monomial(names, g) for g in gens)}\n"
+
+
+def write_inputs(root: Path, seed: int, random_count: int) -> list[str]:
+    """Copy the bundled and benchmark entries under root, write the random
+    ones, and return every entry path relative to root."""
+    sources = {
+        "corpus": REPO / "src" / "normfilt" / "corpus",
+        "negative": REPO / "src" / "normfilt" / "corpus" / "negative",
+        "perfbench": REPO / "perfbench" / "inputs",
+    }
+    paths = []
+    for sub, src in sources.items():
+        (root / sub).mkdir()
+        for f in sorted(src.glob("*.nfilt")):
+            shutil.copy(f, root / sub / f.name)
+            paths.append(f"{sub}/{f.name}")
+    (root / "random").mkdir()
+    rng = random.Random(seed)
+    for k in range(random_count):
+        (root / "random" / f"random_{k}.nfilt").write_text(random_entry(rng, k))
+        paths.append(f"random/random_{k}.nfilt")
+    return paths
+
+
+def command_lines(paths) -> list[list[str]]:
+    """The argv of every line of the sweep."""
+    lines = []
+    for path in paths:
+        lines += [[c, path, "--format", f] for c in COMMANDS for f in FORMATS]
+        lines += [["check", path, "--nmax", n] for n in ("3", "12")]
+        for extra in ([], ["--nmax", "12"]):
+            lines += [["check", path, *extra, "--tamper-normal", str(i)] for i in range(5)]
+    lines += [["corpus", d, "--format", f] for d in ("corpus", "negative") for f in FORMATS]
+    return lines
+
+
+def run_line(src: Path, argv, cwd: Path) -> tuple[bytes, bytes, int]:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run([sys.executable, "-c", MAIN, *argv], env=env, cwd=cwd, capture_output=True)
+    return run.stdout, run.stderr, run.returncode
+
+
+def sweep(base_src: Path, head_src: Path, lines, cwd: Path):
+    """(number of identical triples, [(argv, base triple, head triple)] of the differing ones)."""
+    def both(argv):
+        return argv, run_line(base_src, argv, cwd), run_line(head_src, argv, cwd)
+
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        results = list(pool.map(both, lines))
+    diffs = [r for r in results if r[1] != r[2]]
+    return len(results) - len(diffs), diffs
+
+
+def extract(rev: str, dest: Path) -> Path:
+    """src/ of rev under dest, read with git archive; returns its path."""
+    tar = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev, "src"],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def _show(label, triple) -> str:
+    out, err, code = triple
+    return f"  {label}: exit {code}, stdout {out[:200]!r}, stderr {err[:200]!r}"
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        base_src = extract(argv[0], tmp / "base")
+        (tmp / "inputs").mkdir()
+        lines = command_lines(write_inputs(tmp / "inputs", SEED, RANDOM_ENTRIES))
+        same, diffs = sweep(base_src, REPO / "src", lines, tmp / "inputs")
+    print(f"{len(lines)} lines: {same} identical, {len(diffs)} differing (stdout, stderr, exit code)")
+    for argv, base, head in diffs[:5]:
+        print("normfilt " + " ".join(argv))
+        print(_show("base", base))
+        print(_show("head", head))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
