@@ -14,7 +14,7 @@ from .errors import HorizonError, InputError, NotMPrimary, PreconditionError
 from .filtration import (Filtration, default_nmax, default_window, fit_coefficients, length_table,
                          reduction_number, sally_from_tables, sally_lengths, series_coeff,
                          valabrega_valla)
-from .monomial import colength, is_m_primary, quotient_length
+from .monomial import colength, is_m_primary, lay, maximal_ideal, power_box
 
 
 def _attempt(compute, errors=HorizonError):
@@ -32,7 +32,9 @@ class Analysis:
     index, the m-primary test and the reduction certificate. The fit window
     is `default_window(dim)`. The fields built from the reduction J
     (reduction_powers, jgood_values, sally_values, sally_fit, rn, vv,
-    lam_I1_J) may be read only when `reduction` is not None. A fit
+    lam_R_J, lam_I1_J) may be read only when `reduction` is not None. Every
+    ideal of the analysis lies on one box, `power_box` of the input ideal at
+    degree nmax + 1, so the kernel never relays an operand. A fit
     or reduction number that fails reads None, and its *_error field holds
     the exception.
     """
@@ -51,14 +53,16 @@ class Analysis:
             raise InputError(
                 f"tamper index {entry.tamper_normal} outside the table range 0..{self.nmax}"
             )
-        self.ideal = entry.ideal
-        if not is_m_primary(self.ideal):
+        if not is_m_primary(entry.ideal):
             raise NotMPrimary("the input ideal is not primary to the maximal ideal")
+        # one box for every ideal of the analysis, so operands share a cap
+        self.box = power_box(entry.ideal, self.nmax + 1)
+        self.ideal = lay(entry.ideal, self.box)
         if entry.reduction == "auto":
-            self.reduction = b.auto_reduction(self.ideal)
+            self.reduction = b.auto_reduction(self.ideal)  # on the ideal's box
             self.reduction_source = "auto" if self.reduction is not None else None
         else:
-            self.reduction = b.certify(self.ideal, entry.reduction)
+            self.reduction = b.certify(self.ideal, lay(entry.reduction, self.box))
             self.reduction_source = "given"
         self.normal_filt = Filtration(b, "normal", ideal=self.ideal, reduction=self.reduction)
         self.adic_filt = Filtration(b, "adic", ideal=self.ideal)
@@ -70,8 +74,13 @@ class Analysis:
         return colength(self.normal_filt.term(1))
 
     @cached_property
+    def maximal(self):
+        """The maximal ideal, on the box of the analysis."""
+        return maximal_ideal(self.backend.sg, self.dim, self.box)
+
+    @cached_property
     def closure_is_maximal(self) -> bool:
-        return self.normal_filt.term(1) == self.backend.maximal()
+        return self.normal_filt.term(1) == self.maximal
 
     @cached_property
     def mu_ideal(self) -> int:
@@ -79,7 +88,7 @@ class Analysis:
 
     @cached_property
     def mu_maximal(self) -> int:
-        return len(self.backend.maximal().gens)
+        return len(self.maximal.gens)
 
     @cached_property
     def normal_values(self) -> tuple[int, ...]:
@@ -129,7 +138,7 @@ class Analysis:
         degrees below n gives lambda(R/J)·C(n+d-1, d), and the second adds
         lambda(R/closure(I))·C(n+d-1, d-1). No product of J is built.
         """
-        lam_j, d = colength(self.reduction), self.dim
+        lam_j, d = self.lam_R_J, self.dim
         return tuple(lam_j * series_coeff(n - 1, d + 1) + self.lam_R_I1 * series_coeff(n, d)
                      for n in range(self.nmax + 1))
 
@@ -159,8 +168,13 @@ class Analysis:
         return valabrega_valla(self.normal_filt, self.reduction, self.nmax, self.window, self.rn)
 
     @cached_property
+    def lam_R_J(self) -> int:
+        return colength(self.reduction)
+
+    @property
     def lam_I1_J(self) -> int:
-        return quotient_length(self.normal_filt.term(1), self.reduction)
+        """lambda(closure(I)/J) = lambda(R/J) - lambda(R/closure(I)), as J ⊆ closure(I)."""
+        return self.lam_R_J - self.lam_R_I1
 
     def _vv_and_rn(self, filt, reduction):
         rn = _attempt(lambda: reduction_number(filt, reduction, self.nmax))[0]
@@ -176,6 +190,7 @@ class Analysis:
         """Valabrega-Valla verdict for the maximal ideal of the coefficient ring."""
         bb = self.backend.base_ring()
         m = bb.maximal()
+        m = lay(m, power_box(m, self.nmax + 1))  # the coefficient ring's own box
         j = bb.auto_reduction(m)
         return None if j is None else self._vv_and_rn(Filtration(bb, "adic", ideal=m), j)
 

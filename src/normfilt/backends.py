@@ -42,17 +42,13 @@ class MonoidRing:
         base = f"semigroup ring k[[t^{{{','.join(str(g) for g in self.sg.gens)}}}]]"
         return base + (f"[{','.join(self.names)}]" if self.names else "")
 
-    def ideal(self, vectors) -> mono.Ideal:
-        return mono.ideal(self.sg, self.dim, vectors)
-
-    def unit(self) -> mono.Ideal:
-        return self._unit
+    def ideal(self, vectors, box=None) -> mono.Ideal:
+        return mono.ideal(self.sg, self.dim, vectors, box)
 
     def maximal(self) -> mono.Ideal:
         return self._maximal
 
     # one ideal per ring, built on first use
-    _unit = cached_property(lambda self: mono.unit_ideal(self.sg, self.dim))
     _maximal = cached_property(lambda self: mono.maximal_ideal(self.sg, self.dim))
 
     def element_str(self, v) -> str:
@@ -66,13 +62,15 @@ class MonoidRing:
 
     # --- reductions ---------------------------------------------------------
     def auto_reduction(self, a) -> mono.Ideal | None:
-        """The least pure power along each axis, when it is a reduction of a."""
+        """The least pure power along each axis, when it is a reduction of a;
+        built on a's box."""
         if not mono.is_m_primary(a):
             raise NotMPrimary("automatic reduction requires an m-primary ideal")
         exps = mono.pure_power_exponents(a)
-        j = self.ideal([tuple(e * (k == i) for k in range(self.dim)) for i, e in enumerate(exps)])
+        j = self.ideal([tuple(e * (k == i) for k in range(self.dim)) for i, e in enumerate(exps)],
+                       a.cap)
         # j ⊆ a by construction, so j is a reduction iff NP(j) = NP(a)
-        return j if mono.ideal_contains(mono.closure_power(j, 1), a) else None
+        return j if mono.ideal_contains(mono.closure_power(j, 1, a.cap), a) else None
 
     def certify(self, a, j) -> mono.Ideal:
         """j, once it is one pure power of each variable with j ⊆ a ⊆ closure(j)."""
@@ -81,7 +79,7 @@ class MonoidRing:
             raise PreconditionError("reduction must be generated by one pure power of each variable")
         if not mono.ideal_contains(a, j):
             raise PreconditionError("the given reduction ideal is not contained in the input ideal")
-        if not mono.ideal_contains(mono.closure_power(j, 1), a):  # e0 is computed only here
+        if not mono.ideal_contains(mono.closure_power(j, 1, a.cap), a):  # e0 is computed only here
             raise PreconditionError(f"the given ideal is not a reduction: multiplicity {j.e0} != {a.e0}")
         return j
 

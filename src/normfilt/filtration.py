@@ -21,7 +21,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import HorizonError, PreconditionError
-from .monomial import closure_power, colength, contains, intersect, multiply
+from .monomial import closure_power, colength, contains, intersect, multiply, unit_ideal
 
 KINDS = ("normal", "adic")
 
@@ -59,7 +59,7 @@ class Filtration:
     sum b_i/a_i >= n, and as n >= d some b_i >= a_i, so x^b is x_i^(a_i)
     times a monomial of closure(J^(n-1)).
     Every other normal term is a closure power, and product_from is None
-    where no such degree is known.
+    where no such degree is known. Terms are built on the box of the ideal.
     """
 
     def __init__(self, backend, kind: str, ideal=None, reduction=None):
@@ -74,7 +74,7 @@ class Filtration:
         self.product_from = None
         if kind == "normal" and reduction is not None and backend.kind == "polynomial":
             self.product_from = backend.dim
-        self._terms = {0: backend.unit()}
+        self._terms = {0: unit_ideal(ideal.sg, len(ideal.cap), ideal.cap)}
 
     def term(self, n: int):
         if n < 0:
@@ -86,7 +86,7 @@ class Filtration:
         elif self.kind == "adic":
             t = multiply(self.ideal, self.term(n - 1))
         else:
-            t = closure_power(self.ideal, n)
+            t = closure_power(self.ideal, n, self.ideal.cap)
         self._terms[n] = t
         return t
 

@@ -7,24 +7,33 @@ and an ideal is a set of monomials closed under adding monoid elements.
 
 An ideal is stored as a Python-int bitset over the box [0, cap] in row-major
 order, the S-axis varying fastest. The top slice along each axis stands for
-every point beyond it, so a box is valid for an ideal when membership stays
-constant past the cap along every axis. Boxes are not canonical, and they
-only grow: operations first lay their operands onto a common box, each axis
-that grows repeating its top slice. Sum, intersection, containment and
-equality are bitwise; a product is the union of the shifts of one factor by
-the minimal generators of the other; a colon intersects shifts back on the
-grown box and refills it past the dividend's cap from the dividend's top
-slices, instead of cutting back to that cap; a colength is a popcount,
-finite exactly when no counted point lies in a top slice. Integral closures
-of powers are cut out row by row along the S-axis by the halfspaces of the
-Newton polyhedron, as every halfspace of an m-primary ideal has a positive
-S-coefficient.
+every point beyond it. Each ideal also carries `need`, a box past which its
+membership is known to be constant along every axis, so that every cap >=
+need holds the same ideal. For an ideal built from generators, need is
+their extent plus the conductor on the S-axis; a product adds the shift to
+it, a sum or intersection takes the larger need of its operands, and a
+colon keeps the dividend's. The cap may be larger than need: an
+`analysis.Analysis` lays all its ideals on one box, large enough for every
+term it builds, so that operands share a cap and nothing is copied.
+
+Sum, intersection, containment and equality are bitwise on the common cap;
+operands on different caps are first laid onto the larger one (`_reshape`,
+each growing axis repeating its top slice). A product is the union of the
+shifts of the factor with the larger need by the minimal generators of the
+other, and a colon intersects shifts back and refills past the dividend's
+need from its slices there. Both stay on the shifted operand's box when
+need plus the shift fits in it, and grow it only otherwise, so no result
+depends on the box chosen. A colength is a popcount, finite exactly when no
+counted point lies in a top slice. Integral closures of powers are cut out
+row by row along the S-axis by the halfspaces of the Newton polyhedron, as
+every halfspace of an m-primary ideal has a positive S-coefficient.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import prod
+from operator import add
 
 from .errors import DimensionMismatch, InfiniteLength, PreconditionError
 from .newton import (Exponent, NewtonPolyhedron, closure_count, hilbert_values, least_pure_powers,
@@ -33,10 +42,12 @@ from .semigroup import NumericalSemigroup
 
 
 class Ideal:
-    """A monomial ideal: membership bits over the box [0, cap] of its monoid."""
+    """A monomial ideal: membership bits over the box [0, cap] of its monoid,
+    valid on every box that contains [0, need]."""
 
-    def __init__(self, sg: NumericalSemigroup, cap: tuple[int, ...], bits: int):
-        self.sg, self.cap, self.bits = sg, cap, bits
+    def __init__(self, sg: NumericalSemigroup, cap: tuple[int, ...], bits: int,
+                 need: tuple[int, ...]):
+        self.sg, self.cap, self.bits, self.need = sg, cap, bits, need
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ideal) and equal(self, other)
@@ -45,8 +56,7 @@ class Ideal:
     def gens(self) -> tuple[Exponent, ...]:
         """Minimal generators in lexicographic order: the points outside m*I."""
         atoms = _atoms(self.sg, len(self.cap))
-        cap = tuple(c + max(a[i] for a in atoms) for i, c in enumerate(self.cap))
-        x = _reshape(self.bits, self.cap, cap)
+        cap, x = _room(self, _extent(atoms))
         return _points(x & ~_shift_union(x, cap, atoms), cap)
 
     @cached_property
@@ -106,14 +116,17 @@ def _repeat(pattern: int, period: int, count: int) -> int:
     return pattern
 
 
-def _slab(widths, axis: int, lo: int, hi: int) -> int:
-    """Mask of the points whose coordinate along axis lies in [lo, hi)."""
+@lru_cache(maxsize=256)
+def _slab(widths: tuple[int, ...], axis: int, lo: int, hi: int) -> int:
+    """Mask of the points whose coordinate along axis lies in [lo, hi); the
+    masks of the one box of an analysis are built once."""
     inner = prod(widths[axis + 1:])
     block = ((1 << ((hi - lo) * inner)) - 1) << (lo * inner)
     return _repeat(block, widths[axis] * inner, prod(widths[:axis]))
 
 
-def _monoid(sg: NumericalSemigroup, cap) -> int:
+@lru_cache(maxsize=64)
+def _monoid(sg: NumericalSemigroup, cap: tuple[int, ...]) -> int:
     """Mask of the monoid points of the box; its top S-slice lies in S."""
     width = cap[-1] + 1
     row = (sg.member_bits | -(1 << sg.conductor)) & ((1 << width) - 1)
@@ -151,7 +164,7 @@ def _reshape(bits: int, old, new) -> int:
             moved = bits & mask
             bits ^= moved ^ moved << (1 << b) * (width - w) * inner
         widths[axis] = width
-        bits = _fill(bits, widths, axis, w - 1)
+        bits = _fill(bits, tuple(widths), axis, w - 1)
     return bits
 
 
@@ -161,20 +174,16 @@ def _shift_union(bits: int, cap, vectors) -> int:
     The box must hold the shifts: bits is valid on [0, cap - v] for every v,
     so points pushed past the cap repeat what the top slice already gets.
     """
-    widths = [c + 1 for c in cap]
+    widths = tuple(c + 1 for c in cap)
     strides = _strides(widths)
-    masks: dict[tuple[int, int], int] = {}
     out = 0
     for v in vectors:
         x = bits
         for axis in range(1, len(v)):  # axis 0 overflows past the box end
             if v[axis]:
-                key = (axis, v[axis])
-                if key not in masks:
-                    masks[key] = _slab(widths, axis, 0, widths[axis] - v[axis])
-                x &= masks[key]
+                x &= _slab(widths, axis, 0, widths[axis] - v[axis])
         out |= x << sum(c * s for c, s in zip(v, strides))
-    return out & ((1 << prod(widths)) - 1)
+    return out & _slab(widths, 0, 0, widths[0])
 
 
 def _points(bits: int, cap) -> tuple[Exponent, ...]:
@@ -193,6 +202,36 @@ def _points(bits: int, cap) -> tuple[Exponent, ...]:
     return tuple(out)
 
 
+def _room(a: Ideal, shift) -> tuple[tuple[int, ...], int]:
+    """A box that holds a shifted by up to shift along each axis, with a's bits
+    on it: a's own box when need + shift fits inside it, else the least box
+    that does and contains a's."""
+    cap = tuple(max(c, n + s) for c, n, s in zip(a.cap, a.need, shift))
+    return cap, _reshape(a.bits, a.cap, cap)
+
+
+def _extent(vectors) -> tuple[int, ...]:
+    """The largest entry of the vectors along each axis."""
+    return tuple(map(max, zip(*vectors)))
+
+
+def lay(a: Ideal, box) -> Ideal:
+    """a on the box [0, max(cap, box)]."""
+    cap = tuple(map(max, a.cap, box))
+    return Ideal(a.sg, cap, _reshape(a.bits, a.cap, cap), a.need)
+
+
+def power_box(a: Ideal, n: int) -> tuple[int, ...]:
+    """A box for the terms of degree up to n built from a and a reduction of
+    it: closure(a^n), a^n and J·closure(a^(n-1)) need at most n times a's
+    generator extent, plus the conductor on the S-axis, and finding their
+    generators adds the largest atom along each axis."""
+    conductor = a.sg.conductor
+    tops = [n * e + t for e, t in zip(a.need[:-1] + (a.need[-1] - conductor,),
+                                      _extent(_atoms(a.sg, len(a.cap))))]
+    return tuple(tops[:-1]) + (tops[-1] + conductor,)
+
+
 def _joint(a: Ideal, b: Ideal):
     _check_same(a, b)
     cap = tuple(map(max, a.cap, b.cap))
@@ -207,35 +246,42 @@ def _atoms(sg: NumericalSemigroup, dim: int) -> list[Exponent]:
 
 # --- construction ---------------------------------------------------------------
 
-def ideal(sg: NumericalSemigroup, dim: int, vectors) -> Ideal:
-    """The ideal generated by the monomials with the given exponent vectors."""
+def _on(need: tuple[int, ...], box) -> tuple[int, ...]:
+    """The box [0, need], or [0, max(need, box)] given a target box."""
+    return need if box is None else tuple(map(max, need, box))
+
+
+def ideal(sg: NumericalSemigroup, dim: int, vectors, box=None) -> Ideal:
+    """The ideal generated by the monomials with the given exponent vectors,
+    on its natural box [0, need] or, given box, on [0, max(need, box)]."""
     vectors = [_check_vector(v, dim) for v in vectors]
     for v in vectors:
         if not sg.contains(v[-1]):
             raise PreconditionError(f"valuation {v[-1]} is not in the semigroup")
-    cap = tuple(max((v[i] for v in vectors), default=0) for i in range(dim))
-    cap = cap[:-1] + (cap[-1] + sg.conductor,)
-    return Ideal(sg, cap, _shift_union(_monoid(sg, cap), cap, vectors))
+    need = tuple(max((v[i] for v in vectors), default=0) for i in range(dim))
+    need = need[:-1] + (need[-1] + sg.conductor,)
+    cap = _on(need, box)
+    return Ideal(sg, cap, _shift_union(_monoid(sg, cap), cap, vectors), need)
 
 
-def unit_ideal(sg: NumericalSemigroup, dim: int) -> Ideal:
-    return ideal(sg, dim, [(0,) * dim])
+def unit_ideal(sg: NumericalSemigroup, dim: int, box=None) -> Ideal:
+    return ideal(sg, dim, [(0,) * dim], box)
 
 
-def maximal_ideal(sg: NumericalSemigroup, dim: int) -> Ideal:
-    return ideal(sg, dim, _atoms(sg, dim))
+def maximal_ideal(sg: NumericalSemigroup, dim: int, box=None) -> Ideal:
+    return ideal(sg, dim, _atoms(sg, dim), box)
 
 
 # --- arithmetic -------------------------------------------------------------------
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     cap, x, y = _joint(a, b)
-    return Ideal(a.sg, cap, x | y)
+    return Ideal(a.sg, cap, x | y, tuple(map(max, a.need, b.need)))
 
 
 def intersect(a: Ideal, b: Ideal) -> Ideal:
     cap, x, y = _joint(a, b)
-    return Ideal(a.sg, cap, x & y)
+    return Ideal(a.sg, cap, x & y, tuple(map(max, a.need, b.need)))
 
 
 def equal(a: Ideal, b: Ideal) -> bool:
@@ -249,20 +295,17 @@ def ideal_contains(a: Ideal, b: Ideal) -> bool:
     return not y & ~x
 
 
-def _shift_box(a: Ideal, gens) -> tuple[int, ...]:
-    """A box that holds a shifted by any of gens: a's cap plus their largest entries."""
-    return tuple(c + max(g[i] for g in gens) for i, c in enumerate(a.cap))
-
-
 def multiply(a: Ideal, b: Ideal) -> Ideal:
-    """The product: a shifted by each generator of b, the factor with the smaller box."""
+    """The product: a shifted by each generator of b, the factor with the
+    smaller need, whose generators are the cheaper to find."""
     _check_same(a, b)
-    if prod(c + 1 for c in b.cap) > prod(c + 1 for c in a.cap):
+    if prod(n + 1 for n in b.need) > prod(n + 1 for n in a.need):
         a, b = b, a
     if not b.bits:
         return b
-    cap = _shift_box(a, b.gens)
-    return Ideal(a.sg, cap, _shift_union(_reshape(a.bits, a.cap, cap), cap, b.gens))
+    shift = _extent(b.gens)
+    cap, x = _room(a, shift)
+    return Ideal(a.sg, cap, _shift_union(x, cap, b.gens), tuple(map(add, a.need, shift)))
 
 
 def colon(a: Ideal, b: Ideal) -> Ideal:
@@ -270,24 +313,23 @@ def colon(a: Ideal, b: Ideal) -> Ideal:
     _check_same(a, b)
     if not b.bits:
         raise PreconditionError("colon by the zero ideal")
-    cap = _shift_box(a, b.gens)
-    x = _reshape(a.bits, a.cap, cap)
-    widths = [c + 1 for c in cap]
+    cap, x = _room(a, _extent(b.gens))
+    widths = tuple(c + 1 for c in cap)
     strides = _strides(widths)
     out = (1 << prod(widths)) - 1
     for g in b.gens:
         out &= x >> sum(c * s for c, s in zip(g, strides))
-    # shifts that crossed an inner axis land beyond a's cap: each axis is cut
-    # there and refilled from a's top slice, as (a : b) is constant past a's cap
-    for axis, top in enumerate(a.cap):
+    # shifts that crossed an inner axis land beyond a's need: each axis is cut
+    # there and refilled from the slice at need, as (a : b) is constant past it
+    for axis, top in enumerate(a.need):
         if top < cap[axis]:
             out = _fill(out & _slab(widths, axis, 0, top + 1), widths, axis, top)
-    return Ideal(a.sg, cap, out & _monoid(a.sg, cap))
+    return Ideal(a.sg, cap, out & _monoid(a.sg, cap), a.need)
 
 
 def _finite_count(diff: int, cap) -> int:
     """The number of points in diff, which must miss every top slice of the box."""
-    widths = [c + 1 for c in cap]
+    widths = tuple(c + 1 for c in cap)
     if any(diff & _slab(widths, axis, w - 1, w) for axis, w in enumerate(widths)):
         raise InfiniteLength("quotient has infinite length: the difference reaches a top slice")
     return diff.bit_count()
@@ -321,29 +363,48 @@ def pure_power_exponents(a: Ideal) -> list[int | None]:
 
 
 def is_m_primary(a: Ideal) -> bool:
-    """Proper and containing a pure power along every axis."""
-    return not a.bits & 1 and None not in pure_power_exponents(a)
+    """Proper and containing a pure power along every axis: the point at the
+    cap of each axis, which stands for every point beyond it."""
+    dim = len(a.cap)
+    return not a.bits & 1 and all(contains(a, tuple(c * (j == i) for j in range(dim)))
+                                  for i, c in enumerate(a.cap))
 
 
-def closure_power(a: Ideal, n: int) -> Ideal:
-    """Integral closure of a^n: per row b, the members s of S with (b, s) in n*NP(a).
+def closure_power(a: Ideal, n: int, box=None) -> Ideal:
+    """Integral closure of a^n: per row b, the members s of S with (b, s) in n*NP(a),
+    on its natural box or, given box, on the box [0, max(need, box)].
 
     Row b keeps the members s >= tau(b), the least s inside every halfspace
     (c, t): tau(b) = max(0, ceil((n*t - <c', b>) / c_last)) over the
     halfspaces. `newton.row_cuts` sweeps each halfspace over all rows at once,
-    one free axis at a time, and keeps the running maximum; each distinct
-    cut's row string is built once.
+    one free axis at a time, and keeps the running maximum; the rows are
+    then stacked one free axis at a time.
     """
     if n < 0:
         raise PreconditionError("negative closure power")
     dim = len(a.cap)
     if n == 0:
-        return unit_ideal(a.sg, dim)
+        return unit_ideal(a.sg, dim, box)
     hull = a.hull  # raises NotMPrimary unless a is m-primary
     tops = [n * e for e in hull.box]
-    cap = tuple(tops[:-1]) + (max(tops[-1], a.sg.conductor),)
-    width = cap[-1] + 1
-    row = format(_monoid(a.sg, (cap[-1],)), f"0{width}b")
-    taus = row_cuts(hull.halfspaces, cap[:-1], n)
-    rows = {tau: row[:width - tau] + "0" * tau for tau in set(taus)}
-    return Ideal(a.sg, cap, int("".join([rows[tau] for tau in reversed(taus)]), 2))
+    need = tuple(tops[:-1]) + (max(tops[-1], a.sg.conductor),)
+    cap = _on(need, box)
+    row = _monoid(a.sg, cap[-1:])
+    taus = row_cuts(hull.halfspaces, need[:-1], n)
+    parts = [row >> tau << tau for tau in taus]
+    # each free axis, innermost first, joins its slices. Past need along it
+    # b_i >= n*h_i for the pure power h_i*e_i of a, so <c', b> >= n*t for
+    # every halfspace: those slices hold the whole monoid
+    for axis in reversed(range(dim - 1)):
+        top, end, size = need[axis], cap[axis], prod(c + 1 for c in cap[axis + 1:])
+        rest = _monoid(a.sg, (end - top - 1,) + cap[axis + 1:]) if end > top else 0
+        parts = [_stack(parts[k:k + top + 1], size, rest) for k in range(0, len(parts), top + 1)]
+    return Ideal(a.sg, cap, parts[0], need)
+
+
+def _stack(slices, size: int, rest: int) -> int:
+    """The slices of size bits each one above the other, and rest above them."""
+    out = rest << len(slices) * size
+    for i, x in enumerate(slices):
+        out |= x << i * size
+    return out

@@ -315,7 +315,7 @@ def check_socle_formula(a: Analysis, nums) -> Verdict:
     t = a.backend.sg.type
     for n in range(1, min(3, a.nmax) + 1):
         jn = a.reduction_powers.term(n)
-        socle = quotient_length(colon(jn, a.backend.maximal()), jn)
+        socle = quotient_length(colon(jn, a.maximal), jn)
         expected = t * series_coeff(n - 1, a.dim)
         if socle != expected:
             return refuted(
@@ -466,7 +466,7 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
     if part_a.is_refutation:
         return part_a
     t = a.backend.sg.type
-    m = a.backend.maximal()
+    m = a.maximal
     lam_m2_Jm = quotient_length(multiply(m, m), multiply(a.reduction, m))
     s1 = a.sally_values[1]
     nums["lambda_m2_Jm"] = lam_m2_Jm

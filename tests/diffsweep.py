@@ -1,6 +1,6 @@
 """Differential sweep of the command line between a base revision and the working tree.
 
-    python tests/diffsweep.py BASE_REV
+    python tests/diffsweep.py BASE_REV [--expect-diff FILE]
 
 Extracts `src/` of BASE_REV with `git archive` into a temporary directory
 (the repository itself is only read), builds a seeded list of command lines
@@ -16,11 +16,16 @@ Both sides read the same input files from one scratch directory through
 relative paths.
 
 Prints the number of identical and differing (stdout, stderr, exit code)
-triples and the first differences; exits 1 when any triple differs.
+triples and the first differences; exits 1 when any triple differs. With
+--expect-diff, FILE lists the command lines that may differ, one per line as
+the report prints them (the leading `normfilt` is optional; blank lines and
+lines starting with # are skipped): only a difference on another line exits
+1, and a listed line that the sweep does not run exits 2.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import os
 import random
@@ -146,22 +151,44 @@ def _show(label, triple) -> str:
     return f"  {label}: exit {code}, stdout {out[:200]!r}, stderr {err[:200]!r}"
 
 
+def read_expected(path: Path) -> set[tuple[str, ...]]:
+    """The argv of each command line listed in an --expect-diff file."""
+    out = set()
+    for text in path.read_text().splitlines():
+        words = text.split()
+        if words and not words[0].startswith("#"):
+            out.add(tuple(words[1:] if words[0] == "normfilt" else words))
+    return out
+
+
 def main(argv) -> int:
-    if len(argv) != 1:
-        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(prog="diffsweep.py", description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_rev")
+    parser.add_argument("--expect-diff", type=Path, metavar="FILE",
+                        help="command lines that may differ, one per line")
+    args = parser.parse_args(argv)
+    expected = read_expected(args.expect_diff) if args.expect_diff else set()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        base_src = extract(argv[0], tmp / "base")
         (tmp / "inputs").mkdir()
         lines = command_lines(write_inputs(tmp / "inputs", SEED, RANDOM_ENTRIES))
+        unknown = expected - {tuple(line) for line in lines}
+        if unknown:
+            print(f"--expect-diff lists {len(unknown)} lines the sweep does not run, first: "
+                  "normfilt " + " ".join(min(unknown)), file=sys.stderr)
+            return 2
+        base_src = extract(args.base_rev, tmp / "base")
         same, diffs = sweep(base_src, REPO / "src", lines, tmp / "inputs")
     print(f"{len(lines)} lines: {same} identical, {len(diffs)} differing (stdout, stderr, exit code)")
-    for argv, base, head in diffs[:5]:
+    surprises = [d for d in diffs if tuple(d[0]) not in expected]
+    if expected:
+        print(f"{len(diffs) - len(surprises)} of {len(expected)} lines listed by --expect-diff differ; "
+              f"{len(surprises)} other lines differ")
+    for argv, base, head in surprises[:5]:
         print("normfilt " + " ".join(argv))
         print(_show("base", base))
         print(_show("head", head))
-    return 1 if diffs else 0
+    return 1 if surprises else 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from normfilt import filtration as flt
 from normfilt.analysis import Analysis
 from normfilt.backends import PolynomialBackend, SemigroupBackend
 from normfilt.inputs import EntryData
-from normfilt.monomial import closure_power, contains, intersect, multiply
+from normfilt.monomial import closure_power, contains, intersect, multiply, unit_ideal
 from oracles import (_solve_consistent, jgood_chain_colengths, reduction_number_scan, series_checks,
                      valabrega_valla_prefixes)
 
@@ -169,11 +169,11 @@ def test_filtration_terms(poly2):
     ideal = b.ideal([(2, 0), (0, 2)])
     normal = flt.Filtration(b, "normal", ideal=ideal)
     adic = flt.Filtration(b, "adic", ideal=ideal)
-    assert normal.term(0) == b.unit()
+    assert normal.term(0) == unit_ideal(b.sg, b.dim)
     # the closure of (x^2, y^2) is the full square of the maximal ideal
     assert normal.term(1) == power(b.maximal(), 2)
     assert normal.term(3) == power(b.maximal(), 6)
-    assert adic.term(0) == b.unit() and adic.term(1) == ideal
+    assert adic.term(0) == unit_ideal(b.sg, b.dim) and adic.term(1) == ideal
     assert adic.term(2) == power(ideal, 2)
     assert adic.term(3) == power(ideal, 3)
     assert normal.term(2) is normal.term(2)  # memoized

@@ -7,6 +7,7 @@ every operation against the brute-force membership oracle on S = N and on
 
 from itertools import product
 from math import comb, prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -255,3 +256,101 @@ def test_monoid_mask_matches_membership(sg_gens):
         row = sum(1 << s for s in range(w + 1) if sg.contains(s))
         assert mono._monoid(sg, (w,)) == row, w
         assert mono._monoid(sg, (2, w)) == row | row << (w + 1) | row << 2 * (w + 1), w
+
+
+# --- the same ideal on any box ----------------------------------------------------
+
+@st.composite
+def boxed_pairs(draw):
+    """(S generators, dim, raw generators of a and of b, and three growths of a
+    box: for a, for b and for a box both share). Polynomial rings have d = 1..4,
+    semigroup rings 0 to 2 adjoined variables."""
+    if draw(st.booleans()):
+        sg_gens, dim = (1,), draw(st.integers(1, 4))
+    else:
+        sg_gens, dim = draw(st.sampled_from(((2, 3), (3, 5), (4, 5, 11)))), draw(st.integers(1, 3))
+    members = [s for s in range(10) if NumericalSemigroup(sg_gens).contains(s)]
+    vector = st.tuples(*[st.integers(0, 2 if dim == 4 else 3)] * (dim - 1), st.sampled_from(members))
+    raws = []
+    for _ in range(2):
+        raw = draw(st.lists(vector, min_size=1, max_size=3))
+        if draw(st.booleans()):  # a pure power on every axis, so colengths are finite
+            raw += [tuple(draw(st.integers(1, 3)) * (j == i) for j in range(dim)) for i in range(dim - 1)]
+            raw.append((0,) * (dim - 1) + (draw(st.sampled_from(members[1:])),))
+        raws.append(raw)
+    growth = st.tuples(*[st.integers(0, 5)] * dim)
+    return (sg_gens, dim, *raws, draw(growth), draw(growth), draw(growth))
+
+
+def _grown(need, growth):
+    return tuple(n + g for n, g in zip(need, growth))
+
+
+def _length(op, *ideals):
+    try:
+        return op(*ideals)
+    except errors.InfiniteLength:
+        return "infinite"
+
+
+def _sums(xs, ys):
+    return [tuple(map(sum, zip(x, y))) for x in xs for y in ys]
+
+
+@settings(max_examples=80, deadline=None)
+@given(boxed_pairs())
+@example(((4, 5, 11), 3, [(3, 0, 0), (0, 3, 0), (0, 0, 11)], [(0, 0, 4)], (0, 0, 0), (0, 0, 0), (0, 0, 0)))
+def test_results_do_not_depend_on_the_box(case):
+    # each operation on a and b laid on larger boxes, their own or a shared
+    # one, against the same operation on their natural boxes, and the
+    # products against the membership oracle; the product's need is read by
+    # the product, colon and length that follow it
+    sg_gens, dim, raw_a, raw_b, grow_a, grow_b, grow = case
+    sg = NumericalSemigroup(sg_gens)
+    in_s = semigroup_members_oracle(sg_gens, 64)
+    a, b = mono.ideal(sg, dim, raw_a), mono.ideal(sg, dim, raw_b)
+    p = mono.multiply(a, b)
+    assert p.gens == tuple(monoid_minimal(in_s, _sums(raw_a, raw_b)))
+    assert mono.multiply(p, a).gens == tuple(monoid_minimal(in_s, _sums(p.gens, raw_a)))
+    shared = _grown(tuple(map(max, a.need, b.need)), grow)
+    pairs = ((mono.ideal(sg, dim, raw_a, _grown(a.need, grow_a)),
+              mono.ideal(sg, dim, raw_b, _grown(b.need, grow_b))),
+             (mono.lay(a, shared), mono.lay(b, shared)))
+    for big_a, big_b in pairs:
+        assert big_a == a and big_b == b and (big_a == big_b) == (a == b)
+        assert big_a.gens == a.gens and big_b.gens == b.gens
+        for op in (mono.ideal_sum, mono.intersect, mono.multiply, mono.colon):
+            assert op(big_a, big_b).gens == op(a, b).gens, op.__name__
+        assert mono.ideal_contains(big_a, big_b) == mono.ideal_contains(a, b)
+        big_p = mono.multiply(big_a, big_b)
+        assert mono.multiply(big_p, big_a).gens == mono.multiply(p, a).gens
+        assert mono.colon(big_p, big_b).gens == mono.colon(p, b).gens
+        assert _length(mono.colength, big_a) == _length(mono.colength, a)
+        assert _length(mono.colength, big_p) == _length(mono.colength, p)
+        assert _length(mono.quotient_length, big_a, big_p) == _length(mono.quotient_length, a, p)
+        for q in product(*[range(c + 3) for c in big_a.cap]):
+            assert mono.contains(big_a, q) == mono.contains(a, q), q
+
+
+@settings(max_examples=40, deadline=None)
+@given(boxed_pairs())
+def test_operations_on_a_box_that_holds_them_relay_nothing(case):
+    # a box that holds either need plus any generator shift plus the atoms,
+    # which find the product's generators, as the box of an analysis does: no
+    # operand is copied onto another box
+    sg_gens, dim, raw_a, raw_b, _, _, grow = case
+    sg = NumericalSemigroup(sg_gens)
+    a, b = mono.ideal(sg, dim, raw_a), mono.ideal(sg, dim, raw_b)
+    shifts = zip(map(max, a.need, b.need), mono._extent(a.gens + b.gens),
+                 mono._extent(mono._atoms(sg, dim)))
+    box = _grown(tuple(map(sum, shifts)), grow)
+    big_a, big_b = mono.ideal(sg, dim, raw_a, box), mono.ideal(sg, dim, raw_b, box)
+    same, gens = a == b, mono.multiply(a, b).gens
+    with mock.patch.object(mono, "_reshape", wraps=mono._reshape) as spy:
+        big_p = mono.multiply(big_a, big_b)
+        results = [big_p, mono.intersect(big_a, big_b), mono.ideal_sum(big_a, big_b),
+                   mono.colon(big_a, big_b)]
+        assert (big_a == big_b) == same
+        assert big_p.gens == gens
+    assert [c.args[1:] for c in spy.call_args_list if c.args[0] and c.args[1] != c.args[2]] == []
+    assert all(r.cap == box for r in results)

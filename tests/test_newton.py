@@ -62,7 +62,7 @@ def test_closure_power_known_values():
     assert mono.closure_power(ideal(CUBES), 1) == maximal_power(R3, 3)
     assert mono.closure_power(ideal(CUBES_DIAG), 2) == maximal_power(R3, 6)
     assert mono.closure_power(ideal(PLANE), 1) == ideal(PLANE)  # integrally closed already
-    assert mono.closure_power(ideal(SQUARES), 0) == R2.unit()
+    assert mono.closure_power(ideal(SQUARES), 0) == mono.unit_ideal(R2.sg, R2.dim)
     with pytest.raises(errors.NotMPrimary):
         mono.closure_power(R2.ideal([(1, 0)]), 1)
 

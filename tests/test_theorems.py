@@ -9,7 +9,7 @@ import pytest
 from normfilt import CHECKS, EntryData, analyze, errors, filtration, run_checks
 from normfilt.backends import PolynomialBackend
 from normfilt.monomial import colength, multiply, quotient_length
-from normfilt import inputs, reports
+from normfilt import inputs, monomial, reports
 from normfilt.verdicts import Verdict, verified
 from test_filtration import chain_values, exact_decomposition
 
@@ -106,11 +106,12 @@ def test_corpus_conclusions(analyses, name):
 
 
 def test_reduction_colengths(analyses):
-    # what e1_lower_bound prints as lambda(closure(I)/J): lambda(R/J) = e0 for a reduction J
+    # what e1_lower_bound prints as lambda(closure(I)/J): lambda(R/J) = e0 for a
+    # reduction J, and lam_I1_J, read by additivity, is the length of closure(I)/J
     for name, a in analyses.items():
         if a.reduction is not None:
             assert colength(a.reduction) == a.e0, name
-            assert a.lam_I1_J == a.e0 - a.lam_R_I1, name
+            assert a.lam_I1_J == quotient_length(a.normal_filt.term(1), a.reduction), name
 
 
 def test_jgood_closed_form_and_exact_decomposition(analyses):
@@ -140,6 +141,33 @@ def test_vv_intersects_only_up_to_the_reduction_number(monkeypatch):
     monkeypatch.setattr(filtration, "intersect", lambda x, y: seen.append(x) or real(x, y))
     assert a.vv.certified_cm
     assert seen == [a.normal_filt.term(1), a.normal_filt.term(2)]
+
+
+# the nontrivial relays of an analysis at nmax 12 (75 and 155 of them while
+# every operation laid its operands onto a common box): the input ideal and a
+# given reduction onto the box of the analysis and, for low_type_cm's
+# exceptional case, the coefficient ring's maximal ideal onto its own box
+LAYOUTS = {
+    "poly3_cubes_diag": [((3, 3, 3), (40, 40, 40))] * 2,
+    "sg_4_5_11_uv": [((1, 1, 19), (14, 14, 162)), ((1, 1, 12), (14, 14, 162)), ((19,), (162,))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_only_the_initial_layouts_reshape(monkeypatch, name):
+    seen = []
+    real = monomial._reshape
+
+    def counting(bits, old, new):
+        if old != new and bits:
+            seen.append((old, new))
+        return real(bits, old, new)
+
+    monkeypatch.setattr(monomial, "_reshape", counting)
+    a = load(name, nmax=12)
+    run_checks(a)
+    assert seen == LAYOUTS[name]
+    assert a.box == seen[0][1]
 
 
 def test_frozen_numbers_cubes(analyses):
