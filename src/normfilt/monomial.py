@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import prod
-from operator import add
+from operator import add, mul
 
 from .errors import DimensionMismatch, InfiniteLength, PreconditionError
 from .newton import (Exponent, NewtonPolyhedron, closure_count, hilbert_values, least_pure_powers,
@@ -99,11 +99,14 @@ def _check_same(a: Ideal, b: Ideal):
 
 # --- boxes --------------------------------------------------------------------
 
-def _strides(widths) -> list[int]:
-    out = [1] * len(widths)
+@lru_cache(maxsize=64)
+def _grid(cap: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The widths of the box [0, cap] and its row-major strides."""
+    widths = tuple(c + 1 for c in cap)
+    strides = [1] * len(widths)
     for i in range(len(widths) - 2, -1, -1):
-        out[i] = out[i + 1] * widths[i + 1]
-    return out
+        strides[i] = strides[i + 1] * widths[i + 1]
+    return widths, tuple(strides)
 
 
 def _repeat(pattern: int, period: int, count: int) -> int:
@@ -174,21 +177,20 @@ def _shift_union(bits: int, cap, vectors) -> int:
     The box must hold the shifts: bits is valid on [0, cap - v] for every v,
     so points pushed past the cap repeat what the top slice already gets.
     """
-    widths = tuple(c + 1 for c in cap)
-    strides = _strides(widths)
+    widths, strides = _grid(cap)
     out = 0
     for v in vectors:
         x = bits
         for axis in range(1, len(v)):  # axis 0 overflows past the box end
             if v[axis]:
                 x &= _slab(widths, axis, 0, widths[axis] - v[axis])
-        out |= x << sum(c * s for c, s in zip(v, strides))
+        out |= x << sum(map(mul, v, strides))
     return out & _slab(widths, 0, 0, widths[0])
 
 
 def _points(bits: int, cap) -> tuple[Exponent, ...]:
     """The points whose bits are set, in index (lexicographic) order."""
-    strides = _strides([c + 1 for c in cap])
+    strides = _grid(cap)[1]
     text = format(bits, "b")[::-1]
     out = []
     i = text.find("1")
@@ -206,7 +208,7 @@ def _room(a: Ideal, shift) -> tuple[tuple[int, ...], int]:
     """A box that holds a shifted by up to shift along each axis, with a's bits
     on it: a's own box when need + shift fits inside it, else the least box
     that does and contains a's."""
-    cap = tuple(max(c, n + s) for c, n, s in zip(a.cap, a.need, shift))
+    cap = tuple(map(max, a.cap, map(add, a.need, shift)))
     return cap, _reshape(a.bits, a.cap, cap)
 
 
@@ -314,11 +316,10 @@ def colon(a: Ideal, b: Ideal) -> Ideal:
     if not b.bits:
         raise PreconditionError("colon by the zero ideal")
     cap, x = _room(a, _extent(b.gens))
-    widths = tuple(c + 1 for c in cap)
-    strides = _strides(widths)
-    out = (1 << prod(widths)) - 1
+    widths, strides = _grid(cap)
+    out = _slab(widths, 0, 0, widths[0])
     for g in b.gens:
-        out &= x >> sum(c * s for c, s in zip(g, strides))
+        out &= x >> sum(map(mul, g, strides))
     # shifts that crossed an inner axis land beyond a's need: each axis is cut
     # there and refilled from the slice at need, as (a : b) is constant past it
     for axis, top in enumerate(a.need):
@@ -329,7 +330,7 @@ def colon(a: Ideal, b: Ideal) -> Ideal:
 
 def _finite_count(diff: int, cap) -> int:
     """The number of points in diff, which must miss every top slice of the box."""
-    widths = tuple(c + 1 for c in cap)
+    widths = _grid(cap)[0]
     if any(diff & _slab(widths, axis, w - 1, w) for axis, w in enumerate(widths)):
         raise InfiniteLength("quotient has infinite length: the difference reaches a top slice")
     return diff.bit_count()
@@ -353,7 +354,7 @@ def colength(b: Ideal) -> int:
 def contains(a: Ideal, v) -> bool:
     """Whether the monomial with exponent vector v lies in the ideal a."""
     v = _check_vector(v, len(a.cap))
-    strides = _strides([c + 1 for c in a.cap])
+    strides = _grid(a.cap)[1]
     return bool(a.bits >> sum(min(x, c) * s for x, c, s in zip(v, a.cap, strides)) & 1)
 
 
