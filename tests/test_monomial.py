@@ -2,7 +2,10 @@
 
 The first tests use the polynomial ring (S = N); the property tests compare
 every operation against the brute-force membership oracle on S = N and on
-<4,5,11>, with 0 to 2 free axes, for ideals that need not be m-primary.
+<4,5,11>, with 0 to 2 free axes, for ideals that need not be m-primary. The
+last tests lay ideals on boxes larger than they need and check that no
+result depends on the box, and that a box which holds an operation is never
+relaid.
 """
 
 from itertools import product
