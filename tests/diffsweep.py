@@ -10,8 +10,9 @@ against BASE_REV's `src/` and once against the working tree's. The lines run
 `--nmax 3` and `--nmax 12`, `check --tamper-normal 0..4` at the default
 horizon and at `--nmax 12`, on the bundled corpus, its negative entries, the
 benchmark inputs and 30 random entries of seed 1 (polynomial rings in 1 to 4
-variables, semigroup rings with 0 to 2 adjoined variables), plus `corpus`
-over both corpus directories in every format: 1014 lines, two at a time.
+variables, semigroup rings, S = N among them, with 0 to 2 adjoined
+variables), plus `corpus` over both corpus directories in every format:
+1014 lines, two at a time.
 Both sides read the same input files from one scratch directory through
 relative paths.
 
@@ -40,7 +41,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 COMMANDS = ("table", "coeffs", "sally", "check")
 FORMATS = ("json", "csv", "md")
-SEMIGROUPS = ((2, 3), (3, 5), (3, 4, 5), (4, 5, 11), (5, 7))
+SEMIGROUPS = ((1,), (2, 3), (3, 5), (3, 4, 5), (4, 5, 11), (5, 7))
 MAIN = "import sys; from normfilt.cli import main; sys.exit(main())"
 SEED, RANDOM_ENTRIES, JOBS = 1, 30, 2
 
