@@ -3,18 +3,21 @@
 An Analysis validates its entry when it is built; a command or checker then
 reads only the tables, fits, reduction number and Valabrega-Valla report it
 needs, and each is computed once. The J-good table is a closed form in
-lambda(R/J) and lambda(R/closure(I)); no J-good chain is built.
+lambda(R/J) and lambda(R/closure(I)); no J-good chain is built. Reductions
+are one pure power per axis, certified against the simplex NP(J).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
 
 from .errors import HorizonError, InputError, NotMPrimary, PreconditionError
 from .filtration import (Filtration, default_nmax, default_window, fit_coefficients, length_table,
                          reduction_number, sally_from_tables, sally_lengths, series_coeff,
                          valabrega_valla)
-from .monomial import colength, is_m_primary, lay, maximal_ideal, power_box
+from .monomial import (colength, ideal, ideal_contains, is_m_primary, lay, maximal_ideal,
+                       power_box, pure_power_exponents)
 
 
 def _attempt(compute, errors=HorizonError):
@@ -23,6 +26,37 @@ def _attempt(compute, errors=HorizonError):
         return compute(), None
     except errors as exc:
         return None, exc
+
+
+def _covers(a, exps) -> bool:
+    """Whether a ⊆ closure(J) for J = (x_i^(e_i)), e = exps: NP(J) is the simplex
+    sum b_i/e_i >= 1, so with L = lcm(e) every minimal generator g of a must
+    have sum g_i·(L/e_i) >= L. No closure power or hull is built."""
+    top = lcm(*exps)
+    return all(sum(x * (top // e) for x, e in zip(g, exps)) >= top for g in a.gens)
+
+
+def auto_reduction(a):
+    """The least pure power of the m-primary ideal a along each axis, on a's
+    box, when it is a reduction of a; else None. It lies in a by
+    construction, so it is one iff a ⊆ closure(J)."""
+    exps = pure_power_exponents(a)
+    if not _covers(a, exps):
+        return None
+    d = len(exps)
+    return ideal(a.sg, d, [tuple(e * (k == i) for k in range(d)) for i, e in enumerate(exps)], a.cap)
+
+
+def certify(a, j):
+    """j, once it is one pure power of each variable with j ⊆ a ⊆ closure(j)."""
+    supports = sorted(tuple(i for i, x in enumerate(g) if x) for g in j.gens)
+    if supports != [(i,) for i in range(len(a.cap))]:
+        raise PreconditionError("reduction must be generated by one pure power of each variable")
+    if not ideal_contains(a, j):
+        raise PreconditionError("the given reduction ideal is not contained in the input ideal")
+    if not _covers(a, pure_power_exponents(j)):  # e0 is computed only here
+        raise PreconditionError(f"the given ideal is not a reduction: multiplicity {j.e0} != {a.e0}")
+    return j
 
 
 class Analysis:
@@ -59,10 +93,10 @@ class Analysis:
         self.box = power_box(entry.ideal, self.nmax + 1)
         self.ideal = lay(entry.ideal, self.box)
         if entry.reduction == "auto":
-            self.reduction = b.auto_reduction(self.ideal)  # on the ideal's box
+            self.reduction = auto_reduction(self.ideal)  # on the ideal's box
             self.reduction_source = "auto" if self.reduction is not None else None
         else:
-            self.reduction = b.certify(self.ideal, lay(entry.reduction, self.box))
+            self.reduction = certify(self.ideal, lay(entry.reduction, self.box))
             self.reduction_source = "given"
         self.normal_filt = Filtration(b, "normal", ideal=self.ideal, reduction=self.reduction)
         self.adic_filt = Filtration(b, "adic", ideal=self.ideal)
@@ -94,10 +128,11 @@ class Analysis:
     def normal_values(self) -> tuple[int, ...]:
         """lambda(R/closure(I^(n+1))) for n = 0..nmax, with the tampered entry if any.
 
-        For a polynomial ring entry n is the count H(n+1) of the ideal, which
-        e0 shares: no closure power is built for the column.
+        When S = N (conductor 0: a polynomial ring or k[[t]][U..]) entry n is
+        the count H(n+1) of the ideal, which e0 shares: no closure power is
+        built for the column.
         """
-        if self.backend.kind == "polynomial":
+        if self.ideal.sg.conductor == 0:
             values = self.ideal.closure_counts(self.nmax + 1)[1:]
         else:
             values = list(length_table(self.normal_filt, self.nmax))
@@ -191,8 +226,8 @@ class Analysis:
         bb = self.backend.base_ring()
         m = bb.maximal()
         m = lay(m, power_box(m, self.nmax + 1))  # the coefficient ring's own box
-        j = bb.auto_reduction(m)
-        return None if j is None else self._vv_and_rn(Filtration(bb, "adic", ideal=m), j)
+        # t^(least generator) is a reduction: every generator of m is a larger power
+        return self._vv_and_rn(Filtration(bb, "adic", ideal=m), auto_reduction(m))
 
     def e_bar(self, i: int):
         return self.normal_fit.e[i] if self.normal_fit is not None else None

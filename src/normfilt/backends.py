@@ -1,15 +1,17 @@
-"""The ring class shared by the two supported kinds of rings.
+"""The ring class shared by the two supported kinds of rings: a presentation.
 
 Both are monoid rings k[N^v x S]: the polynomial ring k[x_1..x_d] is the
 case S = N with v = d - 1 (its last variable on the S-axis), and the
 numerical semigroup ring k[[S]], optionally with variables adjoined, keeps
-S on the last axis. Ideal arithmetic lives in `monomial`, so the filtration
-engine and the statement checkers never branch on the ring class. A ring
-adds only what depends on it: its description, how elements print, the
-source of its Cohen-Macaulay type, and the coefficient ring of dimension one.
+S on the last axis. Ideal arithmetic lives in `monomial` and reductions in
+`analysis`; what is proved for regular rings keys on the ideal's semigroup
+(S = N), so k[[t]][U] takes the polynomial ring's shortcuts. A ring names
+its axes, builds ideals from exponent vectors, prints elements and
+describes itself, its type's source and its coefficient ring.
 
-Elements are exponent vectors with the S-axis last: (x_1..x_d) for the
-polynomial ring, (U, V, .., s) for a semigroup ring with adjoined U, V, ...
+Elements are exponent vectors in the order `axes`, the S-axis last:
+(x_1..x_d), or (U, V, .., t) for a semigroup ring with adjoined U, V, ...;
+they print in the order `shown`, t first.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import monomial as mono
-from .errors import NotMPrimary, PreconditionError, UnsupportedDimension
+from .errors import PreconditionError, UnsupportedDimension
 from .newton import MAX_DIM
 from .semigroup import NumericalSemigroup
 
@@ -28,13 +30,15 @@ def format_monomial(names, exps) -> str:
 
 
 class MonoidRing:
-    """k[N^v x S] with named variables; kind is "polynomial" or "semigroup"."""
+    """k[N^v x S] with its axes named in kernel order; kind ("polynomial" or
+    "semigroup") only picks the description and the source of the type."""
 
-    def __init__(self, kind: str, sg: NumericalSemigroup, names: tuple[str, ...]):
-        self.kind = kind
-        self.sg = sg
-        self.names = names
-        self.dim = len(names) if kind == "polynomial" else 1 + len(names)
+    def __init__(self, kind: str, sg: NumericalSemigroup, names: tuple[str, ...],
+                 axes: tuple[str, ...]):
+        self.kind, self.sg, self.names, self.axes = kind, sg, names, axes
+        self.dim = len(axes)
+        # the axes as elements print: t, the S-axis of a semigroup ring, first
+        self.shown = axes[len(names):] + names
 
     def describe(self) -> str:
         if self.kind == "polynomial":
@@ -60,29 +64,6 @@ class MonoidRing:
             return f"{t_part}*{x_part}"
         return t_part or x_part
 
-    # --- reductions ---------------------------------------------------------
-    def auto_reduction(self, a) -> mono.Ideal | None:
-        """The least pure power along each axis, when it is a reduction of a;
-        built on a's box."""
-        if not mono.is_m_primary(a):
-            raise NotMPrimary("automatic reduction requires an m-primary ideal")
-        exps = mono.pure_power_exponents(a)
-        j = self.ideal([tuple(e * (k == i) for k in range(self.dim)) for i, e in enumerate(exps)],
-                       a.cap)
-        # j ⊆ a by construction, so j is a reduction iff NP(j) = NP(a)
-        return j if mono.ideal_contains(mono.closure_power(j, 1, a.cap), a) else None
-
-    def certify(self, a, j) -> mono.Ideal:
-        """j, once it is one pure power of each variable with j ⊆ a ⊆ closure(j)."""
-        supports = sorted(tuple(i for i, x in enumerate(g) if x) for g in j.gens)
-        if supports != [(i,) for i in range(self.dim)]:
-            raise PreconditionError("reduction must be generated by one pure power of each variable")
-        if not mono.ideal_contains(a, j):
-            raise PreconditionError("the given reduction ideal is not contained in the input ideal")
-        if not mono.ideal_contains(mono.closure_power(j, 1, a.cap), a):  # e0 is computed only here
-            raise PreconditionError(f"the given ideal is not a reduction: multiplicity {j.e0} != {a.e0}")
-        return j
-
     # --- ring invariants ----------------------------------------------------
     @property
     def type_source(self) -> str:
@@ -93,7 +74,7 @@ class MonoidRing:
 
     def base_ring(self) -> "MonoidRing":
         """k[[S]] itself, the coefficient ring with no variables adjoined."""
-        return MonoidRing("semigroup", self.sg, ())
+        return MonoidRing("semigroup", self.sg, (), ("t",))
 
 
 def PolynomialBackend(names) -> MonoidRing:
@@ -105,7 +86,7 @@ def PolynomialBackend(names) -> MonoidRing:
         )
     if len(set(names)) != len(names):
         raise PreconditionError("variable names must be distinct")
-    return MonoidRing("polynomial", NumericalSemigroup((1,)), names)
+    return MonoidRing("polynomial", NumericalSemigroup((1,)), names, names)
 
 
 def SemigroupBackend(generators, adjoin: int = 0, names=None) -> MonoidRing:
@@ -120,4 +101,4 @@ def SemigroupBackend(generators, adjoin: int = 0, names=None) -> MonoidRing:
     names = tuple(str(n) for n in names)
     if len(names) != adjoin or len(set(names)) != adjoin or "t" in names:
         raise PreconditionError("adjoined variable names must be distinct and not 't'")
-    return MonoidRing("semigroup", sg, names)
+    return MonoidRing("semigroup", sg, names, names + ("t",))

@@ -3,7 +3,7 @@
 Covers: memoized filtration terms (integral-closure powers and ordinary
 powers), exact length tables, binomial-basis coefficient fits with a
 verification window, Sally-module lengths, reduction numbers (proved at most
-d-1 for the normal filtration of a polynomial ring, elsewhere over a whole
+d-1 for the normal filtration when S = N, elsewhere over a whole
 window), the Valabrega-Valla test on J up to the reduction number, and the
 intersection test closure(I^{n+1}) ∩ J^n = J^n closure(I). The J-good table
 lambda(R/J^n closure(I)) is a closed form in `analysis.Analysis.jgood_values`,
@@ -51,11 +51,12 @@ class Filtration:
 
     Ordinary powers grow from the memo, I^n = I*I^(n-1). From degree
     `product_from` on, a term is the one before times the reduction J: from
-    degree d on for the normal filtration of a polynomial ring given a
-    monomial reduction J of I. There closure(I^n) = closure(J^n) =
+    degree d = len(ideal.cap) on for the normal filtration of an ideal whose
+    semigroup is S = N (a polynomial ring or k[[t]][U..], both regular),
+    given a monomial reduction J of I. There closure(I^n) = closure(J^n) =
     J*closure(J^(n-1)) for n >= d (Reid-Roberts-Vitulli, Comm. Algebra 31,
     2003, by Caratheodory's theorem). For the pure powers x_i^(a_i) that
-    `certify` admits it is direct: x^b lies in closure(J^n) when
+    `analysis.certify` admits it is direct: x^b lies in closure(J^n) when
     sum b_i/a_i >= n, and as n >= d some b_i >= a_i, so x^b is x_i^(a_i)
     times a monomial of closure(J^(n-1)).
     Every other normal term is a closure power, and product_from is None
@@ -72,8 +73,8 @@ class Filtration:
         self.ideal = ideal
         self.reduction = reduction
         self.product_from = None
-        if kind == "normal" and reduction is not None and backend.kind == "polynomial":
-            self.product_from = backend.dim
+        if kind == "normal" and reduction is not None and ideal.sg.conductor == 0:
+            self.product_from = len(ideal.cap)
         self._terms = {0: unit_ideal(ideal.sg, len(ideal.cap), ideal.cap)}
 
     def term(self, n: int):
@@ -188,7 +189,7 @@ def reduction_number(filt: Filtration, reduction, nmax: int) -> int:
     When J is the filtration's own reduction and its terms are products from
     degree p = filt.product_from on, F_{n+1} = J*F_n holds for every
     n >= p - 1, so the scan starts at n = p - 2. For the normal filtration
-    of a polynomial ring, p = d and the products are a theorem, not a
+    of an ideal with S = N, p = d and the products are a theorem, not a
     choice: closure(I^(n+1)) = closure(J^(n+1)) = J*closure(J^n) once
     n + 1 >= d, as a monomial x^b with sum b_i/a_i >= n + 1 >= d has some
     b_i >= a_i (see `Filtration`). So rn <= d - 1 is proved, only n <= d - 2
@@ -240,7 +241,7 @@ def valabrega_valla(filt: Filtration, reduction, nmax: int, window: int, rn: int
     full success certifies Cohen-Macaulayness only when the horizon
     comfortably exceeds the certified reduction number. The criterion asks
     the same of every prefix P_i = (g_1..g_i) of the reduction generators,
-    and of every degree; for the pure-power J that `certify` admits, J alone
+    and of every degree; for the pure-power J that `analysis.certify` admits, J alone
     up to rn decides it:
 
     - Past rn, F_n = J·F_{n-1} ⊆ J, so F_n ∩ J = J·F_{n-1}.

@@ -19,8 +19,8 @@ ideal, `reduction auto` (the default) asks for an automatic certificate.
 
 `parse_input` builds the ring and each ideal at its own line, so the ring
 rules live only in the `backends` constructors; what they reject becomes an
-InputError at the line and column of its directive. Tokens parse into kernel
-axis order: the S-axis of a semigroup ring is last and named t. Dimension
+InputError at the line and column of its directive. Tokens parse into the
+ring's `axes` order: the S-axis of a semigroup ring is last and named t. Dimension
 limits raise UnsupportedDimension, every other error an InputError with its
 line and column. `build_entry` fills in the default name and the overrides.
 """
@@ -191,10 +191,6 @@ def parse_input(text: str) -> EntryData:
             _fail(f"duplicate directive {directive!r}", line_no, raw, directive)
         if directive == "ring":
             ring = _parse_ring(rest, line_no, raw)
-            if ring.kind == "semigroup":  # entry files list t first; its axis is last
-                axes, shown = ring.names + ("t",), ("t",) + ring.names
-            else:
-                axes = shown = ring.names
             seen["ring"] = ring
             continue
         if directive in ("ideal", "reduction"):
@@ -208,7 +204,7 @@ def parse_input(text: str) -> EntryData:
             else:
                 if not joined:
                     _fail(f"{directive} line needs at least one generator", line_no, raw)
-                gens = [parse_monomial(tok, axes, line_no, raw, shown) for tok in joined]
+                gens = [parse_monomial(tok, ring.axes, line_no, raw, ring.shown) for tok in joined]
                 if not all(any(g) for g in gens):
                     _fail(f"{directive} generators must be non-units", line_no, raw)
                 with _located(line_no, raw, directive):

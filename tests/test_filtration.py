@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from normfilt import CHECKS, errors
 from normfilt import filtration as flt
-from normfilt.analysis import Analysis
+from normfilt.analysis import Analysis, auto_reduction
 from normfilt.backends import PolynomialBackend, SemigroupBackend
 from normfilt.inputs import EntryData
 from normfilt.monomial import closure_power, contains, intersect, multiply, unit_ideal
@@ -275,7 +275,7 @@ def vv_cases(draw, semigroups=((1,), (2, 3), (3, 5), (4, 5, 11)), kinds=("normal
     if kind == "base":
         ring = ring.base_ring()
         ideal = ring.maximal()
-    j = ring.auto_reduction(ideal)
+    j = auto_reduction(ideal)
     assume(j is not None)
     filt = flt.Filtration(ring, "normal" if kind == "normal" else "adic", ideal=ideal)
     return filt, j, draw(st.integers(1, 6)), draw(st.integers(1, 4))
@@ -403,14 +403,16 @@ def test_series_checks_detect_wrong_multiplicity():
 
 
 @st.composite
-def reduction_analyses(draw):
+def reduction_analyses(draw, top=6, naturals=False):
     """An analysis whose ideal lies between pure powers J and their closure,
     so that J is its reduction: a polynomial ring in 1 to 4 variables, or a
-    semigroup ring with 0 to 2 adjoined variables; nmax runs over 1..6."""
+    semigroup ring with 0 to 2 adjoined variables; nmax runs over 1..top.
+    With naturals, S = N also comes as the semigroup ring k[[t]][U..]."""
     sg = draw(st.sampled_from(((1,), (2, 3), (3, 5), (4, 5, 11))))
     free = draw(st.integers(0, 3 if sg == (1,) else 2))
-    ring = (PolynomialBackend(("x", "y", "z", "w")[:free + 1]) if sg == (1,)
-            else SemigroupBackend(sg, free))
+    semigroup = sg != (1,) or naturals and free < 3 and draw(st.booleans())
+    ring = (SemigroupBackend(sg, free) if semigroup
+            else PolynomialBackend(("x", "y", "z", "w")[:free + 1]))
     members = [s for s in range(1, 13) if ring.sg.contains(s)]
     pure = [draw(st.integers(1, 3)) for _ in range(free)] + [draw(st.sampled_from(members[:4]))]
     vector = st.tuples(*[st.integers(0, 3)] * free, st.sampled_from([0] + members))
@@ -418,7 +420,7 @@ def reduction_analyses(draw):
     extra = [a for a in draw(st.lists(vector, max_size=3))
              if sum(x * prod(pure) // p for x, p in zip(a, pure)) >= prod(pure)]
     powers = [tuple(p * (j == i) for j in range(free + 1)) for i, p in enumerate(pure)]
-    entry = EntryData("e", ring, ring.ideal(powers + extra), nmax=draw(st.integers(1, 6)))
+    entry = EntryData("e", ring, ring.ideal(powers + extra), nmax=draw(st.integers(1, top)))
     a = Analysis(entry)
     assert a.reduction == ring.ideal(powers)
     return a

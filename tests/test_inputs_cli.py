@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import normfilt
-from normfilt import analysis, cli, errors, inputs, monomial, theorems
+from normfilt import analysis, cli, errors, filtration, inputs, monomial, theorems
 from normfilt.backends import format_monomial
 
 CORPUS = resources.files("normfilt") / "corpus"
@@ -510,6 +510,33 @@ def test_cli_semigroup_of_naturals_has_type_one(tmp_path, capsys):
     assert payload["numbers"]["type"] == 1
     socle = next(v for v in payload["verdicts"] if v["check"] == "socle_formula")
     assert socle["conclusion"] == "verified"
+
+
+def test_semigroup_of_naturals_takes_the_polynomial_shortcuts(tmp_path, monkeypatch, capsys):
+    # k[[t]][U] and k[U,t] are one regular ring: the same numbers, and the
+    # normal column of the semigroup ring is counted, not built from closures
+    numbers = []
+    for ring in ("semigroup gens=1 adjoin=U", "polynomial vars=U,t"):
+        f = tmp_path / "naturals.nfilt"
+        f.write_text(f"ring {ring}\nideal t^4 U^2 t^2*U\nnmax 9\n")
+        for command in ("table", "coeffs"):
+            assert cli.main([command, str(f)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            for key in ("ring", "type_source", "ideal", "reduction"):  # how they print
+                payload.pop(key, None)
+            numbers.append(payload)
+    assert numbers[:2] == numbers[2:]
+    assert numbers[1]["rn"] == 1 and numbers[1]["reduction_source"] == "auto"
+    entry = inputs.parse_input("ring semigroup gens=1 adjoin=U\nideal t^4 U^2 t^2*U\n")
+    a = analysis.Analysis(inputs.build_entry(entry))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the normal column of S = N builds no closure power")
+
+    monkeypatch.setattr(filtration, "closure_power", fail)
+    monkeypatch.setattr(monomial, "closure_power", fail)
+    assert a.normal_values[:4] == (6, 20, 42, 72)
+    assert a.normal_filt.product_from == 2
 
 
 def test_cli_default_horizon_fits_dimension_four(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from normfilt import errors
 from normfilt import monomial as mono
 from normfilt import newton
+from normfilt.analysis import auto_reduction, certify
 from normfilt.backends import PolynomialBackend, SemigroupBackend
 from normfilt.filtration import Filtration, length_table
 from oracles import (
@@ -206,28 +207,28 @@ def test_closure_is_dilation_lattice_points():
 
 def test_certify_reduction_positive():
     a, j = ideal(CUBES_DIAG), ideal(CUBES)
-    assert R3.certify(a, j) == j
+    assert certify(a, j) == j
     assert a.e0 == j.e0 == 27
 
 
 def test_certify_reduction_negative_multiplicity():
     bigger = ideal(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
     with pytest.raises(errors.PreconditionError, match="not a reduction: multiplicity 64 != 27"):
-        R3.certify(ideal(CUBES), bigger)
+        certify(ideal(CUBES), bigger)
 
 
 def test_certify_reduction_requires_containment():
     not_inside = ideal(((2, 0, 0), (0, 3, 0), (0, 0, 3)))
     with pytest.raises(errors.PreconditionError, match="not contained in the input ideal"):
-        R3.certify(ideal(CUBES), not_inside)
+        certify(ideal(CUBES), not_inside)
     with pytest.raises(errors.PreconditionError, match="one pure power of each variable"):
-        R3.certify(ideal(CUBES), ideal(CUBES_DIAG))
+        certify(ideal(CUBES), ideal(CUBES_DIAG))
 
 
 def test_find_monomial_reduction():
-    assert R3.auto_reduction(ideal(CUBES_DIAG)) == ideal(CUBES)
-    assert R2.auto_reduction(ideal(PLANE)) is None  # pure powers give e0 = 6 != 5
-    assert R3.auto_reduction(ideal(CUBES)) == ideal(CUBES)
+    assert auto_reduction(ideal(CUBES_DIAG)) == ideal(CUBES)
+    assert auto_reduction(ideal(PLANE)) is None  # pure powers give e0 = 6 != 5
+    assert auto_reduction(ideal(CUBES)) == ideal(CUBES)
 
 
 CERT_RINGS = [PolynomialBackend("xyzw"[:d]) for d in range(1, 5)] + [
@@ -254,7 +255,7 @@ def test_certificate_agrees_with_multiplicity_comparison(drawn, data):
     ring, a, values = drawn
     d = ring.dim
     exps = mono.pure_power_exponents(a)
-    auto = ring.auto_reduction(a)
+    auto = auto_reduction(a)
     j = ring.ideal([tuple(e * (k == i) for k in range(d)) for i, e in enumerate(exps)])
     assert auto == (j if a.e0 == j.e0 else None), (ring.describe(), a.gens)
     if auto is not None:  # lambda(R/J) = e0, so lambda(closure(I)/J) = e0 - lambda(R/closure(I))
@@ -267,10 +268,10 @@ def test_certificate_agrees_with_multiplicity_comparison(drawn, data):
     j = ring.ideal([tuple(e * (k == i) for k in range(d)) for i, e in enumerate(shifted)])
     contained = mono.ideal_contains(a, j)
     if contained and a.e0 == j.e0:
-        assert ring.certify(a, j) == j
+        assert certify(a, j) == j
     else:
         with pytest.raises(errors.PreconditionError) as info:
-            ring.certify(a, j)
+            certify(a, j)
         expected = f"multiplicity {j.e0} != {a.e0}" if contained else "not contained"
         assert expected in str(info.value), (ring.describe(), a.gens, j.gens)
 
