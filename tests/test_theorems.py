@@ -5,13 +5,16 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normfilt import CHECKS, EntryData, analyze, errors, filtration, run_checks
+from normfilt.analysis import Analysis
 from normfilt.backends import PolynomialBackend
 from normfilt.monomial import colength, multiply, quotient_length
 from normfilt import inputs, monomial, reports
 from normfilt.verdicts import Verdict, verified
-from test_filtration import chain_values, exact_decomposition
+from test_filtration import chain_values, exact_decomposition, reduction_analyses
 
 ALL_CHECKS = (
     "table_coherence",
@@ -319,3 +322,28 @@ def test_readme_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == ["(10, 56, 165, 364, 680, 1140, 1771, 2600, 3654)",
                          "(27, 18, 1, 0)", "2 True"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_analyses(top=8, naturals=True), st.data())
+def test_sally_coefficients_follow_from_the_fits(a, data):
+    """Once the normal and the Sally fit both pass, s0 = e1_bar - e0 +
+    lambda(R/closure(I)) and s_i = e_(i+1)_bar, for a tampered table too: the
+    J-good table is a closed form with lambda(R/J) = e0. So
+    sally_coefficient_transfer and e1_almost_minimal_depth need not compare
+    them. Half the horizons are 8, and a third of the tamper indices lie
+    below the 2d + 3 entries that the normal fit reads, where it can pass."""
+    nmax = data.draw(st.sampled_from([a.nmax, 8]), label="nmax")
+    below_fit = st.integers(1, max(1, nmax - 2 * a.dim - 3))
+    index = data.draw(st.none() | st.integers(0, nmax) | below_fit, label="tamper index")
+    a = Analysis(a.entry._replace(nmax=nmax, tamper_normal=index))
+    if a.normal_fit is None or a.sally_fit is None:
+        return
+    e, s = a.normal_fit.e, a.sally_fit.e
+    assert s[0] == e[1] - a.e0 + a.lam_R_I1
+    assert s[1:] == e[2:]
+    verdict = CHECKS["sally_coefficient_transfer"][0](a)
+    assert verdict.conclusion == "verified"
+    assert [verdict.numbers[f"s{i}_bar"] for i in range(a.dim)] == list(s)
+    depth = CHECKS["e1_almost_minimal_depth"][0](a)
+    assert depth.numbers["s0_bar"] == a.e_bar(1) - (a.e0 - a.lam_R_I1)
