@@ -56,13 +56,8 @@ class MonoidRing:
     _maximal = cached_property(lambda self: mono.maximal_ideal(self.sg, self.dim))
 
     def element_str(self, v) -> str:
-        if self.kind == "polynomial":
-            return format_monomial(self.names, v)
-        t_part = f"t^{v[-1]}" if v[-1] else ""
-        x_part = format_monomial(self.names, v[:-1])
-        if t_part and x_part != "1":
-            return f"{t_part}*{x_part}"
-        return t_part or x_part
+        n = len(self.names)  # v in the order of `shown`, as for the axes
+        return format_monomial(self.shown, (*v[n:], *v[:n]))
 
     # --- ring invariants ----------------------------------------------------
     @property

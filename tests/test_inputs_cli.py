@@ -62,6 +62,16 @@ def test_parse_semigroup_entry():
     assert entry.name is None and entry.nmax is None and entry.checks is None
 
 
+def test_elements_print_t_first_without_exponent_one():
+    entry = inputs.parse_input("ring semigroup gens=1 adjoin=U\nideal t U^2\n")
+    ring = entry.backend
+    assert ring.axes == ("U", "t") and ring.shown == ("t", "U")
+    assert [ring.element_str(g) for g in entry.ideal.gens] == ["t", "U^2"]
+    assert ring.element_str((2, 1)) == "t*U^2"
+    ring = inputs.parse_input("ring semigroup gens=4,5,11 adjoin=U,V\nideal maximal\n").backend
+    assert ring.element_str((1, 0, 4)) == "t^4*U" and ring.element_str((0, 0, 0)) == "1"
+
+
 def test_parse_polynomial_defaults():
     entry = inputs.parse_input("ring polynomial dim=3\nideal x^2 y^2 z^2\n")
     assert entry.backend.kind == "polynomial"
