@@ -56,7 +56,7 @@ class MonoidRing:
     _maximal = cached_property(lambda self: mono.maximal_ideal(self.sg, self.dim))
 
     def element_str(self, v) -> str:
-        n = len(self.names)  # v in the order of `shown`, as for the axes
+        n = len(self.names)  # v rotated as `shown` rotates `axes`
         return format_monomial(self.shown, (*v[n:], *v[:n]))
 
     # --- ring invariants ----------------------------------------------------

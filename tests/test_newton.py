@@ -231,6 +231,18 @@ def test_find_monomial_reduction():
     assert auto_reduction(ideal(CUBES)) == ideal(CUBES)
 
 
+def test_certificate_builds_no_closure_power_or_hull(monkeypatch):
+    # NP(J) of pure powers is a simplex, tested on the generators of the ideal
+    def fail(*args, **kwargs):
+        raise AssertionError("the reduction certificate builds no closure power or hull")
+
+    a, j = ideal(CUBES_DIAG), ideal(CUBES)
+    monkeypatch.setattr(mono, "closure_power", fail)
+    monkeypatch.setattr(mono, "newton_polyhedron", fail)
+    assert auto_reduction(a) == j and certify(a, j) is j
+    assert auto_reduction(ideal(PLANE)) is None
+
+
 CERT_RINGS = [PolynomialBackend("xyzw"[:d]) for d in range(1, 5)] + [
     SemigroupBackend(gens, adjoin) for gens in ((1,), (4, 5, 11), (3, 7)) for adjoin in range(3)
 ]
