@@ -68,7 +68,8 @@ class Analysis:
     index, the m-primary test and the reduction certificate. The fit window
     is `default_window(dim)`. The fields built from the reduction J
     (reduction_powers, jgood_values, sally_values, sally_fit, rn, vv,
-    lam_R_J, lam_I1_J) may be read only when `reduction` is not None. Every
+    maximal_vv, lam_R_J, lam_I1_J) may be read only when `reduction` is not
+    None, and maximal_vv only when closure(I) = m as well. Every
     ideal of the analysis lies on one box, `power_box` of the input ideal at
     degree nmax + 1, so the kernel never relays an operand. A fit
     or reduction number that fails reads None, and its *_error field holds
@@ -210,23 +211,23 @@ class Analysis:
         """lambda(closure(I)/J) = lambda(R/J) - lambda(R/closure(I)), as J ⊆ closure(I)."""
         return self.lam_R_J - self.lam_R_I1
 
-    def _vv_and_rn(self, filt):
+    @cached_property
+    def maximal_vv(self):
+        """Valabrega-Valla report of the powers of m with J, for closure(I) = m.
+
+        Then J ⊆ I ⊆ m ⊆ closure(J), so J, one pure power per axis, is
+        (x_1..x_v, t^e) with e the least generator of S. A monomial x^a·t^s
+        with a_i > 0 of m^n ∩ J (or of m^(n+1)) lies in x_i·m^(n-1) ⊆ J·m^(n-1)
+        (or in J·m^n), as x^a·t^s/x_i has order one less. So failures and the
+        reduction number come only from powers of t, and t^s lies in m^n, J
+        or J·m^(n-1) exactly when it does in k[[S]] with (t^e): the failing
+        degree, the witness t^s and rn are those of the coefficient ring.
+        When I = m this reads the adic filtration of I.
+        """
+        filt = self.adic_filt if self.ideal == self.maximal else Filtration(
+            self.backend, "adic", ideal=self.maximal, reduction=self.reduction)
         rn = _attempt(lambda: reduction_number(filt, self.nmax))[0]
-        return valabrega_valla(filt, self.nmax, self.window, rn), rn
-
-    @cached_property
-    def adic_cm(self):
-        """Valabrega-Valla verdict for the ordinary-power filtration of I."""
-        return self._vv_and_rn(self.adic_filt)
-
-    @cached_property
-    def base_cm(self):
-        """Valabrega-Valla verdict for the maximal ideal of the coefficient ring."""
-        bb = self.backend.base_ring()
-        m = bb.maximal()
-        m = lay(m, power_box(m, self.nmax + 1))  # the coefficient ring's own box
-        # t^(least generator) is a reduction: every generator of m is a larger power
-        return self._vv_and_rn(Filtration(bb, "adic", ideal=m, reduction=auto_reduction(m)))
+        return valabrega_valla(filt, self.nmax, self.window, rn)
 
     def e_bar(self, i: int):
         return self.normal_fit.e[i] if self.normal_fit is not None else None

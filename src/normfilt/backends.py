@@ -7,7 +7,7 @@ S on the last axis. Ideal arithmetic lives in `monomial` and reductions in
 `analysis`; what is proved for regular rings keys on the ideal's semigroup
 (S = N), so k[[t]][U] takes the polynomial ring's shortcuts. A ring names
 its axes, builds ideals from exponent vectors, prints elements and
-describes itself, its type's source and its coefficient ring.
+describes itself and its type's source.
 
 Elements are exponent vectors in the order `axes`, the S-axis last:
 (x_1..x_d), or (U, V, .., t) for a semigroup ring with adjoined U, V, ...;
@@ -66,10 +66,6 @@ class MonoidRing:
         if self.kind == "polynomial":
             return "regular ring; the maximal ideal is generated by a regular sequence"
         return "pseudo-Frobenius count of the semigroup"
-
-    def base_ring(self) -> "MonoidRing":
-        """k[[S]] itself, the coefficient ring with no variables adjoined."""
-        return MonoidRing("semigroup", self.sg, (), ("t",))
 
 
 def PolynomialBackend(names) -> MonoidRing:

@@ -106,7 +106,7 @@ class Fit(NamedTuple):
     stable_from: int
 
 
-def fit_polynomial(values, dim: int, window: int) -> tuple[tuple[int, ...], int]:
+def fit_polynomial(values, dim: int, window: int) -> Fit:
     """Exact integral fit of values[n] = sum_i (-1)^i c_i C(n+dim-i, dim-i).
 
     Fits the trailing dim+1 entries by backward differences, verifies the
@@ -152,12 +152,12 @@ def fit_polynomial(values, dim: int, window: int) -> tuple[tuple[int, ...], int]
     stable_from = first_fit - window
     while stable_from > 0 and poly(stable_from - 1) == values[stable_from - 1]:
         stable_from -= 1
-    return coeffs, stable_from
+    return Fit(coeffs, stable_from)
 
 
 def fit_coefficients(values, dim: int) -> Fit:
     """Hilbert coefficients of a colength table in dimension dim."""
-    fit = Fit(*fit_polynomial(values, dim, default_window(dim)))
+    fit = fit_polynomial(values, dim, default_window(dim))
     if fit.e[0] <= 0:
         raise HorizonError("fitted leading coefficient is not positive (horizon too small)")
     return fit
@@ -180,7 +180,7 @@ def sally_from_tables(normal_values, jgood_values, dim: int) -> Fit:
     values = sally_lengths(normal_values, jgood_values)
     if any(v < 0 for v in values) or values[0] != 0:
         raise PreconditionError("Sally lengths must be nonnegative and start at 0")
-    return Fit(*fit_polynomial(values, dim - 1, default_window(dim)))
+    return fit_polynomial(values, dim - 1, default_window(dim))
 
 
 def reduction_number(filt: Filtration, nmax: int) -> int:

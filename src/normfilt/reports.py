@@ -79,14 +79,7 @@ def coeffs_payload(analysis) -> dict:
         out["rn"] = analysis.rn
         if analysis.rn_error is not None:
             out["rn_note"] = str(analysis.rn_error)
-        vv = analysis.vv
-        out["valabrega_valla"] = {
-            "certified_cm": vv.certified_cm,
-            "inconclusive": vv.inconclusive,
-            "first_failure": list(vv.first_failure) if vv.first_failure else None,
-            "checked_upto": vv.checked_upto,
-            "required_horizon": vv.required_horizon,
-        }
+        out["valabrega_valla"] = analysis.vv._asdict()
         out["sally"] = _fit_dict(analysis.sally_fit, analysis.sally_fit_error, key="s")
     return out
 

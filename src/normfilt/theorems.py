@@ -451,7 +451,11 @@ def check_almost_minimal_rn2(a: Analysis, nums) -> Verdict:
 def check_low_type_cm(a: Analysis, nums) -> Verdict:
     """For type <= 2 rings with e3_bar = 0 and closure(I) = m: the closure-filtration
     graded ring is Cohen-Macaulay, and the ordinary graded ring of m is Cohen-Macaulay
-    except in one exceptional numeric configuration, where its depth is d-1."""
+    except in one exceptional numeric configuration, where its depth is d-1.
+
+    Both cases read one report, `Analysis.maximal_vv`, the Valabrega-Valla test
+    of the powers of m with J, whose failures are those of the coefficient ring
+    k[[S]] with (t^e)."""
     part_a = _cm_conclusion(a, "")
     if part_a.is_refutation:
         return part_a
@@ -462,8 +466,8 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
     nums["lambda_m2_Jm"] = lam_m2_Jm
     exceptional = t == 2 and s1 == 2 and a.mu_maximal - a.dim == 2 and lam_m2_Jm == 1
     nums["exceptional_case"] = int(exceptional)
+    vv = a.maximal_vv
     if not exceptional:
-        vv, _ = a.adic_cm
         if vv.first_failure is not None:
             n, i, elem = vv.first_failure
             return refuted(
@@ -480,9 +484,8 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
             "Valabrega-Valla passes for both filtrations but the horizon is too small "
             "to certify Cohen-Macaulayness",
         )
-    vv, _ = a.base_cm
     if vv.first_failure is not None:
-        n, i, elem = vv.first_failure
+        n, _, elem = vv.first_failure
         if part_a.conclusion == "verified":
             return verified(
                 "exceptional case confirmed: the coefficient-ring graded ring fails "

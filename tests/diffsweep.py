@@ -10,10 +10,12 @@ against BASE_REV's `src/` and once against the working tree's. The lines run
 `sally` at `--nmax 12` (counted normal columns to k = 13), `check` at
 `--nmax 3` and `--nmax 12`, `check --tamper-normal 0..4` at the default
 horizon and at `--nmax 12`, on the bundled corpus, its negative entries, the
-benchmark inputs and 30 random entries of seed 1 (polynomial rings in 1 to 4
+benchmark inputs, one fixed entry (I = (t^3, t^4, U, V) of
+k[[t^3,t^4,t^5]][U,V], whose closure is the maximal ideal m though I is
+not m) and 30 random entries of seed 1 (polynomial rings in 1 to 4
 variables, semigroup rings, S = N among them, with 0 to 2 adjoined
 variables), plus `corpus` over both corpus directories in every format:
-1098 lines, two at a time.
+1124 lines, two at a time.
 Both sides read the same input files from one scratch directory through
 relative paths.
 
@@ -45,6 +47,9 @@ FORMATS = ("json", "csv", "md")
 SEMIGROUPS = ((1,), (2, 3), (3, 5), (3, 4, 5), (4, 5, 11), (5, 7))
 MAIN = "import sys; from normfilt.cli import main; sys.exit(main())"
 SEED, RANDOM_ENTRIES, JOBS = 1, 30, 2
+# closure(I) = m with I != m: low_type_cm must test the powers of m, not of I
+FIXED = ("fixed/sg_3_4_5_uv_t3_t4.nfilt",
+         "name sg_3_4_5_uv_t3_t4\nring semigroup gens=3,4,5 adjoin=U,V\nideal t^3 t^4 U V\n")
 
 
 def _monomial(names, exps) -> str:
@@ -89,8 +94,8 @@ def random_entry(rng: random.Random, k: int) -> str:
 
 
 def write_inputs(root: Path, seed: int, random_count: int) -> list[str]:
-    """Copy the bundled and benchmark entries under root, write the random
-    ones, and return every entry path relative to root."""
+    """Copy the bundled and benchmark entries under root, write the fixed and
+    random ones, and return every entry path relative to root."""
     sources = {
         "corpus": REPO / "src" / "normfilt" / "corpus",
         "negative": REPO / "src" / "normfilt" / "corpus" / "negative",
@@ -102,6 +107,10 @@ def write_inputs(root: Path, seed: int, random_count: int) -> list[str]:
         for f in sorted(src.glob("*.nfilt")):
             shutil.copy(f, root / sub / f.name)
             paths.append(f"{sub}/{f.name}")
+    path, text = FIXED
+    (root / path).parent.mkdir()
+    (root / path).write_text(text)
+    paths.append(path)
     (root / "random").mkdir()
     rng = random.Random(seed)
     for k in range(random_count):

@@ -21,6 +21,7 @@ from normfilt.newton import multiplicity, newton_polyhedron
 from normfilt.theorems import analyze, run_checks
 from oracles import (_solve_consistent, in_dilation_oracle, jgood_chain_colengths,
                      semigroup_members_oracle, series_checks)
+from test_filtration import coefficient_ring_vv, degree_and_witness
 
 CORPUS = resources.files("normfilt") / "corpus"
 
@@ -81,7 +82,7 @@ def test_criterion_1_semigroup_example(capsys):
         t0 = time.monotonic()
         base = analyze(load("sg_4_5_11", nmax=8))
         ext = analyze(load("sg_4_5_11_uv", nmax=8))
-        base_vv, base_rn = ext.base_cm
+        base_vv, base_rn = coefficient_ring_vv((4, 5, 11), ext.nmax, ext.window)
         elapsed = time.monotonic() - t0
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
@@ -105,6 +106,8 @@ def test_criterion_1_semigroup_example(capsys):
         assert base_rn is not None
         assert base_vv.first_failure == (3, 1, "t^15")
         assert not base_vv.certified_cm and not base_vv.inconclusive
+        # the VV report of m in S[U,V] fails at the same degree and element
+        assert degree_and_witness(ext.maximal_vv) == degree_and_witness(base_vv)
 
         # extension ring S[U,V]: closure(n^2) = n^2 + (z) for z = t^11, and
         # closure(n^k) = n^k + z*(U,V)^(k-2) degreewise up to the horizon

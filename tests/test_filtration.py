@@ -273,7 +273,7 @@ def vv_cases(draw, semigroups=((1,), (2, 3), (3, 5), (4, 5, 11)), kinds=("normal
         powers = [tuple(p * (j == i) for j in range(free + 1)) for i, p in enumerate(pure)]
         ideal = ring.ideal(powers + extra)
     if kind == "base":
-        ring = ring.base_ring()
+        ring = SemigroupBackend(ring.sg.gens)
         ideal = ring.maximal()
     j = auto_reduction(ideal)
     assume(j is not None)
@@ -315,6 +315,54 @@ def test_vv_never_fails_on_polynomial_normal_filtrations(case):
     filt, j, nmax, window = case
     rn = certified_rn(filt, nmax)
     assert flt.valabrega_valla(filt, nmax, window, rn).first_failure is None
+
+
+def coefficient_ring_vv(gens, nmax, window):
+    """(Valabrega-Valla report, rn) of the powers of the maximal ideal of k[[S]],
+    S = <gens>, with the reduction (t^e), e the least generator of S: the
+    coefficient-ring analysis that `Analysis.maximal_vv` replaced."""
+    ring = SemigroupBackend(gens)
+    m = ring.maximal()
+    filt = flt.Filtration(ring, "adic", ideal=m, reduction=auto_reduction(m))
+    rn = certified_rn(filt, nmax)
+    return flt.valabrega_valla(filt, nmax, window, rn), rn
+
+
+def degree_and_witness(report):
+    """report with first_failure cut to (degree, witness): its prefix is the
+    number of generators of J, which the two rings do not share."""
+    failure = report.first_failure
+    return report._replace(first_failure=failure and failure[::2])
+
+
+@st.composite
+def maximal_closure_analyses(draw):
+    """An analysis of k[[S]][U..] with 0 to 2 adjoined variables, S one of
+    <3,4,5>, <4,5,7>, <4,5,11>, <5,6,7>, and nmax 1..12, of the maximal
+    ideal m or of a proper subideal with closure m: the variables, t^e for
+    the least generator e of S, and some larger members of S."""
+    ring = SemigroupBackend(draw(st.sampled_from([(3, 4, 5), (4, 5, 7), (4, 5, 11), (5, 6, 7)])),
+                            draw(st.integers(0, 2)))
+    free, e = ring.dim - 1, ring.sg.multiplicity
+    if draw(st.booleans()):
+        ideal = ring.maximal()
+    else:
+        members = [s for s in range(e + 1, 3 * e) if ring.sg.contains(s)]
+        powers = [e] + draw(st.lists(st.sampled_from(members), max_size=3))
+        units = [tuple(int(j == i) for j in range(ring.dim)) for i in range(free)]
+        ideal = ring.ideal(units + [(0,) * free + (s,) for s in powers])
+    return Analysis(EntryData("e", ring, ideal, nmax=draw(st.integers(1, 12))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(maximal_closure_analyses())
+def test_maximal_vv_matches_the_coefficient_ring(a):
+    """VV of m with J fails, and m reaches J·m^n, exactly where k[[S]] with (t^e) does."""
+    assert a.closure_is_maximal and a.reduction is not None
+    base, base_rn = coefficient_ring_vv(a.backend.sg.gens, a.nmax, a.window)
+    powers = flt.Filtration(a.backend, "adic", ideal=a.maximal, reduction=a.reduction)
+    assert certified_rn(powers, a.nmax) == base_rn
+    assert degree_and_witness(a.maximal_vv) == degree_and_witness(base)
 
 
 # --- counted normal tables and the proved reduction number -------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normfilt import CHECKS, EntryData, analyze, errors, filtration, run_checks
+from normfilt import CHECKS, EntryData, analyze, cli, errors, filtration, run_checks
 from normfilt.analysis import Analysis
 from normfilt.backends import PolynomialBackend
 from normfilt.monomial import colength, multiply, quotient_length
@@ -148,11 +148,10 @@ def test_vv_intersects_only_up_to_the_reduction_number(monkeypatch):
 
 # the nontrivial relays of an analysis at nmax 12 (75 and 155 of them while
 # every operation laid its operands onto a common box): the input ideal and a
-# given reduction onto the box of the analysis and, for low_type_cm's
-# exceptional case, the coefficient ring's maximal ideal onto its own box
+# given reduction onto the box of the analysis
 LAYOUTS = {
     "poly3_cubes_diag": [((3, 3, 3), (40, 40, 40))] * 2,
-    "sg_4_5_11_uv": [((1, 1, 19), (14, 14, 162)), ((1, 1, 12), (14, 14, 162)), ((19,), (162,))],
+    "sg_4_5_11_uv": [((1, 1, 19), (14, 14, 162)), ((1, 1, 12), (14, 14, 162))],
 }
 
 
@@ -212,6 +211,31 @@ def test_low_type_exceptional_witness(analyses):
     assert v.conclusion == "verified"
     assert [(w.degree, w.element) for w in v.witnesses] == [(3, "t^15")]
     assert "exceptional" in v.detail
+
+
+# ideals I != m with closure(I) = m outside the exceptional case: G(m) is
+# Cohen-Macaulay, while the powers of I fail Valabrega-Valla
+NOT_MAXIMAL = [
+    ((3, 4, 5), "t^3 t^4 U V"),
+    ((3, 5, 7), "t^3 t^5 U V"),
+    ((4, 5, 6), "t^4 t^5 U V"),
+    ((4, 5, 7), "t^4 t^5 U V"),
+    ((4, 5, 7), "t^4 t^7 U V"),
+    ((5, 6, 7), "t^5 t^6 U V"),
+]
+
+
+@pytest.mark.parametrize("gens, ideal", NOT_MAXIMAL)
+def test_low_type_cm_tests_the_powers_of_m(tmp_path, gens, ideal):
+    text = f"name not_maximal\nring semigroup gens={','.join(map(str, gens))} adjoin=U,V\nideal {ideal}\n"
+    a = analyze(inputs.build_entry(inputs.parse_input(text)))
+    assert a.ideal != a.maximal and a.closure_is_maximal
+    assert filtration.valabrega_valla(a.adic_filt, a.nmax, a.window, None).first_failure
+    verdicts = {v.check: v for v in run_checks(a)}
+    assert verdicts["low_type_cm"].conclusion == "verified"
+    f = tmp_path / "not_maximal.nfilt"
+    f.write_text(text)
+    assert cli.main(["check", str(f)]) == 0
 
 
 def test_tamper_index_is_checked_against_the_horizon():
