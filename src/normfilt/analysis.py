@@ -71,7 +71,8 @@ class Analysis:
     maximal_vv, lam_R_J, lam_I1_J) may be read only when `reduction` is not
     None, and maximal_vv only when closure(I) = m as well. Every
     ideal of the analysis lies on one box, `power_box` of the input ideal at
-    degree nmax + 1, so the kernel never relays an operand. A fit
+    degree nmax + 1, so only the input ideal and a given reduction are laid
+    onto a larger box, each generated there once. A fit
     or reduction number that fails reads None, and its *_error field holds
     the exception.
     """

@@ -12,21 +12,24 @@ membership is known to be constant along every axis, so that every cap >=
 need holds the same ideal. For an ideal built from generators, need is
 their extent plus the conductor on the S-axis; a product adds the shift to
 it, a sum or intersection takes the larger need of its operands, and a
-colon keeps the dividend's. The cap may be larger than need: an
-`analysis.Analysis` lays all its ideals on one box, large enough for every
-term it builds, so that operands share a cap and nothing is copied.
+colon keeps the dividend's. Every box holds need plus the largest atom (a
+generator of the monoid) along each axis, so an ideal finds its minimal
+generators on its own box. The cap may be larger: an `analysis.Analysis`
+lays all its ideals on one box, large enough for every term it builds, so
+that operands share a cap and no operand is laid onto a larger one.
 
-Sum, intersection, containment and equality are bitwise on the common cap;
-operands on different caps are first laid onto the larger one (`_reshape`,
-each growing axis repeating its top slice). A product is the union of the
-shifts of the factor with the larger need by the minimal generators of the
-other, and a colon intersects shifts back and refills past the dividend's
-need from its slices there. Both stay on the shifted operand's box when
-need plus the shift fits in it, and grow it only otherwise, so no result
-depends on the box chosen. A colength is a popcount, finite exactly when no
-counted point lies in a top slice. Integral closures of powers are cut out
-row by row along the S-axis by the halfspaces of the Newton polyhedron, as
-every halfspace of an m-primary ideal has a positive S-coefficient.
+Sum, intersection, containment and equality are bitwise on the common cap.
+An ideal reaches a larger box only through `lay`, which generates it there
+from its minimal generators. A product is the union of the shifts of the
+factor with the larger need by the minimal generators of the other, and a
+colon intersects shifts back and refills past the dividend's need from its
+slices there. Both stay on the shifted operand's box when it holds need
+plus the shift plus the largest atom, and grow it only otherwise, so no
+result depends on the box chosen. A colength is a popcount, finite exactly
+when no counted point lies in a top slice. Integral closures of powers are
+cut out row by row along the S-axis by the halfspaces of the Newton
+polyhedron, as every halfspace of an m-primary ideal has a positive
+S-coefficient.
 """
 
 from __future__ import annotations
@@ -54,10 +57,10 @@ class Ideal:
 
     @cached_property
     def gens(self) -> tuple[Exponent, ...]:
-        """Minimal generators in lexicographic order: the points outside m*I."""
-        atoms = _atoms(self.sg, len(self.cap))
-        cap, x = _room(self, _extent(atoms))
-        return _points(x & ~_shift_union(x, cap, atoms), cap)
+        """Minimal generators in lexicographic order: the points outside m*I,
+        found on the ideal's own box, which holds need plus every atom."""
+        x = self.bits
+        return _points(x & ~_shift_union(x, self.cap, _atoms(self.sg, len(self.cap))), self.cap)
 
     @cached_property
     def hull(self) -> NewtonPolyhedron:
@@ -143,34 +146,6 @@ def _fill(bits: int, widths, axis: int, top: int) -> int:
     return bits | _repeat(upper, inner, widths[axis] - 1 - top) << inner
 
 
-def _reshape(bits: int, old, new) -> int:
-    """Lay bits from the box [0, old] onto the box [0, new] >= old: an axis
-    that grows repeats its top slice.
-
-    Along a growing axis, block q of the outer axes moves from q*w*inner to
-    q*width*inner, one bit of q per masked move, the highest bit first: the
-    blocks whose bit is set form the upper half of each group of blocks that
-    agree above it, and move by that bit times the growth.
-    """
-    if old == new or not bits:
-        return bits
-    widths = [c + 1 for c in old]
-    for axis, width in enumerate(c + 1 for c in new):
-        w = widths[axis]
-        if w == width:
-            continue
-        outer, inner = prod(widths[:axis]), prod(widths[axis + 1:])
-        for b in reversed(range((outer - 1).bit_length())):
-            half = (1 << b) * w * inner  # the old span of half a group
-            groups = -(-outer >> (b + 1))
-            mask = _repeat(((1 << half) - 1) << half, (2 << b) * width * inner, groups)
-            moved = bits & mask
-            bits ^= moved ^ moved << (1 << b) * (width - w) * inner
-        widths[axis] = width
-        bits = _fill(bits, tuple(widths), axis, w - 1)
-    return bits
-
-
 def _shift_union(bits: int, cap, vectors) -> int:
     """Union of the shifts of bits by each vector, within the box [0, cap].
 
@@ -205,11 +180,11 @@ def _points(bits: int, cap) -> tuple[Exponent, ...]:
 
 
 def _room(a: Ideal, shift) -> tuple[tuple[int, ...], int]:
-    """A box that holds a shifted by up to shift along each axis, with a's bits
-    on it: a's own box when need + shift fits inside it, else the least box
-    that does and contains a's."""
-    cap = tuple(map(max, a.cap, map(add, a.need, shift)))
-    return cap, _reshape(a.bits, a.cap, cap)
+    """A box for a shifted by up to shift along each axis, with a's bits on
+    it: `_on` of need + shift, so the result finds its generators in place,
+    grown to contain a's box."""
+    cap = _on(tuple(map(add, a.need, shift)), a.sg, a.cap)
+    return cap, lay(a, cap).bits
 
 
 def _extent(vectors) -> tuple[int, ...]:
@@ -218,26 +193,29 @@ def _extent(vectors) -> tuple[int, ...]:
 
 
 def lay(a: Ideal, box) -> Ideal:
-    """a on the box [0, max(cap, box)]."""
+    """a on the box [0, max(cap, box)]: a itself when box fits in its own,
+    else a generated there from its minimal generators, which it hands over,
+    with its need kept. This is the one way an ideal reaches a larger box."""
     cap = tuple(map(max, a.cap, box))
-    return Ideal(a.sg, cap, _reshape(a.bits, a.cap, cap), a.need)
+    if cap == a.cap:
+        return a
+    out = Ideal(a.sg, cap, _shift_union(_monoid(a.sg, cap), cap, a.gens), a.need)
+    out.gens = a.gens
+    return out
 
 
 def power_box(a: Ideal, n: int) -> tuple[int, ...]:
     """A box for the terms of degree up to n built from a and a reduction of
-    it: closure(a^n), a^n and J·closure(a^(n-1)) need at most n times a's
-    generator extent, plus the conductor on the S-axis, and finding their
-    generators adds the largest atom along each axis."""
-    conductor = a.sg.conductor
-    tops = [n * e + t for e, t in zip(a.need[:-1] + (a.need[-1] - conductor,),
-                                      _extent(_atoms(a.sg, len(a.cap))))]
-    return tuple(tops[:-1]) + (tops[-1] + conductor,)
+    it: `_on` of n times a's generator extent, plus the conductor on the
+    S-axis, which closure(a^n), a^n and J·closure(a^(n-1)) need at most."""
+    c = a.sg.conductor
+    return _on(tuple(n * e for e in a.need[:-1]) + (n * (a.need[-1] - c) + c,), a.sg)
 
 
 def _joint(a: Ideal, b: Ideal):
     _check_same(a, b)
     cap = tuple(map(max, a.cap, b.cap))
-    return cap, _reshape(a.bits, a.cap, cap), _reshape(b.bits, b.cap, cap)
+    return cap, lay(a, cap).bits, lay(b, cap).bits
 
 
 def _atoms(sg: NumericalSemigroup, dim: int) -> list[Exponent]:
@@ -248,21 +226,24 @@ def _atoms(sg: NumericalSemigroup, dim: int) -> list[Exponent]:
 
 # --- construction ---------------------------------------------------------------
 
-def _on(need: tuple[int, ...], box) -> tuple[int, ...]:
-    """The box [0, need], or [0, max(need, box)] given a target box."""
-    return need if box is None else tuple(map(max, need, box))
+def _on(need: tuple[int, ...], sg: NumericalSemigroup, box=None) -> tuple[int, ...]:
+    """The cap need plus the largest atom along each axis, the least box on
+    which an ideal finds its generators; given a target box, the larger of
+    the two along each axis."""
+    cap = tuple(map(add, need, _extent(_atoms(sg, len(need)))))
+    return cap if box is None else tuple(map(max, cap, box))
 
 
 def ideal(sg: NumericalSemigroup, dim: int, vectors, box=None) -> Ideal:
     """The ideal generated by the monomials with the given exponent vectors,
-    on its natural box [0, need] or, given box, on [0, max(need, box)]."""
+    on its natural box `_on(need)` or, given box, on the larger of the two."""
     vectors = [_check_vector(v, dim) for v in vectors]
     for v in vectors:
         if not sg.contains(v[-1]):
             raise PreconditionError(f"valuation {v[-1]} is not in the semigroup")
     need = tuple(max((v[i] for v in vectors), default=0) for i in range(dim))
     need = need[:-1] + (need[-1] + sg.conductor,)
-    cap = _on(need, box)
+    cap = _on(need, sg, box)
     return Ideal(sg, cap, _shift_union(_monoid(sg, cap), cap, vectors), need)
 
 
@@ -373,7 +354,7 @@ def is_m_primary(a: Ideal) -> bool:
 
 def closure_power(a: Ideal, n: int, box=None) -> Ideal:
     """Integral closure of a^n: per row b, the members s of S with (b, s) in n*NP(a),
-    on its natural box or, given box, on the box [0, max(need, box)].
+    on its natural box `_on(need)` or, given box, on the larger of the two.
 
     Row b keeps the members s >= tau(b), the least s inside every halfspace
     (c, t): tau(b) = max(0, ceil((n*t - <c', b>) / c_last)) over the
@@ -389,7 +370,7 @@ def closure_power(a: Ideal, n: int, box=None) -> Ideal:
     hull = a.hull  # raises NotMPrimary unless a is m-primary
     tops = [n * e for e in hull.box]
     need = tuple(tops[:-1]) + (max(tops[-1], a.sg.conductor),)
-    cap = _on(need, box)
+    cap = _on(need, a.sg, box)
     row = _monoid(a.sg, cap[-1:])
     taus = row_cuts(hull.halfspaces, need[:-1], n)
     parts = [row >> tau << tau for tau in taus]

@@ -8,14 +8,14 @@ multiplicity by vertex enumeration and triangulation of the Newton
 polyhedron cut by its pure-power box, lengths by direct lattice enumeration
 against the generator staircase, and semigroup membership by a direct
 reachability sweep. The per-row loop that the row sweep of `newton.row_cuts`
-replaced stays here as the differential reference for closure powers, and so
-does the byte-string reshape for the masked one; `hull_heads` is the pruned
-head/cofactor hull that the double description of `newton.newton_polyhedron`
-replaced. `valabrega_valla_prefixes` is the Valabrega-Valla loop over every
-prefix of J and every degree, and `reduction_number_scan` the reduction
-number by a scan of every degree from the horizon down, which the proved
-bound of `filtration.reduction_number` cut short for the normal filtration
-of a polynomial ring; both use the ideal arithmetic of `normfilt.monomial`.
+replaced stays here as the differential reference for closure powers;
+`hull_heads` is the pruned head/cofactor hull that the double description of
+`newton.newton_polyhedron` replaced. `valabrega_valla_prefixes` is the
+Valabrega-Valla loop over every prefix of J and every degree, and
+`reduction_number_scan` the reduction number by a scan of every degree from
+the horizon down, which the proved bound of `filtration.reduction_number`
+cut short for the normal filtration of a polynomial ring; both use the
+ideal arithmetic of `normfilt.monomial`.
 `series_checks` is the reference for the closed-form check of the graded
 lengths: it tests every degreewise identity among the graded modules,
 including the three that hold for any two tables. `jgood_chain_colengths`
@@ -187,18 +187,16 @@ def hull_heads(gens) -> tuple:
     return tuple(sorted(found))
 
 
-def closure_power_rows(halfspaces, box, conductor, in_s, n):
-    """(cap, bits) of closure(I^n) by the per-row loop, for n >= 0.
+def closure_power_rows(halfspaces, cap, in_s, n):
+    """The bits of closure(I^n) on the box [0, cap] by the per-row loop, for n >= 0.
 
-    halfspaces and box describe NP(I) with the S-axis last, conductor is
-    that of S and in_s a membership table of S (semigroup_members_oracle)
-    longer than max(n * box[-1], conductor). Row b over the free axes keeps
-    the members s >= tau with tau = max(0, ceil((n*t - <c', b>) / c_last))
-    over the halfspaces (c, t); the box and bit order are those of
-    `monomial.Ideal`. At n = 0 this is the unit ideal.
+    halfspaces are those of NP(I) with the S-axis last, and in_s is a
+    membership table of S (semigroup_members_oracle) longer than cap[-1].
+    Row b over the free axes keeps the members s >= tau with
+    tau = max(0, ceil((n*t - <c', b>) / c_last)) over the halfspaces (c, t);
+    the bit order is that of `monomial.Ideal`. At n = 0 this is the unit
+    ideal.
     """
-    tops = [n * e for e in box]
-    cap = tuple(tops[:-1]) + (max(tops[-1], conductor),)
     width = cap[-1] + 1
     row = "".join("1" if in_s[s] else "0" for s in reversed(range(width)))
     rows = []
@@ -207,7 +205,7 @@ def closure_power_rows(halfspaces, box, conductor, in_s, n):
         for normal, threshold in halfspaces:
             tau = max(tau, -((sum(c * x for c, x in zip(normal, b)) - n * threshold) // normal[-1]))
         rows.append(row[:width - tau] + "0" * tau)
-    return cap, int("".join(reversed(rows)), 2)
+    return int("".join(reversed(rows)), 2)
 
 
 def _det(matrix) -> Fraction:
@@ -362,39 +360,6 @@ def monoid_minimal(in_s, gens) -> list:
     """The generators not reachable from another one, sorted and deduplicated."""
     gens = sorted(set(tuple(g) for g in gens))
     return [g for g in gens if not any(h != g and monoid_member(in_s, [h], g) for h in gens)]
-
-
-def reshape_bytes(bits: int, old, new) -> int:
-    """Lay bits from the box [0, old] onto [0, new], one byte per point: an
-    axis that grows repeats its top slice, an axis that shrinks is cut. This
-    is the byte-string reshape that the masked block moves of
-    `monomial._reshape` replaced; its two branches, block by block and slice
-    by slice, give the same bits."""
-    if old == new or not bits:
-        return bits
-    cur = [c + 1 for c in old]
-    buf = format(bits, f"0{prod(cur)}b").encode()[::-1]
-    for axis, width in enumerate(c + 1 for c in new):
-        w = cur[axis]
-        if w == width:
-            continue
-        outer, inner = prod(cur[:axis]), prod(cur[axis + 1:])
-        src, block, keep = buf, w * inner, min(w, width) * inner
-        if outer <= width * inner:
-            parts = []
-            for q in range(0, outer * block, block):
-                parts.append(src[q:q + keep])
-                if width > w:
-                    parts.append(src[q + block - inner:q + block] * (width - w))
-            buf = b"".join(parts)
-        else:
-            buf = bytearray(outer * width * inner)
-            for k in range(width):
-                at = min(k, w - 1) * inner
-                for r in range(inner):
-                    buf[k * inner + r::width * inner] = src[at + r::block]
-        cur[axis] = width
-    return int(buf[::-1], 2)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ The first tests use the polynomial ring (S = N); the property tests compare
 every operation against the brute-force membership oracle on S = N and on
 <4,5,11>, with 0 to 2 free axes, for ideals that need not be m-primary. The
 last tests lay ideals on boxes larger than they need and check that no
-result depends on the box, and that a box which holds an operation is never
-relaid.
+result depends on the box, and that a box which holds an operation never
+grows.
 """
 
 from itertools import product
-from math import comb, prod
+from math import comb
+from operator import gt
 from unittest import mock
 
 import pytest
@@ -26,7 +27,6 @@ from oracles import (
     monoid_minimal,
     naive_colength,
     naive_length_between,
-    reshape_bytes,
     semigroup_members_oracle,
     staircase_member,
 )
@@ -159,26 +159,6 @@ def test_property_ops_agree_with_enumeration(gens):
     assert mono.colength(a) == naive_colength(a.gens, (10, 10))
     assert mono.quotient_length(a, prod) == naive_length_between(a.gens, prod.gens, (10, 10))
     assert mono.ideal_contains(meet, prod)
-
-
-@st.composite
-def grown_boxes(draw):
-    """(bits, old cap, new cap): d = 1..4 axes, each growing by 0 to 9."""
-    dim = draw(st.integers(1, 4))
-    old = draw(st.tuples(*[st.integers(0, 4)] * dim))
-    new = tuple(c + draw(st.integers(0, 9)) for c in old)
-    bits = draw(st.integers(0, (1 << prod(c + 1 for c in old)) - 1))
-    return bits, old, new
-
-
-@settings(max_examples=300, deadline=None)
-@given(grown_boxes())
-@example((0, (2, 1, 3), (5, 1, 4)))  # zero bits
-@example((0b101101, (1, 2), (1, 2)))  # no axis grows
-@example((0b101101, (1, 2), (4, 2)))  # only the outermost axis grows
-def test_reshape_matches_byte_reshape(case):
-    bits, old, new = case
-    assert mono._reshape(bits, old, new) == reshape_bytes(bits, old, new)
 
 
 # --- differential tests over N^v x S ----------------------------------------------
@@ -335,12 +315,26 @@ def test_results_do_not_depend_on_the_box(case):
             assert mono.contains(big_a, q) == mono.contains(a, q), q
 
 
+def test_lay_keeps_need_and_the_box_asked_for():
+    # closure((t^4)) in k[[t^4,t^5,t^11]] has need 8 and cap 19, and
+    # generators t^4, t^5, t^11: generating it afresh from them would give
+    # need 19 and a cap of 30, not the box asked for
+    sg = NumericalSemigroup((4, 5, 11))
+    a = mono.ideal(sg, 1, [(4,)])
+    closure = mono.closure_power(a, 1)
+    assert (closure.need, closure.cap, closure.gens) == ((8,), (19,), ((4,), (5,), (11,)))
+    laid = mono.lay(closure, (23,))
+    assert (laid.need, laid.cap, laid.gens) == ((8,), (23,), closure.gens)
+    assert laid == closure and mono.lay(closure, (19,)) is closure
+    assert mono.quotient_length(laid, a) == mono.quotient_length(closure, a) == 3  # t^5, t^10, t^11
+
+
 @settings(max_examples=40, deadline=None)
 @given(boxed_pairs())
 def test_operations_on_a_box_that_holds_them_relay_nothing(case):
     # a box that holds either need plus any generator shift plus the atoms,
     # which find the product's generators, as the box of an analysis does: no
-    # operand is copied onto another box
+    # operand is laid onto a larger box
     sg_gens, dim, raw_a, raw_b, _, _, grow = case
     sg = NumericalSemigroup(sg_gens)
     a, b = mono.ideal(sg, dim, raw_a), mono.ideal(sg, dim, raw_b)
@@ -349,11 +343,12 @@ def test_operations_on_a_box_that_holds_them_relay_nothing(case):
     box = _grown(tuple(map(sum, shifts)), grow)
     big_a, big_b = mono.ideal(sg, dim, raw_a, box), mono.ideal(sg, dim, raw_b, box)
     same, gens = a == b, mono.multiply(a, b).gens
-    with mock.patch.object(mono, "_reshape", wraps=mono._reshape) as spy:
+    with mock.patch.object(mono, "lay", wraps=mono.lay) as spy:
         big_p = mono.multiply(big_a, big_b)
         results = [big_p, mono.intersect(big_a, big_b), mono.ideal_sum(big_a, big_b),
                    mono.colon(big_a, big_b)]
         assert (big_a == big_b) == same
         assert big_p.gens == gens
-    assert [c.args[1:] for c in spy.call_args_list if c.args[0] and c.args[1] != c.args[2]] == []
+    assert spy.called
+    assert [c.args for c in spy.call_args_list if any(map(gt, c.args[1], c.args[0].cap))] == []
     assert all(r.cap == box for r in results)

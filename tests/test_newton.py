@@ -299,11 +299,10 @@ RING_S1 = SemigroupBackend((4, 5, 11), 1)
 def test_closure_power_matches_row_loop(drawn, n):
     """The row sweep of closure_power against the per-row loop it replaced."""
     ring, a, _ = drawn
-    sg, hull = ring.sg, a.hull
-    in_s = semigroup_members_oracle(sg.gens, n * hull.box[-1] + sg.conductor + 1)
     closure = mono.closure_power(a, n)
-    assert (closure.cap, closure.bits) == closure_power_rows(
-        hull.halfspaces, hull.box, sg.conductor, in_s, n), (ring.describe(), a.gens, n)
+    in_s = semigroup_members_oracle(ring.sg.gens, closure.cap[-1] + 1)
+    assert closure.bits == closure_power_rows(
+        a.hull.halfspaces, closure.cap, in_s, n), (ring.describe(), a.gens, n)
 
 
 def test_preconditions():

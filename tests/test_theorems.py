@@ -12,7 +12,7 @@ from normfilt import CHECKS, EntryData, analyze, cli, errors, filtration, run_ch
 from normfilt.analysis import Analysis
 from normfilt.backends import PolynomialBackend
 from normfilt.monomial import colength, multiply, quotient_length
-from normfilt import inputs, monomial, reports
+from normfilt import analysis, inputs, monomial, reports
 from normfilt.verdicts import Verdict, verified
 from test_filtration import chain_values, exact_decomposition, reduction_analyses
 
@@ -146,26 +146,28 @@ def test_vv_intersects_only_up_to_the_reduction_number(monkeypatch):
     assert seen == [a.normal_filt.term(1), a.normal_filt.term(2)]
 
 
-# the nontrivial relays of an analysis at nmax 12 (75 and 155 of them while
-# every operation laid its operands onto a common box): the input ideal and a
-# given reduction onto the box of the analysis
+# the lays of an analysis at nmax 12 that grow a box: the input ideal and a
+# given reduction, each from its natural box (need plus the largest atom)
+# onto the box of the analysis
 LAYOUTS = {
-    "poly3_cubes_diag": [((3, 3, 3), (40, 40, 40))] * 2,
-    "sg_4_5_11_uv": [((1, 1, 19), (14, 14, 162)), ((1, 1, 12), (14, 14, 162))],
+    "poly3_cubes_diag": [((4, 4, 4), (40, 40, 40))] * 2,
+    "sg_4_5_11_uv": [((2, 2, 30), (14, 14, 162)), ((2, 2, 23), (14, 14, 162))],
 }
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
 def test_only_the_initial_layouts_reshape(monkeypatch, name):
     seen = []
-    real = monomial._reshape
+    real = monomial.lay
 
-    def counting(bits, old, new):
-        if old != new and bits:
-            seen.append((old, new))
-        return real(bits, old, new)
+    def counting(a, box):
+        out = real(a, box)
+        if out.cap != a.cap:
+            seen.append((a.cap, out.cap))
+        return out
 
-    monkeypatch.setattr(monomial, "_reshape", counting)
+    for module in (monomial, analysis):  # analysis holds its own name for lay
+        monkeypatch.setattr(module, "lay", counting)
     a = load(name, nmax=12)
     run_checks(a)
     assert seen == LAYOUTS[name]
