@@ -4,21 +4,23 @@ An Analysis validates its entry when it is built; a command or checker then
 reads only the tables, fits, reduction number and Valabrega-Valla report it
 needs, and each is computed once. The normal column is counted on every
 ring (`monomial.Ideal.closure_counts`), so `table` and `sally` build no
-closure power. The J-good table is a closed form in
-lambda(R/J) and lambda(R/closure(I)); no J-good chain is built. Reductions
-are one pure power per axis, certified against the simplex NP(J).
+filtration, and the adic column keeps only the running power of I. The
+J-good table is a closed form in lambda(R/J) and lambda(R/closure(I)); no
+J-good chain is built. Reductions are one pure power per axis, certified
+against the simplex NP(J).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate, repeat
 from math import lcm
 
 from .errors import HorizonError, InputError, NotMPrimary, PreconditionError
-from .filtration import (Filtration, default_nmax, default_window, fit_coefficients, length_table,
+from .filtration import (Filtration, default_nmax, default_window, fit_coefficients,
                          reduction_number, sally_from_tables, sally_lengths, series_coeff,
                          valabrega_valla)
-from .monomial import (colength, ideal, ideal_contains, is_m_primary, lay, maximal_ideal,
+from .monomial import (colength, ideal, ideal_contains, is_m_primary, lay, maximal_ideal, multiply,
                        power_box, pure_power_exponents)
 
 
@@ -64,17 +66,17 @@ def certify(a, j):
 class Analysis:
     """Tables, fits and certificates for one entry, each computed on first read.
 
-    The constructor only validates the request: the horizon, the tamper
-    index, the m-primary test and the reduction certificate. The fit window
-    is `default_window(dim)`. The fields built from the reduction J
-    (reduction_powers, jgood_values, sally_values, sally_fit, rn, vv,
-    maximal_vv, lam_R_J, lam_I1_J) may be read only when `reduction` is not
-    None, and maximal_vv only when closure(I) = m as well. Every
-    ideal of the analysis lies on one box, `power_box` of the input ideal at
-    degree nmax + 1, so only the input ideal and a given reduction are laid
-    onto a larger box, each generated there once. A fit
-    or reduction number that fails reads None, and its *_error field holds
-    the exception.
+    The constructor validates the request (the horizon, the tamper index,
+    the m-primary test and the reduction certificate) and lays the input
+    ideal and a given reduction on the one box of the analysis, `power_box`
+    of the input ideal at degree nmax + 1, each generated there once. Every
+    filtration, the maximal ideal and every table are built on first read.
+    The fit window is `default_window(dim)`. The fields built from the
+    reduction J (reduction_powers, jgood_values, sally_values, sally_fit,
+    rn, vv, maximal_vv, lam_R_J, lam_I1_J) may be read only when
+    `reduction` is not None, and maximal_vv only when closure(I) = m as
+    well. A fit or reduction number that fails reads None, and its *_error
+    field holds the exception.
     """
 
     def __init__(self, entry: EntryData):
@@ -102,8 +104,6 @@ class Analysis:
         else:
             self.reduction = certify(self.ideal, lay(entry.reduction, self.box))
             self.reduction_source = "given"
-        self.normal_filt = Filtration(b, "normal", ideal=self.ideal, reduction=self.reduction)
-        self.adic_filt = Filtration(b, "adic", ideal=self.ideal, reduction=self.reduction)
 
     e0 = property(lambda self: self.ideal.e0)
 
@@ -125,9 +125,8 @@ class Analysis:
     def mu_ideal(self) -> int:
         return len(self.ideal.gens)
 
-    @cached_property
-    def mu_maximal(self) -> int:
-        return len(self.maximal.gens)
+    # the atoms minimally generate m: the free unit vectors and the generators of S
+    mu_maximal = property(lambda self: self.dim - 1 + len(self.backend.sg.gens))
 
     @cached_property
     def normal_values(self) -> tuple[int, ...]:
@@ -143,7 +142,9 @@ class Analysis:
 
     @cached_property
     def adic_values(self) -> tuple[int, ...]:
-        return length_table(self.adic_filt, self.nmax)
+        """lambda(R/I^(n+1)) for n = 0..nmax, from the running product I^(n+1)
+        = I^n·I: only the current power is kept."""
+        return tuple(map(colength, accumulate(repeat(self.ideal, self.nmax + 1), multiply)))
 
     @cached_property
     def _normal_fit(self):
@@ -192,6 +193,9 @@ class Analysis:
     sally_fit = property(lambda self: self._sally_fit[0])
     sally_fit_error = property(lambda self: self._sally_fit[1])
 
+    normal_filt = cached_property(
+        lambda self: Filtration(self.backend, "normal", ideal=self.ideal, reduction=self.reduction))
+
     @cached_property
     def _rn(self):
         return _attempt(lambda: reduction_number(self.normal_filt, self.nmax))
@@ -223,10 +227,9 @@ class Analysis:
         reduction number come only from powers of t, and t^s lies in m^n, J
         or J·m^(n-1) exactly when it does in k[[S]] with (t^e): the failing
         degree, the witness t^s and rn are those of the coefficient ring.
-        When I = m this reads the adic filtration of I.
+        The powers of m are built here, on the box of the analysis.
         """
-        filt = self.adic_filt if self.ideal == self.maximal else Filtration(
-            self.backend, "adic", ideal=self.maximal, reduction=self.reduction)
+        filt = Filtration(self.backend, "adic", ideal=self.maximal, reduction=self.reduction)
         rn = _attempt(lambda: reduction_number(filt, self.nmax))[0]
         return valabrega_valla(filt, self.nmax, self.window, rn)
 

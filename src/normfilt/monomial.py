@@ -21,15 +21,15 @@ that operands share a cap and no operand is laid onto a larger one.
 Sum, intersection, containment and equality are bitwise on the common cap.
 An ideal reaches a larger box only through `lay`, which generates it there
 from its minimal generators. A product is the union of the shifts of the
-factor with the larger need by the minimal generators of the other, and a
-colon intersects shifts back and refills past the dividend's need from its
-slices there. Both stay on the shifted operand's box when it holds need
-plus the shift plus the largest atom, and grow it only otherwise, so no
-result depends on the box chosen. A colength is a popcount, finite exactly
-when no counted point lies in a top slice. Integral closures of powers are
-cut out row by row along the S-axis by the halfspaces of the Newton
-polyhedron, as every halfspace of an m-primary ideal has a positive
-S-coefficient.
+factor with the larger need by the minimal generators of the other. A
+colon intersects shifts back on `_on` of the dividend's need, where its
+minimal generators lie, and is generated from them as `lay` does. Both
+stay on the shifted operand's box when it holds need plus the shift plus
+the largest atom, and grow it only otherwise, so no result depends on the
+box chosen. A colength is a popcount, finite exactly when no counted point
+lies in a top slice. Integral closures of powers are cut out row by row
+along the S-axis by the halfspaces of the Newton polyhedron, as every
+halfspace of an m-primary ideal has a positive S-coefficient.
 """
 
 from __future__ import annotations
@@ -137,13 +137,6 @@ def _monoid(sg: NumericalSemigroup, cap: tuple[int, ...]) -> int:
     width = cap[-1] + 1
     row = (sg.member_bits | -(1 << sg.conductor)) & ((1 << width) - 1)
     return _repeat(row, width, prod(c + 1 for c in cap[:-1]))
-
-
-def _fill(bits: int, widths, axis: int, top: int) -> int:
-    """Copy slice top along axis into the empty slices above it (at least one)."""
-    inner = prod(widths[axis + 1:])
-    upper = bits & _slab(widths, axis, top, top + 1)
-    return bits | _repeat(upper, inner, widths[axis] - 1 - top) << inner
 
 
 def _shift_union(bits: int, cap, vectors) -> int:
@@ -298,15 +291,17 @@ def colon(a: Ideal, b: Ideal) -> Ideal:
         raise PreconditionError("colon by the zero ideal")
     cap, x = _room(a, _extent(b.gens))
     widths, strides = _grid(cap)
-    out = _slab(widths, 0, 0, widths[0])
+    # (a : b) is constant past a's need, so its generators lie in the region
+    # `_on(need)`, where no shift back by a generator of b crosses an axis
+    out = _monoid(a.sg, cap)
+    for axis, top in enumerate(_on(a.need, a.sg)):
+        out &= _slab(widths, axis, 0, top + 1)
     for g in b.gens:
         out &= x >> sum(map(mul, g, strides))
-    # shifts that crossed an inner axis land beyond a's need: each axis is cut
-    # there and refilled from the slice at need, as (a : b) is constant past it
-    for axis, top in enumerate(a.need):
-        if top < cap[axis]:
-            out = _fill(out & _slab(widths, axis, 0, top + 1), widths, axis, top)
-    return Ideal(a.sg, cap, out & _monoid(a.sg, cap), a.need)
+    gens = _points(out & ~_shift_union(out, cap, _atoms(a.sg, len(cap))), cap)
+    q = Ideal(a.sg, cap, _shift_union(_monoid(a.sg, cap), cap, gens), a.need)
+    q.gens = gens
+    return q
 
 
 def _finite_count(diff: int, cap) -> int:

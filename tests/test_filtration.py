@@ -426,6 +426,16 @@ def test_normal_terms_by_products_match_closure_powers(case):
         assert a.normal_filt.term(n) == closure_power(a.ideal, n), n
 
 
+@settings(max_examples=100, deadline=None)
+@given(ring_analyses())
+def test_adic_column_and_mu_maximal_match_built_ideals(case):
+    """The running product gives the column of the adic filtration, and the
+    atoms count the minimal generators of m."""
+    a, _ = case
+    assert a.adic_values == flt.length_table(flt.Filtration(a.backend, "adic", ideal=a.ideal), a.nmax)
+    assert a.mu_maximal == len(a.maximal.gens)
+
+
 # --- Sally tables and series identities --------------------------------------------
 
 NORMAL_1D = (1, 3, 7, 11, 15, 19, 23)

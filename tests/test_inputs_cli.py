@@ -569,6 +569,35 @@ def test_table_and_sally_build_no_closure_power(monkeypatch, capsys, name):
         assert capsys.readouterr().out == out
 
 
+# a 4-variable entry with 16 generators and no monomial reduction, read at --nmax 2
+NEWTON_WIDE_STYLE = ("ring polynomial vars=x,y,z,w\nideal x^4 y^4 z^4 w^4 x^2*y x^2*w x*y^2 x*y*z"
+                     " x*z^2 x*z*w x*w^2 y^2*z y^2*w y*z^2 y*z*w z^2*w\n")
+
+
+@pytest.mark.parametrize("name", ["poly2_x2_xy_y3", "poly2_x2_y2", "poly3_cubes", "poly3_cubes_diag",
+                                  "poly3_maximal", "poly3_maximal_square", "sg_4_5_11",
+                                  "sg_4_5_11_uv", "newton_wide_style"])
+def test_table_and_sally_build_no_filtration(monkeypatch, capsys, tmp_path, name):
+    # both columns are counted and the J-good one is a closed form, so a
+    # Filtration is built only for a reader of its terms
+    argv = [corpus_path(name)]
+    if name == "newton_wide_style":
+        path = tmp_path / "newton_wide_style.nfilt"
+        path.write_text(NEWTON_WIDE_STYLE)
+        argv = [str(path), "--nmax", "2"]
+    outputs = []
+    for command in ("table", "sally"):
+        outputs.append((cli.main([command, *argv]), capsys.readouterr().out))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("table and sally build no Filtration")
+
+    monkeypatch.setattr(analysis, "Filtration", fail)
+    for command, (code, out) in zip(("table", "sally"), outputs):
+        assert cli.main([command, *argv]) == code
+        assert capsys.readouterr().out == out
+
+
 def test_cli_default_horizon_fits_dimension_four(tmp_path, capsys):
     f = tmp_path / "maximal4.nfilt"
     f.write_text("ring polynomial dim=4\nideal maximal\n")

@@ -131,6 +131,20 @@ def test_colon_identities():
         mono.colon(a, ideal(2))
 
 
+def test_colon_hands_over_its_generators():
+    """A colon is generated from its minimal generators, found near the
+    dividend's need, and keeps them: they are those of its bits."""
+    sg = NumericalSemigroup((4, 5, 11))
+    cases = [(ideal(2, (3, 0), (0, 3)), ideal(2, (1, 1))),
+             (ideal(3, (4, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)), mono.maximal_ideal(N, 3)),
+             (mono.ideal(sg, 2, [(3, 0), (0, 8), (1, 5)]), mono.maximal_ideal(sg, 2)),
+             (mono.ideal(sg, 3, [(2, 0, 0), (0, 2, 0), (0, 0, 9)]), mono.ideal(sg, 3, [(1, 0, 4)]))]
+    for a, b in cases:
+        q = mono.colon(a, b)
+        assert "gens" in vars(q)
+        assert q.gens == mono.Ideal(q.sg, q.cap, q.bits, q.need).gens
+
+
 def test_intersection_product_containments():
     a = ideal(2, (2, 0), (0, 2))
     b = ideal(2, (1, 1))

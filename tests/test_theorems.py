@@ -232,12 +232,23 @@ def test_low_type_cm_tests_the_powers_of_m(tmp_path, gens, ideal):
     text = f"name not_maximal\nring semigroup gens={','.join(map(str, gens))} adjoin=U,V\nideal {ideal}\n"
     a = analyze(inputs.build_entry(inputs.parse_input(text)))
     assert a.ideal != a.maximal and a.closure_is_maximal
-    assert filtration.valabrega_valla(a.adic_filt, a.nmax, a.window, None).first_failure
+    powers = filtration.Filtration(a.backend, "adic", ideal=a.ideal, reduction=a.reduction)
+    assert filtration.valabrega_valla(powers, a.nmax, a.window, None).first_failure
     verdicts = {v.check: v for v in run_checks(a)}
     assert verdicts["low_type_cm"].conclusion == "verified"
     f = tmp_path / "not_maximal.nfilt"
     f.write_text(text)
     assert cli.main(["check", str(f)]) == 0
+
+
+def test_check_without_reduction_builds_no_maximal_ideal(monkeypatch, capsys):
+    # mu(m) is counted from the atoms; m is built only as an ideal for a checker
+    seen = []
+    monkeypatch.setattr(cli, "analyze", lambda entry: seen.append(analyze(entry)) or seen[-1])
+    path = resources.files("normfilt") / "corpus" / "poly2_x2_xy_y3.nfilt"
+    assert cli.main(["check", str(path)]) == 0
+    assert '"mu_maximal": 2' in capsys.readouterr().out
+    assert seen[0].reduction is None and "maximal" not in vars(seen[0])
 
 
 def test_tamper_index_is_checked_against_the_horizon():
