@@ -14,14 +14,20 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate, repeat
-from math import lcm
+from math import comb, lcm
 
 from .errors import HorizonError, InputError, NotMPrimary, PreconditionError
-from .filtration import (Filtration, default_nmax, default_window, fit_coefficients,
-                         reduction_number, sally_from_tables, sally_lengths, series_coeff,
-                         valabrega_valla)
 from .monomial import (colength, ideal, ideal_contains, is_m_primary, lay, maximal_ideal, multiply,
                        power_box, pure_power_exponents)
+
+
+def default_window(dim: int) -> int:
+    return dim + 2
+
+
+def default_nmax(dim: int) -> int:
+    """Least default horizon whose table holds a fit of dim+1 entries plus its window."""
+    return max(dim + 5, dim + default_window(dim))
 
 
 def _attempt(compute, errors=HorizonError):
@@ -71,8 +77,13 @@ class Analysis:
     ideal and a given reduction on the one box of the analysis, `power_box`
     of the input ideal at degree nmax + 1, each generated there once. Every
     filtration, the maximal ideal and every table are built on first read.
-    The fit window is `default_window(dim)`. The fields built from the
-    reduction J (reduction_powers, jgood_values, sally_values, sally_fit,
+    The fit window is `default_window(dim)`. The table columns (normal_values,
+    adic_values, jgood_values, sally_values) and the numbers they read need
+    no filtration. The fits (normal_fit, adic_fit, sally_fit and their
+    *_error fields), rn, rn_error, vv, maximal_vv, normal_filt and
+    reduction_powers import `filtration` on first read, and so do e_bar,
+    g_s and base_numbers, which read the fits and rn. The fields built from
+    the reduction J (reduction_powers, jgood_values, sally_values, sally_fit,
     rn, vv, maximal_vv, lam_R_J, lam_I1_J) may be read only when
     `reduction` is not None, and maximal_vv only when closure(I) = m as
     well. A fit or reduction number that fails reads None, and its *_error
@@ -148,6 +159,7 @@ class Analysis:
 
     @cached_property
     def _normal_fit(self):
+        from .filtration import fit_coefficients
         return _attempt(lambda: fit_coefficients(self.normal_values, self.dim))
 
     normal_fit = property(lambda self: self._normal_fit[0])
@@ -155,6 +167,7 @@ class Analysis:
 
     @cached_property
     def _adic_fit(self):
+        from .filtration import fit_coefficients
         return _attempt(lambda: fit_coefficients(self.adic_values, self.dim))
 
     adic_fit = property(lambda self: self._adic_fit[0])
@@ -163,6 +176,7 @@ class Analysis:
     @cached_property
     def reduction_powers(self) -> Filtration:
         """The adic filtration of J, holding J^n."""
+        from .filtration import Filtration
         return Filtration(self.backend, "adic", ideal=self.reduction)
 
     @cached_property
@@ -175,16 +189,17 @@ class Analysis:
         degrees below n gives lambda(R/J)·C(n+d-1, d), and the second adds
         lambda(R/closure(I))·C(n+d-1, d-1). No product of J is built.
         """
-        lam_j, d = self.lam_R_J, self.dim
-        return tuple(lam_j * series_coeff(n - 1, d + 1) + self.lam_R_I1 * series_coeff(n, d)
+        lam_j, lam_i, d = self.lam_R_J, self.lam_R_I1, self.dim
+        return tuple(lam_j * comb(n + d - 1, d) + lam_i * comb(n + d - 1, d - 1)
                      for n in range(self.nmax + 1))
 
     @cached_property
     def sally_values(self) -> tuple[int, ...]:
-        return sally_lengths(self.normal_values, self.jgood_values)
+        return tuple(j - n for j, n in zip(self.jgood_values, self.normal_values))
 
     @cached_property
     def _sally_fit(self):
+        from .filtration import sally_from_tables
         # a tampered table can give negative Sally lengths: PreconditionError
         normal, jgood = self.normal_values, self.jgood_values
         return _attempt(lambda: sally_from_tables(normal, jgood, self.dim),
@@ -193,11 +208,14 @@ class Analysis:
     sally_fit = property(lambda self: self._sally_fit[0])
     sally_fit_error = property(lambda self: self._sally_fit[1])
 
-    normal_filt = cached_property(
-        lambda self: Filtration(self.backend, "normal", ideal=self.ideal, reduction=self.reduction))
+    @cached_property
+    def normal_filt(self):
+        from .filtration import Filtration
+        return Filtration(self.backend, "normal", ideal=self.ideal, reduction=self.reduction)
 
     @cached_property
     def _rn(self):
+        from .filtration import reduction_number
         return _attempt(lambda: reduction_number(self.normal_filt, self.nmax))
 
     rn = property(lambda self: self._rn[0])
@@ -205,6 +223,7 @@ class Analysis:
 
     @cached_property
     def vv(self):
+        from .filtration import valabrega_valla
         return valabrega_valla(self.normal_filt, self.nmax, self.window, self.rn)
 
     @cached_property
@@ -229,6 +248,7 @@ class Analysis:
         degree, the witness t^s and rn are those of the coefficient ring.
         The powers of m are built here, on the box of the analysis.
         """
+        from .filtration import Filtration, reduction_number, valabrega_valla
         filt = Filtration(self.backend, "adic", ideal=self.maximal, reduction=self.reduction)
         rn = _attempt(lambda: reduction_number(filt, self.nmax))[0]
         return valabrega_valla(filt, self.nmax, self.window, rn)

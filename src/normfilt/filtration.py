@@ -20,6 +20,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
+from .analysis import default_window
 from .errors import HorizonError, PreconditionError
 from .monomial import closure_power, colength, contains, intersect, multiply, unit_ideal
 
@@ -35,15 +36,6 @@ def series_coeff(n: int, power: int) -> int:
     if power == 0:
         return 1 if n == 0 else 0
     return comb(n + power - 1, power - 1)
-
-
-def default_window(dim: int) -> int:
-    return dim + 2
-
-
-def default_nmax(dim: int) -> int:
-    """Least default horizon whose table holds a fit of dim+1 entries plus its window."""
-    return max(dim + 5, dim + default_window(dim))
 
 
 class Filtration:

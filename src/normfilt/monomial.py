@@ -353,9 +353,8 @@ def closure_power(a: Ideal, n: int, box=None) -> Ideal:
 
     Row b keeps the members s >= tau(b), the least s inside every halfspace
     (c, t): tau(b) = max(0, ceil((n*t - <c', b>) / c_last)) over the
-    halfspaces. `newton.row_cuts` sweeps each halfspace over all rows at once,
-    one free axis at a time, and keeps the running maximum; the rows are
-    then stacked one free axis at a time.
+    halfspaces. `newton.row_cuts` walks only the rows outside n*NP(a), the
+    others keep tau 0; the rows are then stacked one free axis at a time.
     """
     if n < 0:
         raise PreconditionError("negative closure power")

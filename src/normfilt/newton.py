@@ -37,9 +37,10 @@ half-open polytopal complex, so H is a polynomial of degree d in k >= 0
 whose leading coefficient is vol(B) (Koeppe-Verdoolaege, Electron. J.
 Combin. 15, 2008). Its d-th difference is therefore
 e_0 = sum_k (-1)^(d-k) C(d,k) H(k) over k = 0..d, counted with no gaps. H(k)
-is the sum of the row cuts of `row_cuts`, the sweep that also cuts the rows
-of `monomial.closure_power`; less the rank of each cut among the gaps of S,
-it is the colength of closure(I^k) for any S (`closure_count`).
+is the sum of the row cuts of `row_cuts`, which also cuts the rows of
+`monomial.closure_power`; less the rank of each cut among the gaps of S, it
+is the colength of closure(I^k) for any S (`closure_count`). As every
+normal is positive, `row_cuts` walks only the rows outside k*NP(I).
 
 The polynomial's value at k = 0 is H(0) = 0, the count at k = 0, where no
 a >= 0 has <c,a> < 0. By inclusion-exclusion over closed cells, each with
@@ -125,20 +126,35 @@ def row_cuts(halfspaces, tops, k: int) -> list[int]:
     order: the least s >= 0 with <c, (b, s)> >= k*t for every halfspace (c, t),
     that is max(0, ceil((k*t - <c', b>) / c_last)) over the halfspaces.
 
-    c' is c without its last entry. Each halfspace sweeps the rows once: the
-    values k*t - <c', b> grow one free axis at a time, and are folded into the
-    running maximum before the next halfspace starts.
+    c' is c without its last entry. Every normal is positive, so along each
+    free axis the values k*t - <c', b> fall: the walk leaves an axis once
+    every value is <= 0, and the rows it never reaches, inside k*NP, keep
+    cut 0. Along the innermost free axis each prefix takes one run of cuts
+    per halfspace, up to the last row some value is positive, and keeps
+    their maximum.
     """
+    if not tops:
+        return [max(0, *(-(-k * t // c[0]) for c, t in halfspaces))]
     cuts = [0] * prod(top + 1 for top in tops)
-    for normal, t in halfspaces:
-        vals = [k * t]
-        for c, top in zip(normal, tops):
-            steps = range(0, c * (top + 1), c)
-            vals = [v - s for v in vals for s in steps]
-        last = normal[-1]
-        if last > 1:
-            vals = [-(-v // last) for v in vals]
-        cuts = list(map(max, cuts, vals))
+    inner = len(tops) - 1
+
+    def walk(axis, vals, at):
+        if axis < inner:
+            stride = prod(top + 1 for top in tops[axis + 1:])
+            for b in range(tops[axis] + 1):
+                if max(vals) <= 0:
+                    return
+                walk(axis + 1, vals, at + b * stride)
+                vals = [v - c[axis] for v, (c, _) in zip(vals, halfspaces)]
+            return
+        steps = [(v, c[inner], c[-1]) for v, (c, _) in zip(vals, halfspaces)]
+        width = min(tops[inner] + 1, max(-(-v // c) for v, c, _ in steps))
+        if width > 0:
+            runs = [range(v, v - c * width, -c) if last == 1 else
+                    [-(-x // last) for x in range(v, v - c * width, -c)] for v, c, last in steps]
+            cuts[at:at + width] = map(max, *runs) if len(runs) > 1 else runs[0]
+
+    walk(0, [k * t for _, t in halfspaces], 0)
     return cuts
 
 
@@ -146,10 +162,10 @@ def closure_count(np_: NewtonPolyhedron, k: int, gaps=()) -> int:
     """The points (b, s) outside k*NP(I) with s in S, H(k) when S = N: per
     row b, the cut tau_k(b) of `row_cuts` less its rank among the sorted gaps.
     Every normal is positive, so the rows over k times the pure-power box
-    hold every such point.
+    hold every such point, and a row inside k*NP (cut 0) adds nothing.
     """
     cuts = row_cuts(np_.halfspaces, [k * e for e in np_.box[:-1]], k)
-    return sum(tau - bisect_left(gaps, tau) for tau in cuts)
+    return sum(tau - bisect_left(gaps, tau) for tau in cuts if tau)
 
 
 def hilbert_values(h, upto: int) -> list[int]:

@@ -2,12 +2,11 @@
 
 Payloads are plain dicts with a schema tag; rendering is deterministic
 (sorted keys, fixed column orders) so repeated runs are byte-identical. The
-csv and markdown renderers live in `renderers`.
+csv and markdown renderers live in `renderers`; json is written here, with
+no `json` import.
 """
 
 from __future__ import annotations
-
-import json
 
 from .errors import PreconditionError
 
@@ -138,10 +137,70 @@ def corpus_payload(entries) -> dict:
     }
 
 
+# the escapes of json's ensure_ascii within ASCII: a backslash and a letter
+# where json has one, else \u00XX for the control characters and DEL
+_ESCAPES = {i: f"\\u{i:04x}" for i in (*range(0x20), 0x7f)} | {
+    ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _unicode_escape(c: str) -> str:
+    """\\uXXXX of a character past ASCII; a surrogate pair past the BMP."""
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000
+    return f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}"
+
+
+def _string(s: str) -> str:
+    if not (s.isascii() and s.isprintable() and '"' not in s and "\\" not in s):
+        s = s.translate(_ESCAPES)
+        if not s.isascii():
+            s = "".join(c if c.isascii() else _unicode_escape(c) for c in s)
+    return f'"{s}"'
+
+
+def _emit(x, indent: str, out: list) -> None:
+    """Append to out the text of x that json.dumps(x, indent=2, sort_keys=True)
+    writes at this indent. Payloads hold only dicts with str keys, lists,
+    tuples, str, int, bool and None; anything else raises TypeError."""
+    if isinstance(x, str):
+        out.append(_string(x))
+    elif x is None or x is True or x is False:
+        out.append(_CONSTANTS[x])
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        if not all(isinstance(key, str) for key in x):
+            raise TypeError("payload keys must be str")
+        inner = indent + "  "
+        sep, more = "{\n" + inner, ",\n" + inner
+        for key in sorted(x):
+            out += (sep, _string(key), ": ")
+            _emit(x[key], inner, out)
+            sep = more
+        out.append("\n" + indent + "}" if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        inner = indent + "  "
+        sep, more = "[\n" + inner, ",\n" + inner
+        for item in x:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = more
+        out.append("\n" + indent + "]" if x else "[]")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def render(payload: dict, fmt: str) -> str:
-    """Render a payload as json, csv, or md text."""
+    """Render a payload as json, csv, or md text; json as json.dumps(payload,
+    indent=2, sort_keys=True) writes it, plus a newline."""
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out = []
+        _emit(payload, "", out)
+        out.append("\n")
+        return "".join(out)
     from .renderers import RENDERERS  # json needs no renderer module
 
     return RENDERERS[payload["schema"]](payload, fmt)

@@ -14,8 +14,12 @@ benchmark inputs, one fixed entry (I = (t^3, t^4, U, V) of
 k[[t^3,t^4,t^5]][U,V], whose closure is the maximal ideal m though I is
 not m) and 30 random entries of seed 1 (polynomial rings in 1 to 4
 variables, semigroup rings, S = N among them, with 0 to 2 adjoined
-variables), plus `corpus` over both corpus directories in every format:
-1124 lines, two at a time.
+variables), plus `corpus` over both corpus directories in every format.
+Fixed 4-variable entries with many halfspaces run fewer lines: the
+benchmark's newton_wide family (x_i^4 plus 12 of the 16 cubics with
+exponents <= 2, from `perfbench/workloads.py`) at seeds 1 to 3 under
+`table --nmax 2` and `coeffs`, and the stress shape (x^8, y^8, z^8, w^8,
+xyzw) under `table --nmax 4`: 1143 lines, two at a time.
 Both sides read the same input files from one scratch directory through
 relative paths.
 
@@ -42,6 +46,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+from workloads import newton_wide_texts  # noqa: E402
 COMMANDS = ("table", "coeffs", "sally", "check")
 FORMATS = ("json", "csv", "md")
 SEMIGROUPS = ((1,), (2, 3), (3, 5), (3, 4, 5), (4, 5, 11), (5, 7))
@@ -50,6 +56,10 @@ SEED, RANDOM_ENTRIES, JOBS = 1, 30, 2
 # closure(I) = m with I != m: low_type_cm must test the powers of m, not of I
 FIXED = ("fixed/sg_3_4_5_uv_t3_t4.nfilt",
          "name sg_3_4_5_uv_t3_t4\nring semigroup gens=3,4,5 adjoin=U,V\nideal t^3 t^4 U V\n")
+# many halfspaces in 4 variables, where the row walk of the normal column prunes most
+WIDE_SEEDS = (1, 2, 3)
+STRESS = ("wide/stress_x8_xyzw.nfilt",
+          "name stress_x8_xyzw\nring polynomial vars=x,y,z,w\nideal x^8 y^8 z^8 w^8 x*y*z*w\n")
 
 
 def _monomial(names, exps) -> str:
@@ -111,6 +121,14 @@ def write_inputs(root: Path, seed: int, random_count: int) -> list[str]:
     (root / path).parent.mkdir()
     (root / path).write_text(text)
     paths.append(path)
+    (root / "wide").mkdir()
+    for wide_seed in WIDE_SEEDS:
+        for k, text in enumerate(newton_wide_texts(wide_seed)):
+            (root / "wide" / f"newton_wide_seed{wide_seed}_{k}.nfilt").write_text(text)
+            paths.append(f"wide/newton_wide_seed{wide_seed}_{k}.nfilt")
+    path, text = STRESS
+    (root / path).write_text(text)
+    paths.append(path)
     (root / "random").mkdir()
     rng = random.Random(seed)
     for k in range(random_count):
@@ -123,6 +141,10 @@ def command_lines(paths) -> list[list[str]]:
     """The argv of every line of the sweep."""
     lines = []
     for path in paths:
+        if path.startswith("wide/"):
+            lines += ([["table", path, "--nmax", "4"]] if path == STRESS[0] else
+                      [["table", path, "--nmax", "2"], ["coeffs", path]])
+            continue
         lines += [[c, path, "--format", f] for c in COMMANDS for f in FORMATS]
         lines += [[c, path, "--nmax", "12"] for c in ("table", "sally")]
         lines += [["check", path, "--nmax", n] for n in ("3", "12")]

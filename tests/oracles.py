@@ -7,7 +7,7 @@ facets of a Newton polyhedron by a scan of every d-subset of generators, the
 multiplicity by vertex enumeration and triangulation of the Newton
 polyhedron cut by its pure-power box, lengths by direct lattice enumeration
 against the generator staircase, and semigroup membership by a direct
-reachability sweep. The per-row loop that the row sweep of `newton.row_cuts`
+reachability sweep. The per-row loop that the row walk of `newton.row_cuts`
 replaced stays here as the differential reference for closure powers;
 `hull_heads` is the pruned head/cofactor hull that the double description of
 `newton.newton_polyhedron` replaced. `valabrega_valla_prefixes` is the
@@ -187,24 +187,30 @@ def hull_heads(gens) -> tuple:
     return tuple(sorted(found))
 
 
+def row_cuts_oracle(halfspaces, tops, n):
+    """Per row b of the box [0, tops] over the free axes, in row-major order:
+    tau = max(0, ceil((n*t - <c', b>) / c_last)) over the halfspaces (c, t)."""
+    cuts = []
+    for b in product(*(range(top + 1) for top in tops)):
+        tau = 0
+        for normal, threshold in halfspaces:
+            tau = max(tau, -((sum(c * x for c, x in zip(normal, b)) - n * threshold) // normal[-1]))
+        cuts.append(tau)
+    return cuts
+
+
 def closure_power_rows(halfspaces, cap, in_s, n):
     """The bits of closure(I^n) on the box [0, cap] by the per-row loop, for n >= 0.
 
     halfspaces are those of NP(I) with the S-axis last, and in_s is a
     membership table of S (semigroup_members_oracle) longer than cap[-1].
-    Row b over the free axes keeps the members s >= tau with
-    tau = max(0, ceil((n*t - <c', b>) / c_last)) over the halfspaces (c, t);
+    Row b over the free axes keeps the members s >= tau of `row_cuts_oracle`;
     the bit order is that of `monomial.Ideal`. At n = 0 this is the unit
     ideal.
     """
     width = cap[-1] + 1
     row = "".join("1" if in_s[s] else "0" for s in reversed(range(width)))
-    rows = []
-    for b in product(*(range(c + 1) for c in cap[:-1])):
-        tau = 0
-        for normal, threshold in halfspaces:
-            tau = max(tau, -((sum(c * x for c, x in zip(normal, b)) - n * threshold) // normal[-1]))
-        rows.append(row[:width - tau] + "0" * tau)
+    rows = [row[:width - tau] + "0" * tau for tau in row_cuts_oracle(halfspaces, cap[:-1], n)]
     return int("".join(reversed(rows)), 2)
 
 

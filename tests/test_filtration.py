@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from normfilt import CHECKS, errors
 from normfilt import filtration as flt
-from normfilt.analysis import Analysis, auto_reduction
+from normfilt.analysis import Analysis, auto_reduction, default_nmax, default_window
 from normfilt.backends import PolynomialBackend, SemigroupBackend
 from normfilt.inputs import EntryData
 from normfilt.monomial import closure_power, colength, contains, intersect, multiply, unit_ideal
@@ -35,9 +35,9 @@ def test_series_coeff_cumulative(n, p):
 
 def test_default_nmax_leaves_room_for_a_fit():
     # a fit needs dim+1 entries plus the window; dimension 4 needs 10, not 9
-    nmax = [flt.default_nmax(d) for d in (1, 2, 3, 4)]
+    nmax = [default_nmax(d) for d in (1, 2, 3, 4)]
     assert nmax == [6, 7, 8, 10]
-    assert all(n + 1 >= d + 1 + flt.default_window(d) for d, n in zip((1, 2, 3, 4), nmax))
+    assert all(n + 1 >= d + 1 + default_window(d) for d, n in zip((1, 2, 3, 4), nmax))
 
 
 # --- polynomial fitting -------------------------------------------------------

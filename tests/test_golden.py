@@ -13,7 +13,9 @@ poly3_cubes_diag. The corpus is analysed once per module through the CLI
 The entry reports, one tampered check, the json corpus report and the two
 high-horizon runs are also produced by fresh interpreters without a bytecode
 cache, the way the console script and the benchmark run. To refresh after an
-intended output change, rerun the CLI commands into tests/golden/.
+intended output change, rerun the CLI commands into tests/golden/. The json
+writer of `reports.render` is also compared with `json.dumps` on generated
+payloads.
 """
 
 import io
@@ -25,6 +27,8 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from normfilt import cli, reports
 from test_newton import newton_wide_gens
@@ -140,3 +144,33 @@ def test_fresh_process_output_matches_golden(tmp_path, name, argv, code):
     )
     assert (run.returncode, run.stderr) == (code, b"")
     assert run.stdout == (GOLDEN / name).read_bytes()
+
+
+# strings that json escapes: quote, backslash, control characters, DEL, and
+# characters past ASCII, in and past the BMP (written as surrogate pairs)
+TEXTS = st.text(st.sampled_from('"\\\x00\x08\t\n\x0c\r\x1f\x7f\x80é\u2028\ufffe') | st.characters())
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 80), 2 ** 80) | TEXTS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(TEXTS, inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+@example({"a": [], "b": {}, "c": (), "d": [[]], "e": "\U0001f600\ud800", "f": [True, False, None]})
+def test_json_rendering_is_that_of_json_dumps(payload):
+    assert reports.render(payload, "json") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {"e": 1.5},
+    {"e": [0, {"f": 2.0}]},
+    {"e": {1, 2}},
+    {1: "one"},
+    {"e": {("k",): 1}},
+    {"e": object()},
+], ids=["float", "nested-float", "set", "int-key", "tuple-key", "object"])
+def test_json_rendering_rejects_what_a_payload_does_not_hold(payload):
+    with pytest.raises(TypeError):
+        reports.render(payload, "json")

@@ -437,11 +437,17 @@ def test_cli_import_leaves_out_unused_modules():
     # every module into this process, so look from fresh ones
     unused = {"fractions", "normfilt.linalg", "dataclasses", "inspect", "csv"}
     assert _loaded("import normfilt.cli, normfilt.inputs", unused) == "[]"
-    # a json table loads no checker, no verdict record, no renderer and no argparse
-    unused |= {"argparse", "normfilt.theorems", "normfilt.verdicts", "normfilt.renderers"}
+    # a json table loads no checker, no verdict record, no renderer, no
+    # argparse, no filtration and no json: its columns are counted and its
+    # json is written by reports.render
+    unused |= {"argparse", "normfilt.theorems", "normfilt.verdicts", "normfilt.renderers",
+               "normfilt.filtration", "json", "json.decoder"}
     table = f"from normfilt.cli import main\nmain(['table', {corpus_path('sg_4_5_11_uv')!r}])"
     assert _loaded(table, unused) == "[]"
     assert _loaded("from normfilt.cli import main\nmain(['table', '--help'])", unused) == "[]"
+    # the checkers read fits, rn and VV, so check loads the filtration
+    check = f"from normfilt.cli import main\nmain(['check', {corpus_path('poly3_cubes')!r}])"
+    assert _loaded(check, {"normfilt.filtration"}) == "['normfilt.filtration']"
 
 
 def test_parsing_an_entry_loads_no_analysis():
@@ -470,7 +476,7 @@ def _forbid(monkeypatch, *names):
         raise AssertionError("computed although the command does not read it")
 
     for name in names:
-        monkeypatch.setattr(analysis, name, fail)
+        monkeypatch.setattr(filtration, name, fail)
 
 
 def test_cli_table_computes_no_fit_reduction_number_or_vv(monkeypatch, capsys):
@@ -592,7 +598,7 @@ def test_table_and_sally_build_no_filtration(monkeypatch, capsys, tmp_path, name
     def fail(*args, **kwargs):
         raise AssertionError("table and sally build no Filtration")
 
-    monkeypatch.setattr(analysis, "Filtration", fail)
+    monkeypatch.setattr(filtration, "Filtration", fail)
     for command, (code, out) in zip(("table", "sally"), outputs):
         assert cli.main([command, *argv]) == code
         assert capsys.readouterr().out == out

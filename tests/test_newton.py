@@ -21,6 +21,7 @@ from oracles import (
     hull_oracle,
     in_dilation_oracle,
     multiplicity_oracle,
+    row_cuts_oracle,
     semigroup_members_oracle,
 )
 
@@ -289,6 +290,8 @@ def test_certificate_agrees_with_multiplicity_comparison(drawn, data):
 
 
 RING_S1 = SemigroupBackend((4, 5, 11), 1)
+RING_S2 = SemigroupBackend((7, 9, 11), 2)
+R4 = PolynomialBackend("xyzw")
 
 
 @settings(max_examples=100, deadline=None)
@@ -296,13 +299,38 @@ RING_S1 = SemigroupBackend((4, 5, 11), 1)
 # two halfspaces each: ((1, 1), 2) and ((2, 1), 3); ((4, 1), 8) and ((6, 1), 10)
 @example((R2, R2.ideal(PLANE), None), 3)
 @example((RING_S1, RING_S1.ideal([(2, 0), (1, 4), (0, 10)]), None), 4)
+# where the walk skips most rows: the first seed-1 newton_wide ideal (five
+# halfspaces), the stress shape scaled to x_i^4, and three halfspaces of
+# k[[t^7,t^9,t^11]][U,V]: ((7, 14, 2), 21), ((9, 7, 1), 16), ((32, 16, 3), 48)
+@example((R4, R4.ideal(newton_wide_gens(1)[0]), None), 3)
+@example((R4, R4.ideal([tuple(4 * (j == i) for j in range(4)) for i in range(4)] + [(1, 1, 1, 1)]),
+          None), 3)
+@example((RING_S2, RING_S2.ideal([(3, 0, 0), (0, 3, 0), (0, 0, 16), (1, 1, 0), (1, 0, 7), (1, 0, 11)]),
+          None), 3)
 def test_closure_power_matches_row_loop(drawn, n):
-    """The row sweep of closure_power against the per-row loop it replaced."""
+    """The row walk of closure_power and closure_count against the per-row
+    loop it replaced: the bits of closure(I^n), and its colength as the sum
+    over the rows of [0, n*box] of each cut less the gaps of S below it."""
     ring, a, _ = drawn
     closure = mono.closure_power(a, n)
     in_s = semigroup_members_oracle(ring.sg.gens, closure.cap[-1] + 1)
     assert closure.bits == closure_power_rows(
         a.hull.halfspaces, closure.cap, in_s, n), (ring.describe(), a.gens, n)
+    tops = [n * e for e in a.hull.box[:-1]]
+    expected = sum(tau - sum(1 for s in range(tau) if not in_s[s])
+                   for tau in row_cuts_oracle(a.hull.halfspaces, tops, n))
+    assert newton.closure_count(a.hull, n, ring.sg.gaps) == expected, (ring.describe(), a.gens, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m_primary_gens(4), st.integers(0, 4), st.data())
+def test_row_cuts_match_row_loop_on_any_box(gens, k, data):
+    """The walk against the per-row loop on boxes below and above k times the
+    pure-power box, where it must stop at the box, not at the last cut."""
+    np_ = newton.newton_polyhedron(gens)
+    tops = [data.draw(st.integers(0, k * e + 2)) for e in np_.box[:-1]]
+    assert newton.row_cuts(np_.halfspaces, tops, k) == row_cuts_oracle(np_.halfspaces, tops, k), (
+        gens, k, tops)
 
 
 def test_preconditions():
