@@ -77,17 +77,18 @@ class Analysis:
     ideal and a given reduction on the one box of the analysis, `power_box`
     of the input ideal at degree nmax + 1, each generated there once. Every
     filtration, the maximal ideal and every table are built on first read.
-    The fit window is `default_window(dim)`. The table columns (normal_values,
-    adic_values, jgood_values, sally_values) and the numbers they read need
-    no filtration. The fits (normal_fit, adic_fit, sally_fit and their
-    *_error fields), rn, rn_error, vv, maximal_vv, normal_filt and
-    reduction_powers import `filtration` on first read, and so do e_bar,
-    g_s and base_numbers, which read the fits and rn. The fields built from
-    the reduction J (reduction_powers, jgood_values, sally_values, sally_fit,
-    rn, vv, maximal_vv, lam_R_J, lam_I1_J) may be read only when
-    `reduction` is not None, and maximal_vv only when closure(I) = m as
-    well. A fit or reduction number that fails reads None, and its *_error
-    field holds the exception.
+    The window `default_window(dim)` is passed to every fit and VV report.
+    The table columns (normal_values, adic_values, jgood_values,
+    sally_values) and the numbers they read need no filtration. The fits
+    (normal_fit, adic_fit, sally_fit and their *_error fields), rn,
+    rn_error, vv, maximal_vv, normal_filt and reduction_powers import
+    `filtration` on first read, and so do e_bar, g_s and base_numbers,
+    which read the fits and rn. The fields built from the reduction J
+    (reduction_powers, jgood_values, sally_values, sally_fit, rn, vv,
+    maximal_vv, lam_R_J, lam_I1_J) may be read only when `reduction` is not
+    None, and maximal_vv only when closure(I) = m as well. A fit or
+    reduction number that fails reads None, and its *_error field holds the
+    exception.
     """
 
     def __init__(self, entry: EntryData):
@@ -160,7 +161,7 @@ class Analysis:
     @cached_property
     def _normal_fit(self):
         from .filtration import fit_coefficients
-        return _attempt(lambda: fit_coefficients(self.normal_values, self.dim))
+        return _attempt(lambda: fit_coefficients(self.normal_values, self.dim, self.window))
 
     normal_fit = property(lambda self: self._normal_fit[0])
     normal_fit_error = property(lambda self: self._normal_fit[1])
@@ -168,7 +169,7 @@ class Analysis:
     @cached_property
     def _adic_fit(self):
         from .filtration import fit_coefficients
-        return _attempt(lambda: fit_coefficients(self.adic_values, self.dim))
+        return _attempt(lambda: fit_coefficients(self.adic_values, self.dim, self.window))
 
     adic_fit = property(lambda self: self._adic_fit[0])
     adic_fit_error = property(lambda self: self._adic_fit[1])
@@ -195,14 +196,14 @@ class Analysis:
 
     @cached_property
     def sally_values(self) -> tuple[int, ...]:
+        """lambda(closure(I^(n+1))/J^n·closure(I)) for n = 0..nmax: J-good minus normal."""
         return tuple(j - n for j, n in zip(self.jgood_values, self.normal_values))
 
     @cached_property
     def _sally_fit(self):
         from .filtration import sally_from_tables
         # a tampered table can give negative Sally lengths: PreconditionError
-        normal, jgood = self.normal_values, self.jgood_values
-        return _attempt(lambda: sally_from_tables(normal, jgood, self.dim),
+        return _attempt(lambda: sally_from_tables(self.sally_values, self.dim, self.window),
                         (HorizonError, PreconditionError))
 
     sally_fit = property(lambda self: self._sally_fit[0])

@@ -126,22 +126,23 @@ def _corpus_files(directory):
     return sorted(root.glob("*.nfilt"))
 
 
-def _verdicts_code(verdicts) -> int:
-    return EXIT_REFUTED if any(v.is_refutation for v in verdicts) else EXIT_OK
+def _check(entry):
+    """(check payload, exit code) of one entry: EXIT_REFUTED when a statement is refuted."""
+    from .theorems import run_checks
+
+    analysis = analyze(entry)
+    verdicts = run_checks(analysis)
+    code = EXIT_REFUTED if any(v.is_refutation for v in verdicts) else EXIT_OK
+    return reports.check_payload(analysis, verdicts), code
 
 
 def _run(command, path, nmax=None, fmt="json", checks=None, tamper_normal=None) -> int:
     if command == "corpus":
-        from .theorems import run_checks
-
         entries = []
         exit_code = EXIT_OK
         for f in _corpus_files(path):
             try:
-                analysis = analyze(_load_entry(f, nmax=nmax, checks=checks))
-                verdicts = run_checks(analysis)
-                payload = reports.check_payload(analysis, verdicts)
-                code = _verdicts_code(verdicts)
+                payload, code = _check(_load_entry(f, nmax=nmax, checks=checks))
             except tuple(FAILURES) as exc:
                 code = _failure(exc)[0]
                 payload = reports.error_record(code, exc)
@@ -151,15 +152,12 @@ def _run(command, path, nmax=None, fmt="json", checks=None, tamper_normal=None) 
         return exit_code
 
     entry = _load_entry(Path(path), nmax=nmax, checks=checks, tamper_normal=tamper_normal)
-    analysis = analyze(entry)
-    if command != "check":
-        sys.stdout.write(reports.render(getattr(reports, f"{command}_payload")(analysis), fmt))
-        return EXIT_OK
-    from .theorems import run_checks
-
-    verdicts = run_checks(analysis)
-    sys.stdout.write(reports.render(reports.check_payload(analysis, verdicts), fmt))
-    return _verdicts_code(verdicts)
+    if command == "check":
+        payload, code = _check(entry)
+        sys.stdout.write(reports.render(payload, fmt))
+        return code
+    sys.stdout.write(reports.render(getattr(reports, f"{command}_payload")(analyze(entry)), fmt))
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -2,12 +2,11 @@
 
 Covers: memoized filtration terms (integral-closure powers and ordinary
 powers), exact length tables, binomial-basis coefficient fits with a
-verification window, Sally-module lengths, reduction numbers (proved at most
-d-1 for the normal filtration when S = N, elsewhere over a whole
-window), the Valabrega-Valla test on J up to the reduction number, and the
-intersection test closure(I^{n+1}) ∩ J^n = J^n closure(I). The J-good table
-lambda(R/J^n closure(I)) is a closed form in `analysis.Analysis.jgood_values`,
-so no J-good chain is built here.
+verification window, the Sally-module fit, reduction numbers (proved at most
+d-1 for the normal filtration when S = N, elsewhere over a whole window) and
+the Valabrega-Valla test on J up to the reduction number. The module imports
+only `errors` and `monomial`: the caller passes the verification window and
+the tables, and `analysis.Analysis` computes the J-good and Sally columns.
 
 All binomials follow one convention: series_coeff(n, p) is the coefficient of
 z^n in (1-z)^(-p). The usual C(n+j, j) is series_coeff(n, j+1); for p = 0 the
@@ -20,7 +19,6 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .analysis import default_window
 from .errors import HorizonError, PreconditionError
 from .monomial import closure_power, colength, contains, intersect, multiply, unit_ideal
 
@@ -147,32 +145,26 @@ def fit_polynomial(values, dim: int, window: int) -> Fit:
     return Fit(coeffs, stable_from)
 
 
-def fit_coefficients(values, dim: int) -> Fit:
-    """Hilbert coefficients of a colength table in dimension dim."""
-    fit = fit_polynomial(values, dim, default_window(dim))
+def fit_coefficients(values, dim: int, window: int) -> Fit:
+    """Hilbert coefficients of a colength table in dimension dim, verified
+    over `window` entries; the leading coefficient must be positive."""
+    fit = fit_polynomial(values, dim, window)
     if fit.e[0] <= 0:
         raise HorizonError("fitted leading coefficient is not positive (horizon too small)")
     return fit
 
 
-def sally_lengths(normal_values, jgood_values) -> tuple[int, ...]:
-    """λ(closure(I^{n+1}) / J^n closure(I)): entry n of the J-good colength
-    table minus entry n of the normal one."""
-    return tuple(j - n for j, n in zip(jgood_values, normal_values))
+def sally_from_tables(values, dim: int, window: int) -> Fit:
+    """Exact fit of the Sally lengths values[n] = λ(closure(I^{n+1}) / J^n closure(I)).
 
-
-def sally_from_tables(normal_values, jgood_values, dim: int) -> Fit:
-    """Exact fit of the Sally lengths λ(closure(I^{n+1}) / J^n closure(I)).
-
-    Both inputs are colength tables indexed by n, so entry n is their
-    difference; entry 0 vanishes by construction. The fit lives in dimension
-    dim-1, one binomial degree below the ring tables, but verifies the ring's
-    window; its leading coefficient s0 may be 0.
+    Entry n is the J-good colength table minus the normal one, so entry 0
+    vanishes. The fit lives in dimension dim-1, one binomial degree below
+    the ring tables, but verifies `window` entries, the ring's; its leading
+    coefficient s0 may be 0.
     """
-    values = sally_lengths(normal_values, jgood_values)
     if any(v < 0 for v in values) or values[0] != 0:
         raise PreconditionError("Sally lengths must be nonnegative and start at 0")
-    return fit_polynomial(values, dim - 1, default_window(dim))
+    return fit_polynomial(values, dim - 1, window)
 
 
 def reduction_number(filt: Filtration, nmax: int) -> int:
@@ -255,18 +247,3 @@ def valabrega_valla(filt: Filtration, nmax: int, window: int, rn: int | None) ->
     certified = required is not None and nmax >= required
     return VVReport(certified, not certified, None, nmax, required)
 
-
-def intersection_failures(backend, normal_filt: Filtration, reduction_powers: Filtration,
-                          upto: int) -> list[tuple[int, str]]:
-    """Degrees n with closure(I^{n+1}) ∩ J^n != J^n closure(I), plus witnesses.
-
-    reduction_powers is the adic filtration of J, which holds J^n.
-    """
-    out = []
-    for n in range(1, upto + 1):
-        jn = reduction_powers.term(n)
-        lhs = intersect(normal_filt.term(n + 1), jn)
-        rhs = multiply(jn, normal_filt.term(1))
-        if lhs != rhs:
-            out.append((n, witness_element(backend, lhs, rhs)))
-    return out

@@ -19,7 +19,7 @@ from functools import wraps
 
 from .analysis import Analysis, analyze
 from .errors import HorizonError
-from .filtration import intersection_failures, series_coeff, witness_element
+from .filtration import series_coeff, witness_element
 from .monomial import colength, colon, ideal_contains, intersect, multiply, quotient_length
 from .verdicts import Verdict, Witness, abstained, asserted, horizon, refuted, verified
 
@@ -289,13 +289,15 @@ def check_closure_intersection(a: Analysis, nums) -> Verdict:
     upto = min(4, a.nmax - 1)
     if upto < 1:
         return horizon(f"no degree to test: n runs over 1..min(4, nmax - 1) and nmax = {a.nmax}")
-    fails = intersection_failures(a.backend, a.normal_filt, a.reduction_powers, upto)
-    if fails:
-        n, elem = fails[0]
-        return refuted(
-            f"closure(I^{n + 1}) ∩ J^{n} != J^{n}·closure(I) at degree {n}",
-            [Witness(n, elem)],
-        )
+    for n in range(1, upto + 1):
+        jn = a.reduction_powers.term(n)
+        lhs = intersect(a.normal_filt.term(n + 1), jn)
+        rhs = multiply(jn, a.normal_filt.term(1))
+        if lhs != rhs:
+            return refuted(
+                f"closure(I^{n + 1}) ∩ J^{n} != J^{n}·closure(I) at degree {n}",
+                [Witness(n, witness_element(a.backend, lhs, rhs))],
+            )
     return verified(f"closure(I^(n+1)) ∩ J^n = J^n·closure(I) verified for n = 1..{upto}")
 
 

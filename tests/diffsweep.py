@@ -7,8 +7,10 @@ Extracts `src/` of BASE_REV with `git archive` into a temporary directory
 and runs every line in a fresh interpreter without a bytecode cache, once
 against BASE_REV's `src/` and once against the working tree's. The lines run
 `table`, `coeffs`, `sally` and `check` in json, csv and md, `table` and
-`sally` at `--nmax 12` (counted normal columns to k = 13), `check` at
-`--nmax 3` and `--nmax 12`, `check --tamper-normal 0..4` at the default
+`sally` at `--nmax 12` (counted normal columns to k = 13), `coeffs` and
+`sally` at `--nmax 3` (too few entries for any fit, so the fits' horizon
+error, whose entry count the window decides), `check` at `--nmax 3` and
+`--nmax 12`, `check --tamper-normal 0..4` at the default
 horizon and at `--nmax 12`, on the bundled corpus, its negative entries, the
 benchmark inputs, one fixed entry (I = (t^3, t^4, U, V) of
 k[[t^3,t^4,t^5]][U,V], whose closure is the maximal ideal m though I is
@@ -19,7 +21,7 @@ Fixed 4-variable entries with many halfspaces run fewer lines: the
 benchmark's newton_wide family (x_i^4 plus 12 of the 16 cubics with
 exponents <= 2, from `perfbench/workloads.py`) at seeds 1 to 3 under
 `table --nmax 2` and `coeffs`, and the stress shape (x^8, y^8, z^8, w^8,
-xyzw) under `table --nmax 4`: 1143 lines, two at a time.
+xyzw) under `table --nmax 4`: 1229 lines, two at a time.
 Both sides read the same input files from one scratch directory through
 relative paths.
 
@@ -147,6 +149,7 @@ def command_lines(paths) -> list[list[str]]:
             continue
         lines += [[c, path, "--format", f] for c in COMMANDS for f in FORMATS]
         lines += [[c, path, "--nmax", "12"] for c in ("table", "sally")]
+        lines += [[c, path, "--nmax", "3"] for c in ("coeffs", "sally")]
         lines += [["check", path, "--nmax", n] for n in ("3", "12")]
         for extra in ([], ["--nmax", "12"]):
             lines += [["check", path, *extra, "--tamper-normal", str(i)] for i in range(5)]

@@ -14,8 +14,10 @@ replaced stays here as the differential reference for closure powers;
 Valabrega-Valla loop over every prefix of J and every degree, and
 `reduction_number_scan` the reduction number by a scan of every degree from
 the horizon down, which the proved bound of `filtration.reduction_number`
-cut short for the normal filtration of a polynomial ring; both use the
-ideal arithmetic of `normfilt.monomial`.
+cut short for the normal filtration of a polynomial ring, and
+`intersection_failures_oracle` the test closure(I^(n+1)) ∩ J^n = J^n·closure(I)
+over every low degree, where its checker stops at the first failure; all
+three use the ideal arithmetic of `normfilt.monomial`.
 `series_checks` is the reference for the closed-form check of the graded
 lengths: it tests every degreewise identity among the graded modules,
 including the three that hold for any two tables. `jgood_chain_colengths`
@@ -469,3 +471,18 @@ def reduction_number_scan(filt, reduction, nmax):
             break
         r = n
     return r
+
+
+def intersection_failures_oracle(filt, reduction, upto):
+    """Every degree n = 1..upto with F_(n+1) ∩ J^n != J^n·F_1, with a
+    generator of the left side outside the right (the right side lies in the
+    left), as ring text; J^n is built by repeated products."""
+    out, jn = [], reduction
+    for n in range(1, upto + 1):
+        lhs = intersect(filt.term(n + 1), jn)
+        rhs = multiply(jn, filt.term(1))
+        if lhs != rhs:
+            witness = next(g for g in lhs.gens if not contains(rhs, g))
+            out.append((n, filt.backend.element_str(witness)))
+        jn = multiply(reduction, jn)
+    return out

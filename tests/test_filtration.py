@@ -13,8 +13,8 @@ from normfilt.analysis import Analysis, auto_reduction, default_nmax, default_wi
 from normfilt.backends import PolynomialBackend, SemigroupBackend
 from normfilt.inputs import EntryData
 from normfilt.monomial import closure_power, colength, contains, intersect, multiply, unit_ideal
-from oracles import (_solve_consistent, jgood_chain_colengths, reduction_number_scan, series_checks,
-                     valabrega_valla_prefixes)
+from oracles import (_solve_consistent, intersection_failures_oracle, jgood_chain_colengths,
+                     reduction_number_scan, series_checks, valabrega_valla_prefixes)
 
 
 # --- series_coeff ------------------------------------------------------------
@@ -52,7 +52,7 @@ def planted(coeffs, dim, count):
 
 def test_fit_recovers_planted_polynomial():
     values = planted((7, 3, 1), 2, 8)
-    fit = flt.fit_coefficients(values, 2)
+    fit = flt.fit_coefficients(values, 2, default_window(2))
     assert fit.e == (7, 3, 1)
     assert fit.stable_from == 0
 
@@ -60,7 +60,7 @@ def test_fit_recovers_planted_polynomial():
 def test_fit_reports_transient_prefix():
     values = planted((7, 3, 1), 2, 9)
     values[0] += 1
-    fit = flt.fit_coefficients(values, 2)
+    fit = flt.fit_coefficients(values, 2, default_window(2))
     assert fit.e == (7, 3, 1)
     assert fit.stable_from == 1
 
@@ -68,19 +68,19 @@ def test_fit_reports_transient_prefix():
 def test_fit_horizon_short_table():
     values = planted((7, 3, 1), 2, 6)  # needs dim+1 + window = 3 + 4 entries
     with pytest.raises(errors.HorizonError):
-        flt.fit_coefficients(values, 2)
+        flt.fit_coefficients(values, 2, default_window(2))
 
 
 def test_fit_horizon_corrupted_tail():
     values = planted((7, 3, 1), 2, 9)
     values[-1] += 1
     with pytest.raises(errors.HorizonError):
-        flt.fit_coefficients(values, 2)
+        flt.fit_coefficients(values, 2, default_window(2))
 
 
 def test_fit_horizon_nonpositive_leading():
     with pytest.raises(errors.HorizonError):
-        flt.fit_coefficients([5] * 8, 1)
+        flt.fit_coefficients([5] * 8, 1, default_window(1))
 
 
 def test_fit_window_validation():
@@ -93,7 +93,7 @@ def test_fit_rejects_non_integer_entries():
         values = planted((7, 3, 1), 2, 8)
         values[index] = Fraction(1, 2)
         with pytest.raises(errors.PreconditionError, match="integers"):
-            flt.fit_coefficients(values, 2)
+            flt.fit_coefficients(values, 2, default_window(2))
 
 
 def reference_fit(values, dim, window):
@@ -443,17 +443,17 @@ JGOOD_1D = (1, 5, 9, 13, 17, 21, 25)
 
 
 def test_sally_from_tables():
-    assert flt.sally_lengths(NORMAL_1D, JGOOD_1D) == (0, 2, 2, 2, 2, 2, 2)
-    fit = flt.sally_from_tables(NORMAL_1D, JGOOD_1D, 1)
+    # the Sally column of NORMAL_1D and JGOOD_1D, their difference
+    fit = flt.sally_from_tables((0, 2, 2, 2, 2, 2, 2), 1, default_window(1))
     assert fit.e == (2,)
     assert fit.stable_from == 1
 
 
 def test_sally_rejects_negative_lengths():
     with pytest.raises(errors.PreconditionError):
-        flt.sally_from_tables((1, 5), (1, 3), 1)
+        flt.sally_from_tables((0, -2), 1, default_window(1))
     with pytest.raises(errors.PreconditionError):
-        flt.sally_from_tables((1, 3), (2, 5), 1)
+        flt.sally_from_tables((1, 2), 1, default_window(1))
 
 
 def test_series_checks_pass():
@@ -543,8 +543,27 @@ def test_closed_form_matches_series_oracle(a, data):
 
 
 def test_intersection_failures_empty(poly2):
-    b = poly2
-    ideal = b.ideal([(2, 0), (0, 2)])
-    normal = flt.Filtration(b, "normal", ideal=ideal)
-    powers = flt.Filtration(b, "adic", ideal=ideal)
-    assert flt.intersection_failures(b, normal, powers, 4) == []
+    a = Analysis(EntryData("e", poly2, poly2.ideal([(2, 0), (0, 2)])))
+    verdict = CHECKS["closure_intersection"][0](a)
+    assert verdict.conclusion == "verified"
+    assert verdict.detail.endswith("for n = 1..4")
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_analyses())
+def test_closure_intersection_matches_the_all_degrees_loop(case):
+    """The checker stops at the first failing degree of the loop over every
+    degree, with its witness, and verifies where the loop finds none."""
+    a, closures = case
+    assume(a.reduction is not None)
+    verdict = CHECKS["closure_intersection"][0](a)
+    upto = min(4, a.nmax - 1)
+    if upto < 1:
+        assert verdict.conclusion == "inconclusive-horizon"
+        return
+    fails = intersection_failures_oracle(closures, a.reduction, upto)
+    if not fails:
+        assert verdict.conclusion == "verified"
+        return
+    assert verdict.conclusion == "refuted-with-witness"
+    assert [(w.degree, w.element) for w in verdict.witnesses] == [fails[0]]

@@ -1,0 +1,48 @@
+"""The package's modules import only from the layers below their own."""
+
+import ast
+from pathlib import Path
+
+import normfilt
+from test_inputs_cli import _loaded
+
+# lowest layer first; a module may import at module level only from modules before it
+ORDER = ("errors", "semigroup", "newton", "monomial", "backends", "inputs", "filtration",
+         "analysis", "verdicts", "theorems", "reports", "renderers", "cli")
+
+
+def module_level_imports(tree):
+    """Modules named by the relative imports that run when the module is
+    imported, `from .x import ...` and `from . import x`; imports inside a
+    function run only when it is called and are left out."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def layering_violations(package: Path) -> list[str]:
+    out = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        assert path.stem in ORDER, path.stem
+        for name in module_level_imports(ast.parse(path.read_text())):
+            if ORDER.index(name) >= ORDER.index(path.stem):
+                out.append(f"{path.stem} -> {name}")
+    return sorted(out)
+
+
+def test_modules_import_only_lower_layers():
+    assert layering_violations(Path(normfilt.__file__).parent) == []
+
+
+def test_filtration_loads_no_analysis():
+    assert _loaded("import normfilt.filtration", {"normfilt.analysis"}) == "[]"
