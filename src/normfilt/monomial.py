@@ -9,27 +9,27 @@ An ideal is stored as a Python-int bitset over the box [0, cap] in row-major
 order, the S-axis varying fastest. The top slice along each axis stands for
 every point beyond it. Each ideal also carries `need`, a box past which its
 membership is known to be constant along every axis, so that every cap >=
-need holds the same ideal. For an ideal built from generators, need is
-their extent plus the conductor on the S-axis; a product adds the shift to
-it, a sum or intersection takes the larger need of its operands, and a
-colon keeps the dividend's. Every box holds need plus the largest atom (a
-generator of the monoid) along each axis, so an ideal finds its minimal
-generators on its own box. The cap may be larger: an `analysis.Analysis`
-lays all its ideals on one box, large enough for every term it builds, so
-that operands share a cap and no operand is laid onto a larger one.
+need holds the same ideal. For an ideal built from generators, need is their
+extent plus the conductor on the S-axis; a product adds the shift to it, and
+a sum or intersection takes the larger need of its operands. Every box holds
+need plus the largest atom (a generator of the monoid) along each axis, so
+an ideal finds its minimal generators on its own box. The cap may be larger:
+an `analysis.Analysis` lays all its ideals on one box, large enough for
+every term it builds, so that operands share a cap and no operand is laid
+onto a larger one.
 
 Sum, intersection, containment and equality are bitwise on the common cap.
 An ideal reaches a larger box only through `lay`, which generates it there
 from its minimal generators. A product is the union of the shifts of the
-factor with the larger need by the minimal generators of the other. A
-colon intersects shifts back on `_on` of the dividend's need, where its
-minimal generators lie, and is generated from them as `lay` does. Both
-stay on the shifted operand's box when it holds need plus the shift plus
-the largest atom, and grow it only otherwise, so no result depends on the
-box chosen. A colength is a popcount, finite exactly when no counted point
-lies in a top slice. Integral closures of powers are cut out row by row
-along the S-axis by the halfspaces of the Newton polyhedron, as every
-halfspace of an m-primary ideal has a positive S-coefficient.
+factor with the larger need by the minimal generators of the other, and
+stays on the shifted factor's box when it holds need plus the shift plus the
+largest atom, growing it only otherwise, so no result depends on the box
+chosen. The socle length of a counts the points outside a that every atom
+moves into a; they lie below a's need, so they are counted on a's own box
+and (a : m) is never built. A colength is a popcount, finite exactly when no
+counted point lies in a top slice. Integral closures of powers are cut out
+row by row along the S-axis by the halfspaces of the Newton polyhedron, as
+every halfspace of an m-primary ideal has a positive S-coefficient.
 """
 
 from __future__ import annotations
@@ -284,26 +284,6 @@ def multiply(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.sg, cap, _shift_union(x, cap, b.gens), tuple(map(add, a.need, shift)))
 
 
-def colon(a: Ideal, b: Ideal) -> Ideal:
-    """The ideal quotient (a : b): the points that every generator of b moves into a."""
-    _check_same(a, b)
-    if not b.bits:
-        raise PreconditionError("colon by the zero ideal")
-    cap, x = _room(a, _extent(b.gens))
-    widths, strides = _grid(cap)
-    # (a : b) is constant past a's need, so its generators lie in the region
-    # `_on(need)`, where no shift back by a generator of b crosses an axis
-    out = _monoid(a.sg, cap)
-    for axis, top in enumerate(_on(a.need, a.sg)):
-        out &= _slab(widths, axis, 0, top + 1)
-    for g in b.gens:
-        out &= x >> sum(map(mul, g, strides))
-    gens = _points(out & ~_shift_union(out, cap, _atoms(a.sg, len(cap))), cap)
-    q = Ideal(a.sg, cap, _shift_union(_monoid(a.sg, cap), cap, gens), a.need)
-    q.gens = gens
-    return q
-
-
 def _finite_count(diff: int, cap) -> int:
     """The number of points in diff, which must miss every top slice of the box."""
     widths = _grid(cap)[0]
@@ -323,6 +303,20 @@ def quotient_length(a: Ideal, b: Ideal) -> int:
 def colength(b: Ideal) -> int:
     """Length of R/b: the monoid points of b's box outside b."""
     return _finite_count(_monoid(b.sg, b.cap) & ~b.bits, b.cap)
+
+
+def socle_length(a: Ideal) -> int:
+    """Length of (a : m)/a: the monoid points outside a that every atom moves
+    into a. Such a point p lies below need along every axis, as at or past
+    need p and p plus an atom along that axis agree. So p plus any atom stays
+    on a's own box, which holds need plus the largest atom: nothing is built."""
+    widths, strides = _grid(a.cap)
+    out = _monoid(a.sg, a.cap) & ~a.bits
+    for axis, top in enumerate(a.need):
+        out &= _slab(widths, axis, 0, top)
+    for g in _atoms(a.sg, len(a.cap)):
+        out &= a.bits >> sum(map(mul, g, strides))
+    return out.bit_count()
 
 
 # --- membership and shape -----------------------------------------------------------

@@ -20,8 +20,10 @@ variables), plus `corpus` over both corpus directories in every format.
 Fixed 4-variable entries with many halfspaces run fewer lines: the
 benchmark's newton_wide family (x_i^4 plus 12 of the 16 cubics with
 exponents <= 2, from `perfbench/workloads.py`) at seeds 1 to 3 under
-`table --nmax 2` and `coeffs`, and the stress shape (x^8, y^8, z^8, w^8,
-xyzw) under `table --nmax 4`: 1229 lines, two at a time.
+`table --nmax 2` and `coeffs`, the stress shape (x^8, y^8, z^8, w^8,
+xyzw) under `table --nmax 4`, and (x^6, y^6, z^6, w^6, xyzw^3), which has
+a monomial reduction, under `check` at the default horizon: 1230 lines, two
+at a time.
 Both sides read the same input files from one scratch directory through
 relative paths.
 
@@ -62,6 +64,9 @@ FIXED = ("fixed/sg_3_4_5_uv_t3_t4.nfilt",
 WIDE_SEEDS = (1, 2, 3)
 STRESS = ("wide/stress_x8_xyzw.nfilt",
           "name stress_x8_xyzw\nring polynomial vars=x,y,z,w\nideal x^8 y^8 z^8 w^8 x*y*z*w\n")
+# four variables on a large box with a monomial reduction: the heaviest `check` of the sweep
+HEAVY = ("wide/s3_x6_xyzw3.nfilt",
+         "name s3_x6_xyzw3\nring polynomial vars=x,y,z,w\nideal x^6 y^6 z^6 w^6 x*y*z*w^3\n")
 
 
 def _monomial(names, exps) -> str:
@@ -128,9 +133,9 @@ def write_inputs(root: Path, seed: int, random_count: int) -> list[str]:
         for k, text in enumerate(newton_wide_texts(wide_seed)):
             (root / "wide" / f"newton_wide_seed{wide_seed}_{k}.nfilt").write_text(text)
             paths.append(f"wide/newton_wide_seed{wide_seed}_{k}.nfilt")
-    path, text = STRESS
-    (root / path).write_text(text)
-    paths.append(path)
+    for path, text in (STRESS, HEAVY):
+        (root / path).write_text(text)
+        paths.append(path)
     (root / "random").mkdir()
     rng = random.Random(seed)
     for k in range(random_count):
@@ -144,8 +149,8 @@ def command_lines(paths) -> list[list[str]]:
     lines = []
     for path in paths:
         if path.startswith("wide/"):
-            lines += ([["table", path, "--nmax", "4"]] if path == STRESS[0] else
-                      [["table", path, "--nmax", "2"], ["coeffs", path]])
+            lines += {STRESS[0]: [["table", path, "--nmax", "4"]], HEAVY[0]: [["check", path]]}.get(
+                path, [["table", path, "--nmax", "2"], ["coeffs", path]])
             continue
         lines += [[c, path, "--format", f] for c in COMMANDS for f in FORMATS]
         lines += [[c, path, "--nmax", "12"] for c in ("table", "sally")]

@@ -549,6 +549,25 @@ def test_intersection_failures_empty(poly2):
     assert verdict.detail.endswith("for n = 1..4")
 
 
+@pytest.mark.parametrize("ring, gens", [
+    (PolynomialBackend(("x", "y")), [(2, 0), (0, 2)]),
+    (SemigroupBackend((4, 5, 11), 1), [(2, 0), (0, 4)]),
+])
+def test_closure_intersection_refutes_a_patched_term(ring, gens):
+    """closure(I^3) patched to closure(I^2) meets J^2 in all of J^2, longer than
+    J^2·closure(I) by the J-good count: the checker refutes at degree 2 with
+    the detail and witness of the all-degrees loop on the patched filtration."""
+    a = Analysis(EntryData("e", ring, ring.ideal(gens), nmax=5))
+    filt = a.normal_filt
+    filt._terms[3] = filt.term(2)
+    fails = intersection_failures_oracle(filt, a.reduction, 4)
+    assert fails[0][0] == 2
+    verdict = CHECKS["closure_intersection"][0](a)
+    assert verdict.conclusion == "refuted-with-witness"
+    assert verdict.detail == "closure(I^3) ∩ J^2 != J^2·closure(I) at degree 2"
+    assert [(w.degree, w.element) for w in verdict.witnesses] == [fails[0]]
+
+
 @settings(max_examples=100, deadline=None)
 @given(ring_analyses())
 def test_closure_intersection_matches_the_all_degrees_loop(case):

@@ -498,6 +498,21 @@ def test_cli_table_computes_no_multiplicity(monkeypatch, capsys, name, row):
     assert json.loads(capsys.readouterr().out)["rows"][2] == row
 
 
+@pytest.mark.parametrize("name", ["poly3_cubes", "sg_4_5_11_uv"])
+def test_cli_intersection_and_socle_checks_build_no_product_or_maximal_ideal(monkeypatch, capsys, name):
+    # both checkers compare lengths: J^n·closure(I) is built only for the
+    # witness of a failure, and the socle is counted without m or (J^n : m)
+    def fail(*args, **kwargs):
+        raise AssertionError("built although the checker only counts")
+
+    monkeypatch.setattr(theorems, "multiply", fail)
+    monkeypatch.setattr(analysis, "maximal_ideal", fail)
+    assert cli.main(["check", corpus_path(name), "--checks", "closure_intersection,socle_formula"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [(v["check"], v["conclusion"]) for v in verdicts] == [
+        ("closure_intersection", "verified"), ("socle_formula", "verified")]
+
+
 @pytest.mark.parametrize("reduction, message", [
     ("x^4 y^4 z^4", "the given ideal is not a reduction: multiplicity 64 != 27"),
     ("x^2 y^3 z^3", "the given reduction ideal is not contained in the input ideal"),

@@ -118,33 +118,6 @@ def test_dimension_mismatch():
         ideal(2, (1, 0, 0))
 
 
-def test_colon_identities():
-    a = ideal(2, (3, 0), (0, 3))
-    b = ideal(2, (1, 1))
-    q = mono.colon(a, b)
-    assert mono.ideal_contains(a, mono.multiply(q, b))
-    # (a : m) strictly contains a for m-primary a in >= 1 dimensions
-    m = mono.maximal_ideal(N, 2)
-    assert mono.ideal_contains(mono.colon(a, m), a)
-    assert mono.colon(a, m) != a
-    with pytest.raises(errors.PreconditionError):
-        mono.colon(a, ideal(2))
-
-
-def test_colon_hands_over_its_generators():
-    """A colon is generated from its minimal generators, found near the
-    dividend's need, and keeps them: they are those of its bits."""
-    sg = NumericalSemigroup((4, 5, 11))
-    cases = [(ideal(2, (3, 0), (0, 3)), ideal(2, (1, 1))),
-             (ideal(3, (4, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)), mono.maximal_ideal(N, 3)),
-             (mono.ideal(sg, 2, [(3, 0), (0, 8), (1, 5)]), mono.maximal_ideal(sg, 2)),
-             (mono.ideal(sg, 3, [(2, 0, 0), (0, 2, 0), (0, 0, 9)]), mono.ideal(sg, 3, [(1, 0, 4)]))]
-    for a, b in cases:
-        q = mono.colon(a, b)
-        assert "gens" in vars(q)
-        assert q.gens == mono.Ideal(q.sg, q.cap, q.bits, q.need).gens
-
-
 def test_intersection_product_containments():
     a = ideal(2, (2, 0), (0, 2))
     b = ideal(2, (1, 1))
@@ -205,27 +178,30 @@ def monoid_ideals(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(monoid_ideals())
+@example(((1,), 2, [(1, 0)], [(0, 1)], False, False))  # R/(x) in k[x,y] has no socle
 def test_kernel_agrees_with_membership_oracle(case):
     sg_gens, dim, raw_a, raw_b, covered_a, covered_b = case
     sg = NumericalSemigroup(sg_gens)
     in_s = semigroup_members_oracle(sg_gens, S_BOX + 20)
     a, b = mono.ideal(sg, dim, raw_a), mono.ideal(sg, dim, raw_b)
     sums = [tuple(x + y for x, y in zip(g, h)) for g in raw_a for h in raw_b]
-    total, meet, prod, quot = (mono.ideal_sum(a, b), mono.intersect(a, b),
-                               mono.multiply(a, b), mono.colon(a, b))
-    outside_a = 0
+    total, meet, prod = mono.ideal_sum(a, b), mono.intersect(a, b), mono.multiply(a, b)
+    atoms = [tuple(int(j == i) for j in range(dim)) for i in range(dim - 1)]
+    atoms += [(0,) * (dim - 1) + (g,) for g in sg_gens]
+    outside_a = socle = 0
     for p in product(*[range(FREE_BOX)] * (dim - 1), range(S_BOX)):
         in_a, in_b = monoid_member(in_s, raw_a, p), monoid_member(in_s, raw_b, p)
         assert mono.contains(a, p) == in_a, p
         assert mono.contains(total, p) == (in_a or in_b), p
         assert mono.contains(meet, p) == (in_a and in_b), p
         assert mono.contains(prod, p) == monoid_member(in_s, sums, p), p
-        in_quot = in_s[p[-1]] and all(
-            monoid_member(in_s, raw_a, tuple(x + y for x, y in zip(p, g))) for g in raw_b)
-        assert mono.contains(quot, p) == in_quot, p
         outside_a += in_s[p[-1]] and not in_a
+        socle += in_s[p[-1]] and not in_a and all(
+            monoid_member(in_s, raw_a, tuple(x + y for x, y in zip(p, g))) for g in atoms)
     assert mono.ideal_contains(a, b) == all(monoid_member(in_s, raw_a, g) for g in raw_b)
-    assert mono.ideal_contains(a, prod) and mono.ideal_contains(quot, a)
+    assert mono.ideal_contains(a, prod)
+    # the socle is finite for every a and lies below its need, inside the scan
+    assert mono.socle_length(a) == socle
     assert a.gens == tuple(monoid_minimal(in_s, raw_a))
     assert prod.gens == tuple(monoid_minimal(in_s, sums))
     assert total.gens == tuple(monoid_minimal(in_s, raw_a + raw_b))
@@ -301,7 +277,7 @@ def test_results_do_not_depend_on_the_box(case):
     # each operation on a and b laid on larger boxes, their own or a shared
     # one, against the same operation on their natural boxes, and the
     # products against the membership oracle; the product's need is read by
-    # the product, colon and length that follow it
+    # the product, socle length and length that follow it
     sg_gens, dim, raw_a, raw_b, grow_a, grow_b, grow = case
     sg = NumericalSemigroup(sg_gens)
     in_s = semigroup_members_oracle(sg_gens, 64)
@@ -316,12 +292,13 @@ def test_results_do_not_depend_on_the_box(case):
     for big_a, big_b in pairs:
         assert big_a == a and big_b == b and (big_a == big_b) == (a == b)
         assert big_a.gens == a.gens and big_b.gens == b.gens
-        for op in (mono.ideal_sum, mono.intersect, mono.multiply, mono.colon):
+        for op in (mono.ideal_sum, mono.intersect, mono.multiply):
             assert op(big_a, big_b).gens == op(a, b).gens, op.__name__
         assert mono.ideal_contains(big_a, big_b) == mono.ideal_contains(a, b)
         big_p = mono.multiply(big_a, big_b)
         assert mono.multiply(big_p, big_a).gens == mono.multiply(p, a).gens
-        assert mono.colon(big_p, big_b).gens == mono.colon(p, b).gens
+        assert mono.socle_length(big_a) == mono.socle_length(a)
+        assert mono.socle_length(big_p) == mono.socle_length(p)
         assert _length(mono.colength, big_a) == _length(mono.colength, a)
         assert _length(mono.colength, big_p) == _length(mono.colength, p)
         assert _length(mono.quotient_length, big_a, big_p) == _length(mono.quotient_length, a, p)
@@ -348,7 +325,8 @@ def test_lay_keeps_need_and_the_box_asked_for():
 def test_operations_on_a_box_that_holds_them_relay_nothing(case):
     # a box that holds either need plus any generator shift plus the atoms,
     # which find the product's generators, as the box of an analysis does: no
-    # operand is laid onto a larger box
+    # operand is laid onto a larger box. A socle length never leaves its
+    # operand's box
     sg_gens, dim, raw_a, raw_b, _, _, grow = case
     sg = NumericalSemigroup(sg_gens)
     a, b = mono.ideal(sg, dim, raw_a), mono.ideal(sg, dim, raw_b)
@@ -359,10 +337,11 @@ def test_operations_on_a_box_that_holds_them_relay_nothing(case):
     same, gens = a == b, mono.multiply(a, b).gens
     with mock.patch.object(mono, "lay", wraps=mono.lay) as spy:
         big_p = mono.multiply(big_a, big_b)
-        results = [big_p, mono.intersect(big_a, big_b), mono.ideal_sum(big_a, big_b),
-                   mono.colon(big_a, big_b)]
+        results = [big_p, mono.intersect(big_a, big_b), mono.ideal_sum(big_a, big_b)]
+        socles = mono.socle_length(big_a), mono.socle_length(big_p)
         assert (big_a == big_b) == same
         assert big_p.gens == gens
     assert spy.called
     assert [c.args for c in spy.call_args_list if any(map(gt, c.args[1], c.args[0].cap))] == []
     assert all(r.cap == box for r in results)
+    assert socles == (mono.socle_length(a), mono.socle_length(mono.multiply(a, b)))

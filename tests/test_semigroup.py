@@ -112,12 +112,8 @@ def test_sg_closure_matches_ordinary_high_powers(base):
 
 
 def test_sg_colon_socle(base, sg):
-    m = base.maximal()
-    j = base.ideal([(4,)])
-    socle = mono.colon(j, m)
-    assert mono.quotient_length(socle, j) == sg.type == 2
-    with pytest.raises(errors.PreconditionError):
-        mono.colon(j, base.ideal([]))
+    # ((t^4) : m)/(t^4) is spanned by t^10 and t^11
+    assert mono.socle_length(base.ideal([(4,)])) == sg.type == 2
 
 
 def test_sg_quotient_lengths(base):
@@ -166,9 +162,7 @@ def test_ext_intersect_colon(ring):
     n2 = power(ring, n, 2)
     meet = mono.intersect(n2, j)
     assert mono.ideal_contains(j, meet) and mono.ideal_contains(n2, meet)
-    q = mono.colon(j, n)
-    assert mono.ideal_contains(q, j)
-    assert mono.quotient_length(q, j) == 2  # socle of a parameter ideal has type length
+    assert mono.socle_length(j) == 2  # socle of a parameter ideal has type length
 
 
 def test_ext_infinite_length(ring):
