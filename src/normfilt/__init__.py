@@ -12,7 +12,7 @@ _HOMES = {
     "backends": ("PolynomialBackend", "SemigroupBackend"),
     "errors": ("HorizonError", "InputError", "NormfiltError", "NotMPrimary",
                "PreconditionError", "UnsupportedDimension"),
-    "filtration": ("Filtration", "fit_coefficients", "length_table", "series_coeff"),
+    "filtration": ("Filtration", "fit_coefficients", "series_coeff"),
     "inputs": ("EntryData",),
     "analysis": ("analyze",),
     "theorems": ("CHECKS", "run_checks"),

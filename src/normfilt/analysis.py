@@ -17,8 +17,8 @@ from itertools import accumulate, repeat
 from math import comb, lcm
 
 from .errors import HorizonError, InputError, NotMPrimary, PreconditionError
-from .monomial import (colength, ideal, ideal_contains, is_m_primary, lay, maximal_ideal, multiply,
-                       power_box, pure_power_exponents)
+from .monomial import (colength, ideal, ideal_contains, is_m_primary, lay, multiply, power_box,
+                       pure_power_exponents)
 
 
 def default_window(dim: int) -> int:
@@ -76,7 +76,7 @@ class Analysis:
     the m-primary test and the reduction certificate) and lays the input
     ideal and a given reduction on the one box of the analysis, `power_box`
     of the input ideal at degree nmax + 1, each generated there once. Every
-    filtration, the maximal ideal and every table are built on first read.
+    filtration and table is built on first read.
     The window `default_window(dim)` is passed to every fit and VV report.
     The table columns (normal_values, adic_values, jgood_values,
     sally_values) and the numbers they read need no filtration. The fits
@@ -122,11 +122,6 @@ class Analysis:
     @property
     def lam_R_I1(self) -> int:
         return self.ideal.closure_counts(1)[1]
-
-    @cached_property
-    def maximal(self):
-        """The maximal ideal, on the box of the analysis."""
-        return maximal_ideal(self.backend.sg, self.dim, self.box)
 
     @property
     def closure_is_maximal(self) -> bool:
@@ -247,10 +242,11 @@ class Analysis:
         reduction number come only from powers of t, and t^s lies in m^n, J
         or J·m^(n-1) exactly when it does in k[[S]] with (t^e): the failing
         degree, the witness t^s and rn are those of the coefficient ring.
-        The powers of m are built here, on the box of the analysis.
+        m is the first normal term, closure(I), and its powers are built here.
         """
         from .filtration import Filtration, reduction_number, valabrega_valla
-        filt = Filtration(self.backend, "adic", ideal=self.maximal, reduction=self.reduction)
+        m = self.normal_filt.term(1)
+        filt = Filtration(self.backend, "adic", ideal=m, reduction=self.reduction)
         rn = _attempt(lambda: reduction_number(filt, self.nmax))[0]
         return valabrega_valla(filt, self.nmax, self.window, rn)
 

@@ -1,7 +1,7 @@
 """Filtration analytics over a monoid ring.
 
 Covers: memoized filtration terms (integral-closure powers and ordinary
-powers), exact length tables, binomial-basis coefficient fits with a
+powers), binomial-basis coefficient fits of length tables with a
 verification window, the Sally-module fit, reduction numbers (proved at most
 d-1 for the normal filtration when S = N, elsewhere over a whole window) and
 the Valabrega-Valla test on J up to the reduction number. The module imports
@@ -20,7 +20,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import HorizonError, PreconditionError
-from .monomial import closure_power, colength, contains, intersect, multiply, unit_ideal
+from .monomial import closure_power, contains, intersect, multiply, unit_ideal
 
 KINDS = ("normal", "adic")
 
@@ -81,11 +81,6 @@ class Filtration:
             t = closure_power(self.ideal, n, self.ideal.cap)
         self._terms[n] = t
         return t
-
-
-def length_table(filt: Filtration, nmax: int) -> tuple[int, ...]:
-    """values[n] = length of R/F_{n+1} for n = 0..nmax."""
-    return tuple(colength(filt.term(n + 1)) for n in range(nmax + 1))
 
 
 class Fit(NamedTuple):

@@ -11,14 +11,14 @@ every point beyond it. Each ideal also carries `need`, a box past which its
 membership is known to be constant along every axis, so that every cap >=
 need holds the same ideal. For an ideal built from generators, need is their
 extent plus the conductor on the S-axis; a product adds the shift to it, and
-a sum or intersection takes the larger need of its operands. Every box holds
+an intersection takes the larger need of its operands. Every box holds
 need plus the largest atom (a generator of the monoid) along each axis, so
 an ideal finds its minimal generators on its own box. The cap may be larger:
 an `analysis.Analysis` lays all its ideals on one box, large enough for
 every term it builds, so that operands share a cap and no operand is laid
 onto a larger one.
 
-Sum, intersection, containment and equality are bitwise on the common cap.
+Intersection, containment and equality are bitwise on the common cap.
 An ideal reaches a larger box only through `lay`, which generates it there
 from its minimal generators. A product is the union of the shifts of the
 factor with the larger need by the minimal generators of the other, and
@@ -250,11 +250,6 @@ def maximal_ideal(sg: NumericalSemigroup, dim: int, box=None) -> Ideal:
 
 # --- arithmetic -------------------------------------------------------------------
 
-def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    cap, x, y = _joint(a, b)
-    return Ideal(a.sg, cap, x | y, tuple(map(max, a.need, b.need)))
-
-
 def intersect(a: Ideal, b: Ideal) -> Ideal:
     cap, x, y = _joint(a, b)
     return Ideal(a.sg, cap, x & y, tuple(map(max, a.need, b.need)))
@@ -290,14 +285,6 @@ def _finite_count(diff: int, cap) -> int:
     if any(diff & _slab(widths, axis, w - 1, w) for axis, w in enumerate(widths)):
         raise InfiniteLength("quotient has infinite length: the difference reaches a top slice")
     return diff.bit_count()
-
-
-def quotient_length(a: Ideal, b: Ideal) -> int:
-    """Length of a/b as a k-vector space: the number of monomials in a but not in b."""
-    cap, x, y = _joint(a, b)
-    if y & ~x:
-        raise PreconditionError("quotient_length: second ideal is not contained in the first")
-    return _finite_count(x & ~y, cap)
 
 
 def colength(b: Ideal) -> int:

@@ -20,7 +20,7 @@ from functools import wraps
 from .analysis import Analysis, analyze
 from .errors import HorizonError
 from .filtration import series_coeff, witness_element
-from .monomial import colength, ideal_contains, intersect, multiply, quotient_length, socle_length
+from .monomial import colength, ideal_contains, intersect, multiply, socle_length
 from .verdicts import Verdict, Witness, abstained, asserted, horizon, refuted, verified
 
 
@@ -391,10 +391,10 @@ def check_e1_type_sandwich(a: Analysis, nums) -> Verdict:
 def check_e3_vanishing_cm(a: Analysis, nums) -> Verdict:
     """e3_bar = 0 with lambda(I2bar/J·I1bar) >= type-1 gives a Cohen-Macaulay graded
     ring and closure(I^{n+1}) = J^{n-1}·closure(I^2)."""
-    term2 = a.normal_filt.term(2)
     for n in range(1, a.nmax):
+        # J^(n-1)·closure(I^2) as a chain, one factor J more per degree
+        rhs = a.normal_filt.term(2) if n == 1 else multiply(a.reduction, rhs)
         lhs = a.normal_filt.term(n + 1)
-        rhs = multiply(a.reduction_powers.term(n - 1), term2)
         if lhs != rhs:
             return refuted(
                 f"closure(I^{n + 1}) != J^{n - 1}·closure(I^2) at degree {n}",
@@ -431,10 +431,11 @@ def check_almost_minimal_rn2(a: Analysis, nums) -> Verdict:
             f"= {a.lam_I1_J + hm_sum}",
         )
     if a.vv.certified_cm and a.dim == 3:
-        e3_sum = 0
-        for j in range(2, min(a.rn + 2, a.nmax - 1) + 1):
-            jterm = colength(multiply(a.reduction, a.normal_filt.term(j)))
-            e3_sum += (j * (j - 1) // 2) * (jterm - a.normal_values[j])
+        # j >= 2 >= rn and j < nmax, so J·closure(I^j) = closure(I^(j+1)): its
+        # colength is the counted column's entry, untampered; no product is built
+        counts = a.ideal.closure_counts(a.nmax + 1)
+        e3_sum = sum((j * (j - 1) // 2) * (counts[j + 1] - a.normal_values[j])
+                     for j in range(2, min(a.rn + 2, a.nmax - 1) + 1))
         if e3_sum != a.e_bar(3):
             return refuted(
                 f"coefficient identity fails: sum C(j,2)*lambda(closure(I^(j+1))/J·closure(I^j)) "
@@ -465,8 +466,8 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
     if part_a.is_refutation:
         return part_a
     t = a.backend.sg.type
-    m = a.maximal
-    lam_m2_Jm = quotient_length(multiply(m, m), multiply(a.reduction, m))
+    m = a.normal_filt.term(1)  # the gate holds closure(I) = m
+    lam_m2_Jm = colength(multiply(a.reduction, m)) - colength(multiply(m, m))  # J·m ⊆ m^2
     s1 = a.sally_values[1]
     nums["lambda_m2_Jm"] = lam_m2_Jm
     exceptional = t == 2 and s1 == 2 and a.mu_maximal - a.dim == 2 and lam_m2_Jm == 1

@@ -34,7 +34,6 @@ class Witness(NamedTuple):
 class _VerdictFields(NamedTuple):
     check: str
     conclusion: str
-    hypotheses_met: bool
     detail: str
     numbers: dict
     witnesses: tuple[Witness, ...]
@@ -45,11 +44,14 @@ class Verdict(_VerdictFields):
 
     __slots__ = ()
 
-    def __new__(cls, check, conclusion, hypotheses_met, detail="", numbers=None, witnesses=()):
+    def __new__(cls, check, conclusion, detail="", numbers=None, witnesses=()):
         if conclusion not in CONCLUSIONS:
             raise ValueError(f"unknown conclusion {conclusion!r}")
-        return super().__new__(cls, check, conclusion, hypotheses_met, detail,
+        return super().__new__(cls, check, conclusion, detail,
                                {} if numbers is None else numbers, witnesses)
+
+    # every conclusion but abstained is reached with the hypotheses met
+    hypotheses_met = property(lambda self: self.conclusion != "abstained")
 
     @property
     def is_refutation(self) -> bool:
@@ -68,20 +70,20 @@ class Verdict(_VerdictFields):
 
 
 def verified(detail, witnesses=()):
-    return Verdict("", "verified", True, detail, witnesses=tuple(witnesses))
+    return Verdict("", "verified", detail, witnesses=tuple(witnesses))
 
 
 def refuted(detail, witnesses=()):
-    return Verdict("", "refuted-with-witness", True, detail, witnesses=tuple(witnesses))
+    return Verdict("", "refuted-with-witness", detail, witnesses=tuple(witnesses))
 
 
 def horizon(detail):
-    return Verdict("", "inconclusive-horizon", True, detail)
+    return Verdict("", "inconclusive-horizon", detail)
 
 
 def asserted(detail):
-    return Verdict("", "asserted-by-paper", True, detail)
+    return Verdict("", "asserted-by-paper", detail)
 
 
 def abstained(detail):
-    return Verdict("", "abstained", False, detail)
+    return Verdict("", "abstained", detail)

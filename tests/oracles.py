@@ -22,7 +22,11 @@ three use the ideal arithmetic of `normfilt.monomial`.
 lengths: it tests every degreewise identity among the graded modules,
 including the three that hold for any two tables. `jgood_chain_colengths`
 is the J-good table built from bitset products, the chain that the closed
-form of `analysis.Analysis.jgood_values` replaced.
+form of `analysis.Analysis.jgood_values` replaced, and `e3_product_colengths`
+the colengths of J·closure(I^j) built as products, which
+`check_almost_minimal_rn2` reads from the counted column. The kernel's
+former `ideal_sum`, `quotient_length` and `filtration.length_table`, which
+the package no longer calls, live here as reference helpers.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, gcd, prod
 
-from normfilt.monomial import colength, contains, ideal_sum, intersect, multiply
+from normfilt.errors import PreconditionError
+from normfilt.monomial import Ideal, _finite_count, _joint, colength, contains, intersect, multiply
 
 
 def _solve_consistent(columns, rhs):
@@ -486,3 +491,29 @@ def intersection_failures_oracle(filt, reduction, upto):
             out.append((n, filt.backend.element_str(witness)))
         jn = multiply(reduction, jn)
     return out
+
+
+def ideal_sum(a, b):
+    """a + b, bitwise on the common cap, with the larger need of the two."""
+    cap, x, y = _joint(a, b)
+    return Ideal(a.sg, cap, x | y, tuple(map(max, a.need, b.need)))
+
+
+def quotient_length(a, b) -> int:
+    """Length of a/b as a k-vector space: the monomials in a but not in b."""
+    cap, x, y = _joint(a, b)
+    if y & ~x:
+        raise PreconditionError("quotient_length: second ideal is not contained in the first")
+    return _finite_count(x & ~y, cap)
+
+
+def length_table(filt, nmax: int) -> tuple[int, ...]:
+    """values[n] = λ(R/F_(n+1)) for n = 0..nmax, from the built terms."""
+    return tuple(colength(filt.term(n + 1)) for n in range(nmax + 1))
+
+
+def e3_product_colengths(a) -> dict[int, int]:
+    """λ(R/J·closure(I^j)) for each j = 2..min(rn + 2, nmax - 1) of the e3 sum of
+    `check_almost_minimal_rn2`, each from a built product J·closure(I^j)."""
+    top = min(a.rn + 2, a.nmax - 1)
+    return {j: colength(multiply(a.reduction, a.normal_filt.term(j))) for j in range(2, top + 1)}

@@ -19,7 +19,7 @@ from normfilt.backends import SemigroupBackend
 from normfilt.filtration import Filtration, series_coeff
 from normfilt.newton import multiplicity, newton_polyhedron
 from normfilt.theorems import analyze, run_checks
-from oracles import (_solve_consistent, in_dilation_oracle, jgood_chain_colengths,
+from oracles import (_solve_consistent, ideal_sum, in_dilation_oracle, jgood_chain_colengths,
                      semigroup_members_oracle, series_checks)
 from test_filtration import coefficient_ring_vv, degree_and_witness
 
@@ -94,7 +94,7 @@ def test_criterion_1_semigroup_example(capsys):
         k_s = SemigroupBackend((4, 5, 11))
         m = k_s.maximal()
         m_powers = Filtration(k_s, "adic", ideal=m)
-        assert mono.closure_power(m, 2) == mono.ideal_sum(m_powers.term(2), k_s.ideal([(11,)]))
+        assert mono.closure_power(m, 2) == ideal_sum(m_powers.term(2), k_s.ideal([(11,)]))
         for n in range(3, 9):
             assert mono.closure_power(m, n) == m_powers.term(n)
 
@@ -119,7 +119,7 @@ def test_criterion_1_semigroup_example(capsys):
         uv_powers = Filtration(ring, "adic", ideal=uv)
         assert mono.closure_power(nmaxl, 1) == nmaxl
         for k in range(2, 9):
-            expected = mono.ideal_sum(
+            expected = ideal_sum(
                 n_powers.term(k), mono.multiply(z, uv_powers.term(k - 2))
             )
             assert ext.normal_filt.term(k) == expected, k

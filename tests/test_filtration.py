@@ -14,7 +14,8 @@ from normfilt.backends import PolynomialBackend, SemigroupBackend
 from normfilt.inputs import EntryData
 from normfilt.monomial import closure_power, colength, contains, intersect, multiply, unit_ideal
 from oracles import (_solve_consistent, intersection_failures_oracle, jgood_chain_colengths,
-                     reduction_number_scan, series_checks, valabrega_valla_prefixes)
+                     length_table, reduction_number_scan, series_checks,
+                     valabrega_valla_prefixes)
 
 
 # --- series_coeff ------------------------------------------------------------
@@ -194,7 +195,7 @@ def test_filtration_validation(poly2):
 def test_length_table(poly2):
     b = poly2
     maximal = flt.Filtration(b, "adic", ideal=b.maximal())
-    assert flt.length_table(maximal, 4) == (1, 3, 6, 10, 15)
+    assert length_table(maximal, 4) == (1, 3, 6, 10, 15)
 
 
 # --- reduction numbers ----------------------------------------------------------
@@ -359,8 +360,9 @@ def maximal_closure_analyses(draw):
 def test_maximal_vv_matches_the_coefficient_ring(a):
     """VV of m with J fails, and m reaches J·m^n, exactly where k[[S]] with (t^e) does."""
     assert a.closure_is_maximal and a.reduction is not None
+    assert a.normal_filt.term(1) == a.backend.maximal()  # the m that maximal_vv reads
     base, base_rn = coefficient_ring_vv(a.backend.sg.gens, a.nmax, a.window)
-    powers = flt.Filtration(a.backend, "adic", ideal=a.maximal, reduction=a.reduction)
+    powers = flt.Filtration(a.backend, "adic", ideal=a.backend.maximal(), reduction=a.reduction)
     assert certified_rn(powers, a.nmax) == base_rn
     assert degree_and_witness(a.maximal_vv) == degree_and_witness(base)
 
@@ -402,9 +404,9 @@ def ring_analyses(draw):
 @given(ring_analyses())
 def test_counted_normal_column_matches_closure_powers(case):
     a, closures = case
-    assert a.normal_values == flt.length_table(closures, a.nmax)
+    assert a.normal_values == length_table(closures, a.nmax)
     assert a.lam_R_I1 == colength(closures.term(1))
-    assert a.closure_is_maximal == (closures.term(1) == a.maximal)
+    assert a.closure_is_maximal == (closures.term(1) == a.backend.maximal())
 
 
 @settings(max_examples=100, deadline=None)
@@ -432,8 +434,8 @@ def test_adic_column_and_mu_maximal_match_built_ideals(case):
     """The running product gives the column of the adic filtration, and the
     atoms count the minimal generators of m."""
     a, _ = case
-    assert a.adic_values == flt.length_table(flt.Filtration(a.backend, "adic", ideal=a.ideal), a.nmax)
-    assert a.mu_maximal == len(a.maximal.gens)
+    assert a.adic_values == length_table(flt.Filtration(a.backend, "adic", ideal=a.ideal), a.nmax)
+    assert a.mu_maximal == len(a.backend.maximal().gens)
 
 
 # --- Sally tables and series identities --------------------------------------------
@@ -474,13 +476,15 @@ def test_series_checks_detect_wrong_multiplicity():
 
 
 @st.composite
-def reduction_analyses(draw, top=6, naturals=False):
+def reduction_analyses(draw, top=6, naturals=False, free=None, bottom=1):
     """An analysis whose ideal lies between pure powers J and their closure,
     so that J is its reduction: a polynomial ring in 1 to 4 variables, or a
-    semigroup ring with 0 to 2 adjoined variables; nmax runs over 1..top.
-    With naturals, S = N also comes as the semigroup ring k[[t]][U..]."""
+    semigroup ring with 0 to 2 adjoined variables (free of them, when given);
+    nmax runs over bottom..top. With naturals, S = N also comes as the
+    semigroup ring k[[t]][U..]."""
     sg = draw(st.sampled_from(((1,), (2, 3), (3, 5), (4, 5, 11))))
-    free = draw(st.integers(0, 3 if sg == (1,) else 2))
+    if free is None:
+        free = draw(st.integers(0, 3 if sg == (1,) else 2))
     semigroup = sg != (1,) or naturals and free < 3 and draw(st.booleans())
     ring = (SemigroupBackend(sg, free) if semigroup
             else PolynomialBackend(("x", "y", "z", "w")[:free + 1]))
@@ -491,7 +495,7 @@ def reduction_analyses(draw, top=6, naturals=False):
     extra = [a for a in draw(st.lists(vector, max_size=3))
              if sum(x * prod(pure) // p for x, p in zip(a, pure)) >= prod(pure)]
     powers = [tuple(p * (j == i) for j in range(free + 1)) for i, p in enumerate(pure)]
-    entry = EntryData("e", ring, ring.ideal(powers + extra), nmax=draw(st.integers(1, top)))
+    entry = EntryData("e", ring, ring.ideal(powers + extra), nmax=draw(st.integers(bottom, top)))
     a = Analysis(entry)
     assert a.reduction == ring.ideal(powers)
     return a

@@ -506,11 +506,22 @@ def test_cli_intersection_and_socle_checks_build_no_product_or_maximal_ideal(mon
         raise AssertionError("built although the checker only counts")
 
     monkeypatch.setattr(theorems, "multiply", fail)
-    monkeypatch.setattr(analysis, "maximal_ideal", fail)
     assert cli.main(["check", corpus_path(name), "--checks", "closure_intersection,socle_formula"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert [(v["check"], v["conclusion"]) for v in verdicts] == [
         ("closure_intersection", "verified"), ("socle_formula", "verified")]
+
+
+def test_cli_almost_minimal_check_builds_no_product(monkeypatch, capsys):
+    # past rn, J·closure(I^j) = closure(I^(j+1)): the e3 summands read the count
+    def fail(*args, **kwargs):
+        raise AssertionError("built although the checker only counts")
+
+    monkeypatch.setattr(theorems, "multiply", fail)
+    path = corpus_path("poly3_cubes")
+    assert cli.main(["check", path, "--nmax", "12", "--checks", "almost_minimal_rn2"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [(v["check"], v["conclusion"]) for v in verdicts] == [("almost_minimal_rn2", "verified")]
 
 
 @pytest.mark.parametrize("reduction, message", [

@@ -46,3 +46,36 @@ def test_modules_import_only_lower_layers():
 
 def test_filtration_loads_no_analysis():
     assert _loaded("import normfilt.filtration", {"normfilt.analysis"}) == "[]"
+
+
+def unreferenced_functions(package: Path, module: str) -> list[str]:
+    """Public module-level functions of module that no code of the package
+    names outside their own definition: as a name, an attribute or an
+    imported name. A name listed only as a string (the lazy exports of
+    `__init__`) is not a reference."""
+    used = []
+    own = ast.parse((package / f"{module}.py").read_text())
+    for path in sorted(package.glob("*.py")):
+        tree = own if path.stem == module else ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.append((path.stem, node.id, node))
+            elif isinstance(node, ast.Attribute):
+                used.append((path.stem, node.attr, node))
+            elif isinstance(node, ast.alias):
+                used.append((path.stem, node.name, node))
+    out = []
+    for fn in own.body:
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+            inside = {id(n) for n in ast.walk(fn)}
+            if not any(name == fn.name and not (stem == module and id(n) in inside)
+                       for stem, name, n in used):
+                out.append(fn.name)
+    return out
+
+
+def test_kernel_functions_have_a_caller_in_the_package():
+    # reference code the package no longer calls lives in tests/oracles.py
+    package = Path(normfilt.__file__).parent
+    for module in ("monomial", "newton", "filtration"):
+        assert unreferenced_functions(package, module) == [], module

@@ -16,7 +16,7 @@ from normfilt import semigroup as sgm
 from normfilt.backends import SemigroupBackend
 from normfilt.filtration import Filtration
 from normfilt.newton import newton_polyhedron
-from oracles import semigroup_members_oracle
+from oracles import ideal_sum, quotient_length, semigroup_members_oracle
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ def test_sg_ideal_ops(base):
     m2bar = mono.closure_power(m, 2)
     assert m2bar.gens == ((8,), (9,), (10,), (11,))
     assert m2bar == base.ideal([(s,) for s in range(8, 12)])  # every member >= 8
-    assert mono.quotient_length(m2bar, m2) == 1  # the missing element t^11
+    assert quotient_length(m2bar, m2) == 1  # the missing element t^11
     assert power(base, m, 3) == mono.multiply(m2, m)
     assert mono.ideal_contains(m, m2)
     assert mono.intersect(m2bar, m2) == m2
@@ -144,7 +144,7 @@ def test_ext_closure_adds_the_gap_element(ring):
     n = ring.maximal()
     z = ring.ideal([(0, 0, 11)])
     nbar2 = mono.closure_power(n, 2)
-    assert nbar2 == mono.ideal_sum(power(ring, n, 2), z)
+    assert nbar2 == ideal_sum(power(ring, n, 2), z)
     assert nbar2 != power(ring, n, 2)
 
 

@@ -5,15 +5,16 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normfilt import CHECKS, EntryData, analyze, cli, errors, filtration, run_checks
 from normfilt.analysis import Analysis
 from normfilt.backends import PolynomialBackend
-from normfilt.monomial import colength, multiply, quotient_length
+from normfilt.monomial import colength, multiply
 from normfilt import analysis, inputs, monomial, reports
 from normfilt.verdicts import Verdict, verified
+from oracles import e3_product_colengths, quotient_length
 from test_filtration import chain_values, exact_decomposition, reduction_analyses
 
 ALL_CHECKS = (
@@ -231,7 +232,7 @@ NOT_MAXIMAL = [
 def test_low_type_cm_tests_the_powers_of_m(tmp_path, gens, ideal):
     text = f"name not_maximal\nring semigroup gens={','.join(map(str, gens))} adjoin=U,V\nideal {ideal}\n"
     a = analyze(inputs.build_entry(inputs.parse_input(text)))
-    assert a.ideal != a.maximal and a.closure_is_maximal
+    assert a.ideal != a.backend.maximal() and a.closure_is_maximal
     powers = filtration.Filtration(a.backend, "adic", ideal=a.ideal, reduction=a.reduction)
     assert filtration.valabrega_valla(powers, a.nmax, a.window, None).first_failure
     verdicts = {v.check: v for v in run_checks(a)}
@@ -242,13 +243,18 @@ def test_low_type_cm_tests_the_powers_of_m(tmp_path, gens, ideal):
 
 
 def test_check_without_reduction_builds_no_maximal_ideal(monkeypatch, capsys):
-    # mu(m) is counted from the atoms; m is built only as an ideal for a checker
+    # mu(m) is counted from the atoms, and the analysis reads m, where a checker
+    # needs it, as closure(I): the ring's m is never built
+    def fail(*args, **kwargs):
+        raise AssertionError("m built")
+
     seen = []
+    monkeypatch.setattr(monomial, "maximal_ideal", fail)
     monkeypatch.setattr(cli, "analyze", lambda entry: seen.append(analyze(entry)) or seen[-1])
     path = resources.files("normfilt") / "corpus" / "poly2_x2_xy_y3.nfilt"
     assert cli.main(["check", str(path)]) == 0
     assert '"mu_maximal": 2' in capsys.readouterr().out
-    assert seen[0].reduction is None and "maximal" not in vars(seen[0])
+    assert seen[0].reduction is None and "_maximal" not in vars(seen[0].backend)
 
 
 def test_tamper_index_is_checked_against_the_horizon():
@@ -327,6 +333,30 @@ def test_e3_from_reduction_tail(analyses):
         assert total == a.normal_fit.e[3], name
 
 
+@pytest.mark.parametrize("name", ["poly3_cubes", "poly3_cubes_diag"])
+def test_e3_summands_are_the_counted_column(name):
+    # almost_minimal_rn2 reaches its e3 loop here, and each colength
+    # lambda(R/J·closure(I^j)) it reads from the count equals the built product's
+    a = load(name, nmax=12)
+    assert CHECKS["almost_minimal_rn2"][0](a).conclusion == "verified"
+    assert a.dim == 3 and a.vv.certified_cm and a.rn <= 2
+    counts = a.ideal.closure_counts(a.nmax + 1)
+    built = e3_product_colengths(a)
+    assert len(built) == min(a.rn + 2, a.nmax - 1) - 1
+    assert built == {j: counts[j + 1] for j in built}
+
+
+@settings(max_examples=60, deadline=None)
+@given(reduction_analyses(top=9, naturals=True, free=2, bottom=4))
+def test_e3_summands_match_built_products(a):
+    """Once rn <= 2 is certified, J·closure(I^j) = closure(I^(j+1)) for every j
+    of the e3 loop, so its colength is the counted column's entry j + 1."""
+    assume(a.rn is not None and a.rn <= 2)
+    counts = a.ideal.closure_counts(a.nmax + 1)
+    built = e3_product_colengths(a)
+    assert built == {j: counts[j + 1] for j in built}
+
+
 def test_run_checks_subset_and_unknown():
     # run_checks runs the entry's checks, in the order given; build_entry
     # rejects an unknown id before any analysis
@@ -346,7 +376,7 @@ def test_verdict_serialization(analyses):
 
 def test_verdict_validation():
     with pytest.raises(ValueError, match="unknown conclusion 'proved'"):
-        Verdict("e1_lower_bound", "proved", True)
+        Verdict("e1_lower_bound", "proved")
     first, second = verified("a"), verified("b")
     first.numbers["e0"] = 1
     assert second.numbers == {}
