@@ -5,8 +5,8 @@ reads only the tables, fits, reduction number and Valabrega-Valla report it
 needs, and each is computed once. The normal column is counted on every
 ring (`monomial.Ideal.closure_counts`), so `table` and `sally` build no
 filtration, and the adic column keeps only the running power of I. The
-J-good table is a closed form in lambda(R/J) and lambda(R/closure(I)); no
-J-good chain is built. Reductions are one pure power per axis, certified
+J-good table is a closed form in e0 = lambda(R/J) and lambda(R/closure(I));
+no J-good chain is built. Reductions are one pure power per axis, certified
 against the simplex NP(J).
 """
 
@@ -83,12 +83,12 @@ class Analysis:
     (normal_fit, adic_fit, sally_fit and their *_error fields), rn,
     rn_error, vv, maximal_vv, normal_filt and reduction_powers import
     `filtration` on first read, and so do e_bar, g_s and base_numbers,
-    which read the fits and rn. The fields built from the reduction J
-    (reduction_powers, jgood_values, sally_values, sally_fit, rn, vv,
-    maximal_vv, lam_R_J, lam_I1_J) may be read only when `reduction` is not
-    None, and maximal_vv only when closure(I) = m as well. A fit or
-    reduction number that fails reads None, and its *_error field holds the
-    exception.
+    which read the fits and rn. The J-good and Sally columns, the Sally fit
+    and lam_I1_J read e0 for lambda(R/J), not J. The fields built from the
+    reduction J (reduction_powers, the S = N products of normal_filt, rn, vv
+    and maximal_vv) may be read only when `reduction` is not None, and
+    maximal_vv only when closure(I) = m as well. A fit or reduction number
+    that fails reads None, and its *_error field holds the exception.
     """
 
     def __init__(self, entry: EntryData):
@@ -179,14 +179,14 @@ class Analysis:
     def jgood_values(self) -> tuple[int, ...]:
         """lambda(R/J^n·closure(I)) for n = 0..nmax, in closed form.
 
-        J is one pure power per variable of a Cohen-Macaulay ring, so a
-        regular sequence: J^n/J^(n+1) and J^n/J^n·closure(I) are free of rank
-        C(n+d-1, d-1) over R/J and R/closure(I). Summing the first over the
-        degrees below n gives lambda(R/J)·C(n+d-1, d), and the second adds
-        lambda(R/closure(I))·C(n+d-1, d-1). No product of J is built.
+        J is generated by a system of parameters of a Cohen-Macaulay ring, so
+        by a regular sequence, and lambda(R/J) = e0(J) = e0(I) (Northcott-Rees):
+        J^n/J^(n+1) and J^n/J^n·closure(I) are free of rank C(n+d-1, d-1) over
+        R/J and R/closure(I). Summing the first below degree n gives
+        e0·C(n+d-1, d), and the second adds lambda(R/closure(I))·C(n+d-1, d-1).
         """
-        lam_j, lam_i, d = self.lam_R_J, self.lam_R_I1, self.dim
-        return tuple(lam_j * comb(n + d - 1, d) + lam_i * comb(n + d - 1, d - 1)
+        e0, lam_i, d = self.e0, self.lam_R_I1, self.dim
+        return tuple(e0 * comb(n + d - 1, d) + lam_i * comb(n + d - 1, d - 1)
                      for n in range(self.nmax + 1))
 
     @cached_property
@@ -222,14 +222,10 @@ class Analysis:
         from .filtration import valabrega_valla
         return valabrega_valla(self.normal_filt, self.nmax, self.window, self.rn)
 
-    @cached_property
-    def lam_R_J(self) -> int:
-        return colength(self.reduction)
-
     @property
     def lam_I1_J(self) -> int:
-        """lambda(closure(I)/J) = lambda(R/J) - lambda(R/closure(I)), as J ⊆ closure(I)."""
-        return self.lam_R_J - self.lam_R_I1
+        """lambda(closure(I)/J) = lambda(R/J) - lambda(R/closure(I)), with lambda(R/J) = e0."""
+        return self.e0 - self.lam_R_I1
 
     @cached_property
     def maximal_vv(self):

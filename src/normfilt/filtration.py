@@ -64,7 +64,7 @@ class Filtration:
         self.ideal = ideal
         self.reduction = reduction
         self.product_from = None
-        if kind == "normal" and reduction is not None and ideal.sg.conductor == 0:
+        if kind == "normal" and reduction is not None and not ideal.sg.gaps:
             self.product_from = len(ideal.cap)
         self._terms = {0: unit_ideal(ideal.sg, len(ideal.cap), ideal.cap)}
 

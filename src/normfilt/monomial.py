@@ -159,16 +159,17 @@ def _shift_union(bits: int, cap, vectors) -> int:
 def _points(bits: int, cap) -> tuple[Exponent, ...]:
     """The points whose bits are set, in index (lexicographic) order."""
     strides = _grid(cap)[1]
-    text = format(bits, "b")[::-1]
+    text = format(bits, "b")  # scanned from the right: bit k is text[top - k]
+    top = len(text) - 1
     out = []
-    i = text.find("1")
+    i = text.rfind("1")
     while i >= 0:
-        rest, point = i, []
+        rest, point = top - i, []
         for s in strides:
             q, rest = divmod(rest, s)
             point.append(q)
         out.append(tuple(point))
-        i = text.find("1", i + 1)
+        i = text.rfind("1", 0, i)
     return tuple(out)
 
 
@@ -220,10 +221,10 @@ def _atoms(sg: NumericalSemigroup, dim: int) -> list[Exponent]:
 # --- construction ---------------------------------------------------------------
 
 def _on(need: tuple[int, ...], sg: NumericalSemigroup, box=None) -> tuple[int, ...]:
-    """The cap need plus the largest atom along each axis, the least box on
-    which an ideal finds its generators; given a target box, the larger of
-    the two along each axis."""
-    cap = tuple(map(add, need, _extent(_atoms(sg, len(need)))))
+    """The cap need plus the largest atom (1, .., 1, the largest generator of
+    S), the least box on which an ideal finds its generators; given a target
+    box, the larger of the two along each axis."""
+    cap = tuple(map(add, need, (1,) * (len(need) - 1) + (sg.gens[-1],)))
     return cap if box is None else tuple(map(max, cap, box))
 
 

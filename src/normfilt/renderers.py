@@ -58,13 +58,10 @@ def _render_table(payload, fmt) -> str:
 
 def _coeff_rows(payload):
     rows = [("e0", payload["e0"])]
-    for i, c in enumerate(payload["normal"].get("e", [])):
-        if i:
-            rows.append((f"e{i}_bar", c))
-    if "g_s" in payload["normal"]:
-        rows.append(("g_s", payload["normal"]["g_s"]))
-    if "error" not in payload["normal"]:
-        rows.append(("normal_stable_from", payload["normal"]["stable_from"]))
+    # coeffs_payload raises without a normal fit: e, stable_from and g_s are there
+    normal = payload["normal"]
+    rows += [(f"e{i}_bar", c) for i, c in enumerate(normal["e"]) if i]
+    rows += [("g_s", normal["g_s"]), ("normal_stable_from", normal["stable_from"])]
     for i, c in enumerate(payload["adic"].get("e", [])):
         if i:
             rows.append((f"e{i}", c))

@@ -97,7 +97,7 @@ def sally_payload(analysis) -> dict:
         "values": list(analysis.sally_values),
         **_fit_dict(analysis.sally_fit, None, key="s"),
         "s0_from_e": (
-            analysis.normal_fit.e[1] - analysis.e0 + analysis.lam_R_I1
+            analysis.normal_fit.e[1] - analysis.lam_I1_J
             if analysis.normal_fit is not None
             else None
         ),

@@ -161,7 +161,7 @@ def check_table_coherence(a: Analysis, nums) -> Verdict:
 def check_e1_lower_bound(a: Analysis, nums) -> Verdict:
     """e1_bar >= e0 - lambda(R/closure(I)) = lambda(closure(I)/J) >= 0."""
     e1 = a.e_bar(1)
-    lo = a.e0 - a.lam_R_I1
+    lo = a.lam_I1_J
     if e1 < lo:
         return refuted(f"e1_bar = {e1} < {lo} = e0 - lambda(R/closure(I))")
     return verified(f"e1_bar = {e1} >= {lo} = lambda(closure(I)/J) >= 0")
@@ -170,7 +170,7 @@ def check_e1_lower_bound(a: Analysis, nums) -> Verdict:
 @checker(need_reduction=True, need_normal_fit=True)
 def check_e1_equality_equivalence(a: Analysis, nums) -> Verdict:
     """e1_bar minimal <=> Sally module zero <=> reduction number <= 1 <=> tables agree."""
-    eq_e1 = a.e_bar(1) == a.e0 - a.lam_R_I1
+    eq_e1 = a.e_bar(1) == a.lam_I1_J
     sally_zero = all(v == 0 for v in a.sally_values)
     rn_le_1 = a.rn is not None and a.rn <= 1
     # graded pieces agree degreewise exactly when the tables do: no Sally length
@@ -205,7 +205,7 @@ def check_e1_almost_minimal_depth(a: Analysis, nums) -> Verdict:
     """e1_bar <= e0 - lambda(R/closure(I)) + 1 forces depth >= d-1 for the graded ring."""
     # s0_bar = slack for any table once both fits pass (see sally_coefficient_transfer)
     nums["s0_bar"] = a.sally_fit.e[0]
-    slack = a.e_bar(1) - (a.e0 - a.lam_R_I1)
+    slack = a.e_bar(1) - a.lam_I1_J
     if slack > 1:
         return abstained(f"hypothesis fails: e1_bar exceeds the minimal value by {slack} > 1")
     if a.vv.certified_cm:
@@ -226,7 +226,7 @@ def check_e1_almost_minimal_depth(a: Analysis, nums) -> Verdict:
 def check_e2_lower_bound(a: Analysis, nums) -> Verdict:
     """e2_bar >= e1_bar - e0 + lambda(R/closure(I)), equality exactly when rn <= 2."""
     e2 = a.e_bar(2)
-    lo = a.e_bar(1) - a.e0 + a.lam_R_I1
+    lo = a.e_bar(1) - a.lam_I1_J
     if e2 < lo:
         return refuted(f"e2_bar = {e2} < {lo} = e1_bar - e0 + lambda")
     rn_le_2 = a.rn is not None and a.rn <= 2
@@ -410,9 +410,8 @@ def check_e3_vanishing_cm(a: Analysis, nums) -> Verdict:
 @checker(
     need_reduction=True, need_normal_fit=True, min_dim=3, e3_zero=True,
     hypothesis=lambda a: (
-        f"e1_bar = {a.e_bar(1)} is not e0 - lambda(R/closure(I)) + 1 "
-        f"= {a.e0 - a.lam_R_I1 + 1}"
-        if a.e_bar(1) != a.e0 - a.lam_R_I1 + 1 else None
+        f"e1_bar = {a.e_bar(1)} is not e0 - lambda(R/closure(I)) + 1 = {a.lam_I1_J + 1}"
+        if a.e_bar(1) != a.lam_I1_J + 1 else None
     ),
 )
 def check_almost_minimal_rn2(a: Analysis, nums) -> Verdict:
@@ -466,8 +465,8 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
     if part_a.is_refutation:
         return part_a
     t = a.backend.sg.type
-    m = a.normal_filt.term(1)  # the gate holds closure(I) = m
-    lam_m2_Jm = colength(multiply(a.reduction, m)) - colength(multiply(m, m))  # J·m ⊆ m^2
+    # lambda(R/Jm) = e0 + mu(J) = e0 + d and lambda(R/m^2) = 1 + mu(m), as J ⊆ m = closure(I)
+    lam_m2_Jm = a.e0 + a.dim - 1 - a.mu_maximal
     s1 = a.sally_values[1]
     nums["lambda_m2_Jm"] = lam_m2_Jm
     exceptional = t == 2 and s1 == 2 and a.mu_maximal - a.dim == 2 and lam_m2_Jm == 1

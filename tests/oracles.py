@@ -517,3 +517,10 @@ def e3_product_colengths(a) -> dict[int, int]:
     `check_almost_minimal_rn2`, each from a built product J·closure(I^j)."""
     top = min(a.rn + 2, a.nmax - 1)
     return {j: colength(multiply(a.reduction, a.normal_filt.term(j))) for j in range(2, top + 1)}
+
+
+def lam_m2_Jm_product(a) -> int:
+    """λ(m²/J·m) for an analysis with closure(I) = m, as λ(R/J·m) − λ(R/m²)
+    from the built products J·m ⊆ m² of the ring's maximal ideal m."""
+    m = a.backend.maximal()
+    return colength(multiply(a.reduction, m)) - colength(multiply(m, m))

@@ -485,17 +485,23 @@ def test_cli_table_computes_no_fit_reduction_number_or_vv(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["rows"][2] == [2, 165, 270, 168, 3]
 
 
-@pytest.mark.parametrize("name, row", [
-    ("poly3_cubes", [2, 165, 270, 168, 3]),  # reduction found
-    ("poly2_x2_xy_y3", [2, 27, 27]),  # no reduction
+@pytest.mark.parametrize("name, row, calls", [
+    ("poly3_cubes", [2, 165, 270, 168, 3], 1),  # reduction found: its J-good column reads e0
+    ("poly2_x2_xy_y3", [2, 27, 27], 0),  # no reduction, no J-good column
 ])
-def test_cli_table_computes_no_multiplicity(monkeypatch, capsys, name, row):
-    def fail(*args, **kwargs):
-        raise AssertionError("table reads no multiplicity")
+def test_cli_table_computes_only_the_input_multiplicity(monkeypatch, capsys, name, row, calls):
+    # lambda(R/J) is read as e0 of the input ideal, whose hull the normal column
+    # builds anyway: one multiplicity, in place of the colength of J
+    hulls, real = [], monomial.multiplicity
 
-    monkeypatch.setattr(monomial, "multiplicity", fail)
+    def count(hull):
+        hulls.append(hull)
+        return real(hull)
+
+    monkeypatch.setattr(monomial, "multiplicity", count)
     assert cli.main(["table", corpus_path(name)]) == 0
     assert json.loads(capsys.readouterr().out)["rows"][2] == row
+    assert len(hulls) == calls
 
 
 @pytest.mark.parametrize("name", ["poly3_cubes", "sg_4_5_11_uv"])
@@ -522,6 +528,19 @@ def test_cli_almost_minimal_check_builds_no_product(monkeypatch, capsys):
     assert cli.main(["check", path, "--nmax", "12", "--checks", "almost_minimal_rn2"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert [(v["check"], v["conclusion"]) for v in verdicts] == [("almost_minimal_rn2", "verified")]
+
+
+@pytest.mark.parametrize("name", ["poly3_maximal", "sg_4_5_11_uv"])
+def test_cli_low_type_check_builds_no_product(monkeypatch, capsys, name):
+    # lambda(m^2/Jm) = e0 + d - 1 - mu(m): neither J·m nor m·m is built or counted
+    def fail(*args, **kwargs):
+        raise AssertionError("built although the checker reads e0 and mu(m)")
+
+    monkeypatch.setattr(theorems, "multiply", fail)
+    monkeypatch.setattr(theorems, "colength", fail)
+    assert cli.main(["check", corpus_path(name), "--checks", "low_type_cm"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [(v["check"], v["conclusion"]) for v in verdicts] == [("low_type_cm", "verified")]
 
 
 @pytest.mark.parametrize("reduction, message", [

@@ -75,7 +75,9 @@ def unreferenced_functions(package: Path, module: str) -> list[str]:
 
 
 def test_kernel_functions_have_a_caller_in_the_package():
-    # reference code the package no longer calls lives in tests/oracles.py
+    # reference code the package no longer calls lives in tests/oracles.py;
+    # reports and theorems are left out, as their functions are looked up by name
     package = Path(normfilt.__file__).parent
-    for module in ("monomial", "newton", "filtration"):
+    for module in ("monomial", "newton", "filtration", "analysis", "backends", "inputs",
+                   "verdicts"):
         assert unreferenced_functions(package, module) == [], module

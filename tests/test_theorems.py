@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from normfilt import CHECKS, EntryData, analyze, cli, errors, filtration, run_checks
 from normfilt.analysis import Analysis
-from normfilt.backends import PolynomialBackend
+from normfilt.backends import PolynomialBackend, SemigroupBackend
 from normfilt.monomial import colength, multiply
 from normfilt import analysis, inputs, monomial, reports
 from normfilt.verdicts import Verdict, verified
-from oracles import e3_product_colengths, quotient_length
+from oracles import e3_product_colengths, lam_m2_Jm_product, quotient_length
 from test_filtration import chain_values, exact_decomposition, reduction_analyses
 
 ALL_CHECKS = (
@@ -214,6 +214,7 @@ def test_low_type_exceptional_witness(analyses):
     assert v.conclusion == "verified"
     assert [(w.degree, w.element) for w in v.witnesses] == [(3, "t^15")]
     assert "exceptional" in v.detail
+    assert v.numbers["lambda_m2_Jm"] == lam_m2_Jm_product(analyses["sg_4_5_11_uv"]) == 1
 
 
 # ideals I != m with closure(I) = m outside the exceptional case: G(m) is
@@ -237,9 +238,44 @@ def test_low_type_cm_tests_the_powers_of_m(tmp_path, gens, ideal):
     assert filtration.valabrega_valla(powers, a.nmax, a.window, None).first_failure
     verdicts = {v.check: v for v in run_checks(a)}
     assert verdicts["low_type_cm"].conclusion == "verified"
+    assert verdicts["low_type_cm"].numbers["lambda_m2_Jm"] == lam_m2_Jm_product(a)
     f = tmp_path / "not_maximal.nfilt"
     f.write_text(text)
     assert cli.main(["check", str(f)]) == 0
+
+
+@st.composite
+def closure_m_analyses(draw):
+    """An analysis at nmax 1 or 2 of an ideal with closure m, in both ring
+    classes: m of k[x_1..x_d], d = 1..4, where no other monomial ideal has
+    closure m, or, in k[[S]] with 0 to 3 adjoined variables, m or the
+    variables with t^e, e the least generator of S, and some larger members
+    of S."""
+    nmax = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        ring = PolynomialBackend(("x", "y", "z", "w")[:draw(st.integers(1, 4))])
+        return Analysis(EntryData("e", ring, ring.maximal(), nmax=nmax))
+    gens = draw(st.sampled_from([(1,), (2, 3), (3, 4, 5), (3, 5, 7), (4, 5, 7), (4, 5, 11),
+                                 (5, 6, 7), (5, 7), (6, 7, 8, 9), (7, 9, 11)]))
+    ring = SemigroupBackend(gens, draw(st.integers(0, 3)))
+    free, e = ring.dim - 1, ring.sg.multiplicity
+    units = [tuple(int(j == i) for j in range(ring.dim)) for i in range(free)]
+    members = [s for s in range(e + 1, 3 * e) if ring.sg.contains(s)]
+    powers = [e] + draw(st.lists(st.sampled_from(members), max_size=3))
+    ideal = ring.maximal() if draw(st.booleans()) else ring.ideal(
+        units + [(0,) * free + (s,) for s in powers])
+    return Analysis(EntryData("e", ring, ideal, nmax=nmax))
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_m_analyses())
+def test_lambda_m2_Jm_closed_form_matches_the_products(a):
+    """lambda(R/J) = e0, and lambda(m^2/Jm) = e0 + d - 1 - mu(m), which
+    low_type_cm reads, equals the count on the built J·m and m^2; it is >= 0
+    by Abhyankar's inequality."""
+    assert a.closure_is_maximal and a.reduction is not None
+    assert colength(a.reduction) == a.e0
+    assert lam_m2_Jm_product(a) == a.e0 + a.dim - 1 - a.mu_maximal >= 0
 
 
 def test_check_without_reduction_builds_no_maximal_ideal(monkeypatch, capsys):
