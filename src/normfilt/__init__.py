@@ -9,11 +9,10 @@ from importlib import import_module
 __version__ = "1.0.0"
 
 _HOMES = {
-    "backends": ("PolynomialBackend", "SemigroupBackend"),
     "errors": ("HorizonError", "InputError", "NormfiltError", "NotMPrimary",
                "PreconditionError", "UnsupportedDimension"),
     "filtration": ("Filtration", "fit_coefficients", "series_coeff"),
-    "inputs": ("EntryData",),
+    "inputs": ("EntryData", "PolynomialBackend", "SemigroupBackend"),
     "analysis": ("analyze",),
     "theorems": ("CHECKS", "run_checks"),
 }

@@ -84,11 +84,12 @@ class Analysis:
     rn_error, vv, maximal_vv, normal_filt and reduction_powers import
     `filtration` on first read, and so do e_bar, g_s and base_numbers,
     which read the fits and rn. The J-good and Sally columns, the Sally fit
-    and lam_I1_J read e0 for lambda(R/J), not J. The fields built from the
-    reduction J (reduction_powers, the S = N products of normal_filt, rn, vv
-    and maximal_vv) may be read only when `reduction` is not None, and
-    maximal_vv only when closure(I) = m as well. A fit or reduction number
-    that fails reads None, and its *_error field holds the exception.
+    and lam_I1_J read e0 for lambda(R/J), not J. The fields that need the
+    reduction J (reduction_powers, rn, rn_error, vv and maximal_vv) raise
+    PreconditionError when `reduction` is None; normal_filt builds its S = N
+    terms as products with J only when J exists. maximal_vv may be read only
+    when closure(I) = m. A fit or reduction number that fails reads None, and
+    its *_error field holds the exception.
     """
 
     def __init__(self, entry: EntryData):
@@ -118,6 +119,10 @@ class Analysis:
             self.reduction_source = "given"
 
     e0 = property(lambda self: self.ideal.e0)
+
+    def _need_reduction(self, field: str):
+        if self.reduction is None:
+            raise PreconditionError(f"{field} needs a certified reduction J; the entry has none")
 
     @property
     def lam_R_I1(self) -> int:
@@ -173,6 +178,7 @@ class Analysis:
     def reduction_powers(self) -> Filtration:
         """The adic filtration of J, holding J^n."""
         from .filtration import Filtration
+        self._need_reduction("reduction_powers")
         return Filtration(self.backend, "adic", ideal=self.reduction)
 
     @cached_property
@@ -212,6 +218,7 @@ class Analysis:
     @cached_property
     def _rn(self):
         from .filtration import reduction_number
+        self._need_reduction("rn")
         return _attempt(lambda: reduction_number(self.normal_filt, self.nmax))
 
     rn = property(lambda self: self._rn[0])
@@ -220,6 +227,7 @@ class Analysis:
     @cached_property
     def vv(self):
         from .filtration import valabrega_valla
+        self._need_reduction("vv")
         return valabrega_valla(self.normal_filt, self.nmax, self.window, self.rn)
 
     @property
@@ -241,6 +249,7 @@ class Analysis:
         m is the first normal term, closure(I), and its powers are built here.
         """
         from .filtration import Filtration, reduction_number, valabrega_valla
+        self._need_reduction("maximal_vv")
         m = self.normal_filt.term(1)
         filt = Filtration(self.backend, "adic", ideal=m, reduction=self.reduction)
         rn = _attempt(lambda: reduction_number(filt, self.nmax))[0]

@@ -201,14 +201,11 @@ class VVReport(NamedTuple):
 
 
 def witness_element(backend, lhs, rhs) -> str:
-    """A generator of lhs outside rhs, else of rhs outside lhs, as ring text."""
+    """A generator of lhs outside rhs, as ring text; lhs must not lie in rhs."""
     for g in lhs.gens:
         if not contains(rhs, g):
             return backend.element_str(g)
-    for g in rhs.gens:
-        if not contains(lhs, g):
-            return backend.element_str(g)
-    raise PreconditionError("ideals differ but no witness generator found")
+    raise PreconditionError("lhs lies in rhs: no witness generator outside it")
 
 
 def valabrega_valla(filt: Filtration, nmax: int, window: int, rn: int | None) -> VVReport:

@@ -1,4 +1,13 @@
-"""Plain-text entry format: parsing straight into a ring and its ideals.
+"""The rings and the plain-text entry format, parsed straight into a ring and its ideals.
+
+Both kinds of rings are monoid rings k[N^v x S]: k[x_1..x_d] is the case
+S = N with v = d - 1, and the numerical semigroup ring k[[S]], optionally
+with variables adjoined, keeps S on the last axis. Ideal arithmetic lives in
+`monomial` and reductions in `analysis`; what is proved for regular rings
+keys on the ideal's semigroup (S = N), so k[[t]][U] takes the polynomial
+ring's shortcuts. Elements are exponent vectors in the order `axes`, the
+S-axis last: (x_1..x_d), or (U, V, .., t) for a semigroup ring with adjoined
+U, V, ...; they print in the order `shown`, t first.
 
 An entry file looks like:
 
@@ -18,24 +27,96 @@ may be separated by spaces or commas. `ideal maximal` selects the maximal
 ideal, `reduction auto` (the default) asks for an automatic certificate.
 
 `parse_input` builds the ring and each ideal at its own line, so the ring
-rules live only in the `backends` constructors; what they reject becomes an
-InputError at the line and column of its directive. Tokens parse into the
-ring's `axes` order: the S-axis of a semigroup ring is last and named t. Dimension
-limits raise UnsupportedDimension, every other error an InputError with its
-line and column. `build_entry` fills in the default name and the overrides.
+rules live only in the ring constructors; what they reject becomes an
+InputError at the line and column of its directive. Dimension limits raise
+UnsupportedDimension, every other error an InputError with its line and
+column. `build_entry` fills in the default name and the overrides.
 """
 
 from __future__ import annotations
 
 import re
 from contextlib import contextmanager
+from functools import cached_property
 from typing import NamedTuple
 
-from . import backends
+from . import monomial as mono
 from .errors import InputError, PreconditionError, UnsupportedDimension
+from .newton import MAX_DIM
+from .semigroup import NumericalSemigroup
 
 DEFAULT_POLY_NAMES = ("x", "y", "z", "w")
 DIRECTIVES = ("name", "ring", "ideal", "reduction", "nmax", "checks")
+
+
+def format_monomial(names, exps) -> str:
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e > 0]
+    return "*".join(parts) if parts else "1"
+
+
+class MonoidRing:
+    """k[N^v x S] with its axes named in kernel order; kind ("polynomial" or
+    "semigroup") only picks the description and the source of the type."""
+
+    def __init__(self, kind: str, sg: NumericalSemigroup, names: tuple[str, ...],
+                 axes: tuple[str, ...]):
+        self.kind, self.sg, self.names, self.axes = kind, sg, names, axes
+        self.dim = len(axes)
+        # the axes as elements print: t, the S-axis of a semigroup ring, first
+        self.shown = axes[len(names):] + names
+
+    def describe(self) -> str:
+        if self.kind == "polynomial":
+            return f"polynomial ring k[{','.join(self.names)}]"
+        base = f"semigroup ring k[[t^{{{','.join(str(g) for g in self.sg.gens)}}}]]"
+        return base + (f"[{','.join(self.names)}]" if self.names else "")
+
+    def ideal(self, vectors, box=None) -> mono.Ideal:
+        return mono.ideal(self.sg, self.dim, vectors, box)
+
+    def maximal(self) -> mono.Ideal:
+        return self._maximal
+
+    # one ideal per ring, built on first use
+    _maximal = cached_property(lambda self: mono.maximal_ideal(self.sg, self.dim))
+
+    def element_str(self, v) -> str:
+        n = len(self.names)  # v rotated as `shown` rotates `axes`
+        return format_monomial(self.shown, (*v[n:], *v[:n]))
+
+    @property
+    def type_source(self) -> str:
+        """Where the Cohen-Macaulay type `sg.type` comes from."""
+        if self.kind == "polynomial":
+            return "regular ring; the maximal ideal is generated by a regular sequence"
+        return "pseudo-Frobenius count of the semigroup"
+
+
+def PolynomialBackend(names) -> MonoidRing:
+    """k[x_1..x_d]: the monoid ring of N^d, its last variable on the S-axis."""
+    names = tuple(str(n) for n in names)
+    if not 1 <= len(names) <= MAX_DIM:
+        raise UnsupportedDimension(
+            f"polynomial backend supports 1..{MAX_DIM} variables, got {len(names)}"
+        )
+    if len(set(names)) != len(names):
+        raise PreconditionError("variable names must be distinct")
+    return MonoidRing("polynomial", NumericalSemigroup((1,)), names, names)
+
+
+def SemigroupBackend(generators, adjoin: int = 0, names=None) -> MonoidRing:
+    """k[[S]] for the numerical semigroup S = <generators>, with adjoin variables."""
+    if adjoin < 0 or 1 + adjoin > MAX_DIM:
+        raise UnsupportedDimension(
+            f"semigroup backend supports 0..{MAX_DIM - 1} adjoined variables, got {adjoin}"
+        )
+    sg = NumericalSemigroup(generators)
+    if names is None:
+        names = ("U", "V", "W")[:adjoin]
+    names = tuple(str(n) for n in names)
+    if len(names) != adjoin or len(set(names)) != adjoin or "t" in names:
+        raise PreconditionError("adjoined variable names must be distinct and not 't'")
+    return MonoidRing("semigroup", sg, names, names + ("t",))
 
 
 class EntryData(NamedTuple):
@@ -140,7 +221,7 @@ def _parse_ring(fields, line_no, line):
         else:
             _fail("polynomial ring needs vars= or dim=", line_no, line)
         with _located(line_no, line, "ring"):
-            return backends.PolynomialBackend(names)
+            return PolynomialBackend(names)
     if kind == "semigroup":
         kv = _parse_kv(rest, ("gens", "adjoin"), line_no, line)
         if "gens" not in kv:
@@ -153,7 +234,7 @@ def _parse_ring(fields, line_no, line):
             names = _names(adjoin, "adjoin", line_no, line) if adjoin else ()
             count = len(names)
         with _located(line_no, line, "ring"):
-            return backends.SemigroupBackend(gens, count, names)
+            return SemigroupBackend(gens, count, names)
     _fail(f"unknown ring kind {kind!r} (expected polynomial or semigroup)",
           line_no, line, kind)
 

@@ -121,6 +121,33 @@ def newton_polyhedron(gens) -> NewtonPolyhedron:
     return NewtonPolyhedron(d, tuple(halfspaces), box)
 
 
+def _runs(halfspaces, tops, k: int):
+    """(at, width, cuts) for each run of cuts of `row_cuts`, at its first
+    row's index in row-major order; cuts is an iterable of width cuts, and
+    a row in no run has cut 0."""
+    if not tops:
+        return [(0, 1, [max(0, *(-(-k * t // c[0]) for c, t in halfspaces))])]
+    inner = len(tops) - 1
+
+    def walk(axis, vals, at):
+        if axis < inner:
+            stride = prod(top + 1 for top in tops[axis + 1:])
+            for b in range(tops[axis] + 1):
+                if max(vals) <= 0:
+                    return
+                yield from walk(axis + 1, vals, at + b * stride)
+                vals = [v - c[axis] for v, (c, _) in zip(vals, halfspaces)]
+            return
+        steps = [(v, c[inner], c[-1]) for v, (c, _) in zip(vals, halfspaces)]
+        width = min(tops[inner] + 1, max(-(-v // c) for v, c, _ in steps))
+        if width > 0:
+            runs = [range(v, v - c * width, -c) if last == 1 else
+                    [-(-x // last) for x in range(v, v - c * width, -c)] for v, c, last in steps]
+            yield at, width, map(max, *runs) if len(runs) > 1 else runs[0]
+
+    return walk(0, [k * t for _, t in halfspaces], 0)
+
+
 def row_cuts(halfspaces, tops, k: int) -> list[int]:
     """Per row b of the box [0, tops] over all axes but the last, in row-major
     order: the least s >= 0 with <c, (b, s)> >= k*t for every halfspace (c, t),
@@ -133,28 +160,9 @@ def row_cuts(halfspaces, tops, k: int) -> list[int]:
     per halfspace, up to the last row some value is positive, and keeps
     their maximum.
     """
-    if not tops:
-        return [max(0, *(-(-k * t // c[0]) for c, t in halfspaces))]
     cuts = [0] * prod(top + 1 for top in tops)
-    inner = len(tops) - 1
-
-    def walk(axis, vals, at):
-        if axis < inner:
-            stride = prod(top + 1 for top in tops[axis + 1:])
-            for b in range(tops[axis] + 1):
-                if max(vals) <= 0:
-                    return
-                walk(axis + 1, vals, at + b * stride)
-                vals = [v - c[axis] for v, (c, _) in zip(vals, halfspaces)]
-            return
-        steps = [(v, c[inner], c[-1]) for v, (c, _) in zip(vals, halfspaces)]
-        width = min(tops[inner] + 1, max(-(-v // c) for v, c, _ in steps))
-        if width > 0:
-            runs = [range(v, v - c * width, -c) if last == 1 else
-                    [-(-x // last) for x in range(v, v - c * width, -c)] for v, c, last in steps]
-            cuts[at:at + width] = map(max, *runs) if len(runs) > 1 else runs[0]
-
-    walk(0, [k * t for _, t in halfspaces], 0)
+    for at, width, run in _runs(halfspaces, tops, k):
+        cuts[at:at + width] = run
     return cuts
 
 
@@ -162,10 +170,11 @@ def closure_count(np_: NewtonPolyhedron, k: int, gaps=()) -> int:
     """The points (b, s) outside k*NP(I) with s in S, H(k) when S = N: per
     row b, the cut tau_k(b) of `row_cuts` less its rank among the sorted gaps.
     Every normal is positive, so the rows over k times the pure-power box
-    hold every such point, and a row inside k*NP (cut 0) adds nothing.
+    hold every such point, and a row inside k*NP (cut 0) adds nothing: the
+    count sums the walk's runs, with no list of every row.
     """
-    cuts = row_cuts(np_.halfspaces, [k * e for e in np_.box[:-1]], k)
-    return sum(tau - bisect_left(gaps, tau) for tau in cuts if tau)
+    runs = _runs(np_.halfspaces, [k * e for e in np_.box[:-1]], k)
+    return sum(tau - bisect_left(gaps, tau) for _, _, run in runs for tau in run)
 
 
 def hilbert_values(h, upto: int) -> list[int]:

@@ -10,18 +10,91 @@ downgraded to asserted-by-paper rather than silently trusted.
 
 Checkers register themselves in CHECKS with the `checker` decorator, which
 carries their hypotheses as gates; they read an `analysis.Analysis`, which
-computes each table, fit and certificate the first time it is read.
+computes each table, fit and certificate the first time it is read. A
+verdict is a `Verdict` record, made by one of the five constructors below it.
 """
 
 from __future__ import annotations
 
 from functools import wraps
+from typing import NamedTuple
 
 from .analysis import Analysis, analyze
 from .errors import HorizonError
 from .filtration import series_coeff, witness_element
 from .monomial import colength, ideal_contains, intersect, multiply, socle_length
-from .verdicts import Verdict, Witness, abstained, asserted, horizon, refuted, verified
+
+SCHEMA_VERSION = "normfilt.verdict/1"
+
+CONCLUSIONS = (
+    "verified",
+    "refuted-with-witness",
+    "inconclusive-horizon",
+    "asserted-by-paper",
+    "abstained",
+)
+
+
+class Witness(NamedTuple):
+    degree: int
+    element: str
+    note: str = ""
+
+    def to_dict(self) -> dict:
+        d = {"degree": self.degree, "element": self.element}
+        if self.note:
+            d["note"] = self.note
+        return d
+
+
+class Verdict(NamedTuple):
+    """A checker's conclusion, one of CONCLUSIONS. The constructors below give
+    each verdict an empty numbers dict of its own; the `checker` runner fills
+    in the check id and, once the gates pass, the numbers."""
+
+    check: str
+    conclusion: str
+    detail: str
+    numbers: dict
+    witnesses: tuple[Witness, ...] = ()
+
+    # every conclusion but abstained is reached with the hypotheses met
+    hypotheses_met = property(lambda self: self.conclusion != "abstained")
+
+    @property
+    def is_refutation(self) -> bool:
+        return self.conclusion == "refuted-with-witness"
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": SCHEMA_VERSION,
+            "check": self.check,
+            "conclusion": self.conclusion,
+            "hypotheses_met": self.hypotheses_met,
+            "detail": self.detail,
+            "numbers": dict(sorted(self.numbers.items())),
+            "witnesses": [w.to_dict() for w in self.witnesses],
+        }
+
+
+def verified(detail, witnesses=()):
+    return Verdict("", "verified", detail, {}, tuple(witnesses))
+
+
+def refuted(detail, witnesses=()):
+    return Verdict("", "refuted-with-witness", detail, {}, tuple(witnesses))
+
+
+def horizon(detail):
+    return Verdict("", "inconclusive-horizon", detail, {})
+
+
+def asserted(detail):
+    return Verdict("", "asserted-by-paper", detail, {})
+
+
+def abstained(detail):
+    return Verdict("", "abstained", detail, {})
 
 
 def _gates(a: Analysis, *, need_reduction=False, need_normal_fit=False, need_sally_fit=False,

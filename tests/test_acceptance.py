@@ -15,8 +15,8 @@ from importlib import resources
 from math import comb
 
 from normfilt import cli, inputs, monomial as mono, semigroup as sgm
-from normfilt.backends import SemigroupBackend
 from normfilt.filtration import Filtration, series_coeff
+from normfilt.inputs import SemigroupBackend
 from normfilt.newton import multiplicity, newton_polyhedron
 from normfilt.theorems import analyze, run_checks
 from oracles import (_solve_consistent, ideal_sum, in_dilation_oracle, jgood_chain_colengths,

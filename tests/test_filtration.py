@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from normfilt import CHECKS, errors
 from normfilt import filtration as flt
 from normfilt.analysis import Analysis, auto_reduction, default_nmax, default_window
-from normfilt.backends import PolynomialBackend, SemigroupBackend
-from normfilt.inputs import EntryData
+from normfilt.inputs import EntryData, PolynomialBackend, SemigroupBackend
 from normfilt.monomial import closure_power, colength, contains, intersect, multiply, unit_ideal
 from oracles import (_solve_consistent, intersection_failures_oracle, jgood_chain_colengths,
                      length_table, reduction_number_scan, series_checks,

@@ -12,7 +12,7 @@ import pytest
 
 import normfilt
 from normfilt import analysis, cli, errors, filtration, inputs, monomial, theorems
-from normfilt.backends import format_monomial
+from normfilt.inputs import format_monomial
 
 CORPUS = resources.files("normfilt") / "corpus"
 NEGATIVE = CORPUS / "negative"
@@ -440,7 +440,7 @@ def test_cli_import_leaves_out_unused_modules():
     # a json table loads no checker, no verdict record, no renderer, no
     # argparse, no filtration and no json: its columns are counted and its
     # json is written by reports.render
-    unused |= {"argparse", "normfilt.theorems", "normfilt.verdicts", "normfilt.renderers",
+    unused |= {"argparse", "normfilt.theorems", "normfilt.renderers",
                "normfilt.filtration", "json", "json.decoder"}
     table = f"from normfilt.cli import main\nmain(['table', {corpus_path('sg_4_5_11_uv')!r}])"
     assert _loaded(table, unused) == "[]"
@@ -455,7 +455,7 @@ def test_parsing_an_entry_loads_no_analysis():
     code = ("from pathlib import Path\nfrom normfilt import inputs\n"
             f"inputs.build_entry(inputs.parse_input(Path({path!r}).read_text()), default_name='e')")
     analysis_modules = {f"normfilt.{m}" for m in
-                        ("filtration", "analysis", "theorems", "verdicts", "reports")}
+                        ("filtration", "analysis", "theorems", "reports")}
     assert _loaded(code, analysis_modules) == "[]"
 
 

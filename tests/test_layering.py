@@ -7,8 +7,8 @@ import normfilt
 from test_inputs_cli import _loaded
 
 # lowest layer first; a module may import at module level only from modules before it
-ORDER = ("errors", "semigroup", "newton", "monomial", "backends", "inputs", "filtration",
-         "analysis", "verdicts", "theorems", "reports", "renderers", "cli")
+ORDER = ("errors", "semigroup", "newton", "monomial", "inputs", "filtration", "analysis",
+         "theorems", "reports", "renderers", "cli")
 
 
 def module_level_imports(tree):
@@ -78,6 +78,5 @@ def test_kernel_functions_have_a_caller_in_the_package():
     # reference code the package no longer calls lives in tests/oracles.py;
     # reports and theorems are left out, as their functions are looked up by name
     package = Path(normfilt.__file__).parent
-    for module in ("monomial", "newton", "filtration", "analysis", "backends", "inputs",
-                   "verdicts"):
+    for module in ("monomial", "newton", "filtration", "analysis", "inputs"):
         assert unreferenced_functions(package, module) == [], module

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from normfilt import errors
 from normfilt import monomial as mono
 from normfilt.filtration import Filtration
-from normfilt.backends import PolynomialBackend
+from normfilt.inputs import PolynomialBackend
 from normfilt.semigroup import NumericalSemigroup
 from oracles import (
     ideal_sum,

@@ -12,8 +12,8 @@ from normfilt import errors
 from normfilt import monomial as mono
 from normfilt import newton
 from normfilt.analysis import auto_reduction, certify
-from normfilt.backends import PolynomialBackend, SemigroupBackend
 from normfilt.filtration import Filtration
+from normfilt.inputs import PolynomialBackend, SemigroupBackend
 from oracles import (
     box_points,
     closure_power_rows,

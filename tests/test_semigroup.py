@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from normfilt import errors
 from normfilt import monomial as mono
 from normfilt import semigroup as sgm
-from normfilt.backends import SemigroupBackend
 from normfilt.filtration import Filtration
+from normfilt.inputs import SemigroupBackend
 from normfilt.newton import newton_polyhedron
 from oracles import ideal_sum, quotient_length, semigroup_members_oracle
 

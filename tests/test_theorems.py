@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from normfilt import CHECKS, EntryData, analyze, cli, errors, filtration, run_checks
 from normfilt.analysis import Analysis
-from normfilt.backends import PolynomialBackend, SemigroupBackend
+from normfilt.inputs import PolynomialBackend, SemigroupBackend
 from normfilt.monomial import colength, multiply
 from normfilt import analysis, inputs, monomial, reports
-from normfilt.verdicts import Verdict, verified
+from normfilt.theorems import CONCLUSIONS, abstained, asserted, horizon, refuted, verified
 from oracles import e3_product_colengths, lam_m2_Jm_product, quotient_length
 from test_filtration import chain_values, exact_decomposition, reduction_analyses
 
@@ -410,12 +410,25 @@ def test_verdict_serialization(analyses):
         assert isinstance(d["numbers"], dict)
 
 
-def test_verdict_validation():
-    with pytest.raises(ValueError, match="unknown conclusion 'proved'"):
-        Verdict("e1_lower_bound", "proved")
+def test_verdict_validation(analyses):
+    # the five constructors are the only producers of a conclusion
+    made = [make("detail").conclusion for make in (verified, refuted, horizon, asserted, abstained)]
+    assert made == list(CONCLUSIONS)
     first, second = verified("a"), verified("b")
     first.numbers["e0"] = 1
     assert second.numbers == {}
+    # the runner keeps that: every verdict, passed or abstained, has its own numbers dict
+    verdicts = run_checks(analyses["poly2_x2_xy_y3"]) + run_checks(analyses["sg_4_5_11_uv"])
+    assert {v.conclusion for v in verdicts} >= {"verified", "abstained"}
+    assert len({id(v.numbers) for v in verdicts}) == len(verdicts)
+
+
+@pytest.mark.parametrize("field", ["rn", "vv", "maximal_vv", "reduction_powers"])
+def test_fields_built_from_J_name_the_missing_reduction(field):
+    a = load("poly2_x2_xy_y3")  # no monomial reduction
+    assert a.reduction is None
+    with pytest.raises(errors.PreconditionError, match=f"^{field} needs a certified reduction J"):
+        getattr(a, field)
 
 
 def test_readme_library_example_runs(capsys):
