@@ -81,15 +81,15 @@ class Analysis:
     The table columns (normal_values, adic_values, jgood_values,
     sally_values) and the numbers they read need no filtration. The fits
     (normal_fit, adic_fit, sally_fit and their *_error fields), rn,
-    rn_error, vv, maximal_vv, normal_filt and reduction_powers import
-    `filtration` on first read, and so do e_bar, g_s and base_numbers,
-    which read the fits and rn. The J-good and Sally columns, the Sally fit
-    and lam_I1_J read e0 for lambda(R/J), not J. The fields that need the
-    reduction J (reduction_powers, rn, rn_error, vv and maximal_vv) raise
-    PreconditionError when `reduction` is None; normal_filt builds its S = N
-    terms as products with J only when J exists. maximal_vv may be read only
-    when closure(I) = m. A fit or reduction number that fails reads None, and
-    its *_error field holds the exception.
+    rn_error, vv, maximal_vv and normal_filt import `filtration` on first
+    read, and so do e_bar, g_s and base_numbers, which read the fits and rn.
+    The J-good and Sally columns, the Sally fit and lam_I1_J read e0 for
+    lambda(R/J), not J. Only `Filtration` uses J as an ideal: normal_filt
+    keeps J^k and J·F_n, its S = N terms are those products when J exists,
+    and rn and vv are its methods. The fields that need J (rn, rn_error, vv
+    and maximal_vv) raise PreconditionError when `reduction` is None.
+    maximal_vv may be read only when closure(I) = m. A fit or reduction
+    number that fails reads None, and its *_error field holds the exception.
     """
 
     def __init__(self, entry: EntryData):
@@ -175,13 +175,6 @@ class Analysis:
     adic_fit_error = property(lambda self: self._adic_fit[1])
 
     @cached_property
-    def reduction_powers(self) -> Filtration:
-        """The adic filtration of J, holding J^n."""
-        from .filtration import Filtration
-        self._need_reduction("reduction_powers")
-        return Filtration(self.backend, "adic", ideal=self.reduction)
-
-    @cached_property
     def jgood_values(self) -> tuple[int, ...]:
         """lambda(R/J^n·closure(I)) for n = 0..nmax, in closed form.
 
@@ -217,18 +210,16 @@ class Analysis:
 
     @cached_property
     def _rn(self):
-        from .filtration import reduction_number
         self._need_reduction("rn")
-        return _attempt(lambda: reduction_number(self.normal_filt, self.nmax))
+        return _attempt(lambda: self.normal_filt.reduction_number(self.nmax))
 
     rn = property(lambda self: self._rn[0])
     rn_error = property(lambda self: self._rn[1])
 
     @cached_property
     def vv(self):
-        from .filtration import valabrega_valla
         self._need_reduction("vv")
-        return valabrega_valla(self.normal_filt, self.nmax, self.window, self.rn)
+        return self.normal_filt.valabrega_valla(self.nmax, self.window, self.rn)
 
     @property
     def lam_I1_J(self) -> int:
@@ -248,12 +239,12 @@ class Analysis:
         degree, the witness t^s and rn are those of the coefficient ring.
         m is the first normal term, closure(I), and its powers are built here.
         """
-        from .filtration import Filtration, reduction_number, valabrega_valla
+        from .filtration import Filtration
         self._need_reduction("maximal_vv")
         m = self.normal_filt.term(1)
         filt = Filtration(self.backend, "adic", ideal=m, reduction=self.reduction)
-        rn = _attempt(lambda: reduction_number(filt, self.nmax))[0]
-        return valabrega_valla(filt, self.nmax, self.window, rn)
+        rn = _attempt(lambda: filt.reduction_number(self.nmax))[0]
+        return filt.valabrega_valla(self.nmax, self.window, rn)
 
     def e_bar(self, i: int):
         return self.normal_fit.e[i] if self.normal_fit is not None else None

@@ -1,7 +1,7 @@
 """Filtration analytics over a monoid ring.
 
-Covers: memoized filtration terms (integral-closure powers and ordinary
-powers), binomial-basis coefficient fits of length tables with a
+Covers: memoized filtration terms beside the powers J^k of a reduction and
+the products J·F_n, binomial-basis coefficient fits of length tables with a
 verification window, the Sally-module fit, reduction numbers (proved at most
 d-1 for the normal filtration when S = N, elsewhere over a whole window) and
 the Valabrega-Valla test on J up to the reduction number. The module imports
@@ -20,7 +20,8 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import HorizonError, PreconditionError
-from .monomial import closure_power, contains, intersect, multiply, unit_ideal
+from .monomial import (closure_power, colength, contains, intersect, multiply, socle_length,
+                       unit_ideal)
 
 KINDS = ("normal", "adic")
 
@@ -37,11 +38,14 @@ def series_coeff(n: int, power: int) -> int:
 
 
 class Filtration:
-    """A descending multiplicative filtration with memoized terms.
+    """A descending multiplicative filtration F with memoized terms, and the
+    one place where its reduction J is used as an ideal: it keeps J^k and
+    J·F_n beside the terms, each built once, and answers the lengths and
+    witnesses that the checkers compare (PreconditionError without J).
 
     Ordinary powers grow from the memo, I^n = I*I^(n-1). From degree
-    `product_from` on, a term is the one before times the reduction J: from
-    degree d = len(ideal.cap) on for the normal filtration of an ideal whose
+    `product_from` on, F_n is the memoized J·F_(n-1): from degree
+    d = len(ideal.cap) on for the normal filtration of an ideal whose
     semigroup is S = N (a polynomial ring or k[[t]][U..], both regular),
     given a monomial reduction J of I. There closure(I^n) = closure(J^n) =
     J*closure(J^(n-1)) for n >= d (Reid-Roberts-Vitulli, Comm. Algebra 31,
@@ -50,8 +54,11 @@ class Filtration:
     sum b_i/a_i >= n, and as n >= d some b_i >= a_i, so x^b is x_i^(a_i)
     times a monomial of closure(J^(n-1)).
     Every other normal term is a closure power, and product_from is None
-    where no such degree is known. Terms are built on the box of the ideal,
-    and `reduction_number` and `valabrega_valla` test against the same J.
+    where no such degree is known. Terms are built on the box of the ideal.
+
+    The chain J^(n-1)·F_2 of `e3_vanishing_cm` is read through `reduces`:
+    while F_(k+1) = J^(k-1)·F_2 for every k < n, J^(n-1)·F_2 = J·F_n, so the
+    chain first differs from F_(n+1) where J·F_n does, with the same witness.
     """
 
     def __init__(self, backend, kind: str, ideal=None, reduction=None):
@@ -67,20 +74,107 @@ class Filtration:
         if kind == "normal" and reduction is not None and not ideal.sg.gaps:
             self.product_from = len(ideal.cap)
         self._terms = {0: unit_ideal(ideal.sg, len(ideal.cap), ideal.cap)}
+        self._powers = {0: self._terms[0], 1: reduction}
+        self._products = {}
 
     def term(self, n: int):
         if n < 0:
             raise PreconditionError("negative filtration index")
-        if n in self._terms:
-            return self._terms[n]
-        if self.product_from is not None and n >= self.product_from:
-            t = multiply(self.reduction, self.term(n - 1))
-        elif self.kind == "adic":
-            t = multiply(self.ideal, self.term(n - 1))
-        else:
-            t = closure_power(self.ideal, n, self.ideal.cap)
-        self._terms[n] = t
-        return t
+        if n not in self._terms:
+            if self.product_from is not None and n >= self.product_from:
+                self._terms[n] = self.product(n - 1)
+            elif self.kind == "adic":
+                self._terms[n] = multiply(self.ideal, self.term(n - 1))
+            else:
+                self._terms[n] = closure_power(self.ideal, n, self.ideal.cap)
+        return self._terms[n]
+
+    def power(self, k: int):
+        """J^k, built once as J·J^(k-1)."""
+        if self._powers.get(k) is None:
+            if self.reduction is None:
+                raise PreconditionError("J^k and J·F_n need a reduction J; the filtration has none")
+            self._powers[k] = multiply(self.reduction, self.power(k - 1))
+        return self._powers[k]
+
+    def product(self, n: int):
+        """J·F_n, built once; from degree product_from - 1 on it is F_(n+1)."""
+        if n not in self._products:
+            self._products[n] = multiply(self.power(1), self.term(n))
+        return self._products[n]
+
+    def reduces(self, n: int) -> bool:
+        """Whether F_(n+1) = J·F_n: by construction once n + 1 >= product_from."""
+        p = self.product_from
+        return (p is not None and n + 1 >= p) or self.term(n + 1) == self.product(n)
+
+    def meet(self, k: int, n: int) -> int:
+        """lambda(R/(J^k ∩ F_n))."""
+        return colength(intersect(self.term(n), self.power(k)))
+
+    def socle(self, k: int) -> int:
+        """lambda((J^k : m)/J^k), counted on the memoized J^k."""
+        return socle_length(self.power(k))
+
+    def witness(self, k: int, n: int, j: int, m: int) -> str:
+        """A generator of J^k ∩ F_n outside J^j·F_m, as ring text, asked for
+        once a comparison of the two failed; J^k ∩ F_n must not lie inside."""
+        outside = self.product(m) if j == 1 else multiply(self.power(j), self.term(m))
+        for g in intersect(self.term(n), self.power(k)).gens:
+            if not contains(outside, g):
+                return self.backend.element_str(g)
+        raise PreconditionError(f"J^{k} ∩ F_{n} lies in J^{j}·F_{m}: no witness outside it")
+
+    def reduction_number(self, nmax: int) -> int:
+        """Least r with F_(n+1) = J·F_n for every n in [r, nmax], scanning n
+        down from nmax. Only n <= product_from - 2 is compared, so for S = N
+        rn <= d - 1 is proved (see the class); elsewhere it is certified up
+        to nmax only. HorizonError when even the top degree fails."""
+        r = nmax + 1
+        while r and self.reduces(r - 1):
+            r -= 1
+        if r == nmax + 1:
+            raise HorizonError(
+                f"F_{nmax + 1} != J*F_{nmax}; no reduction number certifiable up to {nmax}"
+            )
+        return r
+
+    def valabrega_valla(self, nmax: int, window: int, rn: int | None) -> VVReport:
+        """Valabrega-Valla membership test F_n ∩ J = J·F_{n-1} for n = 1..rn
+        (1..nmax when rn is None).
+
+        A failure is decisive (the associated graded ring is not Cohen-Macaulay);
+        full success certifies Cohen-Macaulayness only when the horizon
+        comfortably exceeds the certified reduction number. The criterion asks
+        the same of every prefix P_i = (g_1..g_i) of the reduction generators,
+        and of every degree; for the pure-power J that `analysis.certify` admits, J alone
+        up to rn decides it:
+
+        - Past rn, F_n = J·F_{n-1} ⊆ J, so F_n ∩ J = J·F_{n-1}.
+        - No prefix fails first. Let n be the first degree at which some P_i
+          fails (n >= 2, as F_1 ⊇ J), and x a monomial of F_n ∩ P_i outside
+          P_i·F_{n-1}. Were x in J·F_{n-1}, then x = g_j·y with y in F_{n-1},
+          and j > i as x is outside P_i·F_{n-1}. Some g_k with k <= i divides
+          x, and g_j, g_k are pure powers of different axes, so g_k divides y.
+          So y lies in F_{n-1} ∩ P_i = P_i·F_{n-2}, as P_i passes at degree
+          n-1, and x in P_i·F_{n-1}: a contradiction. So J = P_d first fails at
+          degree n too.
+        """
+        for n in range(1, (nmax if rn is None else rn) + 1):
+            if intersect(self.term(n), self.power(1)) != self.product(n - 1):
+                failure = (n, len(self.reduction.gens), self.witness(1, n, 1, n - 1))
+                return VVReport(False, False, failure, nmax, None)
+        required = rn + window if rn is not None else None
+        certified = required is not None and nmax >= required
+        return VVReport(certified, not certified, None, nmax, required)
+
+
+class VVReport(NamedTuple):
+    certified_cm: bool
+    inconclusive: bool
+    first_failure: tuple[int, int, str] | None  # (degree, len(J.gens), witness element)
+    checked_upto: int
+    required_horizon: int | None
 
 
 class Fit(NamedTuple):
@@ -160,82 +254,3 @@ def sally_from_tables(values, dim: int, window: int) -> Fit:
     if any(v < 0 for v in values) or values[0] != 0:
         raise PreconditionError("Sally lengths must be nonnegative and start at 0")
     return fit_polynomial(values, dim - 1, window)
-
-
-def reduction_number(filt: Filtration, nmax: int) -> int:
-    """Least r with F_{n+1} = J*F_n for every n in [r, nmax], J the
-    filtration's reduction, scanning n down from the top.
-
-    When its terms are products from degree p = filt.product_from on,
-    F_{n+1} = J*F_n holds for every n >= p - 1, so the scan starts at
-    n = p - 2. For the normal filtration
-    of an ideal with S = N, p = d and the products are a theorem, not a
-    choice: closure(I^(n+1)) = closure(J^(n+1)) = J*closure(J^n) once
-    n + 1 >= d, as a monomial x^b with sum b_i/a_i >= n + 1 >= d has some
-    b_i >= a_i (see `Filtration`). So rn <= d - 1 is proved, only n <= d - 2
-    is compared, and the value equals the full scan's. Elsewhere the value
-    is certified up to nmax only. Raises HorizonError when even the top
-    degree fails, since no reduction number is certifiable within the
-    horizon.
-    """
-    top = nmax if filt.product_from is None else min(nmax, filt.product_from - 2)
-    r = top + 1
-    for n in range(top, -1, -1):
-        if filt.term(n + 1) == multiply(filt.reduction, filt.term(n)):
-            r = n
-        else:
-            break
-    if r == nmax + 1:
-        raise HorizonError(
-            f"F_{nmax + 1} != J*F_{nmax}; no reduction number certifiable up to {nmax}"
-        )
-    return r
-
-
-class VVReport(NamedTuple):
-    certified_cm: bool
-    inconclusive: bool
-    first_failure: tuple[int, int, str] | None  # (degree, len(J.gens), witness element)
-    checked_upto: int
-    required_horizon: int | None
-
-
-def witness_element(backend, lhs, rhs) -> str:
-    """A generator of lhs outside rhs, as ring text; lhs must not lie in rhs."""
-    for g in lhs.gens:
-        if not contains(rhs, g):
-            return backend.element_str(g)
-    raise PreconditionError("lhs lies in rhs: no witness generator outside it")
-
-
-def valabrega_valla(filt: Filtration, nmax: int, window: int, rn: int | None) -> VVReport:
-    """Valabrega-Valla membership test F_n ∩ J = J·F_{n-1}, J the
-    filtration's reduction, for n = 1..rn (1..nmax when rn is None).
-
-    A failure is decisive (the associated graded ring is not Cohen-Macaulay);
-    full success certifies Cohen-Macaulayness only when the horizon
-    comfortably exceeds the certified reduction number. The criterion asks
-    the same of every prefix P_i = (g_1..g_i) of the reduction generators,
-    and of every degree; for the pure-power J that `analysis.certify` admits, J alone
-    up to rn decides it:
-
-    - Past rn, F_n = J·F_{n-1} ⊆ J, so F_n ∩ J = J·F_{n-1}.
-    - No prefix fails first. Let n be the first degree at which some P_i
-      fails (n >= 2, as F_1 ⊇ J), and x a monomial of F_n ∩ P_i outside
-      P_i·F_{n-1}. Were x in J·F_{n-1}, then x = g_j·y with y in F_{n-1},
-      and j > i as x is outside P_i·F_{n-1}. Some g_k with k <= i divides
-      x, and g_j, g_k are pure powers of different axes, so g_k divides y.
-      So y lies in F_{n-1} ∩ P_i = P_i·F_{n-2}, as P_i passes at degree
-      n-1, and x in P_i·F_{n-1}: a contradiction. So J = P_d first fails at
-      degree n too.
-    """
-    for n in range(1, (nmax if rn is None else rn) + 1):
-        lhs = intersect(filt.term(n), filt.reduction)
-        rhs = multiply(filt.reduction, filt.term(n - 1))
-        if lhs != rhs:
-            witness = witness_element(filt.backend, lhs, rhs)
-            return VVReport(False, False, (n, len(filt.reduction.gens), witness), nmax, None)
-    required = rn + window if rn is not None else None
-    certified = required is not None and nmax >= required
-    return VVReport(certified, not certified, None, nmax, required)
-

@@ -10,8 +10,9 @@ downgraded to asserted-by-paper rather than silently trusted.
 
 Checkers register themselves in CHECKS with the `checker` decorator, which
 carries their hypotheses as gates; they read an `analysis.Analysis`, which
-computes each table, fit and certificate the first time it is read. A
-verdict is a `Verdict` record, made by one of the five constructors below it.
+computes each table, fit and certificate the first time it is read; what
+they compare of the ideals built from J they read from `filtration.Filtration`.
+A verdict is a `Verdict` record, made by one of the five constructors below it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import NamedTuple
 
 from .analysis import Analysis, analyze
 from .errors import HorizonError
-from .filtration import series_coeff, witness_element
-from .monomial import colength, ideal_contains, intersect, multiply, socle_length
+from .filtration import series_coeff
 
 SCHEMA_VERSION = "normfilt.verdict/1"
 
@@ -319,13 +319,13 @@ def check_e3_nonnegative(a: Analysis, nums) -> Verdict:
     if e3 < 0:
         return refuted(f"e3_bar = {e3} is negative")
     if e3 == 0 and a.reduction is not None:
+        counts = a.ideal.closure_counts(a.nmax + 1)
         for n in range(a.nmax):
-            jn = a.reduction_powers.term(n)
-            term = a.normal_filt.term(n + 2)
-            if not ideal_contains(jn, term):
+            # J^n ∩ F_(n+2) ⊆ F_(n+2), so F_(n+2) ⊆ J^n exactly when their colengths agree
+            if a.normal_filt.meet(n, n + 2) != counts[n + 2]:
                 return refuted(
                     f"e3_bar = 0 but closure(I^{n + 2}) is not inside J^{n}",
-                    [Witness(n + 2, witness_element(a.backend, term, jn), f"not in J^{n}")],
+                    [Witness(n + 2, a.normal_filt.witness(0, n + 2, n, 0), f"not in J^{n}")],
                 )
         return verified(f"e3_bar = 0 and closure(I^(n+2)) ⊆ J^n holds for n = 0..{a.nmax - 1}")
     return verified(f"e3_bar = {e3} >= 0")
@@ -366,13 +366,10 @@ def check_closure_intersection(a: Analysis, nums) -> Verdict:
     if upto < 1:
         return horizon(f"no degree to test: n runs over 1..min(4, nmax - 1) and nmax = {a.nmax}")
     for n in range(1, upto + 1):
-        jn = a.reduction_powers.term(n)
-        lhs = intersect(a.normal_filt.term(n + 1), jn)
-        if colength(lhs) != a.jgood_values[n]:
-            rhs = multiply(jn, a.normal_filt.term(1))
+        if a.normal_filt.meet(n, n + 1) != a.jgood_values[n]:
             return refuted(
                 f"closure(I^{n + 1}) ∩ J^{n} != J^{n}·closure(I) at degree {n}",
-                [Witness(n, witness_element(a.backend, lhs, rhs))],
+                [Witness(n, a.normal_filt.witness(n, n + 1, n, 1))],
             )
     return verified(f"closure(I^(n+1)) ∩ J^n = J^n·closure(I) verified for n = 1..{upto}")
 
@@ -380,10 +377,10 @@ def check_closure_intersection(a: Analysis, nums) -> Verdict:
 @checker(need_reduction=True)
 def check_socle_formula(a: Analysis, nums) -> Verdict:
     """lambda((J^n : m)/J^n) = type(R) * C(n+d-2, d-1) for small n."""
-    # counted by socle_length, which builds neither m nor (J^n : m)
+    # counted on J^n, building neither m nor (J^n : m)
     t = a.backend.sg.type
     for n in range(1, min(3, a.nmax) + 1):
-        socle = socle_length(a.reduction_powers.term(n))
+        socle = a.normal_filt.socle(n)
         expected = t * series_coeff(n - 1, a.dim)
         if socle != expected:
             return refuted(
@@ -464,14 +461,12 @@ def check_e1_type_sandwich(a: Analysis, nums) -> Verdict:
 def check_e3_vanishing_cm(a: Analysis, nums) -> Verdict:
     """e3_bar = 0 with lambda(I2bar/J·I1bar) >= type-1 gives a Cohen-Macaulay graded
     ring and closure(I^{n+1}) = J^{n-1}·closure(I^2)."""
-    for n in range(1, a.nmax):
-        # J^(n-1)·closure(I^2) as a chain, one factor J more per degree
-        rhs = a.normal_filt.term(2) if n == 1 else multiply(a.reduction, rhs)
-        lhs = a.normal_filt.term(n + 1)
-        if lhs != rhs:
+    # the chain J^(n-1)·closure(I^2) first fails where F_(n+1) = J·F_n does (see Filtration)
+    for n in range(2, a.nmax):
+        if not a.normal_filt.reduces(n):
             return refuted(
                 f"closure(I^{n + 1}) != J^{n - 1}·closure(I^2) at degree {n}",
-                [Witness(n + 1, witness_element(a.backend, lhs, rhs))],
+                [Witness(n + 1, a.normal_filt.witness(0, n + 1, 1, n))],
             )
     return _cm_conclusion(
         a,
@@ -495,8 +490,7 @@ def check_almost_minimal_rn2(a: Analysis, nums) -> Verdict:
         return refuted(f"reduction number of the closure filtration is {rn_desc}, not <= 2")
     hm_sum = 0
     for n in range(1, a.rn + 1):
-        meet = intersect(a.reduction, a.normal_filt.term(n + 1))
-        hm_sum += colength(meet) - a.normal_values[n]
+        hm_sum += a.normal_filt.meet(1, n + 1) - a.normal_values[n]
     if a.e_bar(1) < a.lam_I1_J + hm_sum:
         return refuted(
             f"e1_bar = {a.e_bar(1)} < lambda(closure(I)/J) + intersection sum "

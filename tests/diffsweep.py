@@ -51,7 +51,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
+write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no __pycache__ there
 from workloads import newton_wide_texts  # noqa: E402
+sys.dont_write_bytecode = write_bytecode
 COMMANDS = ("table", "coeffs", "sally", "check")
 FORMATS = ("json", "csv", "md")
 SEMIGROUPS = ((1,), (2, 3), (3, 5), (3, 4, 5), (4, 5, 11), (5, 7))

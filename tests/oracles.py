@@ -11,13 +11,15 @@ reachability sweep. The per-row loop that the row walk of `newton.row_cuts`
 replaced stays here as the differential reference for closure powers;
 `hull_heads` is the pruned head/cofactor hull that the double description of
 `newton.newton_polyhedron` replaced. `valabrega_valla_prefixes` is the
-Valabrega-Valla loop over every prefix of J and every degree, and
+Valabrega-Valla loop over every prefix of J and every degree,
 `reduction_number_scan` the reduction number by a scan of every degree from
-the horizon down, which the proved bound of `filtration.reduction_number`
-cut short for the normal filtration of a polynomial ring, and
+the horizon down, which the proved bound of `Filtration.reduction_number`
+cuts short for the normal filtration of a polynomial ring,
 `intersection_failures_oracle` the test closure(I^(n+1)) ∩ J^n = J^n·closure(I)
-over every low degree, where its checker stops at the first failure; all
-three use the ideal arithmetic of `normfilt.monomial`.
+over every low degree, where its checker stops at the first failure, and
+`e3_chain_failure` the chain J^(n-1)·closure(I^2) that `check_e3_vanishing_cm`
+built before it read F_(n+1) = J·F_n; all four use the ideal arithmetic of
+`normfilt.monomial`.
 `series_checks` is the reference for the closed-form check of the graded
 lengths: it tests every degreewise identity among the graded modules,
 including the three that hold for any two tables. `jgood_chain_colengths`
@@ -491,6 +493,21 @@ def intersection_failures_oracle(filt, reduction, upto):
             out.append((n, filt.backend.element_str(witness)))
         jn = multiply(reduction, jn)
     return out
+
+
+def e3_chain_failure(filt, reduction, nmax):
+    """The first n in 1..nmax-1 with F_(n+1) != J^(n-1)·F_2, and a generator
+    of F_(n+1) outside it as ring text; None when every degree passes. The
+    chain gains one factor J per degree, as `check_e3_vanishing_cm` built it
+    before it read `Filtration.reduces`."""
+    chain = filt.term(2)
+    for n in range(1, nmax):
+        if n > 1:
+            chain = multiply(reduction, chain)
+        if filt.term(n + 1) != chain:
+            witness = next(g for g in filt.term(n + 1).gens if not contains(chain, g))
+            return n, filt.backend.element_str(witness)
+    return None
 
 
 def ideal_sum(a, b):

@@ -205,10 +205,10 @@ def test_reduction_number(poly2):
     m2 = power(b.maximal(), 2)
     j = b.ideal([(2, 0), (0, 2)])
     filt = flt.Filtration(b, "adic", ideal=m2, reduction=j)
-    assert flt.reduction_number(filt, 6) == 1
+    assert filt.reduction_number(6) == 1
     # an ideal is its own reduction with reduction number 0
     self_filt = flt.Filtration(b, "adic", ideal=b.maximal(), reduction=b.maximal())
-    assert flt.reduction_number(self_filt, 4) == 0
+    assert self_filt.reduction_number(4) == 0
 
 
 def test_reduction_number_horizon(poly2):
@@ -217,7 +217,7 @@ def test_reduction_number_horizon(poly2):
     j = b.ideal([(2, 0), (0, 2)])
     filt = flt.Filtration(b, "adic", ideal=m2, reduction=j)
     with pytest.raises(errors.HorizonError):
-        flt.reduction_number(filt, 0)  # J*R != m^2 and nothing above to test
+        filt.reduction_number(0)  # J*R != m^2 and nothing above to test
 
 
 # --- Valabrega-Valla -------------------------------------------------------------
@@ -227,13 +227,13 @@ def test_vv_certified_and_inconclusive(poly2):
     b = poly2
     ideal = b.ideal([(2, 0), (0, 2)])
     normal = flt.Filtration(b, "normal", ideal=ideal, reduction=ideal)
-    rn = flt.reduction_number(normal, 7)
+    rn = normal.reduction_number(7)
     assert rn == 1
-    report = flt.valabrega_valla(normal, 7, 4, rn)
+    report = normal.valabrega_valla(7, 4, rn)
     assert report.certified_cm and not report.inconclusive
     assert report.first_failure is None
     assert report.required_horizon == 5
-    short = flt.valabrega_valla(normal, 4, 4, rn)
+    short = normal.valabrega_valla(4, 4, rn)
     assert not short.certified_cm and short.inconclusive
     assert short.first_failure is None and short.required_horizon == 5
 
@@ -243,7 +243,7 @@ def test_vv_decisive_failure_on_semigroup_base():
     m = b.maximal()
     j = b.ideal([(4,)])
     filt = flt.Filtration(b, "adic", ideal=m, reduction=j)
-    report = flt.valabrega_valla(filt, 6, 3, None)
+    report = filt.valabrega_valla(6, 3, None)
     assert not report.certified_cm and not report.inconclusive
     degree, prefix, witness = report.first_failure
     # t^15 = t^4*t^11 lies in m^3 and in (t^4) but not in t^4*m^2
@@ -283,7 +283,7 @@ def vv_cases(draw, semigroups=((1,), (2, 3), (3, 5), (4, 5, 11)), kinds=("normal
 
 def certified_rn(filt, nmax):
     try:
-        return flt.reduction_number(filt, nmax)
+        return filt.reduction_number(nmax)
     except errors.HorizonError:
         return None
 
@@ -294,7 +294,7 @@ def test_vv_matches_prefix_oracle(case):
     """J alone up to rn decides what every prefix at every degree does."""
     filt, j, nmax, window = case
     rn = certified_rn(filt, nmax)
-    report = flt.valabrega_valla(filt, nmax, window, rn)
+    report = filt.valabrega_valla(nmax, window, rn)
     certified, _, failure, _, required = valabrega_valla_prefixes(filt, j, nmax, window, rn)
     assert (report.certified_cm, report.required_horizon) == (certified, required)
     assert (report.first_failure is None) == (failure is None)
@@ -314,7 +314,7 @@ def test_vv_never_fails_on_polynomial_normal_filtrations(case):
     semigroup ring, hence Cohen-Macaulay, and so is G; a failure is a kernel bug."""
     filt, j, nmax, window = case
     rn = certified_rn(filt, nmax)
-    assert flt.valabrega_valla(filt, nmax, window, rn).first_failure is None
+    assert filt.valabrega_valla(nmax, window, rn).first_failure is None
 
 
 def coefficient_ring_vv(gens, nmax, window):
@@ -325,7 +325,7 @@ def coefficient_ring_vv(gens, nmax, window):
     m = ring.maximal()
     filt = flt.Filtration(ring, "adic", ideal=m, reduction=auto_reduction(m))
     rn = certified_rn(filt, nmax)
-    return flt.valabrega_valla(filt, nmax, window, rn), rn
+    return filt.valabrega_valla(nmax, window, rn), rn
 
 
 def degree_and_witness(report):
@@ -543,6 +543,24 @@ def test_closed_form_matches_series_oracle(a, data):
         witness = f"ge={oracle.ge[n]} gbar={oracle.gbar[n]} sally={oracle.sally[n]} middle={oracle.middle[n]}"
         assert verdict.conclusion == "refuted-with-witness"
         assert [(w.degree, w.element) for w in verdict.witnesses] == [(n, witness)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(reduction_analyses())
+def test_containment_in_reduction_powers_reads_the_meet(a):
+    """F_(n+2) ⊆ J^n, the statement of e3_nonnegative, holds exactly when
+    lambda(R/(J^n ∩ F_(n+2))) is the counted lambda(R/F_(n+2)), and the witness
+    is the first generator of F_(n+2) outside J^n: against closure powers and
+    powers of J built apart. A tenth of the entries, semigroup rings, fail."""
+    closures = flt.Filtration(a.backend, "normal", ideal=a.ideal)
+    counts, jn = a.ideal.closure_counts(a.nmax + 1), closures.term(0)
+    for n in range(a.nmax):
+        term = closures.term(n + 2)
+        outside = [g for g in term.gens if not contains(jn, g)]
+        assert (a.normal_filt.meet(n, n + 2) == counts[n + 2]) == (not outside)
+        if outside:
+            assert a.normal_filt.witness(0, n + 2, n, 0) == a.backend.element_str(outside[0])
+        jn = multiply(a.reduction, jn)
 
 
 def test_intersection_failures_empty(poly2):

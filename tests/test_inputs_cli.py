@@ -475,8 +475,9 @@ def _forbid(monkeypatch, *names):
     def fail(*args, **kwargs):
         raise AssertionError("computed although the command does not read it")
 
-    for name in names:
-        monkeypatch.setattr(filtration, name, fail)
+    for name in names:  # reduction_number and valabrega_valla are Filtration methods
+        owner = filtration.Filtration if hasattr(filtration.Filtration, name) else filtration
+        monkeypatch.setattr(owner, name, fail)
 
 
 def test_cli_table_computes_no_fit_reduction_number_or_vv(monkeypatch, capsys):
@@ -507,11 +508,17 @@ def test_cli_table_computes_only_the_input_multiplicity(monkeypatch, capsys, nam
 @pytest.mark.parametrize("name", ["poly3_cubes", "sg_4_5_11_uv"])
 def test_cli_intersection_and_socle_checks_build_no_product_or_maximal_ideal(monkeypatch, capsys, name):
     # both checkers compare lengths: J^n·closure(I) is built only for the
-    # witness of a failure, and the socle is counted without m or (J^n : m)
-    def fail(*args, **kwargs):
-        raise AssertionError("built although the checker only counts")
+    # witness of a failure, and the socle is counted without m or (J^n : m).
+    # So every product built is J·J^(k-1) or J·F_n of the memo, with J first
+    seen, real = [], filtration.multiply
 
-    monkeypatch.setattr(theorems, "multiply", fail)
+    def j_times(x, y):
+        if x is not seen[0].reduction:
+            raise AssertionError("built although the checker only counts")
+        return real(x, y)
+
+    monkeypatch.setattr(cli, "analyze", lambda entry: seen.append(analysis.analyze(entry)) or seen[-1])
+    monkeypatch.setattr(filtration, "multiply", j_times)
     assert cli.main(["check", corpus_path(name), "--checks", "closure_intersection,socle_formula"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert [(v["check"], v["conclusion"]) for v in verdicts] == [
@@ -519,11 +526,16 @@ def test_cli_intersection_and_socle_checks_build_no_product_or_maximal_ideal(mon
 
 
 def test_cli_almost_minimal_check_builds_no_product(monkeypatch, capsys):
-    # past rn, J·closure(I^j) = closure(I^(j+1)): the e3 summands read the count
-    def fail(*args, **kwargs):
-        raise AssertionError("built although the checker only counts")
+    # past rn, J·closure(I^j) = closure(I^(j+1)): the e3 summands read the count,
+    # so no J·closure(I^j) with j > rn = 2 is built
+    real = filtration.Filtration.product
 
-    monkeypatch.setattr(theorems, "multiply", fail)
+    def upto_rn(filt, n):
+        if n > 2:
+            raise AssertionError("built although the checker only counts")
+        return real(filt, n)
+
+    monkeypatch.setattr(filtration.Filtration, "product", upto_rn)
     path = corpus_path("poly3_cubes")
     assert cli.main(["check", path, "--nmax", "12", "--checks", "almost_minimal_rn2"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
@@ -532,15 +544,61 @@ def test_cli_almost_minimal_check_builds_no_product(monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", ["poly3_maximal", "sg_4_5_11_uv"])
 def test_cli_low_type_check_builds_no_product(monkeypatch, capsys, name):
-    # lambda(m^2/Jm) = e0 + d - 1 - mu(m): neither J·m nor m·m is built or counted
+    # lambda(m^2/Jm) = e0 + d - 1 - mu(m): theorems names no kernel function
+    # (test_layering), and neither lambda(R/Jm) nor lambda(R/m^2) is counted
     def fail(*args, **kwargs):
-        raise AssertionError("built although the checker reads e0 and mu(m)")
+        raise AssertionError("counted although the checker reads e0 and mu(m)")
 
-    monkeypatch.setattr(theorems, "multiply", fail)
-    monkeypatch.setattr(theorems, "colength", fail)
+    for module in (monomial, filtration, analysis):
+        monkeypatch.setattr(module, "colength", fail)
     assert cli.main(["check", corpus_path(name), "--checks", "low_type_cm"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert [(v["check"], v["conclusion"]) for v in verdicts] == [("low_type_cm", "verified")]
+
+
+def _count_products(monkeypatch) -> list:
+    """Record each call of monomial.multiply, under every name a module of the
+    package binds it to."""
+    calls, real = [], monomial.multiply
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("normfilt."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, count)
+    return calls
+
+
+# products built per command; 74, 48, 16 and 14 when e3_vanishing_cm built its
+# own chain J^(n-1)·closure(I^2) and J^k lived in a second filtration
+PRODUCTS = [
+    ("sg_4_5_11_uv", ["--nmax", "12"], 61),
+    ("poly3_maximal", [], 41),
+    ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 9),
+    ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 2),
+]
+
+
+@pytest.mark.parametrize("name, args, count", PRODUCTS)
+def test_cli_check_builds_the_pinned_products(monkeypatch, capsys, name, args, count):
+    calls = _count_products(monkeypatch)
+    assert cli.main(["check", corpus_path(name), *args]) == 0
+    capsys.readouterr()
+    assert len(calls) == count
+
+
+@pytest.mark.parametrize("name", ["sg_4_5_11_uv", "poly3_maximal"])
+def test_e3_vanishing_check_builds_no_product_beyond_rn_and_vv(monkeypatch, name):
+    # its chain is the F_(n+1) = J·F_n comparison of rn, on the same memo
+    a = analysis.analyze(inputs.build_entry(inputs.parse_input(Path(corpus_path(name)).read_text())))
+    assert a.vv.certified_cm
+    calls = _count_products(monkeypatch)
+    assert theorems.CHECKS["e3_vanishing_cm"][0](a).conclusion == "verified"
+    assert calls == []
 
 
 @pytest.mark.parametrize("reduction, message", [

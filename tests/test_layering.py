@@ -48,6 +48,20 @@ def test_filtration_loads_no_analysis():
     assert _loaded("import normfilt.filtration", {"normfilt.analysis"}) == "[]"
 
 
+def test_theorems_reads_J_only_through_the_filtration():
+    # the checkers read lengths and witnesses from filtration.Filtration and
+    # never hold or combine an ideal themselves
+    path = Path(normfilt.__file__).parent / "theorems.py"
+    tree = ast.parse(path.read_text())
+    assert set(module_level_imports(tree)) == {"errors", "analysis", "filtration"}
+    kernel = {"multiply", "intersect", "colength", "ideal_contains", "socle_length",
+              "witness_element"}
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    named |= {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+    assert named & kernel == set()
+
+
 def unreferenced_functions(package: Path, module: str) -> list[str]:
     """Public module-level functions of module that no code of the package
     names outside their own definition: as a name, an attribute or an

@@ -13,8 +13,9 @@ from normfilt.analysis import Analysis
 from normfilt.inputs import PolynomialBackend, SemigroupBackend
 from normfilt.monomial import colength, multiply
 from normfilt import analysis, inputs, monomial, reports
-from normfilt.theorems import CONCLUSIONS, abstained, asserted, horizon, refuted, verified
-from oracles import e3_product_colengths, lam_m2_Jm_product, quotient_length
+from normfilt.theorems import (CONCLUSIONS, Witness, abstained, asserted, check_e3_vanishing_cm,
+                               horizon, refuted, verified)
+from oracles import e3_chain_failure, e3_product_colengths, lam_m2_Jm_product, quotient_length
 from test_filtration import chain_values, exact_decomposition, reduction_analyses
 
 ALL_CHECKS = (
@@ -235,7 +236,7 @@ def test_low_type_cm_tests_the_powers_of_m(tmp_path, gens, ideal):
     a = analyze(inputs.build_entry(inputs.parse_input(text)))
     assert a.ideal != a.backend.maximal() and a.closure_is_maximal
     powers = filtration.Filtration(a.backend, "adic", ideal=a.ideal, reduction=a.reduction)
-    assert filtration.valabrega_valla(powers, a.nmax, a.window, None).first_failure
+    assert powers.valabrega_valla(a.nmax, a.window, None).first_failure
     verdicts = {v.check: v for v in run_checks(a)}
     assert verdicts["low_type_cm"].conclusion == "verified"
     assert verdicts["low_type_cm"].numbers["lambda_m2_Jm"] == lam_m2_Jm_product(a)
@@ -423,12 +424,22 @@ def test_verdict_validation(analyses):
     assert len({id(v.numbers) for v in verdicts}) == len(verdicts)
 
 
-@pytest.mark.parametrize("field", ["rn", "vv", "maximal_vv", "reduction_powers"])
+@pytest.mark.parametrize("field", ["rn", "vv", "maximal_vv"])
 def test_fields_built_from_J_name_the_missing_reduction(field):
     a = load("poly2_x2_xy_y3")  # no monomial reduction
     assert a.reduction is None
     with pytest.raises(errors.PreconditionError, match=f"^{field} needs a certified reduction J"):
         getattr(a, field)
+
+
+def test_filtration_reads_of_J_name_the_missing_reduction():
+    # J^k and J·F_n live in the filtration: without J each read of them says so
+    f = load("poly2_x2_xy_y3").normal_filt
+    for read in (lambda: f.power(2), lambda: f.product(1), lambda: f.reduces(0),
+                 lambda: f.meet(1, 2), lambda: f.socle(1), lambda: f.witness(0, 2, 1, 1),
+                 lambda: f.reduction_number(4), lambda: f.valabrega_valla(4, 3, None)):
+        with pytest.raises(errors.PreconditionError, match="need a reduction J; the filtration has none"):
+            read()
 
 
 def test_readme_library_example_runs(capsys):
@@ -463,3 +474,21 @@ def test_sally_coefficients_follow_from_the_fits(a, data):
     assert [verdict.numbers[f"s{i}_bar"] for i in range(a.dim)] == list(s)
     depth = CHECKS["e1_almost_minimal_depth"][0](a)
     assert depth.numbers["s0_bar"] == a.e_bar(1) - (a.e0 - a.lam_R_I1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reduction_analyses(top=10, bottom=3))
+def test_e3_vanishing_cm_fails_where_its_former_chain_does(a):
+    """The checker reads F_(n+1) = J·F_n where it built J^(n-1)·closure(I^2):
+    run without its gates, it refutes at the chain's first failing degree,
+    with the chain's witness, on closure powers built apart. About a fifth
+    of the entries are semigroup rings with rn > 2, where the chain fails."""
+    closures = filtration.Filtration(a.backend, "normal", ideal=a.ideal)
+    failure = e3_chain_failure(closures, a.reduction, a.nmax)
+    verdict = check_e3_vanishing_cm.__wrapped__(a, {})  # the body, without the gates
+    chain_refuted = verdict.is_refutation and verdict.detail.startswith("closure(I^")
+    assert chain_refuted == (failure is not None)
+    if failure is not None:
+        n, element = failure
+        assert verdict.detail.endswith(f"at degree {n}")
+        assert verdict.witnesses == (Witness(n + 1, element),)
