@@ -26,15 +26,17 @@ def default_window(dim: int) -> int:
 
 
 def default_nmax(dim: int) -> int:
-    """Least default horizon whose table holds a fit of dim+1 entries plus its window."""
+    """Default horizon: its nmax + 1 entries hold a fit's dim entries plus its
+    window with at least one to spare, the need of a fit that had to find ē0
+    too; lowering it would move every default output."""
     return max(dim + 5, dim + default_window(dim))
 
 
-def _attempt(compute, errors=HorizonError):
-    """(compute(), None), or (None, the error) when compute raises one of errors."""
+def _attempt(compute):
+    """(compute(), None), or (None, the error) when compute raises HorizonError."""
     try:
         return compute(), None
-    except errors as exc:
+    except HorizonError as exc:
         return None, exc
 
 
@@ -79,14 +81,16 @@ class Analysis:
     filtration and table is built on first read.
     The window `default_window(dim)` is passed to every fit and VV report.
     The table columns (normal_values, adic_values, jgood_values,
-    sally_values) and the numbers they read need no filtration. The fits
-    (normal_fit, adic_fit, sally_fit and their *_error fields), rn,
-    rn_error, vv, maximal_vv and normal_filt import `filtration` on first
-    read, and so do e_bar, g_s and base_numbers, which read the fits and rn.
-    The J-good and Sally columns, the Sally fit and lam_I1_J read e0 for
-    lambda(R/J), not J. Only `Filtration` uses J as an ideal: normal_filt
-    keeps J^k and J·F_n, its S = N terms are those products when J exists,
-    and rn and vv are its methods. The fields that need J (rn, rn_error, vv
+    sally_values) and the numbers they read need no filtration. The normal
+    and adic fits take e0 as their leading coefficient (ē0 = e0 by Rees),
+    and sally_fit is read off the normal fit. The fits (normal_fit,
+    adic_fit, sally_fit and their *_error fields), rn, rn_error, vv,
+    maximal_vv and normal_filt import `filtration` on first read, and so do
+    e_bar, g_s and base_numbers, which read the fits and rn. The J-good and
+    Sally columns, the Sally fit and lam_I1_J read e0 for lambda(R/J), not
+    J. Only `Filtration` uses J as an ideal: normal_filt keeps J^k and
+    J·F_n, its S = N terms are those products when J exists, and rn and vv
+    are its methods. The fields that need J (rn, rn_error, vv
     and maximal_vv) raise PreconditionError when `reduction` is None.
     maximal_vv may be read only when closure(I) = m. A fit or reduction
     number that fails reads None, and its *_error field holds the exception.
@@ -158,19 +162,15 @@ class Analysis:
         = I^n·I: only the current power is kept."""
         return tuple(map(colength, accumulate(repeat(self.ideal, self.nmax + 1), multiply)))
 
-    @cached_property
-    def _normal_fit(self):
+    def _fit(self, values):
         from .filtration import fit_coefficients
-        return _attempt(lambda: fit_coefficients(self.normal_values, self.dim, self.window))
+        return _attempt(lambda: fit_coefficients(values, self.e0, self.dim, self.window))
 
+    _normal_fit = cached_property(lambda self: self._fit(self.normal_values))
     normal_fit = property(lambda self: self._normal_fit[0])
     normal_fit_error = property(lambda self: self._normal_fit[1])
 
-    @cached_property
-    def _adic_fit(self):
-        from .filtration import fit_coefficients
-        return _attempt(lambda: fit_coefficients(self.adic_values, self.dim, self.window))
-
+    _adic_fit = cached_property(lambda self: self._fit(self.adic_values))
     adic_fit = property(lambda self: self._adic_fit[0])
     adic_fit_error = property(lambda self: self._adic_fit[1])
 
@@ -195,10 +195,17 @@ class Analysis:
 
     @cached_property
     def _sally_fit(self):
-        from .filtration import sally_from_tables
-        # a tampered table can give negative Sally lengths: PreconditionError
-        return _attempt(lambda: sally_from_tables(self.sally_values, self.dim, self.window),
-                        (HorizonError, PreconditionError))
+        """(s0 = ē1 - lambda(closure(I)/J), s_i = ē_(i+1)) with the normal fit's
+        stable_from: Sally[n] + lambda(closure(I)/J)·C(n+d-1, d-1) is the
+        residual e0·C(n+d, d) - normal[n] that the normal fit fits, and the
+        added term is a polynomial for every n >= 0. A tampered table can
+        give negative Sally lengths (entry 0 is 0 on any other): PreconditionError."""
+        if min(self.sally_values) < 0:
+            return None, PreconditionError("Sally lengths must be nonnegative and start at 0")
+        fit = self.normal_fit
+        if fit is None:
+            return None, self.normal_fit_error
+        return fit._replace(e=(fit.e[1] - self.lam_I1_J, *fit.e[2:])), None
 
     sally_fit = property(lambda self: self._sally_fit[0])
     sally_fit_error = property(lambda self: self._sally_fit[1])

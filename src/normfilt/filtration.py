@@ -2,11 +2,12 @@
 
 Covers: memoized filtration terms beside the powers J^k of a reduction and
 the products J·F_n, binomial-basis coefficient fits of length tables with a
-verification window, the Sally-module fit, reduction numbers (proved at most
+known multiplicity and a verification window, reduction numbers (proved at most
 d-1 for the normal filtration when S = N, elsewhere over a whole window) and
 the Valabrega-Valla test on J up to the reduction number. The module imports
 only `errors` and `monomial`: the caller passes the verification window and
-the tables, and `analysis.Analysis` computes the J-good and Sally columns.
+the tables, and `analysis.Analysis` computes the J-good and Sally columns
+and reads the Sally coefficients off the normal fit.
 
 All binomials follow one convention: series_coeff(n, p) is the coefficient of
 z^n in (1-z)^(-p). The usual C(n+j, j) is series_coeff(n, j+1); for p = 0 the
@@ -234,23 +235,13 @@ def fit_polynomial(values, dim: int, window: int) -> Fit:
     return Fit(coeffs, stable_from)
 
 
-def fit_coefficients(values, dim: int, window: int) -> Fit:
-    """Hilbert coefficients of a colength table in dimension dim, verified
-    over `window` entries; the leading coefficient must be positive."""
-    fit = fit_polynomial(values, dim, window)
-    if fit.e[0] <= 0:
-        raise HorizonError("fitted leading coefficient is not positive (horizon too small)")
-    return fit
+def fit_coefficients(values, e0: int, dim: int, window: int) -> Fit:
+    """Hilbert coefficients (e0, e1..e_dim) of a colength table in dimension
+    dim whose leading coefficient e0 is known, verified over `window` entries.
 
-
-def sally_from_tables(values, dim: int, window: int) -> Fit:
-    """Exact fit of the Sally lengths values[n] = λ(closure(I^{n+1}) / J^n closure(I)).
-
-    Entry n is the J-good colength table minus the normal one, so entry 0
-    vanishes. The fit lives in dimension dim-1, one binomial degree below
-    the ring tables, but verifies `window` entries, the ring's; its leading
-    coefficient s0 may be 0.
+    e0·C(n+dim, dim) - values[n] = sum_(i>=1) (-1)^(i-1) e_i C(n+dim-i, dim-i)
+    is fitted in dimension dim-1, so the fit reads dim entries plus the window.
     """
-    if any(v < 0 for v in values) or values[0] != 0:
-        raise PreconditionError("Sally lengths must be nonnegative and start at 0")
-    return fit_polynomial(values, dim - 1, window)
+    residual = [e0 * series_coeff(n, dim + 1) - v for n, v in enumerate(values)]
+    fit = fit_polynomial(residual, dim - 1, window)
+    return Fit((e0, *fit.e), fit.stable_from)

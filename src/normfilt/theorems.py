@@ -192,36 +192,21 @@ def _cm_conclusion(a, detail_ok) -> Verdict:
 
 @checker()
 def check_table_coherence(a: Analysis, nums) -> Verdict:
-    """Tables increase strictly, closure refines powers, and fits agree on e0."""
-    for n in range(1, a.nmax + 1):
-        if a.normal_values[n] <= a.normal_values[n - 1]:
+    """The printed normal table is the counted one, and both fits, whose leading
+    coefficient is e0, are available."""
+    # the printed column can differ from the counted one only by a tamper; that
+    # the counted and adic columns increase strictly, and that the counted one
+    # lies below the adic one, hold for any computed ideal: the tests assert them
+    counted = a.ideal.closure_counts(a.nmax + 1)
+    for n, printed in enumerate(a.normal_values):
+        if printed != counted[n + 1]:
             return refuted(
-                f"closure-power colengths fail to increase strictly at degree {n}",
-                [Witness(n, f"colengths {a.normal_values[n - 1]} -> {a.normal_values[n]}")],
+                f"printed closure-power colength differs from the counted one at degree {n}",
+                [Witness(n, f"printed {printed}, counted {counted[n + 1]}")],
             )
-        if a.adic_values[n] <= a.adic_values[n - 1]:
-            return refuted(
-                f"ordinary-power colengths fail to increase strictly at degree {n}",
-                [Witness(n, f"colengths {a.adic_values[n - 1]} -> {a.adic_values[n]}")],
-            )
-    for n in range(a.nmax + 1):
-        if a.normal_values[n] > a.adic_values[n]:
-            return refuted(
-                f"closure-power colength exceeds ordinary-power colength at degree {n}",
-                [Witness(n, f"{a.normal_values[n]} > {a.adic_values[n]}")],
-            )
-    fit_notes = []
-    for label, fit, err in (
-        ("normal", a.normal_fit, a.normal_fit_error),
-        ("adic", a.adic_fit, a.adic_fit_error),
-    ):
-        if fit is None:
-            fit_notes.append(f"{label} fit unavailable: {err}")
-        elif fit.e[0] != a.e0:
-            return refuted(
-                f"leading {label} coefficient {fit.e[0]} differs from the geometric "
-                f"multiplicity {a.e0}",
-            )
+    fit_notes = [f"{label} fit unavailable: {err}"
+                 for label, err in (("normal", a.normal_fit_error), ("adic", a.adic_fit_error))
+                 if err is not None]
     if fit_notes:
         return horizon("; ".join(fit_notes))
     return verified(
@@ -276,7 +261,7 @@ def check_e1_equality_equivalence(a: Analysis, nums) -> Verdict:
 @checker(need_reduction=True, need_normal_fit=True, need_sally_fit=True)
 def check_e1_almost_minimal_depth(a: Analysis, nums) -> Verdict:
     """e1_bar <= e0 - lambda(R/closure(I)) + 1 forces depth >= d-1 for the graded ring."""
-    # s0_bar = slack for any table once both fits pass (see sally_coefficient_transfer)
+    # s0_bar = slack by construction (see sally_coefficient_transfer)
     nums["s0_bar"] = a.sally_fit.e[0]
     slack = a.e_bar(1) - a.lam_I1_J
     if slack > 1:
@@ -334,8 +319,8 @@ def check_e3_nonnegative(a: Analysis, nums) -> Verdict:
 @checker(need_reduction=True, need_normal_fit=True, need_sally_fit=True)
 def check_sally_coefficient_transfer(a: Analysis, nums) -> Verdict:
     """Sally coefficients: s0 = e1_bar - e0 + lambda, s_i = e_{i+1}_bar for i >= 1."""
-    # the J-good table is a closed form with lambda(R/J) = e0, so once both fits
-    # pass the identities hold for any table, tampered or not: the tests assert them
+    # the Sally fit is read off the normal fit, so the identities hold by
+    # construction; the tests compare it with a fit of the Sally column
     nums.update({f"s{i}_bar": c for i, c in enumerate(a.sally_fit.e)})
     return verified("Sally coefficients match the shifted normal coefficients")
 

@@ -8,8 +8,8 @@ and runs every line in a fresh interpreter without a bytecode cache, once
 against BASE_REV's `src/` and once against the working tree's. The lines run
 `table`, `coeffs`, `sally` and `check` in json, csv and md, `table` and
 `sally` at `--nmax 12` (counted normal columns to k = 13), `coeffs` and
-`sally` at `--nmax 3` (too few entries for any fit, so the fits' horizon
-error, whose entry count the window decides), `check` at `--nmax 3` and
+`sally` at `--nmax 3` (too few entries for a fit past dimension 1, so the
+fits' horizon error, whose entry count the window decides), `check` at `--nmax 3` and
 `--nmax 12`, `check --tamper-normal 0..4` at the default
 horizon and at `--nmax 12`, on the bundled corpus, its negative entries, the
 benchmark inputs, one fixed entry (I = (t^3, t^4, U, V) of

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to validate the package's exact code.
 
-Nothing here imports the geometry or filtration modules under test: dilation
+The geometry oracles import nothing under test: dilation
 membership is decided by an exhaustive exact convex-combination search
 (Caratheodory supports plus coordinate rays, solved over Fractions), the
 facets of a Newton polyhedron by a scan of every d-subset of generators, the
@@ -29,6 +29,11 @@ the colengths of J·closure(I^j) built as products, which
 `check_almost_minimal_rn2` reads from the counted column. The kernel's
 former `ideal_sum`, `quotient_length` and `filtration.length_table`, which
 the package no longer calls, live here as reference helpers.
+`free_fit_coefficients` and `sally_from_tables` are the fits that
+`analysis.Analysis` ran before it used ē0 = e0: a degree-d fit of a column
+with ē0 left free, and a second fit of the Sally column. Both are built on
+`filtration.fit_polynomial`, which test_filtration checks against Gaussian
+elimination.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, gcd, prod
 
-from normfilt.errors import PreconditionError
+from normfilt.errors import HorizonError, PreconditionError
+from normfilt.filtration import fit_polynomial
 from normfilt.monomial import Ideal, _finite_count, _joint, colength, contains, intersect, multiply
 
 
@@ -541,3 +547,21 @@ def lam_m2_Jm_product(a) -> int:
     from the built products J·m ⊆ m² of the ring's maximal ideal m."""
     m = a.backend.maximal()
     return colength(multiply(a.reduction, m)) - colength(multiply(m, m))
+
+
+def free_fit_coefficients(values, dim: int, window: int):
+    """Fit of a colength table in dimension dim with its leading coefficient
+    free: the trailing dim + 1 entries plus the window; that coefficient must
+    be positive."""
+    fit = fit_polynomial(values, dim, window)
+    if fit.e[0] <= 0:
+        raise HorizonError("fitted leading coefficient is not positive (horizon too small)")
+    return fit
+
+
+def sally_from_tables(values, dim: int, window: int):
+    """Fit of the Sally lengths values[n] = λ(closure(I^{n+1}) / J^n closure(I))
+    on their own, in dimension dim-1 with the ring's window; s0 may be 0."""
+    if any(v < 0 for v in values) or values[0] != 0:
+        raise PreconditionError("Sally lengths must be nonnegative and start at 0")
+    return fit_polynomial(values, dim - 1, window)

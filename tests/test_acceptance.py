@@ -278,8 +278,9 @@ def test_criterion_5_negative_paths(capsys):
         assert code == 1
         refuted = [v for v in payload["verdicts"] if v["conclusion"] == "refuted-with-witness"]
         assert refuted
+        assert refuted[0]["check"] == "table_coherence"
         witness = refuted[0]["witnesses"][0]
-        assert witness["degree"] == 2 and witness["element"] == "8 > 7"
+        assert witness["degree"] == 2 and witness["element"] == "printed 8, counted 7"
         members = semigroup_members_oracle((4, 5, 11), 12)
         true_colength = sum(1 for s in range(12) if members[s])
         assert true_colength == 7  # the tampered table claimed 8

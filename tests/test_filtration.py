@@ -12,9 +12,9 @@ from normfilt import filtration as flt
 from normfilt.analysis import Analysis, auto_reduction, default_nmax, default_window
 from normfilt.inputs import EntryData, PolynomialBackend, SemigroupBackend
 from normfilt.monomial import closure_power, colength, contains, intersect, multiply, unit_ideal
-from oracles import (_solve_consistent, intersection_failures_oracle, jgood_chain_colengths,
-                     length_table, reduction_number_scan, series_checks,
-                     valabrega_valla_prefixes)
+from oracles import (_solve_consistent, free_fit_coefficients, intersection_failures_oracle,
+                     jgood_chain_colengths, length_table, reduction_number_scan,
+                     sally_from_tables, series_checks, valabrega_valla_prefixes)
 
 
 # --- series_coeff ------------------------------------------------------------
@@ -34,7 +34,8 @@ def test_series_coeff_cumulative(n, p):
 
 
 def test_default_nmax_leaves_room_for_a_fit():
-    # a fit needs dim+1 entries plus the window; dimension 4 needs 10, not 9
+    # a fit needs dim entries plus the window; the default keeps at least one
+    # entry more, so dimension 4 gets 10
     nmax = [default_nmax(d) for d in (1, 2, 3, 4)]
     assert nmax == [6, 7, 8, 10]
     assert all(n + 1 >= d + 1 + default_window(d) for d, n in zip((1, 2, 3, 4), nmax))
@@ -52,7 +53,7 @@ def planted(coeffs, dim, count):
 
 def test_fit_recovers_planted_polynomial():
     values = planted((7, 3, 1), 2, 8)
-    fit = flt.fit_coefficients(values, 2, default_window(2))
+    fit = flt.fit_coefficients(values, 7, 2, default_window(2))
     assert fit.e == (7, 3, 1)
     assert fit.stable_from == 0
 
@@ -60,27 +61,25 @@ def test_fit_recovers_planted_polynomial():
 def test_fit_reports_transient_prefix():
     values = planted((7, 3, 1), 2, 9)
     values[0] += 1
-    fit = flt.fit_coefficients(values, 2, default_window(2))
+    fit = flt.fit_coefficients(values, 7, 2, default_window(2))
     assert fit.e == (7, 3, 1)
     assert fit.stable_from == 1
 
 
 def test_fit_horizon_short_table():
-    values = planted((7, 3, 1), 2, 6)  # needs dim+1 + window = 3 + 4 entries
-    with pytest.raises(errors.HorizonError):
-        flt.fit_coefficients(values, 2, default_window(2))
+    # needs dim + window = 2 + 4 entries: e0 is known, so one fewer than a free fit
+    with pytest.raises(errors.HorizonError, match="need at least 6 table entries"):
+        flt.fit_coefficients(planted((7, 3, 1), 2, 5), 7, 2, default_window(2))
+    assert flt.fit_coefficients(planted((7, 3, 1), 2, 6), 7, 2, default_window(2)).e == (7, 3, 1)
+    with pytest.raises(errors.HorizonError, match="need at least 7 table entries"):
+        free_fit_coefficients(planted((7, 3, 1), 2, 6), 2, default_window(2))
 
 
 def test_fit_horizon_corrupted_tail():
     values = planted((7, 3, 1), 2, 9)
     values[-1] += 1
     with pytest.raises(errors.HorizonError):
-        flt.fit_coefficients(values, 2, default_window(2))
-
-
-def test_fit_horizon_nonpositive_leading():
-    with pytest.raises(errors.HorizonError):
-        flt.fit_coefficients([5] * 8, 1, default_window(1))
+        flt.fit_coefficients(values, 7, 2, default_window(2))
 
 
 def test_fit_window_validation():
@@ -93,7 +92,7 @@ def test_fit_rejects_non_integer_entries():
         values = planted((7, 3, 1), 2, 8)
         values[index] = Fraction(1, 2)
         with pytest.raises(errors.PreconditionError, match="integers"):
-            flt.fit_coefficients(values, 2, default_window(2))
+            flt.fit_coefficients(values, 7, 2, default_window(2))
 
 
 def reference_fit(values, dim, window):
@@ -437,24 +436,94 @@ def test_adic_column_and_mu_maximal_match_built_ideals(case):
     assert a.mu_maximal == len(a.backend.maximal().gens)
 
 
+# --- one fit with e0 known --------------------------------------------------------
+
+
+@st.composite
+def fit_analyses(draw):
+    """An analysis of `ring_analyses` (both ring classes, d = 1..4) at a
+    horizon of 1 to two past the default, half the time at least the default,
+    its normal column tampered at one index two thirds of the time, half of
+    those at an index up to 2, below most fitted entries."""
+    a, _ = draw(ring_analyses())
+    top = default_nmax(a.dim) + 2
+    nmax = draw(st.integers(1, top) | st.integers(top - 2, top))
+    tamper = draw(st.none() | st.integers(0, nmax) | st.integers(0, min(2, nmax)))
+    return Analysis(a.entry._replace(nmax=nmax, tamper_normal=tamper))
+
+
+def attempt(fit, *args):
+    """fit(*args), or the type and text of its horizon or precondition error."""
+    try:
+        return fit(*args)
+    except (errors.HorizonError, errors.PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fit_analyses())
+def test_fit_with_known_e0_matches_the_free_fit(a):
+    """Wherever the fit with e0 left free passes, on the normal or the adic
+    column, the fit with e0 given returns the same Fit; the Sally fit read off
+    the normal fit is the one fitted on the Sally column, or the same error."""
+    for values, fit in ((a.normal_values, a.normal_fit), (a.adic_values, a.adic_fit)):
+        free = attempt(free_fit_coefficients, values, a.dim, a.window)
+        if isinstance(free, flt.Fit):
+            assert fit == free
+    if a.reduction is not None:
+        sally = a.sally_fit or (type(a.sally_fit_error), str(a.sally_fit_error))
+        assert sally == attempt(sally_from_tables, a.sally_values, a.dim, a.window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fit_analyses())
+def test_counted_and_adic_columns_are_coherent(a):
+    """What `table_coherence` no longer compares at run time, as it holds for
+    any computed ideal: the counted and adic columns (each equal to its oracle
+    column, see above) increase strictly, the counted one lies below the adic
+    one, and a fit with e0 left free finds e0 wherever it passes."""
+    counted = tuple(a.ideal.closure_counts(a.nmax + 1)[1:])
+    for column in (counted, a.adic_values):
+        assert all(x < y for x, y in zip(column, column[1:]))
+        free = attempt(free_fit_coefficients, column, a.dim, a.window)
+        assert not isinstance(free, flt.Fit) or free.e[0] == a.e0
+    assert all(c <= p for c, p in zip(counted, a.adic_values))
+
+
 # --- Sally tables and series identities --------------------------------------------
 
 NORMAL_1D = (1, 3, 7, 11, 15, 19, 23)
 JGOOD_1D = (1, 5, 9, 13, 17, 21, 25)
 
 
+def sg_4_5_11(**kwargs):
+    """The maximal ideal of k[[t^4,t^5,t^11]]: NORMAL_1D is its normal column
+    and JGOOD_1D its J-good one, with e0 = 4 and lambda(closure(I)/J) = 3."""
+    ring = SemigroupBackend((4, 5, 11), 0)
+    return Analysis(EntryData("sg_4_5_11", ring, ring.maximal(), **kwargs))
+
+
 def test_sally_from_tables():
-    # the Sally column of NORMAL_1D and JGOOD_1D, their difference
-    fit = flt.sally_from_tables((0, 2, 2, 2, 2, 2, 2), 1, default_window(1))
-    assert fit.e == (2,)
-    assert fit.stable_from == 1
+    # the Sally column (0, 2, 2, ...) of NORMAL_1D and JGOOD_1D, their difference:
+    # s0 = e1_bar - lambda(closure(I)/J) = 5 - 3, from the same degree on
+    a = sg_4_5_11()
+    assert (a.normal_values, a.jgood_values) == (NORMAL_1D, JGOOD_1D)
+    assert a.normal_fit == ((4, 5), 1)
+    assert a.sally_fit.e == (2,)
+    assert a.sally_fit.stable_from == 1
+    assert a.sally_fit == sally_from_tables(a.sally_values, 1, default_window(1))
 
 
 def test_sally_rejects_negative_lengths():
-    with pytest.raises(errors.PreconditionError):
-        flt.sally_from_tables((0, -2), 1, default_window(1))
-    with pytest.raises(errors.PreconditionError):
-        flt.sally_from_tables((1, 2), 1, default_window(1))
+    # the tamper raises the normal entry 0, so the Sally length 0 drops to -1:
+    # the normal fit passes from degree 1 on, and the Sally fit is refused
+    a = sg_4_5_11(tamper_normal=0)
+    assert a.sally_values[0] == -1 and a.normal_fit == ((4, 5), 1)
+    assert a.sally_fit is None
+    assert isinstance(a.sally_fit_error, errors.PreconditionError)
+    for values in ((0, -2), (1, 2)):
+        with pytest.raises(errors.PreconditionError):
+            sally_from_tables(values, 1, default_window(1))
 
 
 def test_series_checks_pass():

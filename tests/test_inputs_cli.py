@@ -742,6 +742,44 @@ def test_cli_tamper_with_vanishing_sally_module_refutes(tmp_path, capsys, dim4, 
     assert conclusions["length_bound_decomposition"] == "refuted-with-witness"
 
 
+CORPUS_NAMES = ("poly2_x2_xy_y3", "poly2_x2_y2", "poly3_cubes", "poly3_cubes_diag",
+                "poly3_maximal", "poly3_maximal_square", "sg_4_5_11", "sg_4_5_11_uv")
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_cli_every_tamper_index_is_refuted(capsys, name):
+    # table_coherence compares the printed normal column with the counted one,
+    # which no tamper reaches, also where the tamper breaks every fit
+    assert cli.main(["table", corpus_path(name)]) == 0
+    nmax = json.loads(capsys.readouterr().out)["nmax"]
+    for index in range(nmax + 1):
+        assert cli.main(["check", corpus_path(name), "--tamper-normal", str(index)]) == 1
+        [coherence] = [v for v in json.loads(capsys.readouterr().out)["verdicts"]
+                       if v["check"] == "table_coherence"]
+        assert coherence["conclusion"] == "refuted-with-witness"
+        assert coherence["witnesses"][0]["degree"] == index
+
+
+@pytest.mark.parametrize("path, nmax, normal", [
+    (corpus_path("poly2_x2_xy_y3"), 5, {"e": [5, 1, 0], "g_s": 0, "stable_from": 0}),
+    (str(BENCH_INPUTS / "sg_31_37_41.nfilt"), 12, {"e": [31, 162], "g_s": 132, "stable_from": 9}),
+], ids=["poly2_x2_xy_y3", "sg_31_37_41"])
+def test_cli_coeffs_fits_with_one_entry_fewer(capsys, path, nmax, normal):
+    # e0 is known, so a fit reads d entries plus the window, all this horizon holds
+    assert cli.main(["coeffs", path, "--nmax", str(nmax)]) == 0
+    assert json.loads(capsys.readouterr().out)["normal"] == normal
+    assert cli.main(["coeffs", path, "--nmax", str(nmax - 1)]) == 4
+
+
+def test_cli_table_coherence_fits_the_adic_column_of_s3(tmp_path, capsys):
+    # (x^6, y^6, z^6, w^6, x*y*z*w^3): its adic fit needs d + window = 10 of the 11 entries
+    f = tmp_path / "s3.nfilt"
+    f.write_text("ring polynomial vars=x,y,z,w\nideal x^6 y^6 z^6 w^6 x*y*z*w^3\n")
+    assert cli.main(["check", str(f), "--checks", "table_coherence"]) == 0
+    [verdict] = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdict["conclusion"] == "verified"
+
+
 def test_cli_horizon_misses_are_not_abstentions(tmp_path, capsys):
     f = tmp_path / "maximal4.nfilt"
     f.write_text("ring polynomial dim=4\nideal maximal\n")

@@ -320,11 +320,13 @@ def test_tampered_entry_is_refuted():
     by_conclusion = {}
     for v in verdicts:
         by_conclusion.setdefault(v.conclusion, []).append(v.check)
-    assert by_conclusion["refuted-with-witness"] == ["length_bound_decomposition"]
-    # the corrupted degree falls inside the fit window, so fits become horizons
-    assert "table_coherence" in by_conclusion["inconclusive-horizon"]
-    refuted = [v for v in verdicts if v.is_refutation][0]
-    w = refuted.witnesses[0]
+    assert by_conclusion["refuted-with-witness"] == ["table_coherence", "length_bound_decomposition"]
+    # the corrupted degree falls inside the fit window, so the fits become
+    # horizons, while table_coherence names the degree against the counted column
+    assert "e1_lower_bound" in by_conclusion["inconclusive-horizon"]
+    coherence, bound = [v for v in verdicts if v.is_refutation]
+    assert coherence.witnesses[0] == Witness(2, "printed 166, counted 165")
+    w = bound.witnesses[0]
     assert w.degree == 2 and w.element == "166 > 165"
     # the reported bound is independently re-checkable: closure((x,y,z)^{3*3}) has
     # colength C(11,3) = 165, and the tampered table claims 166
@@ -456,10 +458,10 @@ def test_readme_library_example_runs(capsys):
 def test_sally_coefficients_follow_from_the_fits(a, data):
     """Once the normal and the Sally fit both pass, s0 = e1_bar - e0 +
     lambda(R/closure(I)) and s_i = e_(i+1)_bar, for a tampered table too: the
-    J-good table is a closed form with lambda(R/J) = e0. So
-    sally_coefficient_transfer and e1_almost_minimal_depth need not compare
-    them. Half the horizons are 8, and a third of the tamper indices lie
-    below the 2d + 3 entries that the normal fit reads, where it can pass."""
+    Sally fit is read off the normal fit. So sally_coefficient_transfer and
+    e1_almost_minimal_depth need not compare them. Half the horizons are 8,
+    and a third of the tamper indices lie below the 2d + 2 entries that the
+    normal fit reads, where it can pass."""
     nmax = data.draw(st.sampled_from([a.nmax, 8]), label="nmax")
     below_fit = st.integers(1, max(1, nmax - 2 * a.dim - 3))
     index = data.draw(st.none() | st.integers(0, nmax) | below_fit, label="tamper index")
