@@ -57,9 +57,9 @@ class Filtration:
     Every other normal term is a closure power, and product_from is None
     where no such degree is known. Terms are built on the box of the ideal.
 
-    The chain J^(n-1)·F_2 of `e3_vanishing_cm` is read through `reduces`:
-    while F_(k+1) = J^(k-1)·F_2 for every k < n, J^(n-1)·F_2 = J·F_n, so the
-    chain first differs from F_(n+1) where J·F_n does, with the same witness.
+    The chain J^(n-1)·F_2 of `e3_vanishing_cm` is read through `reduces`: if
+    F_(k+1) = J^(k-1)·F_2 for 2 <= k < n, J^(n-1)·F_2 = J·F_n, so the chain first
+    differs from F_(n+1) where J·F_n does, with its witness, and never past rn.
     """
 
     def __init__(self, backend, kind: str, ideal=None, reduction=None):

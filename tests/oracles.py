@@ -19,14 +19,18 @@ cuts short for the normal filtration of a polynomial ring,
 over every low degree, where its checker stops at the first failure, and
 `e3_chain_failure` the chain J^(n-1)·closure(I^2) that `check_e3_vanishing_cm`
 built before it read F_(n+1) = J·F_n; all four use the ideal arithmetic of
-`normfilt.monomial`.
+`normfilt.monomial`. `e3_containment_scan` and `e3_reduces_scan` are the
+bodies of `check_e3_nonnegative` and `check_e3_vanishing_cm` as they were
+before they stopped at the reduction number: each compares every degree of
+the horizon.
 `series_checks` is the reference for the closed-form check of the graded
 lengths: it tests every degreewise identity among the graded modules,
 including the three that hold for any two tables. `jgood_chain_colengths`
 is the J-good table built from bitset products, the chain that the closed
 form of `analysis.Analysis.jgood_values` replaced, and `e3_product_colengths`
-the colengths of J·closure(I^j) built as products, which
-`check_almost_minimal_rn2` reads from the counted column. The kernel's
+the colengths of J·closure(I^j) built as products, for the degrees j >= 2 >= rn
+of the e3 identity that `check_almost_minimal_rn2` no longer sums: each is the
+counted entry, so every summand of that sum is 0. The kernel's
 former `ideal_sum`, `quotient_length` and `filtration.length_table`, which
 the package no longer calls, live here as reference helpers.
 `free_fit_coefficients` and `sally_from_tables` are the fits that
@@ -46,6 +50,7 @@ from math import comb, factorial, gcd, prod
 from normfilt.errors import HorizonError, PreconditionError
 from normfilt.filtration import fit_polynomial
 from normfilt.monomial import Ideal, _finite_count, _joint, colength, contains, intersect, multiply
+from normfilt.theorems import Witness, _cm_conclusion, refuted, verified
 
 
 def _solve_consistent(columns, rhs):
@@ -516,6 +521,40 @@ def e3_chain_failure(filt, reduction, nmax):
     return None
 
 
+def e3_containment_scan(a):
+    """`check_e3_nonnegative`'s body before it read rn: with e3_bar = 0,
+    F_(n+2) ⊆ J^n is compared for every n = 0..nmax-1."""
+    e3 = a.e_bar(3)
+    if e3 < 0:
+        return refuted(f"e3_bar = {e3} is negative")
+    if e3 == 0 and a.reduction is not None:
+        counts = a.ideal.closure_counts(a.nmax + 1)
+        for n in range(a.nmax):
+            if a.normal_filt.meet(n, n + 2) != counts[n + 2]:
+                return refuted(
+                    f"e3_bar = 0 but closure(I^{n + 2}) is not inside J^{n}",
+                    [Witness(n + 2, a.normal_filt.witness(0, n + 2, n, 0), f"not in J^{n}")],
+                )
+        return verified(f"e3_bar = 0 and closure(I^(n+2)) ⊆ J^n holds for n = 0..{a.nmax - 1}")
+    return verified(f"e3_bar = {e3} >= 0")
+
+
+def e3_reduces_scan(a):
+    """`check_e3_vanishing_cm`'s body before it read rn: F_(n+1) = J·F_n is
+    compared for every n = 2..nmax-1."""
+    for n in range(2, a.nmax):
+        if not a.normal_filt.reduces(n):
+            return refuted(
+                f"closure(I^{n + 1}) != J^{n - 1}·closure(I^2) at degree {n}",
+                [Witness(n + 1, a.normal_filt.witness(0, n + 1, 1, n))],
+            )
+    return _cm_conclusion(
+        a,
+        f"closure(I^(n+1)) = J^(n-1)·closure(I^2) verified for n = 1..{a.nmax - 1} "
+        "and Valabrega-Valla certifies the graded ring Cohen-Macaulay",
+    )
+
+
 def ideal_sum(a, b):
     """a + b, bitwise on the common cap, with the larger need of the two."""
     cap, x, y = _joint(a, b)
@@ -536,8 +575,9 @@ def length_table(filt, nmax: int) -> tuple[int, ...]:
 
 
 def e3_product_colengths(a) -> dict[int, int]:
-    """λ(R/J·closure(I^j)) for each j = 2..min(rn + 2, nmax - 1) of the e3 sum of
-    `check_almost_minimal_rn2`, each from a built product J·closure(I^j)."""
+    """λ(R/J·closure(I^j)) for each j = 2..min(rn + 2, nmax - 1), each from a
+    built product J·closure(I^j): the degrees of the e3 identity, its summands
+    all 0 from rn on, that `check_almost_minimal_rn2` does not sum."""
     top = min(a.rn + 2, a.nmax - 1)
     return {j: colength(multiply(a.reduction, a.normal_filt.term(j))) for j in range(2, top + 1)}
 

@@ -41,8 +41,9 @@ COMMANDS = ("table", "coeffs", "sally")
 # golden file stem -> (entry, extra check arguments): a tampered table at a
 # high horizon refutes the J-good closed form and reads g_s from the tampered
 # entry; at the default horizon the tamper breaks the fits instead. On
-# poly3_cubes at a high horizon almost_minimal_rn2 refutes its e3 sum, whose
-# summands past rn compare the tampered entry with lambda(R/J·F_j)
+# poly3_cubes at a high horizon table_coherence refutes at the tampered degree
+# and almost_minimal_rn2 verifies: it sums no e3 identity, whose summands past
+# rn would compare the tampered entry with lambda(R/J·F_j)
 TAMPERED = {
     "sg_4_5_11_uv.check.nmax12-tamper0": ("sg_4_5_11_uv", ["--nmax", "12", "--tamper-normal", "0"]),
     "poly3_maximal.check.tamper2": ("poly3_maximal", ["--tamper-normal", "2"]),

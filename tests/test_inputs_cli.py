@@ -526,8 +526,8 @@ def test_cli_intersection_and_socle_checks_build_no_product_or_maximal_ideal(mon
 
 
 def test_cli_almost_minimal_check_builds_no_product(monkeypatch, capsys):
-    # past rn, J·closure(I^j) = closure(I^(j+1)): the e3 summands read the count,
-    # so no J·closure(I^j) with j > rn = 2 is built
+    # its e3 identity, whose summands past rn = 2 are all 0, is not summed:
+    # no J·closure(I^j) with j > rn is built
     real = filtration.Filtration.product
 
     def upto_rn(filt, n):
@@ -556,10 +556,10 @@ def test_cli_low_type_check_builds_no_product(monkeypatch, capsys, name):
     assert [(v["check"], v["conclusion"]) for v in verdicts] == [("low_type_cm", "verified")]
 
 
-def _count_products(monkeypatch) -> list:
-    """Record each call of monomial.multiply, under every name a module of the
-    package binds it to."""
-    calls, real = [], monomial.multiply
+def _count_calls(monkeypatch, real=monomial.multiply) -> list:
+    """Record each call of the kernel function real, by default
+    monomial.multiply, under every name a module of the package binds it to."""
+    calls = []
 
     def count(*args):
         calls.append(args)
@@ -574,18 +574,35 @@ def _count_products(monkeypatch) -> list:
 
 
 # products built per command; 74, 48, 16 and 14 when e3_vanishing_cm built its
-# own chain J^(n-1)·closure(I^2) and J^k lived in a second filtration
+# own chain J^(n-1)·closure(I^2) and J^k lived in a second filtration, and 61
+# and 41 on the first two when e3_nonnegative built J^n for every n < nmax
 PRODUCTS = [
-    ("sg_4_5_11_uv", ["--nmax", "12"], 61),
-    ("poly3_maximal", [], 41),
+    ("sg_4_5_11_uv", ["--nmax", "12"], 54),
+    ("poly3_maximal", [], 34),
     ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 9),
     ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 2),
+]
+# intersections built per command: a loop that compares J^n ∩ F_(n+2) past
+# rn - 2 again raises the first two (22 and 12 when e3_nonnegative did)
+INTERSECTIONS = [
+    ("sg_4_5_11_uv", ["--nmax", "12"], 10),
+    ("poly3_maximal", [], 4),
+    ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 2),
+    ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 0),
 ]
 
 
 @pytest.mark.parametrize("name, args, count", PRODUCTS)
 def test_cli_check_builds_the_pinned_products(monkeypatch, capsys, name, args, count):
-    calls = _count_products(monkeypatch)
+    calls = _count_calls(monkeypatch)
+    assert cli.main(["check", corpus_path(name), *args]) == 0
+    capsys.readouterr()
+    assert len(calls) == count
+
+
+@pytest.mark.parametrize("name, args, count", INTERSECTIONS)
+def test_cli_check_builds_the_pinned_intersections(monkeypatch, capsys, name, args, count):
+    calls = _count_calls(monkeypatch, monomial.intersect)
     assert cli.main(["check", corpus_path(name), *args]) == 0
     capsys.readouterr()
     assert len(calls) == count
@@ -596,7 +613,7 @@ def test_e3_vanishing_check_builds_no_product_beyond_rn_and_vv(monkeypatch, name
     # its chain is the F_(n+1) = J·F_n comparison of rn, on the same memo
     a = analysis.analyze(inputs.build_entry(inputs.parse_input(Path(corpus_path(name)).read_text())))
     assert a.vv.certified_cm
-    calls = _count_products(monkeypatch)
+    calls = _count_calls(monkeypatch)
     assert theorems.CHECKS["e3_vanishing_cm"][0](a).conclusion == "verified"
     assert calls == []
 
@@ -758,6 +775,33 @@ def test_cli_every_tamper_index_is_refuted(capsys, name):
                        if v["check"] == "table_coherence"]
         assert coherence["conclusion"] == "refuted-with-witness"
         assert coherence["witnesses"][0]["degree"] == index
+
+
+# the checkers that refute, with their hits, over every tamper index of the
+# corpus at the default horizon (68 runs) and over --nmax 12 --tamper-normal 0..4
+# on poly3_cubes and poly3_cubes_diag (10 runs); no other checker refutes there.
+# almost_minimal_rn2 refuted 6 of the latter while it summed its e3 identity
+# past rn, where only the tampered entry moved a summand
+REFUTING = {"table_coherence": 78, "length_bound_decomposition": 61, "series_identity": 9,
+            "e1_equality_equivalence": 4}
+
+
+def test_cli_tamper_ledger_pins_the_refuting_checkers(capsys):
+    runs = []
+    for name in CORPUS_NAMES:
+        assert cli.main(["table", corpus_path(name)]) == 0
+        nmax = json.loads(capsys.readouterr().out)["nmax"]
+        runs += [[corpus_path(name), "--tamper-normal", str(i)] for i in range(nmax + 1)]
+    for name in ("poly3_cubes", "poly3_cubes_diag"):
+        runs += [[corpus_path(name), "--nmax", "12", "--tamper-normal", str(i)] for i in range(5)]
+    hits = {}
+    for args in runs:
+        assert cli.main(["check", *args]) == 1
+        for v in json.loads(capsys.readouterr().out)["verdicts"]:
+            if v["conclusion"] == "refuted-with-witness":
+                hits[v["check"]] = hits.get(v["check"], 0) + 1
+    assert len(runs) == 78
+    assert hits == REFUTING
 
 
 @pytest.mark.parametrize("path, nmax, normal", [

@@ -13,9 +13,11 @@ from normfilt.analysis import Analysis
 from normfilt.inputs import PolynomialBackend, SemigroupBackend
 from normfilt.monomial import colength, multiply
 from normfilt import analysis, inputs, monomial, reports
-from normfilt.theorems import (CONCLUSIONS, Witness, abstained, asserted, check_e3_vanishing_cm,
-                               horizon, refuted, verified)
-from oracles import e3_chain_failure, e3_product_colengths, lam_m2_Jm_product, quotient_length
+from normfilt.errors import HorizonError
+from normfilt.theorems import (CONCLUSIONS, Witness, abstained, asserted, check_e3_nonnegative,
+                               check_e3_vanishing_cm, horizon, refuted, verified)
+from oracles import (e3_chain_failure, e3_containment_scan, e3_product_colengths, e3_reduces_scan,
+                     lam_m2_Jm_product, quotient_length)
 from test_filtration import chain_values, exact_decomposition, reduction_analyses
 
 ALL_CHECKS = (
@@ -374,8 +376,9 @@ def test_e3_from_reduction_tail(analyses):
 
 @pytest.mark.parametrize("name", ["poly3_cubes", "poly3_cubes_diag"])
 def test_e3_summands_are_the_counted_column(name):
-    # almost_minimal_rn2 reaches its e3 loop here, and each colength
-    # lambda(R/J·closure(I^j)) it reads from the count equals the built product's
+    # almost_minimal_rn2 verifies here without summing its e3 identity: each
+    # lambda(R/J·closure(I^j)) of that sum, from a built product, is the
+    # counted entry, so every summand is 0
     a = load(name, nmax=12)
     assert CHECKS["almost_minimal_rn2"][0](a).conclusion == "verified"
     assert a.dim == 3 and a.vv.certified_cm and a.rn <= 2
@@ -389,7 +392,8 @@ def test_e3_summands_are_the_counted_column(name):
 @given(reduction_analyses(top=9, naturals=True, free=2, bottom=4))
 def test_e3_summands_match_built_products(a):
     """Once rn <= 2 is certified, J·closure(I^j) = closure(I^(j+1)) for every j
-    of the e3 loop, so its colength is the counted column's entry j + 1."""
+    of the e3 identity, so its colength is the counted column's entry j + 1 and
+    the summand is 0: almost_minimal_rn2 need not sum it."""
     assume(a.rn is not None and a.rn <= 2)
     counts = a.ideal.closure_counts(a.nmax + 1)
     built = e3_product_colengths(a)
@@ -494,3 +498,66 @@ def test_e3_vanishing_cm_fails_where_its_former_chain_does(a):
         n, element = failure
         assert verdict.detail.endswith(f"at degree {n}")
         assert verdict.witnesses == (Witness(n + 1, element),)
+
+
+def rn4_analysis(nmax=8):
+    """I = (U, V, t^7) in k[[t^5,t^7]][U,V], whose reduction number is 4."""
+    ring = SemigroupBackend((5, 7), 2)
+    a = Analysis(EntryData("rn4", ring, ring.ideal([(1, 0, 0), (0, 1, 0), (0, 0, 7)]), nmax=nmax))
+    assert a.rn == 4 and a.vv.first_failure is None
+    return a
+
+
+@pytest.mark.parametrize("rn, fail_at, refutes", [
+    (4, 2, True),  # n = rn - 2, the last degree compared
+    (4, 3, False),  # n = rn - 1: F_5 = J·F_4 ⊆ J·J^2, never compared
+    (None, 7, True),  # no reduction number: every n up to nmax - 1
+])
+def test_e3_nonnegative_compares_up_to_rn_minus_2(monkeypatch, rn, fail_at, refutes):
+    a = rn4_analysis()
+    if rn is None:
+        a._rn = (None, HorizonError("stub"))
+    # lambda(R/(J^k ∩ F_n)) is one more than the counted lambda(R/F_n) where it fails
+    counts, read = a.ideal.closure_counts(a.nmax + 1), []
+    monkeypatch.setattr(a, "e_bar", lambda i: 0)
+    monkeypatch.setattr(a.normal_filt, "meet", lambda k, n: read.append(k) or counts[n] + (k == fail_at))
+    monkeypatch.setattr(a.normal_filt, "witness", lambda *args: "w")
+    verdict = CHECKS["e3_nonnegative"][0](a)
+    assert read == list(range(1, min(fail_at + 1, a.nmax if rn is None else rn - 1)))
+    if refutes:
+        assert verdict.detail == f"e3_bar = 0 but closure(I^{fail_at + 2}) is not inside J^{fail_at}"
+        assert verdict.witnesses == (Witness(fail_at + 2, "w", f"not in J^{fail_at}"),)
+    else:
+        assert verdict.detail == "e3_bar = 0 and closure(I^(n+2)) ⊆ J^n holds for n = 0..7"
+
+
+@pytest.mark.parametrize("rn, fail_at, refutes", [
+    (4, 3, True),  # n = rn - 1, the last degree compared
+    (4, 4, False),  # n = rn: F_5 = J·F_4 by rn, never compared
+    (None, 7, True),  # no reduction number: every n up to nmax - 1
+])
+def test_e3_vanishing_cm_compares_below_rn(monkeypatch, rn, fail_at, refutes):
+    a = rn4_analysis()
+    if rn is None:
+        a._rn = (None, HorizonError("stub"))
+    read = []
+    monkeypatch.setattr(a.normal_filt, "reduces", lambda n: read.append(n) or n != fail_at)
+    monkeypatch.setattr(a.normal_filt, "witness", lambda *args: "w")
+    verdict = check_e3_vanishing_cm.__wrapped__(a, {})  # the body, without the gates
+    assert read == list(range(2, min(fail_at + 1, a.nmax if rn is None else rn)))
+    if refutes:
+        assert verdict.detail == f"closure(I^{fail_at + 1}) != J^{fail_at - 1}·closure(I^2) at degree {fail_at}"
+        assert verdict.witnesses == (Witness(fail_at + 1, "w"),)
+    else:
+        assert not verdict.is_refutation
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2).flatmap(lambda free: reduction_analyses(top=12, naturals=True, free=free)))
+def test_bounded_e3_loops_match_the_full_scans(a):
+    """Stopped at the reduction number, e3_nonnegative's containment (run as
+    if e3_bar = 0, whatever it is) and e3_vanishing_cm's chain give the
+    verdicts of the scans over the whole horizon, witnesses included."""
+    a.e_bar = lambda i: 0
+    assert check_e3_nonnegative.__wrapped__(a, {}) == e3_containment_scan(a)
+    assert check_e3_vanishing_cm.__wrapped__(a, {}) == e3_reduces_scan(a)
