@@ -17,8 +17,8 @@ from itertools import accumulate, repeat
 from math import comb, lcm
 
 from .errors import HorizonError, InputError, NotMPrimary, PreconditionError
-from .monomial import (colength, ideal, ideal_contains, is_m_primary, lay, multiply, power_box,
-                       pure_power_exponents)
+from .monomial import colength, ideal, ideal_contains, is_m_primary, lay, multiply, power_box
+from .newton import least_pure_powers
 
 
 def default_window(dim: int) -> int:
@@ -52,7 +52,7 @@ def auto_reduction(a):
     """The least pure power of the m-primary ideal a along each axis, on a's
     box, when it is a reduction of a; else None. It lies in a by
     construction, so it is one iff a ⊆ closure(J)."""
-    exps = pure_power_exponents(a)
+    exps = least_pure_powers(a.gens, len(a.cap))
     if not _covers(a, exps):
         return None
     d = len(exps)
@@ -66,7 +66,7 @@ def certify(a, j):
         raise PreconditionError("reduction must be generated by one pure power of each variable")
     if not ideal_contains(a, j):
         raise PreconditionError("the given reduction ideal is not contained in the input ideal")
-    if not _covers(a, pure_power_exponents(j)):  # e0 is computed only here
+    if not _covers(a, least_pure_powers(j.gens, len(j.cap))):  # e0 is computed only here
         raise PreconditionError(f"the given ideal is not a reduction: multiplicity {j.e0} != {a.e0}")
     return j
 
@@ -245,12 +245,22 @@ class Analysis:
         or J·m^(n-1) exactly when it does in k[[S]] with (t^e): the failing
         degree, the witness t^s and rn are those of the coefficient ring.
         m is the first normal term, closure(I), and its powers are built here.
+
+        There rn <= e - 1, so the scan starts at min(nmax, e - 1). In k[[S]],
+        t^e·m^n ⊆ m^(n+1) ⊆ m^n and lambda(m^n/t^e·m^n) = e, so the Hilbert
+        function HF(n) = lambda(m^n/m^(n+1)) is at most e, and m^(n+1) =
+        t^e·m^n exactly when HF(n) = e. As mu(m^e) = HF(e) <= e < e + 1,
+        Eakin-Sathaye (J. Algebra 41, 1976) give m^e = x·m^(e-1) for some x,
+        a reduction of m, so HF(e - 1) = lambda(m^(e-1)/x·m^(e-1)) = e: m^e =
+        t^e·m^(e-1), hence m^(n+1) = t^e·m^n for every n >= e - 1, and rn <=
+        e - 1 for J = (t^e) too.
         """
         from .filtration import Filtration
         self._need_reduction("maximal_vv")
         m = self.normal_filt.term(1)
         filt = Filtration(self.backend, "adic", ideal=m, reduction=self.reduction)
-        rn = _attempt(lambda: filt.reduction_number(self.nmax))[0]
+        e = self.backend.sg.multiplicity
+        rn = _attempt(lambda: filt.reduction_number(min(self.nmax, e - 1)))[0]
         return filt.valabrega_valla(self.nmax, self.window, rn)
 
     def e_bar(self, i: int):

@@ -43,7 +43,6 @@ from typing import NamedTuple
 from . import monomial as mono
 from .errors import InputError, PreconditionError, UnsupportedDimension
 from .newton import MAX_DIM
-from .semigroup import NumericalSemigroup
 
 DEFAULT_POLY_NAMES = ("x", "y", "z", "w")
 DIRECTIVES = ("name", "ring", "ideal", "reduction", "nmax", "checks")
@@ -58,7 +57,7 @@ class MonoidRing:
     """k[N^v x S] with its axes named in kernel order; kind ("polynomial" or
     "semigroup") only picks the description and the source of the type."""
 
-    def __init__(self, kind: str, sg: NumericalSemigroup, names: tuple[str, ...],
+    def __init__(self, kind: str, sg: mono.NumericalSemigroup, names: tuple[str, ...],
                  axes: tuple[str, ...]):
         self.kind, self.sg, self.names, self.axes = kind, sg, names, axes
         self.dim = len(axes)
@@ -101,7 +100,7 @@ def PolynomialBackend(names) -> MonoidRing:
         )
     if len(set(names)) != len(names):
         raise PreconditionError("variable names must be distinct")
-    return MonoidRing("polynomial", NumericalSemigroup((1,)), names, names)
+    return MonoidRing("polynomial", mono.NumericalSemigroup((1,)), names, names)
 
 
 def SemigroupBackend(generators, adjoin: int = 0, names=None) -> MonoidRing:
@@ -110,7 +109,7 @@ def SemigroupBackend(generators, adjoin: int = 0, names=None) -> MonoidRing:
         raise UnsupportedDimension(
             f"semigroup backend supports 0..{MAX_DIM - 1} adjoined variables, got {adjoin}"
         )
-    sg = NumericalSemigroup(generators)
+    sg = mono.NumericalSemigroup(generators)
     if names is None:
         names = ("U", "V", "W")[:adjoin]
     names = tuple(str(n) for n in names)

@@ -30,18 +30,72 @@ and (a : m) is never built. A colength is a popcount, finite exactly when no
 counted point lies in a top slice. Integral closures of powers are cut out
 row by row along the S-axis by the halfspaces of the Newton polyhedron, as
 every halfspace of an m-primary ideal has a positive S-coefficient.
+
+S is a cofinite additive submonoid of the nonnegative integers, and k[[S]]
+is a one-dimensional complete local domain whose normalization is k[[t]];
+S = N gives k[[t]] itself. A `NumericalSemigroup` holds the membership bits
+of S below its conductor c (every s >= c lies in S), its gaps, its minimal
+generators, the least of which is the multiplicity e, and its pseudo-Frobenius
+numbers, the gaps x (with -1 for S = N) such that x + g lies in S for every
+generator g; their count is the type of k[[S]].
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import prod
+from math import gcd, prod
 from operator import add, mul
 
 from .errors import DimensionMismatch, InfiniteLength, PreconditionError
-from .newton import (Exponent, NewtonPolyhedron, closure_count, hilbert_values, least_pure_powers,
-                     multiplicity, newton_polyhedron, row_cuts)
-from .semigroup import NumericalSemigroup
+from .newton import (Exponent, NewtonPolyhedron, closure_count, hilbert_values, multiplicity,
+                     newton_polyhedron, row_cuts)
+
+
+class NumericalSemigroup:
+    """Additive submonoid of the nonnegative integers with finite complement."""
+
+    def __init__(self, generators):
+        gens = sorted(set(int(g) for g in generators))
+        if not gens or gens[0] <= 0:
+            raise PreconditionError("semigroup generators must be positive integers")
+        if gcd(*gens) != 1:
+            raise PreconditionError(
+                f"semigroup generators {tuple(gens)} must have greatest common divisor 1"
+            )
+        a1 = gens[0]
+        # membership up to the first run of a1 members, which starts at the
+        # conductor; gcd 1 makes S cofinite, so the run exists
+        member, run = [1], 1
+        while run < a1:
+            i = len(member)
+            member.append(1 if any(i >= g and member[i - g] for g in gens) else 0)
+            run = run + 1 if member[-1] else 0
+        conductor = len(member) - a1
+        self.multiplicity = a1
+        self.conductor = conductor
+        # bit s set exactly for the members s of S below the conductor
+        self.member_bits = sum(1 << i for i in range(conductor) if member[i])
+        self.gaps = tuple(i for i in range(conductor) if not member[i])
+        # a given generator is minimal unless it is a smaller one plus a nonzero member
+        self.gens = tuple(g for g in gens if not any(h < g and self.contains(g - h) for h in gens))
+        # F(N) = -1 is the only pseudo-Frobenius number below zero: a1 - 1 is a
+        # gap whenever a1 > 1, so scanning from -1 adds it for N alone
+        self.pseudo_frobenius = tuple(
+            x for x in (-1,) + self.gaps if all(self.contains(x + g) for g in self.gens)
+        )
+        self.type = len(self.pseudo_frobenius)
+
+    def contains(self, n: int) -> bool:
+        return n >= self.conductor or (n >= 0 and bool(self.member_bits >> n & 1))
+
+    def __eq__(self, other):
+        return isinstance(other, NumericalSemigroup) and self.gens == other.gens
+
+    def __hash__(self):
+        return hash(self.gens)
+
+    def __repr__(self):
+        return f"NumericalSemigroup{self.gens}"
 
 
 class Ideal:
@@ -314,11 +368,6 @@ def contains(a: Ideal, v) -> bool:
     v = _check_vector(v, len(a.cap))
     strides = _grid(a.cap)[1]
     return bool(a.bits >> sum(min(x, c) * s for x, c, s in zip(v, a.cap, strides)) & 1)
-
-
-def pure_power_exponents(a: Ideal) -> list[int | None]:
-    """For each axis, the least e with e times the unit vector in a (None if absent)."""
-    return least_pure_powers(a.gens, len(a.cap))
 
 
 def is_m_primary(a: Ideal) -> bool:

@@ -96,11 +96,7 @@ def sally_payload(analysis) -> dict:
         **_header(analysis),
         "values": list(analysis.sally_values),
         **_fit_dict(analysis.sally_fit, None, key="s"),
-        "s0_from_e": (
-            analysis.normal_fit.e[1] - analysis.lam_I1_J
-            if analysis.normal_fit is not None
-            else None
-        ),
+        "s0_from_e": analysis.sally_fit.e[0],
     }
 
 

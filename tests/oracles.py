@@ -14,7 +14,9 @@ replaced stays here as the differential reference for closure powers;
 Valabrega-Valla loop over every prefix of J and every degree,
 `reduction_number_scan` the reduction number by a scan of every degree from
 the horizon down, which the proved bound of `Filtration.reduction_number`
-cuts short for the normal filtration of a polynomial ring,
+cuts short for the normal filtration of a polynomial ring, and
+`maximal_vv_scan` the report of `Analysis.maximal_vv` from that scan, before
+its reduction number stopped at e - 1,
 `intersection_failures_oracle` the test closure(I^(n+1)) ∩ J^n = J^n·closure(I)
 over every low degree, where its checker stops at the first failure, and
 `e3_chain_failure` the chain J^(n-1)·closure(I^2) that `check_e3_vanishing_cm`
@@ -48,7 +50,7 @@ from itertools import combinations, product
 from math import comb, factorial, gcd, prod
 
 from normfilt.errors import HorizonError, PreconditionError
-from normfilt.filtration import fit_polynomial
+from normfilt.filtration import Filtration, fit_polynomial
 from normfilt.monomial import Ideal, _finite_count, _joint, colength, contains, intersect, multiply
 from normfilt.theorems import Witness, _cm_conclusion, refuted, verified
 
@@ -489,6 +491,16 @@ def reduction_number_scan(filt, reduction, nmax):
             break
         r = n
     return r
+
+
+def maximal_vv_scan(a):
+    """(Valabrega-Valla report, rn) of the powers of m with J, for an analysis
+    with closure(I) = m, rn scanned from the horizon down by
+    `reduction_number_scan`, as `Analysis.maximal_vv` did before it started
+    at e - 1."""
+    filt = Filtration(a.backend, "adic", ideal=a.normal_filt.term(1), reduction=a.reduction)
+    rn = reduction_number_scan(filt, a.reduction, a.nmax)
+    return filt.valabrega_valla(a.nmax, a.window, rn), rn
 
 
 def intersection_failures_oracle(filt, reduction, upto):

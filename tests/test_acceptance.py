@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 from math import comb
 
-from normfilt import cli, inputs, monomial as mono, semigroup as sgm
+from normfilt import cli, inputs, monomial as mono
 from normfilt.filtration import Filtration, series_coeff
 from normfilt.inputs import SemigroupBackend
 from normfilt.newton import multiplicity, newton_polyhedron
@@ -86,7 +86,7 @@ def test_criterion_1_semigroup_example(capsys):
         elapsed = time.monotonic() - t0
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
-        sg = sgm.NumericalSemigroup((4, 5, 11))
+        sg = mono.NumericalSemigroup((4, 5, 11))
         assert sg.multiplicity == 4 and sg.type == 2
         assert sg.conductor == 8 and set(sg.gaps) == {1, 2, 3, 6, 7}
 

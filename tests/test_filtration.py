@@ -13,8 +13,9 @@ from normfilt.analysis import Analysis, auto_reduction, default_nmax, default_wi
 from normfilt.inputs import EntryData, PolynomialBackend, SemigroupBackend
 from normfilt.monomial import closure_power, colength, contains, intersect, multiply, unit_ideal
 from oracles import (_solve_consistent, free_fit_coefficients, intersection_failures_oracle,
-                     jgood_chain_colengths, length_table, reduction_number_scan,
-                     sally_from_tables, series_checks, valabrega_valla_prefixes)
+                     jgood_chain_colengths, length_table, maximal_vv_scan,
+                     reduction_number_scan, sally_from_tables, series_checks,
+                     valabrega_valla_prefixes)
 
 
 # --- series_coeff ------------------------------------------------------------
@@ -363,6 +364,26 @@ def test_maximal_vv_matches_the_coefficient_ring(a):
     powers = flt.Filtration(a.backend, "adic", ideal=a.backend.maximal(), reduction=a.reduction)
     assert certified_rn(powers, a.nmax) == base_rn
     assert degree_and_witness(a.maximal_vv) == degree_and_witness(base)
+
+
+def test_maximal_vv_scan_stops_at_e_minus_one():
+    """maximal_vv scans rn from e - 1, not from the horizon (Eakin-Sathaye):
+    its report is the full scan's, and the full scan's rn is at most e - 1.
+    The family reaches rn = e - 1 below the horizon, where a scan from e - 2
+    would find no rn and change the report."""
+    reached = []
+    for gens in [(2, 3), (2, 5), (3, 4), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7), (6, 7),
+                 (3, 4, 5), (4, 5, 7), (4, 5, 11), (5, 6, 9)]:
+        for free in (0, 1):
+            for nmax in (3, 8):
+                ring = SemigroupBackend(gens, free)
+                a = Analysis(EntryData("e", ring, ring.maximal(), nmax=nmax))
+                report, rn = maximal_vv_scan(a)
+                e = ring.sg.multiplicity
+                assert rn is None or rn <= e - 1, (gens, free, nmax)
+                assert a.maximal_vv == report, (gens, free, nmax)
+                reached.append(rn == e - 1 < nmax)
+    assert sum(reached) >= 10
 
 
 # --- counted normal tables and the proved reduction number -------------------------

@@ -432,6 +432,13 @@ def _loaded(code, names) -> str:
     return _fresh(f"import sys\n{code}\nprint(sorted({names!r} & set(sys.modules)))").splitlines()[-1]
 
 
+def _package_modules(code) -> str:
+    """The sorted modules of the package in sys.modules after code runs in a
+    fresh interpreter."""
+    found = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'normfilt'))"
+    return _fresh(f"import sys\n{code}\n{found}").splitlines()[-1]
+
+
 def test_cli_import_leaves_out_unused_modules():
     # every process compiles what it imports; pytest and hypothesis have loaded
     # every module into this process, so look from fresh ones
@@ -445,9 +452,16 @@ def test_cli_import_leaves_out_unused_modules():
     table = f"from normfilt.cli import main\nmain(['table', {corpus_path('sg_4_5_11_uv')!r}])"
     assert _loaded(table, unused) == "[]"
     assert _loaded("from normfilt.cli import main\nmain(['table', '--help'])", unused) == "[]"
-    # the checkers read fits, rn and VV, so check loads the filtration
+    # each command loads exactly these modules of the package, so a module
+    # added to its path fails here: a json table 8 of the 11, and the
+    # checkers of check and corpus read fits, rn and VV from the filtration
+    loads = {"normfilt", "normfilt.cli", "normfilt.inputs", "normfilt.monomial",
+             "normfilt.newton", "normfilt.errors", "normfilt.analysis", "normfilt.reports"}
+    assert _package_modules(table) == str(sorted(loads))
+    loads |= {"normfilt.filtration", "normfilt.theorems"}
     check = f"from normfilt.cli import main\nmain(['check', {corpus_path('poly3_cubes')!r}])"
-    assert _loaded(check, {"normfilt.filtration"}) == "['normfilt.filtration']"
+    assert _package_modules(check) == str(sorted(loads))
+    assert _package_modules("from normfilt.cli import main\nmain(['corpus'])") == str(sorted(loads))
 
 
 def test_parsing_an_entry_loads_no_analysis():
@@ -574,13 +588,17 @@ def _count_calls(monkeypatch, real=monomial.multiply) -> list:
 
 
 # products built per command; 74, 48, 16 and 14 when e3_vanishing_cm built its
-# own chain J^(n-1)·closure(I^2) and J^k lived in a second filtration, and 61
-# and 41 on the first two when e3_nonnegative built J^n for every n < nmax
+# own chain J^(n-1)·closure(I^2) and J^k lived in a second filtration, 61
+# and 41 on the first two when e3_nonnegative built J^n for every n < nmax,
+# and 54, 34, 27 and 20 on the first two and the last two when low_type_cm
+# scanned the reduction number of G(m) from nmax instead of from e - 1
 PRODUCTS = [
-    ("sg_4_5_11_uv", ["--nmax", "12"], 54),
-    ("poly3_maximal", [], 34),
+    ("sg_4_5_11_uv", ["--nmax", "12"], 36),
+    ("poly3_maximal", [], 18),
     ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 9),
     ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 2),
+    ("sg_4_5_11_uv", ["--checks", "low_type_cm"], 17),
+    ("poly3_maximal", ["--checks", "low_type_cm"], 4),
 ]
 # intersections built per command: a loop that compares J^n ∩ F_(n+2) past
 # rn - 2 again raises the first two (22 and 12 when e3_nonnegative did)

@@ -7,8 +7,8 @@ import normfilt
 from test_inputs_cli import _loaded
 
 # lowest layer first; a module may import at module level only from modules before it
-ORDER = ("errors", "semigroup", "newton", "monomial", "inputs", "filtration", "analysis",
-         "theorems", "reports", "renderers", "cli")
+ORDER = ("errors", "newton", "monomial", "inputs", "filtration", "analysis", "theorems",
+         "reports", "renderers", "cli")
 
 
 def module_level_imports(tree):

@@ -21,7 +21,7 @@ from normfilt import errors
 from normfilt import monomial as mono
 from normfilt.filtration import Filtration
 from normfilt.inputs import PolynomialBackend
-from normfilt.semigroup import NumericalSemigroup
+from normfilt.monomial import NumericalSemigroup
 from oracles import (
     ideal_sum,
     monoid_member,

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from normfilt import errors
 from normfilt import monomial as mono
-from normfilt import semigroup as sgm
 from normfilt.filtration import Filtration
 from normfilt.inputs import SemigroupBackend
 from normfilt.newton import newton_polyhedron
@@ -21,7 +20,7 @@ from oracles import ideal_sum, quotient_length, semigroup_members_oracle
 
 @pytest.fixture(scope="module")
 def sg():
-    return sgm.NumericalSemigroup((4, 5, 11))
+    return mono.NumericalSemigroup((4, 5, 11))
 
 
 @pytest.fixture(scope="module")
@@ -55,29 +54,29 @@ def test_invariants_4_5_11(sg):
 
 
 def test_invariants_other_semigroups():
-    a = sgm.NumericalSemigroup((3, 5, 7))
+    a = mono.NumericalSemigroup((3, 5, 7))
     assert a.gaps == (1, 2, 4)
     assert a.pseudo_frobenius == (2, 4)
     assert a.type == 2
     assert a.conductor == 5
-    b = sgm.NumericalSemigroup((2, 3))
+    b = mono.NumericalSemigroup((2, 3))
     assert b.gaps == (1,)
     assert b.type == 1
-    c = sgm.NumericalSemigroup((1,))
+    c = mono.NumericalSemigroup((1,))
     assert c.conductor == 0 and c.gaps == ()
     # N has Frobenius number -1 and type 1, like every regular ring
     assert c.pseudo_frobenius == (-1,) and c.type == 1
 
 
 def test_minimal_generators_recomputed():
-    assert sgm.NumericalSemigroup((4, 5, 9, 11)).gens == (4, 5, 11)
+    assert mono.NumericalSemigroup((4, 5, 9, 11)).gens == (4, 5, 11)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=6).filter(lambda g: gcd(*g) == 1))
 def test_membership_and_minimal_generators_against_reachability(generators):
     """contains reads the member mask; gens are the members that are no sum of two."""
-    sg = sgm.NumericalSemigroup(generators)
+    sg = mono.NumericalSemigroup(generators)
     top = sg.conductor + sg.multiplicity + 1
     table = semigroup_members_oracle(generators, top)
     assert [sg.contains(n) for n in range(-3, top)] == [False] * 3 + table
@@ -88,7 +87,7 @@ def test_membership_and_minimal_generators_against_reachability(generators):
 
 def test_gcd_validation():
     with pytest.raises(errors.PreconditionError):
-        sgm.NumericalSemigroup((4, 6))
+        mono.NumericalSemigroup((4, 6))
 
 
 def test_sg_ideal_ops(base):
