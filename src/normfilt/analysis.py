@@ -75,33 +75,30 @@ class Analysis:
     """Tables, fits and certificates for one entry, each computed on first read.
 
     The constructor validates the request (the horizon, the tamper index,
-    the m-primary test and the reduction certificate) and lays the input
-    ideal and a given reduction on the one box of the analysis, `power_box`
-    of the input ideal at degree nmax + 1, each generated there once. Every
-    filtration and table is built on first read.
+    the m-primary test and the reduction certificate) and lays nothing: I
+    and J stay on their own boxes. Each reader lays the ideals it multiplies
+    once, on the box of the highest degree it reads (adic_values I,
+    normal_filt I and J, maximal_vv m and J), so operands share a box inside
+    a reader and the adic column never meets the normal terms.
     The window `default_window(dim)` is passed to every fit and VV report.
     The table columns (normal_values, adic_values, jgood_values,
     sally_values) and the numbers they read need no filtration. The normal
     and adic fits take e0 as their leading coefficient (ē0 = e0 by Rees),
-    and sally_fit is read off the normal fit. The fits (normal_fit,
-    adic_fit, sally_fit and their *_error fields), rn, rn_error, vv,
-    maximal_vv and normal_filt import `filtration` on first read, and so do
-    e_bar, g_s and base_numbers, which read the fits and rn. The J-good and
-    Sally columns, the Sally fit and lam_I1_J read e0 for lambda(R/J), not
-    J. Only `Filtration` uses J as an ideal: normal_filt keeps J^k and
-    J·F_n, its S = N terms are those products when J exists, and rn and vv
-    are its methods. The fields that need J (rn, rn_error, vv
-    and maximal_vv) raise PreconditionError when `reduction` is None.
-    maximal_vv may be read only when closure(I) = m. A fit or reduction
-    number that fails reads None, and its *_error field holds the exception.
+    and sally_fit is read off the normal fit. The fits, rn, vv, maximal_vv,
+    normal_filt and what reads them (e_bar, g_s, base_numbers) import
+    `filtration` on first read. The J-good and Sally columns, the Sally fit
+    and lam_I1_J read e0 for lambda(R/J), not J. Only `Filtration` uses J
+    as an ideal: normal_filt keeps J^k and J·F_n, its S = N terms are those
+    products when J exists, and rn and vv are its methods. The fields that
+    need J (rn, rn_error, vv and maximal_vv) raise PreconditionError when
+    `reduction` is None. maximal_vv may be read only when closure(I) = m. A
+    fit or reduction number that fails reads None, and its *_error field
+    holds the exception.
     """
 
     def __init__(self, entry: EntryData):
-        b = entry.backend
-        self.entry = entry
-        self.name = entry.name
-        self.backend = b
-        self.dim = b.dim
+        self.entry, self.name, self.ideal = entry, entry.name, entry.ideal
+        self.backend, self.dim = entry.backend, entry.backend.dim
         self.window = default_window(self.dim)
         self.nmax = entry.nmax if entry.nmax is not None else default_nmax(self.dim)
         if self.nmax < 1:
@@ -110,16 +107,13 @@ class Analysis:
             raise InputError(
                 f"tamper index {entry.tamper_normal} outside the table range 0..{self.nmax}"
             )
-        if not is_m_primary(entry.ideal):
+        if not is_m_primary(self.ideal):
             raise NotMPrimary("the input ideal is not primary to the maximal ideal")
-        # one box for every ideal of the analysis, so operands share a cap
-        self.box = power_box(entry.ideal, self.nmax + 1)
-        self.ideal = lay(entry.ideal, self.box)
         if entry.reduction == "auto":
             self.reduction = auto_reduction(self.ideal)  # on the ideal's box
             self.reduction_source = "auto" if self.reduction is not None else None
         else:
-            self.reduction = certify(self.ideal, lay(entry.reduction, self.box))
+            self.reduction = certify(self.ideal, entry.reduction)
             self.reduction_source = "given"
 
     e0 = property(lambda self: self.ideal.e0)
@@ -159,8 +153,9 @@ class Analysis:
     @cached_property
     def adic_values(self) -> tuple[int, ...]:
         """lambda(R/I^(n+1)) for n = 0..nmax, from the running product I^(n+1)
-        = I^n·I: only the current power is kept."""
-        return tuple(map(colength, accumulate(repeat(self.ideal, self.nmax + 1), multiply)))
+        = I^n·I on the box of I^(nmax+1): only the current power is kept."""
+        i = lay(self.ideal, power_box(self.ideal, self.nmax + 1))
+        return tuple(map(colength, accumulate(repeat(i, self.nmax + 1), multiply)))
 
     def _fit(self, values):
         from .filtration import fit_coefficients
@@ -213,7 +208,13 @@ class Analysis:
     @cached_property
     def normal_filt(self):
         from .filtration import Filtration
-        return Filtration(self.backend, "normal", ideal=self.ideal, reduction=self.reduction)
+        # I and J go on the box of the highest degree read: F_(nmax+1) in rn's scan, unless S = N,
+        # where rn <= d - 1 <= 3 (see Filtration) keeps rn and the checkers to F_min(nmax+1, 3),
+        # and closure_intersection reads F_(n+1) and J^n·F_1 for n <= min(4, nmax - 1)
+        top = self.nmax + 1 if self.backend.sg.gaps else min(self.nmax + 1, 5)
+        box = power_box(self.ideal, top)
+        return Filtration(self.backend, "normal", ideal=lay(self.ideal, box),
+                          reduction=self.reduction and lay(self.reduction, box))
 
     @cached_property
     def _rn(self):
@@ -257,10 +258,10 @@ class Analysis:
         """
         from .filtration import Filtration
         self._need_reduction("maximal_vv")
-        m = self.normal_filt.term(1)
-        filt = Filtration(self.backend, "adic", ideal=m, reduction=self.reduction)
-        e = self.backend.sg.multiplicity
-        rn = _attempt(lambda: filt.reduction_number(min(self.nmax, e - 1)))[0]
+        m, top = self.normal_filt.term(1), min(self.nmax, self.backend.sg.multiplicity - 1)
+        box = power_box(m, top + 1)  # for m^(top+1) and J·m^top, the highest read
+        filt = Filtration(self.backend, "adic", lay(m, box), lay(self.normal_filt.reduction, box))
+        rn = _attempt(lambda: filt.reduction_number(top))[0]
         return filt.valabrega_valla(self.nmax, self.window, rn)
 
     def e_bar(self, i: int):

@@ -70,8 +70,8 @@ class MonoidRing:
         base = f"semigroup ring k[[t^{{{','.join(str(g) for g in self.sg.gens)}}}]]"
         return base + (f"[{','.join(self.names)}]" if self.names else "")
 
-    def ideal(self, vectors, box=None) -> mono.Ideal:
-        return mono.ideal(self.sg, self.dim, vectors, box)
+    def ideal(self, vectors) -> mono.Ideal:
+        return mono.ideal(self.sg, self.dim, vectors)
 
     def maximal(self) -> mono.Ideal:
         return self._maximal

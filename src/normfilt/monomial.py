@@ -14,22 +14,22 @@ extent plus the conductor on the S-axis; a product adds the shift to it, and
 an intersection takes the larger need of its operands. Every box holds
 need plus the largest atom (a generator of the monoid) along each axis, so
 an ideal finds its minimal generators on its own box. The cap may be larger:
-an `analysis.Analysis` lays all its ideals on one box, large enough for
-every term it builds, so that operands share a cap and no operand is laid
-onto a larger one.
+each reader of an `analysis.Analysis` lays the ideals it multiplies on one
+box, large enough for every term it reads, so that its operands share a cap
+and no operand is laid onto a larger one.
 
-Intersection, containment and equality are bitwise on the common cap.
-An ideal reaches a larger box only through `lay`, which generates it there
-from its minimal generators. A product is the union of the shifts of the
-factor with the larger need by the minimal generators of the other, and
-stays on the shifted factor's box when it holds need plus the shift plus the
-largest atom, growing it only otherwise, so no result depends on the box
+Intersection, containment and equality are bitwise on the common cap. An ideal
+reaches a larger box only through `lay`, which generates it there from its
+minimal generators. A product is the union of the shifts of the factor with
+the larger need by the minimal generators of the other, or the other way round
+when only that fits on the shifted factor's box, which must hold need plus the
+shift plus the largest atom, else it grows: no result depends on the box
 chosen. The socle length of a counts the points outside a that every atom
-moves into a; they lie below a's need, so they are counted on a's own box
-and (a : m) is never built. A colength is a popcount, finite exactly when no
-counted point lies in a top slice. Integral closures of powers are cut out
-row by row along the S-axis by the halfspaces of the Newton polyhedron, as
-every halfspace of an m-primary ideal has a positive S-coefficient.
+moves into a; they lie below a's need, so they are counted on a's own box and
+(a : m) is never built. A colength is a popcount, finite exactly when no
+counted point lies in a top slice. Integral closures of powers are cut out row
+by row along the S-axis by the halfspaces of the Newton polyhedron, as every
+halfspace of an m-primary ideal has a positive S-coefficient.
 
 S is a cofinite additive submonoid of the nonnegative integers, and k[[S]]
 is a one-dimensional complete local domain whose normalization is k[[t]];
@@ -179,7 +179,7 @@ def _repeat(pattern: int, period: int, count: int) -> int:
 @lru_cache(maxsize=256)
 def _slab(widths: tuple[int, ...], axis: int, lo: int, hi: int) -> int:
     """Mask of the points whose coordinate along axis lies in [lo, hi); the
-    masks of the one box of an analysis are built once."""
+    masks of a reader's box are built once."""
     inner = prod(widths[axis + 1:])
     block = ((1 << ((hi - lo) * inner)) - 1) << (lo * inner)
     return _repeat(block, widths[axis] * inner, prod(widths[:axis]))
@@ -227,12 +227,10 @@ def _points(bits: int, cap) -> tuple[Exponent, ...]:
     return tuple(out)
 
 
-def _room(a: Ideal, shift) -> tuple[tuple[int, ...], int]:
-    """A box for a shifted by up to shift along each axis, with a's bits on
-    it: `_on` of need + shift, so the result finds its generators in place,
-    grown to contain a's box."""
-    cap = _on(tuple(map(add, a.need, shift)), a.sg, a.cap)
-    return cap, lay(a, cap).bits
+def _room(a: Ideal, shift) -> tuple[int, ...]:
+    """A box for a shifted by up to shift along each axis: `_on` of need +
+    shift, so the result finds its generators in place, grown to contain a's box."""
+    return _on(tuple(map(add, a.need, shift)), a.sg, a.cap)
 
 
 def _extent(vectors) -> tuple[int, ...]:
@@ -299,8 +297,8 @@ def unit_ideal(sg: NumericalSemigroup, dim: int, box=None) -> Ideal:
     return ideal(sg, dim, [(0,) * dim], box)
 
 
-def maximal_ideal(sg: NumericalSemigroup, dim: int, box=None) -> Ideal:
-    return ideal(sg, dim, _atoms(sg, dim), box)
+def maximal_ideal(sg: NumericalSemigroup, dim: int) -> Ideal:
+    return ideal(sg, dim, _atoms(sg, dim))
 
 
 # --- arithmetic -------------------------------------------------------------------
@@ -323,15 +321,19 @@ def ideal_contains(a: Ideal, b: Ideal) -> bool:
 
 def multiply(a: Ideal, b: Ideal) -> Ideal:
     """The product: a shifted by each generator of b, the factor with the
-    smaller need, whose generators are the cheaper to find."""
+    smaller need, whose generators are the cheaper to find, unless only the
+    other order stays on its factor's box."""
     _check_same(a, b)
     if prod(n + 1 for n in b.need) > prod(n + 1 for n in a.need):
         a, b = b, a
     if not b.bits:
         return b
     shift = _extent(b.gens)
-    cap, x = _room(a, shift)
-    return Ideal(a.sg, cap, _shift_union(x, cap, b.gens), tuple(map(add, a.need, shift)))
+    cap = _room(a, shift)
+    if a.bits and cap != a.cap and _room(b, other := _extent(a.gens)) == b.cap:
+        a, b, shift, cap = b, a, other, b.cap
+    x = _shift_union(lay(a, cap).bits, cap, b.gens)
+    return Ideal(a.sg, cap, x, tuple(map(add, a.need, shift)))
 
 
 def _finite_count(diff: int, cap) -> int:

@@ -527,7 +527,7 @@ def test_cli_intersection_and_socle_checks_build_no_product_or_maximal_ideal(mon
     seen, real = [], filtration.multiply
 
     def j_times(x, y):
-        if x is not seen[0].reduction:
+        if x is not seen[0].normal_filt.reduction:
             raise AssertionError("built although the checker only counts")
         return real(x, y)
 
@@ -590,11 +590,13 @@ def _count_calls(monkeypatch, real=monomial.multiply) -> list:
 # products built per command; 74, 48, 16 and 14 when e3_vanishing_cm built its
 # own chain J^(n-1)·closure(I^2) and J^k lived in a second filtration, 61
 # and 41 on the first two when e3_nonnegative built J^n for every n < nmax,
-# and 54, 34, 27 and 20 on the first two and the last two when low_type_cm
-# scanned the reduction number of G(m) from nmax instead of from e - 1
+# 54, 34, 27 and 20 on the first two and the last two when low_type_cm
+# scanned the reduction number of G(m) from nmax instead of from e - 1, and
+# 36 and 18 on the first two when table_coherence fitted the adic column,
+# whose running product built I^2..I^(nmax+1)
 PRODUCTS = [
-    ("sg_4_5_11_uv", ["--nmax", "12"], 36),
-    ("poly3_maximal", [], 18),
+    ("sg_4_5_11_uv", ["--nmax", "12"], 24),
+    ("poly3_maximal", [], 10),
     ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 9),
     ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 2),
     ("sg_4_5_11_uv", ["--checks", "low_type_cm"], 17),
@@ -833,13 +835,37 @@ def test_cli_coeffs_fits_with_one_entry_fewer(capsys, path, nmax, normal):
     assert cli.main(["coeffs", path, "--nmax", str(nmax - 1)]) == 4
 
 
-def test_cli_table_coherence_fits_the_adic_column_of_s3(tmp_path, capsys):
-    # (x^6, y^6, z^6, w^6, x*y*z*w^3): its adic fit needs d + window = 10 of the 11 entries
+def _forbid_adic(monkeypatch):
+    def fail(self):
+        raise AssertionError("the adic column was read")
+
+    monkeypatch.setattr(analysis.Analysis, "adic_values", property(fail))
+
+
+def test_cli_table_coherence_of_s3_verifies_without_the_adic_column(tmp_path, capsys, monkeypatch):
+    # (x^6, y^6, z^6, w^6, x*y*z*w^3): its normal fit needs d + window = 10 of
+    # the 11 entries, and the adic column is not read
+    _forbid_adic(monkeypatch)
     f = tmp_path / "s3.nfilt"
     f.write_text("ring polynomial vars=x,y,z,w\nideal x^6 y^6 z^6 w^6 x*y*z*w^3\n")
     assert cli.main(["check", str(f), "--checks", "table_coherence"]) == 0
     [verdict] = json.loads(capsys.readouterr().out)["verdicts"]
     assert verdict["conclusion"] == "verified"
+
+
+def test_cli_check_reads_no_adic_value(capsys, monkeypatch):
+    # the paper's statements are about the normal filtration alone: `check`
+    # of the corpus and of the benchmark's three check jobs never computes
+    # the adic column, which `table` and `coeffs` still print
+    _forbid_adic(monkeypatch)
+    runs = [[corpus_path(name)] for name in CORPUS_NAMES] + [
+        [corpus_path("poly3_cubes_diag"), "--nmax", "12"],
+        [corpus_path("sg_4_5_11_uv"), "--nmax", "12"],
+        [str(BENCH_INPUTS / "sg_31_37_41.nfilt"), "--nmax", "20"],
+    ]
+    for args in runs:
+        assert cli.main(["check", *args]) == 0, args
+        assert json.loads(capsys.readouterr().out)["verdicts"]
 
 
 def test_cli_horizon_misses_are_not_abstentions(tmp_path, capsys):

@@ -322,6 +322,22 @@ def test_lay_keeps_need_and_the_box_asked_for():
     assert quotient_length(laid, a) == quotient_length(closure, a) == 3  # t^5, t^10, t^11
 
 
+def test_product_shifts_the_factor_whose_box_holds_the_shift():
+    # on the box of degree 4 of J = (t^3) in k[[t^3,t^5]], cap 25, J has the
+    # larger need, 11 against 9 for closure(J^3), but J shifted by the
+    # generators t^9, t^10, t^11 of closure(J^3) needs a cap of 27, while
+    # closure(J^3) shifted by t^3 needs 17: the product is built that way
+    sg = NumericalSemigroup((3, 5))
+    j = mono.ideal(sg, 1, [(3,)])
+    box = mono.power_box(j, 4)
+    laid, f3 = mono.lay(j, box), mono.closure_power(j, 3, box)
+    assert (box, laid.need, f3.need, f3.gens) == ((25,), (11,), (9,), ((9,), (10,), (11,)))
+    with mock.patch.object(mono, "lay", wraps=mono.lay) as spy:
+        p = mono.multiply(laid, f3)
+    assert [c.args for c in spy.call_args_list if any(map(gt, c.args[1], c.args[0].cap))] == []
+    assert (p.cap, p.need, p.gens) == ((25,), (12,), ((12,), (13,), (14,)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(boxed_pairs())
 def test_operations_on_a_box_that_holds_them_relay_nothing(case):

@@ -1,7 +1,7 @@
 """Checker verdicts over the bundled corpus, frozen to known-good conclusions."""
 
 from importlib import resources
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,8 @@ from normfilt.theorems import (CONCLUSIONS, Witness, abstained, asserted, check_
                                check_e3_vanishing_cm, horizon, refuted, verified)
 from oracles import (e3_chain_failure, e3_containment_scan, e3_product_colengths, e3_reduces_scan,
                      lam_m2_Jm_product, quotient_length)
-from test_filtration import chain_values, exact_decomposition, reduction_analyses
+from test_filtration import (chain_values, exact_decomposition, maximal_closure_analyses,
+                             reduction_analyses, ring_analyses)
 
 ALL_CHECKS = (
     "table_coherence",
@@ -150,17 +151,21 @@ def test_vv_intersects_only_up_to_the_reduction_number(monkeypatch):
     assert seen == [a.normal_filt.term(1), a.normal_filt.term(2)]
 
 
-# the lays of an analysis at nmax 12 that grow a box: the input ideal and a
-# given reduction, each from its natural box (need plus the largest atom)
-# onto the box of the analysis
+# the lays of `check` at nmax 12 that grow a box: I and J, each from its
+# natural box (need plus the largest atom) onto the box of the normal
+# filtration, power_box(I, 5) where S = N and power_box(I, 13) elsewhere; a
+# given J is first laid onto I's box where certify compares the two
 LAYOUTS = {
-    "poly3_cubes_diag": [((4, 4, 4), (40, 40, 40))] * 2,
-    "sg_4_5_11_uv": [((2, 2, 30), (14, 14, 162)), ((2, 2, 23), (14, 14, 162))],
+    "poly3_cubes_diag": [((4, 4, 4), (16, 16, 16))] * 2,
+    "sg_4_5_11_uv": [((2, 2, 23), (2, 2, 30)), ((2, 2, 30), (14, 14, 162)),
+                     ((2, 2, 23), (14, 14, 162))],
+    "s3": [((7, 7, 7, 7), (31, 31, 31, 31))] * 2,
 }
+S3 = "ring polynomial vars=x,y,z,w\nideal x^6 y^6 z^6 w^6 x*y*z*w^3\n"
 
 
-@pytest.mark.parametrize("name", sorted(LAYOUTS))
-def test_only_the_initial_layouts_reshape(monkeypatch, name):
+def count_layouts(monkeypatch, modules=(monomial, analysis)) -> list:
+    """Record (old cap, new cap) of each lay through the modules that grows a box."""
     seen = []
     real = monomial.lay
 
@@ -170,12 +175,67 @@ def test_only_the_initial_layouts_reshape(monkeypatch, name):
             seen.append((a.cap, out.cap))
         return out
 
-    for module in (monomial, analysis):  # analysis holds its own name for lay
+    for module in modules:  # analysis holds its own name for lay
         monkeypatch.setattr(module, "lay", counting)
-    a = load(name, nmax=12)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_only_the_initial_layouts_reshape(monkeypatch, name):
+    seen = count_layouts(monkeypatch)
+    if name == "s3":
+        a = analyze(inputs.build_entry(inputs.parse_input(S3), name, nmax=12))
+    else:
+        a = load(name, nmax=12)
     run_checks(a)
     assert seen == LAYOUTS[name]
-    assert a.box == seen[0][1]
+    assert a.normal_filt.ideal.cap == a.normal_filt.reduction.cap == seen[-1][1]
+
+
+@st.composite
+def reader_entries(draw):
+    """An entry with a reduction: half the time an ideal of k[x_1..x_d], d =
+    1..4, at nmax 1..12, between its pure powers (exponents <= 3) and their
+    closure, so that they are its reduction; else an ideal of k[[S]][U..] at
+    nmax 1..3, from `ring_analyses` or, with closure m, from
+    `maximal_closure_analyses`."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 4))
+        ring = PolynomialBackend(("x", "y", "z", "w")[:d])
+        pure = [draw(st.integers(1, 3)) for _ in range(d)]
+        # generators a with sum a_i / p_i >= 1 lie in the closure of the pure powers p_i
+        extra = [a for a in draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=3))
+                 if sum(x * prod(pure) // p for x, p in zip(a, pure)) >= prod(pure)]
+        powers = [tuple(p * (j == i) for j in range(d)) for i, p in enumerate(pure)]
+        return EntryData("e", ring, ring.ideal(powers + extra), nmax=draw(st.integers(1, 12)))
+    a = draw(maximal_closure_analyses() | ring_analyses().map(lambda case: case[0])
+             .filter(lambda a: a.backend.sg.gaps and a.reduction is not None))
+    return a.entry._replace(nmax=draw(st.integers(1, 3)))
+
+
+def coeffs(a):
+    try:
+        reports.coeffs_payload(a)
+    except HorizonError:  # no normal fit: coeffs reads nothing more
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(reader_entries())
+def test_no_box_grows_past_the_readers_initial_lays(entry):
+    """Each reader lays its ideals once, on a box that holds every term it
+    reads: under `check` and `coeffs` no lay inside the kernel grows a box,
+    and the normal filtration builds every term on its own box."""
+    for read in (run_checks, coeffs):
+        a = Analysis(entry)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = count_layouts(mp, modules=(monomial,))  # the readers lay through analysis
+            read(a)
+        assert seen == []
+        f = vars(a).get("normal_filt")
+        if f is not None:
+            built = [x for memo in (f._terms, f._powers, f._products) for x in memo.values()]
+            assert {x.cap for x in built if x is not None} == {f.ideal.cap}
 
 
 def test_frozen_numbers_cubes(analyses):
