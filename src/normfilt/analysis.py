@@ -6,8 +6,8 @@ needs, and each is computed once. The normal column is counted on every
 ring (`monomial.Ideal.closure_counts`), so `table` and `sally` build no
 filtration, and the adic column keeps only the running power of I. The
 J-good table is a closed form in e0 = lambda(R/J) and lambda(R/closure(I));
-no J-good chain is built. Reductions are one pure power per axis, certified
-against the simplex NP(J).
+no J-good chain is built, and G(m) is read off the semigroup. Reductions are
+one pure power per axis, certified against the simplex NP(J).
 """
 
 from __future__ import annotations
@@ -78,22 +78,21 @@ class Analysis:
     the m-primary test and the reduction certificate) and lays nothing: I
     and J stay on their own boxes. Each reader lays the ideals it multiplies
     once, on the box of the highest degree it reads (adic_values I,
-    normal_filt I and J, maximal_vv m and J), so operands share a box inside
-    a reader and the adic column never meets the normal terms.
+    normal_filt I and J), so operands share a box inside a reader and the
+    adic column never meets the normal terms.
     The window `default_window(dim)` is passed to every fit and VV report.
     The table columns (normal_values, adic_values, jgood_values,
     sally_values) and the numbers they read need no filtration. The normal
     and adic fits take e0 as their leading coefficient (ē0 = e0 by Rees),
-    and sally_fit is read off the normal fit. The fits, rn, vv, maximal_vv,
+    and sally_fit is read off the normal fit. The fits, rn, vv,
     normal_filt and what reads them (e_bar, g_s, base_numbers) import
     `filtration` on first read. The J-good and Sally columns, the Sally fit
     and lam_I1_J read e0 for lambda(R/J), not J. Only `Filtration` uses J
     as an ideal: normal_filt keeps J^k and J·F_n, its S = N terms are those
     products when J exists, and rn and vv are its methods. The fields that
-    need J (rn, rn_error, vv and maximal_vv) raise PreconditionError when
-    `reduction` is None. maximal_vv may be read only when closure(I) = m. A
-    fit or reduction number that fails reads None, and its *_error field
-    holds the exception.
+    need J (rn, rn_error and vv) raise PreconditionError when `reduction` is
+    None; tangent_cone_failure reads only S. A fit or reduction number that
+    fails reads None, and its *_error field holds the exception.
     """
 
     def __init__(self, entry: EntryData):
@@ -213,8 +212,8 @@ class Analysis:
         # and closure_intersection reads F_(n+1) and J^n·F_1 for n <= min(4, nmax - 1)
         top = self.nmax + 1 if self.backend.sg.gaps else min(self.nmax + 1, 5)
         box = power_box(self.ideal, top)
-        return Filtration(self.backend, "normal", ideal=lay(self.ideal, box),
-                          reduction=self.reduction and lay(self.reduction, box))
+        return Filtration(self.backend, lay(self.ideal, box),
+                          self.reduction and lay(self.reduction, box))
 
     @cached_property
     def _rn(self):
@@ -234,35 +233,23 @@ class Analysis:
         """lambda(closure(I)/J) = lambda(R/J) - lambda(R/closure(I)), with lambda(R/J) = e0."""
         return self.e0 - self.lam_R_I1
 
-    @cached_property
-    def maximal_vv(self):
-        """Valabrega-Valla report of the powers of m with J, for closure(I) = m.
+    @property
+    def tangent_cone_failure(self):
+        """(degree, witness) of the first Valabrega-Valla failure of the powers
+        of m with J, for closure(I) = m, or None when G(m) is Cohen-Macaulay.
 
         Then J ⊆ I ⊆ m ⊆ closure(J), so J, one pure power per axis, is
         (x_1..x_v, t^e) with e the least generator of S. A monomial x^a·t^s
-        with a_i > 0 of m^n ∩ J (or of m^(n+1)) lies in x_i·m^(n-1) ⊆ J·m^(n-1)
-        (or in J·m^n), as x^a·t^s/x_i has order one less. So failures and the
-        reduction number come only from powers of t, and t^s lies in m^n, J
-        or J·m^(n-1) exactly when it does in k[[S]] with (t^e): the failing
-        degree, the witness t^s and rn are those of the coefficient ring.
-        m is the first normal term, closure(I), and its powers are built here.
-
-        There rn <= e - 1, so the scan starts at min(nmax, e - 1). In k[[S]],
-        t^e·m^n ⊆ m^(n+1) ⊆ m^n and lambda(m^n/t^e·m^n) = e, so the Hilbert
-        function HF(n) = lambda(m^n/m^(n+1)) is at most e, and m^(n+1) =
-        t^e·m^n exactly when HF(n) = e. As mu(m^e) = HF(e) <= e < e + 1,
-        Eakin-Sathaye (J. Algebra 41, 1976) give m^e = x·m^(e-1) for some x,
-        a reduction of m, so HF(e - 1) = lambda(m^(e-1)/x·m^(e-1)) = e: m^e =
-        t^e·m^(e-1), hence m^(n+1) = t^e·m^n for every n >= e - 1, and rn <=
-        e - 1 for J = (t^e) too.
+        with a_i > 0 of m^n ∩ J lies in x_i·m^(n-1) ⊆ J·m^(n-1), as x^a·t^s/x_i
+        has order one less. So failures come only from powers of t, and t^s
+        lies in m^n, J or J·m^(n-1) exactly when it does in k[[S]] with (t^e):
+        the failure is the semigroup's, which builds no ideal. Its s is a
+        minimal generator of m^n ∩ J, as s = s' + g with s' in m^n ∩ J would
+        put s' and so s in J·m^(n-1), and so the first in lexicographic order.
         """
-        from .filtration import Filtration
-        self._need_reduction("maximal_vv")
-        m, top = self.normal_filt.term(1), min(self.nmax, self.backend.sg.multiplicity - 1)
-        box = power_box(m, top + 1)  # for m^(top+1) and J·m^top, the highest read
-        filt = Filtration(self.backend, "adic", lay(m, box), lay(self.normal_filt.reduction, box))
-        rn = _attempt(lambda: filt.reduction_number(top))[0]
-        return filt.valabrega_valla(self.nmax, self.window, rn)
+        failure = self.backend.sg.tangent_cone_failure
+        return failure and (failure[0],
+                            self.backend.element_str((0,) * (self.dim - 1) + failure[1:]))
 
     def e_bar(self, i: int):
         return self.normal_fit.e[i] if self.normal_fit is not None else None

@@ -1,13 +1,14 @@
 """Filtration analytics over a monoid ring.
 
-Covers: memoized filtration terms beside the powers J^k of a reduction and
-the products J·F_n, binomial-basis coefficient fits of length tables with a
-known multiplicity and a verification window, reduction numbers (proved at most
-d-1 for the normal filtration when S = N, elsewhere over a whole window) and
-the Valabrega-Valla test on J up to the reduction number. The module imports
-only `errors` and `monomial`: the caller passes the verification window and
-the tables, and `analysis.Analysis` computes the J-good and Sally columns
-and reads the Sally coefficients off the normal fit.
+Covers: the memoized terms F_n = closure(I^n) of the normal filtration
+beside the powers J^k of a reduction and the products J·F_n, binomial-basis
+coefficient fits of length tables with a known multiplicity and a
+verification window, reduction numbers (proved at most d-1 when S = N,
+elsewhere over a whole window) and the Valabrega-Valla test on J up to the
+reduction number; G(m) is read off the semigroup, with no power of m built.
+The module imports only `errors` and `monomial`: the caller passes the
+verification window and the tables, and `analysis.Analysis` computes the
+J-good and Sally columns and reads the Sally coefficients off the normal fit.
 
 All binomials follow one convention: series_coeff(n, p) is the coefficient of
 z^n in (1-z)^(-p). The usual C(n+j, j) is series_coeff(n, j+1); for p = 0 the
@@ -24,8 +25,6 @@ from .errors import HorizonError, PreconditionError
 from .monomial import (closure_power, colength, contains, intersect, multiply, socle_length,
                        unit_ideal)
 
-KINDS = ("normal", "adic")
-
 
 def series_coeff(n: int, power: int) -> int:
     """Coefficient of z^n in (1-z)^(-power); power must be >= 0."""
@@ -39,41 +38,30 @@ def series_coeff(n: int, power: int) -> int:
 
 
 class Filtration:
-    """A descending multiplicative filtration F with memoized terms, and the
+    """The normal filtration F_n = closure(I^n) with memoized terms, and the
     one place where its reduction J is used as an ideal: it keeps J^k and
     J·F_n beside the terms, each built once, and answers the lengths and
     witnesses that the checkers compare (PreconditionError without J).
 
-    Ordinary powers grow from the memo, I^n = I*I^(n-1). From degree
-    `product_from` on, F_n is the memoized J·F_(n-1): from degree
-    d = len(ideal.cap) on for the normal filtration of an ideal whose
-    semigroup is S = N (a polynomial ring or k[[t]][U..], both regular),
-    given a monomial reduction J of I. There closure(I^n) = closure(J^n) =
-    J*closure(J^(n-1)) for n >= d (Reid-Roberts-Vitulli, Comm. Algebra 31,
-    2003, by Caratheodory's theorem). For the pure powers x_i^(a_i) that
+    From degree `product_from` on, F_n is the memoized J·F_(n-1): from degree
+    d = len(ideal.cap) on for an ideal whose semigroup is S = N (a polynomial
+    ring or k[[t]][U..], both regular), given a monomial reduction J of I.
+    There closure(I^n) = closure(J^n) = J*closure(J^(n-1)) for n >= d
+    (Reid-Roberts-Vitulli, Comm. Algebra 31, 2003, by Caratheodory's theorem). For the pure powers x_i^(a_i) that
     `analysis.certify` admits it is direct: x^b lies in closure(J^n) when
     sum b_i/a_i >= n, and as n >= d some b_i >= a_i, so x^b is x_i^(a_i)
     times a monomial of closure(J^(n-1)).
-    Every other normal term is a closure power, and product_from is None
-    where no such degree is known. Terms are built on the box of the ideal.
+    Every other term is a closure power, and product_from is None where no
+    such degree is known. Terms are built on the box of the ideal.
 
     The chain J^(n-1)·F_2 of `e3_vanishing_cm` is read through `reduces`: if
     F_(k+1) = J^(k-1)·F_2 for 2 <= k < n, J^(n-1)·F_2 = J·F_n, so the chain first
     differs from F_(n+1) where J·F_n does, with its witness, and never past rn.
     """
 
-    def __init__(self, backend, kind: str, ideal=None, reduction=None):
-        if kind not in KINDS:
-            raise PreconditionError(f"unknown filtration kind {kind!r}")
-        if ideal is None:
-            raise PreconditionError(f"{kind} filtration requires an ideal")
-        self.backend = backend
-        self.kind = kind
-        self.ideal = ideal
-        self.reduction = reduction
-        self.product_from = None
-        if kind == "normal" and reduction is not None and not ideal.sg.gaps:
-            self.product_from = len(ideal.cap)
+    def __init__(self, backend, ideal, reduction=None):
+        self.backend, self.ideal, self.reduction = backend, ideal, reduction
+        self.product_from = len(ideal.cap) if reduction is not None and not ideal.sg.gaps else None
         self._terms = {0: unit_ideal(ideal.sg, len(ideal.cap), ideal.cap)}
         self._powers = {0: self._terms[0], 1: reduction}
         self._products = {}
@@ -84,8 +72,6 @@ class Filtration:
         if n not in self._terms:
             if self.product_from is not None and n >= self.product_from:
                 self._terms[n] = self.product(n - 1)
-            elif self.kind == "adic":
-                self._terms[n] = multiply(self.ideal, self.term(n - 1))
             else:
                 self._terms[n] = closure_power(self.ideal, n, self.ideal.cap)
         return self._terms[n]

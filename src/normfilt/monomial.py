@@ -88,6 +88,25 @@ class NumericalSemigroup:
     def contains(self, n: int) -> bool:
         return n >= self.conductor or (n >= 0 and bool(self.member_bits >> n & 1))
 
+    @cached_property
+    def tangent_cone_failure(self) -> tuple[int, int] | None:
+        """(n, s), the least degree n and then the least s with t^s in m^n ∩ (t^e)
+        outside t^e·m^(n-1), m the maximal ideal of k[[S]]: the first failure of
+        the Valabrega-Valla test; None when G(m) is Cohen-Macaulay. t^s lies in
+        m^n iff ord(s) >= n, ord(s) the most generators summing to s. Only n <=
+        e - 1 can fail: t^e·m^n ⊆ m^(n+1) and lambda(m^n/t^e·m^n) = e, so HF(n) =
+        lambda(m^n/m^(n+1)) <= e, with equality iff m^(n+1) = t^e·m^n; as mu(m^e)
+        = HF(e) <= e, Eakin-Sathaye (J. Algebra 41, 1976) give m^e = x·m^(e-1)
+        for a reduction x of m, so HF(e - 1) = e, and m^n = t^e·m^(n-1) ⊆ (t^e)
+        for n >= e. At degree n only s <= e + (n - 2)·max(gens) can fail: x =
+        s - e, a sum of ord(x) <= n - 2 generators, is at most ord(x)·max(gens)."""
+        e, top = self.multiplicity, self.gens[-1]
+        order = [0]  # order[s] = ord(s), and -1 off S
+        for s in range(1, e + (e - 3) * top + 1):
+            order.append(max([order[s - g] + 1 for g in self.gens if self.contains(s - g)] or [-1]))
+        return next(((n, s) for n in range(1, e) for s in range(e, e + (n - 2) * top + 1)
+                     if order[s] >= n and 0 <= order[s - e] < n - 1), None)
+
     def __eq__(self, other):
         return isinstance(other, NumericalSemigroup) and self.gens == other.gens
 

@@ -505,9 +505,9 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
     graded ring is Cohen-Macaulay, and the ordinary graded ring of m is Cohen-Macaulay
     except in one exceptional numeric configuration, where its depth is d-1.
 
-    Both cases read one report, `Analysis.maximal_vv`, the Valabrega-Valla test
-    of the powers of m with J, whose failures are those of the coefficient ring
-    k[[S]] with (t^e)."""
+    G(m) is read off the semigroup, `Analysis.tangent_cone_failure`, with no
+    horizon: its Valabrega-Valla test fails where that of k[[S]] with (t^e) does,
+    at a degree at most e - 1. Only part (a) can run out of horizon."""
     part_a = _cm_conclusion(a, "")
     if part_a.is_refutation:
         return part_a
@@ -518,16 +518,16 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
     nums["lambda_m2_Jm"] = lam_m2_Jm
     exceptional = t == 2 and s1 == 2 and a.mu_maximal - a.dim == 2 and lam_m2_Jm == 1
     nums["exceptional_case"] = int(exceptional)
-    vv = a.maximal_vv
+    failure = a.tangent_cone_failure
     if not exceptional:
-        if vv.first_failure is not None:
-            n, i, elem = vv.first_failure
+        if failure is not None:
+            n, elem = failure
             return refuted(
                 f"outside the exceptional case the ordinary graded ring of m must be "
-                f"Cohen-Macaulay, but Valabrega-Valla fails at degree {n} prefix {i}",
+                f"Cohen-Macaulay, but Valabrega-Valla fails at degree {n} prefix {a.dim}",
                 [Witness(n, elem)],
             )
-        if part_a.conclusion == "verified" and vv.certified_cm:
+        if part_a.conclusion == "verified":
             return verified(
                 "closure-filtration graded ring and ordinary graded ring of m are both "
                 "certified Cohen-Macaulay",
@@ -536,8 +536,8 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
             "Valabrega-Valla passes for both filtrations but the horizon is too small "
             "to certify Cohen-Macaulayness",
         )
-    if vv.first_failure is not None:
-        n, _, elem = vv.first_failure
+    if failure is not None:
+        n, elem = failure
         if part_a.conclusion == "verified":
             return verified(
                 "exceptional case confirmed: the coefficient-ring graded ring fails "
@@ -550,12 +550,12 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
             "exceptional depth drop confirmed but the closure-filtration horizon is too "
             "small to certify part (a)",
         )
-    if vv.certified_cm and part_a.conclusion == "verified":
+    if part_a.conclusion == "verified":
         return verified(
             "exceptional numeric configuration, yet both graded rings are certified "
             "Cohen-Macaulay (depth >= d-1 holds with room to spare)",
         )
-    return horizon("exceptional case: horizon too small to settle the coefficient-ring depth")
+    return horizon("exceptional case: the closure-filtration horizon is too small for part (a)")
 
 
 def run_checks(a: Analysis) -> list[Verdict]:

@@ -28,11 +28,13 @@ Both sides read the same input files from one scratch directory through
 relative paths.
 
 Prints the number of identical and differing (stdout, stderr, exit code)
-triples and the first differences; exits 1 when any triple differs. With
---expect-diff, FILE lists the command lines that may differ, one per line as
-the report prints them (the leading `normfilt` is optional; blank lines and
-lines starting with # are skipped): only a difference on another line exits
-1, and a listed line that the sweep does not run exits 2.
+triples, every differing command line, and the base and head triples of the
+first 5; exits 1 when any triple differs. With --expect-diff, FILE lists the
+command lines that may differ, one per line as the report prints them (the
+leading `normfilt` is optional; blank lines and lines starting with # are
+skipped): only a difference on another line exits 1, and a listed line that
+the sweep does not run exits 2. Every line of the report but the differing
+command lines starts with #, so the report is itself such a FILE.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ def extract(rev: str, dest: Path) -> Path:
 
 def _show(label, triple) -> str:
     out, err, code = triple
-    return f"  {label}: exit {code}, stdout {out[:200]!r}, stderr {err[:200]!r}"
+    return f"#   {label}: exit {code}, stdout {out[:200]!r}, stderr {err[:200]!r}"
 
 
 def read_expected(path: Path) -> set[tuple[str, ...]]:
@@ -223,13 +225,16 @@ def main(argv) -> int:
             return 2
         base_src = extract(args.base_rev, tmp / "base")
         same, diffs = sweep(base_src, REPO / "src", lines, tmp / "inputs")
-    print(f"{len(lines)} lines: {same} identical, {len(diffs)} differing (stdout, stderr, exit code)")
+    print(f"# {len(lines)} lines: {same} identical, {len(diffs)} differing "
+          "(stdout, stderr, exit code)")
     surprises = [d for d in diffs if tuple(d[0]) not in expected]
     if expected:
-        print(f"{len(diffs) - len(surprises)} of {len(expected)} lines listed by --expect-diff differ; "
-              f"{len(surprises)} other lines differ")
-    for argv, base, head in surprises[:5]:
+        print(f"# {len(diffs) - len(surprises)} of {len(expected)} lines listed by --expect-diff "
+              f"differ; {len(surprises)} other lines differ")
+    for argv, _, _ in surprises:
         print("normfilt " + " ".join(argv))
+    for argv, base, head in surprises[:5]:
+        print("# normfilt " + " ".join(argv))
         print(_show("base", base))
         print(_show("head", head))
     return 1 if surprises else 0

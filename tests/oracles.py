@@ -15,8 +15,9 @@ Valabrega-Valla loop over every prefix of J and every degree,
 `reduction_number_scan` the reduction number by a scan of every degree from
 the horizon down, which the proved bound of `Filtration.reduction_number`
 cuts short for the normal filtration of a polynomial ring, and
-`maximal_vv_scan` the report of `Analysis.maximal_vv` from that scan, before
-its reduction number stopped at e - 1,
+`maximal_vv_scan` the Valabrega-Valla report of the powers of m, from that
+scan over `AdicFiltration` (the powers of an ideal, which `Filtration` no
+longer builds), that `NumericalSemigroup.tangent_cone_failure` replaced,
 `intersection_failures_oracle` the test closure(I^(n+1)) ∩ J^n = J^n·closure(I)
 over every low degree, where its checker stops at the first failure, and
 `e3_chain_failure` the chain J^(n-1)·closure(I^2) that `check_e3_vanishing_cm`
@@ -49,6 +50,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, gcd, prod
 
+from normfilt.analysis import auto_reduction
 from normfilt.errors import HorizonError, PreconditionError
 from normfilt.filtration import Filtration, fit_polynomial
 from normfilt.monomial import Ideal, _finite_count, _joint, colength, contains, intersect, multiply
@@ -493,14 +495,35 @@ def reduction_number_scan(filt, reduction, nmax):
     return r
 
 
-def maximal_vv_scan(a):
-    """(Valabrega-Valla report, rn) of the powers of m with J, for an analysis
-    with closure(I) = m, rn scanned from the horizon down by
-    `reduction_number_scan`, as `Analysis.maximal_vv` did before it started
-    at e - 1."""
-    filt = Filtration(a.backend, "adic", ideal=a.normal_filt.term(1), reduction=a.reduction)
-    rn = reduction_number_scan(filt, a.reduction, a.nmax)
-    return filt.valabrega_valla(a.nmax, a.window, rn), rn
+class AdicFiltration(Filtration):
+    """The I-adic filtration F_n = I^n, each power the memoized I·I^(n-1),
+    with the J^k, J·F_n, reduction number and Valabrega-Valla test of
+    `Filtration` over it: the adic kind that `Filtration` had before the
+    graded ring of m was read off the semigroup."""
+
+    def __init__(self, backend, ideal, reduction=None):
+        super().__init__(backend, ideal, reduction)
+        self.product_from = None  # no degree is known past which I^n = J·I^(n-1)
+
+    def term(self, n: int):
+        if n > 0 and n not in self._terms:
+            self._terms[n] = multiply(self.ideal, self.term(n - 1))
+        return super().term(n)
+
+
+def maximal_vv_scan(ring, nmax, window):
+    """(Valabrega-Valla report, rn) of the powers of the maximal ideal m of
+    ring with its pure-power reduction J = (x_1..x_v, t^e), built as ideals
+    in all d dimensions, rn scanned from nmax down by `reduction_number_scan`.
+    As rn <= e - 1, the report is decisive from nmax = e - 1 + window on: it
+    certifies G(m) Cohen-Macaulay or names its first failure. On k[[S]] it is
+    the coefficient-ring report that `Analysis.maximal_vv` was compared with,
+    and on k[[S]][U..] the report that `Analysis.maximal_vv` gave, before
+    `Analysis.tangent_cone_failure` read G(m) off the semigroup."""
+    m = ring.maximal()
+    filt = AdicFiltration(ring, m, auto_reduction(m))
+    rn = reduction_number_scan(filt, filt.reduction, nmax)
+    return filt.valabrega_valla(nmax, window, rn), rn
 
 
 def intersection_failures_oracle(filt, reduction, upto):

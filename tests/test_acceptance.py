@@ -15,13 +15,13 @@ from importlib import resources
 from math import comb
 
 from normfilt import cli, inputs, monomial as mono
-from normfilt.filtration import Filtration, series_coeff
+from normfilt.filtration import series_coeff
 from normfilt.inputs import SemigroupBackend
 from normfilt.newton import multiplicity, newton_polyhedron
 from normfilt.theorems import analyze, run_checks
-from oracles import (_solve_consistent, ideal_sum, in_dilation_oracle, jgood_chain_colengths,
-                     semigroup_members_oracle, series_checks)
-from test_filtration import coefficient_ring_vv, degree_and_witness
+from oracles import (AdicFiltration, _solve_consistent, ideal_sum, in_dilation_oracle,
+                     jgood_chain_colengths, maximal_vv_scan, semigroup_members_oracle,
+                     series_checks)
 
 CORPUS = resources.files("normfilt") / "corpus"
 
@@ -82,7 +82,7 @@ def test_criterion_1_semigroup_example(capsys):
         t0 = time.monotonic()
         base = analyze(load("sg_4_5_11", nmax=8))
         ext = analyze(load("sg_4_5_11_uv", nmax=8))
-        base_vv, base_rn = coefficient_ring_vv((4, 5, 11), ext.nmax, ext.window)
+        base_vv, base_rn = maximal_vv_scan(SemigroupBackend((4, 5, 11)), ext.nmax, ext.window)
         elapsed = time.monotonic() - t0
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
@@ -93,7 +93,7 @@ def test_criterion_1_semigroup_example(capsys):
         # closure(m^2) picks up exactly t^11; higher powers are already closed
         k_s = SemigroupBackend((4, 5, 11))
         m = k_s.maximal()
-        m_powers = Filtration(k_s, "adic", ideal=m)
+        m_powers = AdicFiltration(k_s, m)
         assert mono.closure_power(m, 2) == ideal_sum(m_powers.term(2), k_s.ideal([(11,)]))
         for n in range(3, 9):
             assert mono.closure_power(m, n) == m_powers.term(n)
@@ -106,8 +106,9 @@ def test_criterion_1_semigroup_example(capsys):
         assert base_rn is not None
         assert base_vv.first_failure == (3, 1, "t^15")
         assert not base_vv.certified_cm and not base_vv.inconclusive
-        # the VV report of m in S[U,V] fails at the same degree and element
-        assert degree_and_witness(ext.maximal_vv) == degree_and_witness(base_vv)
+        # the semigroup alone names that failure, and so the failure of m in S[U,V]
+        assert sg.tangent_cone_failure == (3, 15)
+        assert ext.tangent_cone_failure == (3, "t^15")
 
         # extension ring S[U,V]: closure(n^2) = n^2 + (z) for z = t^11, and
         # closure(n^k) = n^k + z*(U,V)^(k-2) degreewise up to the horizon
@@ -115,8 +116,8 @@ def test_criterion_1_semigroup_example(capsys):
         nmaxl = ring.maximal()
         z = ring.ideal([(0, 0, 11)])
         uv = ring.ideal([(1, 0, 0), (0, 1, 0)])
-        n_powers = Filtration(ring, "adic", ideal=nmaxl)
-        uv_powers = Filtration(ring, "adic", ideal=uv)
+        n_powers = AdicFiltration(ring, nmaxl)
+        uv_powers = AdicFiltration(ring, uv)
         assert mono.closure_power(nmaxl, 1) == nmaxl
         for k in range(2, 9):
             expected = ideal_sum(

@@ -33,9 +33,12 @@ def test_sweep_reports_a_changed_output(tmp_path):
 
 
 def test_expected_differences_pass_and_others_fail(tmp_path, monkeypatch, capsys):
-    # main runs on three lines whose outputs the changed tree alters; listing
-    # two of them leaves the third to fail the sweep, listing all three passes
-    lines = LINES[:3]
+    # main runs on seven lines whose outputs the changed tree alters; listing
+    # one of them leaves six to fail the sweep, each printed as a command line
+    # (the detail of the first five only), and the report itself, used as the
+    # list, passes
+    lines = LINES + [["table", "corpus/poly2_x2_y2.nfilt", "--format", "json"],
+                     ["check", "corpus/sg_4_5_11.nfilt", "--nmax", "3"]]
     changed = tmp_path / "changed"
     shutil.copytree(SRC / "normfilt", changed / "normfilt")
     with open(changed / "normfilt" / "cli.py", "a") as f:
@@ -46,14 +49,19 @@ def test_expected_differences_pass_and_others_fail(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(diffsweep, "extract", lambda rev, dest: SRC)
     (tmp_path / "src").symlink_to(changed)
     expect = tmp_path / "expect.txt"
-    expect.write_text("# may change\nnormfilt " + " ".join(lines[0]) + "\n\n" + " ".join(lines[1]) + "\n")
-    assert diffsweep.read_expected(expect) == {tuple(lines[0]), tuple(lines[1])}
+    expect.write_text("# may change\nnormfilt " + " ".join(lines[0]) + "\n\n")
+    assert diffsweep.read_expected(expect) == {tuple(lines[0])}
     assert diffsweep.main(["BASE", "--expect-diff", str(expect)]) == 1
     out = capsys.readouterr().out
-    assert "3 lines: 0 identical, 3 differing" in out
-    assert "2 of 2 lines listed by --expect-diff differ; 1 other lines differ" in out
-    assert "normfilt " + " ".join(lines[2]) in out and "normfilt " + " ".join(lines[0]) not in out
-    expect.write_text("\n".join(" ".join(line) for line in lines) + "\n")
+    assert "# 7 lines: 0 identical, 7 differing" in out
+    assert "# 1 of 1 lines listed by --expect-diff differ; 6 other lines differ" in out
+    printed = [text for text in out.splitlines() if not text.startswith("#")]
+    assert printed == ["normfilt " + " ".join(line) for line in lines[1:]]
+    assert sum(text.startswith("#   base: ") for text in out.splitlines()) == 5
+    expect.write_text(out)
+    assert diffsweep.read_expected(expect) == {tuple(line) for line in lines[1:]}
+    assert diffsweep.main(["BASE", "--expect-diff", str(expect)]) == 1  # lines[0] is not listed
+    expect.write_text(out + "normfilt " + " ".join(lines[0]) + "\n")
     assert diffsweep.main(["BASE", "--expect-diff", str(expect)]) == 0
     expect.write_text("table corpus/missing.nfilt\n")
     assert diffsweep.main(["BASE", "--expect-diff", str(expect)]) == 2

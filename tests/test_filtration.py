@@ -1,7 +1,8 @@
 """Filtrations, exact polynomial fits, reduction numbers, and series identities."""
 
 from fractions import Fraction
-from math import comb, prod
+from itertools import combinations
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,10 +12,11 @@ from normfilt import CHECKS, errors
 from normfilt import filtration as flt
 from normfilt.analysis import Analysis, auto_reduction, default_nmax, default_window
 from normfilt.inputs import EntryData, PolynomialBackend, SemigroupBackend
-from normfilt.monomial import closure_power, colength, contains, intersect, multiply, unit_ideal
-from oracles import (_solve_consistent, free_fit_coefficients, intersection_failures_oracle,
-                     jgood_chain_colengths, length_table, maximal_vv_scan,
-                     reduction_number_scan, sally_from_tables, series_checks,
+from normfilt.monomial import (NumericalSemigroup, closure_power, colength, contains, intersect,
+                               multiply, unit_ideal)
+from oracles import (AdicFiltration, _solve_consistent, free_fit_coefficients,
+                     intersection_failures_oracle, jgood_chain_colengths, length_table,
+                     maximal_vv_scan, reduction_number_scan, sally_from_tables, series_checks,
                      valabrega_valla_prefixes)
 
 
@@ -167,8 +169,8 @@ def power(a, n):
 def test_filtration_terms(poly2):
     b = poly2
     ideal = b.ideal([(2, 0), (0, 2)])
-    normal = flt.Filtration(b, "normal", ideal=ideal)
-    adic = flt.Filtration(b, "adic", ideal=ideal)
+    normal = flt.Filtration(b, ideal)
+    adic = AdicFiltration(b, ideal)
     assert normal.term(0) == unit_ideal(b.sg, b.dim)
     # the closure of (x^2, y^2) is the full square of the maximal ideal
     assert normal.term(1) == power(b.maximal(), 2)
@@ -184,16 +186,14 @@ def test_filtration_validation(poly2):
     b = poly2
     ideal = b.ideal([(2, 0), (0, 2)])
     with pytest.raises(errors.PreconditionError):
-        flt.Filtration(b, "bogus", ideal=ideal)
+        flt.Filtration(b, ideal).term(-1)
     with pytest.raises(errors.PreconditionError):
-        flt.Filtration(b, "normal")
-    with pytest.raises(errors.PreconditionError):
-        flt.Filtration(b, "adic", ideal=ideal).term(-1)
+        AdicFiltration(b, ideal).term(-1)
 
 
 def test_length_table(poly2):
     b = poly2
-    maximal = flt.Filtration(b, "adic", ideal=b.maximal())
+    maximal = AdicFiltration(b, b.maximal())
     assert length_table(maximal, 4) == (1, 3, 6, 10, 15)
 
 
@@ -204,10 +204,10 @@ def test_reduction_number(poly2):
     b = poly2
     m2 = power(b.maximal(), 2)
     j = b.ideal([(2, 0), (0, 2)])
-    filt = flt.Filtration(b, "adic", ideal=m2, reduction=j)
+    filt = AdicFiltration(b, m2, j)
     assert filt.reduction_number(6) == 1
     # an ideal is its own reduction with reduction number 0
-    self_filt = flt.Filtration(b, "adic", ideal=b.maximal(), reduction=b.maximal())
+    self_filt = AdicFiltration(b, b.maximal(), b.maximal())
     assert self_filt.reduction_number(4) == 0
 
 
@@ -215,7 +215,7 @@ def test_reduction_number_horizon(poly2):
     b = poly2
     m2 = power(b.maximal(), 2)
     j = b.ideal([(2, 0), (0, 2)])
-    filt = flt.Filtration(b, "adic", ideal=m2, reduction=j)
+    filt = AdicFiltration(b, m2, j)
     with pytest.raises(errors.HorizonError):
         filt.reduction_number(0)  # J*R != m^2 and nothing above to test
 
@@ -226,7 +226,7 @@ def test_reduction_number_horizon(poly2):
 def test_vv_certified_and_inconclusive(poly2):
     b = poly2
     ideal = b.ideal([(2, 0), (0, 2)])
-    normal = flt.Filtration(b, "normal", ideal=ideal, reduction=ideal)
+    normal = flt.Filtration(b, ideal, ideal)
     rn = normal.reduction_number(7)
     assert rn == 1
     report = normal.valabrega_valla(7, 4, rn)
@@ -242,7 +242,7 @@ def test_vv_decisive_failure_on_semigroup_base():
     b = SemigroupBackend((4, 5, 11))
     m = b.maximal()
     j = b.ideal([(4,)])
-    filt = flt.Filtration(b, "adic", ideal=m, reduction=j)
+    filt = AdicFiltration(b, m, j)
     report = filt.valabrega_valla(6, 3, None)
     assert not report.certified_cm and not report.inconclusive
     degree, prefix, witness = report.first_failure
@@ -277,7 +277,7 @@ def vv_cases(draw, semigroups=((1,), (2, 3), (3, 5), (4, 5, 11)), kinds=("normal
         ideal = ring.maximal()
     j = auto_reduction(ideal)
     assume(j is not None)
-    filt = flt.Filtration(ring, "normal" if kind == "normal" else "adic", ideal=ideal, reduction=j)
+    filt = (flt.Filtration if kind == "normal" else AdicFiltration)(ring, ideal, j)
     return filt, j, draw(st.integers(1, 6)), draw(st.integers(1, 4))
 
 
@@ -317,22 +317,63 @@ def test_vv_never_fails_on_polynomial_normal_filtrations(case):
     assert filt.valabrega_valla(nmax, window, rn).first_failure is None
 
 
-def coefficient_ring_vv(gens, nmax, window):
-    """(Valabrega-Valla report, rn) of the powers of the maximal ideal of k[[S]],
-    S = <gens>, with the reduction (t^e), e the least generator of S: the
-    coefficient-ring analysis that `Analysis.maximal_vv` replaced."""
-    ring = SemigroupBackend(gens)
-    m = ring.maximal()
-    filt = flt.Filtration(ring, "adic", ideal=m, reduction=auto_reduction(m))
-    rn = certified_rn(filt, nmax)
-    return filt.valabrega_valla(nmax, window, rn), rn
-
-
-def degree_and_witness(report):
-    """report with first_failure cut to (degree, witness): its prefix is the
-    number of generators of J, which the two rings do not share."""
+def first_failure(report):
+    """(degree, witness) of a Valabrega-Valla report's first failure, or None:
+    the form of `Analysis.tangent_cone_failure`. The prefix is left out: it is
+    the number of generators of J, which the rings compared do not share."""
     failure = report.first_failure
-    return report._replace(first_failure=failure and failure[::2])
+    return failure and failure[::2]
+
+
+def decisive_vv(ring, window):
+    """`first_failure` of maximal_vv_scan at the horizon e - 1 + window, where
+    rn <= e - 1 makes the report decisive: it fails, at the prefix d that
+    `check_low_type_cm` prints, or certifies G(m) Cohen-Macaulay."""
+    report, rn = maximal_vv_scan(ring, ring.sg.multiplicity - 1 + window, window)
+    assert rn <= ring.sg.multiplicity - 1
+    assert report.certified_cm == (report.first_failure is None)
+    assert report.first_failure is None or report.first_failure[1] == ring.dim
+    return first_failure(report)
+
+
+# the minimal generating sets of 2 to 4 numbers from 3..14
+SMALL_SEMIGROUPS = [gens for k in (2, 3, 4) for gens in combinations(range(3, 15), k)
+                    if gcd(*gens) == 1 and NumericalSemigroup(gens).gens == gens]
+# the ten of them whose G(m) is not Cohen-Macaulay, with (degree, s) of the first failure
+TANGENT_CONE_FAILURES = {
+    (4, 5, 11): (3, 15), (5, 6, 13): (3, 18), (5, 6, 14): (4, 24), (6, 7, 11): (4, 28),
+    (7, 8, 13): (5, 40), (8, 9, 14): (4, 36), (5, 6, 9, 13): (3, 18), (5, 6, 13, 14): (3, 18),
+    (7, 8, 12, 13): (4, 32), (8, 9, 13, 14): (4, 36),
+}
+
+
+@pytest.mark.parametrize("free", [0, 1])
+def test_tangent_cone_failure_matches_the_oracle_on_small_semigroups(free):
+    """On every minimal generating set of 2 to 4 numbers from 3..14, with no
+    or one adjoined variable, the failure read off the semigroup is that of
+    the decisive report of the powers of m built as ideals. <4,5,11> and
+    <5,6,14> fail at degree e - 1, the last degree scanned, and <4,5,11> at
+    s = 15 = e + (n - 2)·max(gens), the largest s scanned at degree 3."""
+    assert len(SMALL_SEMIGROUPS) == 264
+    found = {}
+    for gens in SMALL_SEMIGROUPS:
+        ring = SemigroupBackend(gens, free)
+        a = Analysis(EntryData("e", ring, ring.maximal()))
+        assert a.tangent_cone_failure == decisive_vv(ring, a.window), gens
+        if a.tangent_cone_failure:
+            found[gens] = ring.sg.tangent_cone_failure
+            assert a.tangent_cone_failure[1] == f"t^{found[gens][1]}"
+    assert found == TANGENT_CONE_FAILURES
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_SEMIGROUPS) | st.sampled_from(list(TANGENT_CONE_FAILURES)))
+def test_tangent_cone_failure_matches_the_oracle_with_two_adjoined_variables(gens):
+    """The same on k[[S]][U,V], for a sample of the sets, half of it drawn
+    from the ten that fail."""
+    ring = SemigroupBackend(gens, 2)
+    a = Analysis(EntryData("e", ring, ring.maximal()))
+    assert a.tangent_cone_failure == decisive_vv(ring, a.window)
 
 
 @st.composite
@@ -357,20 +398,26 @@ def maximal_closure_analyses(draw):
 @settings(max_examples=100, deadline=None)
 @given(maximal_closure_analyses())
 def test_maximal_vv_matches_the_coefficient_ring(a):
-    """VV of m with J fails, and m reaches J·m^n, exactly where k[[S]] with (t^e) does."""
+    """VV of m with J fails, and m reaches J·m^n, exactly where k[[S]] with
+    (t^e) does, and tangent_cone_failure names that failure: the reports are
+    compared at the horizon e - 1 + window, where they are decisive."""
     assert a.closure_is_maximal and a.reduction is not None
-    assert a.normal_filt.term(1) == a.backend.maximal()  # the m that maximal_vv reads
-    base, base_rn = coefficient_ring_vv(a.backend.sg.gens, a.nmax, a.window)
-    powers = flt.Filtration(a.backend, "adic", ideal=a.backend.maximal(), reduction=a.reduction)
-    assert certified_rn(powers, a.nmax) == base_rn
-    assert degree_and_witness(a.maximal_vv) == degree_and_witness(base)
+    assert a.normal_filt.term(1) == a.backend.maximal()  # the m that tangent_cone_failure tests
+    assert a.reduction == auto_reduction(a.backend.maximal())  # the J of maximal_vv_scan
+    top = a.backend.sg.multiplicity - 1 + a.window
+    report, rn = maximal_vv_scan(a.backend, top, a.window)
+    base, base_rn = maximal_vv_scan(SemigroupBackend(a.backend.sg.gens), top, a.window)
+    assert rn == base_rn
+    assert first_failure(report) == first_failure(base) == a.tangent_cone_failure
+    assert report.certified_cm == base.certified_cm == (a.tangent_cone_failure is None)
 
 
 def test_maximal_vv_scan_stops_at_e_minus_one():
-    """maximal_vv scans rn from e - 1, not from the horizon (Eakin-Sathaye):
-    its report is the full scan's, and the full scan's rn is at most e - 1.
-    The family reaches rn = e - 1 below the horizon, where a scan from e - 2
-    would find no rn and change the report."""
+    """tangent_cone_failure scans degrees up to e - 1 only (Eakin-Sathaye):
+    the full scan's rn is at most e - 1, and over the degrees its report
+    checks, 1..rn (1..nmax when no rn is found), it fails first where the
+    property does. The family reaches rn = e - 1 below the horizon, so the
+    bound is tight."""
     reached = []
     for gens in [(2, 3), (2, 5), (3, 4), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7), (6, 7),
                  (3, 4, 5), (4, 5, 7), (4, 5, 11), (5, 6, 9)]:
@@ -378,10 +425,13 @@ def test_maximal_vv_scan_stops_at_e_minus_one():
             for nmax in (3, 8):
                 ring = SemigroupBackend(gens, free)
                 a = Analysis(EntryData("e", ring, ring.maximal(), nmax=nmax))
-                report, rn = maximal_vv_scan(a)
+                report, rn = maximal_vv_scan(ring, nmax, a.window)
                 e = ring.sg.multiplicity
                 assert rn is None or rn <= e - 1, (gens, free, nmax)
-                assert a.maximal_vv == report, (gens, free, nmax)
+                failure = a.tangent_cone_failure
+                checked = nmax if rn is None else rn
+                assert first_failure(report) == (failure if failure and failure[0] <= checked
+                                                 else None), (gens, free, nmax)
                 reached.append(rn == e - 1 < nmax)
     assert sum(reached) >= 10
 
@@ -416,7 +466,7 @@ def ring_analyses(draw):
     powers = [tuple(p * (j == i) for j in range(d)) for i, p in enumerate(pure)]
     ideal = ring.ideal(powers + extra)
     analysis = Analysis(EntryData("e", ring, ideal, nmax=draw(st.integers(1, d + 2))))
-    return analysis, flt.Filtration(ring, "normal", ideal=ideal)
+    return analysis, flt.Filtration(ring, ideal)
 
 
 @settings(max_examples=100, deadline=None)
@@ -453,7 +503,7 @@ def test_adic_column_and_mu_maximal_match_built_ideals(case):
     """The running product gives the column of the adic filtration, and the
     atoms count the minimal generators of m."""
     a, _ = case
-    assert a.adic_values == length_table(flt.Filtration(a.backend, "adic", ideal=a.ideal), a.nmax)
+    assert a.adic_values == length_table(AdicFiltration(a.backend, a.ideal), a.nmax)
     assert a.mu_maximal == len(a.backend.maximal().gens)
 
 
@@ -642,7 +692,7 @@ def test_containment_in_reduction_powers_reads_the_meet(a):
     lambda(R/(J^n ∩ F_(n+2))) is the counted lambda(R/F_(n+2)), and the witness
     is the first generator of F_(n+2) outside J^n: against closure powers and
     powers of J built apart. A tenth of the entries, semigroup rings, fail."""
-    closures = flt.Filtration(a.backend, "normal", ideal=a.ideal)
+    closures = flt.Filtration(a.backend, a.ideal)
     counts, jn = a.ideal.closure_counts(a.nmax + 1), closures.term(0)
     for n in range(a.nmax):
         term = closures.term(n + 2)

@@ -593,19 +593,22 @@ def _count_calls(monkeypatch, real=monomial.multiply) -> list:
 # 54, 34, 27 and 20 on the first two and the last two when low_type_cm
 # scanned the reduction number of G(m) from nmax instead of from e - 1, and
 # 36 and 18 on the first two when table_coherence fitted the adic column,
-# whose running product built I^2..I^(nmax+1)
+# whose running product built I^2..I^(nmax+1), and 24, 10, 17 and 4 on the
+# first two and the last two when low_type_cm built m^2..m^e and J·m^n to
+# test G(m), which it now reads off the semigroup
 PRODUCTS = [
-    ("sg_4_5_11_uv", ["--nmax", "12"], 24),
-    ("poly3_maximal", [], 10),
+    ("sg_4_5_11_uv", ["--nmax", "12"], 16),
+    ("poly3_maximal", [], 8),
     ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 9),
     ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 2),
-    ("sg_4_5_11_uv", ["--checks", "low_type_cm"], 17),
-    ("poly3_maximal", ["--checks", "low_type_cm"], 4),
+    ("sg_4_5_11_uv", ["--checks", "low_type_cm"], 9),
+    ("poly3_maximal", ["--checks", "low_type_cm"], 2),
 ]
 # intersections built per command: a loop that compares J^n ∩ F_(n+2) past
-# rn - 2 again raises the first two (22 and 12 when e3_nonnegative did)
+# rn - 2 again raises the first two (22 and 12 when e3_nonnegative did), and
+# the first is 10 when low_type_cm intersected m^n with J
 INTERSECTIONS = [
-    ("sg_4_5_11_uv", ["--nmax", "12"], 10),
+    ("sg_4_5_11_uv", ["--nmax", "12"], 6),
     ("poly3_maximal", [], 4),
     ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 2),
     ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 0),

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from normfilt import errors
 from normfilt import monomial as mono
-from normfilt.filtration import Filtration
 from normfilt.inputs import PolynomialBackend
 from normfilt.monomial import NumericalSemigroup
 from oracles import (
+    AdicFiltration,
     ideal_sum,
     monoid_member,
     monoid_minimal,
@@ -42,7 +42,7 @@ def ideal(dim, *gens):
 
 def powers(a, upto):
     """a^0..a^upto from the adic filtration."""
-    adic = Filtration(PolynomialBackend("xyzw"[: len(a.gens[0])]), "adic", ideal=a)
+    adic = AdicFiltration(PolynomialBackend("xyzw"[: len(a.gens[0])]), a)
     return [adic.term(n) for n in range(upto + 1)]
 
 

@@ -15,6 +15,7 @@ from normfilt.analysis import auto_reduction, certify
 from normfilt.filtration import Filtration
 from normfilt.inputs import PolynomialBackend, SemigroupBackend
 from oracles import (
+    AdicFiltration,
     box_points,
     closure_power_rows,
     hull_heads,
@@ -41,7 +42,7 @@ def ideal(gens):
 
 
 def maximal_power(ring, n):
-    return Filtration(ring, "adic", ideal=ring.maximal()).term(n)
+    return AdicFiltration(ring, ring.maximal()).term(n)
 
 
 def test_halfspaces_squares():
@@ -177,7 +178,7 @@ def test_multiplicity_is_the_difference_of_closure_colengths(gens):
 ])
 def test_normal_column_in_four_variables(gens, nmax, formula):
     ring = PolynomialBackend("xyzw")
-    column = length_table(Filtration(ring, "normal", ideal=ring.ideal(gens)), nmax)
+    column = length_table(Filtration(ring, ring.ideal(gens)), nmax)
     assert column == tuple(formula(n) for n in range(nmax + 1))
 
 

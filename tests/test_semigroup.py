@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from normfilt import errors
 from normfilt import monomial as mono
-from normfilt.filtration import Filtration
 from normfilt.inputs import SemigroupBackend
 from normfilt.newton import newton_polyhedron
-from oracles import ideal_sum, quotient_length, semigroup_members_oracle
+from oracles import AdicFiltration, ideal_sum, quotient_length, semigroup_members_oracle
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +28,7 @@ def base():
 
 
 def power(ring, a, n):
-    return Filtration(ring, "adic", ideal=a).term(n)
+    return AdicFiltration(ring, a).term(n)
 
 
 def row(a, b, upto):

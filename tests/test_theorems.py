@@ -16,8 +16,8 @@ from normfilt import analysis, inputs, monomial, reports
 from normfilt.errors import HorizonError
 from normfilt.theorems import (CONCLUSIONS, Witness, abstained, asserted, check_e3_nonnegative,
                                check_e3_vanishing_cm, horizon, refuted, verified)
-from oracles import (e3_chain_failure, e3_containment_scan, e3_product_colengths, e3_reduces_scan,
-                     lam_m2_Jm_product, quotient_length)
+from oracles import (AdicFiltration, e3_chain_failure, e3_containment_scan, e3_product_colengths,
+                     e3_reduces_scan, lam_m2_Jm_product, quotient_length)
 from test_filtration import (chain_values, exact_decomposition, maximal_closure_analyses,
                              reduction_analyses, ring_analyses)
 
@@ -297,7 +297,7 @@ def test_low_type_cm_tests_the_powers_of_m(tmp_path, gens, ideal):
     text = f"name not_maximal\nring semigroup gens={','.join(map(str, gens))} adjoin=U,V\nideal {ideal}\n"
     a = analyze(inputs.build_entry(inputs.parse_input(text)))
     assert a.ideal != a.backend.maximal() and a.closure_is_maximal
-    powers = filtration.Filtration(a.backend, "adic", ideal=a.ideal, reduction=a.reduction)
+    powers = AdicFiltration(a.backend, a.ideal, a.reduction)
     assert powers.valabrega_valla(a.nmax, a.window, None).first_failure
     verdicts = {v.check: v for v in run_checks(a)}
     assert verdicts["low_type_cm"].conclusion == "verified"
@@ -490,7 +490,7 @@ def test_verdict_validation(analyses):
     assert len({id(v.numbers) for v in verdicts}) == len(verdicts)
 
 
-@pytest.mark.parametrize("field", ["rn", "vv", "maximal_vv"])
+@pytest.mark.parametrize("field", ["rn", "vv"])
 def test_fields_built_from_J_name_the_missing_reduction(field):
     a = load("poly2_x2_xy_y3")  # no monomial reduction
     assert a.reduction is None
@@ -549,7 +549,7 @@ def test_e3_vanishing_cm_fails_where_its_former_chain_does(a):
     run without its gates, it refutes at the chain's first failing degree,
     with the chain's witness, on closure powers built apart. About a fifth
     of the entries are semigroup rings with rn > 2, where the chain fails."""
-    closures = filtration.Filtration(a.backend, "normal", ideal=a.ideal)
+    closures = filtration.Filtration(a.backend, a.ideal)
     failure = e3_chain_failure(closures, a.reduction, a.nmax)
     verdict = check_e3_vanishing_cm.__wrapped__(a, {})  # the body, without the gates
     chain_refuted = verdict.is_refutation and verdict.detail.startswith("closure(I^")
