@@ -79,20 +79,17 @@ class Analysis:
     and J stay on their own boxes. Each reader lays the ideals it multiplies
     once, on the box of the highest degree it reads (adic_values I,
     normal_filt I and J), so operands share a box inside a reader and the
-    adic column never meets the normal terms.
-    The window `default_window(dim)` is passed to every fit and VV report.
-    The table columns (normal_values, adic_values, jgood_values,
-    sally_values) and the numbers they read need no filtration. The normal
-    and adic fits take e0 as their leading coefficient (ē0 = e0 by Rees),
-    and sally_fit is read off the normal fit. The fits, rn, vv,
+    adic column never meets the normal terms. The window `default_window(dim)`
+    is passed to every fit, and to the VV scan where S != N. The fits take e0
+    as their leading coefficient (ē0 = e0 by Rees); sally_fit is read off the
+    normal fit. The table columns need no filtration; the fits, rn, vv,
     normal_filt and what reads them (e_bar, g_s, base_numbers) import
-    `filtration` on first read. The J-good and Sally columns, the Sally fit
-    and lam_I1_J read e0 for lambda(R/J), not J. Only `Filtration` uses J
-    as an ideal: normal_filt keeps J^k and J·F_n, its S = N terms are those
-    products when J exists, and rn and vv are its methods. The fields that
-    need J (rn, rn_error and vv) raise PreconditionError when `reduction` is
-    None; tangent_cone_failure reads only S. A fit or reduction number that
-    fails reads None, and its *_error field holds the exception.
+    `filtration` on first read. The J-good and Sally columns, the Sally fit and
+    lam_I1_J read e0 for lambda(R/J), not J. Only `Filtration` uses J as an
+    ideal: normal_filt keeps J^k and J·F_n, its S = N terms are those products
+    when J exists, and rn and the VV scan are its methods. rn, rn_error and vv
+    raise PreconditionError without a reduction; tangent_cone_failure reads
+    only S. A failed fit or rn reads None; its *_error field holds the error.
     """
 
     def __init__(self, entry: EntryData):
@@ -225,8 +222,15 @@ class Analysis:
 
     @cached_property
     def vv(self):
+        """The Valabrega-Valla scan of `Filtration`; where S = N a proof that reads no
+        term, rn or window: ⊕ F_n·s^n (F_n = R for n <= 0) is the ring of the normal monoid
+        {(b, n) : b >= 0, <a, b> >= c·n for each facet <a, -> >= c of NP(I)}, Cohen-Macaulay
+        by Hochster (Ann. Math. 96, 1972), and G is its quotient by the nonzerodivisor s^(-1)."""
         self._need_reduction("vv")
-        return self.normal_filt.valabrega_valla(self.nmax, self.window, self.rn)
+        if self.backend.sg.gaps:
+            return self.normal_filt.valabrega_valla(self.nmax, self.window, self.rn)
+        from .filtration import VVReport
+        return VVReport(True, False, None, self.nmax, None)
 
     @property
     def lam_I1_J(self) -> int:

@@ -128,11 +128,10 @@ class Filtration:
 
     def valabrega_valla(self, nmax: int, window: int, rn: int | None) -> VVReport:
         """Valabrega-Valla membership test F_n ∩ J = J·F_{n-1} for n = 1..rn
-        (1..nmax when rn is None).
+        (1..nmax when rn is None); where S = N `analysis.Analysis.vv` proves it.
 
         A failure is decisive (the associated graded ring is not Cohen-Macaulay);
-        full success certifies Cohen-Macaulayness only when the horizon
-        comfortably exceeds the certified reduction number. The criterion asks
+        success certifies it only when nmax >= rn + window. The criterion asks
         the same of every prefix P_i = (g_1..g_i) of the reduction generators,
         and of every degree; for the pure-power J that `analysis.certify` admits, J alone
         up to rn decides it:
@@ -161,7 +160,7 @@ class VVReport(NamedTuple):
     inconclusive: bool
     first_failure: tuple[int, int, str] | None  # (degree, len(J.gens), witness element)
     checked_upto: int
-    required_horizon: int | None
+    required_horizon: int | None  # None with certified_cm: proved (`analysis.Analysis.vv`)
 
 
 class Fit(NamedTuple):

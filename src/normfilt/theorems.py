@@ -4,9 +4,9 @@ Each checker guards its hypotheses explicitly (dimension, whether the
 integral closure of the ideal is the maximal ideal, vanishing of the third
 normal coefficient, and so on), computes both sides of its inequality or
 identity exactly, and returns a Verdict. Conclusions about depth are only
-reported as machine-verified when the Valabrega-Valla test certifies the
-associated graded ring to be Cohen-Macaulay outright; otherwise they are
-downgraded to asserted-by-paper rather than silently trusted.
+reported as machine-verified when the Valabrega-Valla report certifies the
+graded ring Cohen-Macaulay (proved where S = N, see `Analysis.vv`, else
+scanned); otherwise they are downgraded rather than silently trusted.
 
 Checkers register themselves in CHECKS with the `checker` decorator, which
 carries their hypotheses as gates; they read an `analysis.Analysis`, which
@@ -507,7 +507,7 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
 
     G(m) is read off the semigroup, `Analysis.tangent_cone_failure`, with no
     horizon: its Valabrega-Valla test fails where that of k[[S]] with (t^e) does,
-    at a degree at most e - 1. Only part (a) can run out of horizon."""
+    at a degree at most e - 1. Only part (a), where S != N, can run out of horizon."""
     part_a = _cm_conclusion(a, "")
     if part_a.is_refutation:
         return part_a

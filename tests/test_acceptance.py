@@ -218,7 +218,11 @@ def test_criterion_2_cube_powers_vs_oracles(capsys):
                     k = 3 * n + 3 - i - j
                     if k >= 0:
                         assert max(i, j, k) >= 3
-        assert a.vv.certified_cm and a.vv.required_horizon <= 8
+        # S = N: the report is Hochster's proof, with no horizon; the scan it
+        # skips certifies the same within the default horizon
+        assert a.vv.certified_cm and a.vv.required_horizon is None
+        scan = a.normal_filt.valabrega_valla(a.nmax, a.window, a.rn)
+        assert scan.certified_cm and scan.required_horizon <= 8
 
 
 def test_criterion_3_identity_suites_whole_corpus(capsys):

@@ -635,7 +635,7 @@ def test_cli_check_builds_the_pinned_intersections(monkeypatch, capsys, name, ar
 def test_e3_vanishing_check_builds_no_product_beyond_rn_and_vv(monkeypatch, name):
     # its chain is the F_(n+1) = J·F_n comparison of rn, on the same memo
     a = analysis.analyze(inputs.build_entry(inputs.parse_input(Path(corpus_path(name)).read_text())))
-    assert a.vv.certified_cm
+    assert a.vv.certified_cm and a.rn is not None  # where S = N, vv reads no rn
     calls = _count_calls(monkeypatch)
     assert theorems.CHECKS["e3_vanishing_cm"][0](a).conclusion == "verified"
     assert calls == []
@@ -658,6 +658,30 @@ def test_cli_socle_check_skips_valabrega_valla(monkeypatch, capsys):
     assert cli.main(["check", corpus_path("poly3_cubes"), "--checks", "socle_formula"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert [(v["check"], v["conclusion"]) for v in verdicts] == [("socle_formula", "verified")]
+
+
+@pytest.mark.parametrize("command", ["check", "coeffs"])
+def test_cli_runs_no_vv_scan_where_s_is_n(monkeypatch, capsys, tmp_path, command):
+    # Hochster proves G Cohen-Macaulay where S = N (see `Analysis.vv`): no
+    # polynomial entry of the corpus and no entry of k[[t]][U,V] scans, while an
+    # entry of another semigroup still does
+    naturals = tmp_path / "naturals.nfilt"
+    naturals.write_text("ring semigroup gens=1 adjoin=U,V\nideal t^2 U^2 V^2 t*U\n")
+    s_is_n = [str(path) for path in CORPUS.iterdir() if path.name.startswith("poly")]
+    assert len(s_is_n) == 6
+    scans = []
+    real = filtration.Filtration.valabrega_valla
+    monkeypatch.setattr(filtration.Filtration, "valabrega_valla",
+                        lambda *args: scans.append(args) or real(*args))
+    assert cli.main([command, corpus_path("sg_4_5_11_uv")]) == 0
+    assert len(scans) == 1
+    capsys.readouterr()
+    _forbid(monkeypatch, "valabrega_valla")
+    for path in [*s_is_n, str(naturals)]:
+        assert cli.main([command, path]) == 0, path
+        payload = json.loads(capsys.readouterr().out)
+        if command == "coeffs" and payload["reduction"]:  # the proved report
+            assert payload["valabrega_valla"]["required_horizon"] is None, path
 
 
 def test_cli_semigroup_of_naturals_has_type_one(tmp_path, capsys):

@@ -134,15 +134,19 @@ def test_jgood_closed_form_and_exact_decomposition(analyses):
 
 def test_polynomial_normal_vv_never_fails(analyses):
     # Hochster: the normal Rees algebra of a monomial ideal is a normal affine
-    # semigroup ring, hence Cohen-Macaulay, and so is G; a failure is a kernel bug
+    # semigroup ring, hence Cohen-Macaulay, and so is G. `Analysis.vv` reports
+    # that proof with no horizon; the scan it skips is the oracle: a failure is
+    # a kernel bug
     polynomial = [a for a in analyses.values() if a.backend.kind == "polynomial" and a.reduction]
     assert len(polynomial) == 5
     for a in polynomial:
-        assert a.vv.first_failure is None, a.name
+        assert a.vv == (True, False, None, a.nmax, None), a.name
+        assert a.normal_filt.valabrega_valla(a.nmax, a.window, a.rn).certified_cm, a.name
 
 
 def test_vv_intersects_only_up_to_the_reduction_number(monkeypatch):
-    a = load("poly3_cubes_diag", nmax=12)
+    # S != N, where `Analysis.vv` scans: F_n ∩ J for n = 1..rn, and no further
+    a = load("sg_4_5_11_uv", nmax=12)
     assert a.rn == 2
     seen = []
     real = filtration.intersect
