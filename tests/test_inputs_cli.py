@@ -489,13 +489,15 @@ def _forbid(monkeypatch, *names):
     def fail(*args, **kwargs):
         raise AssertionError("computed although the command does not read it")
 
-    for name in names:  # reduction_number and valabrega_valla are Filtration methods
-        owner = filtration.Filtration if hasattr(filtration.Filtration, name) else filtration
-        monkeypatch.setattr(owner, name, fail)
+    for name in names:  # reduction_number is a Filtration method and vv an Analysis property
+        owner = next(o for o in (filtration.Filtration, analysis.Analysis, filtration)
+                     if hasattr(o, name))
+        monkeypatch.setattr(owner, name,
+                            property(fail) if isinstance(vars(owner).get(name), property) else fail)
 
 
 def test_cli_table_computes_no_fit_reduction_number_or_vv(monkeypatch, capsys):
-    _forbid(monkeypatch, "valabrega_valla", "reduction_number", "fit_coefficients")
+    _forbid(monkeypatch, "vv", "reduction_number", "fit_coefficients")
     assert cli.main(["table", corpus_path("poly3_cubes")]) == 0
     assert json.loads(capsys.readouterr().out)["rows"][2] == [2, 165, 270, 168, 3]
 
@@ -595,22 +597,24 @@ def _count_calls(monkeypatch, real=monomial.multiply) -> list:
 # 36 and 18 on the first two when table_coherence fitted the adic column,
 # whose running product built I^2..I^(nmax+1), and 24, 10, 17 and 4 on the
 # first two and the last two when low_type_cm built m^2..m^e and J·m^n to
-# test G(m), which it now reads off the semigroup
+# test G(m), which it now reads off the semigroup, and 16, 9 and 9 on the
+# semigroup entry when the checkers that read VV scanned it there, building J·F_0
 PRODUCTS = [
-    ("sg_4_5_11_uv", ["--nmax", "12"], 16),
+    ("sg_4_5_11_uv", ["--nmax", "12"], 15),
     ("poly3_maximal", [], 8),
-    ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 9),
+    ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 8),
     ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 2),
-    ("sg_4_5_11_uv", ["--checks", "low_type_cm"], 9),
+    ("sg_4_5_11_uv", ["--checks", "low_type_cm"], 8),
     ("poly3_maximal", ["--checks", "low_type_cm"], 2),
 ]
 # intersections built per command: a loop that compares J^n ∩ F_(n+2) past
-# rn - 2 again raises the first two (22 and 12 when e3_nonnegative did), and
-# the first is 10 when low_type_cm intersected m^n with J
+# rn - 2 again raises the first two (22 and 12 when e3_nonnegative did), the
+# first is 10 when low_type_cm intersected m^n with J, and the semigroup
+# entry's are 6 and 2 when its VV scan intersected F_1 and F_2 with J
 INTERSECTIONS = [
-    ("sg_4_5_11_uv", ["--nmax", "12"], 6),
+    ("sg_4_5_11_uv", ["--nmax", "12"], 4),
     ("poly3_maximal", [], 4),
-    ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 2),
+    ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 0),
     ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 0),
 ]
 
@@ -654,7 +658,7 @@ def test_cli_given_reduction_errors(tmp_path, capsys, reduction, message):
 
 
 def test_cli_socle_check_skips_valabrega_valla(monkeypatch, capsys):
-    _forbid(monkeypatch, "valabrega_valla")
+    _forbid(monkeypatch, "vv")
     assert cli.main(["check", corpus_path("poly3_cubes"), "--checks", "socle_formula"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert [(v["check"], v["conclusion"]) for v in verdicts] == [("socle_formula", "verified")]
@@ -662,26 +666,33 @@ def test_cli_socle_check_skips_valabrega_valla(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["check", "coeffs"])
 def test_cli_runs_no_vv_scan_where_s_is_n(monkeypatch, capsys, tmp_path, command):
-    # Hochster proves G Cohen-Macaulay where S = N (see `Analysis.vv`): no
-    # polynomial entry of the corpus and no entry of k[[t]][U,V] scans, while an
-    # entry of another semigroup still does
+    # the normal G is proved Cohen-Macaulay wherever there is a pure-power
+    # reduction (see `Analysis.vv`): no corpus entry of either ring class, and
+    # no entry of k[[t]][U,V], builds a term or reads rn for it, and `coeffs`
+    # prints the proved report on every entry with a reduction
     naturals = tmp_path / "naturals.nfilt"
     naturals.write_text("ring semigroup gens=1 adjoin=U,V\nideal t^2 U^2 V^2 t*U\n")
-    s_is_n = [str(path) for path in CORPUS.iterdir() if path.name.startswith("poly")]
-    assert len(s_is_n) == 6
-    scans = []
-    real = filtration.Filtration.valabrega_valla
-    monkeypatch.setattr(filtration.Filtration, "valabrega_valla",
-                        lambda *args: scans.append(args) or real(*args))
-    assert cli.main([command, corpus_path("sg_4_5_11_uv")]) == 0
-    assert len(scans) == 1
-    capsys.readouterr()
-    _forbid(monkeypatch, "valabrega_valla")
-    for path in [*s_is_n, str(naturals)]:
+    paths = sorted(str(path) for path in CORPUS.iterdir() if path.suffix == ".nfilt")
+    assert len(paths) == 8
+    real = analysis.Analysis.vv.fget
+
+    def vv(a):
+        with monkeypatch.context() as m:
+            _forbid(m, "term", "power", "product", "reduction_number")
+            return real(a)
+
+    monkeypatch.setattr(analysis.Analysis, "vv", property(vv))
+    reduced = set()
+    for path in [*paths, str(naturals)]:
         assert cli.main([command, path]) == 0, path
         payload = json.loads(capsys.readouterr().out)
-        if command == "coeffs" and payload["reduction"]:  # the proved report
-            assert payload["valabrega_valla"]["required_horizon"] is None, path
+        if command == "coeffs" and payload["reduction"]:
+            reduced.add(Path(path).stem)
+            assert payload["valabrega_valla"] == {
+                "certified_cm": True, "inconclusive": False, "first_failure": None,
+                "checked_upto": payload["nmax"], "required_horizon": None}, path
+    if command == "coeffs":
+        assert {"sg_4_5_11", "sg_4_5_11_uv", "naturals"} <= reduced
 
 
 def test_cli_semigroup_of_naturals_has_type_one(tmp_path, capsys):
