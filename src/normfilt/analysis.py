@@ -34,14 +34,6 @@ def default_nmax(dim: int) -> int:
     return max(dim + 5, dim + default_window(dim))
 
 
-def _attempt(compute):
-    """(compute(), None), or (None, the error) when compute raises HorizonError."""
-    try:
-        return compute(), None
-    except HorizonError as exc:
-        return None, exc
-
-
 def _covers(a, exps) -> bool:
     """Whether a ⊆ closure(J) for J = (x_i^(e_i)), e = exps: NP(J) is the simplex
     sum b_i/e_i >= 1, so with L = lcm(e) every minimal generator g of a must
@@ -99,10 +91,10 @@ class Analysis:
     g_s, base_numbers) import `filtration` on first read, and vv, a proof,
     reads nothing. The J-good and Sally columns, the Sally fit and
     lam_I1_J read e0 for lambda(R/J), not J. Only `Filtration` uses J as an
-    ideal: normal_filt keeps J^k and J·F_n, its S = N terms are those products
-    when J exists, and rn is its method. rn, rn_error and vv
-    raise PreconditionError without a reduction; tangent_cone_failure reads
-    only S. A failed fit or rn reads None; its *_error field holds the error.
+    ideal: normal_filt keeps J^k and J·F_n, its terms from degree rn_bound(J) + 1
+    on are those products, and rn, proved, is its method. rn and vv raise
+    PreconditionError without a reduction; tangent_cone_failure reads only S.
+    A failed fit reads None; its *_error field holds the error.
     """
 
     def __init__(self, entry: EntryData):
@@ -167,8 +159,12 @@ class Analysis:
         return tuple(map(colength, accumulate(repeat(i, self.nmax + 1), multiply)))
 
     def _fit(self, values):
+        """(the fit, None), or (None, the error) when the fit raises HorizonError."""
         from .filtration import fit_coefficients
-        return _attempt(lambda: fit_coefficients(values, self.e0, self.dim, self.window))
+        try:
+            return fit_coefficients(values, self.e0, self.dim, self.window), None
+        except HorizonError as exc:
+            return None, exc
 
     _normal_fit = cached_property(lambda self: self._fit(self.normal_values))
     normal_fit = property(lambda self: self._normal_fit[0])
@@ -216,22 +212,22 @@ class Analysis:
 
     @cached_property
     def normal_filt(self):
-        from .filtration import Filtration
-        # I and J go on the box of the highest degree read: F_(nmax+1) in rn's scan, unless S = N,
-        # where rn <= d - 1 <= 3 (see Filtration) keeps rn and the checkers to F_min(nmax+1, 3),
-        # and closure_intersection reads F_(n+1) and J^n·F_1 for n <= min(4, nmax - 1)
-        top = self.nmax + 1 if self.backend.sg.gaps else min(self.nmax + 1, 5)
+        from .filtration import Filtration, rn_bound
+        # I and J go on the box of the highest degree read: F_B in rn's scan, B = rn_bound(J)
+        # (see Filtration), and F_(n+1) and J^n·F_1 for n <= min(4, nmax - 1) in
+        # closure_intersection; the other checkers read terms below rn, and products past B
+        top = min(self.nmax + 1, 5)
+        if self.reduction is not None:
+            top = max(rn_bound(self.reduction), top)
         box = power_box(self.ideal, top)
         return Filtration(self.backend, lay(self.ideal, box),
                           self.reduction and lay(self.reduction, box))
 
     @cached_property
-    def _rn(self):
+    def rn(self) -> int:
+        """The reduction number of the normal filtration, proved (see Filtration)."""
         self._need_reduction("rn")
-        return _attempt(lambda: self.normal_filt.reduction_number(self.nmax))
-
-    rn = property(lambda self: self._rn[0])
-    rn_error = property(lambda self: self._rn[1])
+        return self.normal_filt.reduction_number()
 
     @property
     def vv(self):
@@ -302,8 +298,7 @@ class Analysis:
         if self.reduction is not None:
             nums["lambda_I1_J"] = self.lam_I1_J
             nums["lambda_I2_JI1"] = self.sally_values[1]
-            if self.rn is not None:
-                nums["rn"] = self.rn
+            nums["rn"] = self.rn
         return nums
 
 

@@ -3,8 +3,8 @@
 Covers: the memoized terms F_n = closure(I^n) of the normal filtration
 beside the powers J^k of a reduction and the products J·F_n, binomial-basis
 coefficient fits of length tables with a known multiplicity and a
-verification window, and reduction numbers (proved at most d-1 when S = N,
-elsewhere over a whole window). No Valabrega-Valla test is run: the normal G
+verification window, and reduction numbers, proved at most d + floor(Fr/c)
+on every ring (`rn_bound`). No Valabrega-Valla test is run: the normal G
 is proved Cohen-Macaulay (`analysis.Analysis.vv`), and G(m) is read off the
 semigroup, with no power of m built.
 The module imports only `errors` and `monomial`: the caller passes the
@@ -38,22 +38,31 @@ def series_coeff(n: int, power: int) -> int:
     return comb(n + power - 1, power - 1)
 
 
+def rn_bound(reduction) -> int:
+    """B = d + floor(Fr/c), from which F_(n+1) = J·F_n (see `Filtration`): d the
+    dimension, Fr the Frobenius number of S and c the exponent of t in the
+    reduction J, one pure power per axis."""
+    return len(reduction.cap) + (reduction.sg.conductor - 1) // max(g[-1] for g in reduction.gens)
+
+
 class Filtration:
     """The normal filtration F_n = closure(I^n) with memoized terms, and the
     one place where its reduction J is used as an ideal: it keeps J^k and
     J·F_n beside the terms, each built once, and answers the lengths and
     witnesses that the checkers compare (PreconditionError without J).
 
-    From degree `product_from` on, F_n is the memoized J·F_(n-1): from degree
-    d = len(ideal.cap) on for an ideal whose semigroup is S = N (a polynomial
-    ring or k[[t]][U..], both regular), given a monomial reduction J of I.
-    There closure(I^n) = closure(J^n) = J*closure(J^(n-1)) for n >= d
-    (Reid-Roberts-Vitulli, Comm. Algebra 31, 2003, by Caratheodory's theorem). For the pure powers x_i^(a_i) that
-    `analysis.certify` admits it is direct: x^b lies in closure(J^n) when
-    sum b_i/a_i >= n, and as n >= d some b_i >= a_i, so x^b is x_i^(a_i)
-    times a monomial of closure(J^(n-1)).
-    Every other term is a closure power, and product_from is None where no
-    such degree is known. Terms are built on the box of the ideal.
+    From degree `product_from` = B + 1 on, B = `rn_bound(J)`, F_n is the memoized
+    J·F_(n-1), so rn <= B is proved on every ring. `analysis.certify` and
+    `analysis.auto_reduction` admit only J = (x_1^a_1, ..., x_v^a_v, t^c), and with
+    l(b, s) = sum b_i/a_i + s/c, F_n = closure(I^n) = closure(J^n) is spanned by the
+    monomials (b, s) of N^v x S with l >= n (`analysis.Analysis.vv`); J·F_n ⊆ F_(n+1)
+    always. A monomial x = (b, s) of F_(n+1) lies in J·F_n if some b_i >= a_i, as x
+    - a_i·e_i lies in F_n, and so if s - c lies in S. Otherwise every b_i <= a_i - 1
+    and s - c <= Fr, the Frobenius number of S (-1 for S = N), so n + 1 <= l(x) <=
+    sum (a_i - 1)/a_i + (Fr + c)/c, and n <= v + floor(Fr/c) = d - 1 + floor(Fr/c).
+    So F_(n+1) = J·F_n for every n >= B = d + floor(Fr/c); on S = N, B = d - 1
+    (Reid-Roberts-Vitulli, Comm. Algebra 31, 2003). Terms below product_from are
+    closure powers, built on the box of the ideal; product_from is None without J.
 
     The chain J^(n-1)·F_2 of `e3_vanishing_cm` is read through `reduces`: if
     F_(k+1) = J^(k-1)·F_2 for 2 <= k < n, J^(n-1)·F_2 = J·F_n, so the chain first
@@ -62,7 +71,7 @@ class Filtration:
 
     def __init__(self, backend, ideal, reduction=None):
         self.backend, self.ideal, self.reduction = backend, ideal, reduction
-        self.product_from = len(ideal.cap) if reduction is not None and not ideal.sg.gaps else None
+        self.product_from = rn_bound(reduction) + 1 if reduction is not None else None
         self._terms = {0: unit_ideal(ideal.sg, len(ideal.cap), ideal.cap)}
         self._powers = {0: self._terms[0], 1: reduction}
         self._products = {}
@@ -113,18 +122,14 @@ class Filtration:
                 return self.backend.element_str(g)
         raise PreconditionError(f"J^{k} ∩ F_{n} lies in J^{j}·F_{m}: no witness outside it")
 
-    def reduction_number(self, nmax: int) -> int:
-        """Least r with F_(n+1) = J·F_n for every n in [r, nmax], scanning n
-        down from nmax. Only n <= product_from - 2 is compared, so for S = N
-        rn <= d - 1 is proved (see the class); elsewhere it is certified up
-        to nmax only. HorizonError when even the top degree fails."""
-        r = nmax + 1
+    def reduction_number(self) -> int:
+        """Least r with F_(n+1) = J·F_n for every n >= r: n >= product_from - 1
+        reduces by construction (see the class), so n is scanned down from
+        product_from - 2. PreconditionError without J."""
+        self.power(1)  # PreconditionError without J
+        r = self.product_from - 1
         while r and self.reduces(r - 1):
             r -= 1
-        if r == nmax + 1:
-            raise HorizonError(
-                f"F_{nmax + 1} != J*F_{nmax}; no reduction number certifiable up to {nmax}"
-            )
         return r
 
 

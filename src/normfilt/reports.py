@@ -76,8 +76,6 @@ def coeffs_payload(analysis) -> dict:
         out["lambda_I1_J"] = analysis.lam_I1_J
         out["lambda_I2_JI1"] = analysis.sally_values[1]
         out["rn"] = analysis.rn
-        if analysis.rn_error is not None:
-            out["rn_note"] = str(analysis.rn_error)
         out["valabrega_valla"] = analysis.vv._asdict()
         out["sally"] = _fit_dict(analysis.sally_fit, analysis.sally_fit_error, key="s")
     return out

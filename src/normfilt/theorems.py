@@ -205,7 +205,7 @@ def check_e1_equality_equivalence(a: Analysis, nums) -> Verdict:
     """e1_bar minimal <=> Sally module zero <=> reduction number <= 1 <=> tables agree."""
     eq_e1 = a.e_bar(1) == a.lam_I1_J
     sally_zero = all(v == 0 for v in a.sally_values)
-    rn_le_1 = a.rn is not None and a.rn <= 1
+    rn_le_1 = a.rn <= 1
     # graded pieces agree degreewise exactly when the tables do: no Sally length
     flags = {
         "e1_bar equals e0 - lambda(R/closure(I))": eq_e1,
@@ -252,11 +252,10 @@ def check_e2_lower_bound(a: Analysis, nums) -> Verdict:
     lo = a.e_bar(1) - a.lam_I1_J
     if e2 < lo:
         return refuted(f"e2_bar = {e2} < {lo} = e1_bar - e0 + lambda")
-    rn_le_2 = a.rn is not None and a.rn <= 2
+    rn_le_2 = a.rn <= 2
     if (e2 == lo) != rn_le_2:
-        rn_desc = str(a.rn) if a.rn is not None else f"> {a.nmax}"
         return refuted(
-            f"equality e2_bar = {lo} is {e2 == lo} but reduction number {rn_desc} being <= 2 "
+            f"equality e2_bar = {lo} is {e2 == lo} but reduction number {a.rn} being <= 2 "
             f"is {rn_le_2}; the equality criterion fails",
         )
     return verified(f"e2_bar = {e2} >= {lo}, and equality matches the reduction-number criterion")
@@ -267,13 +266,13 @@ def check_e3_nonnegative(a: Analysis, nums) -> Verdict:
     """e3_bar >= 0; when it vanishes, closure(I^{n+2}) lies inside J^n for all n.
 
     J^0 = R gives n = 0, and for n >= max(1, rn-1) F_(n+2) = J·F_(n+1) ⊆ J·J^(n-1)
-    by rn and n-1: so n = 1..rn-2 is compared, every n up to nmax-1 without rn."""
+    by rn and n-1: so n = 1..min(rn-2, nmax-1) is compared."""
     e3 = a.e_bar(3)
     if e3 < 0:
         return refuted(f"e3_bar = {e3} is negative")
     if e3 == 0 and a.reduction is not None:
         counts = a.ideal.closure_counts(a.nmax + 1)
-        for n in range(1, a.nmax if a.rn is None else min(a.nmax, a.rn - 1)):
+        for n in range(1, min(a.nmax, a.rn - 1)):
             # J^n ∩ F_(n+2) ⊆ F_(n+2), so F_(n+2) ⊆ J^n exactly when their colengths agree
             if a.normal_filt.meet(n, n + 2) != counts[n + 2]:
                 return refuted(
@@ -416,8 +415,8 @@ def check_e3_vanishing_cm(a: Analysis, nums) -> Verdict:
     ring and closure(I^{n+1}) = J^{n-1}·closure(I^2).
 
     The chain first fails where F_(n+1) = J·F_n does (see Filtration), which rn
-    gives for n in [rn, nmax]: so 2 <= n < rn is compared, n < nmax without rn."""
-    for n in range(2, a.nmax if a.rn is None else min(a.nmax, a.rn)):
+    gives for n >= rn: so 2 <= n < min(rn, nmax) is compared."""
+    for n in range(2, min(a.nmax, a.rn)):
         if not a.normal_filt.reduces(n):
             return refuted(
                 f"closure(I^{n + 1}) != J^{n - 1}·closure(I^2) at degree {n}",
@@ -443,9 +442,8 @@ def check_almost_minimal_rn2(a: Analysis, nums) -> Verdict:
     The identity e3_bar = sum_(j>=2) C(j,2)·lambda(closure(I^(j+1))/J·closure(I^j))
     is not summed: j >= 2 >= rn, so every summand is 0, and only a tampered
     entry, which table_coherence refutes at its degree, could move it."""
-    if a.rn is None or a.rn > 2:
-        rn_desc = str(a.rn) if a.rn is not None else f"> {a.nmax}"
-        return refuted(f"reduction number of the closure filtration is {rn_desc}, not <= 2")
+    if a.rn > 2:
+        return refuted(f"reduction number of the closure filtration is {a.rn}, not <= 2")
     hm_sum = 0
     for n in range(1, a.rn + 1):
         hm_sum += a.normal_filt.meet(1, n + 1) - a.normal_values[n]

@@ -22,7 +22,9 @@ benchmark's newton_wide family (x_i^4 plus 12 of the 16 cubics with
 exponents <= 2, from `perfbench/workloads.py`) at seeds 1 to 3 under
 `table --nmax 2` and `coeffs`, the stress shape (x^8, y^8, z^8, w^8,
 xyzw) under `table --nmax 4`, and (x^6, y^6, z^6, w^6, xyzw^3), which has
-a monomial reduction, under `check` at the default horizon: 1230 lines, two
+a monomial reduction, and sg7 = (t^14, U^4, V^4, W^4) in
+k[[t^7,t^9,t^11]][U,V,W] (`tests/sg7.nfilt`), whose reduction number is its
+proved bound 5, each under `check` at the default horizon: 1231 lines, two
 at a time.
 Both sides read the same input files from one scratch directory through
 relative paths.
@@ -71,6 +73,8 @@ STRESS = ("wide/stress_x8_xyzw.nfilt",
 # four variables on a large box with a monomial reduction: the heaviest `check` of the sweep
 HEAVY = ("wide/s3_x6_xyzw3.nfilt",
          "name s3_x6_xyzw3\nring polynomial vars=x,y,z,w\nideal x^6 y^6 z^6 w^6 x*y*z*w^3\n")
+# S != N in four variables with rn at its bound B = 5: `check` builds terms up to degree B only
+SG7 = ("wide/sg7.nfilt", (REPO / "tests" / "sg7.nfilt").read_text())
 
 
 def _monomial(names, exps) -> str:
@@ -137,7 +141,7 @@ def write_inputs(root: Path, seed: int, random_count: int) -> list[str]:
         for k, text in enumerate(newton_wide_texts(wide_seed)):
             (root / "wide" / f"newton_wide_seed{wide_seed}_{k}.nfilt").write_text(text)
             paths.append(f"wide/newton_wide_seed{wide_seed}_{k}.nfilt")
-    for path, text in (STRESS, HEAVY):
+    for path, text in (STRESS, HEAVY, SG7):
         (root / path).write_text(text)
         paths.append(path)
     (root / "random").mkdir()
@@ -153,7 +157,8 @@ def command_lines(paths) -> list[list[str]]:
     lines = []
     for path in paths:
         if path.startswith("wide/"):
-            lines += {STRESS[0]: [["table", path, "--nmax", "4"]], HEAVY[0]: [["check", path]]}.get(
+            lines += {STRESS[0]: [["table", path, "--nmax", "4"]], HEAVY[0]: [["check", path]],
+                      SG7[0]: [["check", path]]}.get(
                 path, [["table", path, "--nmax", "2"], ["coeffs", path]])
             continue
         lines += [[c, path, "--format", f] for c in COMMANDS for f in FORMATS]

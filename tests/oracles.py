@@ -15,8 +15,9 @@ Valabrega-Valla scan of J up to the reduction number, which the proof of
 `analysis.Analysis.vv` replaced, `valabrega_valla_prefixes` its loop over
 every prefix of J and every degree,
 `reduction_number_scan` the reduction number by a scan of every degree from
-the horizon down, which the proved bound of `Filtration.reduction_number`
-cuts short for the normal filtration of a polynomial ring, and
+the horizon down, which the proved bound B = d + floor(Fr/c) of
+`Filtration.reduction_number` cuts short for the normal filtration of every
+ring, and which alone gives the reduction number of `AdicFiltration`, and
 `maximal_vv_scan` the Valabrega-Valla report of the powers of m, from that
 scan over `AdicFiltration` (the powers of an ideal, which `Filtration` no
 longer builds), that `NumericalSemigroup.tangent_cone_failure` replaced,
@@ -520,9 +521,10 @@ def reduction_number_scan(filt, reduction, nmax):
 
 class AdicFiltration(Filtration):
     """The I-adic filtration F_n = I^n, each power the memoized I·I^(n-1),
-    with the J^k, J·F_n and reduction number of `Filtration` over it, which
-    `valabrega_valla` scans: the adic kind that `Filtration` had before the
-    graded ring of m was read off the semigroup."""
+    with the J^k and J·F_n of `Filtration` over it, which `valabrega_valla`
+    scans: the adic kind that `Filtration` had before the graded ring of m was
+    read off the semigroup. No degree is proved past which it reduces, so its
+    reduction number is `reduction_number_scan`'s, to a horizon."""
 
     def __init__(self, backend, ideal, reduction=None):
         super().__init__(backend, ideal, reduction)

@@ -1,8 +1,10 @@
 """Filtrations, exact polynomial fits, reduction numbers, and series identities."""
 
 from fractions import Fraction
+from importlib import resources
 from itertools import combinations
 from math import comb, gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from normfilt import CHECKS, errors
 from normfilt import filtration as flt
 from normfilt.analysis import Analysis, auto_reduction, default_nmax, default_window
-from normfilt.inputs import EntryData, PolynomialBackend, SemigroupBackend
+from normfilt.inputs import EntryData, PolynomialBackend, SemigroupBackend, parse_input
 from normfilt.monomial import (NumericalSemigroup, closure_power, colength, contains, intersect,
                                multiply, unit_ideal)
 from oracles import (AdicFiltration, _solve_consistent, free_fit_coefficients,
@@ -201,23 +203,47 @@ def test_length_table(poly2):
 
 
 def test_reduction_number(poly2):
+    # m^2 is normal, so F_n = m^(2n), and (x^2, y^2) reduces it from degree 1
     b = poly2
     m2 = power(b.maximal(), 2)
     j = b.ideal([(2, 0), (0, 2)])
-    filt = AdicFiltration(b, m2, j)
-    assert filt.reduction_number(6) == 1
+    filt = flt.Filtration(b, m2, j)
+    assert flt.rn_bound(j) == 1 and filt.reduction_number() == 1
+    assert reduction_number_scan(flt.Filtration(b, m2), j, 3) == 1
     # an ideal is its own reduction with reduction number 0
-    self_filt = AdicFiltration(b, b.maximal(), b.maximal())
-    assert self_filt.reduction_number(4) == 0
+    self_filt = flt.Filtration(b, b.maximal(), b.maximal())
+    assert self_filt.reduction_number() == 0
+    assert reduction_number_scan(flt.Filtration(b, b.maximal()), b.maximal(), 3) == 0
 
 
-def test_reduction_number_horizon(poly2):
-    b = poly2
-    m2 = power(b.maximal(), 2)
-    j = b.ideal([(2, 0), (0, 2)])
-    filt = AdicFiltration(b, m2, j)
-    with pytest.raises(errors.HorizonError):
-        filt.reduction_number(0)  # J*R != m^2 and nothing above to test
+TESTS, CORPUS = Path(__file__).parent, resources.files("normfilt") / "corpus"
+# rn = B = d + floor(Fr/c) on both: sg7 = (t^14, U^4, V^4, W^4) in
+# k[[t^7,t^9,t^11]][U,V,W] has Fr = 26 and c = 14, so B = 4 + 1; the maximal
+# ideal of k[[t^31,t^37,t^41]], the benchmark's deep semigroup input, has Fr =
+# 293 and c = 31, so B = 1 + 9
+RN_AT_BOUND = {"sg7": (TESTS / "sg7.nfilt", 5),
+               "sg_31_37_41": (TESTS.parent / "perfbench" / "inputs" / "sg_31_37_41.nfilt", 10)}
+
+
+def read_entry(path):
+    return parse_input(path.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(RN_AT_BOUND))
+def test_reduction_number_attains_its_bound(name):
+    """rn = B: a product_from one lower would read rn = B - 1."""
+    path, rn = RN_AT_BOUND[name]
+    a = Analysis(read_entry(path))
+    assert a.rn == flt.rn_bound(a.reduction) == rn
+    assert reduction_number_scan(flt.Filtration(a.backend, a.ideal), a.reduction, rn + 1) == rn
+
+
+def test_reduction_number_horizon():
+    """rn is proved, so it reads the same at nmax 1 as at nmax 40, past B."""
+    corpus = [CORPUS / f"{name}.nfilt" for name in ("poly3_cubes_diag", "sg_4_5_11", "sg_4_5_11_uv")]
+    for path in corpus + [path for path, _ in RN_AT_BOUND.values()]:
+        entry = read_entry(path)
+        assert Analysis(entry._replace(nmax=1)).rn == Analysis(entry._replace(nmax=40)).rn, path
 
 
 # --- Valabrega-Valla -------------------------------------------------------------
@@ -227,7 +253,7 @@ def test_vv_certified_and_inconclusive(poly2):
     b = poly2
     ideal = b.ideal([(2, 0), (0, 2)])
     normal = flt.Filtration(b, ideal, ideal)
-    rn = normal.reduction_number(7)
+    rn = normal.reduction_number()
     assert rn == 1
     report = valabrega_valla(normal, 7, 4, rn)
     assert report.certified_cm and not report.inconclusive
@@ -281,19 +307,12 @@ def vv_cases(draw, semigroups=((1,), (2, 3), (3, 5), (4, 5, 11)), kinds=("normal
     return filt, j, draw(st.integers(1, 6)), draw(st.integers(1, 4))
 
 
-def certified_rn(filt, nmax):
-    try:
-        return filt.reduction_number(nmax)
-    except errors.HorizonError:
-        return None
-
-
 @settings(max_examples=150, deadline=None)
 @given(vv_cases())
 def test_vv_matches_prefix_oracle(case):
     """J alone up to rn decides what every prefix at every degree does."""
     filt, j, nmax, window = case
-    rn = certified_rn(filt, nmax)
+    rn = reduction_number_scan(filt, j, nmax)
     report = valabrega_valla(filt, nmax, window, rn)
     certified, _, failure, _, required = valabrega_valla_prefixes(filt, j, nmax, window, rn)
     assert (report.certified_cm, report.required_horizon) == (certified, required)
@@ -308,18 +327,19 @@ def test_vv_matches_prefix_oracle(case):
 
 
 @st.composite
-def normal_cases(draw):
+def normal_cases(draw, semigroups=((2, 3), (3, 5), (3, 4, 5), (4, 5, 11)), max_free=3):
     """(analysis, normal filtration, J) of an ideal between a pure-power J and
-    its closure, on both ring classes: k[[S]][U..] with S = N, <2,3>, <3,5>,
-    <3,4,5> or <4,5,11> and 0 to 3 adjoined variables, so d = 1..4, or a
-    polynomial ring in 1 to 4 variables. J has pure powers p_i <= 3 on the
+    its closure, on both ring classes: k[[S]][U..] with S = N or one of
+    `semigroups` (by default <2,3>, <3,5>, <3,4,5> or <4,5,11>) and 0 to
+    max_free adjoined variables, so d = 1..4 by default, or a polynomial ring
+    in 1 to max_free + 1 variables. J has pure powers p_i <= 3 on the
     free axes and one of the three least members of S on the last; 0 to 3
     mixed generators inside the closure of J and below the pure powers join
     it. J is found (auto) or given. The filtration builds every term as a
     closure power, at a horizon of 1 to 6."""
     naturals = draw(st.booleans())
-    sg = (1,) if naturals else draw(st.sampled_from(((2, 3), (3, 5), (3, 4, 5), (4, 5, 11))))
-    free = draw(st.integers(0, 3))
+    sg = (1,) if naturals else draw(st.sampled_from(semigroups))
+    free = draw(st.integers(0, max_free))
     ring = (PolynomialBackend(("x", "y", "z", "w")[:free + 1])
             if naturals and draw(st.booleans()) else SemigroupBackend(sg, free))
     members = [s for s in range(1, 12) if ring.sg.contains(s)]
@@ -357,6 +377,19 @@ def test_vv_never_fails_on_polynomial_normal_filtrations(case, prefixes):
     assert valabrega_valla(filt, a.nmax, a.window, None).first_failure is None
     if not prefixes:
         assert valabrega_valla_prefixes(filt, j, a.nmax, a.window, None)[2] is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(normal_cases(semigroups=((2, 3), (3, 5), (3, 4, 5), (4, 5, 11), (7, 9, 11)), max_free=2))
+def test_normal_filtration_reduces_from_the_proved_bound(case):
+    """F_(n+1) = J·F_n for n = B..B+2, B = rn_bound(J) = d + floor(Fr/c), with
+    every term a closure power (the proof is in `Filtration`), and rn, at any
+    nmax, is the scan of every degree from B + 1 down."""
+    a, filt, j = case
+    bound = flt.rn_bound(j)
+    for n in range(bound, bound + 3):
+        assert filt.term(n + 1) == multiply(j, filt.term(n)), n
+    assert a.rn == reduction_number_scan(filt, j, bound + 1)
 
 
 def first_failure(report):
@@ -523,10 +556,11 @@ def test_counted_normal_column_matches_closure_powers(case):
 @settings(max_examples=100, deadline=None)
 @given(ring_analyses())
 def test_reduction_number_matches_full_scan(case):
-    """rn scans only n <= d - 2; the scan of every degree finds the same value."""
+    """rn scans only n <= B - 1; the scan of every degree from B + 1 down,
+    with every term a closure power, finds the same value at any nmax."""
     a, closures = case
     assume(a.reduction is not None)
-    assert a.rn == reduction_number_scan(closures, a.reduction, a.nmax)
+    assert a.rn == reduction_number_scan(closures, a.reduction, flt.rn_bound(a.reduction) + 1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -598,13 +598,15 @@ def _count_calls(monkeypatch, real=monomial.multiply) -> list:
 # whose running product built I^2..I^(nmax+1), and 24, 10, 17 and 4 on the
 # first two and the last two when low_type_cm built m^2..m^e and J·m^n to
 # test G(m), which it now reads off the semigroup, and 16, 9 and 9 on the
-# semigroup entry when the checkers that read VV scanned it there, building J·F_0
+# semigroup entry when the checkers that read VV scanned it there, building J·F_0,
+# and 15, 8 and 8 there when its rn was scanned from nmax down, not from B - 1,
+# B = rn_bound(J), with every term a closure power
 PRODUCTS = [
-    ("sg_4_5_11_uv", ["--nmax", "12"], 15),
+    ("sg_4_5_11_uv", ["--nmax", "12"], 7),
     ("poly3_maximal", [], 8),
-    ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 8),
+    ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 3),
     ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 2),
-    ("sg_4_5_11_uv", ["--checks", "low_type_cm"], 8),
+    ("sg_4_5_11_uv", ["--checks", "low_type_cm"], 3),
     ("poly3_maximal", ["--checks", "low_type_cm"], 2),
 ]
 # intersections built per command: a loop that compares J^n ∩ F_(n+2) past

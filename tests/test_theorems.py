@@ -150,15 +150,19 @@ def test_polynomial_normal_vv_never_fails(analyses):
 
 # the lays of `check` at nmax 12 that grow a box: I and J, each from its
 # natural box (need plus the largest atom) onto the box of the normal
-# filtration, power_box(I, 5) where S = N and power_box(I, 13) elsewhere; a
-# given J is first laid onto I's box where certify compares the two
+# filtration, power_box(I, max(B, 5)), B = rn_bound(J): 5 on all four, where
+# power_box(I, 13) would be (53, 53, 53, 220) on sg7; a given J is first laid
+# onto I's box where certify compares the two
 LAYOUTS = {
     "poly3_cubes_diag": [((4, 4, 4), (16, 16, 16))] * 2,
-    "sg_4_5_11_uv": [((2, 2, 23), (2, 2, 30)), ((2, 2, 30), (14, 14, 162)),
-                     ((2, 2, 23), (14, 14, 162))],
+    "sg_4_5_11_uv": [((2, 2, 23), (2, 2, 30)), ((2, 2, 30), (6, 6, 74)),
+                     ((2, 2, 23), (6, 6, 74))],
     "s3": [((7, 7, 7, 7), (31, 31, 31, 31))] * 2,
+    "sg7": [((5, 5, 5, 52), (21, 21, 21, 108))] * 2,
 }
 S3 = "ring polynomial vars=x,y,z,w\nideal x^6 y^6 z^6 w^6 x*y*z*w^3\n"
+# (t^14, U^4, V^4, W^4) in k[[t^7,t^9,t^11]][U,V,W], whose rn is its bound B = 5
+SG7 = (Path(__file__).parent / "sg7.nfilt").read_text()
 
 
 def count_layouts(monkeypatch, modules=(monomial, analysis)) -> list:
@@ -180,8 +184,9 @@ def count_layouts(monkeypatch, modules=(monomial, analysis)) -> list:
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
 def test_only_the_initial_layouts_reshape(monkeypatch, name):
     seen = count_layouts(monkeypatch)
-    if name == "s3":
-        a = analyze(inputs.build_entry(inputs.parse_input(S3), name, nmax=12))
+    if name in ("s3", "sg7"):
+        text = S3 if name == "s3" else SG7
+        a = analyze(inputs.build_entry(inputs.parse_input(text), name, nmax=12))
     else:
         a = load(name, nmax=12)
     run_checks(a)
@@ -501,7 +506,7 @@ def test_filtration_reads_of_J_name_the_missing_reduction():
     f = load("poly2_x2_xy_y3").normal_filt
     for read in (lambda: f.power(2), lambda: f.product(1), lambda: f.reduces(0),
                  lambda: f.meet(1, 2), lambda: f.socle(1), lambda: f.witness(0, 2, 1, 1),
-                 lambda: f.reduction_number(4)):
+                 lambda: f.reduction_number()):
         with pytest.raises(errors.PreconditionError, match="need a reduction J; the filtration has none"):
             read()
 
@@ -569,19 +574,18 @@ def rn4_analysis(nmax=8):
 @pytest.mark.parametrize("rn, fail_at, refutes", [
     (4, 2, True),  # n = rn - 2, the last degree compared
     (4, 3, False),  # n = rn - 1: F_5 = J·F_4 ⊆ J·J^2, never compared
-    (None, 7, True),  # no reduction number: every n up to nmax - 1
+    (9, 7, True),  # rn past the horizon nmax = 8: every n up to nmax - 1
 ])
 def test_e3_nonnegative_compares_up_to_rn_minus_2(monkeypatch, rn, fail_at, refutes):
     a = rn4_analysis()
-    if rn is None:
-        a._rn = (None, HorizonError("stub"))
+    a.rn = rn  # a stub where it is not 4
     # lambda(R/(J^k ∩ F_n)) is one more than the counted lambda(R/F_n) where it fails
     counts, read = a.ideal.closure_counts(a.nmax + 1), []
     monkeypatch.setattr(a, "e_bar", lambda i: 0)
     monkeypatch.setattr(a.normal_filt, "meet", lambda k, n: read.append(k) or counts[n] + (k == fail_at))
     monkeypatch.setattr(a.normal_filt, "witness", lambda *args: "w")
     verdict = CHECKS["e3_nonnegative"][0](a)
-    assert read == list(range(1, min(fail_at + 1, a.nmax if rn is None else rn - 1)))
+    assert read == list(range(1, min(fail_at + 1, a.nmax, rn - 1)))
     if refutes:
         assert verdict.detail == f"e3_bar = 0 but closure(I^{fail_at + 2}) is not inside J^{fail_at}"
         assert verdict.witnesses == (Witness(fail_at + 2, "w", f"not in J^{fail_at}"),)
@@ -592,17 +596,16 @@ def test_e3_nonnegative_compares_up_to_rn_minus_2(monkeypatch, rn, fail_at, refu
 @pytest.mark.parametrize("rn, fail_at, refutes", [
     (4, 3, True),  # n = rn - 1, the last degree compared
     (4, 4, False),  # n = rn: F_5 = J·F_4 by rn, never compared
-    (None, 7, True),  # no reduction number: every n up to nmax - 1
+    (9, 7, True),  # rn past the horizon nmax = 8: every n up to nmax - 1
 ])
 def test_e3_vanishing_cm_compares_below_rn(monkeypatch, rn, fail_at, refutes):
     a = rn4_analysis()
-    if rn is None:
-        a._rn = (None, HorizonError("stub"))
+    a.rn = rn  # a stub where it is not 4
     read = []
     monkeypatch.setattr(a.normal_filt, "reduces", lambda n: read.append(n) or n != fail_at)
     monkeypatch.setattr(a.normal_filt, "witness", lambda *args: "w")
     verdict = check_e3_vanishing_cm.__wrapped__(a, {})  # the body, without the gates
-    assert read == list(range(2, min(fail_at + 1, a.nmax if rn is None else rn)))
+    assert read == list(range(2, min(fail_at + 1, a.nmax, rn)))
     if refutes:
         assert verdict.detail == f"closure(I^{fail_at + 1}) != J^{fail_at - 1}·closure(I^2) at degree {fail_at}"
         assert verdict.witnesses == (Witness(fail_at + 1, "w"),)
