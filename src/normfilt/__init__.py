@@ -11,7 +11,7 @@ __version__ = "1.0.0"
 _HOMES = {
     "errors": ("HorizonError", "InputError", "NormfiltError", "NotMPrimary",
                "PreconditionError", "UnsupportedDimension"),
-    "filtration": ("Filtration", "fit_coefficients", "series_coeff"),
+    "filtration": ("fit_coefficients", "series_coeff"),
     "inputs": ("EntryData", "PolynomialBackend", "SemigroupBackend"),
     "analysis": ("analyze",),
     "theorems": ("CHECKS", "run_checks"),

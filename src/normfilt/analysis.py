@@ -3,12 +3,15 @@
 An Analysis validates its entry when it is built; a command or checker then
 reads only the tables, fits, reduction number and Valabrega-Valla report it
 needs, and each is computed once. The normal column is counted on every
-ring (`monomial.Ideal.closure_counts`), so `table` and `sally` build no
-filtration, and the adic column keeps only the running power of I. The
+ring (`monomial.Ideal.closure_counts`), so no command builds a term of the
+normal filtration, and the adic column keeps only the running power of I.
+Reductions are one pure power per axis, certified against the simplex NP(J);
+for them the Valabrega-Valla report is a proof (`Analysis.vv`), so the normal
+G is Cohen-Macaulay, and its h-vector, read off the counted column up to the
+proved bound of rn, gives the normal coefficients and rn (`Analysis.h`). The
 J-good table is a closed form in e0 = lambda(R/J) and lambda(R/closure(I));
-no J-good chain is built, and G(m) is read off the semigroup. Reductions are
-one pure power per axis, certified against the simplex NP(J); for them the
-Valabrega-Valla report is a proof (`Analysis.vv`), so nothing is scanned for it.
+no J-good chain is built, G(m) is read off the semigroup, and the only ideals
+built from J are the powers J^1..J^3 whose socles `socle_lengths` counts.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from math import comb, lcm
 from typing import NamedTuple
 
 from .errors import HorizonError, InputError, NotMPrimary, PreconditionError
-from .monomial import colength, ideal, ideal_contains, is_m_primary, lay, multiply, power_box
+from .monomial import (colength, ideal, ideal_contains, is_m_primary, lay, multiply, power_box,
+                       socle_length)
 from .newton import least_pure_powers
 
 
@@ -28,9 +32,11 @@ def default_window(dim: int) -> int:
 
 
 def default_nmax(dim: int) -> int:
-    """Default horizon: its nmax + 1 entries hold a fit's dim entries plus its
-    window with at least one to spare, the need of a fit that had to find ē0
-    too; lowering it would move every default output."""
+    """Default horizon: its nmax + 1 entries hold a windowed fit's dim entries
+    plus its window with at least one to spare, the need of a fit that had to
+    find ē0 too. Only the adic column and the normal column of S != N without
+    a reduction are fitted through a window now (`Analysis.h`), but lowering
+    the horizon would move every default output."""
     return max(dim + 5, dim + default_window(dim))
 
 
@@ -83,18 +89,17 @@ class Analysis:
     the m-primary test and the reduction certificate) and lays nothing: I
     and J stay on their own boxes. Each reader lays the ideals it multiplies
     once, on the box of the highest degree it reads (adic_values I,
-    normal_filt I and J), so operands share a box inside a reader and the
-    adic column never meets the normal terms. The window `default_window(dim)`
-    is passed to every fit. The fits take e0 as their leading coefficient
-    (ē0 = e0 by Rees); sally_fit is read off the normal fit. The table columns
-    need no filtration; the fits, rn, normal_filt and what reads them (e_bar,
-    g_s, base_numbers) import `filtration` on first read, and vv, a proof,
-    reads nothing. The J-good and Sally columns, the Sally fit and
-    lam_I1_J read e0 for lambda(R/J), not J. Only `Filtration` uses J as an
-    ideal: normal_filt keeps J^k and J·F_n, its terms from degree rn_bound(J) + 1
-    on are those products, and rn, proved, is its method. rn and vv raise
-    PreconditionError without a reduction; tangent_cone_failure reads only S.
-    A failed fit reads None; its *_error field holds the error.
+    socle_lengths J), so operands share a box inside a reader. The normal fit
+    and rn come from h wherever h is defined: with a reduction, and on S = N.
+    The window `default_window(dim)` is passed to every other fit, which takes
+    e0 as its leading coefficient (ē0 = e0 by Rees); sally_fit is read off the
+    normal fit. The table columns need no filtration module; h, the fits and
+    what reads them (rn, e_bar, g_s, base_numbers) import `filtration` on
+    first read, and vv, a proof, reads nothing. The J-good and Sally columns,
+    the Sally fit and lam_I1_J read e0 for lambda(R/J), not J. rn, vv and
+    socle_lengths raise PreconditionError without a reduction;
+    tangent_cone_failure reads only S. A failed fit reads None; its *_error
+    field holds the error.
     """
 
     def __init__(self, entry: EntryData):
@@ -166,7 +171,36 @@ class Analysis:
         except HorizonError as exc:
             return None, exc
 
-    _normal_fit = cached_property(lambda self: self._fit(self.normal_values))
+    @cached_property
+    def h(self) -> tuple[int, ...] | None:
+        """h_0..h_B of h(z) = (1-z)^(d+1)·sum_n v_n z^n, v_n = lambda(R/closure(I^(n+1)))
+        read off the counted column (a tamper moves no h_n), B = rn_bound(J) with
+        a reduction J and d - 1 on S = N without one; None elsewhere.
+
+        The normal G is Cohen-Macaulay (`vv`; on S = N Hochster's theorem needs no
+        J), so its Hilbert series is h(z)/(1-z)^d with h >= 0 and deg h = rn
+        (Huckaba-Marley, J. London Math. Soc. 56, 1997; Rossi-Valla, Hilbert
+        Functions of Filtered Modules, 2010). rn <= B by `rn_bound`, and on S = N
+        without a monomial J rn <= d - 1 for a general minimal reduction
+        (Reid-Roberts-Vitulli, Comm. Algebra 31, 2003). So h_k = 0 for k > B, and
+        v_0..v_B fix the normal coefficients, rn and the whole column."""
+        from .filtration import h_vector, rn_bound
+        if self.reduction is not None:
+            top = rn_bound(self.reduction)
+        elif self.backend.sg.gaps:
+            return None
+        else:
+            top = self.dim - 1
+        return h_vector(self.ideal.closure_counts(top + 1)[1:], self.dim)
+
+    @cached_property
+    def _normal_fit(self):
+        """h_fit of h where h is defined; else the windowed fit of the printed column."""
+        if self.h is None:
+            return self._fit(self.normal_values)
+        from .filtration import h_fit
+        return h_fit(self.h, self.ideal.closure_counts(len(self.h))[1:], self.dim), None
+
     normal_fit = property(lambda self: self._normal_fit[0])
     normal_fit_error = property(lambda self: self._normal_fit[1])
 
@@ -211,23 +245,19 @@ class Analysis:
     sally_fit_error = property(lambda self: self._sally_fit[1])
 
     @cached_property
-    def normal_filt(self):
-        from .filtration import Filtration, rn_bound
-        # I and J go on the box of the highest degree read: F_B in rn's scan, B = rn_bound(J)
-        # (see Filtration), and F_(n+1) and J^n·F_1 for n <= min(4, nmax - 1) in
-        # closure_intersection; the other checkers read terms below rn, and products past B
-        top = min(self.nmax + 1, 5)
-        if self.reduction is not None:
-            top = max(rn_bound(self.reduction), top)
-        box = power_box(self.ideal, top)
-        return Filtration(self.backend, lay(self.ideal, box),
-                          self.reduction and lay(self.reduction, box))
+    def rn(self) -> int:
+        """The reduction number of the normal filtration: deg h (see h)."""
+        self._need_reduction("rn")
+        return max(k for k, x in enumerate(self.h) if x)
 
     @cached_property
-    def rn(self) -> int:
-        """The reduction number of the normal filtration, proved (see Filtration)."""
-        self._need_reduction("rn")
-        return self.normal_filt.reduction_number()
+    def socle_lengths(self) -> tuple[int, ...]:
+        """lambda((J^n : m)/J^n) for n = 1..min(3, nmax), counted on J^n built as
+        J·J^(n-1) on the box of the highest power: the only ideals built from J."""
+        self._need_reduction("socle_lengths")
+        top = min(3, self.nmax)
+        j = lay(self.reduction, power_box(self.reduction, top))
+        return tuple(map(socle_length, accumulate(repeat(j, top), multiply)))
 
     @property
     def vv(self):

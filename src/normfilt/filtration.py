@@ -1,15 +1,13 @@
-"""Filtration analytics over a monoid ring.
+"""Fits of colength tables, and the proved bound of the reduction number.
 
-Covers: the memoized terms F_n = closure(I^n) of the normal filtration
-beside the powers J^k of a reduction and the products J·F_n, binomial-basis
-coefficient fits of length tables with a known multiplicity and a
-verification window, and reduction numbers, proved at most d + floor(Fr/c)
-on every ring (`rn_bound`). No Valabrega-Valla test is run: the normal G
-is proved Cohen-Macaulay (`analysis.Analysis.vv`), and G(m) is read off the
-semigroup, with no power of m built.
-The module imports only `errors` and `monomial`: the caller passes the
-verification window and the tables, and `analysis.Analysis` computes the
-J-good and Sally columns and reads the Sally coefficients off the normal fit.
+Covers: the Hilbert coefficients of a normal column read off its h-vector
+where the normal G is Cohen-Macaulay (`h_vector`, `h_fit`), the windowed
+binomial-basis fits of every other column, with a known multiplicity and a
+verification window, and the bound B = d + floor(Fr/c) of the reduction
+number of the normal filtration on every ring with a pure-power reduction
+(`rn_bound`). The module builds no ideal and imports only `errors`: the
+caller passes the tables and the reduction, and `analysis.Analysis` counts
+the columns and reads the Sally coefficients off the normal fit.
 
 All binomials follow one convention: series_coeff(n, p) is the coefficient of
 z^n in (1-z)^(-p). The usual C(n+j, j) is series_coeff(n, j+1); for p = 0 the
@@ -23,8 +21,6 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import HorizonError, PreconditionError
-from .monomial import (closure_power, colength, contains, intersect, multiply, socle_length,
-                       unit_ideal)
 
 
 def series_coeff(n: int, power: int) -> int:
@@ -39,98 +35,20 @@ def series_coeff(n: int, power: int) -> int:
 
 
 def rn_bound(reduction) -> int:
-    """B = d + floor(Fr/c), from which F_(n+1) = J·F_n (see `Filtration`): d the
-    dimension, Fr the Frobenius number of S and c the exponent of t in the
-    reduction J, one pure power per axis."""
+    """B = d + floor(Fr/c): F_(n+1) = J·F_n for every n >= B, so rn <= B, for
+    d the dimension, Fr the Frobenius number of S (-1 for S = N) and c the
+    exponent of t in the reduction J, one pure power per axis.
+
+    `analysis.certify` and `analysis.auto_reduction` admit only J = (x_1^a_1,
+    ..., x_v^a_v, t^c), and with l(b, s) = sum b_i/a_i + s/c, F_n =
+    closure(I^n) = closure(J^n) is spanned by the monomials (b, s) of N^v x S
+    with l >= n (`analysis.Analysis.vv`); J·F_n ⊆ F_(n+1) always. A monomial x
+    = (b, s) of F_(n+1) lies in J·F_n if some b_i >= a_i, as x - a_i·e_i lies
+    in F_n, and so if s - c lies in S. Otherwise every b_i <= a_i - 1 and s - c
+    <= Fr, so n + 1 <= l(x) <= sum (a_i - 1)/a_i + (Fr + c)/c, and n <= v +
+    floor(Fr/c) = B - 1. On S = N, B = d - 1 (Reid-Roberts-Vitulli, Comm.
+    Algebra 31, 2003)."""
     return len(reduction.cap) + (reduction.sg.conductor - 1) // max(g[-1] for g in reduction.gens)
-
-
-class Filtration:
-    """The normal filtration F_n = closure(I^n) with memoized terms, and the
-    one place where its reduction J is used as an ideal: it keeps J^k and
-    J·F_n beside the terms, each built once, and answers the lengths and
-    witnesses that the checkers compare (PreconditionError without J).
-
-    From degree `product_from` = B + 1 on, B = `rn_bound(J)`, F_n is the memoized
-    J·F_(n-1), so rn <= B is proved on every ring. `analysis.certify` and
-    `analysis.auto_reduction` admit only J = (x_1^a_1, ..., x_v^a_v, t^c), and with
-    l(b, s) = sum b_i/a_i + s/c, F_n = closure(I^n) = closure(J^n) is spanned by the
-    monomials (b, s) of N^v x S with l >= n (`analysis.Analysis.vv`); J·F_n ⊆ F_(n+1)
-    always. A monomial x = (b, s) of F_(n+1) lies in J·F_n if some b_i >= a_i, as x
-    - a_i·e_i lies in F_n, and so if s - c lies in S. Otherwise every b_i <= a_i - 1
-    and s - c <= Fr, the Frobenius number of S (-1 for S = N), so n + 1 <= l(x) <=
-    sum (a_i - 1)/a_i + (Fr + c)/c, and n <= v + floor(Fr/c) = d - 1 + floor(Fr/c).
-    So F_(n+1) = J·F_n for every n >= B = d + floor(Fr/c); on S = N, B = d - 1
-    (Reid-Roberts-Vitulli, Comm. Algebra 31, 2003). Terms below product_from are
-    closure powers, built on the box of the ideal; product_from is None without J.
-
-    The chain J^(n-1)·F_2 of `e3_vanishing_cm` is read through `reduces`: if
-    F_(k+1) = J^(k-1)·F_2 for 2 <= k < n, J^(n-1)·F_2 = J·F_n, so the chain first
-    differs from F_(n+1) where J·F_n does, with its witness, and never past rn.
-    """
-
-    def __init__(self, backend, ideal, reduction=None):
-        self.backend, self.ideal, self.reduction = backend, ideal, reduction
-        self.product_from = rn_bound(reduction) + 1 if reduction is not None else None
-        self._terms = {0: unit_ideal(ideal.sg, len(ideal.cap), ideal.cap)}
-        self._powers = {0: self._terms[0], 1: reduction}
-        self._products = {}
-
-    def term(self, n: int):
-        if n < 0:
-            raise PreconditionError("negative filtration index")
-        if n not in self._terms:
-            if self.product_from is not None and n >= self.product_from:
-                self._terms[n] = self.product(n - 1)
-            else:
-                self._terms[n] = closure_power(self.ideal, n, self.ideal.cap)
-        return self._terms[n]
-
-    def power(self, k: int):
-        """J^k, built once as J·J^(k-1)."""
-        if self._powers.get(k) is None:
-            if self.reduction is None:
-                raise PreconditionError("J^k and J·F_n need a reduction J; the filtration has none")
-            self._powers[k] = multiply(self.reduction, self.power(k - 1))
-        return self._powers[k]
-
-    def product(self, n: int):
-        """J·F_n, built once; from degree product_from - 1 on it is F_(n+1)."""
-        if n not in self._products:
-            self._products[n] = multiply(self.power(1), self.term(n))
-        return self._products[n]
-
-    def reduces(self, n: int) -> bool:
-        """Whether F_(n+1) = J·F_n: by construction once n + 1 >= product_from."""
-        p = self.product_from
-        return (p is not None and n + 1 >= p) or self.term(n + 1) == self.product(n)
-
-    def meet(self, k: int, n: int) -> int:
-        """lambda(R/(J^k ∩ F_n))."""
-        return colength(intersect(self.term(n), self.power(k)))
-
-    def socle(self, k: int) -> int:
-        """lambda((J^k : m)/J^k), counted on the memoized J^k."""
-        return socle_length(self.power(k))
-
-    def witness(self, k: int, n: int, j: int, m: int) -> str:
-        """A generator of J^k ∩ F_n outside J^j·F_m, as ring text, asked for
-        once a comparison of the two failed; J^k ∩ F_n must not lie inside."""
-        outside = self.product(m) if j == 1 else multiply(self.power(j), self.term(m))
-        for g in intersect(self.term(n), self.power(k)).gens:
-            if not contains(outside, g):
-                return self.backend.element_str(g)
-        raise PreconditionError(f"J^{k} ∩ F_{n} lies in J^{j}·F_{m}: no witness outside it")
-
-    def reduction_number(self) -> int:
-        """Least r with F_(n+1) = J·F_n for every n >= r: n >= product_from - 1
-        reduces by construction (see the class), so n is scanned down from
-        product_from - 2. PreconditionError without J."""
-        self.power(1)  # PreconditionError without J
-        r = self.product_from - 1
-        while r and self.reduces(r - 1):
-            r -= 1
-        return r
 
 
 class Fit(NamedTuple):
@@ -139,6 +57,34 @@ class Fit(NamedTuple):
 
     e: tuple[int, ...]
     stable_from: int
+
+
+def _value(coeffs, dim: int, n: int) -> int:
+    """The table polynomial sum_i (-1)^i c_i C(n+dim-i, dim-i) at n."""
+    return sum((-1) ** i * c * series_coeff(n, dim - i + 1) for i, c in enumerate(coeffs))
+
+
+def h_vector(values, dim: int) -> tuple[int, ...]:
+    """h_n = sum_j (-1)^j C(dim+1, j) values[n-j] for each n of values: the
+    coefficients of (1-z)^(dim+1)·sum_n values[n] z^n up to that degree."""
+    return tuple(sum((-1) ** j * comb(dim + 1, j) * values[n - j]
+                     for j in range(min(n, dim + 1) + 1)) for n in range(len(values)))
+
+
+def h_fit(h, values, dim: int) -> Fit:
+    """The coefficients e_i = sum_k C(k, i)·h_k, i = 0..dim, of a colength
+    table values whose series is h(z)/(1-z)^(dim+1), h the whole h-vector.
+
+    h(z) = sum_i (-1)^i e_i (1-z)^i plus terms of order (1-z)^(dim+1), which
+    the series gives back as a polynomial in z; values[n] = sum_k h_k
+    C(n-k+dim, dim) is the table polynomial wherever n >= k - dim for every
+    k of h, so from max(0, deg h - dim) on. stable_from scans down from there.
+    """
+    coeffs = tuple(sum(comb(k, i) * x for k, x in enumerate(h)) for i in range(dim + 1))
+    stable_from = max(0, max(k for k, x in enumerate(h) if x) - dim)
+    while stable_from and _value(coeffs, dim, stable_from - 1) == values[stable_from - 1]:
+        stable_from -= 1
+    return Fit(coeffs, stable_from)
 
 
 def fit_polynomial(values, dim: int, window: int) -> Fit:
@@ -173,19 +119,15 @@ def fit_polynomial(values, dim: int, window: int) -> Fit:
         lower = sum(s * comb(last + i - j, i - j) for j, s in enumerate(signed))
         signed.append(ends[dim - i] - lower)
     coeffs = tuple((-1) ** i * s for i, s in enumerate(signed))
-
-    def poly(n):
-        return sum((-1) ** i * coeffs[i] * series_coeff(n, dim - i + 1) for i in range(k))
-
     first_fit = len(values) - k
     for n in range(first_fit - window, first_fit):
-        if poly(n) != values[n]:
+        if _value(coeffs, dim, n) != values[n]:
             raise HorizonError(
                 f"fitted polynomial disagrees with the table at degree {n}"
                 " inside the verification window (horizon too small)"
             )
     stable_from = first_fit - window
-    while stable_from > 0 and poly(stable_from - 1) == values[stable_from - 1]:
+    while stable_from > 0 and _value(coeffs, dim, stable_from - 1) == values[stable_from - 1]:
         stable_from -= 1
     return Fit(coeffs, stable_from)
 

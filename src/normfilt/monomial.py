@@ -18,7 +18,7 @@ each reader of an `analysis.Analysis` lays the ideals it multiplies on one
 box, large enough for every term it reads, so that its operands share a cap
 and no operand is laid onto a larger one.
 
-Intersection, containment and equality are bitwise on the common cap. An ideal
+Containment and equality are bitwise on the common cap. An ideal
 reaches a larger box only through `lay`, which generates it there from its
 minimal generators. A product is the union of the shifts of the factor with
 the larger need by the minimal generators of the other, or the other way round
@@ -27,9 +27,10 @@ shift plus the largest atom, else it grows: no result depends on the box
 chosen. The socle length of a counts the points outside a that every atom
 moves into a; they lie below a's need, so they are counted on a's own box and
 (a : m) is never built. A colength is a popcount, finite exactly when no
-counted point lies in a top slice. Integral closures of powers are cut out row
-by row along the S-axis by the halfspaces of the Newton polyhedron, as every
-halfspace of an m-primary ideal has a positive S-coefficient.
+counted point lies in a top slice. The colengths of the integral closures of
+powers are counted row by row along the S-axis against the halfspaces of the
+Newton polyhedron (`Ideal.closure_counts`), as every halfspace of an m-primary
+ideal has a positive S-coefficient; no closure power is built.
 
 S is a cofinite additive submonoid of the nonnegative integers, and k[[S]]
 is a one-dimensional complete local domain whose normalization is k[[t]];
@@ -48,7 +49,7 @@ from operator import add, mul
 
 from .errors import DimensionMismatch, InfiniteLength, PreconditionError
 from .newton import (Exponent, NewtonPolyhedron, closure_count, hilbert_values, multiplicity,
-                     newton_polyhedron, row_cuts)
+                     newton_polyhedron)
 
 
 class NumericalSemigroup:
@@ -77,15 +78,15 @@ class NumericalSemigroup:
         self.member_bits = sum(1 << i for i in range(conductor) if member[i])
         self.gaps = tuple(i for i in range(conductor) if not member[i])
         # a given generator is minimal unless it is a smaller one plus a nonzero member
-        self.gens = tuple(g for g in gens if not any(h < g and self.contains(g - h) for h in gens))
+        self.gens = tuple(g for g in gens if not any(h < g and g - h in self for h in gens))
         # F(N) = -1 is the only pseudo-Frobenius number below zero: a1 - 1 is a
         # gap whenever a1 > 1, so scanning from -1 adds it for N alone
         self.pseudo_frobenius = tuple(
-            x for x in (-1,) + self.gaps if all(self.contains(x + g) for g in self.gens)
+            x for x in (-1,) + self.gaps if all(x + g in self for g in self.gens)
         )
         self.type = len(self.pseudo_frobenius)
 
-    def contains(self, n: int) -> bool:
+    def __contains__(self, n: int) -> bool:
         return n >= self.conductor or (n >= 0 and bool(self.member_bits >> n & 1))
 
     @cached_property
@@ -103,7 +104,7 @@ class NumericalSemigroup:
         e, top = self.multiplicity, self.gens[-1]
         order = [0]  # order[s] = ord(s), and -1 off S
         for s in range(1, e + (e - 3) * top + 1):
-            order.append(max([order[s - g] + 1 for g in self.gens if self.contains(s - g)] or [-1]))
+            order.append(max([order[s - g] + 1 for g in self.gens if s - g in self] or [-1]))
         return next(((n, s) for n in range(1, e) for s in range(e, e + (n - 2) * top + 1)
                      if order[s] >= n and 0 <= order[s - e] < n - 1), None)
 
@@ -304,7 +305,7 @@ def ideal(sg: NumericalSemigroup, dim: int, vectors, box=None) -> Ideal:
     on its natural box `_on(need)` or, given box, on the larger of the two."""
     vectors = [_check_vector(v, dim) for v in vectors]
     for v in vectors:
-        if not sg.contains(v[-1]):
+        if v[-1] not in sg:
             raise PreconditionError(f"valuation {v[-1]} is not in the semigroup")
     need = tuple(max((v[i] for v in vectors), default=0) for i in range(dim))
     need = need[:-1] + (need[-1] + sg.conductor,)
@@ -312,20 +313,11 @@ def ideal(sg: NumericalSemigroup, dim: int, vectors, box=None) -> Ideal:
     return Ideal(sg, cap, _shift_union(_monoid(sg, cap), cap, vectors), need)
 
 
-def unit_ideal(sg: NumericalSemigroup, dim: int, box=None) -> Ideal:
-    return ideal(sg, dim, [(0,) * dim], box)
-
-
 def maximal_ideal(sg: NumericalSemigroup, dim: int) -> Ideal:
     return ideal(sg, dim, _atoms(sg, dim))
 
 
 # --- arithmetic -------------------------------------------------------------------
-
-def intersect(a: Ideal, b: Ideal) -> Ideal:
-    cap, x, y = _joint(a, b)
-    return Ideal(a.sg, cap, x & y, tuple(map(max, a.need, b.need)))
-
 
 def equal(a: Ideal, b: Ideal) -> bool:
     _, x, y = _joint(a, b)
@@ -384,55 +376,9 @@ def socle_length(a: Ideal) -> int:
 
 # --- membership and shape -----------------------------------------------------------
 
-def contains(a: Ideal, v) -> bool:
-    """Whether the monomial with exponent vector v lies in the ideal a."""
-    v = _check_vector(v, len(a.cap))
-    strides = _grid(a.cap)[1]
-    return bool(a.bits >> sum(min(x, c) * s for x, c, s in zip(v, a.cap, strides)) & 1)
-
-
 def is_m_primary(a: Ideal) -> bool:
     """Proper and containing a pure power along every axis: the point at the
     cap of each axis, which stands for every point beyond it."""
-    dim = len(a.cap)
-    return not a.bits & 1 and all(contains(a, tuple(c * (j == i) for j in range(dim)))
-                                  for i, c in enumerate(a.cap))
+    strides = _grid(a.cap)[1]
+    return not a.bits & 1 and all(a.bits >> c * s & 1 for c, s in zip(a.cap, strides))
 
-
-def closure_power(a: Ideal, n: int, box=None) -> Ideal:
-    """Integral closure of a^n: per row b, the members s of S with (b, s) in n*NP(a),
-    on its natural box `_on(need)` or, given box, on the larger of the two.
-
-    Row b keeps the members s >= tau(b), the least s inside every halfspace
-    (c, t): tau(b) = max(0, ceil((n*t - <c', b>) / c_last)) over the
-    halfspaces. `newton.row_cuts` walks only the rows outside n*NP(a), the
-    others keep tau 0; the rows are then stacked one free axis at a time.
-    """
-    if n < 0:
-        raise PreconditionError("negative closure power")
-    dim = len(a.cap)
-    if n == 0:
-        return unit_ideal(a.sg, dim, box)
-    hull = a.hull  # raises NotMPrimary unless a is m-primary
-    tops = [n * e for e in hull.box]
-    need = tuple(tops[:-1]) + (max(tops[-1], a.sg.conductor),)
-    cap = _on(need, a.sg, box)
-    row = _monoid(a.sg, cap[-1:])
-    taus = row_cuts(hull.halfspaces, need[:-1], n)
-    parts = [row >> tau << tau for tau in taus]
-    # each free axis, innermost first, joins its slices. Past need along it
-    # b_i >= n*h_i for the pure power h_i*e_i of a, so <c', b> >= n*t for
-    # every halfspace: those slices hold the whole monoid
-    for axis in reversed(range(dim - 1)):
-        top, end, size = need[axis], cap[axis], prod(c + 1 for c in cap[axis + 1:])
-        rest = _monoid(a.sg, (end - top - 1,) + cap[axis + 1:]) if end > top else 0
-        parts = [_stack(parts[k:k + top + 1], size, rest) for k in range(0, len(parts), top + 1)]
-    return Ideal(a.sg, cap, parts[0], need)
-
-
-def _stack(slices, size: int, rest: int) -> int:
-    """The slices of size bits each one above the other, and rest above them."""
-    out = rest << len(slices) * size
-    for i, x in enumerate(slices):
-        out |= x << i * size
-    return out

@@ -37,10 +37,10 @@ half-open polytopal complex, so H is a polynomial of degree d in k >= 0
 whose leading coefficient is vol(B) (Koeppe-Verdoolaege, Electron. J.
 Combin. 15, 2008). Its d-th difference is therefore
 e_0 = sum_k (-1)^(d-k) C(d,k) H(k) over k = 0..d, counted with no gaps. H(k)
-is the sum of the row cuts of `row_cuts`, which also cuts the rows of
-`monomial.closure_power`; less the rank of each cut among the gaps of S, it
-is the colength of closure(I^k) for any S (`closure_count`). As every
-normal is positive, `row_cuts` walks only the rows outside k*NP(I).
+is the sum of the row cuts tau_k(b), the least s >= 0 with (b, s) in k*NP(I);
+less the rank of each cut among the gaps of S, it is the colength of
+closure(I^k) for any S (`closure_count`). As every normal is positive, the
+walk `_runs` reaches only the rows outside k*NP(I).
 
 The polynomial's value at k = 0 is H(0) = 0, the count at k = 0, where no
 a >= 0 has <c,a> < 0. By inclusion-exclusion over closed cells, each with
@@ -122,9 +122,18 @@ def newton_polyhedron(gens) -> NewtonPolyhedron:
 
 
 def _runs(halfspaces, tops, k: int):
-    """(at, width, cuts) for each run of cuts of `row_cuts`, at its first
-    row's index in row-major order; cuts is an iterable of width cuts, and
-    a row in no run has cut 0."""
+    """(at, width, cuts) for each run of row cuts, at its first row's index
+    in row-major order; cuts is an iterable of width cuts, and a row in no
+    run has cut 0.
+
+    The cut of a row b of the box [0, tops] over all axes but the last is the
+    least s >= 0 with <c, (b, s)> >= k*t for every halfspace (c, t), that is
+    max(0, ceil((k*t - <c', b>) / c_last)) over the halfspaces, c' the normal c
+    without its last entry. Every normal is positive, so along each free axis
+    the values k*t - <c', b> fall: the walk leaves an axis once every value is
+    <= 0, and the rows it never reaches, inside k*NP, keep cut 0. Along the
+    innermost free axis each prefix takes one run of cuts per halfspace, up
+    to the last row some value is positive, and keeps their maximum."""
     if not tops:
         return [(0, 1, [max(0, *(-(-k * t // c[0]) for c, t in halfspaces))])]
     inner = len(tops) - 1
@@ -148,27 +157,9 @@ def _runs(halfspaces, tops, k: int):
     return walk(0, [k * t for _, t in halfspaces], 0)
 
 
-def row_cuts(halfspaces, tops, k: int) -> list[int]:
-    """Per row b of the box [0, tops] over all axes but the last, in row-major
-    order: the least s >= 0 with <c, (b, s)> >= k*t for every halfspace (c, t),
-    that is max(0, ceil((k*t - <c', b>) / c_last)) over the halfspaces.
-
-    c' is c without its last entry. Every normal is positive, so along each
-    free axis the values k*t - <c', b> fall: the walk leaves an axis once
-    every value is <= 0, and the rows it never reaches, inside k*NP, keep
-    cut 0. Along the innermost free axis each prefix takes one run of cuts
-    per halfspace, up to the last row some value is positive, and keeps
-    their maximum.
-    """
-    cuts = [0] * prod(top + 1 for top in tops)
-    for at, width, run in _runs(halfspaces, tops, k):
-        cuts[at:at + width] = run
-    return cuts
-
-
 def closure_count(np_: NewtonPolyhedron, k: int, gaps=()) -> int:
     """The points (b, s) outside k*NP(I) with s in S, H(k) when S = N: per
-    row b, the cut tau_k(b) of `row_cuts` less its rank among the sorted gaps.
+    row b, the cut tau_k(b) of `_runs` less its rank among the sorted gaps.
     Every normal is positive, so the rows over k times the pure-power box
     hold every such point, and a row inside k*NP (cut 0) adds nothing: the
     count sums the walk's runs, with no list of every row.

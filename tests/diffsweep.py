@@ -8,15 +8,20 @@ and runs every line in a fresh interpreter without a bytecode cache, once
 against BASE_REV's `src/` and once against the working tree's. The lines run
 `table`, `coeffs`, `sally` and `check` in json, csv and md, `table` and
 `sally` at `--nmax 12` (counted normal columns to k = 13), `coeffs` and
-`sally` at `--nmax 3` (too few entries for a fit past dimension 1, so the
-fits' horizon error, whose entry count the window decides), `check` at `--nmax 3` and
-`--nmax 12`, `check --tamper-normal 0..4` at the default
-horizon and at `--nmax 12`, on the bundled corpus, its negative entries, the
-benchmark inputs, one fixed entry (I = (t^3, t^4, U, V) of
-k[[t^3,t^4,t^5]][U,V], whose closure is the maximal ideal m though I is
-not m) and 30 random entries of seed 1 (polynomial rings in 1 to 4
-variables, semigroup rings, S = N among them, with 0 to 2 adjoined
-variables), plus `corpus` over both corpus directories in every format.
+`sally` at `--nmax 3` (the normal fit, read off the h-vector with a
+reduction or on S = N, needs no horizon; the windowed fits, of the adic
+column and of the normal column of S != N without a reduction, have too
+few entries there past dimension 1, so their horizon error, whose entry
+count the window decides), `check` at `--nmax 3` and `--nmax 12`, `check
+--tamper-normal 0..4` at the default horizon and at `--nmax 12`, on the
+bundled corpus, its negative entries, the benchmark inputs, two fixed
+entries (I = (t^3, t^4, U, V) of k[[t^3,t^4,t^5]][U,V], whose closure is
+the maximal ideal m though I is not m, and I = (U^3, t^6, U·t^2) of
+k[[t^2,t^3]][U] (`tests/sg_2_3_u.nfilt`), which has no pure-power
+reduction, so its normal fit reads a window) and 30 random entries of seed
+1 (polynomial rings in 1 to 4 variables, semigroup rings, S = N among them,
+with 0 to 2 adjoined variables), plus `corpus` over both corpus
+directories in every format.
 Fixed 4-variable entries with many halfspaces run fewer lines: the
 benchmark's newton_wide family (x_i^4 plus 12 of the 16 cubics with
 exponents <= 2, from `perfbench/workloads.py`) at seeds 1 to 3 under
@@ -24,7 +29,7 @@ exponents <= 2, from `perfbench/workloads.py`) at seeds 1 to 3 under
 xyzw) under `table --nmax 4`, and (x^6, y^6, z^6, w^6, xyzw^3), which has
 a monomial reduction, and sg7 = (t^14, U^4, V^4, W^4) in
 k[[t^7,t^9,t^11]][U,V,W] (`tests/sg7.nfilt`), whose reduction number is its
-proved bound 5, each under `check` at the default horizon: 1231 lines, two
+proved bound 5, each under `check` at the default horizon: 1259 lines, two
 at a time.
 Both sides read the same input files from one scratch directory through
 relative paths.
@@ -63,9 +68,11 @@ FORMATS = ("json", "csv", "md")
 SEMIGROUPS = ((1,), (2, 3), (3, 5), (3, 4, 5), (4, 5, 11), (5, 7))
 MAIN = "import sys; from normfilt.cli import main; sys.exit(main())"
 SEED, RANDOM_ENTRIES, JOBS = 1, 30, 2
-# closure(I) = m with I != m: low_type_cm must test the powers of m, not of I
-FIXED = ("fixed/sg_3_4_5_uv_t3_t4.nfilt",
-         "name sg_3_4_5_uv_t3_t4\nring semigroup gens=3,4,5 adjoin=U,V\nideal t^3 t^4 U V\n")
+# closure(I) = m with I != m: low_type_cm must test the powers of m, not of I;
+# and S != N with no pure-power reduction: the normal fit still reads a window
+FIXED = (("fixed/sg_3_4_5_uv_t3_t4.nfilt",
+          "name sg_3_4_5_uv_t3_t4\nring semigroup gens=3,4,5 adjoin=U,V\nideal t^3 t^4 U V\n"),
+         ("fixed/sg_2_3_u.nfilt", (REPO / "tests" / "sg_2_3_u.nfilt").read_text()))
 # many halfspaces in 4 variables, where the row walk of the normal column prunes most
 WIDE_SEEDS = (1, 2, 3)
 STRESS = ("wide/stress_x8_xyzw.nfilt",
@@ -132,10 +139,10 @@ def write_inputs(root: Path, seed: int, random_count: int) -> list[str]:
         for f in sorted(src.glob("*.nfilt")):
             shutil.copy(f, root / sub / f.name)
             paths.append(f"{sub}/{f.name}")
-    path, text = FIXED
-    (root / path).parent.mkdir()
-    (root / path).write_text(text)
-    paths.append(path)
+    (root / "fixed").mkdir()
+    for path, text in FIXED:
+        (root / path).write_text(text)
+        paths.append(path)
     (root / "wide").mkdir()
     for wide_seed in WIDE_SEEDS:
         for k, text in enumerate(newton_wide_texts(wide_seed)):

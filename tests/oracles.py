@@ -7,8 +7,16 @@ facets of a Newton polyhedron by a scan of every d-subset of generators, the
 multiplicity by vertex enumeration and triangulation of the Newton
 polyhedron cut by its pure-power box, lengths by direct lattice enumeration
 against the generator staircase, and semigroup membership by a direct
-reachability sweep. The per-row loop that the row walk of `newton.row_cuts`
-replaced stays here as the differential reference for closure powers;
+reachability sweep. The ideal arithmetic that only the normal filtration
+built as ideals used left the package once `analysis.Analysis.h` read its
+coefficients and reduction number off the counted column, and lives here:
+`unit_ideal`, `intersect`, `contains`, `closure_power` with the row cuts
+`row_cuts` of the walk `newton._runs`, the class `Filtration`, the normal
+filtration with J^k and J·F_n beside its memoized terms, its `meet`,
+`witness`, `reduces` and product-built `reduction_number`, and
+`normal_filt(a)`, the filtration that `Analysis.normal_filt` built. The
+per-row loop that the row walk replaced stays here as the differential
+reference for closure powers (`row_cuts_oracle`, `closure_power_rows`);
 `hull_heads` is the pruned head/cofactor hull that the double description of
 `newton.newton_polyhedron` replaced. `valabrega_valla` is the
 Valabrega-Valla scan of J up to the reduction number, which the proof of
@@ -22,13 +30,14 @@ ring, and which alone gives the reduction number of `AdicFiltration`, and
 scan over `AdicFiltration` (the powers of an ideal, which `Filtration` no
 longer builds), that `NumericalSemigroup.tangent_cone_failure` replaced,
 `intersection_failures_oracle` the test closure(I^(n+1)) ∩ J^n = J^n·closure(I)
-over every low degree, where its checker stops at the first failure, and
+over every low degree, which its checker no longer compares, as `Analysis.vv`
+proves it, and
 `e3_chain_failure` the chain J^(n-1)·closure(I^2) that `check_e3_vanishing_cm`
-built before it read F_(n+1) = J·F_n; all four use the ideal arithmetic of
-`normfilt.monomial`. `e3_containment_scan` and `e3_reduces_scan` are the
-bodies of `check_e3_nonnegative` and `check_e3_vanishing_cm` as they were
-before they stopped at the reduction number: each compares every degree of
-the horizon.
+built before it read F_(n+1) = J·F_n; all four use that ideal arithmetic.
+`e3_containment_scan` and `e3_reduces_scan` are the bodies of
+`check_e3_nonnegative` and `check_e3_vanishing_cm` as they were before they
+stopped at the reduction number: each compares every degree of the horizon.
+Both checkers now compare nothing, as e3_bar = 0 forces rn = deg h <= 2.
 `series_checks` is the reference for the closed-form check of the graded
 lengths: it tests every degreewise identity among the graded modules,
 including the three that hold for any two tables. `jgood_chain_colengths`
@@ -55,9 +64,167 @@ from math import comb, factorial, gcd, prod
 
 from normfilt.analysis import VVReport, auto_reduction
 from normfilt.errors import HorizonError, PreconditionError
-from normfilt.filtration import Filtration, fit_polynomial
-from normfilt.monomial import Ideal, _finite_count, _joint, colength, contains, intersect, multiply
+from normfilt.filtration import fit_polynomial, rn_bound
+from normfilt.monomial import (Ideal, _check_vector, _finite_count, _grid, _joint, _monoid, _on,
+                               colength, ideal, lay, multiply, power_box)
+from normfilt.newton import _runs
 from normfilt.theorems import Witness, refuted, verified
+
+
+# --- the ideal arithmetic that only the normal filtration used ------------------
+
+
+def unit_ideal(sg, dim: int, box=None) -> Ideal:
+    return ideal(sg, dim, [(0,) * dim], box)
+
+
+def intersect(a: Ideal, b: Ideal) -> Ideal:
+    cap, x, y = _joint(a, b)
+    return Ideal(a.sg, cap, x & y, tuple(map(max, a.need, b.need)))
+
+
+def contains(a: Ideal, v) -> bool:
+    """Whether the monomial with exponent vector v lies in the ideal a."""
+    v = _check_vector(v, len(a.cap))
+    strides = _grid(a.cap)[1]
+    return bool(a.bits >> sum(min(x, c) * s for x, c, s in zip(v, a.cap, strides)) & 1)
+
+
+def row_cuts(halfspaces, tops, k: int) -> list[int]:
+    """Per row b of the box [0, tops] over all axes but the last, in row-major
+    order: the least s >= 0 with <c, (b, s)> >= k*t for every halfspace (c, t),
+    the cut that `newton._runs` walks, with every row listed."""
+    cuts = [0] * prod(top + 1 for top in tops)
+    for at, width, run in _runs(halfspaces, tops, k):
+        cuts[at:at + width] = run
+    return cuts
+
+
+def closure_power(a: Ideal, n: int, box=None) -> Ideal:
+    """Integral closure of a^n: per row b, the members s of S with (b, s) in n*NP(a),
+    on its natural box `_on(need)` or, given box, on the larger of the two.
+
+    Row b keeps the members s >= tau(b), the least s inside every halfspace
+    (c, t): tau(b) = max(0, ceil((n*t - <c', b>) / c_last)) over the
+    halfspaces. `row_cuts` walks only the rows outside n*NP(a), the others
+    keep tau 0; the rows are then stacked one free axis at a time.
+    """
+    if n < 0:
+        raise PreconditionError("negative closure power")
+    dim = len(a.cap)
+    if n == 0:
+        return unit_ideal(a.sg, dim, box)
+    hull = a.hull  # raises NotMPrimary unless a is m-primary
+    tops = [n * e for e in hull.box]
+    need = tuple(tops[:-1]) + (max(tops[-1], a.sg.conductor),)
+    cap = _on(need, a.sg, box)
+    row = _monoid(a.sg, cap[-1:])
+    taus = row_cuts(hull.halfspaces, need[:-1], n)
+    parts = [row >> tau << tau for tau in taus]
+    # each free axis, innermost first, joins its slices. Past need along it
+    # b_i >= n*h_i for the pure power h_i*e_i of a, so <c', b> >= n*t for
+    # every halfspace: those slices hold the whole monoid
+    for axis in reversed(range(dim - 1)):
+        top, end, size = need[axis], cap[axis], prod(c + 1 for c in cap[axis + 1:])
+        rest = _monoid(a.sg, (end - top - 1,) + cap[axis + 1:]) if end > top else 0
+        parts = [_stack(parts[k:k + top + 1], size, rest) for k in range(0, len(parts), top + 1)]
+    return Ideal(a.sg, cap, parts[0], need)
+
+
+def _stack(slices, size: int, rest: int) -> int:
+    """The slices of size bits each one above the other, and rest above them."""
+    out = rest << len(slices) * size
+    for i, x in enumerate(slices):
+        out |= x << i * size
+    return out
+
+
+class Filtration:
+    """The normal filtration F_n = closure(I^n) with memoized terms, and its
+    reduction J as an ideal: J^k and J·F_n are kept beside the terms, each
+    built once, and the lengths and witnesses that the checkers compared
+    before `analysis.Analysis.h` decided them are answered here
+    (PreconditionError without J). From degree `product_from` = B + 1 on, B =
+    `rn_bound(J)`, F_n is the memoized J·F_(n-1), which the proof of
+    `rn_bound` gives; below it the terms are closure powers, built on the box
+    of the ideal. product_from is None without J, and a test sets it to None
+    to build every term as a closure power.
+
+    The chain J^(n-1)·F_2 of `e3_reduces_scan` is read through `reduces`: if
+    F_(k+1) = J^(k-1)·F_2 for 2 <= k < n, J^(n-1)·F_2 = J·F_n, so the chain first
+    differs from F_(n+1) where J·F_n does, with its witness, and never past rn.
+    """
+
+    def __init__(self, backend, ideal, reduction=None):
+        self.backend, self.ideal, self.reduction = backend, ideal, reduction
+        self.product_from = rn_bound(reduction) + 1 if reduction is not None else None
+        self._terms = {0: unit_ideal(ideal.sg, len(ideal.cap), ideal.cap)}
+        self._powers = {0: self._terms[0], 1: reduction}
+        self._products = {}
+
+    def term(self, n: int):
+        if n < 0:
+            raise PreconditionError("negative filtration index")
+        if n not in self._terms:
+            if self.product_from is not None and n >= self.product_from:
+                self._terms[n] = self.product(n - 1)
+            else:
+                self._terms[n] = closure_power(self.ideal, n, self.ideal.cap)
+        return self._terms[n]
+
+    def power(self, k: int):
+        """J^k, built once as J·J^(k-1)."""
+        if self._powers.get(k) is None:
+            if self.reduction is None:
+                raise PreconditionError("J^k and J·F_n need a reduction J; the filtration has none")
+            self._powers[k] = multiply(self.reduction, self.power(k - 1))
+        return self._powers[k]
+
+    def product(self, n: int):
+        """J·F_n, built once; from degree product_from - 1 on it is F_(n+1)."""
+        if n not in self._products:
+            self._products[n] = multiply(self.power(1), self.term(n))
+        return self._products[n]
+
+    def reduces(self, n: int) -> bool:
+        """Whether F_(n+1) = J·F_n: by construction once n + 1 >= product_from."""
+        p = self.product_from
+        return (p is not None and n + 1 >= p) or self.term(n + 1) == self.product(n)
+
+    def meet(self, k: int, n: int) -> int:
+        """lambda(R/(J^k ∩ F_n))."""
+        return colength(intersect(self.term(n), self.power(k)))
+
+    def witness(self, k: int, n: int, j: int, m: int) -> str:
+        """A generator of J^k ∩ F_n outside J^j·F_m, as ring text, asked for
+        once a comparison of the two failed; J^k ∩ F_n must not lie inside."""
+        outside = self.product(m) if j == 1 else multiply(self.power(j), self.term(m))
+        for g in intersect(self.term(n), self.power(k)).gens:
+            if not contains(outside, g):
+                return self.backend.element_str(g)
+        raise PreconditionError(f"J^{k} ∩ F_{n} lies in J^{j}·F_{m}: no witness outside it")
+
+    def reduction_number(self) -> int:
+        """Least r with F_(n+1) = J·F_n for every n >= r: n >= product_from - 1
+        reduces by construction (see `rn_bound`), so n is scanned down from
+        product_from - 2. PreconditionError without J."""
+        self.power(1)  # PreconditionError without J
+        r = self.product_from - 1
+        while r and self.reduces(r - 1):
+            r -= 1
+        return r
+
+
+def normal_filt(a) -> Filtration:
+    """The normal filtration of an analysis, with I and J on the box that
+    `Analysis.normal_filt` laid them on: that of the highest degree read, F_B
+    in rn's scan, B = rn_bound(J), and F_(n+1) and J^n·F_1 for n <= min(4,
+    nmax - 1) in closure_intersection's comparison."""
+    top = min(a.nmax + 1, 5)
+    if a.reduction is not None:
+        top = max(rn_bound(a.reduction), top)
+    box = power_box(a.ideal, top)
+    return Filtration(a.backend, lay(a.ideal, box), a.reduction and lay(a.reduction, box))
 
 
 def _solve_consistent(columns, rhs):
@@ -588,12 +755,12 @@ def e3_containment_scan(a):
     if e3 < 0:
         return refuted(f"e3_bar = {e3} is negative")
     if e3 == 0 and a.reduction is not None:
-        counts = a.ideal.closure_counts(a.nmax + 1)
+        counts, filt = a.ideal.closure_counts(a.nmax + 1), normal_filt(a)
         for n in range(a.nmax):
-            if a.normal_filt.meet(n, n + 2) != counts[n + 2]:
+            if filt.meet(n, n + 2) != counts[n + 2]:
                 return refuted(
                     f"e3_bar = 0 but closure(I^{n + 2}) is not inside J^{n}",
-                    [Witness(n + 2, a.normal_filt.witness(0, n + 2, n, 0), f"not in J^{n}")],
+                    [Witness(n + 2, filt.witness(0, n + 2, n, 0), f"not in J^{n}")],
                 )
         return verified(f"e3_bar = 0 and closure(I^(n+2)) ⊆ J^n holds for n = 0..{a.nmax - 1}")
     return verified(f"e3_bar = {e3} >= 0")
@@ -602,11 +769,12 @@ def e3_containment_scan(a):
 def e3_reduces_scan(a):
     """`check_e3_vanishing_cm`'s body before it read rn: F_(n+1) = J·F_n is
     compared for every n = 2..nmax-1."""
+    filt = normal_filt(a)
     for n in range(2, a.nmax):
-        if not a.normal_filt.reduces(n):
+        if not filt.reduces(n):
             return refuted(
                 f"closure(I^{n + 1}) != J^{n - 1}·closure(I^2) at degree {n}",
-                [Witness(n + 1, a.normal_filt.witness(0, n + 1, 1, n))],
+                [Witness(n + 1, filt.witness(0, n + 1, 1, n))],
             )
     return verified(
         f"closure(I^(n+1)) = J^(n-1)·closure(I^2) verified for n = 1..{a.nmax - 1} "
@@ -638,7 +806,8 @@ def e3_product_colengths(a) -> dict[int, int]:
     built product J·closure(I^j): the degrees of the e3 identity, its summands
     all 0 from rn on, that `check_almost_minimal_rn2` does not sum."""
     top = min(a.rn + 2, a.nmax - 1)
-    return {j: colength(multiply(a.reduction, a.normal_filt.term(j))) for j in range(2, top + 1)}
+    filt = normal_filt(a)
+    return {j: colength(multiply(a.reduction, filt.term(j))) for j in range(2, top + 1)}
 
 
 def lam_m2_Jm_product(a) -> int:

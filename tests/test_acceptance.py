@@ -13,15 +13,16 @@ from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
 from math import comb
+from pathlib import Path
 
 from normfilt import cli, inputs, monomial as mono
 from normfilt.filtration import series_coeff
 from normfilt.inputs import SemigroupBackend
 from normfilt.newton import multiplicity, newton_polyhedron
 from normfilt.theorems import analyze, run_checks
-from oracles import (AdicFiltration, _solve_consistent, ideal_sum, in_dilation_oracle,
-                     jgood_chain_colengths, maximal_vv_scan, semigroup_members_oracle,
-                     series_checks, valabrega_valla)
+from oracles import (AdicFiltration, _solve_consistent, closure_power, contains, ideal_sum,
+                     in_dilation_oracle, jgood_chain_colengths, maximal_vv_scan, normal_filt,
+                     semigroup_members_oracle, series_checks, valabrega_valla)
 
 CORPUS = resources.files("normfilt") / "corpus"
 
@@ -94,9 +95,9 @@ def test_criterion_1_semigroup_example(capsys):
         k_s = SemigroupBackend((4, 5, 11))
         m = k_s.maximal()
         m_powers = AdicFiltration(k_s, m)
-        assert mono.closure_power(m, 2) == ideal_sum(m_powers.term(2), k_s.ideal([(11,)]))
+        assert closure_power(m, 2) == ideal_sum(m_powers.term(2), k_s.ideal([(11,)]))
         for n in range(3, 9):
-            assert mono.closure_power(m, n) == m_powers.term(n)
+            assert closure_power(m, n) == m_powers.term(n)
 
         assert base.normal_fit.e == (4, 5)
         assert base.adic_fit.e == (4, 5)
@@ -118,12 +119,13 @@ def test_criterion_1_semigroup_example(capsys):
         uv = ring.ideal([(1, 0, 0), (0, 1, 0)])
         n_powers = AdicFiltration(ring, nmaxl)
         uv_powers = AdicFiltration(ring, uv)
-        assert mono.closure_power(nmaxl, 1) == nmaxl
+        assert closure_power(nmaxl, 1) == nmaxl
+        ext_filt = normal_filt(ext)
         for k in range(2, 9):
             expected = ideal_sum(
                 n_powers.term(k), mono.multiply(z, uv_powers.term(k - 2))
             )
-            assert ext.normal_filt.term(k) == expected, k
+            assert ext_filt.term(k) == expected, k
 
         assert ext.rn == 2
         assert ext.vv.certified_cm
@@ -221,7 +223,7 @@ def test_criterion_2_cube_powers_vs_oracles(capsys):
         # the report is the proof of `Analysis.vv`, with no horizon; the scan
         # it skips certifies the same within the default horizon
         assert a.vv.certified_cm and a.vv.required_horizon is None
-        scan = valabrega_valla(a.normal_filt, a.nmax, a.window, a.rn)
+        scan = valabrega_valla(normal_filt(a), a.nmax, a.window, a.rn)
         assert scan.certified_cm and scan.required_horizon <= 8
 
 
@@ -239,7 +241,7 @@ def test_criterion_3_identity_suites_whole_corpus(capsys):
                 if v.hypotheses_met:
                     assert v.conclusion == "verified", (name, check, v.detail)
             if a.reduction is not None:
-                chain = jgood_chain_colengths(a.reduction, a.normal_filt.term(1), a.nmax)
+                chain = jgood_chain_colengths(a.reduction, normal_filt(a).term(1), a.nmax)
                 series = series_checks(a.normal_values, chain, a.dim, a.e0)
                 assert series.ok, (name, series.failures)
                 assert verdicts["series_identity"].conclusion == "verified"
@@ -262,11 +264,11 @@ def test_criterion_4_dilation_and_multiplicity_oracles(capsys):
                 points = [p + (c,) for p in points for c in range(6)]
             sg = entry.backend.sg  # N for a polynomial ring
             for n in (1, 2, 3):
-                closure = mono.closure_power(entry.ideal, n)
+                closure = closure_power(entry.ideal, n)
                 for p in points:
                     # a semigroup ring keeps the points of the dilation whose t-exponent lies in S
-                    expected = in_dilation_oracle(gens, d, p, n) and sg.contains(p[-1])
-                    if mono.contains(closure, p) != expected:
+                    expected = in_dilation_oracle(gens, d, p, n) and p[-1] in sg
+                    if contains(closure, p) != expected:
                         mismatches.append((name, n, p))
             a = analyze(entry)
             assert a.e0 == multiplicity(np_)
@@ -294,8 +296,10 @@ def test_criterion_5_negative_paths(capsys):
         assert cli.main(["table", str(CORPUS / "negative" / "gcd_bad.nfilt")]) == 2
         # ideal that is not primary to the maximal ideal: math precondition
         assert cli.main(["table", str(CORPUS / "negative" / "not_mprimary.nfilt")]) == 3
-        # horizon too small for a certified fit
-        assert cli.main(["coeffs", str(CORPUS / "poly3_cubes.nfilt"), "--nmax", "3"]) == 4
+        # horizon too small for a windowed fit: k[[t^2,t^3]][U] with no pure-power
+        # reduction, where the normal fit cannot be read off the h-vector
+        no_reduction = Path(__file__).parent / "sg_2_3_u.nfilt"
+        assert cli.main(["coeffs", str(no_reduction), "--nmax", "3"]) == 4
         capsys.readouterr()
 
 

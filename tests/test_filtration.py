@@ -14,11 +14,11 @@ from normfilt import CHECKS, errors
 from normfilt import filtration as flt
 from normfilt.analysis import Analysis, auto_reduction, default_nmax, default_window
 from normfilt.inputs import EntryData, PolynomialBackend, SemigroupBackend, parse_input
-from normfilt.monomial import (NumericalSemigroup, closure_power, colength, contains, intersect,
-                               multiply, unit_ideal)
-from oracles import (AdicFiltration, _solve_consistent, free_fit_coefficients,
-                     intersection_failures_oracle, jgood_chain_colengths, length_table,
-                     maximal_vv_scan, reduction_number_scan, sally_from_tables, series_checks,
+from normfilt.monomial import NumericalSemigroup, colength, multiply
+from oracles import (AdicFiltration, Filtration, _solve_consistent, closure_power, contains,
+                     free_fit_coefficients, intersect, intersection_failures_oracle,
+                     jgood_chain_colengths, length_table, maximal_vv_scan, normal_filt,
+                     reduction_number_scan, sally_from_tables, series_checks, unit_ideal,
                      valabrega_valla, valabrega_valla_prefixes)
 
 
@@ -171,7 +171,7 @@ def power(a, n):
 def test_filtration_terms(poly2):
     b = poly2
     ideal = b.ideal([(2, 0), (0, 2)])
-    normal = flt.Filtration(b, ideal)
+    normal = Filtration(b, ideal)
     adic = AdicFiltration(b, ideal)
     assert normal.term(0) == unit_ideal(b.sg, b.dim)
     # the closure of (x^2, y^2) is the full square of the maximal ideal
@@ -188,7 +188,7 @@ def test_filtration_validation(poly2):
     b = poly2
     ideal = b.ideal([(2, 0), (0, 2)])
     with pytest.raises(errors.PreconditionError):
-        flt.Filtration(b, ideal).term(-1)
+        Filtration(b, ideal).term(-1)
     with pytest.raises(errors.PreconditionError):
         AdicFiltration(b, ideal).term(-1)
 
@@ -207,13 +207,13 @@ def test_reduction_number(poly2):
     b = poly2
     m2 = power(b.maximal(), 2)
     j = b.ideal([(2, 0), (0, 2)])
-    filt = flt.Filtration(b, m2, j)
+    filt = Filtration(b, m2, j)
     assert flt.rn_bound(j) == 1 and filt.reduction_number() == 1
-    assert reduction_number_scan(flt.Filtration(b, m2), j, 3) == 1
+    assert reduction_number_scan(Filtration(b, m2), j, 3) == 1
     # an ideal is its own reduction with reduction number 0
-    self_filt = flt.Filtration(b, b.maximal(), b.maximal())
+    self_filt = Filtration(b, b.maximal(), b.maximal())
     assert self_filt.reduction_number() == 0
-    assert reduction_number_scan(flt.Filtration(b, b.maximal()), b.maximal(), 3) == 0
+    assert reduction_number_scan(Filtration(b, b.maximal()), b.maximal(), 3) == 0
 
 
 TESTS, CORPUS = Path(__file__).parent, resources.files("normfilt") / "corpus"
@@ -235,7 +235,7 @@ def test_reduction_number_attains_its_bound(name):
     path, rn = RN_AT_BOUND[name]
     a = Analysis(read_entry(path))
     assert a.rn == flt.rn_bound(a.reduction) == rn
-    assert reduction_number_scan(flt.Filtration(a.backend, a.ideal), a.reduction, rn + 1) == rn
+    assert reduction_number_scan(Filtration(a.backend, a.ideal), a.reduction, rn + 1) == rn
 
 
 def test_reduction_number_horizon():
@@ -252,7 +252,7 @@ def test_reduction_number_horizon():
 def test_vv_certified_and_inconclusive(poly2):
     b = poly2
     ideal = b.ideal([(2, 0), (0, 2)])
-    normal = flt.Filtration(b, ideal, ideal)
+    normal = Filtration(b, ideal, ideal)
     rn = normal.reduction_number()
     assert rn == 1
     report = valabrega_valla(normal, 7, 4, rn)
@@ -286,7 +286,7 @@ def vv_cases(draw, semigroups=((1,), (2, 3), (3, 5), (4, 5, 11)), kinds=("normal
     free = draw(st.integers(0, 2))
     ring = (PolynomialBackend(("x", "y", "z")[:free + 1]) if sg == (1,)
             else SemigroupBackend(sg, free))
-    members = [s for s in range(1, 13) if ring.sg.contains(s)]
+    members = [s for s in range(1, 13) if s in ring.sg]
     kind = draw(st.sampled_from(kinds))
     if draw(st.booleans()):
         ideal = ring.maximal()
@@ -303,7 +303,7 @@ def vv_cases(draw, semigroups=((1,), (2, 3), (3, 5), (4, 5, 11)), kinds=("normal
         ideal = ring.maximal()
     j = auto_reduction(ideal)
     assume(j is not None)
-    filt = (flt.Filtration if kind == "normal" else AdicFiltration)(ring, ideal, j)
+    filt = (Filtration if kind == "normal" else AdicFiltration)(ring, ideal, j)
     return filt, j, draw(st.integers(1, 6)), draw(st.integers(1, 4))
 
 
@@ -342,7 +342,7 @@ def normal_cases(draw, semigroups=((2, 3), (3, 5), (3, 4, 5), (4, 5, 11)), max_f
     free = draw(st.integers(0, max_free))
     ring = (PolynomialBackend(("x", "y", "z", "w")[:free + 1])
             if naturals and draw(st.booleans()) else SemigroupBackend(sg, free))
-    members = [s for s in range(1, 12) if ring.sg.contains(s)]
+    members = [s for s in range(1, 12) if s in ring.sg]
     pure = [draw(st.integers(1, 3)) for _ in range(free)] + [draw(st.sampled_from(members[:3]))]
     top = prod(pure)
     # a_1..a_v below their pure powers, and a_(v+1) the least member of S that
@@ -351,7 +351,7 @@ def normal_cases(draw, semigroups=((2, 3), (3, 5), (3, 4, 5), (4, 5, 11)), max_f
     heads = draw(st.lists(st.tuples(*[st.integers(0, p - 1) for p in pure[:-1]]),
                           min_size=k, max_size=k))
     least = [-(-(top - sum(x * top // p for x, p in zip(h, pure))) * pure[-1] // top) for h in heads]
-    extra = [(*h, next(s for s in range(max(0, n), n + pure[-1] + 1) if ring.sg.contains(s)))
+    extra = [(*h, next(s for s in range(max(0, n), n + pure[-1] + 1) if s in ring.sg))
              for h, n in zip(heads, least)]
     powers = [tuple(p * (j == i) for j in range(free + 1)) for i, p in enumerate(pure)]
     ideal = ring.ideal(powers + extra)
@@ -359,7 +359,7 @@ def normal_cases(draw, semigroups=((2, 3), (3, 5), (3, 4, 5), (4, 5, 11)), max_f
     a = Analysis(EntryData("normal", ring, ideal, reduction=given,
                            nmax=draw(st.sampled_from(range(1, 7)))))
     assert a.reduction == ring.ideal(powers)
-    filt = flt.Filtration(ring, ideal, a.reduction)
+    filt = Filtration(ring, ideal, a.reduction)
     filt.product_from = None  # every term a closure power, not read off Reid-Roberts-Vitulli
     return a, filt, a.reduction
 
@@ -390,6 +390,44 @@ def test_normal_filtration_reduces_from_the_proved_bound(case):
     for n in range(bound, bound + 3):
         assert filt.term(n + 1) == multiply(j, filt.term(n)), n
     assert a.rn == reduction_number_scan(filt, j, bound + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(normal_cases(semigroups=((2, 3), (3, 5), (3, 4, 5), (4, 5, 11), (7, 9, 11)), max_free=2))
+def test_h_vector_is_the_normal_filtration(case):
+    """The h-vector read off closure_counts(B + 1), B = rn_bound(J), is the
+    normal filtration, checked against the ideals built by the oracle
+    `Filtration`: h >= 0, and h of a longer counted column vanishes past B;
+    the coefficients from h are the windowed fit of the counted column
+    wherever that passes; deg h is the product-built reduction number; and
+    J^n ∩ F_(n+1) = J^n·F_1, so lambda(R/(J^n ∩ F_(n+1))) is the J-good
+    entry, while lambda(R/(J ∩ F_(n+1))) - v_n = sum_(k>n) h_k."""
+    a, filt, j = case
+    bound = flt.rn_bound(j)
+    assert len(a.h) == bound + 1 and min(a.h) >= 0
+    assert flt.h_vector(a.ideal.closure_counts(bound + 4)[1:], a.dim)[bound + 1:] == (0, 0, 0)
+    counted = a.ideal.closure_counts(a.nmax + 1)[1:]
+    windowed = attempt(flt.fit_coefficients, counted, a.e0, a.dim, a.window)
+    if isinstance(windowed, flt.Fit):
+        assert a.normal_fit == windowed
+    assert a.rn == max(k for k, x in enumerate(a.h) if x)
+    assert a.rn == Filtration(a.backend, a.ideal, j).reduction_number()
+    for n in range(1, a.nmax + 1):
+        assert filt.meet(n, n + 1) == a.jgood_values[n], n
+        assert filt.meet(1, n + 1) - counted[n] == sum(a.h[n + 1:]), n
+
+
+@pytest.mark.parametrize("name", sorted(RN_AT_BOUND))
+def test_h_vector_reaches_the_proved_bound(name):
+    """Where rn = B, h_B is the last nonzero entry: an h cut at B - 1 would
+    lose it. sg_31_37_41's h, from its 11 counted entries, gives ē = (31,
+    162), stable from 9 = rn - d, at every nmax."""
+    path, rn = RN_AT_BOUND[name]
+    a = Analysis(read_entry(path))
+    assert len(a.h) == rn + 1 and a.h[-1] > 0
+    if name == "sg_31_37_41":
+        assert a.h == (1, 2, 3, 4, 2, 3, 5, 5, 2, 2, 2)
+        assert a.normal_fit == ((31, 162), 9)
 
 
 def first_failure(report):
@@ -463,7 +501,7 @@ def maximal_closure_analyses(draw):
     if draw(st.booleans()):
         ideal = ring.maximal()
     else:
-        members = [s for s in range(e + 1, 3 * e) if ring.sg.contains(s)]
+        members = [s for s in range(e + 1, 3 * e) if s in ring.sg]
         powers = [e] + draw(st.lists(st.sampled_from(members), max_size=3))
         units = [tuple(int(j == i) for j in range(ring.dim)) for i in range(free)]
         ideal = ring.ideal(units + [(0,) * free + (s,) for s in powers])
@@ -477,7 +515,7 @@ def test_maximal_vv_matches_the_coefficient_ring(a):
     (t^e) does, and tangent_cone_failure names that failure: the reports are
     compared at the horizon e - 1 + window, where they are decisive."""
     assert a.closure_is_maximal and a.reduction is not None
-    assert a.normal_filt.term(1) == a.backend.maximal()  # the m that tangent_cone_failure tests
+    assert normal_filt(a).term(1) == a.backend.maximal()  # the m that tangent_cone_failure tests
     assert a.reduction == auto_reduction(a.backend.maximal())  # the J of maximal_vv_scan
     top = a.backend.sg.multiplicity - 1 + a.window
     report, rn = maximal_vv_scan(a.backend, top, a.window)
@@ -531,7 +569,7 @@ def ring_analyses(draw):
     else:
         d = draw(st.integers(1, 3))
         ring = SemigroupBackend(draw(st.sampled_from([(2, 3), (3, 5), (4, 5, 11), (5, 7)])), d - 1)
-        members = [s for s in range(1, 13) if ring.sg.contains(s)]
+        members = [s for s in range(1, 13) if s in ring.sg]
         pure = [draw(st.integers(1, 3)) for _ in range(d - 1)]
         pure.append(draw(st.sampled_from(members[:4])))
         entries = [st.integers(0, 3)] * (d - 1) + [st.sampled_from([0] + members)]
@@ -541,7 +579,7 @@ def ring_analyses(draw):
     powers = [tuple(p * (j == i) for j in range(d)) for i, p in enumerate(pure)]
     ideal = ring.ideal(powers + extra)
     analysis = Analysis(EntryData("e", ring, ideal, nmax=draw(st.integers(1, d + 2))))
-    return analysis, flt.Filtration(ring, ideal)
+    return analysis, Filtration(ring, ideal)
 
 
 @settings(max_examples=100, deadline=None)
@@ -566,11 +604,12 @@ def test_reduction_number_matches_full_scan(case):
 @settings(max_examples=100, deadline=None)
 @given(ring_analyses())
 def test_normal_terms_by_products_match_closure_powers(case):
-    """F_n = J*F_(n-1) from degree d on equals closure(I^n)."""
+    """F_n = J*F_(n-1) from degree B + 1 on equals closure(I^n)."""
     a, _ = case
     assume(a.reduction is not None)
+    filt = normal_filt(a)
     for n in range(a.nmax + 2):
-        assert a.normal_filt.term(n) == closure_power(a.ideal, n), n
+        assert filt.term(n) == closure_power(a.ideal, n), n
 
 
 @settings(max_examples=100, deadline=None)
@@ -623,13 +662,23 @@ def test_fit_with_known_e0_matches_the_free_fit(a):
     G is Cohen-Macaulay (see `Analysis.vv`) with rn <= d - 1, so the column is
     its polynomial from n = 0, and any passing fit is exact. Elsewhere a free
     fit can pass with the wrong e0 (see below). The Sally fit read off the
-    normal fit is the one fitted on the Sally column, or the same error."""
+    normal fit has the coefficients of the one fitted on the Sally column
+    wherever that passes, and the same stable_from on an untampered column;
+    it needs no horizon, so it passes where that one runs out, and a
+    negative Sally length refuses both."""
     free, given_e0 = counted_fits(a)
     if not a.backend.sg.gaps and isinstance(free, flt.Fit):
         assert given_e0 == free and free.stable_from == 0
     if a.reduction is not None:
         sally = a.sally_fit or (type(a.sally_fit_error), str(a.sally_fit_error))
-        assert sally == attempt(sally_from_tables, a.sally_values, a.dim, a.window)
+        windowed = attempt(sally_from_tables, a.sally_values, a.dim, a.window)
+        if isinstance(windowed, flt.Fit):
+            assert sally.e == windowed.e
+            assert a.entry.tamper_normal is not None or sally == windowed
+        elif windowed[0] is errors.HorizonError:
+            assert isinstance(sally, flt.Fit)
+        else:
+            assert sally == windowed
 
 
 @settings(max_examples=100, deadline=None)
@@ -727,7 +776,7 @@ def reduction_analyses(draw, top=6, naturals=False, free=None, bottom=1):
     semigroup = sg != (1,) or naturals and free < 3 and draw(st.booleans())
     ring = (SemigroupBackend(sg, free) if semigroup
             else PolynomialBackend(("x", "y", "z", "w")[:free + 1]))
-    members = [s for s in range(1, 13) if ring.sg.contains(s)]
+    members = [s for s in range(1, 13) if s in ring.sg]
     pure = [draw(st.integers(1, 3)) for _ in range(free)] + [draw(st.sampled_from(members[:4]))]
     vector = st.tuples(*[st.integers(0, 3)] * free, st.sampled_from([0] + members))
     # generators a with sum a_i / p_i >= 1 lie in the closure of the pure powers p_i
@@ -741,7 +790,7 @@ def reduction_analyses(draw, top=6, naturals=False, free=None, bottom=1):
 
 
 def chain_values(a):
-    return jgood_chain_colengths(a.reduction, a.normal_filt.term(1), a.nmax)
+    return jgood_chain_colengths(a.reduction, normal_filt(a).term(1), a.nmax)
 
 
 def exact_decomposition(a, jgood):
@@ -792,14 +841,14 @@ def test_containment_in_reduction_powers_reads_the_meet(a):
     lambda(R/(J^n ∩ F_(n+2))) is the counted lambda(R/F_(n+2)), and the witness
     is the first generator of F_(n+2) outside J^n: against closure powers and
     powers of J built apart. A tenth of the entries, semigroup rings, fail."""
-    closures = flt.Filtration(a.backend, a.ideal)
+    closures, filt = Filtration(a.backend, a.ideal), normal_filt(a)
     counts, jn = a.ideal.closure_counts(a.nmax + 1), closures.term(0)
     for n in range(a.nmax):
         term = closures.term(n + 2)
         outside = [g for g in term.gens if not contains(jn, g)]
-        assert (a.normal_filt.meet(n, n + 2) == counts[n + 2]) == (not outside)
+        assert (filt.meet(n, n + 2) == counts[n + 2]) == (not outside)
         if outside:
-            assert a.normal_filt.witness(0, n + 2, n, 0) == a.backend.element_str(outside[0])
+            assert filt.witness(0, n + 2, n, 0) == a.backend.element_str(outside[0])
         jn = multiply(a.reduction, jn)
 
 
@@ -810,30 +859,13 @@ def test_intersection_failures_empty(poly2):
     assert verdict.detail.endswith("for n = 1..4")
 
 
-@pytest.mark.parametrize("ring, gens", [
-    (PolynomialBackend(("x", "y")), [(2, 0), (0, 2)]),
-    (SemigroupBackend((4, 5, 11), 1), [(2, 0), (0, 4)]),
-])
-def test_closure_intersection_refutes_a_patched_term(ring, gens):
-    """closure(I^3) patched to closure(I^2) meets J^2 in all of J^2, longer than
-    J^2·closure(I) by the J-good count: the checker refutes at degree 2 with
-    the detail and witness of the all-degrees loop on the patched filtration."""
-    a = Analysis(EntryData("e", ring, ring.ideal(gens), nmax=5))
-    filt = a.normal_filt
-    filt._terms[3] = filt.term(2)
-    fails = intersection_failures_oracle(filt, a.reduction, 4)
-    assert fails[0][0] == 2
-    verdict = CHECKS["closure_intersection"][0](a)
-    assert verdict.conclusion == "refuted-with-witness"
-    assert verdict.detail == "closure(I^3) ∩ J^2 != J^2·closure(I) at degree 2"
-    assert [(w.degree, w.element) for w in verdict.witnesses] == [fails[0]]
-
-
 @settings(max_examples=100, deadline=None)
 @given(ring_analyses())
 def test_closure_intersection_matches_the_all_degrees_loop(case):
-    """The checker stops at the first failing degree of the loop over every
-    degree, with its witness, and verifies where the loop finds none."""
+    """The checker reads no ideal: closure(I^(n+1)) ∩ J^n = J^n·closure(I) is
+    the Valabrega-Valla equality that `Analysis.vv` proves, so the loop over
+    every degree, on closure powers built apart, finds no failure where the
+    checker verifies."""
     a, closures = case
     assume(a.reduction is not None)
     verdict = CHECKS["closure_intersection"][0](a)
@@ -841,9 +873,5 @@ def test_closure_intersection_matches_the_all_degrees_loop(case):
     if upto < 1:
         assert verdict.conclusion == "inconclusive-horizon"
         return
-    fails = intersection_failures_oracle(closures, a.reduction, upto)
-    if not fails:
-        assert verdict.conclusion == "verified"
-        return
-    assert verdict.conclusion == "refuted-with-witness"
-    assert [(w.degree, w.element) for w in verdict.witnesses] == [fails[0]]
+    assert intersection_failures_oracle(closures, a.reduction, upto) == []
+    assert verdict.conclusion == "verified"

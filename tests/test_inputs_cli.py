@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +18,9 @@ from normfilt.inputs import format_monomial
 CORPUS = resources.files("normfilt") / "corpus"
 NEGATIVE = CORPUS / "negative"
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+# (U^3, t^6, U·t^2) in k[[t^2,t^3]][U]: no pure-power reduction and S != N, so
+# its normal fit is the one that still reads a verification window
+SG_2_3_U = str(Path(__file__).resolve().parent / "sg_2_3_u.nfilt")
 
 
 def corpus_path(name):
@@ -270,7 +274,7 @@ def test_cli_exit_precondition(capsys):
 
 
 def test_cli_exit_horizon(capsys):
-    assert cli.main(["coeffs", corpus_path("poly3_cubes"), "--nmax", "3"]) == 4
+    assert cli.main(["coeffs", SG_2_3_U, "--nmax", "3"]) == 4
     assert "horizon error" in capsys.readouterr().err
 
 
@@ -454,7 +458,7 @@ def test_cli_import_leaves_out_unused_modules():
     assert _loaded("from normfilt.cli import main\nmain(['table', '--help'])", unused) == "[]"
     # each command loads exactly these modules of the package, so a module
     # added to its path fails here: a json table 8 of the 11, and the
-    # checkers of check and corpus read fits, rn and VV from the filtration
+    # checkers of check and corpus read h and the fits of the filtration module
     loads = {"normfilt", "normfilt.cli", "normfilt.inputs", "normfilt.monomial",
              "normfilt.newton", "normfilt.errors", "normfilt.analysis", "normfilt.reports"}
     assert _package_modules(table) == str(sorted(loads))
@@ -489,15 +493,15 @@ def _forbid(monkeypatch, *names):
     def fail(*args, **kwargs):
         raise AssertionError("computed although the command does not read it")
 
-    for name in names:  # reduction_number is a Filtration method and vv an Analysis property
-        owner = next(o for o in (filtration.Filtration, analysis.Analysis, filtration)
-                     if hasattr(o, name))
-        monkeypatch.setattr(owner, name,
-                            property(fail) if isinstance(vars(owner).get(name), property) else fail)
+    for name in names:  # h and vv are Analysis properties, fit_coefficients a function
+        owner = next(o for o in (analysis.Analysis, filtration) if hasattr(o, name))
+        lazy = isinstance(vars(owner).get(name), (property, cached_property))
+        monkeypatch.setattr(owner, name, property(fail) if lazy else fail)
 
 
 def test_cli_table_computes_no_fit_reduction_number_or_vv(monkeypatch, capsys):
-    _forbid(monkeypatch, "vv", "reduction_number", "fit_coefficients")
+    # rn and the normal fit are read off h
+    _forbid(monkeypatch, "vv", "h", "fit_coefficients")
     assert cli.main(["table", corpus_path("poly3_cubes")]) == 0
     assert json.loads(capsys.readouterr().out)["rows"][2] == [2, 165, 270, 168, 3]
 
@@ -523,39 +527,35 @@ def test_cli_table_computes_only_the_input_multiplicity(monkeypatch, capsys, nam
 
 @pytest.mark.parametrize("name", ["poly3_cubes", "sg_4_5_11_uv"])
 def test_cli_intersection_and_socle_checks_build_no_product_or_maximal_ideal(monkeypatch, capsys, name):
-    # both checkers compare lengths: J^n·closure(I) is built only for the
-    # witness of a failure, and the socle is counted without m or (J^n : m).
-    # So every product built is J·J^(k-1) or J·F_n of the memo, with J first
-    seen, real = [], filtration.multiply
+    # closure_intersection reads the Valabrega-Valla proof and builds nothing,
+    # and the socle is counted without m or (J^n : m): the only products are
+    # J^2 = J^1·J and J^3 = J^2·J, each with the laid J as its second factor
+    seen, built = [], []
 
-    def j_times(x, y):
-        if x is not seen[0].normal_filt.reduction:
+    def times_j(x, y):
+        if y.gens != seen[0].reduction.gens:
             raise AssertionError("built although the checker only counts")
-        return real(x, y)
+        built.append(monomial.multiply(x, y))
+        return built[-1]
 
     monkeypatch.setattr(cli, "analyze", lambda entry: seen.append(analysis.analyze(entry)) or seen[-1])
-    monkeypatch.setattr(filtration, "multiply", j_times)
+    monkeypatch.setattr(analysis, "multiply", times_j)
     assert cli.main(["check", corpus_path(name), "--checks", "closure_intersection,socle_formula"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert [(v["check"], v["conclusion"]) for v in verdicts] == [
         ("closure_intersection", "verified"), ("socle_formula", "verified")]
+    assert len(built) == 2
 
 
 def test_cli_almost_minimal_check_builds_no_product(monkeypatch, capsys):
-    # its e3 identity, whose summands past rn = 2 are all 0, is not summed:
-    # no J·closure(I^j) with j > rn is built
-    real = filtration.Filtration.product
-
-    def upto_rn(filt, n):
-        if n > 2:
-            raise AssertionError("built although the checker only counts")
-        return real(filt, n)
-
-    monkeypatch.setattr(filtration.Filtration, "product", upto_rn)
+    # its e3 identity, whose summands past rn = 2 are all 0, is not summed,
+    # and its intersection sum is read off h: no J·closure(I^j) is built
+    calls = _count_calls(monkeypatch)
     path = corpus_path("poly3_cubes")
     assert cli.main(["check", path, "--nmax", "12", "--checks", "almost_minimal_rn2"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert [(v["check"], v["conclusion"]) for v in verdicts] == [("almost_minimal_rn2", "verified")]
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["poly3_maximal", "sg_4_5_11_uv"])
@@ -565,7 +565,7 @@ def test_cli_low_type_check_builds_no_product(monkeypatch, capsys, name):
     def fail(*args, **kwargs):
         raise AssertionError("counted although the checker reads e0 and mu(m)")
 
-    for module in (monomial, filtration, analysis):
+    for module in (monomial, analysis):
         monkeypatch.setattr(module, "colength", fail)
     assert cli.main(["check", corpus_path(name), "--checks", "low_type_cm"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
@@ -600,22 +600,27 @@ def _count_calls(monkeypatch, real=monomial.multiply) -> list:
 # test G(m), which it now reads off the semigroup, and 16, 9 and 9 on the
 # semigroup entry when the checkers that read VV scanned it there, building J·F_0,
 # and 15, 8 and 8 there when its rn was scanned from nmax down, not from B - 1,
-# B = rn_bound(J), with every term a closure power
+# B = rn_bound(J), with every term a closure power; 7, 8, 3, 2, 3 and 2 while
+# rn was scanned on J·F_n products and the checkers compared ideals built from
+# J: now the only products are J^2 and J^3 of socle_formula, and rn is deg h
 PRODUCTS = [
-    ("sg_4_5_11_uv", ["--nmax", "12"], 7),
-    ("poly3_maximal", [], 8),
-    ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 3),
-    ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 2),
-    ("sg_4_5_11_uv", ["--checks", "low_type_cm"], 3),
-    ("poly3_maximal", ["--checks", "low_type_cm"], 2),
+    ("sg_4_5_11_uv", ["--nmax", "12"], 2),
+    ("poly3_maximal", [], 2),
+    ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 0),
+    ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 0),
+    ("sg_4_5_11_uv", ["--checks", "low_type_cm"], 0),
+    ("poly3_maximal", ["--checks", "low_type_cm"], 0),
 ]
-# intersections built per command: a loop that compares J^n ∩ F_(n+2) past
-# rn - 2 again raises the first two (22 and 12 when e3_nonnegative did), the
-# first is 10 when low_type_cm intersected m^n with J, and the semigroup
-# entry's are 6 and 2 when its VV scan intersected F_1 and F_2 with J
+# intersections built per command: none, as the package has no intersection
+# (the oracle's `intersect` lives in tests/oracles.py); a loop that compares
+# J^n ∩ F_(n+2) past rn - 2 raised the first two to 22 and 12 when
+# e3_nonnegative did, the first is 10 when low_type_cm intersected m^n with J,
+# the semigroup entry's are 6 and 2 when its VV scan intersected F_1 and F_2
+# with J, and the first two were 4 while closure_intersection compared
+# J^n ∩ F_(n+1) with J^n·F_1
 INTERSECTIONS = [
-    ("sg_4_5_11_uv", ["--nmax", "12"], 4),
-    ("poly3_maximal", [], 4),
+    ("sg_4_5_11_uv", ["--nmax", "12"], 0),
+    ("poly3_maximal", [], 0),
     ("sg_4_5_11_uv", ["--checks", "e3_vanishing_cm"], 0),
     ("poly3_maximal", ["--checks", "e3_vanishing_cm"], 0),
 ]
@@ -631,7 +636,11 @@ def test_cli_check_builds_the_pinned_products(monkeypatch, capsys, name, args, c
 
 @pytest.mark.parametrize("name, args, count", INTERSECTIONS)
 def test_cli_check_builds_the_pinned_intersections(monkeypatch, capsys, name, args, count):
-    calls = _count_calls(monkeypatch, monomial.intersect)
+    from oracles import intersect  # the kernel's intersection, now a test oracle
+
+    assert not any(hasattr(m, "intersect") for k, m in sys.modules.items()
+                   if k.startswith("normfilt."))
+    calls = _count_calls(monkeypatch, intersect)
     assert cli.main(["check", corpus_path(name), *args]) == 0
     capsys.readouterr()
     assert len(calls) == count
@@ -639,7 +648,7 @@ def test_cli_check_builds_the_pinned_intersections(monkeypatch, capsys, name, ar
 
 @pytest.mark.parametrize("name", ["sg_4_5_11_uv", "poly3_maximal"])
 def test_e3_vanishing_check_builds_no_product_beyond_rn_and_vv(monkeypatch, name):
-    # its chain is the F_(n+1) = J·F_n comparison of rn, on the same memo
+    # its chain holds as rn = deg h <= 2, which e3_bar = 0 forces: nothing is built
     a = analysis.analyze(inputs.build_entry(inputs.parse_input(Path(corpus_path(name)).read_text())))
     assert a.vv.certified_cm and a.rn is not None  # where S = N, vv reads no rn
     calls = _count_calls(monkeypatch)
@@ -670,7 +679,7 @@ def test_cli_socle_check_skips_valabrega_valla(monkeypatch, capsys):
 def test_cli_runs_no_vv_scan_where_s_is_n(monkeypatch, capsys, tmp_path, command):
     # the normal G is proved Cohen-Macaulay wherever there is a pure-power
     # reduction (see `Analysis.vv`): no corpus entry of either ring class, and
-    # no entry of k[[t]][U,V], builds a term or reads rn for it, and `coeffs`
+    # no entry of k[[t]][U,V], reads a column, h or rn for it, and `coeffs`
     # prints the proved report on every entry with a reduction
     naturals = tmp_path / "naturals.nfilt"
     naturals.write_text("ring semigroup gens=1 adjoin=U,V\nideal t^2 U^2 V^2 t*U\n")
@@ -680,7 +689,7 @@ def test_cli_runs_no_vv_scan_where_s_is_n(monkeypatch, capsys, tmp_path, command
 
     def vv(a):
         with monkeypatch.context() as m:
-            _forbid(m, "term", "power", "product", "reduction_number")
+            _forbid(m, "normal_values", "h", "rn", "socle_lengths")
             return real(a)
 
     monkeypatch.setattr(analysis.Analysis, "vv", property(vv))
@@ -726,33 +735,32 @@ def test_semigroup_of_naturals_takes_the_polynomial_shortcuts(tmp_path, monkeypa
     entry = inputs.parse_input("ring semigroup gens=1 adjoin=U\nideal t^4 U^2 t^2*U\n")
     a = analysis.Analysis(inputs.build_entry(entry))
 
-    def fail(*args, **kwargs):
-        raise AssertionError("the normal column of S = N builds no closure power")
+    counted, real = [], monomial.closure_count
 
-    monkeypatch.setattr(filtration, "closure_power", fail)
-    monkeypatch.setattr(monomial, "closure_power", fail)
+    def count(hull, k, gaps):
+        counted.append(k)
+        return real(hull, k, gaps)
+
+    monkeypatch.setattr(monomial, "closure_count", count)
     assert a.normal_values[:4] == (6, 20, 42, 72)
-    assert a.normal_filt.product_from == 2
+    assert len(a.h) == 2  # B = d - 1 on S = N
+    assert sorted(counted) == [1, 2]  # H(k) for k <= d, the rest from the polynomial
 
 
 @pytest.mark.parametrize("name", ["poly2_x2_y2", "poly3_cubes", "poly3_cubes_diag", "poly3_maximal",
                                   "poly3_maximal_square", "sg_4_5_11", "sg_4_5_11_uv"])
 def test_table_and_sally_build_no_closure_power(monkeypatch, capsys, name):
     # the normal column and lambda(R/closure(I)) of the J-good column are
-    # counted on every ring
-    outputs = []
-    for command in ("table", "sally"):
-        assert cli.main([command, corpus_path(name)]) == 0
-        outputs.append(capsys.readouterr().out)
-
-    def fail(*args, **kwargs):
-        raise AssertionError("table and sally build no closure power")
-
-    monkeypatch.setattr(filtration, "closure_power", fail)
-    monkeypatch.setattr(monomial, "closure_power", fail)
-    for command, out in zip(("table", "sally"), outputs):
-        assert cli.main([command, corpus_path(name)]) == 0
-        assert capsys.readouterr().out == out
+    # counted on every ring, and the package has no closure power to build:
+    # sally multiplies nothing, and table only the adic column's I^2..I^(nmax+1)
+    assert not any(hasattr(m, "closure_power") for k, m in sys.modules.items()
+                   if k.startswith("normfilt."))
+    calls = _count_calls(monkeypatch)
+    assert cli.main(["sally", corpus_path(name)]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert cli.main(["table", corpus_path(name)]) == 0
+    assert len(calls) == json.loads(capsys.readouterr().out)["nmax"]
 
 
 # a 4-variable entry with 16 generators and no monomial reduction, read at --nmax 2
@@ -764,8 +772,8 @@ NEWTON_WIDE_STYLE = ("ring polynomial vars=x,y,z,w\nideal x^4 y^4 z^4 w^4 x^2*y 
                                   "poly3_maximal", "poly3_maximal_square", "sg_4_5_11",
                                   "sg_4_5_11_uv", "newton_wide_style"])
 def test_table_and_sally_build_no_filtration(monkeypatch, capsys, tmp_path, name):
-    # both columns are counted and the J-good one is a closed form, so a
-    # Filtration is built only for a reader of its terms
+    # both columns are counted and the J-good one is a closed form, so no
+    # ideal is built from J: only socle_formula builds its powers
     argv = [corpus_path(name)]
     if name == "newton_wide_style":
         path = tmp_path / "newton_wide_style.nfilt"
@@ -775,10 +783,7 @@ def test_table_and_sally_build_no_filtration(monkeypatch, capsys, tmp_path, name
     for command in ("table", "sally"):
         outputs.append((cli.main([command, *argv]), capsys.readouterr().out))
 
-    def fail(*args, **kwargs):
-        raise AssertionError("table and sally build no Filtration")
-
-    monkeypatch.setattr(filtration, "Filtration", fail)
+    _forbid(monkeypatch, "socle_lengths")
     for command, (code, out) in zip(("table", "sally"), outputs):
         assert cli.main([command, *argv]) == code
         assert capsys.readouterr().out == out
@@ -840,10 +845,18 @@ def test_cli_every_tamper_index_is_refuted(capsys, name):
 # the checkers that refute, with their hits, over every tamper index of the
 # corpus at the default horizon (68 runs) and over --nmax 12 --tamper-normal 0..4
 # on poly3_cubes and poly3_cubes_diag (10 runs); no other checker refutes there.
-# almost_minimal_rn2 refuted 6 of the latter while it summed its e3 identity
-# past rn, where only the tampered entry moved a summand
+# Each reads the printed column: the normal entries, or the Sally column, which
+# is the J-good closed form less the printed entry. The fits read h off the
+# counted column, so no tamper breaks them: e1_equality_equivalence refuted 4
+# while the fits read the printed column and a tamper among the fitted entries
+# made it, and e1_type_sandwich and low_type_cm, which read the Sally entry 1,
+# inconclusive-horizon, and its other 22 hits are the rn <= 1 entries
+# poly2_x2_y2, poly3_maximal and poly3_maximal_square, whose Sally column
+# vanishes but for the tampered entry. almost_minimal_rn2 refuted 6 of the
+# latter while it summed its e3 identity past rn, where only the tampered
+# entry moved a summand
 REFUTING = {"table_coherence": 78, "length_bound_decomposition": 61, "series_identity": 9,
-            "e1_equality_equivalence": 4}
+            "e1_equality_equivalence": 26, "e1_type_sandwich": 1, "low_type_cm": 1}
 
 
 def test_cli_tamper_ledger_pins_the_refuting_checkers(capsys):
@@ -864,15 +877,34 @@ def test_cli_tamper_ledger_pins_the_refuting_checkers(capsys):
     assert hits == REFUTING
 
 
-@pytest.mark.parametrize("path, nmax, normal", [
-    (corpus_path("poly2_x2_xy_y3"), 5, {"e": [5, 1, 0], "g_s": 0, "stable_from": 0}),
-    (str(BENCH_INPUTS / "sg_31_37_41.nfilt"), 12, {"e": [31, 162], "g_s": 132, "stable_from": 9}),
-], ids=["poly2_x2_xy_y3", "sg_31_37_41"])
-def test_cli_coeffs_fits_with_one_entry_fewer(capsys, path, nmax, normal):
-    # e0 is known, so a fit reads d entries plus the window, all this horizon holds
-    assert cli.main(["coeffs", path, "--nmax", str(nmax)]) == 0
-    assert json.loads(capsys.readouterr().out)["normal"] == normal
-    assert cli.main(["coeffs", path, "--nmax", str(nmax - 1)]) == 4
+@pytest.mark.parametrize("name", [n for n in CORPUS_NAMES if n != "poly2_x2_xy_y3"])
+def test_cli_tamper_never_reads_as_a_horizon_miss(capsys, name):
+    # with a reduction the fits read h off the counted column, which no tamper
+    # reaches: a tampered entry is refuted or not, never short of horizon
+    assert cli.main(["table", corpus_path(name)]) == 0
+    nmax = json.loads(capsys.readouterr().out)["nmax"]
+    for index in range(nmax + 1):
+        assert cli.main(["check", corpus_path(name), "--tamper-normal", str(index)]) == 1
+        conclusions = {v["conclusion"] for v in json.loads(capsys.readouterr().out)["verdicts"]}
+        assert "inconclusive-horizon" not in conclusions, index
+
+
+def test_cli_coeffs_fits_with_one_entry_fewer(capsys):
+    # on the one normal path that still fits through a window, e0 is known, so
+    # a fit reads d entries plus the window, all that --nmax 5 holds
+    assert cli.main(["coeffs", SG_2_3_U, "--nmax", "5"]) == 0
+    normal = json.loads(capsys.readouterr().out)["normal"]
+    assert normal == {"e": [12, 6, 1], "g_s": 1, "stable_from": 0}
+    assert cli.main(["coeffs", SG_2_3_U, "--nmax", "4"]) == 4
+
+
+def test_cli_coeffs_reads_the_fit_off_h_at_the_default_horizon(capsys):
+    # with a reduction the normal fit is read off h, from the B + 1 = 11 counted
+    # entries of k[[t^31,t^37,t^41]], past the 7 printed: no --nmax is needed
+    assert cli.main(["coeffs", str(BENCH_INPUTS / "sg_31_37_41.nfilt")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["nmax"] == 6 and payload["rn"] == 10
+    assert (payload["normal"]["e"], payload["normal"]["stable_from"]) == ([31, 162], 9)
 
 
 def _forbid_adic(monkeypatch):
@@ -909,14 +941,23 @@ def test_cli_check_reads_no_adic_value(capsys, monkeypatch):
 
 
 def test_cli_horizon_misses_are_not_abstentions(tmp_path, capsys):
-    f = tmp_path / "maximal4.nfilt"
-    f.write_text("ring polynomial dim=4\nideal maximal\n")
-    assert cli.main(["check", str(f), "--nmax", "8"]) == 0
+    # on the one normal path that still fits through a window, a checker short
+    # only of that fit reads inconclusive-horizon and one that also misses a
+    # hypothesis abstains; a detail two gates share is given once, on the same
+    # ideal with V^3 adjoined (d = 3, where e3_zero reads the fit too)
+    assert cli.main(["check", SG_2_3_U, "--nmax", "4"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
-    short = [v for v in verdicts if v["conclusion"] == "inconclusive-horizon"]
-    assert len(short) == 12  # table_coherence and the 11 checkers gated on a fit
-    assert not [v for v in verdicts if v["conclusion"] == "abstained"]
-    sandwich = next(v for v in short if v["check"] == "e1_type_sandwich")
+    short = [v["check"] for v in verdicts if v["conclusion"] == "inconclusive-horizon"]
+    assert short == ["table_coherence"]
+    assert all("no certified reduction" in v["detail"] or "needs dimension" in v["detail"]
+               for v in verdicts if v["conclusion"] == "abstained")
+    f = tmp_path / "sg_2_3_uv.nfilt"
+    f.write_text("ring semigroup gens=2,3 adjoin=U,V\nideal U^3 V^3 t^6 U*t^2\n")
+    assert cli.main(["check", str(f), "--nmax", "6"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    short = [v["check"] for v in verdicts if v["conclusion"] == "inconclusive-horizon"]
+    assert short == ["table_coherence", "e3_nonnegative"]
+    sandwich = next(v for v in verdicts if v["check"] == "e1_type_sandwich")
     assert sandwich["detail"].count("normal coefficients unavailable") == 1
 
 

@@ -49,8 +49,8 @@ def test_filtration_loads_no_analysis():
 
 
 def test_theorems_reads_J_only_through_the_filtration():
-    # the checkers read lengths and witnesses from filtration.Filtration and
-    # never hold or combine an ideal themselves
+    # the checkers read h, the fits and the socle lengths of the powers of J
+    # from analysis.Analysis, and never hold or combine an ideal themselves
     path = Path(normfilt.__file__).parent / "theorems.py"
     tree = ast.parse(path.read_text())
     assert set(module_level_imports(tree)) == {"errors", "analysis", "filtration"}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from normfilt import CHECKS, EntryData, analyze, cli, errors, filtration, run_checks
+from normfilt import CHECKS, EntryData, analyze, cli, errors, run_checks
 from normfilt.analysis import Analysis
 from normfilt.inputs import PolynomialBackend, SemigroupBackend
 from normfilt.monomial import colength, multiply
@@ -16,9 +16,9 @@ from normfilt import analysis, inputs, monomial, reports
 from normfilt.errors import HorizonError
 from normfilt.theorems import (CONCLUSIONS, Witness, abstained, check_e3_nonnegative,
                                check_e3_vanishing_cm, horizon, refuted, verified)
-from oracles import (AdicFiltration, e3_chain_failure, e3_containment_scan, e3_product_colengths,
-                     e3_reduces_scan, lam_m2_Jm_product, quotient_length, valabrega_valla,
-                     valabrega_valla_prefixes)
+from oracles import (AdicFiltration, Filtration, e3_chain_failure, e3_containment_scan,
+                     e3_product_colengths, e3_reduces_scan, lam_m2_Jm_product, normal_filt,
+                     quotient_length, valabrega_valla, valabrega_valla_prefixes)
 from test_filtration import (chain_values, exact_decomposition, maximal_closure_analyses,
                              reduction_analyses, ring_analyses)
 
@@ -120,7 +120,7 @@ def test_reduction_colengths(analyses):
     for name, a in analyses.items():
         if a.reduction is not None:
             assert colength(a.reduction) == a.e0, name
-            assert a.lam_I1_J == quotient_length(a.normal_filt.term(1), a.reduction), name
+            assert a.lam_I1_J == quotient_length(normal_filt(a).term(1), a.reduction), name
 
 
 def test_jgood_closed_form_and_exact_decomposition(analyses):
@@ -142,23 +142,24 @@ def test_polynomial_normal_vv_never_fails(analyses):
     assert sorted(a.backend.kind for a in reduced) == ["polynomial"] * 5 + ["semigroup"] * 2
     for a in reduced:
         assert a.vv == (True, False, None, a.nmax, None), a.name
-        filt = filtration.Filtration(a.backend, a.ideal, a.reduction)
+        filt = Filtration(a.backend, a.ideal, a.reduction)
         filt.product_from = None
         assert valabrega_valla(filt, a.nmax, a.window, None).first_failure is None, a.name
         assert valabrega_valla_prefixes(filt, a.reduction, a.nmax, a.window, None)[2] is None
 
 
-# the lays of `check` at nmax 12 that grow a box: I and J, each from its
-# natural box (need plus the largest atom) onto the box of the normal
-# filtration, power_box(I, max(B, 5)), B = rn_bound(J): 5 on all four, where
-# power_box(I, 13) would be (53, 53, 53, 220) on sg7; a given J is first laid
-# onto I's box where certify compares the two
+# the lays of `check` at nmax 12 that grow a box: J from its natural box
+# (need plus the largest atom) onto power_box(J, 3), where socle_formula
+# builds J^2 and J^3, the only ideals built from J; I is laid nowhere, as the
+# normal terms are counted, not built (power_box(I, max(B, 5)), B =
+# rn_bound(J), held I and J while the checkers read the built normal
+# filtration: (21, 21, 21, 108) on sg7). A given J is first laid onto I's
+# box where certify compares the two
 LAYOUTS = {
-    "poly3_cubes_diag": [((4, 4, 4), (16, 16, 16))] * 2,
-    "sg_4_5_11_uv": [((2, 2, 23), (2, 2, 30)), ((2, 2, 30), (6, 6, 74)),
-                     ((2, 2, 23), (6, 6, 74))],
-    "s3": [((7, 7, 7, 7), (31, 31, 31, 31))] * 2,
-    "sg7": [((5, 5, 5, 52), (21, 21, 21, 108))] * 2,
+    "poly3_cubes_diag": [((4, 4, 4), (10, 10, 10))],
+    "sg_4_5_11_uv": [((2, 2, 23), (2, 2, 30)), ((2, 2, 23), (4, 4, 31))],
+    "s3": [((7, 7, 7, 7), (19, 19, 19, 19))],
+    "sg7": [((5, 5, 5, 52), (13, 13, 13, 80))],
 }
 S3 = "ring polynomial vars=x,y,z,w\nideal x^6 y^6 z^6 w^6 x*y*z*w^3\n"
 # (t^14, U^4, V^4, W^4) in k[[t^7,t^9,t^11]][U,V,W], whose rn is its bound B = 5
@@ -191,7 +192,7 @@ def test_only_the_initial_layouts_reshape(monkeypatch, name):
         a = load(name, nmax=12)
     run_checks(a)
     assert seen == LAYOUTS[name]
-    assert a.normal_filt.ideal.cap == a.normal_filt.reduction.cap == seen[-1][1]
+    assert seen[-1][1] == monomial.power_box(a.reduction, 3)
 
 
 @st.composite
@@ -227,17 +228,18 @@ def coeffs(a):
 def test_no_box_grows_past_the_readers_initial_lays(entry):
     """Each reader lays its ideals once, on a box that holds every term it
     reads: under `check` and `coeffs` no lay inside the kernel grows a box,
-    and the normal filtration builds every term on its own box."""
+    and every product a reader builds (the powers of J under `check`, those
+    of I under `coeffs`) lies on that one box."""
     for read in (run_checks, coeffs):
         a = Analysis(entry)
         with pytest.MonkeyPatch.context() as mp:
             seen = count_layouts(mp, modules=(monomial,))  # the readers lay through analysis
+            built = []
+            mp.setattr(analysis, "multiply", lambda x, y: built.append(monomial.multiply(x, y))
+                       or built[-1])
             read(a)
         assert seen == []
-        f = vars(a).get("normal_filt")
-        if f is not None:
-            built = [x for memo in (f._terms, f._powers, f._products) for x in memo.values()]
-            assert {x.cap for x in built if x is not None} == {f.ideal.cap}
+        assert len({x.cap for x in built}) <= 1
 
 
 def test_frozen_numbers_cubes(analyses):
@@ -325,7 +327,7 @@ def closure_m_analyses(draw):
     ring = SemigroupBackend(gens, draw(st.integers(0, 3)))
     free, e = ring.dim - 1, ring.sg.multiplicity
     units = [tuple(int(j == i) for j in range(ring.dim)) for i in range(free)]
-    members = [s for s in range(e + 1, 3 * e) if ring.sg.contains(s)]
+    members = [s for s in range(e + 1, 3 * e) if s in ring.sg]
     powers = [e] + draw(st.lists(st.sampled_from(members), max_size=3))
     ideal = ring.maximal() if draw(st.booleans()) else ring.ideal(
         units + [(0,) * free + (s,) for s in powers])
@@ -385,9 +387,10 @@ def test_tampered_entry_is_refuted():
     for v in verdicts:
         by_conclusion.setdefault(v.conclusion, []).append(v.check)
     assert by_conclusion["refuted-with-witness"] == ["table_coherence", "length_bound_decomposition"]
-    # the corrupted degree falls inside the fit window, so the fits become
-    # horizons, while table_coherence names the degree against the counted column
-    assert "e1_lower_bound" in by_conclusion["inconclusive-horizon"]
+    # the fits read h off the counted column, which no tamper reaches, so no
+    # checker runs out of horizon; table_coherence names the corrupted degree
+    assert "inconclusive-horizon" not in by_conclusion
+    assert "e1_lower_bound" in by_conclusion["verified"]
     coherence, bound = [v for v in verdicts if v.is_refutation]
     assert coherence.witnesses[0] == Witness(2, "printed 166, counted 165")
     w = bound.witnesses[0]
@@ -428,10 +431,9 @@ def test_e3_from_reduction_tail(analyses):
     for name, a in analyses.items():
         if a.dim != 3 or a.vv is None or not a.vv.certified_cm or a.rn is None:
             continue
-        total = 0
+        total, filt = 0, normal_filt(a)
         for j in range(2, min(a.rn + 2, a.nmax - 1) + 1):
-            step = quotient_length(a.normal_filt.term(j + 1),
-                                   multiply(a.reduction, a.normal_filt.term(j)))
+            step = quotient_length(filt.term(j + 1), multiply(a.reduction, filt.term(j)))
             total += comb(j, 2) * step
         assert total == a.normal_fit.e[3], name
 
@@ -502,10 +504,10 @@ def test_fields_built_from_J_name_the_missing_reduction(field):
 
 
 def test_filtration_reads_of_J_name_the_missing_reduction():
-    # J^k and J·F_n live in the filtration: without J each read of them says so
-    f = load("poly2_x2_xy_y3").normal_filt
+    # J^k and J·F_n live in the oracle filtration: without J each read of them says so
+    f = normal_filt(load("poly2_x2_xy_y3"))
     for read in (lambda: f.power(2), lambda: f.product(1), lambda: f.reduces(0),
-                 lambda: f.meet(1, 2), lambda: f.socle(1), lambda: f.witness(0, 2, 1, 1),
+                 lambda: f.meet(1, 2), lambda: f.witness(0, 2, 1, 1),
                  lambda: f.reduction_number()):
         with pytest.raises(errors.PreconditionError, match="need a reduction J; the filtration has none"):
             read()
@@ -548,77 +550,31 @@ def test_sally_coefficients_follow_from_the_fits(a, data):
 @settings(max_examples=150, deadline=None)
 @given(reduction_analyses(top=10, bottom=3))
 def test_e3_vanishing_cm_fails_where_its_former_chain_does(a):
-    """The checker reads F_(n+1) = J·F_n where it built J^(n-1)·closure(I^2):
-    run without its gates, it refutes at the chain's first failing degree,
-    with the chain's witness, on closure powers built apart. About a fifth
-    of the entries are semigroup rings with rn > 2, where the chain fails."""
-    closures = filtration.Filtration(a.backend, a.ideal)
-    failure = e3_chain_failure(closures, a.reduction, a.nmax)
-    verdict = check_e3_vanishing_cm.__wrapped__(a, {})  # the body, without the gates
-    chain_refuted = verdict.is_refutation and verdict.detail.startswith("closure(I^")
-    assert chain_refuted == (failure is not None)
-    if failure is not None:
-        n, element = failure
-        assert verdict.detail.endswith(f"at degree {n}")
-        assert verdict.witnesses == (Witness(n + 1, element),)
-
-
-def rn4_analysis(nmax=8):
-    """I = (U, V, t^7) in k[[t^5,t^7]][U,V], whose reduction number is 4."""
-    ring = SemigroupBackend((5, 7), 2)
-    a = Analysis(EntryData("rn4", ring, ring.ideal([(1, 0, 0), (0, 1, 0), (0, 0, 7)]), nmax=nmax))
-    assert a.rn == 4 and a.vv.first_failure is None
-    return a
-
-
-@pytest.mark.parametrize("rn, fail_at, refutes", [
-    (4, 2, True),  # n = rn - 2, the last degree compared
-    (4, 3, False),  # n = rn - 1: F_5 = J·F_4 ⊆ J·J^2, never compared
-    (9, 7, True),  # rn past the horizon nmax = 8: every n up to nmax - 1
-])
-def test_e3_nonnegative_compares_up_to_rn_minus_2(monkeypatch, rn, fail_at, refutes):
-    a = rn4_analysis()
-    a.rn = rn  # a stub where it is not 4
-    # lambda(R/(J^k ∩ F_n)) is one more than the counted lambda(R/F_n) where it fails
-    counts, read = a.ideal.closure_counts(a.nmax + 1), []
-    monkeypatch.setattr(a, "e_bar", lambda i: 0)
-    monkeypatch.setattr(a.normal_filt, "meet", lambda k, n: read.append(k) or counts[n] + (k == fail_at))
-    monkeypatch.setattr(a.normal_filt, "witness", lambda *args: "w")
-    verdict = CHECKS["e3_nonnegative"][0](a)
-    assert read == list(range(1, min(fail_at + 1, a.nmax, rn - 1)))
-    if refutes:
-        assert verdict.detail == f"e3_bar = 0 but closure(I^{fail_at + 2}) is not inside J^{fail_at}"
-        assert verdict.witnesses == (Witness(fail_at + 2, "w", f"not in J^{fail_at}"),)
-    else:
-        assert verdict.detail == "e3_bar = 0 and closure(I^(n+2)) ⊆ J^n holds for n = 0..7"
-
-
-@pytest.mark.parametrize("rn, fail_at, refutes", [
-    (4, 3, True),  # n = rn - 1, the last degree compared
-    (4, 4, False),  # n = rn: F_5 = J·F_4 by rn, never compared
-    (9, 7, True),  # rn past the horizon nmax = 8: every n up to nmax - 1
-])
-def test_e3_vanishing_cm_compares_below_rn(monkeypatch, rn, fail_at, refutes):
-    a = rn4_analysis()
-    a.rn = rn  # a stub where it is not 4
-    read = []
-    monkeypatch.setattr(a.normal_filt, "reduces", lambda n: read.append(n) or n != fail_at)
-    monkeypatch.setattr(a.normal_filt, "witness", lambda *args: "w")
-    verdict = check_e3_vanishing_cm.__wrapped__(a, {})  # the body, without the gates
-    assert read == list(range(2, min(fail_at + 1, a.nmax, rn)))
-    if refutes:
-        assert verdict.detail == f"closure(I^{fail_at + 1}) != J^{fail_at - 1}·closure(I^2) at degree {fail_at}"
-        assert verdict.witnesses == (Witness(fail_at + 1, "w"),)
-    else:
-        assert not verdict.is_refutation
+    """The chain J^(n-1)·closure(I^2) that the checker once built, on closure
+    powers built apart, fails exactly where rn = deg h > 2: lambda(F_(n+1)/J·F_n)
+    = sum_(k>n) h_k. Its gate e3_bar = sum_k C(k,3)·h_k = 0 forces deg h <= 2,
+    so the checker, which now compares nothing, never refutes where the
+    chain holds. About a fifth of the entries are semigroup rings with rn > 2,
+    where the chain fails."""
+    failure = e3_chain_failure(Filtration(a.backend, a.ideal), a.reduction, a.nmax)
+    assert (failure is None) == (a.rn <= 2)
+    if a.dim >= 3 and a.e_bar(3) == 0:
+        assert a.rn <= 2
+    assert not check_e3_vanishing_cm.__wrapped__(a, {}).is_refutation  # the body, without the gates
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2).flatmap(lambda free: reduction_analyses(top=12, naturals=True, free=free)))
 def test_bounded_e3_loops_match_the_full_scans(a):
-    """Stopped at the reduction number, e3_nonnegative's containment (run as
-    if e3_bar = 0, whatever it is) and e3_vanishing_cm's chain give the
-    verdicts of the scans over the whole horizon, witnesses included."""
+    """e3_nonnegative's containment F_(n+2) ⊆ J^n and e3_vanishing_cm's chain,
+    scanned over the whole horizon (run as if e3_bar = 0, whatever it is),
+    fail exactly where rn = deg h > 2 and the horizon reaches degree 1 and 2
+    respectively; where rn <= 2, which e3_bar = 0 forces, they give the
+    verdicts of the checkers' bodies, which compare nothing."""
     a.e_bar = lambda i: 0
-    assert check_e3_nonnegative.__wrapped__(a, {}) == e3_containment_scan(a)
-    assert check_e3_vanishing_cm.__wrapped__(a, {}) == e3_reduces_scan(a)
+    containment, chain = e3_containment_scan(a), e3_reduces_scan(a)
+    assert containment.is_refutation == (a.rn > 2 and a.nmax >= 2)
+    assert chain.is_refutation == (a.rn > 2 and a.nmax >= 3)
+    if a.rn <= 2:
+        assert check_e3_nonnegative.__wrapped__(a, {}) == containment
+        assert check_e3_vanishing_cm.__wrapped__(a, {}) == chain
