@@ -1,14 +1,14 @@
 """Lazy analysis of one entry: every table, fit and certificate on first read.
 
 An Analysis validates its entry when it is built; a command or checker then
-reads only the tables, fits, reduction number and Valabrega-Valla report it
+reads only the tables, fits, reduction number and Cohen-Macaulay basis it
 needs, and each is computed once. The normal column is counted on every
 ring (`monomial.Ideal.closure_counts`), so no command builds a term of the
 normal filtration, and the adic column keeps only the running power of I.
 Reductions are one pure power per axis, certified against the simplex NP(J);
-for them the Valabrega-Valla report is a proof (`Analysis.vv`), so the normal
-G is Cohen-Macaulay, and its h-vector, read off the counted column up to the
-proved bound of rn, gives the normal coefficients and rn (`Analysis.h`). The
+with one, and on S = N, the normal G is proved Cohen-Macaulay (`Analysis.basis`),
+and its h-vector, read off the counted column up to the proved bound of rn,
+gives the normal coefficients and rn (`Analysis.h`). The
 J-good table is a closed form in e0 = lambda(R/J) and lambda(R/closure(I));
 no J-good chain is built, G(m) is read off the semigroup, and the only ideals
 built from J are the powers J^1..J^3 whose socles `socle_lengths` counts.
@@ -19,7 +19,6 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import comb, lcm
-from typing import NamedTuple
 
 from .errors import HorizonError, InputError, NotMPrimary, PreconditionError
 from .monomial import (colength, ideal, ideal_contains, is_m_primary, lay, multiply, power_box,
@@ -46,17 +45,6 @@ def _covers(a, exps) -> bool:
     have sum g_i·(L/e_i) >= L. No closure power or hull is built."""
     top = lcm(*exps)
     return all(sum(x * (top // e) for x, e in zip(g, exps)) >= top for g in a.gens)
-
-
-class VVReport(NamedTuple):
-    """The Valabrega-Valla report of `Analysis.vv`: proved, so certified_cm is
-    true, with no failure and no horizon it needs."""
-
-    certified_cm: bool
-    inconclusive: bool
-    first_failure: tuple[int, int, str] | None  # (degree, len(J.gens), witness element)
-    checked_upto: int
-    required_horizon: int | None
 
 
 def auto_reduction(a):
@@ -90,13 +78,14 @@ class Analysis:
     and J stay on their own boxes. Each reader lays the ideals it multiplies
     once, on the box of the highest degree it reads (adic_values I,
     socle_lengths J), so operands share a box inside a reader. The normal fit
-    and rn come from h wherever h is defined: with a reduction, and on S = N.
+    and rn come from h on the proved basis (`basis`): with a reduction, and on
+    S = N.
     The window `default_window(dim)` is passed to every other fit, which takes
     e0 as its leading coefficient (ē0 = e0 by Rees); sally_fit is read off the
     normal fit. The table columns need no filtration module; h, the fits and
     what reads them (rn, e_bar, g_s, base_numbers) import `filtration` on
-    first read, and vv, a proof, reads nothing. The J-good and Sally columns,
-    the Sally fit and lam_I1_J read e0 for lambda(R/J), not J. rn, vv and
+    first read, and basis, a proof, reads nothing. The J-good and Sally columns,
+    the Sally fit and lam_I1_J read e0 for lambda(R/J), not J. rn and
     socle_lengths raise PreconditionError without a reduction;
     tangent_cone_failure reads only S. A failed fit reads None; its *_error
     field holds the error.
@@ -171,31 +160,48 @@ class Analysis:
         except HorizonError as exc:
             return None, exc
 
+    @property
+    def basis(self) -> str:
+        """Where the normal G is proved Cohen-Macaulay: "proved" with a reduction
+        J, and on S = N without one; "window" elsewhere, where the normal fit
+        reads a window of the printed column. It reads no column, h or rn.
+
+        `certify` and `auto_reduction` admit only J = (x_1^a_1, ..., x_v^a_v, t^c).
+        With l(b, s) = sum b_i/a_i + s/c, F_n = closure(I^n) = closure(J^n) is
+        spanned by the monomials (b, s) of N^v x S with l >= n. A monomial x of F_n
+        in a prefix P = (g_1..g_i) of J is g_k + y for some k <= i and y in
+        N^v x S, and l(g_k) = 1, so l(y) >= n - 1 and y lies in F_(n-1). So
+        F_n ∩ P = P·F_(n-1) for every prefix and every n >= 1. R is Cohen-Macaulay
+        and J a system of parameters that reduces F, so this is the Valabrega-Valla
+        criterion (Nagoya Math. J. 72, 1978; for filtrations Huckaba-Marley,
+        J. London Math. Soc. 56, 1997), and G is Cohen-Macaulay. Where S = N
+        Hochster (Ann. Math. 96, 1972) gives it with no J as well: ⊕ F_n·s^n
+        (F_n = R for n <= 0) is the ring of a normal monoid, and G its quotient
+        by the nonzerodivisor s^(-1)."""
+        return "proved" if self.reduction is not None or not self.backend.sg.gaps else "window"
+
     @cached_property
     def h(self) -> tuple[int, ...] | None:
         """h_0..h_B of h(z) = (1-z)^(d+1)·sum_n v_n z^n, v_n = lambda(R/closure(I^(n+1)))
         read off the counted column (a tamper moves no h_n), B = rn_bound(J) with
-        a reduction J and d - 1 on S = N without one; None elsewhere.
+        a reduction J and d - 1 on S = N without one; None on the window basis.
 
-        The normal G is Cohen-Macaulay (`vv`; on S = N Hochster's theorem needs no
-        J), so its Hilbert series is h(z)/(1-z)^d with h >= 0 and deg h = rn
-        (Huckaba-Marley, J. London Math. Soc. 56, 1997; Rossi-Valla, Hilbert
-        Functions of Filtered Modules, 2010). rn <= B by `rn_bound`, and on S = N
-        without a monomial J rn <= d - 1 for a general minimal reduction
-        (Reid-Roberts-Vitulli, Comm. Algebra 31, 2003). So h_k = 0 for k > B, and
-        v_0..v_B fix the normal coefficients, rn and the whole column."""
-        from .filtration import h_vector, rn_bound
-        if self.reduction is not None:
-            top = rn_bound(self.reduction)
-        elif self.backend.sg.gaps:
+        G is Cohen-Macaulay on the proved basis (`basis`), so its Hilbert series is
+        h(z)/(1-z)^d with h >= 0 and deg h = rn (Huckaba-Marley, J. London Math.
+        Soc. 56, 1997; Rossi-Valla, Hilbert Functions of Filtered Modules, 2010).
+        rn <= B by `rn_bound`, and on S = N without a monomial J rn <= d - 1 for a
+        general minimal reduction (Reid-Roberts-Vitulli, Comm. Algebra 31, 2003).
+        So h_k = 0 for k > B, and v_0..v_B fix the normal coefficients, rn and the
+        whole column."""
+        if self.basis == "window":
             return None
-        else:
-            top = self.dim - 1
+        from .filtration import h_vector, rn_bound
+        top = rn_bound(self.reduction) if self.reduction is not None else self.dim - 1
         return h_vector(self.ideal.closure_counts(top + 1)[1:], self.dim)
 
     @cached_property
     def _normal_fit(self):
-        """h_fit of h where h is defined; else the windowed fit of the printed column."""
+        """h_fit of h on the proved basis; else the windowed fit of the printed column."""
         if self.h is None:
             return self._fit(self.normal_values)
         from .filtration import h_fit
@@ -258,26 +264,6 @@ class Analysis:
         top = min(3, self.nmax)
         j = lay(self.reduction, power_box(self.reduction, top))
         return tuple(map(socle_length, accumulate(repeat(j, top), multiply)))
-
-    @property
-    def vv(self):
-        """The Valabrega-Valla report, proved on every ring with a reduction: it reads no
-        term, rn or window.
-
-        `certify` and `auto_reduction` admit only J = (x_1^a_1, ..., x_v^a_v, t^c).
-        With l(b, s) = sum b_i/a_i + s/c, F_n = closure(I^n) = closure(J^n) is
-        spanned by the monomials (b, s) of N^v x S with l >= n. A monomial x of F_n
-        in a prefix P = (g_1..g_i) of J is g_k + y for some k <= i and y in
-        N^v x S, and l(g_k) = 1, so l(y) >= n - 1 and y lies in F_(n-1). So
-        F_n ∩ P = P·F_(n-1) for every prefix and every n >= 1. R is Cohen-Macaulay
-        and J a system of parameters that reduces F, so this is the Valabrega-Valla
-        criterion (Nagoya Math. J. 72, 1978; for filtrations Huckaba-Marley,
-        J. London Math. Soc. 56, 1997), and G is Cohen-Macaulay. Where S = N
-        Hochster (Ann. Math. 96, 1972) gives it with no J as well: ⊕ F_n·s^n
-        (F_n = R for n <= 0) is the ring of a normal monoid, and G its quotient
-        by the nonzerodivisor s^(-1)."""
-        self._need_reduction("vv")
-        return VVReport(True, False, None, self.nmax, None)
 
     @property
     def lam_I1_J(self) -> int:

@@ -42,7 +42,7 @@ def rn_bound(reduction) -> int:
     `analysis.certify` and `analysis.auto_reduction` admit only J = (x_1^a_1,
     ..., x_v^a_v, t^c), and with l(b, s) = sum b_i/a_i + s/c, F_n =
     closure(I^n) = closure(J^n) is spanned by the monomials (b, s) of N^v x S
-    with l >= n (`analysis.Analysis.vv`); J·F_n ⊆ F_(n+1) always. A monomial x
+    with l >= n (`analysis.Analysis.basis`); J·F_n ⊆ F_(n+1) always. A monomial x
     = (b, s) of F_(n+1) lies in J·F_n if some b_i >= a_i, as x - a_i·e_i lies
     in F_n, and so if s - c lies in S. Otherwise every b_i <= a_i - 1 and s - c
     <= Fr, so n + 1 <= l(x) <= sum (a_i - 1)/a_i + (Fr + c)/c, and n <= v +

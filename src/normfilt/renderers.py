@@ -76,8 +76,9 @@ def _coeff_rows(payload):
                 "mu_ideal", "mu_maximal", "type"):
         if key in payload and payload[key] is not None:
             rows.append((key, payload[key]))
-    if "valabrega_valla" in payload:  # proved wherever there is a reduction (`Analysis.vv`)
-        rows.append(("valabrega_valla", "certified Cohen-Macaulay"))
+    rows.append(("basis", normal["basis"]))  # where G is proved Cohen-Macaulay
+    if normal["h"] is not None:
+        rows.append(("h", f"({', '.join(map(str, normal['h']))})"))
     return rows
 
 

@@ -64,7 +64,9 @@ def coeffs_payload(analysis) -> dict:
         "schema": COEFFS_SCHEMA,
         **_header(analysis),
         "e0": analysis.e0,
-        "normal": {**_fit_dict(analysis.normal_fit, None), "g_s": analysis.g_s},
+        "normal": {**_fit_dict(analysis.normal_fit, None), "g_s": analysis.g_s,
+                   "basis": analysis.basis,
+                   "h": list(analysis.h) if analysis.h is not None else None},
         "adic": _fit_dict(analysis.adic_fit, analysis.adic_fit_error),
         "lambda_R_I1": analysis.lam_R_I1,
         "mu_ideal": analysis.mu_ideal,
@@ -76,7 +78,6 @@ def coeffs_payload(analysis) -> dict:
         out["lambda_I1_J"] = analysis.lam_I1_J
         out["lambda_I2_JI1"] = analysis.sally_values[1]
         out["rn"] = analysis.rn
-        out["valabrega_valla"] = analysis.vv._asdict()
         out["sally"] = _fit_dict(analysis.sally_fit, analysis.sally_fit_error, key="s")
     return out
 

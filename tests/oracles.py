@@ -20,8 +20,8 @@ reference for closure powers (`row_cuts_oracle`, `closure_power_rows`);
 `hull_heads` is the pruned head/cofactor hull that the double description of
 `newton.newton_polyhedron` replaced. `valabrega_valla` is the
 Valabrega-Valla scan of J up to the reduction number, which the proof of
-`analysis.Analysis.vv` replaced, `valabrega_valla_prefixes` its loop over
-every prefix of J and every degree,
+`analysis.Analysis.basis` replaced, with its report `VVReport`,
+`valabrega_valla_prefixes` its loop over every prefix of J and every degree,
 `reduction_number_scan` the reduction number by a scan of every degree from
 the horizon down, which the proved bound B = d + floor(Fr/c) of
 `Filtration.reduction_number` cuts short for the normal filtration of every
@@ -30,7 +30,7 @@ ring, and which alone gives the reduction number of `AdicFiltration`, and
 scan over `AdicFiltration` (the powers of an ideal, which `Filtration` no
 longer builds), that `NumericalSemigroup.tangent_cone_failure` replaced,
 `intersection_failures_oracle` the test closure(I^(n+1)) ∩ J^n = J^n·closure(I)
-over every low degree, which its checker no longer compares, as `Analysis.vv`
+over every low degree, which its checker no longer compares, as `Analysis.basis`
 proves it, and
 `e3_chain_failure` the chain J^(n-1)·closure(I^2) that `check_e3_vanishing_cm`
 built before it read F_(n+1) = J·F_n; all four use that ideal arithmetic.
@@ -61,8 +61,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, gcd, prod
+from typing import NamedTuple
 
-from normfilt.analysis import VVReport, auto_reduction
+from normfilt.analysis import auto_reduction
 from normfilt.errors import HorizonError, PreconditionError
 from normfilt.filtration import fit_polynomial, rn_bound
 from normfilt.monomial import (Ideal, _check_vector, _finite_count, _grid, _joint, _monoid, _on,
@@ -629,15 +630,27 @@ def jgood_chain_colengths(reduction, closure, nmax: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+class VVReport(NamedTuple):
+    """The Valabrega-Valla report of a scan: certified_cm only when no degree
+    fails and the horizon reaches rn + window, inconclusive when none fails
+    short of that."""
+
+    certified_cm: bool
+    inconclusive: bool
+    first_failure: tuple[int, int, str] | None  # (degree, len(J.gens), witness element)
+    checked_upto: int
+    required_horizon: int | None
+
+
 def valabrega_valla(filt, nmax, window, rn):
     """The Valabrega-Valla test F_n ∩ J = J·F_(n-1) for n = 1..rn (1..nmax
-    when rn is None), the scan that `analysis.Analysis.vv` replaced by a proof.
+    when rn is None), the scan that `analysis.Analysis.basis` replaced by a proof.
 
     A failure is decisive (the associated graded ring is not Cohen-Macaulay);
     success certifies it only when nmax >= rn + window. Past rn, F_n =
     J·F_(n-1) ⊆ J, so F_n ∩ J = J·F_(n-1). On the normal filtration of an
     ideal with a pure-power reduction no prefix of J fails at any degree (the
-    proof is in `Analysis.vv`), so the scan never fails there; on the
+    proof is in `Analysis.basis`), so the scan never fails there; on the
     powers of an ideal it can, and `valabrega_valla_prefixes` is compared with
     it over every prefix.
     """
@@ -654,7 +667,7 @@ def valabrega_valla_prefixes(filt, reduction, nmax, window, rn):
     """The Valabrega-Valla test F_n ∩ P_i = P_i·F_(n-1) over every prefix
     P_i = (g_1..g_i) of the reduction generators and every degree up to nmax.
 
-    Returns the fields of `analysis.VVReport` as a plain tuple: certified_cm,
+    Returns the fields of `VVReport` as a plain tuple: certified_cm,
     inconclusive, first_failure (degree, i, witness), checked_upto and
     required_horizon.
     """

@@ -128,7 +128,7 @@ def test_criterion_1_semigroup_example(capsys):
             assert ext_filt.term(k) == expected, k
 
         assert ext.rn == 2
-        assert ext.vv.certified_cm
+        assert ext.basis == "proved"
         assert ext.normal_fit.e == (4, 5, 2, 0)
 
 
@@ -220,9 +220,9 @@ def test_criterion_2_cube_powers_vs_oracles(capsys):
                     k = 3 * n + 3 - i - j
                     if k >= 0:
                         assert max(i, j, k) >= 3
-        # the report is the proof of `Analysis.vv`, with no horizon; the scan
+        # the basis is the proof of `Analysis.basis`, with no horizon; the scan
         # it skips certifies the same within the default horizon
-        assert a.vv.certified_cm and a.vv.required_horizon is None
+        assert a.basis == "proved"
         scan = valabrega_valla(normal_filt(a), a.nmax, a.window, a.rn)
         assert scan.certified_cm and scan.required_horizon <= 8
 

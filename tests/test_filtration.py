@@ -369,11 +369,11 @@ def normal_cases(draw, semigroups=((2, 3), (3, 5), (3, 4, 5), (4, 5, 11)), max_f
 def test_vv_never_fails_on_polynomial_normal_filtrations(case, prefixes):
     """The normal G is Cohen-Macaulay on every ring with a pure-power
     reduction J, polynomial or not: F_n ∩ P = P·F_(n-1) for every prefix P of
-    J (the proof is in `Analysis.vv`). `Analysis.vv` reports this with no scan;
+    J (the proof is in `Analysis.basis`), which reads "proved" with no scan;
     the scan over the whole horizon (no rn), and on a quarter of the examples
     over every prefix of J, is its oracle: a failure is a kernel bug."""
     a, filt, j = case
-    assert a.vv == (True, False, None, a.nmax, None)
+    assert a.basis == "proved"
     assert valabrega_valla(filt, a.nmax, a.window, None).first_failure is None
     if not prefixes:
         assert valabrega_valla_prefixes(filt, j, a.nmax, a.window, None)[2] is None
@@ -415,6 +415,49 @@ def test_h_vector_is_the_normal_filtration(case):
     for n in range(1, a.nmax + 1):
         assert filt.meet(n, n + 1) == a.jgood_values[n], n
         assert filt.meet(1, n + 1) - counted[n] == sum(a.h[n + 1:]), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(normal_cases(semigroups=((2, 3), (3, 5), (3, 4, 5), (4, 5, 11), (7, 9, 11)), max_free=2),
+       st.data())
+def test_h_identities_rule_out_the_deleted_refutations(case, data):
+    """h >= 0, sum h = e0 and h_0 = lambda(R/closure(I)), and with
+    lambda(closure(I)/J) = e0 - h_0 and e_i = sum_k C(k, i)·h_k:
+    e1_bar - lambda(closure(I)/J) = sum_(k>=2) (k-1)·h_k >= 0 (e1_lower_bound);
+    e2_bar - e1_bar + lambda(closure(I)/J) = sum_(k>=3) C(k-1, 2)·h_k >= 0, 0
+    exactly when rn = deg h <= 2 (e2_lower_bound); and almost_minimal_rn2's
+    intersection sum, sum_(n=1..rn) counted v_n + sum_(k>n) h_k - printed v_n,
+    is e1_bar - lambda(closure(I)/J) on the counted column and at most that on
+    a tampered one. h and lambda(R/closure(I)) read the counted column, so a
+    tamper moves neither side: the refutations these identities rule out for
+    every table left the checkers."""
+    a = case[0]
+    index = data.draw(st.none() | st.integers(0, a.nmax), label="tamper index")
+    a = Analysis(a.entry._replace(tamper_normal=index))
+    h, e, lam = a.h, a.normal_fit.e, a.lam_I1_J
+    assert a.basis == "proved" and h is not None
+    assert min(h) >= 0 and sum(h) == a.e0 and h[0] == a.lam_R_I1
+    assert e == tuple(sum(comb(k, i) * x for k, x in enumerate(h)) for i in range(a.dim + 1))
+    assert e[1] - lam == sum((k - 1) * x for k, x in enumerate(h) if k >= 2)
+    if a.dim >= 2:
+        slack = e[2] - e[1] + lam
+        assert slack == sum(comb(k - 1, 2) * x for k, x in enumerate(h) if k >= 3)
+        assert (slack == 0) == (a.rn <= 2)
+    counted = a.ideal.closure_counts(a.rn + 1)[1:]
+    printed = a.normal_values + tuple(counted[a.nmax + 1:])  # past nmax no tamper reaches
+    assert sum(sum(h[n + 1:]) for n in range(1, a.rn + 1)) == e[1] - lam
+    assert sum(counted[n] + sum(h[n + 1:]) - printed[n] for n in range(1, a.rn + 1)) <= e[1] - lam
+
+
+@pytest.mark.parametrize("path, basis", [
+    (TESTS / "sg_2_3_u.nfilt", "window"),  # S != N, no pure-power reduction
+    (CORPUS / "poly2_x2_xy_y3.nfilt", "proved"),  # S = N, no pure-power reduction
+    (CORPUS / "sg_4_5_11_uv.nfilt", "proved"),  # S != N, a pure-power reduction
+])
+def test_basis_is_proved_exactly_where_h_is_defined(path, basis):
+    a = Analysis(read_entry(path))
+    assert a.basis == basis
+    assert (a.h is not None) == (basis == "proved")
 
 
 @pytest.mark.parametrize("name", sorted(RN_AT_BOUND))
@@ -659,7 +702,7 @@ def counted_fits(a):
 def test_fit_with_known_e0_matches_the_free_fit(a):
     """Where S = N, wherever the fit with e0 left free passes on the counted
     normal column, the fit with e0 given returns the same Fit, stable from 0:
-    G is Cohen-Macaulay (see `Analysis.vv`) with rn <= d - 1, so the column is
+    G is Cohen-Macaulay (see `Analysis.basis`) with rn <= d - 1, so the column is
     its polynomial from n = 0, and any passing fit is exact. Elsewhere a free
     fit can pass with the wrong e0 (see below). The Sally fit read off the
     normal fit has the coefficients of the one fitted on the Sally column
@@ -863,15 +906,10 @@ def test_intersection_failures_empty(poly2):
 @given(ring_analyses())
 def test_closure_intersection_matches_the_all_degrees_loop(case):
     """The checker reads no ideal: closure(I^(n+1)) ∩ J^n = J^n·closure(I) is
-    the Valabrega-Valla equality that `Analysis.vv` proves, so the loop over
-    every degree, on closure powers built apart, finds no failure where the
-    checker verifies."""
+    the Valabrega-Valla equality that `Analysis.basis` proves, so the loop over
+    every degree, on closure powers built apart, finds no failure, and the
+    checker verifies at every nmax, 1 included."""
     a, closures = case
     assume(a.reduction is not None)
-    verdict = CHECKS["closure_intersection"][0](a)
-    upto = min(4, a.nmax - 1)
-    if upto < 1:
-        assert verdict.conclusion == "inconclusive-horizon"
-        return
-    assert intersection_failures_oracle(closures, a.reduction, upto) == []
-    assert verdict.conclusion == "verified"
+    assert CHECKS["closure_intersection"][0](a).conclusion == "verified"
+    assert intersection_failures_oracle(closures, a.reduction, min(4, a.nmax - 1)) == []

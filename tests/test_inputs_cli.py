@@ -219,7 +219,7 @@ def test_cli_output_deterministic(capsys):
     assert payload["normal"]["e"] == [4, 5, 2, 0]
     assert payload["adic"]["e"] == [4, 5, 3, 1]
     assert payload["rn"] == 2
-    assert payload["valabrega_valla"]["certified_cm"] is True
+    assert payload["normal"]["basis"] == "proved" and payload["normal"]["h"] == [1, 1, 2, 0, 0]
 
 
 def test_cli_formats(capsys):
@@ -413,13 +413,15 @@ def test_cli_nonpositive_horizon_is_an_input_error(capsys, nmax):
 
 
 @pytest.mark.parametrize("name", ["poly3_cubes", "sg_4_5_11"])
-def test_cli_closure_intersection_without_a_degree_is_inconclusive(capsys, name):
-    # degrees run over 1..min(4, nmax - 1), an empty range at nmax 1
-    assert cli.main(["check", corpus_path(name), "--nmax", "1",
-                     "--checks", "closure_intersection"]) == 0
-    (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
-    assert verdict["conclusion"] == "inconclusive-horizon"
-    assert "nmax = 1" in verdict["detail"]
+def test_cli_closure_intersection_at_nmax_1_holds_for_every_n(capsys, name):
+    # the equality is proved for every n (`Analysis.basis`), so at nmax 1, where
+    # the low degrees 1..min(4, nmax - 1) of the detail are none, it says so
+    for nmax, detail in (("1", "holds for every n"), ("2", "verified for n = 1..1")):
+        assert cli.main(["check", corpus_path(name), "--nmax", nmax,
+                         "--checks", "closure_intersection"]) == 0
+        (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+        assert verdict["conclusion"] == "verified"
+        assert verdict["detail"] == "closure(I^(n+1)) ∩ J^n = J^n·closure(I) " + detail
 
 
 def _fresh(code) -> str:
@@ -493,7 +495,7 @@ def _forbid(monkeypatch, *names):
     def fail(*args, **kwargs):
         raise AssertionError("computed although the command does not read it")
 
-    for name in names:  # h and vv are Analysis properties, fit_coefficients a function
+    for name in names:  # h and basis are Analysis properties, fit_coefficients a function
         owner = next(o for o in (analysis.Analysis, filtration) if hasattr(o, name))
         lazy = isinstance(vars(owner).get(name), (property, cached_property))
         monkeypatch.setattr(owner, name, property(fail) if lazy else fail)
@@ -501,7 +503,7 @@ def _forbid(monkeypatch, *names):
 
 def test_cli_table_computes_no_fit_reduction_number_or_vv(monkeypatch, capsys):
     # rn and the normal fit are read off h
-    _forbid(monkeypatch, "vv", "h", "fit_coefficients")
+    _forbid(monkeypatch, "basis", "h", "fit_coefficients")
     assert cli.main(["table", corpus_path("poly3_cubes")]) == 0
     assert json.loads(capsys.readouterr().out)["rows"][2] == [2, 165, 270, 168, 3]
 
@@ -650,7 +652,7 @@ def test_cli_check_builds_the_pinned_intersections(monkeypatch, capsys, name, ar
 def test_e3_vanishing_check_builds_no_product_beyond_rn_and_vv(monkeypatch, name):
     # its chain holds as rn = deg h <= 2, which e3_bar = 0 forces: nothing is built
     a = analysis.analyze(inputs.build_entry(inputs.parse_input(Path(corpus_path(name)).read_text())))
-    assert a.vv.certified_cm and a.rn is not None  # where S = N, vv reads no rn
+    assert a.basis == "proved" and a.rn is not None
     calls = _count_calls(monkeypatch)
     assert theorems.CHECKS["e3_vanishing_cm"][0](a).conclusion == "verified"
     assert calls == []
@@ -669,7 +671,8 @@ def test_cli_given_reduction_errors(tmp_path, capsys, reduction, message):
 
 
 def test_cli_socle_check_skips_valabrega_valla(monkeypatch, capsys):
-    _forbid(monkeypatch, "vv")
+    # the one Valabrega-Valla test left in the package is that of G(m)
+    _forbid(monkeypatch, "tangent_cone_failure")
     assert cli.main(["check", corpus_path("poly3_cubes"), "--checks", "socle_formula"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert [(v["check"], v["conclusion"]) for v in verdicts] == [("socle_formula", "verified")]
@@ -678,32 +681,27 @@ def test_cli_socle_check_skips_valabrega_valla(monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["check", "coeffs"])
 def test_cli_runs_no_vv_scan_where_s_is_n(monkeypatch, capsys, tmp_path, command):
     # the normal G is proved Cohen-Macaulay wherever there is a pure-power
-    # reduction (see `Analysis.vv`): no corpus entry of either ring class, and
-    # no entry of k[[t]][U,V], reads a column, h or rn for it, and `coeffs`
-    # prints the proved report on every entry with a reduction
+    # reduction, and on S = N (see `Analysis.basis`): no corpus entry of either
+    # ring class, and no entry of k[[t]][U,V], reads a column, h or rn for it,
+    # and `coeffs` prints the proved basis, with h, on every one of them
     naturals = tmp_path / "naturals.nfilt"
     naturals.write_text("ring semigroup gens=1 adjoin=U,V\nideal t^2 U^2 V^2 t*U\n")
     paths = sorted(str(path) for path in CORPUS.iterdir() if path.suffix == ".nfilt")
     assert len(paths) == 8
-    real = analysis.Analysis.vv.fget
+    real = analysis.Analysis.basis.fget
 
-    def vv(a):
+    def basis(a):
         with monkeypatch.context() as m:
             _forbid(m, "normal_values", "h", "rn", "socle_lengths")
             return real(a)
 
-    monkeypatch.setattr(analysis.Analysis, "vv", property(vv))
-    reduced = set()
+    monkeypatch.setattr(analysis.Analysis, "basis", property(basis))
     for path in [*paths, str(naturals)]:
         assert cli.main([command, path]) == 0, path
         payload = json.loads(capsys.readouterr().out)
-        if command == "coeffs" and payload["reduction"]:
-            reduced.add(Path(path).stem)
-            assert payload["valabrega_valla"] == {
-                "certified_cm": True, "inconclusive": False, "first_failure": None,
-                "checked_upto": payload["nmax"], "required_horizon": None}, path
-    if command == "coeffs":
-        assert {"sg_4_5_11", "sg_4_5_11_uv", "naturals"} <= reduced
+        if command == "coeffs":
+            assert payload["normal"]["basis"] == "proved", path
+            assert sum(payload["normal"]["h"]) == payload["e0"], path
 
 
 def test_cli_semigroup_of_naturals_has_type_one(tmp_path, capsys):
@@ -894,7 +892,7 @@ def test_cli_coeffs_fits_with_one_entry_fewer(capsys):
     # a fit reads d entries plus the window, all that --nmax 5 holds
     assert cli.main(["coeffs", SG_2_3_U, "--nmax", "5"]) == 0
     normal = json.loads(capsys.readouterr().out)["normal"]
-    assert normal == {"e": [12, 6, 1], "g_s": 1, "stable_from": 0}
+    assert normal == {"e": [12, 6, 1], "g_s": 1, "stable_from": 0, "basis": "window", "h": None}
     assert cli.main(["coeffs", SG_2_3_U, "--nmax", "4"]) == 4
 
 

@@ -1,5 +1,7 @@
 """Checker verdicts over the bundled corpus, frozen to known-good conclusions."""
 
+import ast
+import sys
 from importlib import resources
 from math import comb, prod
 from pathlib import Path
@@ -12,7 +14,7 @@ from normfilt import CHECKS, EntryData, analyze, cli, errors, run_checks
 from normfilt.analysis import Analysis
 from normfilt.inputs import PolynomialBackend, SemigroupBackend
 from normfilt.monomial import colength, multiply
-from normfilt import analysis, inputs, monomial, reports
+from normfilt import analysis, inputs, monomial, reports, theorems
 from normfilt.errors import HorizonError
 from normfilt.theorems import (CONCLUSIONS, Witness, abstained, check_e3_nonnegative,
                                check_e3_vanishing_cm, horizon, refuted, verified)
@@ -21,6 +23,7 @@ from oracles import (AdicFiltration, Filtration, e3_chain_failure, e3_containmen
                      quotient_length, valabrega_valla, valabrega_valla_prefixes)
 from test_filtration import (chain_values, exact_decomposition, maximal_closure_analyses,
                              reduction_analyses, ring_analyses)
+from test_inputs_cli import REFUTING
 
 ALL_CHECKS = (
     "table_coherence",
@@ -134,14 +137,14 @@ def test_jgood_closed_form_and_exact_decomposition(analyses):
 
 
 def test_polynomial_normal_vv_never_fails(analyses):
-    # every corpus entry with a reduction, in both ring classes: `Analysis.vv`
+    # every corpus entry with a reduction, in both ring classes: `Analysis.basis`
     # proves G Cohen-Macaulay with no scan, and the scan it skips, over the
     # whole horizon, every prefix of J and every term a closure power, is its
     # oracle: a failure is a kernel bug
     reduced = [a for a in analyses.values() if a.reduction]
     assert sorted(a.backend.kind for a in reduced) == ["polynomial"] * 5 + ["semigroup"] * 2
     for a in reduced:
-        assert a.vv == (True, False, None, a.nmax, None), a.name
+        assert a.basis == "proved", a.name
         filt = Filtration(a.backend, a.ideal, a.reduction)
         filt.product_from = None
         assert valabrega_valla(filt, a.nmax, a.window, None).first_failure is None, a.name
@@ -257,7 +260,7 @@ def test_frozen_numbers_cubes(analyses):
     assert a.adic_fit.e == (27, 0, 0, 0)
     assert a.sally_values[:5] == (0, 1, 3, 6, 10)
     assert a.sally_fit.e == (1, 1, 0)
-    assert a.vv.certified_cm
+    assert a.basis == "proved"
 
 
 def test_frozen_numbers_extension(analyses):
@@ -272,7 +275,7 @@ def test_frozen_numbers_extension(analyses):
     # Sally lengths n(n+1) attain the type bound 2*C(n+1, 2) with equality
     assert a.sally_values == tuple(n * (n + 1) for n in range(9))
     assert a.sally_fit.e == (2, 2, 0)
-    assert a.vv.certified_cm
+    assert a.basis == "proved"
 
 
 def test_low_type_exceptional_witness(analyses):
@@ -429,7 +432,7 @@ def test_e3_from_reduction_tail(analyses):
     # third coefficient as a weighted sum of degreewise Sally growth, truncated
     # at the certified reduction number + 2
     for name, a in analyses.items():
-        if a.dim != 3 or a.vv is None or not a.vv.certified_cm or a.rn is None:
+        if a.dim != 3 or a.reduction is None:
             continue
         total, filt = 0, normal_filt(a)
         for j in range(2, min(a.rn + 2, a.nmax - 1) + 1):
@@ -445,7 +448,7 @@ def test_e3_summands_are_the_counted_column(name):
     # counted entry, so every summand is 0
     a = load(name, nmax=12)
     assert CHECKS["almost_minimal_rn2"][0](a).conclusion == "verified"
-    assert a.dim == 3 and a.vv.certified_cm and a.rn <= 2
+    assert a.dim == 3 and a.basis == "proved" and a.rn <= 2
     counts = a.ideal.closure_counts(a.nmax + 1)
     built = e3_product_colengths(a)
     assert len(built) == min(a.rn + 2, a.nmax - 1) - 1
@@ -482,10 +485,9 @@ def test_verdict_serialization(analyses):
 
 
 def test_verdict_validation(analyses):
-    # the four constructors are the only producers of a conclusion: the schema
-    # keeps asserted-by-paper, which no checker reaches since `Analysis.vv` is a proof
+    # the four constructors are the only producers of a conclusion
     made = [make("detail").conclusion for make in (verified, refuted, horizon, abstained)]
-    assert made == [c for c in CONCLUSIONS if c != "asserted-by-paper"]
+    assert made == list(CONCLUSIONS)
     first, second = verified("a"), verified("b")
     first.numbers["e0"] = 1
     assert second.numbers == {}
@@ -495,7 +497,7 @@ def test_verdict_validation(analyses):
     assert len({id(v.numbers) for v in verdicts}) == len(verdicts)
 
 
-@pytest.mark.parametrize("field", ["rn", "vv"])
+@pytest.mark.parametrize("field", ["rn", "socle_lengths"])
 def test_fields_built_from_J_name_the_missing_reduction(field):
     a = load("poly2_x2_xy_y3")  # no monomial reduction
     assert a.reduction is None
@@ -519,7 +521,7 @@ def test_readme_library_example_runs(capsys):
     exec(code, {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == ["(10, 56, 165, 364, 680, 1140, 1771, 2600, 3654)",
-                         "(27, 18, 1, 0)", "2 True"]
+                         "(27, 18, 1, 0)", "2 proved"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -578,3 +580,101 @@ def test_bounded_e3_loops_match_the_full_scans(a):
     if a.rn <= 2:
         assert check_e3_nonnegative.__wrapped__(a, {}) == containment
         assert check_e3_vanishing_cm.__wrapped__(a, {}) == chain
+
+
+def refuted_sites() -> dict:
+    """{(first line, last line): check id} of every refuted( call in theorems.py."""
+    tree = ast.parse(Path(theorems.__file__).read_text())
+    return {(call.lineno, call.end_lineno): body.name.removeprefix("check_")
+            for body in tree.body if isinstance(body, ast.FunctionDef)
+            for call in ast.walk(body)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "refuted"}
+
+
+def tampered(name, index):
+    a = load(name)
+    return Analysis(a.entry._replace(tamper_normal=index))
+
+
+def patched(a, **fields):
+    """a with fields set on the instance, where they shadow its cached properties."""
+    for field, value in fields.items():
+        setattr(a, field, value)
+    return a
+
+
+def window_e3_negative():
+    """I = (U^3, V^3, t^6, U·t^2) of k[[t^2,t^3]][U,V], which has no pure-power
+    reduction, so its normal fit reads a window: with e3_bar set to -1."""
+    text = "ring semigroup gens=2,3 adjoin=U,V\nideal U^3 V^3 t^6 U*t^2\n"
+    a = analyze(inputs.build_entry(inputs.parse_input(text), "sg_2_3_uv"))
+    assert a.basis == "window"
+    fit = a.normal_fit
+    return patched(a, _normal_fit=(fit._replace(e=(*fit.e[:3], -1)), None))
+
+
+# the runs that hit each refuted( site, with the checks they run: a tamper of the
+# printed column for the checkers of REFUTING, and, for a site that reads only
+# computed values, an analysis with the field patched that only a
+# counterexample to the paper, or a kernel bug, could change. The Sally
+# column is the J-good closed form less the printed entry, so a tamper only
+# lowers it; socle_formula reads the socles of J^1..J^3; on the proved basis
+# e3_bar = sum_k C(k,3)·h_k >= 0, so e3_nonnegative is reached on the window basis
+LEDGER_RUNS = {
+    "tamper": [
+        (lambda: tampered("poly2_x2_y2", 0), None),
+        (lambda: tampered("sg_4_5_11_uv", 1), None),
+    ],
+    "patched": [
+        (lambda: patched(load("poly3_cubes"), socle_lengths=(2, 3, 6)), ["socle_formula"]),
+        (lambda: patched(load("sg_4_5_11_uv"), sally_values=(0, 3, 6, 12, 20, 30, 42, 56, 72)),
+         ["sally_type_bound", "e1_type_sandwich"]),
+        (window_e3_negative, ["e3_nonnegative"]),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def ledger_hits():
+    """{site: the kinds of LEDGER_RUNS whose verdicts came from it}."""
+    sites, hits, real = refuted_sites(), {}, theorems.refuted
+
+    def record(*args, **kwargs):
+        line = sys._getframe(1).f_lineno
+        [site] = [s for s in sites if s[0] <= line <= s[1]]
+        hits.setdefault(site, set()).add(kind)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(theorems, "refuted", record)
+        for kind, runs in LEDGER_RUNS.items():
+            for make, checks in runs:
+                a = make()
+                for check in checks or CHECKS:
+                    CHECKS[check][0](a)
+    return hits
+
+
+def test_every_refutation_site_is_hit(ledger_hits):
+    """A refutation that no run reaches is code that tests nothing: each
+    refuted( site of theorems.py is hit, so a new one fails here until a run
+    reaches it. The four the h-vector rules out for every table are gone:
+    e1_lower_bound and e2_lower_bound (both sites), whose sides differ by
+    sum_(k>=2) (k-1)·h_k and sum_(k>=3) C(k-1,2)·h_k, and almost_minimal_rn2,
+    whose intersection sum is at most e1_bar - lambda(closure(I)/J)."""
+    sites = refuted_sites()
+    assert len(sites) == 10
+    assert set(ledger_hits) == set(sites)
+
+
+def test_refutation_ledger_classes(ledger_hits):
+    """The tamper runs reach the checkers of the tamper ledger; the patched
+    runs reach the four sites that read only computed values, among them the
+    first e1_type_sandwich site, as a tamper only lowers lambda(I2bar/J·I1bar)."""
+    sites = refuted_sites()
+    by_kind = {kind: sorted(sites[s] for s, kinds in ledger_hits.items() if kinds == {kind})
+               for kind in LEDGER_RUNS}
+    assert by_kind == {
+        "tamper": sorted(REFUTING),
+        "patched": ["e1_type_sandwich", "e3_nonnegative", "sally_type_bound", "socle_formula"],
+    }
