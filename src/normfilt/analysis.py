@@ -32,10 +32,9 @@ def default_window(dim: int) -> int:
 
 def default_nmax(dim: int) -> int:
     """Default horizon: its nmax + 1 entries hold a windowed fit's dim entries
-    plus its window with at least one to spare, the need of a fit that had to
-    find ē0 too. Only the adic column and the normal column of S != N without
-    a reduction are fitted through a window now (`Analysis.h`), but lowering
-    the horizon would move every default output."""
+    plus its window with at least one to spare. Only the adic column and the
+    normal column of S != N without a reduction are fitted through a window
+    (`Analysis.h`), but lowering the horizon would move every default output."""
     return max(dim + 5, dim + default_window(dim))
 
 
@@ -79,10 +78,10 @@ class Analysis:
     once, on the box of the highest degree it reads (adic_values I,
     socle_lengths J), so operands share a box inside a reader. The normal fit
     and rn come from h on the proved basis (`basis`): with a reduction, and on
-    S = N.
-    The window `default_window(dim)` is passed to every other fit, which takes
-    e0 as its leading coefficient (ē0 = e0 by Rees); sally_fit is read off the
-    normal fit. The table columns need no filtration module; h, the fits and
+    S = N. Every other fit, of the adic column and of the normal column on the
+    window basis, reads the column's h too, cut where its partial sums are e0
+    over the window `default_window(dim)` (ē0 = e0 by Rees); sally_fit is read
+    off the normal fit. The table columns need no filtration module; h, the fits and
     what reads them (rn, e_bar, g_s, base_numbers) import `filtration` on
     first read, and basis, a proof, reads nothing. The J-good and Sally columns,
     the Sally fit and lam_I1_J read e0 for lambda(R/J), not J. rn and

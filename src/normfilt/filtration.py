@@ -1,13 +1,14 @@
 """Fits of colength tables, and the proved bound of the reduction number.
 
-Covers: the Hilbert coefficients of a normal column read off its h-vector
-where the normal G is Cohen-Macaulay (`h_vector`, `h_fit`), the windowed
-binomial-basis fits of every other column, with a known multiplicity and a
-verification window, and the bound B = d + floor(Fr/c) of the reduction
-number of the normal filtration on every ring with a pure-power reduction
-(`rn_bound`). The module builds no ideal and imports only `errors`: the
-caller passes the tables and the reduction, and `analysis.Analysis` counts
-the columns and reads the Sally coefficients off the normal fit.
+Covers: the Hilbert coefficients of a colength table read off its h-vector
+(`h_vector`, `h_fit`). Where the normal G is Cohen-Macaulay, h is cut at the
+proved bound of rn; on every other column `fit_coefficients` cuts it where
+its partial sums reach the known multiplicity over a verification window.
+Also the bound B = d + floor(Fr/c) of the reduction number of the normal
+filtration on every ring with a pure-power reduction (`rn_bound`). The
+module builds no ideal and imports only `errors`: the caller passes the
+tables and the reduction, and `analysis.Analysis` counts the columns and
+reads the Sally coefficients off the normal fit.
 
 All binomials follow one convention: series_coeff(n, p) is the coefficient of
 z^n in (1-z)^(-p). The usual C(n+j, j) is series_coeff(n, j+1); for p = 0 the
@@ -17,6 +18,7 @@ length bounds need in dimension 1.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
@@ -81,53 +83,8 @@ def h_fit(h, values, dim: int) -> Fit:
     k of h, so from max(0, deg h - dim) on. stable_from scans down from there.
     """
     coeffs = tuple(sum(comb(k, i) * x for k, x in enumerate(h)) for i in range(dim + 1))
-    stable_from = max(0, max(k for k, x in enumerate(h) if x) - dim)
+    stable_from = max(0, max((k for k, x in enumerate(h) if x), default=0) - dim)
     while stable_from and _value(coeffs, dim, stable_from - 1) == values[stable_from - 1]:
-        stable_from -= 1
-    return Fit(coeffs, stable_from)
-
-
-def fit_polynomial(values, dim: int, window: int) -> Fit:
-    """Exact integral fit of values[n] = sum_i (-1)^i c_i C(n+dim-i, dim-i).
-
-    Fits the trailing dim+1 entries by backward differences, verifies the
-    preceding `window` entries, then scans backwards for the first index from
-    which the polynomial matches. A backward difference lowers C(n+k, k) to
-    C(n+k-1, k-1), so the (dim-i)-th difference at the last index N is
-    sum_{j<=i} (-1)^j c_j C(N+i-j, i-j): a unit-triangular system, solved
-    from i = 0 upward in integers. Raises HorizonError whenever the table is
-    too short or the fit fails, since a longer table could still succeed.
-    """
-    k = dim + 1
-    if window < 1:
-        raise PreconditionError("verification window must be positive")
-    if any(int(v) != v for v in values):
-        raise PreconditionError("table entries must be integers")
-    if len(values) < k + window:
-        raise HorizonError(
-            f"need at least {k + window} table entries to fit and verify, have {len(values)}"
-            " (horizon too small)"
-        )
-    row = [int(v) for v in values[len(values) - k:]]
-    ends = [row[-1]]  # ends[m]: the m-th backward difference at the last index N
-    for _ in range(dim):
-        row = [y - x for x, y in zip(row, row[1:])]
-        ends.append(row[-1])
-    last = len(values) - 1
-    signed = []  # (-1)^i c_i
-    for i in range(k):
-        lower = sum(s * comb(last + i - j, i - j) for j, s in enumerate(signed))
-        signed.append(ends[dim - i] - lower)
-    coeffs = tuple((-1) ** i * s for i, s in enumerate(signed))
-    first_fit = len(values) - k
-    for n in range(first_fit - window, first_fit):
-        if _value(coeffs, dim, n) != values[n]:
-            raise HorizonError(
-                f"fitted polynomial disagrees with the table at degree {n}"
-                " inside the verification window (horizon too small)"
-            )
-    stable_from = first_fit - window
-    while stable_from > 0 and _value(coeffs, dim, stable_from - 1) == values[stable_from - 1]:
         stable_from -= 1
     return Fit(coeffs, stable_from)
 
@@ -136,9 +93,27 @@ def fit_coefficients(values, e0: int, dim: int, window: int) -> Fit:
     """Hilbert coefficients (e0, e1..e_dim) of a colength table in dimension
     dim whose leading coefficient e0 is known, verified over `window` entries.
 
-    e0·C(n+dim, dim) - values[n] = sum_(i>=1) (-1)^(i-1) e_i C(n+dim-i, dim-i)
-    is fitted in dimension dim-1, so the fit reads dim entries plus the window.
+    The residual e0·C(n+dim, dim) - values[n] has the series (e0 - h(z))/(1-z)^(dim+1),
+    h = h_vector(values, dim), so its dim-th differences are e0 - sum_(k<=n) h_k.
+    It is a polynomial over the last dim entries and the window exactly when
+    those partial sums are e0 at every n >= top = len(values) - window, and then
+    h is cut at top: the fit reads dim entries plus the window.
     """
-    residual = [e0 * series_coeff(n, dim + 1) - v for n, v in enumerate(values)]
-    fit = fit_polynomial(residual, dim - 1, window)
-    return Fit((e0, *fit.e), fit.stable_from)
+    if window < 1:
+        raise PreconditionError("verification window must be positive")
+    if any(int(v) != v for v in values):
+        raise PreconditionError("table entries must be integers")
+    if len(values) < dim + window:
+        raise HorizonError(
+            f"need at least {dim + window} table entries to fit and verify, have {len(values)}"
+            " (horizon too small)"
+        )
+    h = h_vector([int(v) for v in values], dim)
+    top = len(values) - window
+    misses = [n for n, total in enumerate(accumulate(h)) if n >= top and total != e0]
+    if misses:
+        raise HorizonError(
+            f"the table is not a polynomial of leading coefficient {e0} from degree"
+            f" {misses[-1] - dim} on, inside the verification window (horizon too small)"
+        )
+    return h_fit(h[:top + 1], values, dim)

@@ -26,7 +26,6 @@ from functools import wraps
 from typing import NamedTuple
 
 from .analysis import Analysis, analyze
-from .errors import HorizonError
 from .filtration import series_coeff
 
 SCHEMA_VERSION = "normfilt.verdict/1"
@@ -114,8 +113,7 @@ def _gates(a: Analysis, *, need_reduction=False, need_normal_fit=False, need_sal
     if need_sally_fit and a.reduction is None:
         missing.append(("Sally coefficients unavailable: no reduction", False))
     elif need_sally_fit and a.sally_fit is None:
-        missing.append((f"Sally coefficients unavailable: {a.sally_fit_error}",
-                        isinstance(a.sally_fit_error, HorizonError)))
+        missing.append((f"Sally coefficients unavailable: {a.sally_fit_error}", False))
     if closure_maximal and not a.closure_is_maximal:
         missing.append(("closure of the ideal is not the maximal ideal", False))
     if e3_zero and a.dim >= 3:

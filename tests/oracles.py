@@ -51,8 +51,10 @@ the package no longer calls, live here as reference helpers.
 `free_fit_coefficients` and `sally_from_tables` are the fits that
 `analysis.Analysis` ran before it used ē0 = e0: a degree-d fit of a column
 with ē0 left free, and a second fit of the Sally column. Both are built on
-`filtration.fit_polynomial`, which test_filtration checks against Gaussian
-elimination.
+`fit_polynomial`, the integer triangular solve on backward differences that
+`filtration.fit_coefficients` ran before it read the h-vector, and which
+test_filtration checks against Gaussian elimination; `residual_fit` is that
+former fit with e0 given, the reference of `filtration.fit_coefficients`.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from typing import NamedTuple
 
 from normfilt.analysis import auto_reduction
 from normfilt.errors import HorizonError, PreconditionError
-from normfilt.filtration import fit_polynomial, rn_bound
+from normfilt.filtration import Fit, _value, rn_bound
 from normfilt.monomial import (Ideal, _check_vector, _finite_count, _grid, _joint, _monoid, _on,
                                colength, ideal, lay, multiply, power_box)
 from normfilt.newton import _runs
@@ -828,6 +830,60 @@ def lam_m2_Jm_product(a) -> int:
     from the built products J·m ⊆ m² of the ring's maximal ideal m."""
     m = a.backend.maximal()
     return colength(multiply(a.reduction, m)) - colength(multiply(m, m))
+
+
+def fit_polynomial(values, dim: int, window: int) -> Fit:
+    """Exact integral fit of values[n] = sum_i (-1)^i c_i C(n+dim-i, dim-i).
+
+    Fits the trailing dim+1 entries by backward differences, verifies the
+    preceding `window` entries, then scans backwards for the first index from
+    which the polynomial matches. A backward difference lowers C(n+k, k) to
+    C(n+k-1, k-1), so the (dim-i)-th difference at the last index N is
+    sum_{j<=i} (-1)^j c_j C(N+i-j, i-j): a unit-triangular system, solved
+    from i = 0 upward in integers. Raises HorizonError whenever the table is
+    too short or the fit fails, since a longer table could still succeed.
+    """
+    k = dim + 1
+    if window < 1:
+        raise PreconditionError("verification window must be positive")
+    if any(int(v) != v for v in values):
+        raise PreconditionError("table entries must be integers")
+    if len(values) < k + window:
+        raise HorizonError(
+            f"need at least {k + window} table entries to fit and verify, have {len(values)}"
+            " (horizon too small)"
+        )
+    row = [int(v) for v in values[len(values) - k:]]
+    ends = [row[-1]]  # ends[m]: the m-th backward difference at the last index N
+    for _ in range(dim):
+        row = [y - x for x, y in zip(row, row[1:])]
+        ends.append(row[-1])
+    last = len(values) - 1
+    signed = []  # (-1)^i c_i
+    for i in range(k):
+        lower = sum(s * comb(last + i - j, i - j) for j, s in enumerate(signed))
+        signed.append(ends[dim - i] - lower)
+    coeffs = tuple((-1) ** i * s for i, s in enumerate(signed))
+    first_fit = len(values) - k
+    for n in range(first_fit - window, first_fit):
+        if _value(coeffs, dim, n) != values[n]:
+            raise HorizonError(
+                f"fitted polynomial disagrees with the table at degree {n}"
+                " inside the verification window (horizon too small)"
+            )
+    stable_from = first_fit - window
+    while stable_from > 0 and _value(coeffs, dim, stable_from - 1) == values[stable_from - 1]:
+        stable_from -= 1
+    return Fit(coeffs, stable_from)
+
+
+def residual_fit(values, e0: int, dim: int, window: int) -> Fit:
+    """The fit with e0 given as `filtration.fit_coefficients` ran it before it
+    read the h-vector: fit_polynomial of the residual e0·C(n+dim, dim) -
+    values[n] in dimension dim - 1, which reads dim entries plus the window."""
+    residual = [e0 * comb(n + dim, dim) - v for n, v in enumerate(values)]
+    fit = fit_polynomial(residual, dim - 1, window)
+    return Fit((e0, *fit.e), fit.stable_from)
 
 
 def free_fit_coefficients(values, dim: int, window: int):

@@ -7,7 +7,7 @@ from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from normfilt import CHECKS, errors
@@ -16,10 +16,11 @@ from normfilt.analysis import Analysis, auto_reduction, default_nmax, default_wi
 from normfilt.inputs import EntryData, PolynomialBackend, SemigroupBackend, parse_input
 from normfilt.monomial import NumericalSemigroup, colength, multiply
 from oracles import (AdicFiltration, Filtration, _solve_consistent, closure_power, contains,
-                     free_fit_coefficients, intersect, intersection_failures_oracle,
-                     jgood_chain_colengths, length_table, maximal_vv_scan, normal_filt,
-                     reduction_number_scan, sally_from_tables, series_checks, unit_ideal,
-                     valabrega_valla, valabrega_valla_prefixes)
+                     fit_polynomial, free_fit_coefficients, intersect,
+                     intersection_failures_oracle, jgood_chain_colengths, length_table,
+                     maximal_vv_scan, normal_filt, reduction_number_scan, residual_fit,
+                     sally_from_tables, series_checks, unit_ideal, valabrega_valla,
+                     valabrega_valla_prefixes)
 
 
 # --- series_coeff ------------------------------------------------------------
@@ -88,8 +89,8 @@ def test_fit_horizon_corrupted_tail():
 
 
 def test_fit_window_validation():
-    with pytest.raises(errors.PreconditionError):
-        flt.fit_polynomial(planted((2, 1), 1, 8), 1, 0)
+    with pytest.raises(errors.PreconditionError, match="window"):
+        flt.fit_coefficients(planted((2, 1), 1, 8), 2, 1, 0)
 
 
 def test_fit_rejects_non_integer_entries():
@@ -125,10 +126,10 @@ def reference_fit(values, dim, window):
 
 
 @st.composite
-def fit_tables(draw):
+def fit_tables(draw, min_dim=0):
     """(values, dim, window): planted polynomials with a few perturbed
     entries, or random tables; short tables and bad windows included."""
-    dim = draw(st.integers(0, 4))
+    dim = draw(st.integers(min_dim, 4))
     count = draw(st.integers(0, 14))
     if draw(st.booleans()):
         coeffs = draw(st.lists(st.integers(-60, 60), min_size=dim + 1, max_size=dim + 1))
@@ -140,9 +141,9 @@ def fit_tables(draw):
     return values, dim, draw(st.integers(-1, 5))
 
 
-def fit_outcome(fit, values, dim, window):
+def fit_outcome(fit, *args):
     try:
-        return fit(values, dim, window)
+        return fit(*args)
     except (errors.HorizonError, errors.PreconditionError) as exc:
         return type(exc)
 
@@ -150,7 +151,40 @@ def fit_outcome(fit, values, dim, window):
 @settings(max_examples=500, deadline=None)
 @given(fit_tables())
 def test_fit_matches_rational_reference(table):
-    assert fit_outcome(flt.fit_polynomial, *table) == fit_outcome(reference_fit, *table), table
+    assert fit_outcome(fit_polynomial, *table) == fit_outcome(reference_fit, *table), table
+
+
+def leading(values, dim):
+    """The dim-th backward difference at the last entry, the e0 of a table
+    that is a polynomial of degree dim there; 0 on a table of dim entries or
+    fewer."""
+    if len(values) <= dim:
+        return 0
+    row = values[-dim - 1:]
+    for _ in range(dim):
+        row = [y - x for x, y in zip(row, row[1:])]
+    return row[-1]
+
+
+@st.composite
+def e0_tables(draw):
+    """(values, e0, dim, window): a table of `fit_tables` in dimension >= 1
+    with its planted e0, that e0 off by 1 or 2, a random e0, or 0."""
+    values, dim, window = draw(fit_tables(min_dim=1))
+    e0 = leading(values, dim)
+    e0 = draw(st.just(e0) | st.sampled_from((e0 - 2, e0 - 1, e0 + 1, e0 + 2))
+              | st.integers(-200, 200) | st.just(0))
+    return values, e0, dim, window
+
+
+@settings(max_examples=500, deadline=None)
+@given(e0_tables())
+@example(([0] * 8, 0, 2, 4))  # h is all zero: Fit((0, 0, 0), 0), deg h taken as 0
+def test_fit_coefficients_matches_the_residual_fit(table):
+    """The fit read off the h-vector gives the Fit, or the error class, of
+    the backward-difference fit of the residual e0·C(n+d, d) - v_n that it
+    replaced."""
+    assert fit_outcome(flt.fit_coefficients, *table) == fit_outcome(residual_fit, *table), table
 
 
 # --- filtration kinds ---------------------------------------------------------
@@ -744,12 +778,15 @@ def test_a_free_fit_can_pass_with_the_wrong_e0():
     """Why the two tests above claim the free fit only of the counted normal
     column where S = N. In k[[t^5,t^7]][U], I = (t^10, U·t^7, U^3) at nmax 8,
     the adic column is not yet its polynomial: the free fit passes its window
-    with e0 = 29, yet e0 = 30, and the fit with e0 given fails at degree 3."""
+    with e0 = 29, yet e0 = 30, and the fit with e0 given fails: the sum of h
+    up to the last entry, degree 8, misses 30, so the column is not its
+    polynomial from degree 8 - d = 6 on."""
     ring = SemigroupBackend((5, 7), 1)
     a = Analysis(EntryData("adic", ring, ring.ideal([(0, 10), (1, 7), (3, 0)]), nmax=8))
     assert a.e0 == 30
     assert free_fit_coefficients(a.adic_values, a.dim, a.window) == ((29, 36, 34), 2)
-    assert a.adic_fit is None and "at degree 3" in str(a.adic_fit_error)
+    assert a.adic_fit is None
+    assert "leading coefficient 30 from degree 6 on" in str(a.adic_fit_error)
     assert isinstance(a.adic_fit_error, errors.HorizonError)
 
 

@@ -53,7 +53,7 @@ def test_theorems_reads_J_only_through_the_filtration():
     # from analysis.Analysis, and never hold or combine an ideal themselves
     path = Path(normfilt.__file__).parent / "theorems.py"
     tree = ast.parse(path.read_text())
-    assert set(module_level_imports(tree)) == {"errors", "analysis", "filtration"}
+    assert set(module_level_imports(tree)) == {"analysis", "filtration"}
     kernel = {"multiply", "intersect", "colength", "ideal_contains", "socle_length",
               "witness_element"}
     named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
