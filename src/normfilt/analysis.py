@@ -80,14 +80,16 @@ class Analysis:
     and rn come from h on the proved basis (`basis`): with a reduction, and on
     S = N. Every other fit, of the adic column and of the normal column on the
     window basis, reads the column's h too, cut where its partial sums are e0
-    over the window `default_window(dim)` (ē0 = e0 by Rees); sally_fit is read
-    off the normal fit. The table columns need no filtration module; h, the fits and
+    over the window `default_window(dim)` (ē0 = e0 by Rees). Only those two
+    windowed fits can fail: a failed one reads None, and its *_error field
+    holds the error. sally_fit is the normal fit shifted by lambda(closure(I)/J);
+    with a reduction the normal fit is on the proved basis, so it never fails.
+    The table columns need no filtration module; h, the fits and
     what reads them (rn, e_bar, g_s, base_numbers) import `filtration` on
     first read, and basis, a proof, reads nothing. The J-good and Sally columns,
-    the Sally fit and lam_I1_J read e0 for lambda(R/J), not J. rn and
+    the Sally fit and lam_I1_J read e0 for lambda(R/J), not J. rn, sally_fit and
     socle_lengths raise PreconditionError without a reduction;
-    tangent_cone_failure reads only S. A failed fit reads None; its *_error
-    field holds the error.
+    tangent_cone_failure reads only S.
     """
 
     def __init__(self, entry: EntryData):
@@ -204,7 +206,7 @@ class Analysis:
         if self.h is None:
             return self._fit(self.normal_values)
         from .filtration import h_fit
-        return h_fit(self.h, self.ideal.closure_counts(len(self.h))[1:], self.dim), None
+        return h_fit(self.h, self.dim), None
 
     normal_fit = property(lambda self: self._normal_fit[0])
     normal_fit_error = property(lambda self: self._normal_fit[1])
@@ -232,22 +234,17 @@ class Analysis:
         """lambda(closure(I^(n+1))/J^n·closure(I)) for n = 0..nmax: J-good minus normal."""
         return tuple(j - n for j, n in zip(self.jgood_values, self.normal_values))
 
-    @cached_property
-    def _sally_fit(self):
+    @property
+    def sally_fit(self):
         """(s0 = ē1 - lambda(closure(I)/J), s_i = ē_(i+1)) with the normal fit's
         stable_from: Sally[n] + lambda(closure(I)/J)·C(n+d-1, d-1) is the
         residual e0·C(n+d, d) - normal[n] that the normal fit fits, and the
-        added term is a polynomial for every n >= 0. A tampered table can
-        give negative Sally lengths (entry 0 is 0 on any other): PreconditionError."""
-        if min(self.sally_values) < 0:
-            return None, PreconditionError("Sally lengths must be nonnegative and start at 0")
+        added term is a polynomial for every n >= 0. With J the normal fit is
+        h_fit of the counted h, so it is the ideal's Sally fit on a tampered
+        table too, where a printed Sally length can be negative."""
+        self._need_reduction("sally_fit")
         fit = self.normal_fit
-        if fit is None:
-            return None, self.normal_fit_error
-        return fit._replace(e=(fit.e[1] - self.lam_I1_J, *fit.e[2:])), None
-
-    sally_fit = property(lambda self: self._sally_fit[0])
-    sally_fit_error = property(lambda self: self._sally_fit[1])
+        return fit._replace(e=(fit.e[1] - self.lam_I1_J, *fit.e[2:]))
 
     @cached_property
     def rn(self) -> int:
@@ -292,8 +289,10 @@ class Analysis:
 
     @property
     def g_s(self) -> int:
-        """Sectional genus e1_bar - e0_bar + normal_values[0], from the table as read."""
-        return self.normal_fit.e[1] - self.normal_fit.e[0] + self.normal_values[0]
+        """Sectional genus e1_bar - e0_bar + lambda(R/closure(I)), with the counted
+        length, not the printed normal_values[0]: on the proved basis a tamper
+        moves no term."""
+        return self.normal_fit.e[1] - self.normal_fit.e[0] + self.lam_R_I1
 
     def base_numbers(self) -> dict:
         nums = {

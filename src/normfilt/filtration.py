@@ -1,9 +1,11 @@
 """Fits of colength tables, and the proved bound of the reduction number.
 
 Covers: the Hilbert coefficients of a colength table read off its h-vector
-(`h_vector`, `h_fit`). Where the normal G is Cohen-Macaulay, h is cut at the
-proved bound of rn; on every other column `fit_coefficients` cuts it where
-its partial sums reach the known multiplicity over a verification window.
+(`h_vector`, `h_fit`), with the degree from which the table is its
+polynomial, max(0, deg h - d), in closed form: h_fit reads h alone. Where the
+normal G is Cohen-Macaulay, h is cut at the proved bound of rn; on every
+other column `fit_coefficients` cuts it where its partial sums reach the
+known multiplicity over a verification window, the one fit that can fail.
 Also the bound B = d + floor(Fr/c) of the reduction number of the normal
 filtration on every ring with a pure-power reduction (`rn_bound`). The
 module builds no ideal and imports only `errors`: the caller passes the
@@ -61,11 +63,6 @@ class Fit(NamedTuple):
     stable_from: int
 
 
-def _value(coeffs, dim: int, n: int) -> int:
-    """The table polynomial sum_i (-1)^i c_i C(n+dim-i, dim-i) at n."""
-    return sum((-1) ** i * c * series_coeff(n, dim - i + 1) for i, c in enumerate(coeffs))
-
-
 def h_vector(values, dim: int) -> tuple[int, ...]:
     """h_n = sum_j (-1)^j C(dim+1, j) values[n-j] for each n of values: the
     coefficients of (1-z)^(dim+1)·sum_n values[n] z^n up to that degree."""
@@ -73,20 +70,21 @@ def h_vector(values, dim: int) -> tuple[int, ...]:
                      for j in range(min(n, dim + 1) + 1)) for n in range(len(values)))
 
 
-def h_fit(h, values, dim: int) -> Fit:
-    """The coefficients e_i = sum_k C(k, i)·h_k, i = 0..dim, of a colength
-    table values whose series is h(z)/(1-z)^(dim+1), h the whole h-vector.
+def h_fit(h, dim: int) -> Fit:
+    """The coefficients e_i = sum_k C(k, i)·h_k, i = 0..dim, of the colength
+    table whose series is h(z)/(1-z)^(dim+1), h the whole h-vector, and the
+    first degree from which the table is its polynomial.
 
     h(z) = sum_i (-1)^i e_i (1-z)^i plus terms of order (1-z)^(dim+1), which
-    the series gives back as a polynomial in z; values[n] = sum_k h_k
-    C(n-k+dim, dim) is the table polynomial wherever n >= k - dim for every
-    k of h, so from max(0, deg h - dim) on. stable_from scans down from there.
+    the series gives back as a polynomial in z. The table is sum_k h_k
+    C(n-k+dim, dim) with C = 0 for n < k, its polynomial the same sum with
+    C(x, dim) = x(x-1)...(x-dim+1)/dim! for every x; the two agree for n >= k -
+    dim at every k of h, so from deg h - dim on. At n = deg h - dim - 1 >= 0
+    only k = deg h is short, with C(-1, dim) = (-1)^dim, so they differ by
+    ±h_(deg h) != 0: stable_from = max(0, deg h - dim) (deg h = 0 for h = 0).
     """
     coeffs = tuple(sum(comb(k, i) * x for k, x in enumerate(h)) for i in range(dim + 1))
-    stable_from = max(0, max((k for k, x in enumerate(h) if x), default=0) - dim)
-    while stable_from and _value(coeffs, dim, stable_from - 1) == values[stable_from - 1]:
-        stable_from -= 1
-    return Fit(coeffs, stable_from)
+    return Fit(coeffs, max(0, max((k for k, x in enumerate(h) if x), default=0) - dim))
 
 
 def fit_coefficients(values, e0: int, dim: int, window: int) -> Fit:
@@ -116,4 +114,4 @@ def fit_coefficients(values, e0: int, dim: int, window: int) -> Fit:
             f"the table is not a polynomial of leading coefficient {e0} from degree"
             f" {misses[-1] - dim} on, inside the verification window (horizon too small)"
         )
-    return h_fit(h[:top + 1], values, dim)
+    return h_fit(h[:top + 1], dim)

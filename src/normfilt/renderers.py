@@ -68,10 +68,7 @@ def _coeff_rows(payload):
     if "error" in payload["adic"]:
         rows.append(("adic_fit", payload["adic"]["error"]))
     if "sally" in payload:
-        for i, c in enumerate(payload["sally"].get("s", [])):
-            rows.append((f"s{i}_bar", c))
-        if "error" in payload["sally"]:
-            rows.append(("sally_fit", payload["sally"]["error"]))
+        rows += [(f"s{i}_bar", c) for i, c in enumerate(payload["sally"]["s"])]
     for key in ("lambda_R_I1", "lambda_I1_J", "lambda_I2_JI1", "rn",
                 "mu_ideal", "mu_maximal", "type"):
         if key in payload and payload[key] is not None:

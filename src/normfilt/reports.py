@@ -50,7 +50,7 @@ def table_payload(analysis) -> dict:
     return {"schema": TABLE_SCHEMA, **_header(analysis), "columns": columns, "rows": rows}
 
 
-def _fit_dict(fit, error, key="e"):
+def _fit_dict(fit, error=None, key="e"):
     if fit is None:
         return {"error": str(error)}
     return {key: list(fit.e), "stable_from": fit.stable_from}
@@ -64,7 +64,7 @@ def coeffs_payload(analysis) -> dict:
         "schema": COEFFS_SCHEMA,
         **_header(analysis),
         "e0": analysis.e0,
-        "normal": {**_fit_dict(analysis.normal_fit, None), "g_s": analysis.g_s,
+        "normal": {**_fit_dict(analysis.normal_fit), "g_s": analysis.g_s,
                    "basis": analysis.basis,
                    "h": list(analysis.h) if analysis.h is not None else None},
         "adic": _fit_dict(analysis.adic_fit, analysis.adic_fit_error),
@@ -78,23 +78,21 @@ def coeffs_payload(analysis) -> dict:
         out["lambda_I1_J"] = analysis.lam_I1_J
         out["lambda_I2_JI1"] = analysis.sally_values[1]
         out["rn"] = analysis.rn
-        out["sally"] = _fit_dict(analysis.sally_fit, analysis.sally_fit_error, key="s")
+        out["sally"] = _fit_dict(analysis.sally_fit, key="s")
     return out
 
 
 def sally_payload(analysis) -> dict:
-    """Sally report; needs a reduction and a fit, else raises the fit's error."""
+    """Sally report of the printed lengths and the ideal's fit; needs a reduction."""
     if analysis.reduction is None:
         raise PreconditionError(
             "Sally module lengths need a certified reduction; none is available"
         )
-    if analysis.sally_fit is None:
-        raise analysis.sally_fit_error
     return {
         "schema": SALLY_SCHEMA,
         **_header(analysis),
         "values": list(analysis.sally_values),
-        **_fit_dict(analysis.sally_fit, None, key="s"),
+        **_fit_dict(analysis.sally_fit, key="s"),
         "s0_from_e": analysis.sally_fit.e[0],
     }
 

@@ -110,10 +110,8 @@ def _gates(a: Analysis, *, need_reduction=False, need_normal_fit=False, need_sal
     no_normal = (f"normal coefficients unavailable: {a.normal_fit_error}", True)
     if need_normal_fit and a.normal_fit is None:
         missing.append(no_normal)
-    if need_sally_fit and a.reduction is None:
+    if need_sally_fit and a.reduction is None:  # with J the Sally fit never fails
         missing.append(("Sally coefficients unavailable: no reduction", False))
-    elif need_sally_fit and a.sally_fit is None:
-        missing.append((f"Sally coefficients unavailable: {a.sally_fit_error}", False))
     if closure_maximal and not a.closure_is_maximal:
         missing.append(("closure of the ideal is not the maximal ideal", False))
     if e3_zero and a.dim >= 3:

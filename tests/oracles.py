@@ -55,6 +55,8 @@ with ē0 left free, and a second fit of the Sally column. Both are built on
 `filtration.fit_coefficients` ran before it read the h-vector, and which
 test_filtration checks against Gaussian elimination; `residual_fit` is that
 former fit with e0 given, the reference of `filtration.fit_coefficients`.
+`_value` evaluates a fitted polynomial, for those fits and as the reference
+of the `stable_from` that `filtration.h_fit` reads off h in closed form.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from typing import NamedTuple
 
 from normfilt.analysis import auto_reduction
 from normfilt.errors import HorizonError, PreconditionError
-from normfilt.filtration import Fit, _value, rn_bound
+from normfilt.filtration import Fit, rn_bound, series_coeff
 from normfilt.monomial import (Ideal, _check_vector, _finite_count, _grid, _joint, _monoid, _on,
                                colength, ideal, lay, multiply, power_box)
 from normfilt.newton import _runs
@@ -830,6 +832,11 @@ def lam_m2_Jm_product(a) -> int:
     from the built products J·m ⊆ m² of the ring's maximal ideal m."""
     m = a.backend.maximal()
     return colength(multiply(a.reduction, m)) - colength(multiply(m, m))
+
+
+def _value(coeffs, dim: int, n: int) -> int:
+    """The table polynomial sum_i (-1)^i c_i C(n+dim-i, dim-i) at n."""
+    return sum((-1) ** i * c * series_coeff(n, dim - i + 1) for i, c in enumerate(coeffs))
 
 
 def fit_polynomial(values, dim: int, window: int) -> Fit:

@@ -15,8 +15,8 @@ from normfilt import filtration as flt
 from normfilt.analysis import Analysis, auto_reduction, default_nmax, default_window
 from normfilt.inputs import EntryData, PolynomialBackend, SemigroupBackend, parse_input
 from normfilt.monomial import NumericalSemigroup, colength, multiply
-from oracles import (AdicFiltration, Filtration, _solve_consistent, closure_power, contains,
-                     fit_polynomial, free_fit_coefficients, intersect,
+from oracles import (AdicFiltration, Filtration, _solve_consistent, _value, closure_power,
+                     contains, fit_polynomial, free_fit_coefficients, intersect,
                      intersection_failures_oracle, jgood_chain_colengths, length_table,
                      maximal_vv_scan, normal_filt, reduction_number_scan, residual_fit,
                      sally_from_tables, series_checks, unit_ideal, valabrega_valla,
@@ -185,6 +185,22 @@ def test_fit_coefficients_matches_the_residual_fit(table):
     the backward-difference fit of the residual e0·C(n+d, d) - v_n that it
     replaced."""
     assert fit_outcome(flt.fit_coefficients, *table) == fit_outcome(residual_fit, *table), table
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 4), st.lists(st.integers(-5, 5), min_size=1, max_size=9))
+@example(1, [1, 0, 0, 2])  # deg h - d - 1 = 1: the table is its polynomial from 2 on
+@example(0, [3, -1, 0, 0, 4, 0])  # d = 0: C(-1, 0) = 1
+@example(2, [0, 0, 0])  # h = 0: stable from 0, deg h taken as 0
+def test_h_fit_reads_stable_from_off_h(dim, h):
+    """h_fit's closed form max(0, deg h - d), against the table of
+    h(z)/(1-z)^(d+1) built entry by entry: the least n >= 0 from which the
+    table equals the fitted polynomial, evaluated by the oracle."""
+    fit = flt.h_fit(h, dim)
+    table = [sum(x * flt.series_coeff(n - k, dim + 1) for k, x in enumerate(h))
+             for n in range(len(h) + dim + 3)]
+    agree = [_value(fit.e, dim, n) == v for n, v in enumerate(table)]
+    assert fit.stable_from == next(n for n in range(len(agree)) if all(agree[n:])), (h, dim)
 
 
 # --- filtration kinds ---------------------------------------------------------
@@ -449,6 +465,20 @@ def test_h_vector_is_the_normal_filtration(case):
     for n in range(1, a.nmax + 1):
         assert filt.meet(n, n + 1) == a.jgood_values[n], n
         assert filt.meet(1, n + 1) - counted[n] == sum(a.h[n + 1:]), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(normal_cases(), st.data())
+def test_a_tamper_moves_no_fit_of_the_ideal(case, data):
+    """normal_fit, sally_fit, h, rn and g_s read the counted column and the
+    counted lambda(R/closure(I)), so a tamper of the printed column at any
+    index moves none of them, even where it makes a printed Sally length
+    negative."""
+    a = case[0]
+    index = data.draw(st.integers(0, a.nmax), label="tamper index")
+    tampered = Analysis(a.entry._replace(tamper_normal=index))
+    fields = ("normal_fit", "sally_fit", "h", "rn", "g_s")
+    assert [getattr(tampered, f) for f in fields] == [getattr(a, f) for f in fields]
 
 
 @settings(max_examples=300, deadline=None)
@@ -739,23 +769,24 @@ def test_fit_with_known_e0_matches_the_free_fit(a):
     G is Cohen-Macaulay (see `Analysis.basis`) with rn <= d - 1, so the column is
     its polynomial from n = 0, and any passing fit is exact. Elsewhere a free
     fit can pass with the wrong e0 (see below). The Sally fit read off the
-    normal fit has the coefficients of the one fitted on the Sally column
-    wherever that passes, and the same stable_from on an untampered column;
-    it needs no horizon, so it passes where that one runs out, and a
-    negative Sally length refuses both."""
+    normal fit has the coefficients of the one fitted on the printed Sally
+    column wherever that passes, and the same stable_from on an untampered
+    column; it needs no horizon, so it passes where that one runs out, and
+    where a tamper makes a printed Sally length negative, which refuses the
+    fit of the column, it is the untampered analysis's."""
     free, given_e0 = counted_fits(a)
     if not a.backend.sg.gaps and isinstance(free, flt.Fit):
         assert given_e0 == free and free.stable_from == 0
     if a.reduction is not None:
-        sally = a.sally_fit or (type(a.sally_fit_error), str(a.sally_fit_error))
+        sally = a.sally_fit
+        assert isinstance(sally, flt.Fit)
         windowed = attempt(sally_from_tables, a.sally_values, a.dim, a.window)
         if isinstance(windowed, flt.Fit):
             assert sally.e == windowed.e
             assert a.entry.tamper_normal is not None or sally == windowed
-        elif windowed[0] is errors.HorizonError:
-            assert isinstance(sally, flt.Fit)
-        else:
-            assert sally == windowed
+        elif windowed[0] is errors.PreconditionError:
+            assert a.entry.tamper_normal is not None and min(a.sally_values) < 0
+            assert sally == Analysis(a.entry._replace(tamper_normal=None)).sally_fit
 
 
 @settings(max_examples=100, deadline=None)
@@ -815,12 +846,13 @@ def test_sally_from_tables():
 
 
 def test_sally_rejects_negative_lengths():
-    # the tamper raises the normal entry 0, so the Sally length 0 drops to -1:
-    # the normal fit passes from degree 1 on, and the Sally fit is refused
+    # the tamper raises the normal entry 0, so the printed Sally length 0
+    # drops to -1; the Sally fit is read off the normal fit of the counted
+    # column, so it is the ideal's, as untampered. A separate fit of the
+    # printed Sally column, the oracle, refuses negative lengths
     a = sg_4_5_11(tamper_normal=0)
     assert a.sally_values[0] == -1 and a.normal_fit == ((4, 5), 1)
-    assert a.sally_fit is None
-    assert isinstance(a.sally_fit_error, errors.PreconditionError)
+    assert a.sally_fit == ((2,), 1) == sg_4_5_11().sally_fit
     for values in ((0, -2), (1, 2)):
         with pytest.raises(errors.PreconditionError):
             sally_from_tables(values, 1, default_window(1))

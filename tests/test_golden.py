@@ -39,8 +39,9 @@ FORMATS = ("json", "csv", "md")
 ENTRIES = ("poly3_cubes_diag", "sg_4_5_11_uv")
 COMMANDS = ("table", "coeffs", "sally")
 # golden file stem -> (entry, extra check arguments): a tampered table at a
-# high horizon refutes the J-good closed form and reads g_s from the tampered
-# entry; at the default horizon the tamper breaks the fits instead. On
+# high horizon refutes the J-good closed form, while the fits and g_s read the
+# counted column; on poly3_maximal the tamper makes a printed Sally length
+# negative, and the Sally checkers still verify off the ideal's fit. On
 # poly3_cubes at a high horizon table_coherence refutes at the tampered degree
 # and almost_minimal_rn2 verifies: it sums no e3 identity, whose summands past
 # rn would compare the tampered entry with lambda(R/J·F_j)

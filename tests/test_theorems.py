@@ -377,10 +377,15 @@ def test_nonpositive_horizon_is_an_input_error():
             load("poly2_x2_y2", nmax=nmax)
 
 
-def test_sally_report_of_negative_lengths_is_a_precondition_error():
+def test_sally_report_of_negative_lengths_prints_the_ideal_fit():
+    # the tamper makes the printed Sally length at degree 2 negative: the
+    # report prints the lengths as read and the fit of the ideal, which reads
+    # the counted column (the Sally module of the maximal ideal vanishes)
     a = load("poly3_maximal", tamper_normal=2)
-    with pytest.raises(errors.PreconditionError, match="nonnegative"):
-        reports.sally_payload(a)
+    payload = reports.sally_payload(a)
+    assert payload["values"] == [0, 0, -1, 0, 0, 0, 0, 0, 0]
+    assert (payload["s"], payload["stable_from"], payload["s0_from_e"]) == ([0, 0, 0], 0, 0)
+    assert a.sally_fit == load("poly3_maximal").sally_fit
 
 
 def test_tampered_entry_is_refuted():
@@ -527,18 +532,17 @@ def test_readme_library_example_runs(capsys):
 @settings(max_examples=200, deadline=None)
 @given(reduction_analyses(top=8, naturals=True), st.data())
 def test_sally_coefficients_follow_from_the_fits(a, data):
-    """Once the normal and the Sally fit both pass, s0 = e1_bar - e0 +
-    lambda(R/closure(I)) and s_i = e_(i+1)_bar, for a tampered table too: the
-    Sally fit is read off the normal fit. So sally_coefficient_transfer and
-    e1_almost_minimal_depth need not compare them. Half the horizons are 8,
-    and a third of the tamper indices lie below the 2d + 2 entries that the
-    normal fit reads, where it can pass."""
+    """With a reduction the normal fit is read off h and the Sally fit off
+    the normal fit, so both exist at every horizon and tamper index, and s0 =
+    e1_bar - e0 + lambda(R/closure(I)) and s_i = e_(i+1)_bar, for a tampered
+    table too. So sally_coefficient_transfer and e1_almost_minimal_depth
+    need not compare them. Half the horizons are 8, and a third of the
+    tamper indices lie below the 2d + 2 entries that a windowed fit would
+    read."""
     nmax = data.draw(st.sampled_from([a.nmax, 8]), label="nmax")
     below_fit = st.integers(1, max(1, nmax - 2 * a.dim - 3))
     index = data.draw(st.none() | st.integers(0, nmax) | below_fit, label="tamper index")
     a = Analysis(a.entry._replace(nmax=nmax, tamper_normal=index))
-    if a.normal_fit is None or a.sally_fit is None:
-        return
     e, s = a.normal_fit.e, a.sally_fit.e
     assert s[0] == e[1] - a.e0 + a.lam_R_I1
     assert s[1:] == e[2:]
